@@ -60,7 +60,10 @@ def main(argv: list[str] | None = None) -> int:
     records = result.runtime.trace
     by_kind = collections.Counter(r.kind for r in records)
     print()
-    print(f"trace: {len(records)} records over {result.runtime.step_count} engine steps")
+    print(
+        f"trace: {len(records)} records, {by_kind['event_delivered']} deliveries "
+        f"({result.runtime.step_count} steps incl. empty probes)"
+    )
     for kind in sorted(by_kind):
         print(f"  {kind}: {by_kind[kind]}")
 

@@ -17,8 +17,8 @@ from .diagnostics import CiotError, Severity, error
 from .engine import inject, instantiate, run_to_quiescence
 from .export import export_model, statemachine_to_dot, structure_to_dot
 from .loader import collect_diagnostics_file, load_file
-from .metamodel import with_property_initial
-from .sim import load_scenario_file, occupancy_timeline, simulate
+from .metamodel import instance_paths, with_property_initial
+from .sim import find_led_paths, load_scenario_file, occupancy_timeline, simulate
 from .trace import render_trace
 
 
@@ -105,6 +105,10 @@ def _cmd_simulate(args) -> int:
             print(f"--threshold-ms: {exc}", file=sys.stderr)
             return 1
     scenario = load_scenario_file(args.scenario)
+    if not args.trace:
+        # Without a trace to write, a model whose timeline cannot be read
+        # fails before it is simulated.
+        find_led_paths(instance_paths(model))
     result = simulate(
         model,
         scenario,

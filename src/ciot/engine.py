@@ -18,6 +18,14 @@ at entry/exit enqueues itself to the owning instance (payload snapshotted
 from same-named properties); at continuous position its action runs inline
 without enqueueing, so a quiescent state stays quiescent.
 
+The next instance is found without a scan: each instance carries its
+depth-first index, and ``RuntimeState.ready`` is a min-heap of the indices
+whose inbox is non-empty. An index is pushed when its inbox goes from empty
+to non-empty and popped when a step empties it again, so the heap's top is
+always the instance the depth-first order names. What a step looks up per
+event (transitions by source state, guard text, float properties, the peer's
+incoming event per route) is tabulated once per component at ``instantiate``.
+
 A send that finds no connector, or a peer with no matching incoming event,
 is recorded with ``error=E_NO_ROUTE`` and dropped; it is not a runtime fault.
 """
@@ -26,6 +34,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 
 from .diagnostics import CiotError, error
 from .guards import PrimType, eval_guard, expr_to_text
@@ -37,6 +46,8 @@ from .metamodel import (
     EventDirection,
     Model,
     PayloadDef,
+    StateDef,
+    TransitionDef,
     instance_paths,
 )
 from .trace import TraceRecord, fmt_payload
@@ -51,11 +62,26 @@ class EventInstance:
 
 
 @dataclass
+class Dispatch:
+    """One component's lookup tables, built at ``instantiate`` and shared by
+    that run's instances of the component."""
+
+    states: dict[str, StateDef]  # first state of each name, as ``state_named``
+    # Per source state name, in declaration order: (transition, "A->B", quoted guard text or None).
+    transitions: dict[str, list[tuple[TransitionDef, str, str | None]]]
+    float_properties: frozenset[str]
+    # (port, payload name) -> this component's matching incoming event, filled on first send.
+    incoming: dict[tuple[str, str | None], EventDef | None] = field(default_factory=dict)
+
+
+@dataclass
 class InstanceState:
     path: str
     component: ComponentDef
     properties: dict
     state: str | None
+    index: int  # position in depth-first order
+    dispatch: Dispatch
     inbox: deque[EventInstance] = field(default_factory=deque)
 
 
@@ -70,6 +96,7 @@ class RuntimeState:
     seq: int = 0
     eseq: int = 0
     step_count: int = 0
+    ready: list[int] = field(default_factory=list)  # min-heap of indices with a non-empty inbox
     rng_seed: int = 0  # reserved; core semantics never draw from it
 
     def record(self, instance: str, kind: str, detail: dict) -> None:
@@ -88,14 +115,19 @@ def instantiate(model: Model) -> RuntimeState:
     """Build the instance tree, wire connectors, enter initial states."""
     paths = instance_paths(model)
     instances: dict[str, InstanceState] = {}
-    for path, comp in paths:
+    tables: dict[int, Dispatch] = {}  # by id(comp); the model keeps every comp alive meanwhile
+    for index, (path, comp) in enumerate(paths):
         machine = comp.state_machine
         initial = machine.initial.name if machine is not None and machine.initial is not None else None
+        if id(comp) not in tables:
+            tables[id(comp)] = _build_dispatch(comp)
         instances[path] = InstanceState(
             path=path,
             component=comp,
             properties={p.name: _initial_value(comp, p, path) for p in comp.properties},
             state=initial,
+            index=index,
+            dispatch=tables[id(comp)],
         )
 
     routing: dict[tuple[str, str], tuple[str, str]] = {}
@@ -112,10 +144,28 @@ def instantiate(model: Model) -> RuntimeState:
         if inst.state is None:
             continue
         rt.record(path, "state_entered", {"state": inst.state})
-        state = comp.state_machine.state_named(inst.state)
-        for ev in state.entry:
+        for ev in inst.dispatch.states[inst.state].entry:
             _execute_positioned(rt, inst, ev, enqueue_generic=True)
     return rt
+
+
+def _build_dispatch(comp: ComponentDef) -> Dispatch:
+    states: dict[str, StateDef] = {}
+    transitions: dict[str, list] = {}
+    machine = comp.state_machine
+    if machine is not None:
+        for s in machine.states:
+            if s.name not in states:
+                states[s.name] = s
+                transitions[s.name] = []
+        for t in machine.transitions:
+            if states.get(t.source.name) is t.source:
+                guard = _quote(expr_to_text(t.guard)) if t.guard is not None else None
+                transitions[t.source.name].append((t, f"{t.source.name}->{t.target.name}", guard))
+    floats = frozenset(
+        p.name for p in comp.properties if p.type is PrimType.FLOAT and comp.property_named(p.name) is p
+    )
+    return Dispatch(states, transitions, floats)
 
 
 def _initial_value(comp: ComponentDef, prop, path: str):
@@ -222,6 +272,8 @@ def _type_error(message: str) -> None:
 
 
 def _enqueue(rt: RuntimeState, inst: InstanceState, event: EventDef, values: dict | None, source: str) -> None:
+    if not inst.inbox:
+        heappush(rt.ready, inst.index)
     inst.inbox.append(EventInstance(event, values, source, rt.eseq))
     rt.eseq += 1
 
@@ -229,10 +281,12 @@ def _enqueue(rt: RuntimeState, inst: InstanceState, event: EventDef, values: dic
 def step(rt: RuntimeState) -> bool:
     """Process one queued event to completion; False when nothing is queued."""
     rt.step_count += 1
-    inst = next((rt.instances[p] for p in rt.order if rt.instances[p].inbox), None)
-    if inst is None:
+    if not rt.ready:
         return False
+    inst = rt.instances[rt.order[rt.ready[0]]]
     ei = inst.inbox.popleft()
+    if not inst.inbox:
+        heappop(rt.ready)  # before the action runs, so a self-enqueue pushes it again
     rt.record(
         inst.path,
         "event_delivered",
@@ -241,12 +295,10 @@ def step(rt: RuntimeState) -> bool:
     _run_action(rt, inst, ei.event.action, ei.payload)
     if inst.state is None:
         return True
-    machine = inst.component.state_machine
-    current = machine.state_named(inst.state)
+    table = inst.dispatch
+    current = table.states[inst.state]
     fired = None
-    for t in machine.transitions:
-        if t.source is not current:
-            continue
+    for t, label, guard_text in table.transitions[inst.state]:
         if t.trigger is not None and t.trigger is not ei.event:
             continue
         if t.guard is None:
@@ -257,11 +309,7 @@ def step(rt: RuntimeState) -> bool:
         rt.record(
             inst.path,
             "guard_eval",
-            {
-                "transition": f"{t.source.name}->{t.target.name}",
-                "guard": _quote(expr_to_text(t.guard)),
-                "result": "true" if result else "false",
-            },
+            {"transition": label, "guard": guard_text, "result": "true" if result else "false"},
         )
         if result:
             fired = t
@@ -276,7 +324,7 @@ def step(rt: RuntimeState) -> bool:
         rt.record(inst.path, "state_entered", {"state": fired.target.name})
         for ev in fired.target.entry:
             _execute_positioned(rt, inst, ev, enqueue_generic=True)
-    for ev in machine.state_named(inst.state).continuous:
+    for ev in table.states[inst.state].continuous:
         _execute_positioned(rt, inst, ev, enqueue_generic=False)
     return True
 
@@ -291,7 +339,7 @@ def run_to_quiescence(rt: RuntimeState, max_steps: int = 10000) -> RunResult:
         if not step(rt):
             return RunResult(steps, True, False)
         steps += 1
-    quiescent = all(not rt.instances[p].inbox for p in rt.order)
+    quiescent = not rt.ready
     return RunResult(steps, quiescent, not quiescent)
 
 
@@ -324,10 +372,10 @@ def _run_action(
 ) -> None:
     effect_scope = None if action.kind is ActionKind.SEND_PAYLOAD else payload
     assigned = {}
+    floats = inst.dispatch.float_properties
     for eff in action.effects:
         value = eval_guard(eff.expr, inst.properties, effect_scope)
-        prop = inst.component.property_named(eff.target)
-        if prop is not None and prop.type is PrimType.FLOAT and isinstance(value, int):
+        if eff.target in floats and isinstance(value, int):
             value = float(value)
         inst.properties[eff.target] = value
         assigned[eff.target] = value
@@ -341,7 +389,8 @@ def _run_action(
 
 
 def _send(rt: RuntimeState, inst: InstanceState, event: EventDef) -> None:
-    values = _snapshot_payload(inst, event.action.payload)
+    payload_def = event.action.payload
+    values = _snapshot_payload(inst, payload_def)
     port_name = event.port.name if event.port is not None else "-"
     detail = {"port": port_name, "event": event.name}
     route = rt.routing.get((inst.path, port_name))
@@ -352,7 +401,13 @@ def _send(rt: RuntimeState, inst: InstanceState, event: EventDef) -> None:
         peer_path, peer_port = route
         detail["to"] = f"{peer_path}.{peer_port}"
         peer = rt.instances.get(peer_path)
-        target_event = _matching_incoming(peer, peer_port, event.action.payload) if peer else None
+        target_event = None
+        if peer is not None:
+            memo = peer.dispatch.incoming
+            key = (peer_port, payload_def.name if payload_def is not None else None)
+            if key not in memo:
+                memo[key] = _matching_incoming(peer, peer_port, payload_def)
+            target_event = memo[key]
         if target_event is not None:
             _enqueue(rt, peer, target_event, values, f"{inst.path}.{port_name}")
             delivered = True

@@ -220,11 +220,12 @@ def simulate(
     distance: dict[str, float | None] = {s: None for s in slots}
     echo: dict[str, float | None] = {s: None for s in slots}
 
-    pending = list(scenario.stimuli)
+    stimuli, applied = scenario.stimuli, 0
     for t_ms in range(0, scenario.horizon_ms + 1, period):
         rt.clock_us = t_ms * 1000
-        while pending and pending[0].time_ms <= t_ms:
-            st = pending.pop(0)
+        while applied < len(stimuli) and stimuli[applied].time_ms <= t_ms:
+            st = stimuli[applied]
+            applied += 1
             if st.verb == "occupy":
                 distance[st.slot] = st.value
             elif st.verb == "vacate":
@@ -261,8 +262,14 @@ def _quiesce(rt: RuntimeState, max_steps: int) -> None:
 
 def led_paths(rt: RuntimeState) -> tuple[str, str]:
     """Locate the red and green indicator instances by component name."""
-    reds = [p for p in rt.order if rt.instances[p].component.name == "RedLED"]
-    greens = [p for p in rt.order if rt.instances[p].component.name == "GreenLED"]
+    return find_led_paths([(p, rt.instances[p].component) for p in rt.order])
+
+
+def find_led_paths(instances: list[tuple[str, ComponentDef]]) -> tuple[str, str]:
+    """``led_paths`` over (path, component) pairs, such as ``instance_paths(model)``,
+    so a model can be checked before it runs."""
+    reds = [p for p, comp in instances if comp.name == "RedLED"]
+    greens = [p for p, comp in instances if comp.name == "GreenLED"]
     if len(reds) != 1 or len(greens) != 1:
         _scenario_error(
             "E_TRACE",

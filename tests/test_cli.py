@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import pathlib
+
 import pytest
 
 from ciot.cli import main
@@ -142,6 +144,36 @@ def test_simulate_repeat_runs_identical(capsys, parking_path, arrive_depart_path
     first = run_cli(capsys, "simulate", parking_path, arrive_depart_path)
     second = run_cli(capsys, "simulate", parking_path, arrive_depart_path)
     assert first == second
+
+
+@pytest.fixture()
+def two_node_path(tmp_path, parking_path):
+    # a second node brings a second pair of indicators, so no timeline can be read
+    text = pathlib.Path(parking_path).read_text(encoding="utf-8")
+    model = tmp_path / "two_nodes.ciot"
+    model.write_text(text + "\ninstance node2: Node;\n", encoding="utf-8")
+    return str(model)
+
+
+def test_simulate_two_led_pairs_fails_before_simulating(capsys, monkeypatch, two_node_path, arrive_depart_path):
+    def no_simulate(*args, **kwargs):
+        pytest.fail("simulate ran although the timeline cannot be read")
+
+    monkeypatch.setattr("ciot.cli.simulate", no_simulate)
+    code, out, err = run_cli(capsys, "simulate", two_node_path, arrive_depart_path)
+    assert code == 1
+    assert out == ""
+    assert "E_TRACE" in err and "found 2 and 2" in err
+
+
+def test_simulate_two_led_pairs_still_writes_trace(capsys, tmp_path, two_node_path, arrive_depart_path):
+    target = tmp_path / "sim.trace"
+    code, out, err = run_cli(capsys, "simulate", two_node_path, arrive_depart_path, "--trace", str(target))
+    assert code == 1
+    assert out == ""
+    assert "E_TRACE" in err and "found 2 and 2" in err
+    text = target.read_text()
+    assert text.startswith("seq=0 t=0 ") and "inst=node2.red kind=state_entered" in text
 
 
 # --- export -------------------------------------------------------------------

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from ciot import load_text
 from ciot.diagnostics import CiotError
 from ciot.engine import inject, instantiate, run_to_quiescence, step, trigger_internal
+from ciot.metamodel import with_property_initial
 from ciot.trace import render_trace
 
 HIGH = {"state": "high"}
@@ -362,3 +363,98 @@ def test_final_leds_depend_only_on_last_reading(parking_model, durations):
     assert (rt.instances["node.red"].state == "ON") is (not vacant)
     # exactly one indicator is lit once a reading has been processed
     assert (rt.instances["node.green"].state == "ON") ^ (rt.instances["node.red"].state == "ON")
+
+
+# --- ready-instance scheduling --------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def fresh_runtime(parking_path):
+    """A function from root names to a new runtime of the parking node with
+    those roots. Hypothesis prints a failing test's arguments, and a function
+    prints as its name where a ``Model`` would print as megabytes."""
+    text = open(parking_path, encoding="utf-8").read()
+    models = {
+        ("node",): load_text(text),
+        ("a", "b"): load_text(text.replace("instance node: Node;", "instance a: Node;\ninstance b: Node;")),
+    }
+    return lambda roots: instantiate(models[roots])
+
+
+def checked_step(rt) -> bool:
+    """``step``, asserting it serves the instance a depth-first scan picks
+    and that the ready heap holds exactly the non-empty inboxes."""
+    # Plain values only in the asserts: pytest would print the whole runtime state.
+    expected = next((p for p in rt.order if rt.instances[p].inbox), None)
+    mark = len(rt.trace)
+    progressed = step(rt)
+    assert progressed is (expected is not None)
+    if progressed:
+        first = rt.trace[mark]
+        assert (first.kind, first.instance) == ("event_delivered", expected)
+    ready = sorted(rt.ready)
+    nonempty = [i for i, p in enumerate(rt.order) if rt.instances[p].inbox]
+    assert ready == nonempty
+    return progressed
+
+
+def apply_op(rt, root: str, kind: str, value: float) -> None:
+    if kind == "reading":
+        inject(rt, root, "pSense", "evtReading", {"duration": value})
+    elif kind in ("red", "green"):
+        inject(rt, f"{root}.{kind}", "p1", "evtCommand", HIGH if value < 300.0 else LOW)
+    elif kind == "sense":
+        trigger_internal(rt, f"{root}.sensor", "evtSense", {"duration": value})
+    elif kind == "done":
+        trigger_internal(rt, f"{root}.sensor", "evtDone")
+    else:
+        checked_step(rt)
+
+
+SCHEDULER_OPS = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=1),
+        st.sampled_from(["reading", "red", "green", "sense", "done", "step", "step"]),
+        st.floats(min_value=0.0, max_value=600.0, allow_nan=False),
+    ),
+    max_size=40,
+)
+
+
+@pytest.mark.parametrize("roots", [("node",), ("a", "b")], ids=["one_root", "two_roots"])
+@settings(max_examples=60, deadline=None)
+@given(ops=SCHEDULER_OPS)
+def test_ready_heap_serves_depth_first_order(fresh_runtime, roots, ops):
+    rt = fresh_runtime(roots)
+    for which, kind, value in ops:
+        apply_op(rt, roots[which % len(roots)], kind, value)
+    for _ in range(1000):
+        if not checked_step(rt):
+            break
+    assert not rt.ready
+
+
+def test_dispatch_tables_are_per_instantiate(parking_model):
+    copy = with_property_initial(parking_model, "threshold", 5.0)
+    a, b = instantiate(parking_model), instantiate(copy)
+    for path in a.order:
+        assert a.instances[path].dispatch is not b.instances[path].dispatch
+        assert a.instances[path].dispatch.incoming is not b.instances[path].dispatch.incoming
+    node_states = copy.component_named("Node").state_machine.states
+    assert b.instances["node"].dispatch.states["ACQUISITION"] is node_states[0]
+    assert a.instances["node"].dispatch.states["ACQUISITION"] is not node_states[0]
+    for rt in (a, b):
+        inject(rt, "node", "pSense", "evtReading", {"duration": 100.0})
+        run_to_quiescence(rt)
+    assert a.instances["node.red"].state == "ON"  # 100 < 300
+    assert b.instances["node.green"].state == "ON"  # 100 >= 5
+
+
+def test_instances_of_one_component_share_its_table():
+    text = (
+        "component C : Board { statemachine { initial state A {} } }\n"
+        "instance one: C;\n"
+        "instance two: C;\n"
+    )
+    rt = instantiate(load_text(text))
+    assert rt.instances["one"].dispatch is rt.instances["two"].dispatch
