@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 the model or scenario is at fault, 2 usage or I/O.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .diagnostics import CiotError, Severity, error
@@ -31,6 +32,9 @@ def main(argv: list[str] | None = None) -> int:
         for d in exc.diagnostics:
             print(d.render(), file=sys.stderr)
         return 2 if exc.code in ("E_IO", "E_USAGE") else 1
+    except Exception as exc:  # last resort: no traceback reaches the user
+        print(f"ciot: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -214,9 +218,13 @@ def _parse_field_value(text: str):
     except ValueError:
         pass
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         pass
+    else:
+        if not math.isfinite(value):
+            _usage_error(f"field value {text!r} is not a finite number")
+        return value
     if len(text) >= 2 and text[0] == '"' and text[-1] == '"':
         inner = text[1:-1]
         for esc, repl in (('\\"', '"'), ("\\n", "\n"), ("\\t", "\t"), ("\\\\", "\\")):

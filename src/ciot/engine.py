@@ -32,6 +32,7 @@ is recorded with ``error=E_NO_ROUTE`` and dropped; it is not a runtime fault.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
@@ -261,6 +262,8 @@ def _conform_primitive(t: PrimType, v, name: str, what: str):
     if t is PrimType.INT and isinstance(v, int) and not isinstance(v, bool):
         return v
     if t is PrimType.FLOAT and isinstance(v, (int, float)) and not isinstance(v, bool):
+        if isinstance(v, float) and not math.isfinite(v):
+            _type_error(f"{what}: payload field {name!r} expects a finite float, got {v!r}")
         return float(v)
     if t is PrimType.STRING and isinstance(v, str):
         return v

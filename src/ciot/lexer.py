@@ -7,8 +7,9 @@ whitespace and ``//`` comments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from enum import Enum
+from typing import NamedTuple
 
 from .diagnostics import E_LEX, CiotError, SourceSpan, error
 
@@ -67,12 +68,27 @@ KEYWORDS = frozenset(
 # used as member names (payload fields, properties, assignment targets).
 EXPR_RESERVED = frozenset({"and", "or", "not", "true", "false", "payload"})
 
-# Longest first so ":=", "->", "--", and the two-char comparisons win.
-_PUNCT = (":=", "->", "--", "==", "!=", "<=", ">=", "{", "}", "(", ")", "[", "]", ":", ";", ",", ".", "<", ">", "=")
+# One token per match, after optional blanks. No token spans a newline, so
+# the source is scanned line by line. Two-character punctuation comes first
+# so ":=", "->", "--" and the two-character comparisons win; FLOAT comes
+# before INT so "1.5" is one token while "1." is INT then ".". A line's scan
+# stops at "//" or at its end, whichever comes first.
+_SCAN = re.compile(
+    r"""[ \t\r]*(?:
+        (?P<STRING>"(?:[^"\\]|\\.)*")
+      | (?P<FLOAT>[0-9]+\.[0-9]+)
+      | (?P<INT>[0-9]+)
+      | (?P<WORD>[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<PUNCT>:=|->|--|==|!=|<=|>=|[{}()\[\]:;,.<>=])
+      | (?P<STOP>//|\Z)
+    )""",
+    re.VERBOSE,
+)
+_BLANKS = re.compile(r"[ \t\r]*")
+_KINDS = {"STRING": TokenKind.STRING, "FLOAT": TokenKind.FLOAT, "INT": TokenKind.INT, "PUNCT": TokenKind.PUNCT}
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: TokenKind
     text: str
     line: int
@@ -92,86 +108,29 @@ class Token:
 def tokenize(source: str, file: str | None = None) -> list[Token]:
     """Tokenize ``source``; raises CiotError (E_LEX) on the first bad character."""
     tokens: list[Token] = []
-    i = 0
-    line = 1
-    col = 1
-    n = len(source)
-
-    def fail(message: str, at_line: int, at_col: int) -> CiotError:
-        diag = error(E_LEX, message, SourceSpan.point(at_line, at_col), file)
-        return CiotError(E_LEX, [diag])
-
-    while i < n:
-        c = source[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if c == '"':
-            start_line, start_col = line, col
-            j = i + 1
-            closed = False
-            while j < n and source[j] != "\n":
-                if source[j] == "\\":
-                    if j + 1 < n and source[j + 1] != "\n":
-                        j += 2
-                        continue
-                    break
-                if source[j] == '"':
-                    closed = True
-                    break
-                j += 1
-            if not closed:
-                raise fail("unterminated string literal", start_line, start_col)
-            tokens.append(Token(TokenKind.STRING, source[i : j + 1], start_line, start_col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and source[j].isdigit():
-                j += 1
-            is_float = False
-            if j < n and source[j] == "." and j + 1 < n and source[j + 1].isdigit():
-                is_float = True
-                j += 1
-                while j < n and source[j].isdigit():
-                    j += 1
-            text = source[i:j]
-            kind = TokenKind.FLOAT if is_float else TokenKind.INT
-            tokens.append(Token(kind, text, line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            text = source[i:j]
-            kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
-            tokens.append(Token(kind, text, line, col))
-            col += j - i
-            i = j
-            continue
-        for p in _PUNCT:
-            if source.startswith(p, i):
-                tokens.append(Token(TokenKind.PUNCT, p, line, col))
-                i += len(p)
-                col += len(p)
+    append = tokens.append
+    match = _SCAN.match
+    for lineno, line in enumerate(source.split("\n"), 1):
+        pos = 0
+        while m := match(line, pos):
+            group = m.lastgroup
+            if group == "STOP":
                 break
+            text = m[group]
+            if group == "WORD":
+                kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
+            else:
+                kind = _KINDS[group]
+            append(Token(kind, text, lineno, m.start(group) + 1))
+            pos = m.end()
         else:
-            raise fail(f"unexpected character {c!r}", line, col)
-
-    tokens.append(Token(TokenKind.EOI, "", line, col))
+            at = _BLANKS.match(line, pos).end()
+            c = line[at]
+            message = "unterminated string literal" if c == '"' else f"unexpected character {c!r}"
+            diag = error(E_LEX, message, SourceSpan.point(lineno, at + 1), file)
+            raise CiotError(E_LEX, [diag])
+    # After a trailing comment, end of input sits where the comment starts.
+    append(Token(TokenKind.EOI, "", lineno, m.start("STOP") + 1))
     return tokens
 
 

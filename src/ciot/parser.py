@@ -184,16 +184,15 @@ class _Stream:
     def __init__(self, tokens: list[Token], file: str | None) -> None:
         self.tokens = tokens
         self.pos = 0
+        self.current = tokens[0]
         self.file = file
-
-    @property
-    def current(self) -> Token:
-        return self.tokens[self.pos]
+        self.nesting = 0  # open "(" and "not" in the expression being parsed
 
     def advance(self) -> Token:
-        tok = self.tokens[self.pos]
+        tok = self.current
         if tok.kind is not TokenKind.EOI:
             self.pos += 1
+            self.current = self.tokens[self.pos]
         return tok
 
     def check(self, kind: TokenKind, text: str | None = None) -> bool:
@@ -554,51 +553,84 @@ def _parse_transition(ts: _Stream) -> AstTransition:
     return AstTransition(source, target, trigger, guard, start.merge(end))
 
 
-# Expression parsing: or < and < not < comparison < atom.
+# Expression parsing: or < and < not < comparison < atom. Each function
+# returns the tree and its height, the number of operator nodes on its
+# longest path.
+
+# Deepest expression the parser accepts. Open "(" and "not" are counted on the
+# way down, which bounds the parser's own recursion; the height is checked on
+# the way up, which bounds the tree (a long and/or chain included) that
+# typing, evaluation and rendering walk recursively.
+MAX_EXPR_DEPTH = 100
+_TOO_DEEP = f"expression nested deeper than {MAX_EXPR_DEPTH} levels"
 
 
 def _parse_expr(ts: _Stream) -> Expr:
-    expr = _parse_and(ts)
+    return _parse_or(ts)[0]
+
+
+def _node_height(ts: _Stream, child_height: int, op_tok: Token) -> int:
+    """Height of a new operator node over its tallest child; E_PARSE past the limit."""
+    if child_height >= MAX_EXPR_DEPTH:
+        ts.fail(_TOO_DEEP, op_tok.span)
+    return child_height + 1
+
+
+def _open(ts: _Stream) -> Token:
+    """Consume a "(" or "not" that opens a nested expression; E_PARSE past the limit."""
+    if ts.nesting >= MAX_EXPR_DEPTH:
+        ts.fail(_TOO_DEEP)
+    ts.nesting += 1
+    return ts.advance()
+
+
+def _parse_or(ts: _Stream) -> tuple[Expr, int]:
+    expr, height = _parse_and(ts)
     while ts.check(TokenKind.KEYWORD, "or"):
         op_tok = ts.advance()
-        right = _parse_and(ts)
+        right, right_height = _parse_and(ts)
+        height = _node_height(ts, max(height, right_height), op_tok)
         expr = Binary("or", expr, right, _expr_span(expr).merge(_expr_span(right) or op_tok.span))
-    return expr
+    return expr, height
 
 
-def _parse_and(ts: _Stream) -> Expr:
-    expr = _parse_unary(ts)
+def _parse_and(ts: _Stream) -> tuple[Expr, int]:
+    expr, height = _parse_unary(ts)
     while ts.check(TokenKind.KEYWORD, "and"):
         op_tok = ts.advance()
-        right = _parse_unary(ts)
+        right, right_height = _parse_unary(ts)
+        height = _node_height(ts, max(height, right_height), op_tok)
         expr = Binary("and", expr, right, _expr_span(expr).merge(_expr_span(right) or op_tok.span))
-    return expr
+    return expr, height
 
 
-def _parse_unary(ts: _Stream) -> Expr:
+def _parse_unary(ts: _Stream) -> tuple[Expr, int]:
     if ts.check(TokenKind.KEYWORD, "not"):
-        tok = ts.advance()
-        operand = _parse_unary(ts)
-        return Unary("not", operand, tok.span.merge(_expr_span(operand) or tok.span))
+        tok = _open(ts)
+        operand, height = _parse_unary(ts)
+        ts.nesting -= 1
+        expr = Unary("not", operand, tok.span.merge(_expr_span(operand) or tok.span))
+        return expr, _node_height(ts, height, tok)
     return _parse_comparison(ts)
 
 
-def _parse_comparison(ts: _Stream) -> Expr:
-    left = _parse_atom(ts)
+def _parse_comparison(ts: _Stream) -> tuple[Expr, int]:
+    left, height = _parse_atom(ts)
     tok = ts.current
     if tok.kind is TokenKind.PUNCT and tok.text in ("==", "!=", "<", "<=", ">", ">="):
         ts.advance()
-        right = _parse_atom(ts)
-        return Binary(tok.text, left, right, _expr_span(left).merge(_expr_span(right) or tok.span))
-    return left
+        right, right_height = _parse_atom(ts)
+        height = _node_height(ts, max(height, right_height), tok)
+        return Binary(tok.text, left, right, _expr_span(left).merge(_expr_span(right) or tok.span)), height
+    return left, height
 
 
-def _parse_atom(ts: _Stream) -> Expr:
+def _parse_atom(ts: _Stream) -> tuple[Expr, int]:
     tok = ts.current
     if tok.kind in (TokenKind.INT, TokenKind.FLOAT, TokenKind.STRING):
-        return _parse_literal(ts)
+        return _parse_literal(ts), 0
     if tok.kind is TokenKind.KEYWORD and tok.text in ("true", "false"):
-        return _parse_literal(ts)
+        return _parse_literal(ts), 0
     if tok.kind is TokenKind.KEYWORD and tok.text == "payload":
         ts.advance()
         ts.expect(TokenKind.PUNCT, ".", what="'.' after 'payload'")
@@ -606,14 +638,16 @@ def _parse_atom(ts: _Stream) -> Expr:
         if member.kind not in (TokenKind.IDENT, TokenKind.KEYWORD):
             ts.fail(f"expected payload field name, got {member.describe()}")
         ts.advance()
-        return PayloadFieldRef(member.text, tok.span.merge(member.span))
+        return PayloadFieldRef(member.text, tok.span.merge(member.span)), 0
     if tok.kind is TokenKind.IDENT or (tok.kind is TokenKind.KEYWORD and tok.text not in EXPR_RESERVED):
         ts.advance()
-        return NameRef(tok.text, tok.span)
-    if ts.accept(TokenKind.PUNCT, "("):
-        expr = _parse_expr(ts)
+        return NameRef(tok.text, tok.span), 0
+    if ts.check(TokenKind.PUNCT, "("):
+        _open(ts)
+        inner = _parse_or(ts)
         ts.expect(TokenKind.PUNCT, ")")
-        return expr
+        ts.nesting -= 1
+        return inner
     ts.fail(f"expected an expression, got {tok.describe()}")
     raise AssertionError  # unreachable
 

@@ -20,6 +20,7 @@ A vacant slot in physical mode reads the floor at ``floor_distance_m``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .diagnostics import CiotError, error
@@ -150,6 +151,8 @@ def _parse_stimulus(line: str, where: str) -> Stimulus:
             value = float(tokens[5])
         except ValueError:
             _scenario_error("E_SCENARIO", f"{where}: {verb} value {tokens[5]!r} is not a number")
+        if not math.isfinite(value):
+            _scenario_error("E_SCENARIO", f"{where}: {verb} value {tokens[5]!r} is not a finite number")
         if verb == "occupy" and value <= 0:
             _scenario_error("E_SCENARIO", f"{where}: occupy distance must be positive")
         if verb == "echo" and value < 0:

@@ -53,6 +53,58 @@ def test_validate_missing_file(capsys, tmp_path):
     assert "E_IO" in err
 
 
+@pytest.mark.parametrize(
+    "text, line, column, char",
+    [
+        ("component C : IoTElement {\n    property x: int = \u00b2;\n}\n", 2, 23, "\u00b2"),
+        ("component Caf\u00e9 : IoTElement {}\n", 1, 14, "\u00e9"),
+    ],
+    ids=["superscript_digit", "accented_letter"],
+)
+def test_validate_non_ascii_outside_strings_is_lex_error(capsys, tmp_path, text, line, column, char):
+    path = tmp_path / "non_ascii.ciot"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert code == 1
+    assert out == "errors=1 warnings=0\n"
+    assert err == f"{path}:{line}:{column}: error E_LEX unexpected character {char!r}\n"
+
+
+def test_validate_accepts_non_ascii_in_strings_and_comments(capsys, tmp_path):
+    path = tmp_path / "strings.ciot"
+    path.write_text(
+        "// caf\u00e9 \u00b2 \u2014 \u6e29\u5ea6\n"
+        "component C : IoTElement {\n"
+        '    property label: string = "caf\u00e9 \u00b2\u00b3"; // \u00e9\n'
+        "}\n",
+        encoding="utf-8",
+    )
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert (code, out, err) == (0, "errors=0 warnings=0\n", "")
+
+
+@pytest.mark.parametrize("opener", ["(", "not "])
+def test_validate_deep_guard_is_one_line_parse_error(capsys, tmp_path, parking_path, opener):
+    guard = 'payload.state == "high"'
+    deep = opener * 3000 + guard + (")" * 3000 if opener == "(" else "")
+    path = tmp_path / "deep.ciot"
+    text = pathlib.Path(parking_path).read_text(encoding="utf-8")
+    path.write_text(text.replace(f"[{guard}]", f"[{deep}]", 1), encoding="utf-8")
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert code == 1
+    assert out == "errors=1 warnings=0\n"
+    assert err.count("\n") == 1 and "error E_PARSE expression nested deeper than" in err
+
+
+def test_unexpected_exception_is_one_line_exit_1(capsys, monkeypatch, parking_path):
+    def broken(path):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("ciot.cli.collect_diagnostics_file", broken)
+    code, out, err = run_cli(capsys, "validate", parking_path)
+    assert (code, out, err) == (1, "", "ciot: internal error: RuntimeError: boom\n")
+
+
 # --- run --------------------------------------------------------------------
 
 
@@ -86,6 +138,14 @@ def test_run_malformed_inject_spec(capsys, parking_path):
     code, out, err = run_cli(capsys, "run", parking_path, "--inject", "nonsense")
     assert code == 2
     assert "E_USAGE" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+def test_run_inject_non_finite_value_is_usage_error(capsys, parking_path, value):
+    code, out, err = run_cli(capsys, "run", parking_path, "--inject", f"node.pSense.evtReading{{duration={value}}}")
+    assert code == 2
+    assert out == ""
+    assert f"error E_USAGE field value {value!r} is not a finite number" in err
 
 
 def test_run_inject_unknown_target(capsys, parking_path):
@@ -138,6 +198,15 @@ def test_simulate_bad_scenario(capsys, tmp_path, parking_path):
     code, out, err = run_cli(capsys, "simulate", parking_path, str(scn))
     assert code == 1
     assert "E_SCENARIO" in err
+
+
+def test_simulate_non_finite_echo_fails(capsys, tmp_path, parking_path):
+    scenario = tmp_path / "nan.scn"
+    scenario.write_text("mode=duration\nhorizon_ms=100\nat 0 slot node echo nan\n")
+    code, out, err = run_cli(capsys, "simulate", parking_path, str(scenario))
+    assert code == 1
+    assert out == ""
+    assert err == "<input>: error E_SCENARIO line 3: echo value 'nan' is not a finite number\n"
 
 
 def test_simulate_repeat_runs_identical(capsys, parking_path, arrive_depart_path):

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ciot import load_text
@@ -223,6 +223,16 @@ def test_inject_payload_type_errors(parking_model):
     assert not rt.instances["node.green"].inbox
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_inject_rejects_non_finite_float(parking_model, value):
+    rt = instantiate(parking_model)
+    with pytest.raises(CiotError) as exc:
+        inject(rt, "node", "pSense", "evtReading", {"duration": value})
+    assert exc.value.code == "E_TYPE"
+    assert "expects a finite float" in exc.value.diagnostics[0].message
+    assert not rt.instances["node"].inbox
+
+
 def test_trigger_internal_rejects_non_generic(parking_model):
     rt = instantiate(parking_model)
     with pytest.raises(CiotError) as exc:
@@ -349,11 +359,10 @@ def test_identical_runs_render_identical_traces(parking_model):
     assert run() == run()
 
 
-# instantiate() never mutates the model, so sharing the fixture is safe
-@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=60, deadline=None)
 @given(durations=st.lists(st.floats(min_value=0.0, max_value=10000.0, allow_nan=False), min_size=1, max_size=12))
-def test_final_leds_depend_only_on_last_reading(parking_model, durations):
-    rt = instantiate(parking_model)
+def test_final_leds_depend_only_on_last_reading(shared_parking_model, durations):
+    rt = instantiate(shared_parking_model())
     for d in durations:
         inject(rt, "node", "pSense", "evtReading", {"duration": d})
     result = run_to_quiescence(rt)

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ciot.diagnostics import CiotError
@@ -85,6 +85,13 @@ def test_keywords_versus_identifiers():
     ]
 
 
+def test_end_of_input_after_trailing_comment_sits_at_comment_start():
+    toks = tokenize("port p1; // tail")
+    assert (toks[-1].kind, toks[-1].line, toks[-1].column) == (TokenKind.EOI, 1, 10)
+    toks = tokenize("port p1; // tail\n")
+    assert (toks[-1].line, toks[-1].column) == (2, 1)
+
+
 def test_comments_and_blank_lines_are_skipped():
     toks = tokenize("// header\nport p1; // tail\n\n// done")
     assert texts(toks)[:-1] == ["port", "p1", ";"]
@@ -143,3 +150,71 @@ def test_token_texts_round_trip(pieces):
     source = " ".join(pieces)
     toks = tokenize(source)
     assert "".join(t.text for t in toks) == source.replace(" ", "")
+
+
+# --- positions ------------------------------------------------------------------
+
+_STRING_BODY = st.lists(
+    st.one_of(
+        st.characters(blacklist_characters='"\\\n', blacklist_categories=("Cs",)),
+        st.sampled_from(['\\"', "\\\\", "\\n", "\\t", "\\x"]),
+    ),
+    max_size=6,
+).map("".join)
+_TOKEN = st.one_of(
+    _WORD,
+    st.sampled_from(sorted(KEYWORDS)),
+    st.integers(min_value=0, max_value=10**6).map(str),
+    st.tuples(st.integers(0, 999), st.integers(0, 999)).map(lambda p: f"{p[0]}.{p[1]}"),
+    st.sampled_from([":=", "->", "--", "==", "!=", "<=", ">=", "{", "}", "(", ")", "[", "]", ":", ";", ",", ".", "<", ">", "="]),
+    _STRING_BODY.map(lambda body: f'"{body}"'),
+)
+_GAP = st.sampled_from(["", " ", "  ", "\t", "\r", "\n", "\r\n", " \n\t", " // note \u00e9\n", "//\n"])
+_BLANKS = st.text(alphabet=" \t\r", max_size=3)
+
+
+@st.composite
+def _sources(draw, max_tokens: int = 20) -> str:
+    """Valid token text with blanks, newlines and comments between tokens,
+    possibly ending in a comment with no final newline."""
+    tokens = draw(st.lists(_TOKEN, max_size=max_tokens))
+    gaps = draw(st.lists(_GAP, min_size=len(tokens), max_size=len(tokens)))
+    tail = draw(st.sampled_from(["", "\n", " // trailing", "//"]))
+    return "".join(g + t for g, t in zip(gaps, tokens)) + tail
+
+
+def _at(source: str, line: int, column: int, length: int) -> str:
+    return source.split("\n")[line - 1][column - 1 : column - 1 + length]
+
+
+@given(_sources())
+def test_each_token_text_sits_at_its_position(source):
+    toks = tokenize(source)
+    for tok in toks[:-1]:
+        assert _at(source, tok.line, tok.column, len(tok.text)) == tok.text
+    positions = [(t.line, t.column) for t in toks]
+    assert positions == sorted(set(positions))
+    assert toks[-1].kind is TokenKind.EOI
+    assert toks[-1].line == source.count("\n") + 1
+
+
+@settings(max_examples=50)
+@given(_sources(8), _BLANKS, _STRING_BODY, _sources(4))
+def test_unterminated_string_reported_at_its_quote(prefix, blanks, body, rest):
+    source = f'{prefix}\n{blanks}"{body}\n{rest}'
+    with pytest.raises(CiotError) as exc:
+        tokenize(source)
+    diag = exc.value.diagnostics[0]
+    assert (diag.rule, diag.message) == ("E_LEX", "unterminated string literal")
+    assert (diag.span.line, diag.span.column) == (prefix.count("\n") + 2, len(blanks) + 1)
+
+
+@settings(max_examples=50)
+@given(_sources(8), _BLANKS, st.sampled_from("@#$%^&?!'`~|+*/\\\x0b\x0c\x00\u00e9\u00b2\u00a0\u2028\u0663"), _sources(4))
+def test_stray_character_reported_at_its_position(prefix, blanks, char, rest):
+    source = f"{prefix}\n{blanks}{char} {rest}"
+    with pytest.raises(CiotError) as exc:
+        tokenize(source)
+    diag = exc.value.diagnostics[0]
+    assert (diag.rule, diag.message) == ("E_LEX", f"unexpected character {char!r}")
+    assert (diag.span.line, diag.span.column) == (prefix.count("\n") + 2, len(blanks) + 1)

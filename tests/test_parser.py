@@ -5,7 +5,11 @@ import pathlib
 import pytest
 
 from ciot.diagnostics import CiotError
-from ciot.parser import parse
+from ciot.engine import instantiate
+from ciot.export import export_model
+from ciot.loader import collect_diagnostics
+from ciot.metamodel import with_property_initial
+from ciot.parser import MAX_EXPR_DEPTH, parse, parse_expression
 
 SYNTAX_DIR = pathlib.Path(__file__).resolve().parent.parent / "corpus" / "syntax_errors"
 
@@ -137,3 +141,68 @@ def test_transition_forms():
     machine = parse(src).components[0].machine
     forms = [(t.trigger is not None, t.guard is not None) for t in machine.transitions]
     assert forms == [(False, False), (True, False), (False, True), (True, True)]
+
+
+# --- expression nesting limit ---------------------------------------------------
+
+GUARD = 'payload.state == "high"'
+
+# shape -> (expression with n of the repeated token, that token, largest n
+# accepted). Open "(" and "not" are counted on the way down; operators,
+# comparisons included, as the height of the tree, so n "not" over a
+# comparison, or a chain of n comparisons, is n + 1 or n operators high.
+NESTED = {
+    "paren": (lambda n: "(" * n + GUARD + ")" * n, "(", MAX_EXPR_DEPTH),
+    "not": (lambda n: "not " * n + GUARD, "not", MAX_EXPR_DEPTH - 1),
+    "and": (lambda n: " and ".join([GUARD] * n), "and", MAX_EXPR_DEPTH),
+}
+
+
+def _nth(text: str, sub: str, n: int) -> int:
+    at = -1
+    for _ in range(n):
+        at = text.index(sub, at + 1)
+    return at
+
+
+def _with_first_guard(parking_path: str, guard: str) -> str:
+    source = pathlib.Path(parking_path).read_text(encoding="utf-8")
+    return source.replace(f"[{GUARD}]", f"[{guard}]", 1)
+
+
+@pytest.mark.parametrize("shape", sorted(NESTED))
+def test_nesting_limit_is_exact(shape):
+    build, _, deepest = NESTED[shape]
+    parse_expression(build(deepest))
+    with pytest.raises(CiotError) as exc:
+        parse_expression(build(deepest + 1))
+    assert exc.value.code == "E_PARSE"
+    assert exc.value.diagnostics[0].message == f"expression nested deeper than {MAX_EXPR_DEPTH} levels"
+
+
+@pytest.mark.parametrize("shape", sorted(NESTED))
+def test_deep_guard_is_parse_error_at_offending_token(parking_path, shape):
+    build, token, _ = NESTED[shape]
+    guard = build(3000)
+    source = _with_first_guard(parking_path, guard)
+    model, diags = collect_diagnostics(source, "deep.ciot")
+    assert model is None
+    [diag] = diags
+    assert diag.rule == "E_PARSE"
+    line = source.splitlines()[diag.span.line - 1]
+    assert line.strip().endswith(f"[{guard}];")
+    # "(" and "not" fail on the way down, at the first one past the limit;
+    # "and" fails on the way up, at the one whose node would be too high
+    n = MAX_EXPR_DEPTH if token == "and" else MAX_EXPR_DEPTH + 1
+    assert diag.span.column == line.index("[") + 2 + _nth(guard, token, n)
+
+
+@pytest.mark.parametrize("shape", sorted(NESTED))
+def test_guard_at_nesting_limit_runs_everywhere(parking_path, shape):
+    """Typing, guard rendering at instantiate, deep copy and export all walk
+    the tree recursively; at the limit none comes near the recursion limit."""
+    build, _, deepest = NESTED[shape]
+    model, diags = collect_diagnostics(_with_first_guard(parking_path, build(deepest)))
+    assert diags == []
+    instantiate(with_property_initial(model, "threshold", 250.0))
+    assert export_model(model)

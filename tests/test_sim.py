@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ciot import load_text
@@ -112,6 +112,15 @@ def test_scenario_stimulus_rejections():
     phys = "mode=physical\nhorizon_ms=1000\n"
     scenario_error("E_SCENARIO", phys + "at 0 slot node occupy 0\n")  # occupy needs distance > 0
     scenario_error("E_SCENARIO", phys + "at 0 slot node echo 5\n")  # duration verb in physical mode
+
+
+@pytest.mark.parametrize("stimulus", ["echo nan", "echo inf", "echo NaN", "occupy inf", "occupy nan"])
+def test_scenario_rejects_non_finite_values(stimulus):
+    mode = "physical" if stimulus.startswith("occupy") else "duration"
+    with pytest.raises(CiotError) as exc:
+        load_scenario(f"mode={mode}\nhorizon_ms=100\nat 0 slot node {stimulus}\n")
+    assert exc.value.code == "E_SCENARIO"
+    assert "is not a finite number" in exc.value.diagnostics[0].message
 
 
 def test_scenario_equal_times_allowed():
@@ -240,10 +249,10 @@ def test_led_paths_rejects_ambiguous_indicators(parking_path):
 # --- invariants ----------------------------------------------------------
 
 
-@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=40, deadline=None)
 @given(threshold=st.floats(min_value=1.0, max_value=1000.0, allow_nan=False))
-def test_threshold_boundary_any_threshold(parking_model, threshold):
-    model = with_property_initial(parking_model, "threshold", threshold)
+def test_threshold_boundary_any_threshold(shared_parking_model, threshold):
+    model = with_property_initial(shared_parking_model(), "threshold", threshold)
     head = "mode=duration\nhorizon_ms=0\n"
     at = simulate(model, scn(head + f"at 0 slot node echo {threshold!r}\n"))
     below = simulate(model, scn(head + f"at 0 slot node echo {threshold - 0.001!r}\n"))
@@ -251,11 +260,11 @@ def test_threshold_boundary_any_threshold(parking_model, threshold):
     assert occupancy_timeline(below) == [(0, "occupied")]
 
 
-@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=25, deadline=None)
 @given(echo=st.floats(min_value=0.0, max_value=1000.0, allow_nan=False), horizon=st.integers(min_value=0, max_value=2000))
-def test_stable_input_yields_single_sample(parking_model, echo, horizon):
+def test_stable_input_yields_single_sample(shared_parking_model, echo, horizon):
     scenario = scn(f"mode=duration\nhorizon_ms={horizon}\nat 0 slot node echo {echo!r}\n")
-    result = simulate(parking_model, scenario)
+    result = simulate(shared_parking_model(), scenario)
     status = "vacant" if echo >= 300.0 else "occupied"
     assert occupancy_timeline(result) == [(0, status)]
 
