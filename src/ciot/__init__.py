@@ -35,7 +35,6 @@ from .loader import (
     collect_diagnostics_file,
     load_file,
     load_text,
-    parse_file,
 )
 from .metamodel import (
     ActionKind,
@@ -100,7 +99,6 @@ __all__ = [
     "occupancy_timeline",
     "parse",
     "parse_expression",
-    "parse_file",
     "render_trace",
     "render_trace_line",
     "resolve",

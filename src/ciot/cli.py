@@ -15,7 +15,7 @@ import math
 import sys
 
 from .diagnostics import CiotError, Severity, error
-from .engine import inject, instantiate, run_to_quiescence
+from .engine import inject, instantiate, quiesce
 from .export import export_model, statemachine_to_dot, structure_to_dot
 from .loader import collect_diagnostics_file, load_file
 from .metamodel import instance_paths, with_property_initial
@@ -91,11 +91,11 @@ def _cmd_validate(args) -> int:
 def _cmd_run(args) -> int:
     model = load_file(args.model)
     rt = instantiate(model)
-    _quiesce_or_fail(rt, args.max_steps)
+    quiesce(rt, args.max_steps)
     for spec in args.inject:
         path, port, event, values = _parse_inject_spec(spec)
         inject(rt, path, port, event, values)
-        _quiesce_or_fail(rt, args.max_steps)
+        quiesce(rt, args.max_steps)
     _write_text(render_trace(rt.trace), args.trace)
     return 0
 
@@ -140,15 +140,6 @@ def _cmd_export(args) -> int:
         text = export_model(model)
     _write_text(text, args.output)
     return 0
-
-
-def _quiesce_or_fail(rt, max_steps: int) -> None:
-    result = run_to_quiescence(rt, max_steps)
-    if result.step_limit_hit:
-        raise CiotError(
-            "E_STEP_LIMIT",
-            [error("E_STEP_LIMIT", f"model did not quiesce within {max_steps} steps", None, None)],
-        )
 
 
 def _write_text(text: str, path: str | None) -> None:

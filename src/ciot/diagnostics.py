@@ -63,7 +63,6 @@ E_DUPLICATE = "E_DUPLICATE"
 E_CYCLE = "E_CYCLE"
 E_TYPE_MISMATCH = "E_TYPE_MISMATCH"
 E_UNKNOWN_NAME = "E_UNKNOWN_NAME"
-E_VALIDATION = "E_VALIDATION"
 E_INSTANTIATE = "E_INSTANTIATE"
 E_BAD_TARGET = "E_BAD_TARGET"
 E_TYPE = "E_TYPE"
@@ -85,9 +84,6 @@ class CiotError(Exception):
         self.code = code
         self.diagnostics: list[Diagnostic] = list(diagnostics or [])
         super().__init__(self.diagnostics[0].message if self.diagnostics else code)
-
-    def render_diagnostics(self) -> str:
-        return "\n".join(d.render() for d in self.diagnostics)
 
 
 def error(rule: str, message: str, span: SourceSpan | None = None, file: str | None = None) -> Diagnostic:

@@ -23,8 +23,13 @@ depth-first index, and ``RuntimeState.ready`` is a min-heap of the indices
 whose inbox is non-empty. An index is pushed when its inbox goes from empty
 to non-empty and popped when a step empties it again, so the heap's top is
 always the instance the depth-first order names. What a step looks up per
-event (transitions by source state, guard text, float properties, the peer's
+event (transitions by source state, guard text, property types, the peer's
 incoming event per route) is tabulated once per component at ``instantiate``.
+
+Every value stored in a property or payload field passes ``guards.fit_value``:
+at the boundaries (initial values, injected payloads) a misfit is
+``E_INSTANTIATE`` or ``E_TYPE``, during a run (effects, built payloads) it is
+``E_EVAL`` naming the instance and the property.
 
 A send that finds no connector, or a peer with no matching incoming event,
 is recorded with ``error=E_NO_ROUTE`` and dropped; it is not a runtime fault.
@@ -32,13 +37,12 @@ is recorded with ``error=E_NO_ROUTE`` and dropped; it is not a runtime fault.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 
 from .diagnostics import CiotError, error
-from .guards import PrimType, eval_guard, expr_to_text
+from .guards import PrimType, describe_value, eval_guard, expr_to_text, fit_value
 from .metamodel import (
     ActionDef,
     ActionKind,
@@ -70,7 +74,7 @@ class Dispatch:
     states: dict[str, StateDef]  # first state of each name, as ``state_named``
     # Per source state name, in declaration order: (transition, "A->B", quoted guard text or None).
     transitions: dict[str, list[tuple[TransitionDef, str, str | None]]]
-    float_properties: frozenset[str]
+    property_types: dict[str, PrimType]
     # (port, payload name) -> this component's matching incoming event, filled on first send.
     incoming: dict[tuple[str, str | None], EventDef | None] = field(default_factory=dict)
 
@@ -98,7 +102,6 @@ class RuntimeState:
     eseq: int = 0
     step_count: int = 0
     ready: list[int] = field(default_factory=list)  # min-heap of indices with a non-empty inbox
-    rng_seed: int = 0  # reserved; core semantics never draw from it
 
     def record(self, instance: str, kind: str, detail: dict) -> None:
         self.trace.append(TraceRecord(self.seq, self.clock_us, instance, kind, detail))
@@ -163,36 +166,25 @@ def _build_dispatch(comp: ComponentDef) -> Dispatch:
             if states.get(t.source.name) is t.source:
                 guard = _quote(expr_to_text(t.guard)) if t.guard is not None else None
                 transitions[t.source.name].append((t, f"{t.source.name}->{t.target.name}", guard))
-    floats = frozenset(
-        p.name for p in comp.properties if p.type is PrimType.FLOAT and comp.property_named(p.name) is p
-    )
-    return Dispatch(states, transitions, floats)
+    return Dispatch(states, transitions, {p.name: p.type for p in comp.properties})
 
 
 def _initial_value(comp: ComponentDef, prop, path: str):
-    v = prop.initial
-    if prop.type is PrimType.FLOAT and isinstance(v, int) and not isinstance(v, bool):
-        return float(v)
-    ok = (
-        (prop.type is PrimType.BOOL and isinstance(v, bool))
-        or (prop.type is PrimType.INT and isinstance(v, int) and not isinstance(v, bool))
-        or (prop.type is PrimType.FLOAT and isinstance(v, float))
-        or (prop.type is PrimType.STRING and isinstance(v, str))
-    )
-    if not ok:
+    value = fit_value(prop.type, prop.initial)
+    if value is None:
         raise CiotError(
             "E_INSTANTIATE",
             [
                 error(
                     "E_INSTANTIATE",
                     f"property {prop.name!r} of {path} ({comp.name}) is {prop.type.value} "
-                    f"but its initial value is {v!r}",
+                    f"but its initial value is {describe_value(prop.initial)}",
                     prop.span,
                     None,
                 )
             ],
         )
-    return v
+    return value
 
 
 def _endpoint_key(owner_path: str, endpoint) -> tuple[str, str]:
@@ -257,17 +249,11 @@ def _conform_payload(payload_def: PayloadDef | None, values: dict | None, what: 
 
 
 def _conform_primitive(t: PrimType, v, name: str, what: str):
-    if t is PrimType.BOOL and isinstance(v, bool):
-        return v
-    if t is PrimType.INT and isinstance(v, int) and not isinstance(v, bool):
-        return v
-    if t is PrimType.FLOAT and isinstance(v, (int, float)) and not isinstance(v, bool):
-        if isinstance(v, float) and not math.isfinite(v):
-            _type_error(f"{what}: payload field {name!r} expects a finite float, got {v!r}")
-        return float(v)
-    if t is PrimType.STRING and isinstance(v, str):
-        return v
-    _type_error(f"{what}: payload field {name!r} expects {t.value}, got {type(v).__name__}")
+    value = fit_value(t, v)
+    if value is None:
+        expected = "a finite float" if t is PrimType.FLOAT else t.value
+        _type_error(f"{what}: payload field {name!r} expects {expected}, got {describe_value(v)}")
+    return value
 
 
 def _type_error(message: str) -> None:
@@ -346,6 +332,15 @@ def run_to_quiescence(rt: RuntimeState, max_steps: int = 10000) -> RunResult:
     return RunResult(steps, quiescent, not quiescent)
 
 
+def quiesce(rt: RuntimeState, max_steps: int) -> None:
+    """``run_to_quiescence``, raising ``E_STEP_LIMIT`` when the steps run out first."""
+    if run_to_quiescence(rt, max_steps).step_limit_hit:
+        raise CiotError(
+            "E_STEP_LIMIT",
+            [error("E_STEP_LIMIT", f"model did not quiesce within {max_steps} steps", None, None)],
+        )
+
+
 def _execute_positioned(rt: RuntimeState, inst: InstanceState, ev: EventDef, *, enqueue_generic: bool) -> None:
     if ev.direction is EventDirection.OUTGOING:
         _run_action(rt, inst, ev.action, None, send_event=ev)
@@ -361,9 +356,18 @@ def _snapshot_payload(inst: InstanceState, payload_def: PayloadDef | None) -> di
         return None
     values = {}
     for fld in payload_def.fields:
-        v = inst.properties[fld.name]
-        values[fld.name] = float(v) if fld.type is PrimType.FLOAT and isinstance(v, int) else v
+        v = inst.properties.get(fld.name)
+        value = fit_value(fld.type, v)
+        if value is None:
+            _misfit(inst, f"payload field {fld.name!r} built from property {fld.name!r}", fld.type, v)
+        values[fld.name] = value
     return values
+
+
+def _misfit(inst: InstanceState, what: str, t, value) -> None:
+    expected = t.value if isinstance(t, PrimType) else "a declared primitive"
+    message = f"{inst.path}: {what} expects {expected}, got {describe_value(value)}"
+    raise CiotError("E_EVAL", [error("E_EVAL", message, None, None)])
 
 
 def _run_action(
@@ -375,11 +379,13 @@ def _run_action(
 ) -> None:
     effect_scope = None if action.kind is ActionKind.SEND_PAYLOAD else payload
     assigned = {}
-    floats = inst.dispatch.float_properties
+    types = inst.dispatch.property_types
     for eff in action.effects:
-        value = eval_guard(eff.expr, inst.properties, effect_scope)
-        if eff.target in floats and isinstance(value, int):
-            value = float(value)
+        result = eval_guard(eff.expr, inst.properties, effect_scope)
+        t = types.get(eff.target)
+        value = fit_value(t, result)
+        if value is None:
+            _misfit(inst, f"property {eff.target!r} set by action {action.name!r}", t, result)
         inst.properties[eff.target] = value
         assigned[eff.target] = value
     rt.record(

@@ -10,6 +10,7 @@ interchange format.
 from __future__ import annotations
 
 from .diagnostics import CiotError, error
+from .engine import _quote
 from .guards import expr_to_text, format_value
 from .loader import load_text
 from .metamodel import (
@@ -153,10 +154,6 @@ def _machine_lines(m: StateMachine) -> list[str]:
     return lines
 
 
-def _dot_quote(text: str) -> str:
-    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
-
-
 def statemachine_to_dot(model: Model, component_name: str) -> str:
     comp = model.component_named(component_name)
     if comp is None:
@@ -170,18 +167,18 @@ def statemachine_to_dot(model: Model, component_name: str) -> str:
             "E_NO_MACHINE",
             [error("E_NO_MACHINE", f"component {component_name!r} has no state machine", None, model.source)],
         )
-    lines = [f"digraph {_dot_quote(comp.name)} {{", "    rankdir=LR;", "    node [shape=ellipse];"]
+    lines = [f"digraph {_quote(comp.name)} {{", "    rankdir=LR;", "    node [shape=ellipse];"]
     for s in machine.states:
         attrs = " [peripheries=2]" if s.is_initial else ""
-        lines.append(f"    {_dot_quote(s.name)}{attrs};")
+        lines.append(f"    {_quote(s.name)}{attrs};")
     for t in machine.transitions:
         label_parts = []
         if t.trigger is not None:
             label_parts.append(t.trigger.name)
         if t.guard is not None:
             label_parts.append(f"[{expr_to_text(t.guard)}]")
-        label = f" [label={_dot_quote(' '.join(label_parts))}]" if label_parts else ""
-        lines.append(f"    {_dot_quote(t.source.name)} -> {_dot_quote(t.target.name)}{label};")
+        label = f" [label={_quote(' '.join(label_parts))}]" if label_parts else ""
+        lines.append(f"    {_quote(t.source.name)} -> {_quote(t.target.name)}{label};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -198,15 +195,15 @@ def structure_to_dot(model: Model, root: str) -> str:
     def emit(c: ComponentDef, label: str, path: str, depth: int) -> None:
         pad = "    " * depth
         lines.append(f"{pad}subgraph cluster_{path.replace('.', '_')} {{")
-        lines.append(f"{pad}    label={_dot_quote(label)};")
+        lines.append(f"{pad}    label={_quote(label)};")
         for port in c.ports:
-            lines.append(f"{pad}    {_dot_quote(path + '.' + port.name)} [label={_dot_quote(port.name)}];")
+            lines.append(f"{pad}    {_quote(path + '.' + port.name)} [label={_quote(port.name)}];")
         for child in c.subcomponents:
             emit(child.component, f"{child.name}: {child.component.name}", f"{path}.{child.name}", depth + 1)
         for conn in c.connectors:
             a = _endpoint_node(path, conn.a)
             b = _endpoint_node(path, conn.b)
-            lines.append(f"{pad}    {_dot_quote(a)} -> {_dot_quote(b)};")
+            lines.append(f"{pad}    {_quote(a)} -> {_quote(b)};")
         lines.append(f"{pad}}}")
 
     emit(comp, comp.name, comp.name, 1)

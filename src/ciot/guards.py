@@ -9,6 +9,7 @@ require numeric operands.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, Union
@@ -72,7 +73,6 @@ class Binary:
 
 Expr = Union[Literal, NameRef, PayloadFieldRef, Unary, Binary]
 
-COMPARISON_OPS = ("==", "!=", "<", "<=", ">", ">=")
 ORDERING_OPS = ("<", "<=", ">", ">=")
 BOOLEAN_OPS = ("and", "or")
 
@@ -157,6 +157,48 @@ def _infer(expr: Expr, scope: GuardScope) -> PrimType:
 
 def _span_of(expr: Expr) -> SourceSpan | None:
     return getattr(expr, "span", None)
+
+
+def assignable(target: PrimType, source: PrimType) -> bool:
+    """Whether a value of type ``source`` may be stored where ``target`` is declared."""
+    if target is source:
+        return True
+    return target is PrimType.FLOAT and source is PrimType.INT
+
+
+def fit_value(t: PrimType, value):
+    """The value a ``t`` property or payload field stores for ``value``, or
+    None when ``value`` does not fit.
+
+    The value-level form of ``assignable``: an int widens to float only where
+    ``float()`` can represent it, a float fits only if it is finite, and a
+    bool fits only ``bool`` although Python counts it as an int. Anything
+    that is not a ``PrimType`` (a record type, None) fits nothing.
+    """
+    if isinstance(value, bool):
+        return value if t is PrimType.BOOL else None
+    if isinstance(value, int):
+        if t is PrimType.INT:
+            return value
+        if t is PrimType.FLOAT:
+            try:
+                return float(value)
+            except OverflowError:
+                return None
+        return None
+    if isinstance(value, float):
+        return value if t is PrimType.FLOAT and math.isfinite(value) else None
+    if isinstance(value, str):
+        return value if t is PrimType.STRING else None
+    return None
+
+
+def describe_value(value) -> str:
+    """``value`` for a diagnostic: literal syntax, or an int's size when it
+    is beyond float range (and may be too long to print)."""
+    if isinstance(value, int) and not isinstance(value, bool) and value.bit_length() > 1024:
+        return f"an int of {value.bit_length()} bits"
+    return format_value(value) if isinstance(value, (int, float, str)) else repr(value)
 
 
 def eval_guard(

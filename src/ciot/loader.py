@@ -24,10 +24,6 @@ def load_file(path: str, *, check: bool = True) -> Model:
     return load_text(_read(path), path, check=check)
 
 
-# The full pipeline under its pipeline name.
-parse_file = load_file
-
-
 def collect_diagnostics(text: str, source: str | None = None) -> tuple[Model | None, list[Diagnostic]]:
     """Gather every diagnostic instead of raising; model is None when the
     text does not even resolve."""

@@ -15,7 +15,7 @@ from enum import Enum
 from typing import Union
 
 from .diagnostics import SourceSpan
-from .guards import Expr, PrimType
+from .guards import Expr, PrimType, describe_value, fit_value
 
 __all__ = [
     "PrimType",
@@ -79,12 +79,6 @@ class PayloadDef:
     name: str
     fields: list[PayloadField]
     span: SourceSpan | None = field(default=None, compare=False, repr=False)
-
-    def field_named(self, name: str) -> PayloadField | None:
-        for f in self.fields:
-            if f.name == name:
-                return f
-        return None
 
 
 @dataclass
@@ -255,18 +249,6 @@ class Model:
     root_instances: list[InstanceDecl]
     source: str | None = field(default=None, compare=False, repr=False)
 
-    def payload_named(self, name: str) -> PayloadDef | None:
-        for p in self.payloads:
-            if p.name == name:
-                return p
-        return None
-
-    def interface_named(self, name: str) -> InterfaceDef | None:
-        for i in self.interfaces:
-            if i.name == name:
-                return i
-        return None
-
     def component_named(self, name: str) -> ComponentDef | None:
         for c in self.components:
             if c.name == name:
@@ -313,26 +295,20 @@ def with_property_initial(model: Model, prop_name: str, value: int | float | boo
     """Copy of ``model`` with every matching property's initial value replaced.
 
     Matching means: a component declares a property with this name whose type
-    accepts the value (int is widened for float properties). The input model is
-    left untouched; raises ValueError when nothing matched.
+    the value fits (``guards.fit_value``: int widens to float, bool is not an
+    int, floats are finite). The input model is left untouched; raises
+    ValueError when nothing matched.
     """
     m = copy.deepcopy(model)
     matched = False
     for comp in m.components:
         for prop in comp.properties:
-            if prop.name != prop_name:
-                continue
-            if prop.type is PrimType.FLOAT and isinstance(value, (int, float)) and not isinstance(value, bool):
-                prop.initial = float(value)
-            elif prop.type is PrimType.INT and isinstance(value, int) and not isinstance(value, bool):
-                prop.initial = value
-            elif prop.type is PrimType.BOOL and isinstance(value, bool):
-                prop.initial = value
-            elif prop.type is PrimType.STRING and isinstance(value, str):
-                prop.initial = value
-            else:
-                continue
-            matched = True
+            stored = fit_value(prop.type, value) if prop.name == prop_name else None
+            if stored is not None:
+                prop.initial = stored
+                matched = True
     if not matched:
-        raise ValueError(f"no component declares a property named {prop_name!r} accepting {value!r}")
+        raise ValueError(
+            f"no component declares a property named {prop_name!r} accepting {describe_value(value)}"
+        )
     return m

@@ -13,6 +13,7 @@ also accept keywords, except the expression-reserved words
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .diagnostics import E_PARSE, CiotError, SourceSpan, error
@@ -380,11 +381,18 @@ def _parse_property(ts: _Stream) -> AstProperty:
 def _parse_literal(ts: _Stream) -> Literal:
     tok = ts.current
     if tok.kind is TokenKind.INT:
+        try:
+            value = int(tok.text)
+        except ValueError:  # past the interpreter's int-string digit limit
+            ts.fail(f"integer literal of {len(tok.text)} digits is out of range")
         ts.advance()
-        return Literal(int(tok.text), PrimType.INT, tok.span)
+        return Literal(value, PrimType.INT, tok.span)
     if tok.kind is TokenKind.FLOAT:
+        value = float(tok.text)
+        if math.isinf(value):
+            ts.fail("float literal is out of range")
         ts.advance()
-        return Literal(float(tok.text), PrimType.FLOAT, tok.span)
+        return Literal(value, PrimType.FLOAT, tok.span)
     if tok.kind is TokenKind.STRING:
         ts.advance()
         return Literal(decode_string(tok), PrimType.STRING, tok.span)

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, field
 
 from .diagnostics import CiotError, error
-from .engine import RuntimeState, instantiate, run_to_quiescence, trigger_internal
+from .engine import RuntimeState, instantiate, quiesce, trigger_internal
 from .guards import PrimType
 from .metamodel import ComponentDef, EventDef, EventDirection, Model
 from .trace import TraceRecord
@@ -214,7 +214,7 @@ def simulate(
     if period <= 0:
         _scenario_error("E_SCENARIO", f"sample period must be positive, got {period}")
     rt = instantiate(model)
-    _quiesce(rt, max_steps)
+    quiesce(rt, max_steps)
 
     slots = sorted({st.slot for st in scenario.stimuli}) or _implicit_slots(rt)
     bound = bind_environment(rt, slots)
@@ -245,7 +245,7 @@ def simulate(
                 reading = echo_duration(d, speed_m_per_s)
             for path, event_name in bound[slot]:
                 trigger_internal(rt, path, event_name, {"duration": reading})
-                _quiesce(rt, max_steps)
+                quiesce(rt, max_steps)
     return SimResult(rt, scenario)
 
 
@@ -254,23 +254,10 @@ def _implicit_slots(rt: RuntimeState) -> list[str]:
     return roots
 
 
-def _quiesce(rt: RuntimeState, max_steps: int) -> None:
-    result = run_to_quiescence(rt, max_steps)
-    if result.step_limit_hit:
-        raise CiotError(
-            "E_STEP_LIMIT",
-            [error("E_STEP_LIMIT", f"model did not quiesce within {max_steps} steps", None, None)],
-        )
-
-
-def led_paths(rt: RuntimeState) -> tuple[str, str]:
-    """Locate the red and green indicator instances by component name."""
-    return find_led_paths([(p, rt.instances[p].component) for p in rt.order])
-
-
 def find_led_paths(instances: list[tuple[str, ComponentDef]]) -> tuple[str, str]:
-    """``led_paths`` over (path, component) pairs, such as ``instance_paths(model)``,
-    so a model can be checked before it runs."""
+    """Locate the red and green indicator instances by component name among
+    (path, component) pairs, such as ``instance_paths(model)``, so a model
+    can be checked before it runs."""
     reds = [p for p, comp in instances if comp.name == "RedLED"]
     greens = [p for p, comp in instances if comp.name == "GreenLED"]
     if len(reds) != 1 or len(greens) != 1:
@@ -290,7 +277,7 @@ def occupancy_timeline(result: SimResult) -> list[tuple[int, str]]:
     equal samples collapse.
     """
     rt = result.runtime
-    red_path, green_path = led_paths(rt)
+    red_path, green_path = find_led_paths([(p, rt.instances[p].component) for p in rt.order])
     state = {red_path: None, green_path: None}
     timeline: list[tuple[int, str]] = []
 

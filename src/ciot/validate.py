@@ -13,8 +13,10 @@ Rules (errors unless noted):
       events used in entry/exit/continuous position) must be buildable from
       same-named properties
 * R4  expression typing: transition guards type to bool over properties plus
-      the trigger's payload fields; effect assignments and property
-      initializers type against the declared property (int widens to float)
+      the trigger's payload fields; effect assignments type against the
+      declared property (int widens to float); a property's initial value
+      fits its type (``guards.fit_value``: also a finite float, an int
+      within float range for a float property)
 * R5  IoTElement components are leaves (no subcomponents)
 * R6  unreachable state (warning)
 * R7  an incoming event's payload must be carried by some interface on its
@@ -26,7 +28,7 @@ Rules (errors unless noted):
 from __future__ import annotations
 
 from .diagnostics import Diagnostic, Severity, error, warning
-from .guards import CiotError, GuardScope, PrimType, typecheck_guard
+from .guards import CiotError, GuardScope, PrimType, assignable, describe_value, fit_value, typecheck_guard
 from .metamodel import (
     ActionKind,
     ComponentDef,
@@ -214,7 +216,7 @@ def _check_constructible(comp: ComponentDef, payload: PayloadDef, what: str, spa
                 )
             )
             continue
-        if not _assignable(fld.type, prop.type):
+        if not assignable(fld.type, prop.type):
             diags.append(
                 error(
                     "R3",
@@ -256,30 +258,14 @@ def _payload_scope(payload: PayloadDef | None) -> dict[str, PrimType] | None:
     return {f.name: f.type for f in payload.fields if isinstance(f.type, PrimType)}
 
 
-def _assignable(target: PrimType, source: PrimType) -> bool:
-    if target is source:
-        return True
-    return target is PrimType.FLOAT and source is PrimType.INT
-
-
 def _check_property_initials(comp: ComponentDef, file, diags) -> None:
     for prop in comp.properties:
-        v = prop.initial
-        actual = (
-            PrimType.BOOL
-            if isinstance(v, bool)
-            else PrimType.INT
-            if isinstance(v, int)
-            else PrimType.FLOAT
-            if isinstance(v, float)
-            else PrimType.STRING
-        )
-        if not _assignable(prop.type, actual):
+        if fit_value(prop.type, prop.initial) is None:
             diags.append(
                 error(
                     "R4",
                     f"property {prop.name!r} of component {comp.name!r} is {prop.type.value} "
-                    f"but its initial value is {actual.value}",
+                    f"but its initial value is {describe_value(prop.initial)}",
                     prop.span,
                     file,
                 )
@@ -318,7 +304,7 @@ def _check_effects(comp: ComponentDef, file, diags) -> None:
                     )
                 )
                 continue
-            if not _assignable(target_type, value_type):
+            if not assignable(target_type, value_type):
                 diags.append(
                     error(
                         "R4",

@@ -40,6 +40,18 @@ def shared_parking_model(parking_path):
 
 
 @pytest.fixture(scope="session")
+def big_int_effect_text(parking_path) -> str:
+    """The parking model with the sensor copying an int of 400 nines into
+    its float ``duration``. It validates clean (int widens to float at the
+    type level), but the value is beyond float range."""
+    text = pathlib.Path(parking_path).read_text(encoding="utf-8")
+    text = text.replace(
+        "property sent: bool = false;", f"property sent: bool = false;\n    property big: int = {'9' * 400};"
+    )
+    return text.replace("duration := payload.duration;", "duration := big;")
+
+
+@pytest.fixture(scope="session")
 def arrive_depart_path() -> str:
     return str(CORPUS / "scenario_arrive_depart.scn")
 

@@ -96,6 +96,24 @@ def test_validate_deep_guard_is_one_line_parse_error(capsys, tmp_path, parking_p
     assert err.count("\n") == 1 and "error E_PARSE expression nested deeper than" in err
 
 
+@pytest.mark.parametrize(
+    "initial, message",
+    [
+        ("1" + "0" * 5000, "integer literal of 5001 digits is out of range"),
+        ("1" + "0" * 400 + ".0", "float literal is out of range"),
+    ],
+    ids=["int_past_digit_limit", "float_to_inf"],
+)
+def test_validate_out_of_range_literal_is_one_line_parse_error(capsys, tmp_path, parking_path, initial, message):
+    path = tmp_path / "range.ciot"
+    text = pathlib.Path(parking_path).read_text(encoding="utf-8")
+    path.write_text(text.replace("property threshold: float = 300.0;", f"property threshold: float = {initial};"))
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert (code, out) == (1, "errors=1 warnings=0\n")
+    assert err.count("\n") == 1 and f"error E_PARSE {message}" in err
+    assert "internal error" not in err
+
+
 def test_unexpected_exception_is_one_line_exit_1(capsys, monkeypatch, parking_path):
     def broken(path):
         raise RuntimeError("boom")
@@ -148,6 +166,25 @@ def test_run_inject_non_finite_value_is_usage_error(capsys, parking_path, value)
     assert f"error E_USAGE field value {value!r} is not a finite number" in err
 
 
+def test_run_inject_int_beyond_float_range_is_type_error(capsys, parking_path):
+    nines = "9" * 400
+    code, out, err = run_cli(capsys, "run", parking_path, "--inject", f"node.pSense.evtReading{{duration={nines}}}")
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "<input>: error E_TYPE event 'evtReading': payload field 'duration' expects a finite float, "
+        "got an int of 1329 bits\n"
+    )
+
+
+def test_run_step_limit_exits_1(capsys, parking_path):
+    code, out, err = run_cli(
+        capsys, "run", parking_path, "--max-steps", "2", "--inject", "node.pSense.evtReading{duration=450.0}"
+    )
+    assert (code, out) == (1, "")
+    assert err == "<input>: error E_STEP_LIMIT model did not quiesce within 2 steps\n"
+
+
 def test_run_inject_unknown_target(capsys, parking_path):
     code, out, err = run_cli(
         capsys, "run", parking_path, "--inject", "node.ghost.evt{duration=1.0}"
@@ -171,6 +208,24 @@ def test_simulate_physical_scenario_with_threshold(capsys, parking_path, physica
     )
     assert code == 0
     assert out == "t=0 status=vacant\nt=5000 status=occupied\nt=12000 status=vacant\n"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_simulate_non_finite_threshold_fails(capsys, parking_path, arrive_depart_path, value):
+    code, out, err = run_cli(capsys, "simulate", parking_path, arrive_depart_path, "--threshold-ms", value)
+    assert code == 1
+    assert out == ""
+    assert err == f"--threshold-ms: no component declares a property named 'threshold' accepting {value}\n"
+
+
+def test_simulate_int_beyond_float_range_in_effect_fails(capsys, tmp_path, big_int_effect_text, arrive_depart_path):
+    model = tmp_path / "big.ciot"
+    model.write_text(big_int_effect_text, encoding="utf-8")
+    assert run_cli(capsys, "validate", str(model))[0] == 0
+    code, out, err = run_cli(capsys, "simulate", str(model), arrive_depart_path)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and "error E_EVAL node.sensor: property 'duration'" in err
 
 
 def test_simulate_horizon_zero(capsys, tmp_path, parking_path):

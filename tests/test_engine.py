@@ -233,6 +233,15 @@ def test_inject_rejects_non_finite_float(parking_model, value):
     assert not rt.instances["node"].inbox
 
 
+def test_inject_rejects_int_beyond_float_range(parking_model):
+    rt = instantiate(parking_model)
+    with pytest.raises(CiotError) as exc:
+        inject(rt, "node", "pSense", "evtReading", {"duration": 10**400 - 1})
+    assert exc.value.code == "E_TYPE"
+    assert "expects a finite float, got an int of 1329 bits" in exc.value.diagnostics[0].message
+    assert not rt.ready and not rt.instances["node"].inbox
+
+
 def test_trigger_internal_rejects_non_generic(parking_model):
     rt = instantiate(parking_model)
     with pytest.raises(CiotError) as exc:
@@ -346,6 +355,26 @@ def test_bad_initial_raises_at_instantiate():
     with pytest.raises(CiotError) as exc:
         instantiate(m)
     assert exc.value.code == "E_INSTANTIATE"
+
+
+def test_built_payload_beyond_float_range_is_eval_error():
+    # validates clean: the float field is built from the int property of the same name
+    m = load_text(
+        "payload P { n: float; }\n"
+        "component C : Board {\n"
+        f"    property n: int = {10**400};\n"
+        "    event e generic payload P action a;\n"
+        "    action a generic payload P;\n"
+        "    statemachine { initial state S { entry e; } }\n"
+        "}\n"
+        "instance c: C;\n"
+    )
+    with pytest.raises(CiotError) as exc:
+        instantiate(m)
+    assert exc.value.code == "E_EVAL"
+    assert exc.value.diagnostics[0].message == (
+        "c: payload field 'n' built from property 'n' expects float, got an int of 1329 bits"
+    )
 
 
 def test_identical_runs_render_identical_traces(parking_model):

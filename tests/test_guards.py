@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import math
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ciot.diagnostics import CiotError
+from ciot.engine import inject, instantiate
 from ciot.guards import (
     Binary,
     GuardScope,
@@ -15,9 +18,12 @@ from ciot.guards import (
     Unary,
     eval_guard,
     expr_to_text,
+    fit_value,
     format_value,
     typecheck_guard,
 )
+from ciot.loader import collect_diagnostics, load_text
+from ciot.metamodel import with_property_initial
 from ciot.parser import parse_expression
 
 NUMERIC_SCOPE = GuardScope(
@@ -194,3 +200,115 @@ def _exprs():
 def test_rendered_expression_reparses_equal(expr):
     text = expr_to_text(expr)
     assert parse_expression(text) == expr
+
+
+# --- the value-fits-type rule --------------------------------------------
+
+# Ints at the edge of float range: 2**1024 - 2**970 - 1 still rounds to the
+# largest float, 2**1024 - 2**970 rounds past it and overflows.
+_EDGE_INTS = [10**400, -(10**400), 2**1024 - 2**970 - 1, 2**1024 - 2**970, 2**53 + 1]
+_VALUES = st.one_of(
+    st.booleans(),
+    st.integers(),
+    st.sampled_from(_EDGE_INTS),
+    st.floats(),  # nan and +-inf included
+    st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+    st.text(alphabet=st.characters(min_codepoint=32, max_codepoint=126) | st.sampled_from("\n\t"), max_size=6),
+)
+
+
+@pytest.mark.parametrize(
+    "t, value, stored",
+    [
+        (PrimType.INT, 7, 7),
+        (PrimType.INT, 10**400, 10**400),
+        (PrimType.INT, True, None),
+        (PrimType.INT, 7.0, None),
+        (PrimType.FLOAT, 3, 3.0),
+        (PrimType.FLOAT, 2**1024 - 2**970 - 1, 1.7976931348623157e308),
+        (PrimType.FLOAT, 2**1024 - 2**970, None),
+        (PrimType.FLOAT, 0.5, 0.5),
+        (PrimType.FLOAT, float("nan"), None),
+        (PrimType.FLOAT, float("-inf"), None),
+        (PrimType.FLOAT, False, None),
+        (PrimType.BOOL, True, True),
+        (PrimType.BOOL, 1, None),
+        (PrimType.STRING, "on", "on"),
+        (PrimType.STRING, 1, None),
+        (None, 1, None),
+    ],
+)
+def test_fit_value_rule(t, value, stored):
+    result = fit_value(t, value)
+    assert type(result) is type(stored) and result == stored
+
+
+_DEFAULT_LITERAL = {PrimType.INT: "0", PrimType.FLOAT: "0.0", PrimType.BOOL: "false", PrimType.STRING: '""'}
+
+
+def _one_property_model(t: PrimType, literal: str) -> str:
+    return (
+        f"payload P {{ f: {t.value}; }}\n"
+        "interface I { op o(P); }\n"
+        "component C : IoTElement {\n"
+        f"    property p: {t.value} = {literal};\n"
+        "    port p1 provides I;\n"
+        "    event e incoming port p1 payload P action a;\n"
+        "    action a receive port p1 payload P;\n"
+        "}\n"
+        "instance c: C;\n"
+    )
+
+
+def _literal(value) -> str | None:
+    """Model text denoting ``value`` (a float: some finite float), or None
+    where no literal can: negative numbers and non-finite floats."""
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            return None
+        text = format(value, "f")
+    else:
+        text = format_value(value)
+    return None if text.startswith("-") else text
+
+
+def _same(a, b) -> bool:
+    return type(a) is type(b) and a == b
+
+
+@settings(max_examples=150, deadline=None)
+@given(t=st.sampled_from(list(PrimType)), value=_VALUES)
+def test_fit_value_is_the_verdict_at_every_site(t, value):
+    fit = fit_value(t, value)
+    model = load_text(_one_property_model(t, _DEFAULT_LITERAL[t]), check=False)
+
+    if fit is None:
+        with pytest.raises(ValueError):
+            with_property_initial(model, "p", value)
+    else:
+        assert _same(with_property_initial(model, "p", value).components[0].properties[0].initial, fit)
+
+    rt = instantiate(model)
+    if fit is None:
+        with pytest.raises(CiotError) as exc:
+            inject(rt, "c", "p1", "e", {"f": value})
+        assert exc.value.code == "E_TYPE"
+        assert not rt.instances["c"].inbox
+    else:
+        inject(rt, "c", "p1", "e", {"f": value})
+        assert _same(rt.instances["c"].inbox[0].payload["f"], fit)
+
+    model.components[0].properties[0].initial = value
+    if fit is None:
+        with pytest.raises(CiotError) as exc:
+            instantiate(model)
+        assert exc.value.code == "E_INSTANTIATE"
+    else:
+        assert _same(instantiate(model).instances["c"].properties["p"], fit)
+
+    literal = _literal(value)
+    if literal is not None:
+        parsed, diags = collect_diagnostics(_one_property_model(t, literal))
+        initial = parsed.components[0].properties[0].initial
+        assert _same(initial, value) or isinstance(value, float) and type(initial) is float
+        assert [d.rule for d in diags] == (["R4"] if fit_value(t, initial) is None else [])

@@ -206,3 +206,33 @@ def test_guard_at_nesting_limit_runs_everywhere(parking_path, shape):
     assert diags == []
     instantiate(with_property_initial(model, "threshold", 250.0))
     assert export_model(model)
+
+
+# Literals that lex but do not convert: an INT past the interpreter's
+# int-string digit limit (4,300 by default; the test only needs "far past"),
+# and a FLOAT that float() turns into inf.
+OUT_OF_RANGE = {
+    "int_past_digit_limit": ("int", "1" + "0" * 5000, "integer literal of 5001 digits is out of range"),
+    "float_to_inf": ("float", "1" + "0" * 400 + ".0", "float literal is out of range"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))
+@pytest.mark.parametrize("where", ["initial", "guard"])
+def test_out_of_range_literal_is_parse_error_at_literal(case, where):
+    type_name, literal, message = OUT_OF_RANGE[case]
+    if where == "initial":
+        source = f"component C : Board {{\n    property x: {type_name} = {literal};\n}}\n"
+    else:
+        source = (
+            f"component C : Board {{\n    property x: {type_name} = 0;\n"
+            "    statemachine {\n        initial state A {}\n"
+            f"        transition A -> A [x == {literal}];\n    }}\n}}\n"
+        )
+    model, diags = collect_diagnostics(source, "range.ciot")
+    assert model is None
+    [diag] = diags
+    assert (diag.rule, diag.message) == ("E_PARSE", message)
+    line = source.splitlines()[diag.span.line - 1]
+    assert line.index(literal) + 1 == diag.span.column
+    assert diag.span.end_column - diag.span.column + 1 == len(literal)

@@ -7,14 +7,14 @@ from hypothesis import strategies as st
 from ciot import load_text
 from ciot.diagnostics import CiotError
 from ciot.engine import instantiate
-from ciot.metamodel import with_property_initial
+from ciot.metamodel import instance_paths, with_property_initial
 from ciot.sim import (
     DEFAULT_SAMPLE_PERIOD_MS,
     Scenario,
     Stimulus,
     bind_environment,
     echo_duration,
-    led_paths,
+    find_led_paths,
     load_scenario,
     load_scenario_file,
     occupancy_timeline,
@@ -204,6 +204,23 @@ def test_unbound_slot_raises(parking_model):
     assert exc.value.code == "E_UNBOUND_SENSOR"
 
 
+def test_effect_beyond_float_range_is_eval_error(big_int_effect_text, arrive_depart_path):
+    model = load_text(big_int_effect_text)
+    with pytest.raises(CiotError) as exc:
+        simulate(model, load_scenario_file(arrive_depart_path))
+    assert exc.value.code == "E_EVAL"
+    assert exc.value.diagnostics[0].message == (
+        "node.sensor: property 'duration' set by action 'actSense' expects float, got an int of 1329 bits"
+    )
+
+
+def test_step_limit_raises(parking_model):
+    scenario = scn("mode=duration\nhorizon_ms=0\nat 0 slot node echo 320\n")
+    with pytest.raises(CiotError) as exc:
+        simulate(parking_model, scenario, max_steps=3)
+    assert exc.value.code == "E_STEP_LIMIT"
+
+
 def test_bind_environment_matches_descendants(parking_model):
     rt = instantiate(parking_model)
     bound = bind_environment(rt, ["node"])
@@ -231,8 +248,7 @@ def test_simulation_is_deterministic(parking_model, arrive_depart_path):
 
 
 def test_led_paths_locates_indicators(parking_model):
-    rt = instantiate(parking_model)
-    assert led_paths(rt) == ("node.red", "node.green")
+    assert find_led_paths(instance_paths(parking_model)) == ("node.red", "node.green")
 
 
 def test_led_paths_rejects_ambiguous_indicators(parking_path):
@@ -240,9 +256,9 @@ def test_led_paths_rejects_ambiguous_indicators(parking_path):
     from pathlib import Path
 
     text = Path(parking_path).read_text(encoding="utf-8") + "\ninstance node2: Node;\n"
-    rt = instantiate(load_text(text))
+    model = load_text(text)
     with pytest.raises(CiotError) as exc:
-        led_paths(rt)
+        find_led_paths(instance_paths(model))
     assert exc.value.code == "E_TRACE"
 
 
