@@ -25,6 +25,7 @@ from ciot import (
     simulate,
     with_property_initial,
 )
+from ciot.sim import THRESHOLD_PROPERTY
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 
@@ -45,7 +46,7 @@ def main(argv: list[str] | None = None) -> int:
 
     model = load_file(args.model)
     if args.threshold_ms is not None:
-        model = with_property_initial(model, "threshold", args.threshold_ms)
+        model = with_property_initial(model, THRESHOLD_PROPERTY, args.threshold_ms)
     scenario = load_scenario_file(args.scenario)
 
     result = simulate(model, scenario)

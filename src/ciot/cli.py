@@ -12,14 +12,15 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 
-from .diagnostics import CiotError, Severity, error
+from .diagnostics import CiotError, Severity
 from .engine import inject, instantiate, quiesce
 from .export import export_model, statemachine_to_dot, structure_to_dot
 from .loader import collect_diagnostics_file, load_file
 from .metamodel import instance_paths, with_property_initial
-from .sim import find_led_paths, load_scenario_file, occupancy_timeline, simulate
+from .sim import THRESHOLD_PROPERTY, find_led_paths, load_scenario_file, occupancy_timeline, render_timeline, simulate
 from .trace import render_trace
 
 
@@ -104,7 +105,7 @@ def _cmd_simulate(args) -> int:
     model = load_file(args.model)
     if args.threshold_ms is not None:
         try:
-            model = with_property_initial(model, "threshold", args.threshold_ms)
+            model = with_property_initial(model, THRESHOLD_PROPERTY, args.threshold_ms)
         except ValueError as exc:
             print(f"--threshold-ms: {exc}", file=sys.stderr)
             return 1
@@ -123,15 +124,14 @@ def _cmd_simulate(args) -> int:
     )
     if args.trace:
         _write_text(render_trace(result.trace), args.trace)
-    for t_ms, status in occupancy_timeline(result):
-        print(f"t={t_ms} status={status}")
+    sys.stdout.write(render_timeline(occupancy_timeline(result)))
     return 0
 
 
 def _cmd_export(args) -> int:
     model = load_file(args.model, check=False)
     if args.kind in ("sm", "structure") and not args.component:
-        _usage_error(f"export --kind {args.kind} needs --component")
+        raise CiotError.of("E_USAGE", f"export --kind {args.kind} needs --component")
     if args.kind == "sm":
         text = statemachine_to_dot(model, args.component)
     elif args.kind == "structure":
@@ -150,19 +150,19 @@ def _write_text(text: str, path: str | None) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        raise CiotError("E_IO", [error("E_IO", f"cannot write {path!r}: {exc}", None, path)]) from exc
+        raise CiotError.of("E_IO", f"cannot write {path!r}: {exc}", None, path) from exc
 
 
 def _parse_inject_spec(spec: str) -> tuple[str, str, str, dict | None]:
     name, values = spec, None
     if "{" in spec:
         if not spec.endswith("}"):
-            _usage_error(f"malformed injection {spec!r}: missing closing brace")
+            raise CiotError.of("E_USAGE", f"malformed injection {spec!r}: missing closing brace")
         name, _, body = spec.partition("{")
         values = _parse_value_list(body[:-1], spec)
     parts = name.split(".")
     if len(parts) < 3 or not all(parts):
-        _usage_error(f"malformed injection {spec!r}: expected PATH.PORT.EVENT")
+        raise CiotError.of("E_USAGE", f"malformed injection {spec!r}: expected PATH.PORT.EVENT")
     return ".".join(parts[:-2]), parts[-2], parts[-1], values
 
 
@@ -173,7 +173,7 @@ def _parse_value_list(body: str, spec: str) -> dict:
             continue
         key, eq, raw = pair.partition("=")
         if not eq:
-            _usage_error(f"malformed injection {spec!r}: field {pair.strip()!r} has no value")
+            raise CiotError.of("E_USAGE", f"malformed injection {spec!r}: field {pair.strip()!r} has no value")
         values[key.strip()] = _parse_field_value(raw.strip())
     return values
 
@@ -207,14 +207,15 @@ def _parse_field_value(text: str):
     try:
         return int(text)
     except ValueError:
-        pass
+        if re.fullmatch(r"[+-]?[0-9]+", text):  # past the interpreter's int-string digit limit
+            raise CiotError.of("E_USAGE", f"field value of {len(text.lstrip('+-'))} digits is out of range")
     try:
         value = float(text)
     except ValueError:
         pass
     else:
         if not math.isfinite(value):
-            _usage_error(f"field value {text!r} is not a finite number")
+            raise CiotError.of("E_USAGE", f"field value {text!r} is not a finite number")
         return value
     if len(text) >= 2 and text[0] == '"' and text[-1] == '"':
         inner = text[1:-1]
@@ -222,10 +223,6 @@ def _parse_field_value(text: str):
             inner = inner.replace(esc, repl)
         return inner
     return text
-
-
-def _usage_error(message: str) -> None:
-    raise CiotError("E_USAGE", [error("E_USAGE", message, None, None)])
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ from .diagnostics import CiotError
 from .export import export_model, import_model, statemachine_to_dot
 from .loader import collect_diagnostics_file, load_file
 from .metamodel import structurally_equal, with_property_initial
-from .sim import load_scenario_file, occupancy_timeline, simulate
+from .sim import THRESHOLD_PROPERTY, load_scenario_file, occupancy_timeline, render_timeline, simulate
 from .trace import render_trace
 
 MODEL_FILE = "parking_node.ciot"
@@ -47,10 +47,6 @@ class CorpusReport:
         return "\n".join(lines) + "\n"
 
 
-def render_timeline(timeline: list[tuple[int, str]]) -> str:
-    return "".join(f"t={t} status={status}\n" for t, status in timeline)
-
-
 def corpus_check(corpus_dir: str, regen: bool = False) -> CorpusReport:
     checks: list[CorpusCheck] = []
     model_path = os.path.join(corpus_dir, MODEL_FILE)
@@ -66,7 +62,7 @@ def corpus_check(corpus_dir: str, regen: bool = False) -> CorpusReport:
         _check_golden(checks, golden, "arrive_depart.trace", render_trace(result.trace), regen)
         _check_golden(checks, golden, "arrive_depart.timeline", render_timeline(occupancy_timeline(result)), regen)
 
-        low = with_property_initial(model, "threshold", PHYSICAL_THRESHOLD_MS)
+        low = with_property_initial(model, THRESHOLD_PROPERTY, PHYSICAL_THRESHOLD_MS)
         result = simulate(low, load_scenario_file(os.path.join(corpus_dir, SCENARIO_PHYSICAL)))
         _check_golden(checks, golden, "physical.trace", render_trace(result.trace), regen)
         _check_golden(checks, golden, "physical.timeline", render_timeline(occupancy_timeline(result)), regen)

@@ -85,6 +85,11 @@ class CiotError(Exception):
         self.diagnostics: list[Diagnostic] = list(diagnostics or [])
         super().__init__(self.diagnostics[0].message if self.diagnostics else code)
 
+    @classmethod
+    def of(cls, code: str, message: str, span: SourceSpan | None = None, file: str | None = None) -> "CiotError":
+        """An error carrying one diagnostic whose rule is ``code``."""
+        return cls(code, [error(code, message, span, file)])
+
 
 def error(rule: str, message: str, span: SourceSpan | None = None, file: str | None = None) -> Diagnostic:
     return Diagnostic(rule, Severity.ERROR, message, span, file)

@@ -41,7 +41,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 
-from .diagnostics import CiotError, error
+from .diagnostics import CiotError
 from .guards import PrimType, describe_value, eval_guard, expr_to_text, fit_value
 from .metamodel import (
     ActionDef,
@@ -172,17 +172,11 @@ def _build_dispatch(comp: ComponentDef) -> Dispatch:
 def _initial_value(comp: ComponentDef, prop, path: str):
     value = fit_value(prop.type, prop.initial)
     if value is None:
-        raise CiotError(
+        raise CiotError.of(
             "E_INSTANTIATE",
-            [
-                error(
-                    "E_INSTANTIATE",
-                    f"property {prop.name!r} of {path} ({comp.name}) is {prop.type.value} "
-                    f"but its initial value is {describe_value(prop.initial)}",
-                    prop.span,
-                    None,
-                )
-            ],
+            f"property {prop.name!r} of {path} ({comp.name}) is {prop.type.value} "
+            f"but its initial value is {describe_value(prop.initial)}",
+            prop.span,
         )
     return value
 
@@ -197,12 +191,12 @@ def inject(rt: RuntimeState, path: str, port: str, event_name: str, payload: dic
     """Queue an incoming event from the environment onto one instance."""
     inst = rt.instances.get(path)
     if inst is None:
-        _bad_target(f"no instance at path {path!r}")
+        raise CiotError.of("E_BAD_TARGET", f"no instance at path {path!r}")
     event = inst.component.event_named(event_name)
     if event is None or event.direction is not EventDirection.INCOMING:
-        _bad_target(f"component {inst.component.name!r} has no incoming event {event_name!r}")
+        raise CiotError.of("E_BAD_TARGET", f"component {inst.component.name!r} has no incoming event {event_name!r}")
     if event.port is None or event.port.name != port:
-        _bad_target(f"event {event_name!r} is not bound to port {port!r}")
+        raise CiotError.of("E_BAD_TARGET", f"event {event_name!r} is not bound to port {port!r}")
     values = _conform_payload(event.payload, payload, f"event {event_name!r}")
     _enqueue(rt, inst, event, values, "env")
 
@@ -211,37 +205,33 @@ def trigger_internal(rt: RuntimeState, path: str, event_name: str, payload: dict
     """Queue a generic event onto one instance, as sensing hardware would."""
     inst = rt.instances.get(path)
     if inst is None:
-        _bad_target(f"no instance at path {path!r}")
+        raise CiotError.of("E_BAD_TARGET", f"no instance at path {path!r}")
     event = inst.component.event_named(event_name)
     if event is None or event.direction is not EventDirection.GENERIC:
-        _bad_target(f"component {inst.component.name!r} has no generic event {event_name!r}")
+        raise CiotError.of("E_BAD_TARGET", f"component {inst.component.name!r} has no generic event {event_name!r}")
     values = _conform_payload(event.payload, payload, f"event {event_name!r}")
     _enqueue(rt, inst, event, values, "env")
-
-
-def _bad_target(message: str) -> None:
-    raise CiotError("E_BAD_TARGET", [error("E_BAD_TARGET", message, None, None)])
 
 
 def _conform_payload(payload_def: PayloadDef | None, values: dict | None, what: str) -> dict | None:
     """Check field names and types, widen ints, return field-ordered dict."""
     if payload_def is None:
         if values:
-            _type_error(f"{what} carries no payload but values were given")
+            raise CiotError.of("E_TYPE", f"{what} carries no payload but values were given")
         return None
     if values is None:
-        _type_error(f"{what} requires payload {payload_def.name!r}")
+        raise CiotError.of("E_TYPE", f"{what} requires payload {payload_def.name!r}")
     extra = set(values) - {f.name for f in payload_def.fields}
     if extra:
-        _type_error(f"{what}: unknown payload field(s) {sorted(extra)!r}")
+        raise CiotError.of("E_TYPE", f"{what}: unknown payload field(s) {sorted(extra)!r}")
     out = {}
     for fld in payload_def.fields:
         if fld.name not in values:
-            _type_error(f"{what}: missing payload field {fld.name!r}")
+            raise CiotError.of("E_TYPE", f"{what}: missing payload field {fld.name!r}")
         v = values[fld.name]
         if isinstance(fld.type, PayloadDef):
             if not isinstance(v, dict):
-                _type_error(f"{what}: field {fld.name!r} expects a record")
+                raise CiotError.of("E_TYPE", f"{what}: field {fld.name!r} expects a record")
             out[fld.name] = _conform_payload(fld.type, v, what)
             continue
         out[fld.name] = _conform_primitive(fld.type, v, fld.name, what)
@@ -252,12 +242,8 @@ def _conform_primitive(t: PrimType, v, name: str, what: str):
     value = fit_value(t, v)
     if value is None:
         expected = "a finite float" if t is PrimType.FLOAT else t.value
-        _type_error(f"{what}: payload field {name!r} expects {expected}, got {describe_value(v)}")
+        raise CiotError.of("E_TYPE", f"{what}: payload field {name!r} expects {expected}, got {describe_value(v)}")
     return value
-
-
-def _type_error(message: str) -> None:
-    raise CiotError("E_TYPE", [error("E_TYPE", message, None, None)])
 
 
 def _enqueue(rt: RuntimeState, inst: InstanceState, event: EventDef, values: dict | None, source: str) -> None:
@@ -335,10 +321,7 @@ def run_to_quiescence(rt: RuntimeState, max_steps: int = 10000) -> RunResult:
 def quiesce(rt: RuntimeState, max_steps: int) -> None:
     """``run_to_quiescence``, raising ``E_STEP_LIMIT`` when the steps run out first."""
     if run_to_quiescence(rt, max_steps).step_limit_hit:
-        raise CiotError(
-            "E_STEP_LIMIT",
-            [error("E_STEP_LIMIT", f"model did not quiesce within {max_steps} steps", None, None)],
-        )
+        raise CiotError.of("E_STEP_LIMIT", f"model did not quiesce within {max_steps} steps")
 
 
 def _execute_positioned(rt: RuntimeState, inst: InstanceState, ev: EventDef, *, enqueue_generic: bool) -> None:
@@ -367,7 +350,7 @@ def _snapshot_payload(inst: InstanceState, payload_def: PayloadDef | None) -> di
 def _misfit(inst: InstanceState, what: str, t, value) -> None:
     expected = t.value if isinstance(t, PrimType) else "a declared primitive"
     message = f"{inst.path}: {what} expects {expected}, got {describe_value(value)}"
-    raise CiotError("E_EVAL", [error("E_EVAL", message, None, None)])
+    raise CiotError.of("E_EVAL", message)
 
 
 def _run_action(

@@ -9,26 +9,19 @@ interchange format.
 
 from __future__ import annotations
 
-from .diagnostics import CiotError, error
+from .diagnostics import CiotError
 from .engine import _quote
 from .guards import expr_to_text, format_value
 from .loader import load_text
 from .metamodel import (
+    ACTION_KEYWORDS,
     ActionDef,
-    ActionKind,
     ComponentDef,
     EventDef,
     Model,
     PayloadDef,
     StateMachine,
 )
-
-_ACTION_KEYWORD = {
-    ActionKind.SEND_PAYLOAD: "send",
-    ActionKind.RECEIVE_PAYLOAD: "receive",
-    ActionKind.GENERIC: "generic",
-}
-
 
 def import_model(text: str, source: str | None = None) -> Model:
     """Parse and resolve interchange text; validation is the caller's call."""
@@ -115,7 +108,8 @@ def _event_line(e: EventDef) -> str:
 
 
 def _action_lines(a: ActionDef) -> list[str]:
-    head = [f"    action {a.name} {_ACTION_KEYWORD[a.kind]}"]
+    keyword = next(word for word, kind in ACTION_KEYWORDS.items() if kind is a.kind)
+    head = [f"    action {a.name} {keyword}"]
     if a.port is not None:
         head.append(f"port {a.port.name}")
     if a.payload is not None:
@@ -157,16 +151,10 @@ def _machine_lines(m: StateMachine) -> list[str]:
 def statemachine_to_dot(model: Model, component_name: str) -> str:
     comp = model.component_named(component_name)
     if comp is None:
-        raise CiotError(
-            "E_UNKNOWN_REF",
-            [error("E_UNKNOWN_REF", f"no component named {component_name!r}", None, model.source)],
-        )
+        raise CiotError.of("E_UNKNOWN_REF", f"no component named {component_name!r}", None, model.source)
     machine = comp.state_machine
     if machine is None:
-        raise CiotError(
-            "E_NO_MACHINE",
-            [error("E_NO_MACHINE", f"component {component_name!r} has no state machine", None, model.source)],
-        )
+        raise CiotError.of("E_NO_MACHINE", f"component {component_name!r} has no state machine", None, model.source)
     lines = [f"digraph {_quote(comp.name)} {{", "    rankdir=LR;", "    node [shape=ellipse];"]
     for s in machine.states:
         attrs = " [peripheries=2]" if s.is_initial else ""
@@ -186,10 +174,7 @@ def statemachine_to_dot(model: Model, component_name: str) -> str:
 def structure_to_dot(model: Model, root: str) -> str:
     comp = model.component_named(root)
     if comp is None:
-        raise CiotError(
-            "E_UNKNOWN_REF",
-            [error("E_UNKNOWN_REF", f"no component named {root!r}", None, model.source)],
-        )
+        raise CiotError.of("E_UNKNOWN_REF", f"no component named {root!r}", None, model.source)
     lines = ["digraph structure {", "    rankdir=LR;", "    node [shape=box];", "    edge [dir=none];"]
 
     def emit(c: ComponentDef, label: str, path: str, depth: int) -> None:

@@ -20,13 +20,12 @@ from .diagnostics import (
     E_UNKNOWN_NAME,
     CiotError,
     SourceSpan,
-    error,
 )
 
 
 class PrimType(Enum):
-    # Mirror of metamodel.PrimType; defined here so this module stays
-    # dependency-free for both the metamodel and the engine.
+    # The one primitive-type enum; metamodel re-exports it. Defined here so
+    # this module needs neither the metamodel nor the engine.
     INT = "int"
     FLOAT = "float"
     BOOL = "bool"
@@ -94,40 +93,36 @@ def typecheck_guard(expr: Expr, scope: GuardScope) -> PrimType:
     return _infer(expr, scope)
 
 
-def _fail(code: str, message: str, span: SourceSpan | None) -> CiotError:
-    return CiotError(code, [error(code, message, span)])
-
-
 def _infer(expr: Expr, scope: GuardScope) -> PrimType:
     if isinstance(expr, Literal):
         return expr.type
     if isinstance(expr, NameRef):
         t = scope.properties.get(expr.name)
         if t is None:
-            raise _fail(E_UNKNOWN_NAME, f"unknown property {expr.name!r}", expr.span)
+            raise CiotError.of(E_UNKNOWN_NAME, f"unknown property {expr.name!r}", expr.span)
         return t
     if isinstance(expr, PayloadFieldRef):
         if scope.payload_fields is None:
-            raise _fail(
+            raise CiotError.of(
                 E_UNKNOWN_NAME,
                 f"payload.{expr.field} used where no payload is in scope",
                 expr.span,
             )
         t = scope.payload_fields.get(expr.field)
         if t is None:
-            raise _fail(E_UNKNOWN_NAME, f"payload has no field {expr.field!r}", expr.span)
+            raise CiotError.of(E_UNKNOWN_NAME, f"payload has no field {expr.field!r}", expr.span)
         return t
     if isinstance(expr, Unary):
         t = _infer(expr.operand, scope)
         if t is not PrimType.BOOL:
-            raise _fail(E_TYPE_MISMATCH, f"'not' needs a bool operand, got {t.value}", expr.span)
+            raise CiotError.of(E_TYPE_MISMATCH, f"'not' needs a bool operand, got {t.value}", expr.span)
         return PrimType.BOOL
     if isinstance(expr, Binary):
         if expr.op in BOOLEAN_OPS:
             for side in (expr.left, expr.right):
                 t = _infer(side, scope)
                 if t is not PrimType.BOOL:
-                    raise _fail(
+                    raise CiotError.of(
                         E_TYPE_MISMATCH,
                         f"{expr.op!r} needs bool operands, got {t.value}",
                         _span_of(side) or expr.span,
@@ -138,7 +133,7 @@ def _infer(expr: Expr, scope: GuardScope) -> PrimType:
         numeric = {PrimType.INT, PrimType.FLOAT}
         if expr.op in ORDERING_OPS:
             if lt not in numeric or rt not in numeric:
-                raise _fail(
+                raise CiotError.of(
                     E_TYPE_MISMATCH,
                     f"{expr.op!r} needs numeric operands, got {lt.value} and {rt.value}",
                     expr.span,
@@ -147,7 +142,7 @@ def _infer(expr: Expr, scope: GuardScope) -> PrimType:
         # Equality: same type, or int/float widened.
         if lt is rt or (lt in numeric and rt in numeric):
             return PrimType.BOOL
-        raise _fail(
+        raise CiotError.of(
             E_TYPE_MISMATCH,
             f"cannot compare {lt.value} with {rt.value}",
             expr.span,
@@ -215,11 +210,11 @@ def eval_guard(
         return expr.value
     if isinstance(expr, NameRef):
         if expr.name not in properties:
-            raise _fail(E_EVAL, f"unknown property {expr.name!r} at evaluation", expr.span)
+            raise CiotError.of(E_EVAL, f"unknown property {expr.name!r} at evaluation", expr.span)
         return properties[expr.name]
     if isinstance(expr, PayloadFieldRef):
         if payload is None or expr.field not in payload:
-            raise _fail(E_EVAL, f"payload field {expr.field!r} absent at evaluation", expr.span)
+            raise CiotError.of(E_EVAL, f"payload field {expr.field!r} absent at evaluation", expr.span)
         return payload[expr.field]
     if isinstance(expr, Unary):
         return not eval_guard(expr.operand, properties, payload)

@@ -11,7 +11,7 @@ import re
 from enum import Enum
 from typing import NamedTuple
 
-from .diagnostics import E_LEX, CiotError, SourceSpan, error
+from .diagnostics import E_LEX, CiotError, SourceSpan
 
 
 class TokenKind(Enum):
@@ -127,8 +127,7 @@ def tokenize(source: str, file: str | None = None) -> list[Token]:
             at = _BLANKS.match(line, pos).end()
             c = line[at]
             message = "unterminated string literal" if c == '"' else f"unexpected character {c!r}"
-            diag = error(E_LEX, message, SourceSpan.point(lineno, at + 1), file)
-            raise CiotError(E_LEX, [diag])
+            raise CiotError.of(E_LEX, message, SourceSpan.point(lineno, at + 1), file)
     # After a trailing comment, end of input sits where the comment starts.
     append(Token(TokenKind.EOI, "", lineno, m.start("STOP") + 1))
     return tokens

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .diagnostics import CiotError, Diagnostic, Severity, error
+from .diagnostics import CiotError, Diagnostic, Severity
 from .metamodel import Model
 from .parser import parse
 from .resolver import resolve
@@ -43,4 +43,4 @@ def _read(path: str) -> str:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
-        raise CiotError("E_IO", [error("E_IO", f"cannot read {path!r}: {exc}", None, path)]) from exc
+        raise CiotError.of("E_IO", f"cannot read {path!r}: {exc}", None, path) from exc

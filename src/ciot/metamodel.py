@@ -22,6 +22,7 @@ __all__ = [
     "ComponentKind",
     "EventDirection",
     "ActionKind",
+    "ACTION_KEYWORDS",
     "PayloadField",
     "PayloadDef",
     "Operation",
@@ -61,6 +62,15 @@ class ActionKind(Enum):
     SEND_PAYLOAD = "SendPayload"
     RECEIVE_PAYLOAD = "ReceivePayload"
     GENERIC = "Generic"
+
+
+# Model-text keyword of each action kind. The other two enums' values are
+# their keywords.
+ACTION_KEYWORDS = {
+    "send": ActionKind.SEND_PAYLOAD,
+    "receive": ActionKind.RECEIVE_PAYLOAD,
+    "generic": ActionKind.GENERIC,
+}
 
 
 # A payload field is either primitive or another payload record.
@@ -224,12 +234,6 @@ class ComponentDef:
 
     def property_named(self, name: str) -> PropertyDef | None:
         for p in self.properties:
-            if p.name == name:
-                return p
-        return None
-
-    def port_named(self, name: str) -> PortDef | None:
-        for p in self.ports:
             if p.name == name:
                 return p
         return None

@@ -16,11 +16,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .diagnostics import E_PARSE, CiotError, SourceSpan, error
+from .diagnostics import E_PARSE, CiotError, SourceSpan
 from .guards import Binary, Expr, Literal, NameRef, PayloadFieldRef, PrimType, Unary
 from .lexer import EXPR_RESERVED, Token, TokenKind, decode_string, tokenize
+from .metamodel import ACTION_KEYWORDS, ActionKind, ComponentKind, EventDirection
 
-COMPONENT_KINDS = ("IoTElement", "Board", "VirtualEntity")
 _PRIM_NAMES = {"int": PrimType.INT, "float": PrimType.FLOAT, "bool": PrimType.BOOL, "string": PrimType.STRING}
 
 
@@ -114,7 +114,7 @@ class AstAssign:
 @dataclass
 class AstAction:
     name: Ref
-    kind: str  # "send" | "receive" | "generic"
+    kind: ActionKind
     port: Ref | None
     payload: Ref | None
     effects: list[AstAssign]
@@ -124,7 +124,7 @@ class AstAction:
 @dataclass
 class AstEvent:
     name: Ref
-    direction: str  # "incoming" | "outgoing" | "generic"
+    direction: EventDirection
     port: Ref | None
     payload: Ref | None
     action: Ref
@@ -160,7 +160,7 @@ class AstMachine:
 @dataclass
 class AstComponent:
     name: Ref
-    kind: str
+    kind: ComponentKind
     kind_span: SourceSpan
     properties: list[AstProperty] = field(default_factory=list)
     ports: list[AstPort] = field(default_factory=list)
@@ -212,9 +212,7 @@ class _Stream:
         return self.fail(f"expected {wanted}, got {self.current.describe()}")
 
     def fail(self, message: str, span: SourceSpan | None = None):
-        at = span or self.current.span
-        diag = error(E_PARSE, message, at, self.file)
-        raise CiotError(E_PARSE, [diag])
+        raise CiotError.of(E_PARSE, message, span or self.current.span, self.file)
 
 
 def parse(source: str, file: str | None = None) -> AstModel:
@@ -267,6 +265,22 @@ def _member_name(ts: _Stream, what: str) -> tuple[str, SourceSpan]:
         return tok.text, tok.span
     if tok.kind is TokenKind.KEYWORD:
         ts.fail(f"expected {what}, got {tok.text!r} (reserved in expressions)")
+    ts.fail(f"expected {what}, got {tok.describe()}")
+    raise AssertionError  # unreachable
+
+
+def _enum_word(ts: _Stream, kind: TokenKind, convert, what: str):
+    """The enum member ``convert`` makes of the current token's text; E_PARSE
+    when the token is not of ``kind`` or ``convert`` rejects its text."""
+    tok = ts.current
+    if tok.kind is kind:
+        try:
+            value = convert(tok.text)
+        except (KeyError, ValueError):
+            pass
+        else:
+            ts.advance()
+            return value
     ts.fail(f"expected {what}, got {tok.describe()}")
     raise AssertionError  # unreachable
 
@@ -328,14 +342,9 @@ def _parse_component(ts: _Stream) -> AstComponent:
     start = ts.expect(TokenKind.KEYWORD, "component").span
     name = _entity_name(ts, "component name")
     ts.expect(TokenKind.PUNCT, ":")
-    kind_tok = ts.current
-    if kind_tok.kind is not TokenKind.IDENT or kind_tok.text not in COMPONENT_KINDS:
-        ts.fail(
-            "expected a component kind (IoTElement, Board, or VirtualEntity), "
-            f"got {kind_tok.describe()}"
-        )
-    ts.advance()
-    comp = AstComponent(name=name, kind=kind_tok.text, kind_span=kind_tok.span)
+    kind_span = ts.current.span
+    kind = _enum_word(ts, TokenKind.IDENT, ComponentKind, "a component kind (IoTElement, Board, or VirtualEntity)")
+    comp = AstComponent(name=name, kind=kind, kind_span=kind_span)
     ts.expect(TokenKind.PUNCT, "{")
     while not ts.check(TokenKind.PUNCT, "}"):
         if ts.check(TokenKind.KEYWORD, "property"):
@@ -465,10 +474,7 @@ def _parse_endpoint(ts: _Stream) -> AstEndpoint:
 def _parse_event(ts: _Stream) -> AstEvent:
     start = ts.expect(TokenKind.KEYWORD, "event").span
     name = _entity_name(ts, "event name")
-    dir_tok = ts.current
-    if dir_tok.kind is not TokenKind.KEYWORD or dir_tok.text not in ("incoming", "outgoing", "generic"):
-        ts.fail(f"expected an event direction (incoming, outgoing, generic), got {dir_tok.describe()}")
-    ts.advance()
+    direction = _enum_word(ts, TokenKind.KEYWORD, EventDirection, "an event direction (incoming, outgoing, generic)")
     port = None
     if ts.accept(TokenKind.KEYWORD, "port"):
         port = _entity_name(ts, "port name")
@@ -478,16 +484,13 @@ def _parse_event(ts: _Stream) -> AstEvent:
     ts.expect(TokenKind.KEYWORD, "action")
     action = _entity_name(ts, "action name")
     end = ts.expect(TokenKind.PUNCT, ";").span
-    return AstEvent(name, dir_tok.text, port, payload, action, start.merge(end))
+    return AstEvent(name, direction, port, payload, action, start.merge(end))
 
 
 def _parse_action(ts: _Stream) -> AstAction:
     start = ts.expect(TokenKind.KEYWORD, "action").span
     name = _entity_name(ts, "action name")
-    kind_tok = ts.current
-    if kind_tok.kind is not TokenKind.KEYWORD or kind_tok.text not in ("send", "receive", "generic"):
-        ts.fail(f"expected an action kind (send, receive, generic), got {kind_tok.describe()}")
-    ts.advance()
+    kind = _enum_word(ts, TokenKind.KEYWORD, ACTION_KEYWORDS.__getitem__, "an action kind (send, receive, generic)")
     port = None
     if ts.accept(TokenKind.KEYWORD, "port"):
         port = _entity_name(ts, "port name")
@@ -505,7 +508,7 @@ def _parse_action(ts: _Stream) -> AstAction:
         end = ts.expect(TokenKind.PUNCT, "}").span
     else:
         end = ts.expect(TokenKind.PUNCT, ";").span
-    return AstAction(name, kind_tok.text, port, payload, effects, start.merge(end))
+    return AstAction(name, kind, port, payload, effects, start.merge(end))
 
 
 def _parse_machine(ts: _Stream) -> AstMachine:

@@ -4,9 +4,15 @@ Collects every resolution problem (unknown references, duplicate names,
 payload/composition cycles) before failing, so one run reports them all.
 Guard and effect expressions are left as unresolved name trees; the validator
 types them (rule R4).
+
+Each scope rule is stated once: ``unique`` keeps the first declaration of a
+name, ``lookup`` binds a reference, and ``_check_acyclic`` walks the payload
+and composition graphs.
 """
 
 from __future__ import annotations
+
+from typing import Callable, Iterable, Iterator, Mapping, TypeVar
 
 from .diagnostics import (
     E_CYCLE,
@@ -18,14 +24,11 @@ from .diagnostics import (
 )
 from .metamodel import (
     ActionDef,
-    ActionKind,
     Assignment,
     ComponentDef,
-    ComponentKind,
     Connector,
     Endpoint,
     EventDef,
-    EventDirection,
     InstanceDecl,
     InterfaceDef,
     Model,
@@ -45,21 +48,7 @@ from .parser import (
     Ref,
 )
 
-_ACTION_KINDS = {
-    "send": ActionKind.SEND_PAYLOAD,
-    "receive": ActionKind.RECEIVE_PAYLOAD,
-    "generic": ActionKind.GENERIC,
-}
-_EVENT_DIRECTIONS = {
-    "incoming": EventDirection.INCOMING,
-    "outgoing": EventDirection.OUTGOING,
-    "generic": EventDirection.GENERIC,
-}
-_COMPONENT_KINDS = {
-    "IoTElement": ComponentKind.IOT_ELEMENT,
-    "Board": ComponentKind.BOARD,
-    "VirtualEntity": ComponentKind.VIRTUAL_ENTITY,
-}
+T = TypeVar("T")
 
 
 def resolve(ast: AstModel) -> Model:
@@ -80,222 +69,154 @@ class _Resolver:
         self.payloads: dict[str, PayloadDef] = {}
         self.interfaces: dict[str, InterfaceDef] = {}
         self.components: dict[str, ComponentDef] = {}
+        self.ports: dict[str, dict[str, PortDef]] = {}  # component name -> its ports by name
 
     def err(self, rule: str, message: str, span) -> None:
         self.diagnostics.append(error(rule, message, span, self.file))
 
+    def unique(self, decls: Iterable[T], what: str, where: str = "") -> Iterator[T]:
+        """Yield the first declaration of each name; report a later one as a
+        duplicate when the caller's loop reaches it, so diagnostics keep
+        source order."""
+        seen: set[str] = set()
+        for d in decls:
+            name, span = (d.name.name, d.name.span) if isinstance(d.name, Ref) else (d.name, d.name_span)
+            if name in seen:
+                self.err(E_DUPLICATE, f"duplicate {what} {name!r}{where}", span)
+            else:
+                seen.add(name)
+                yield d
+
+    def lookup(self, table: Mapping[str, T], ref: Ref | None, what: str, where: str = "") -> T | None:
+        """The object ``ref`` names in ``table``, or None (reported unless ``ref`` is None)."""
+        if ref is None:
+            return None
+        found = table.get(ref.name)
+        if found is None:
+            self.err(E_UNKNOWN_REF, f"unknown {what} {ref.name!r}{where}", ref.span)
+        return found
+
     def run(self) -> Model | None:
         # Pass 1: register every top-level definition (shells only) so that
         # forward references work.
-        for p in self.ast.payloads:
-            if p.name.name in self.payloads:
-                self.err(E_DUPLICATE, f"duplicate payload {p.name.name!r}", p.name.span)
-                continue
-            self.payloads[p.name.name] = PayloadDef(p.name.name, [], p.span)
-        for i in self.ast.interfaces:
-            if i.name.name in self.interfaces:
-                self.err(E_DUPLICATE, f"duplicate interface {i.name.name!r}", i.name.span)
-                continue
-            self.interfaces[i.name.name] = InterfaceDef(i.name.name, [], i.span)
-        for c in self.ast.components:
-            if c.name.name in self.components:
-                self.err(E_DUPLICATE, f"duplicate component {c.name.name!r}", c.name.span)
-                continue
-            self.components[c.name.name] = ComponentDef(
-                name=c.name.name,
-                kind=_COMPONENT_KINDS[c.kind],
-                properties=[],
-                ports=[],
-                subcomponents=[],
-                connectors=[],
-                events=[],
-                actions=[],
-                state_machine=None,
-                span=c.span,
-            )
+        payloads = [(p, PayloadDef(p.name.name, [], p.span)) for p in self.unique(self.ast.payloads, "payload")]
+        interfaces = [(i, InterfaceDef(i.name.name, [], i.span)) for i in self.unique(self.ast.interfaces, "interface")]
+        components = [
+            (c, ComponentDef(c.name.name, c.kind, [], [], [], [], [], [], None, c.span))
+            for c in self.unique(self.ast.components, "component")
+        ]
+        self.payloads = {d.name: d for _, d in payloads}
+        self.interfaces = {d.name: d for _, d in interfaces}
+        self.components = {d.name: d for _, d in components}
 
-        # Pass 2: fill payload fields, then interfaces, then components.
-        for p in self.ast.payloads:
-            target = self.payloads.get(p.name.name)
-            if target is None or target.fields:
-                continue  # duplicate; only the first declaration is filled
-            seen: set[str] = set()
-            for f in p.fields:
-                if f.name in seen:
-                    self.err(E_DUPLICATE, f"duplicate field {f.name!r} in payload {p.name.name!r}", f.name_span)
-                    continue
-                seen.add(f.name)
-                if f.type.prim is not None:
-                    target.fields.append(PayloadField(f.name, f.type.prim, f.name_span))
-                else:
-                    ref = f.type.payload
-                    assert ref is not None
-                    bound = self.payloads.get(ref.name)
-                    if bound is None:
-                        self.err(E_UNKNOWN_REF, f"unknown payload type {ref.name!r}", ref.span)
-                        continue
-                    target.fields.append(PayloadField(f.name, bound, f.name_span))
-        self._check_payload_cycles()
+        # Pass 2: fill the first declaration of each name; payload fields,
+        # then interfaces, then components.
+        for p, target in payloads:
+            for f in self.unique(p.fields, "field", f" in payload {p.name.name!r}"):
+                ftype = f.type.prim or self.lookup(self.payloads, f.type.payload, "payload type")
+                if ftype is not None:
+                    target.fields.append(PayloadField(f.name, ftype, f.name_span))
+        self._check_acyclic(
+            self.payloads.values(),
+            lambda p: [f.type for f in p.fields if isinstance(f.type, PayloadDef)],
+            "payload {!r} is part of a recursive payload cycle",
+        )
 
-        for i in self.ast.interfaces:
-            target = self.interfaces.get(i.name.name)
-            if target is None or target.operations:
-                continue
-            seen = set()
-            for op in i.operations:
-                if op.name.name in seen:
-                    self.err(
-                        E_DUPLICATE,
-                        f"duplicate operation {op.name.name!r} in interface {i.name.name!r}",
-                        op.name.span,
-                    )
-                    continue
-                seen.add(op.name.name)
-                payload = self._payload(op.payload)
+        for i, target in interfaces:
+            for op in self.unique(i.operations, "operation", f" in interface {i.name.name!r}"):
+                payload = self.lookup(self.payloads, op.payload, "payload")
                 if payload is not None:
                     target.operations.append(Operation(op.name.name, payload, op.name.span))
 
-        for c in self.ast.components:
-            target = self.components.get(c.name.name)
-            if target is not None and target.span is c.span:
-                self._fill_component(c, target)
+        for c, target in components:
+            self._fill_component(c, target)
         # Connectors wait until every component's ports exist; a composite
         # may be declared before the children it wires.
-        for c in self.ast.components:
-            target = self.components.get(c.name.name)
-            if target is not None and target.span is c.span:
-                self._fill_connectors(c, target)
-        self._check_composition_cycles()
+        for c, target in components:
+            self._fill_connectors(c, target)
+        self._check_acyclic(
+            self.components.values(),
+            lambda c: [d.component for d in c.subcomponents],
+            "component {!r} is part of a composition cycle",
+        )
 
-        roots = self._instances(self.ast.instances, context="model")
+        roots = self._instances(self.ast.instances, " in model")
 
         if self.diagnostics:
             return None
         return Model(
-            payloads=[self.payloads[p.name.name] for p in self.ast.payloads if p.name.name in self.payloads],
-            interfaces=[self.interfaces[i.name.name] for i in self.ast.interfaces if i.name.name in self.interfaces],
-            components=[self.components[c.name.name] for c in self.ast.components if c.name.name in self.components],
+            payloads=list(self.payloads.values()),
+            interfaces=list(self.interfaces.values()),
+            components=list(self.components.values()),
             root_instances=roots,
             source=self.file,
         )
 
-    # -- lookups ---------------------------------------------------------
-
-    def _payload(self, ref: Ref) -> PayloadDef | None:
-        found = self.payloads.get(ref.name)
-        if found is None:
-            self.err(E_UNKNOWN_REF, f"unknown payload {ref.name!r}", ref.span)
-        return found
-
-    def _interface(self, ref: Ref) -> InterfaceDef | None:
-        found = self.interfaces.get(ref.name)
-        if found is None:
-            self.err(E_UNKNOWN_REF, f"unknown interface {ref.name!r}", ref.span)
-        return found
-
-    def _component(self, ref: Ref) -> ComponentDef | None:
-        found = self.components.get(ref.name)
-        if found is None:
-            self.err(E_UNKNOWN_REF, f"unknown component {ref.name!r}", ref.span)
-        return found
-
     # -- component internals ----------------------------------------------
 
-    def _instances(self, decls: list[AstInstance], context: str) -> list[InstanceDecl]:
+    def _instances(self, decls: list[AstInstance], where: str) -> list[InstanceDecl]:
         out: list[InstanceDecl] = []
-        seen: set[str] = set()
-        for d in decls:
-            if d.name.name in seen:
-                self.err(E_DUPLICATE, f"duplicate instance {d.name.name!r} in {context}", d.name.span)
-                continue
-            seen.add(d.name.name)
-            comp = self._component(d.component)
+        for d in self.unique(decls, "instance", where):
+            comp = self.lookup(self.components, d.component, "component")
             if comp is not None:
                 out.append(InstanceDecl(d.name.name, comp, d.span))
         return out
 
     def _fill_component(self, ast: AstComponent, comp: ComponentDef) -> None:
-        cname = ast.name.name
+        where = f" in component {ast.name.name!r}"
 
-        seen: set[str] = set()
-        for prop in ast.properties:
-            if prop.name in seen:
-                self.err(E_DUPLICATE, f"duplicate property {prop.name!r} in component {cname!r}", prop.name_span)
-                continue
-            seen.add(prop.name)
+        for prop in self.unique(ast.properties, "property", where):
             comp.properties.append(PropertyDef(prop.name, prop.type, prop.initial.value, prop.name_span))
 
-        seen = set()
-        for port in ast.ports:
-            if port.name.name in seen:
-                self.err(E_DUPLICATE, f"duplicate port {port.name.name!r} in component {cname!r}", port.name.span)
-                continue
-            seen.add(port.name.name)
-            provided = [i for i in (self._interface(r) for r in port.provides) if i is not None]
-            required = [i for i in (self._interface(r) for r in port.requires) if i is not None]
-            comp.ports.append(PortDef(port.name.name, provided, required, port.span))
+        for port in self.unique(ast.ports, "port", where):
+            provided = [self.lookup(self.interfaces, r, "interface") for r in port.provides]
+            required = [self.lookup(self.interfaces, r, "interface") for r in port.requires]
+            comp.ports.append(
+                PortDef(
+                    port.name.name,
+                    [i for i in provided if i is not None],
+                    [i for i in required if i is not None],
+                    port.span,
+                )
+            )
+        ports = self.ports[comp.name] = {p.name: p for p in comp.ports}
 
-        comp.subcomponents.extend(self._instances(ast.instances, context=f"component {cname!r}"))
+        comp.subcomponents.extend(self._instances(ast.instances, where))
 
         # Actions first: events reference them.
-        seen = set()
-        for act in ast.actions:
-            if act.name.name in seen:
-                self.err(E_DUPLICATE, f"duplicate action {act.name.name!r} in component {cname!r}", act.name.span)
-                continue
-            seen.add(act.name.name)
-            payload = self._payload(act.payload) if act.payload is not None else None
-            port = self._component_port(act.port, comp) if act.port is not None else None
+        for act in self.unique(ast.actions, "action", where):
+            payload = self.lookup(self.payloads, act.payload, "payload")
+            port = self.lookup(ports, act.port, "port", where)
             effects = [Assignment(e.target, e.expr, e.target_span) for e in act.effects]
-            comp.actions.append(ActionDef(act.name.name, _ACTION_KINDS[act.kind], payload, port, effects, act.span))
+            comp.actions.append(ActionDef(act.name.name, act.kind, payload, port, effects, act.span))
 
         actions = {a.name: a for a in comp.actions}
-        seen = set()
-        for ev in ast.events:
-            if ev.name.name in seen:
-                self.err(E_DUPLICATE, f"duplicate event {ev.name.name!r} in component {cname!r}", ev.name.span)
-                continue
-            seen.add(ev.name.name)
-            payload = self._payload(ev.payload) if ev.payload is not None else None
-            port = self._component_port(ev.port, comp) if ev.port is not None else None
-            action = actions.get(ev.action.name)
-            if action is None:
-                self.err(E_UNKNOWN_REF, f"unknown action {ev.action.name!r} in component {cname!r}", ev.action.span)
-                continue
-            comp.events.append(EventDef(ev.name.name, _EVENT_DIRECTIONS[ev.direction], port, payload, action, ev.span))
+        for ev in self.unique(ast.events, "event", where):
+            payload = self.lookup(self.payloads, ev.payload, "payload")
+            port = self.lookup(ports, ev.port, "port", where)
+            action = self.lookup(actions, ev.action, "action", where)
+            if action is not None:
+                comp.events.append(EventDef(ev.name.name, ev.direction, port, payload, action, ev.span))
 
         if ast.machine is not None:
-            comp.state_machine = self._machine(ast, comp)
+            comp.state_machine = self._machine(ast, comp, where)
 
     def _fill_connectors(self, ast: AstComponent, comp: ComponentDef) -> None:
+        children = {d.name: d for d in comp.subcomponents}
         for conn in ast.connectors:
-            a = self._endpoint(conn.a, comp)
-            b = self._endpoint(conn.b, comp)
+            a = self._endpoint(conn.a, comp, children)
+            b = self._endpoint(conn.b, comp, children)
             if a is not None and b is not None:
                 comp.connectors.append(Connector(a, b, conn.span))
 
-    def _component_port(self, ref: Ref, comp: ComponentDef) -> PortDef | None:
-        port = comp.port_named(ref.name)
-        if port is None:
-            self.err(E_UNKNOWN_REF, f"unknown port {ref.name!r} in component {comp.name!r}", ref.span)
-        return port
-
-    def _endpoint(self, ast_ep, comp: ComponentDef) -> Endpoint | None:
+    def _endpoint(self, ast_ep, comp: ComponentDef, children: dict[str, InstanceDecl]) -> Endpoint | None:
         if ast_ep.instance is None:
-            port = comp.port_named(ast_ep.port.name)
-            if port is None:
-                self.err(E_UNKNOWN_REF, f"unknown port {ast_ep.port.name!r} on 'self'", ast_ep.port.span)
-                return None
-            return Endpoint(None, port, ast_ep.span)
-        inst = next((d for d in comp.subcomponents if d.name == ast_ep.instance.name), None)
+            port = self.lookup(self.ports[comp.name], ast_ep.port, "port", " on 'self'")
+            return None if port is None else Endpoint(None, port, ast_ep.span)
+        inst = self.lookup(children, ast_ep.instance, "subcomponent instance", f" in component {comp.name!r}")
         if inst is None:
-            self.err(
-                E_UNKNOWN_REF,
-                f"unknown subcomponent instance {ast_ep.instance.name!r} in component {comp.name!r}",
-                ast_ep.instance.span,
-            )
             return None
-        port = inst.component.port_named(ast_ep.port.name)
+        port = self.ports[inst.component.name].get(ast_ep.port.name)
         if port is None:
             self.err(
                 E_UNKNOWN_REF,
@@ -305,98 +226,51 @@ class _Resolver:
             return None
         return Endpoint(inst, port, ast_ep.span)
 
-    def _machine(self, ast: AstComponent, comp: ComponentDef) -> StateMachine:
+    def _machine(self, ast: AstComponent, comp: ComponentDef, where: str) -> StateMachine:
         assert ast.machine is not None
         events = {e.name: e for e in comp.events}
-        states: list[StateDef] = []
-        seen: set[str] = set()
 
         def event_refs(refs: list[Ref]) -> list[EventDef]:
-            out = []
-            for r in refs:
-                ev = events.get(r.name)
-                if ev is None:
-                    self.err(E_UNKNOWN_REF, f"unknown event {r.name!r} in component {comp.name!r}", r.span)
-                else:
-                    out.append(ev)
-            return out
+            found = [self.lookup(events, r, "event", where) for r in refs]
+            return [e for e in found if e is not None]
 
-        for s in ast.machine.states:
-            if s.name.name in seen:
-                self.err(E_DUPLICATE, f"duplicate state {s.name.name!r} in component {comp.name!r}", s.name.span)
-                continue
-            seen.add(s.name.name)
-            states.append(
-                StateDef(
-                    name=s.name.name,
-                    is_initial=s.initial,
-                    entry=event_refs(s.entry),
-                    exit=event_refs(s.exit),
-                    continuous=event_refs(s.continuous),
-                    span=s.span,
-                )
-            )
-
+        states = [
+            StateDef(s.name.name, s.initial, event_refs(s.entry), event_refs(s.exit), event_refs(s.continuous), s.span)
+            for s in self.unique(ast.machine.states, "state", where)
+        ]
         by_name = {s.name: s for s in states}
         transitions: list[TransitionDef] = []
         for t in ast.machine.transitions:
-            source = by_name.get(t.source.name)
-            if source is None:
-                self.err(E_UNKNOWN_REF, f"unknown state {t.source.name!r}", t.source.span)
-            target = by_name.get(t.target.name)
-            if target is None:
-                self.err(E_UNKNOWN_REF, f"unknown state {t.target.name!r}", t.target.span)
-            trigger = None
-            if t.trigger is not None:
-                trigger = events.get(t.trigger.name)
-                if trigger is None:
-                    self.err(E_UNKNOWN_REF, f"unknown event {t.trigger.name!r}", t.trigger.span)
-                    continue
-            if source is None or target is None:
-                continue
-            transitions.append(TransitionDef(source, target, trigger, t.guard, t.span))
-
+            source = self.lookup(by_name, t.source, "state")
+            target = self.lookup(by_name, t.target, "state")
+            trigger = self.lookup(events, t.trigger, "event")
+            if source is not None and target is not None and (trigger is not None or t.trigger is None):
+                transitions.append(TransitionDef(source, target, trigger, t.guard, t.span))
         return StateMachine(states, transitions, ast.machine.span)
 
-    # -- cycle checks ------------------------------------------------------
-
-    def _check_payload_cycles(self) -> None:
+    def _check_acyclic(self, nodes: Iterable, children: Callable[[T], list[T]], message: str) -> None:
+        """Report, in depth-first order, each node reached again while it is
+        still on the path; the walk keeps its own stack, so depth is unbounded."""
         visiting: set[str] = set()
         done: set[str] = set()
-
-        def visit(p: PayloadDef) -> None:
-            if p.name in done:
-                return
-            if p.name in visiting:
-                self.err(E_CYCLE, f"payload {p.name!r} is part of a recursive payload cycle", p.span)
-                done.add(p.name)
-                return
-            visiting.add(p.name)
-            for f in p.fields:
-                if isinstance(f.type, PayloadDef):
-                    visit(f.type)
-            visiting.discard(p.name)
-            done.add(p.name)
-
-        for p in self.payloads.values():
-            visit(p)
-
-    def _check_composition_cycles(self) -> None:
-        visiting: set[str] = set()
-        done: set[str] = set()
-
-        def visit(c: ComponentDef) -> None:
-            if c.name in done:
-                return
-            if c.name in visiting:
-                self.err(E_CYCLE, f"component {c.name!r} is part of a composition cycle", c.span)
-                done.add(c.name)
-                return
-            visiting.add(c.name)
-            for d in c.subcomponents:
-                visit(d.component)
-            visiting.discard(c.name)
-            done.add(c.name)
-
-        for c in self.components.values():
-            visit(c)
+        for root in nodes:
+            if root.name in done:
+                continue
+            visiting.add(root.name)
+            stack = [(root, iter(children(root)))]
+            while stack:
+                node, kids = stack[-1]
+                for kid in kids:
+                    if kid.name in done:
+                        continue
+                    if kid.name in visiting:
+                        self.err(E_CYCLE, message.format(kid.name), kid.span)
+                        done.add(kid.name)
+                        continue
+                    visiting.add(kid.name)
+                    stack.append((kid, iter(children(kid))))
+                    break
+                else:
+                    stack.pop()
+                    visiting.discard(node.name)
+                    done.add(node.name)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .diagnostics import CiotError, error
+from .diagnostics import CiotError
 from .engine import RuntimeState, instantiate, quiesce, trigger_internal
 from .guards import PrimType
 from .metamodel import ComponentDef, EventDef, EventDirection, Model
@@ -32,6 +32,14 @@ from .trace import TraceRecord
 DEFAULT_SAMPLE_PERIOD_MS = 100
 DEFAULT_FLOOR_DISTANCE_M = 2.5
 DEFAULT_SPEED_M_PER_S = 343.0
+
+# Names the simulator reads off a parking-node model: the indicator components
+# whose states make the timeline, the echo field of the sensing payload, and the
+# property that ``--threshold-ms`` overrides.
+RED_LED = "RedLED"
+GREEN_LED = "GreenLED"
+ECHO_FIELD = "duration"
+THRESHOLD_PROPERTY = "threshold"
 
 MODES = ("duration", "physical")
 _VERBS = {"duration": ("echo",), "physical": ("occupy", "vacate")}
@@ -67,9 +75,9 @@ class SimResult:
 def echo_duration(distance_m: float, speed_m_per_s: float = DEFAULT_SPEED_M_PER_S) -> float:
     """Round-trip ultrasonic echo time in milliseconds."""
     if distance_m <= 0:
-        _scenario_error("E_DOMAIN", f"distance must be positive, got {distance_m}")
+        raise CiotError.of("E_DOMAIN", f"distance must be positive, got {distance_m}")
     if speed_m_per_s <= 0:
-        _scenario_error("E_DOMAIN", f"speed must be positive, got {speed_m_per_s}")
+        raise CiotError.of("E_DOMAIN", f"speed must be positive, got {speed_m_per_s}")
     return 2.0 * distance_m / speed_m_per_s * 1000.0
 
 
@@ -91,35 +99,35 @@ def load_scenario(text: str, source: str | None = None) -> Scenario:
             key, value = key.strip(), value.strip()
             if key == "mode":
                 if value not in MODES:
-                    _scenario_error("E_SCENARIO", f"{where}: mode must be one of {MODES}, got {value!r}")
+                    raise CiotError.of("E_SCENARIO", f"{where}: mode must be one of {MODES}, got {value!r}")
                 mode = value
             elif key == "horizon_ms":
                 horizon = _parse_int(value, key, where)
             elif key == "sample_period_ms":
                 period = _parse_int(value, key, where)
             else:
-                _scenario_error("E_SCENARIO", f"{where}: unknown header {key!r}")
+                raise CiotError.of("E_SCENARIO", f"{where}: unknown header {key!r}")
             continue
-        _scenario_error("E_SCENARIO", f"{where}: cannot parse {line!r}")
+        raise CiotError.of("E_SCENARIO", f"{where}: cannot parse {line!r}")
 
     if mode is None:
-        _scenario_error("E_SCENARIO", "scenario does not set mode=")
+        raise CiotError.of("E_SCENARIO", "scenario does not set mode=")
     if horizon is None:
-        _scenario_error("E_SCENARIO", "scenario does not set horizon_ms=")
+        raise CiotError.of("E_SCENARIO", "scenario does not set horizon_ms=")
     if horizon < 0:
-        _scenario_error("E_SCENARIO", f"horizon_ms must be non-negative, got {horizon}")
+        raise CiotError.of("E_SCENARIO", f"horizon_ms must be non-negative, got {horizon}")
     if period is None:
         period = DEFAULT_SAMPLE_PERIOD_MS
     if period <= 0:
-        _scenario_error("E_SCENARIO", f"sample_period_ms must be positive, got {period}")
+        raise CiotError.of("E_SCENARIO", f"sample_period_ms must be positive, got {period}")
     for prev, st in zip(stimuli, stimuli[1:]):
         if st.time_ms < prev.time_ms:
-            _scenario_error("E_SCENARIO", f"stimuli out of order: {st.time_ms} ms after {prev.time_ms} ms")
+            raise CiotError.of("E_SCENARIO", f"stimuli out of order: {st.time_ms} ms after {prev.time_ms} ms")
     for st in stimuli:
         if st.verb not in _VERBS[mode]:
-            _scenario_error("E_SCENARIO", f"stimulus {st.verb!r} is not valid in {mode} mode")
+            raise CiotError.of("E_SCENARIO", f"stimulus {st.verb!r} is not valid in {mode} mode")
         if st.time_ms > horizon:
-            _scenario_error("E_SCENARIO", f"stimulus at {st.time_ms} ms lies beyond horizon_ms={horizon}")
+            raise CiotError.of("E_SCENARIO", f"stimulus at {st.time_ms} ms lies beyond horizon_ms={horizon}")
     return Scenario(mode, horizon, period, stimuli, source)
 
 
@@ -128,59 +136,55 @@ def load_scenario_file(path: str) -> Scenario:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        _scenario_error("E_IO", f"cannot read scenario {path!r}: {exc}")
+        raise CiotError.of("E_IO", f"cannot read scenario {path!r}: {exc}")
     return load_scenario(text, path)
 
 
 def _parse_stimulus(line: str, where: str) -> Stimulus:
     tokens = line.split()
     if len(tokens) < 5 or tokens[0] != "at" or tokens[2] != "slot":
-        _scenario_error("E_SCENARIO", f"{where}: expected 'at <ms> slot <path> <verb> [value]'")
+        raise CiotError.of("E_SCENARIO", f"{where}: expected 'at <ms> slot <path> <verb> [value]'")
     time_ms = _parse_int(tokens[1], "time", where)
     if time_ms < 0:
-        _scenario_error("E_SCENARIO", f"{where}: stimulus time must be non-negative")
+        raise CiotError.of("E_SCENARIO", f"{where}: stimulus time must be non-negative")
     slot, verb = tokens[3], tokens[4]
     if verb == "vacate":
         if len(tokens) != 5:
-            _scenario_error("E_SCENARIO", f"{where}: vacate takes no value")
+            raise CiotError.of("E_SCENARIO", f"{where}: vacate takes no value")
         return Stimulus(time_ms, slot, verb, None)
     if verb in ("occupy", "echo"):
         if len(tokens) != 6:
-            _scenario_error("E_SCENARIO", f"{where}: {verb} needs exactly one value")
+            raise CiotError.of("E_SCENARIO", f"{where}: {verb} needs exactly one value")
         try:
             value = float(tokens[5])
         except ValueError:
-            _scenario_error("E_SCENARIO", f"{where}: {verb} value {tokens[5]!r} is not a number")
+            raise CiotError.of("E_SCENARIO", f"{where}: {verb} value {tokens[5]!r} is not a number")
         if not math.isfinite(value):
-            _scenario_error("E_SCENARIO", f"{where}: {verb} value {tokens[5]!r} is not a finite number")
+            raise CiotError.of("E_SCENARIO", f"{where}: {verb} value {tokens[5]!r} is not a finite number")
         if verb == "occupy" and value <= 0:
-            _scenario_error("E_SCENARIO", f"{where}: occupy distance must be positive")
+            raise CiotError.of("E_SCENARIO", f"{where}: occupy distance must be positive")
         if verb == "echo" and value < 0:
-            _scenario_error("E_SCENARIO", f"{where}: echo duration must be non-negative")
+            raise CiotError.of("E_SCENARIO", f"{where}: echo duration must be non-negative")
         return Stimulus(time_ms, slot, verb, value)
-    _scenario_error("E_SCENARIO", f"{where}: unknown stimulus verb {verb!r}")
+    raise CiotError.of("E_SCENARIO", f"{where}: unknown stimulus verb {verb!r}")
 
 
 def _parse_int(text: str, what: str, where: str) -> int:
     try:
         return int(text)
     except ValueError:
-        _scenario_error("E_SCENARIO", f"{where}: {what} {text!r} is not an integer")
-
-
-def _scenario_error(code: str, message: str) -> None:
-    raise CiotError(code, [error(code, message, None, None)])
+        raise CiotError.of("E_SCENARIO", f"{where}: {what} {text!r} is not an integer")
 
 
 def _sensing_event(comp: ComponentDef) -> EventDef | None:
     """A component senses iff exactly one generic event carries a payload
-    that is exactly one float field named ``duration``."""
+    that is exactly one float field named ``ECHO_FIELD``."""
     found = []
     for ev in comp.events:
         if ev.direction is not EventDirection.GENERIC or ev.payload is None:
             continue
         fields = ev.payload.fields
-        if len(fields) == 1 and fields[0].name == "duration" and fields[0].type is PrimType.FLOAT:
+        if len(fields) == 1 and fields[0].name == ECHO_FIELD and fields[0].type is PrimType.FLOAT:
             found.append(ev)
     return found[0] if len(found) == 1 else None
 
@@ -196,7 +200,7 @@ def bind_environment(rt: RuntimeState, slots: list[str]) -> dict[str, list[tuple
     for slot in slots:
         matches = [(p, e) for p, e in sensors if p == slot or p.startswith(slot + ".")]
         if not matches:
-            _scenario_error("E_UNBOUND_SENSOR", f"slot {slot!r} matches no sensing instance")
+            raise CiotError.of("E_UNBOUND_SENSOR", f"slot {slot!r} matches no sensing instance")
         bound[slot] = matches
     return bound
 
@@ -212,7 +216,7 @@ def simulate(
 ) -> SimResult:
     period = scenario.sample_period_ms if sample_period_ms is None else sample_period_ms
     if period <= 0:
-        _scenario_error("E_SCENARIO", f"sample period must be positive, got {period}")
+        raise CiotError.of("E_SCENARIO", f"sample period must be positive, got {period}")
     rt = instantiate(model)
     quiesce(rt, max_steps)
 
@@ -244,7 +248,7 @@ def simulate(
                 d = distance[slot] if distance[slot] is not None else floor_distance_m
                 reading = echo_duration(d, speed_m_per_s)
             for path, event_name in bound[slot]:
-                trigger_internal(rt, path, event_name, {"duration": reading})
+                trigger_internal(rt, path, event_name, {ECHO_FIELD: reading})
                 quiesce(rt, max_steps)
     return SimResult(rt, scenario)
 
@@ -258,12 +262,12 @@ def find_led_paths(instances: list[tuple[str, ComponentDef]]) -> tuple[str, str]
     """Locate the red and green indicator instances by component name among
     (path, component) pairs, such as ``instance_paths(model)``, so a model
     can be checked before it runs."""
-    reds = [p for p, comp in instances if comp.name == "RedLED"]
-    greens = [p for p, comp in instances if comp.name == "GreenLED"]
+    reds = [p for p, comp in instances if comp.name == RED_LED]
+    greens = [p for p, comp in instances if comp.name == GREEN_LED]
     if len(reds) != 1 or len(greens) != 1:
-        _scenario_error(
+        raise CiotError.of(
             "E_TRACE",
-            f"occupancy needs exactly one RedLED and one GreenLED instance, found {len(reds)} and {len(greens)}",
+            f"occupancy needs exactly one {RED_LED} and one {GREEN_LED} instance, found {len(reds)} and {len(greens)}",
         )
     return reds[0], greens[0]
 
@@ -285,7 +289,7 @@ def occupancy_timeline(result: SimResult) -> list[tuple[int, str]]:
         red_on = state[red_path] == "ON"
         green_on = state[green_path] == "ON"
         if red_on and green_on:
-            _scenario_error("E_TRACE", f"both indicators ON at t={t_us}us")
+            raise CiotError.of("E_TRACE", f"both indicators ON at t={t_us}us")
         if not red_on and not green_on:
             return
         status = "occupied" if red_on else "vacant"
@@ -302,3 +306,8 @@ def occupancy_timeline(result: SimResult) -> list[tuple[int, str]]:
     if current_t is not None:
         close_group(current_t)
     return timeline
+
+
+def render_timeline(timeline: list[tuple[int, str]]) -> str:
+    """The timeline as text, one ``t=<ms> status=<status>`` line per sample."""
+    return "".join(f"t={t} status={status}\n" for t, status in timeline)

@@ -11,16 +11,6 @@ from typing import Any, Mapping
 
 from .guards import format_value
 
-KINDS = (
-    "event_delivered",
-    "guard_eval",
-    "transition",
-    "action",
-    "state_entered",
-    "state_exited",
-    "payload_sent",
-)
-
 
 @dataclass(frozen=True)
 class TraceRecord:

@@ -166,6 +166,15 @@ def test_run_inject_non_finite_value_is_usage_error(capsys, parking_path, value)
     assert f"error E_USAGE field value {value!r} is not a finite number" in err
 
 
+@pytest.mark.parametrize("sign", ["", "-", "+"])
+def test_run_inject_int_past_digit_limit_is_one_short_usage_error(capsys, parking_path, sign):
+    nines = sign + "9" * 5000
+    code, out, err = run_cli(capsys, "run", parking_path, "--inject", f"node.pSense.evtReading{{duration={nines}}}")
+    assert (code, out) == (2, "")
+    assert err == "<input>: error E_USAGE field value of 5000 digits is out of range\n"
+    assert len(err.encode()) < 200
+
+
 def test_run_inject_int_beyond_float_range_is_type_error(capsys, parking_path):
     nines = "9" * 400
     code, out, err = run_cli(capsys, "run", parking_path, "--inject", f"node.pSense.evtReading{{duration={nines}}}")

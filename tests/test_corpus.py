@@ -1,6 +1,7 @@
 from __future__ import annotations
 
-from ciot.corpus import corpus_check, render_timeline
+from ciot.corpus import corpus_check
+from ciot.sim import render_timeline
 
 
 def test_corpus_check_all_green(corpus_dir):

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ciot import load_text, structurally_equal
+from ciot.cli import main
 from ciot.diagnostics import CiotError, Severity
 from ciot.guards import expr_to_text
 from ciot.loader import collect_diagnostics
@@ -145,3 +148,165 @@ def test_resolver_error_raises_through_loader():
     with pytest.raises(CiotError) as exc:
         load_text("instance top: Ghost;")
     assert exc.value.code == "E_UNKNOWN_REF"
+
+
+EVERY_SCOPE_ERROR = """\
+payload P { v: int; v: float; w: Ghost; }
+payload P { x: int; }
+interface I { op f(P); op f(P); op g(Nope); }
+interface I { op h(P); }
+component Leaf : IoTElement { port q provides I; }
+component C : Board {
+    property x: int = 0;
+    property x: int = 1;
+    port p provides Missing;
+    port p provides I;
+    port r requires I;
+    instance k: Leaf;
+    instance k: Leaf;
+    instance g: Phantom;
+    connect self.nope -- k.q;
+    connect ghost.q -- self.r;
+    connect self.r -- k.zz;
+    action a send port r payload P;
+    action a generic;
+    action b send port zz payload Q;
+    event e incoming port p payload P action a;
+    event e generic action a;
+    event e2 generic action missing;
+    statemachine {
+        initial state S { entry e, nope; }
+        state S {}
+        transition S -> T when ghost;
+    }
+}
+component C : Board {}
+instance top: C;
+instance top: C;
+instance u: Unknown;
+"""
+
+
+def test_every_duplicate_and_unknown_reference_in_source_order():
+    # Top-level duplicates first (pass 1), then each scope as it is filled;
+    # connectors last. The first port 'p' names an unknown interface before
+    # its duplicate is reached, and the two diagnostics keep that order.
+    _, diags = collect_diagnostics(EVERY_SCOPE_ERROR, "m.ciot")
+    assert [d.render() for d in diags] == [
+        "m.ciot:2:9: error E_DUPLICATE duplicate payload 'P'",
+        "m.ciot:4:11: error E_DUPLICATE duplicate interface 'I'",
+        "m.ciot:30:11: error E_DUPLICATE duplicate component 'C'",
+        "m.ciot:1:21: error E_DUPLICATE duplicate field 'v' in payload 'P'",
+        "m.ciot:1:34: error E_UNKNOWN_REF unknown payload type 'Ghost'",
+        "m.ciot:3:27: error E_DUPLICATE duplicate operation 'f' in interface 'I'",
+        "m.ciot:3:38: error E_UNKNOWN_REF unknown payload 'Nope'",
+        "m.ciot:8:14: error E_DUPLICATE duplicate property 'x' in component 'C'",
+        "m.ciot:9:21: error E_UNKNOWN_REF unknown interface 'Missing'",
+        "m.ciot:10:10: error E_DUPLICATE duplicate port 'p' in component 'C'",
+        "m.ciot:13:14: error E_DUPLICATE duplicate instance 'k' in component 'C'",
+        "m.ciot:14:17: error E_UNKNOWN_REF unknown component 'Phantom'",
+        "m.ciot:19:12: error E_DUPLICATE duplicate action 'a' in component 'C'",
+        "m.ciot:20:35: error E_UNKNOWN_REF unknown payload 'Q'",
+        "m.ciot:20:24: error E_UNKNOWN_REF unknown port 'zz' in component 'C'",
+        "m.ciot:22:11: error E_DUPLICATE duplicate event 'e' in component 'C'",
+        "m.ciot:23:29: error E_UNKNOWN_REF unknown action 'missing' in component 'C'",
+        "m.ciot:25:36: error E_UNKNOWN_REF unknown event 'nope' in component 'C'",
+        "m.ciot:26:15: error E_DUPLICATE duplicate state 'S' in component 'C'",
+        "m.ciot:27:25: error E_UNKNOWN_REF unknown state 'T'",
+        "m.ciot:27:32: error E_UNKNOWN_REF unknown event 'ghost'",
+        "m.ciot:15:18: error E_UNKNOWN_REF unknown port 'nope' on 'self'",
+        "m.ciot:16:13: error E_UNKNOWN_REF unknown subcomponent instance 'ghost' in component 'C'",
+        "m.ciot:17:25: error E_UNKNOWN_REF component 'Leaf' has no port 'zz'",
+        "m.ciot:32:10: error E_DUPLICATE duplicate instance 'top' in model",
+        "m.ciot:33:13: error E_UNKNOWN_REF unknown component 'Unknown'",
+    ]
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("payload P {}\npayload P { v: Ghost; w: P; }\n", [("E_DUPLICATE", 2)]),
+        ("payload Q { v: int; }\ninterface I {}\ninterface I { op f(Nope); op f(Q); }\n", [("E_DUPLICATE", 3)]),
+        (
+            "payload Q { v: int; }\ninterface I { op f(Nope); }\ninterface I { op g(Gone); op h(Q); }\n",
+            [("E_DUPLICATE", 3), ("E_UNKNOWN_REF", 2)],
+        ),
+    ],
+)
+def test_empty_first_declaration_is_not_filled_from_its_duplicate(text, expected):
+    # Only the first declaration of a name is filled, even when it is empty
+    # or none of its members resolve: the duplicate's members are neither
+    # checked nor merged.
+    _, diags = collect_diagnostics(text)
+    assert [(d.rule, d.span.line) for d in diags] == expected
+
+
+def _reference_cycles(order: list[int], edges: dict[int, list[int]]) -> list[int]:
+    """Nodes reported by a recursive depth-first walk in declaration order:
+    each node reached again while it is on the path, once."""
+    visiting: set[int] = set()
+    done: set[int] = set()
+    out: list[int] = []
+
+    def visit(n: int) -> None:
+        if n in done:
+            return
+        if n in visiting:
+            out.append(n)
+            done.add(n)
+            return
+        visiting.add(n)
+        for k in edges[n]:
+            visit(k)
+        visiting.discard(n)
+        done.add(n)
+
+    for n in order:
+        visit(n)
+    return out
+
+
+@st.composite
+def _graphs(draw):
+    n = draw(st.integers(1, 8))
+    edges = {i: draw(st.lists(st.integers(0, n - 1), max_size=3)) for i in range(n)}
+    return draw(st.permutations(range(n))), edges
+
+
+@settings(max_examples=100, deadline=None)
+@given(graph=_graphs(), payloads=st.booleans())
+def test_cycle_diagnostics_match_recursive_reference(graph, payloads):
+    order, edges = graph
+    if payloads:
+        lines = [f"payload N{i} {{ {' '.join(f'f{j}: N{k};' for j, k in enumerate(edges[i]))} }}" for i in order]
+        message = "payload 'N{}' is part of a recursive payload cycle"
+    else:
+        lines = [
+            f"component N{i} : Board {{ {' '.join(f'instance c{j}: N{k};' for j, k in enumerate(edges[i]))} }}"
+            for i in order
+        ]
+        message = "component 'N{}' is part of a composition cycle"
+    _, diags = collect_diagnostics("\n".join(lines) + "\n")
+    expected = [(message.format(i), order.index(i) + 1) for i in _reference_cycles(order, edges)]
+    assert [(d.message, d.span.line) for d in diags if d.rule == "E_CYCLE"] == expected
+
+
+def deep_chain(kind: str, depth: int = 3000) -> str:
+    """``depth`` components each instancing the next, or payloads each holding the next."""
+    if kind == "composition":
+        links = [f"component C{i} : Board {{ instance next: C{i + 1}; }}\n" for i in range(depth - 1)]
+        return "".join(links) + f"component C{depth - 1} : IoTElement {{}}\n"
+    links = [f"payload P{i} {{ next: P{i + 1}; }}\n" for i in range(depth - 1)]
+    return "".join(links) + f"payload P{depth - 1} {{ v: int; }}\n"
+
+
+@pytest.mark.parametrize("kind", ["composition", "payload"])
+def test_deep_chain_resolves_and_validates(kind, tmp_path, capsys):
+    text = deep_chain(kind)
+    model, diags = collect_diagnostics(text)
+    assert model is not None
+    assert diags == []
+    path = tmp_path / "chain.ciot"
+    path.write_text(text, encoding="utf-8")
+    assert main(["validate", str(path)]) == 0
+    assert capsys.readouterr() == ("errors=0 warnings=0\n", "")
