@@ -92,7 +92,6 @@ class InstanceState:
 
 @dataclass
 class RuntimeState:
-    model: Model
     instances: dict[str, InstanceState]
     order: list[str]  # depth-first instance paths
     routing: dict[tuple[str, str], tuple[str, str]]
@@ -128,7 +127,7 @@ def instantiate(model: Model) -> RuntimeState:
         instances[path] = InstanceState(
             path=path,
             component=comp,
-            properties={p.name: _initial_value(comp, p, path) for p in comp.properties},
+            properties={p.name: _initial_value(comp, p, path, model.overrides) for p in comp.properties},
             state=initial,
             index=index,
             dispatch=tables[id(comp)],
@@ -142,7 +141,7 @@ def instantiate(model: Model) -> RuntimeState:
             routing.setdefault(a, b)
             routing.setdefault(b, a)
 
-    rt = RuntimeState(model=model, instances=instances, order=[p for p, _ in paths], routing=routing)
+    rt = RuntimeState(instances=instances, order=[p for p, _ in paths], routing=routing)
     for path, comp in paths:
         inst = instances[path]
         if inst.state is None:
@@ -169,8 +168,10 @@ def _build_dispatch(comp: ComponentDef) -> Dispatch:
     return Dispatch(states, transitions, {p.name: p.type for p in comp.properties})
 
 
-def _initial_value(comp: ComponentDef, prop, path: str):
-    value = fit_value(prop.type, prop.initial)
+def _initial_value(comp: ComponentDef, prop, path: str, overrides: dict):
+    value = fit_value(prop.type, overrides.get(prop.name))
+    if value is None:
+        value = fit_value(prop.type, prop.initial)
     if value is None:
         raise CiotError.of(
             "E_INSTANTIATE",

@@ -176,22 +176,26 @@ def structure_to_dot(model: Model, root: str) -> str:
     if comp is None:
         raise CiotError.of("E_UNKNOWN_REF", f"no component named {root!r}", None, model.source)
     lines = ["digraph structure {", "    rankdir=LR;", "    node [shape=box];", "    edge [dir=none];"]
-
-    def emit(c: ComponentDef, label: str, path: str, depth: int) -> None:
+    # Explicit stack: an open entry writes a cluster's head and ports; its close
+    # entry (label None) writes the connectors and brace after the subclusters.
+    stack: list[tuple[ComponentDef, str | None, str, int]] = [(comp, comp.name, comp.name, 1)]
+    while stack:
+        c, label, path, depth = stack.pop()
         pad = "    " * depth
+        if label is None:
+            for conn in c.connectors:
+                a = _endpoint_node(path, conn.a)
+                b = _endpoint_node(path, conn.b)
+                lines.append(f"{pad}    {_quote(a)} -> {_quote(b)};")
+            lines.append(f"{pad}}}")
+            continue
         lines.append(f"{pad}subgraph cluster_{path.replace('.', '_')} {{")
         lines.append(f"{pad}    label={_quote(label)};")
         for port in c.ports:
             lines.append(f"{pad}    {_quote(path + '.' + port.name)} [label={_quote(port.name)}];")
-        for child in c.subcomponents:
-            emit(child.component, f"{child.name}: {child.component.name}", f"{path}.{child.name}", depth + 1)
-        for conn in c.connectors:
-            a = _endpoint_node(path, conn.a)
-            b = _endpoint_node(path, conn.b)
-            lines.append(f"{pad}    {_quote(a)} -> {_quote(b)};")
-        lines.append(f"{pad}}}")
-
-    emit(comp, comp.name, comp.name, 1)
+        stack.append((c, None, path, depth))
+        for child in reversed(c.subcomponents):
+            stack.append((child.component, f"{child.name}: {child.component.name}", f"{path}.{child.name}", depth + 1))
     lines.append("}")
     return "\n".join(lines) + "\n"
 

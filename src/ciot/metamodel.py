@@ -9,7 +9,6 @@ text came from.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Union
@@ -83,6 +82,11 @@ class PayloadField:
     type: FieldType
     span: SourceSpan | None = field(default=None, compare=False, repr=False)
 
+    def __eq__(self, other):  # a record type compares by name, see ``structurally_equal``
+        if not isinstance(other, PayloadField):
+            return NotImplemented
+        return (self.name, _by_name(self.type)) == (other.name, _by_name(other.type))
+
 
 @dataclass
 class PayloadDef:
@@ -129,6 +133,11 @@ class InstanceDecl:
     name: str
     component: "ComponentDef"
     span: SourceSpan | None = field(default=None, compare=False, repr=False)
+
+    def __eq__(self, other):  # the component compares by name, see ``structurally_equal``
+        if not isinstance(other, InstanceDecl):
+            return NotImplemented
+        return (self.name, self.component.name) == (other.name, other.component.name)
 
 
 @dataclass
@@ -252,6 +261,8 @@ class Model:
     components: list[ComponentDef]
     root_instances: list[InstanceDecl]
     source: str | None = field(default=None, compare=False, repr=False)
+    # A run input, not declared structure: property name -> initial value for ``instantiate``.
+    overrides: dict[str, int | float | bool | str] = field(default_factory=dict, compare=False, repr=False)
 
     def component_named(self, name: str) -> ComponentDef | None:
         for c in self.components:
@@ -267,8 +278,16 @@ def structurally_equal(a: Model, b: Model) -> bool:
     both models are compared with those lists sorted by name. Order inside a
     component (transitions, entry events, subcomponents, ...) is semantic and
     compared as-is. Source spans never participate in equality.
+
+    A subcomponent's component and a record field's payload compare by name,
+    so each declaration is compared once, in its sorted list, however many
+    paths reach it and however deep the chain.
     """
     return _normalized(a) == _normalized(b)
+
+
+def _by_name(t: FieldType) -> PrimType | str:
+    return t.name if isinstance(t, PayloadDef) else t
 
 
 def _normalized(m: Model) -> Model:
@@ -283,36 +302,28 @@ def _normalized(m: Model) -> Model:
 def instance_paths(model: Model) -> list[tuple[str, ComponentDef]]:
     """Depth-first (declaration order) list of (dotted path, component)."""
     out: list[tuple[str, ComponentDef]] = []
-
-    def walk(decl: InstanceDecl, prefix: str) -> None:
-        path = f"{prefix}.{decl.name}" if prefix else decl.name
-        out.append((path, decl.component))
-        for child in decl.component.subcomponents:
-            walk(child, path)
-
-    for root in model.root_instances:
-        walk(root, "")
+    stack = [(d.name, d.component) for d in reversed(model.root_instances)]
+    while stack:
+        path, comp = stack.pop()
+        out.append((path, comp))
+        stack.extend((f"{path}.{d.name}", d.component) for d in reversed(comp.subcomponents))
     return out
 
 
 def with_property_initial(model: Model, prop_name: str, value: int | float | bool | str) -> Model:
-    """Copy of ``model`` with every matching property's initial value replaced.
+    """``model`` with every matching property's initial value overridden.
 
     Matching means: a component declares a property with this name whose type
     the value fits (``guards.fit_value``: int widens to float, bool is not an
-    int, floats are finite). The input model is left untouched; raises
-    ValueError when nothing matched.
+    int, floats are finite). The override is a run input, like ``source``:
+    ``instantiate`` applies it, while equality, ``export_model`` and
+    ``validate`` see the declared values. The result shares every declaration
+    with ``model``, which is left untouched; raises ValueError when nothing
+    matched.
     """
-    m = copy.deepcopy(model)
-    matched = False
-    for comp in m.components:
-        for prop in comp.properties:
-            stored = fit_value(prop.type, value) if prop.name == prop_name else None
-            if stored is not None:
-                prop.initial = stored
-                matched = True
-    if not matched:
+    props = (p for c in model.components for p in c.properties if p.name == prop_name)
+    if all(fit_value(p.type, value) is None for p in props):
         raise ValueError(
             f"no component declares a property named {prop_name!r} accepting {describe_value(value)}"
         )
-    return m
+    return replace(model, overrides={**model.overrides, prop_name: value})

@@ -21,6 +21,7 @@ A vacant slot in physical mode reads the floor at ``floor_distance_m``.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 
 from .diagnostics import CiotError
@@ -42,6 +43,10 @@ ECHO_FIELD = "duration"
 THRESHOLD_PROPERTY = "threshold"
 
 MODES = ("duration", "physical")
+# Numbers written out in digits: int() refuses one past the interpreter's
+# int-string digit limit, and float() reads one past float range as inf.
+_INT_DIGITS = re.compile(r"[+-]?[0-9]+")
+_DECIMAL_DIGITS = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)")
 _VERBS = {"duration": ("echo",), "physical": ("occupy", "vacate")}
 
 
@@ -160,6 +165,8 @@ def _parse_stimulus(line: str, where: str) -> Stimulus:
         except ValueError:
             raise CiotError.of("E_SCENARIO", f"{where}: {verb} value {tokens[5]!r} is not a number")
         if not math.isfinite(value):
+            if _DECIMAL_DIGITS.fullmatch(tokens[5]):
+                raise _out_of_range(tokens[5], f"{verb} value", where)
             raise CiotError.of("E_SCENARIO", f"{where}: {verb} value {tokens[5]!r} is not a finite number")
         if verb == "occupy" and value <= 0:
             raise CiotError.of("E_SCENARIO", f"{where}: occupy distance must be positive")
@@ -173,7 +180,15 @@ def _parse_int(text: str, what: str, where: str) -> int:
     try:
         return int(text)
     except ValueError:
+        if _INT_DIGITS.fullmatch(text):
+            raise _out_of_range(text, what, where)
         raise CiotError.of("E_SCENARIO", f"{where}: {what} {text!r} is not an integer")
+
+
+def _out_of_range(text: str, what: str, where: str) -> CiotError:
+    """The error for a number too large to hold, which names its length, not its digits."""
+    digits = sum(ch.isdigit() for ch in text)
+    return CiotError.of("E_SCENARIO", f"{where}: {what} of {digits} digits is out of range")
 
 
 def _sensing_event(comp: ComponentDef) -> EventDef | None:

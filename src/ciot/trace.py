@@ -22,9 +22,10 @@ class TraceRecord:
 
 
 def fmt_payload(values: Mapping[str, Any] | None) -> str:
+    """``{k=v,...}`` in field order, a record field nested as its own braces; ``-`` for no payload."""
     if values is None:
         return "-"
-    inner = ",".join(f"{k}={format_value(v)}" for k, v in values.items())
+    inner = ",".join(f"{k}={fmt_payload(v) if isinstance(v, dict) else format_value(v)}" for k, v in values.items())
     return "{" + inner + "}"
 
 

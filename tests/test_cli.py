@@ -372,6 +372,58 @@ def test_export_skips_validation(capsys, corpus_dir):
     assert out.startswith('digraph "Node" {')
 
 
+# --- deep composition ----------------------------------------------------------
+
+
+def deep_composition(parking_path, depth: int) -> str:
+    """The parking node under a root-first chain of ``depth`` components,
+    each instancing the next; the root instance sits on top."""
+    parking = pathlib.Path(parking_path).read_text(encoding="utf-8").replace("instance node: Node;\n", "")
+    links = [f"component C{i} : Board {{ instance n: C{i + 1}; }}\n" for i in range(depth - 1)]
+    last = f"component C{depth - 1} : Board {{ instance node: Node; }}\n"
+    return "".join(links) + last + parking + "instance root: C0;\n"
+
+
+# Far past the interpreter's recursion limit. The structure DOT grows with
+# the square of the depth (indentation and cluster names), so it gets less.
+DEPTH = 3000
+DOT_DEPTH = 1200
+
+
+def test_deep_composition_validates(capsys, tmp_path, parking_path):
+    model = tmp_path / "deep.ciot"
+    model.write_text(deep_composition(parking_path, DEPTH), encoding="utf-8")
+    assert run_cli(capsys, "validate", str(model)) == (0, "errors=0 warnings=0\n", "")
+
+
+def test_deep_composition_runs(capsys, tmp_path, parking_path):
+    model = tmp_path / "deep.ciot"
+    model.write_text(deep_composition(parking_path, DEPTH), encoding="utf-8")
+    code, out, err = run_cli(capsys, "run", str(model))
+    assert (code, err) == (0, "")
+    assert f"inst=root{'.n' * (DEPTH - 1)}.node.sensor kind=state_entered state=SENSE\n" in out
+
+
+def test_deep_composition_exports_structure(capsys, tmp_path, parking_path):
+    model, target = tmp_path / "deep.ciot", tmp_path / "deep.dot"
+    model.write_text(deep_composition(parking_path, DOT_DEPTH), encoding="utf-8")
+    argv = ("export", str(model), "--kind", "structure", "--component", "C0", "-o", str(target))
+    assert run_cli(capsys, *argv) == (0, "", "")
+    dot = target.read_text(encoding="utf-8")
+    assert dot.count("subgraph") == DOT_DEPTH + 4  # the chain, then the node and its three parts
+    assert dot.endswith("    }\n}\n")
+
+
+def test_deep_composition_simulates_with_override(capsys, tmp_path, parking_path):
+    """The override reaches the node at the bottom: the floor echo of about
+    14.6 ms reads vacant at 5 ms, where the declared 300 ms reads occupied."""
+    model, scenario = tmp_path / "deep.ciot", tmp_path / "floor.scn"
+    model.write_text(deep_composition(parking_path, DEPTH), encoding="utf-8")
+    scenario.write_text("mode=physical\nhorizon_ms=0\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "simulate", str(model), str(scenario), "--threshold-ms", "5")
+    assert (code, out, err) == (0, "t=0 status=vacant\n", "")
+
+
 # --- argument handling ----------------------------------------------------------
 
 

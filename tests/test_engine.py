@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from ciot import load_text
 from ciot.diagnostics import CiotError
 from ciot.engine import inject, instantiate, run_to_quiescence, step, trigger_internal
+from ciot.export import export_model
 from ciot.metamodel import with_property_initial
 from ciot.trace import render_trace
 
@@ -473,14 +474,11 @@ def test_ready_heap_serves_depth_first_order(fresh_runtime, roots, ops):
 
 
 def test_dispatch_tables_are_per_instantiate(parking_model):
-    copy = with_property_initial(parking_model, "threshold", 5.0)
-    a, b = instantiate(parking_model), instantiate(copy)
+    low = with_property_initial(parking_model, "threshold", 5.0)
+    a, b = instantiate(parking_model), instantiate(low)
     for path in a.order:
         assert a.instances[path].dispatch is not b.instances[path].dispatch
         assert a.instances[path].dispatch.incoming is not b.instances[path].dispatch.incoming
-    node_states = copy.component_named("Node").state_machine.states
-    assert b.instances["node"].dispatch.states["ACQUISITION"] is node_states[0]
-    assert a.instances["node"].dispatch.states["ACQUISITION"] is not node_states[0]
     for rt in (a, b):
         inject(rt, "node", "pSense", "evtReading", {"duration": 100.0})
         run_to_quiescence(rt)
@@ -496,3 +494,60 @@ def test_instances_of_one_component_share_its_table():
     )
     rt = instantiate(load_text(text))
     assert rt.instances["one"].dispatch is rt.instances["two"].dispatch
+
+
+# --- property overrides --------------------------------------------------
+
+
+MIXED_THRESHOLDS = (
+    "component F : Board { property threshold: float = 300.0; }\n"
+    "component I : Board { property threshold: int = 300; }\n"
+    "instance f: F;\n"
+    "instance i: I;\n"
+)
+
+
+@pytest.mark.parametrize("value, expected", [(5.0, [5.0, 300]), (5, [5.0, 5])], ids=["float", "int"])
+def test_override_sets_each_property_it_fits(value, expected):
+    """5.0 does not fit an int property, so that one keeps its declared
+    value; 5 fits both, widened to 5.0 for the float one."""
+    rt = instantiate(with_property_initial(load_text(MIXED_THRESHOLDS), "threshold", value))
+    got = [rt.instances[path].properties["threshold"] for path in ("f", "i")]
+    assert [(type(v), v) for v in got] == [(type(v), v) for v in expected]
+
+
+def test_override_shares_the_model_and_leaves_it_untouched(parking_model):
+    text = export_model(parking_model)
+    low = with_property_initial(parking_model, "threshold", 5.0)
+    assert parking_model.overrides == {}
+    assert export_model(parking_model) == text
+    assert all(a is b for a, b in zip(low.components, parking_model.components, strict=True))
+    # The override is a run input: equality and export see the declared model.
+    assert low == parking_model
+    assert export_model(low) == text
+    assert instantiate(parking_model).instances["node"].properties["threshold"] == 300.0
+    assert instantiate(low).instances["node"].properties["threshold"] == 5.0
+
+
+# --- trace rendering -----------------------------------------------------
+
+
+def test_nested_record_payload_renders_in_trace():
+    text = (
+        "payload R { x: int; }\n"
+        "payload P { rec: R; }\n"
+        "interface I { op o(P); }\n"
+        "component C : Board {\n"
+        "    port p provides I;\n"
+        "    event e incoming port p payload P action a;\n"
+        "    action a receive port p payload P;\n"
+        "    statemachine { initial state S {} }\n"
+        "}\n"
+        "instance c: C;\n"
+    )
+    rt = instantiate(load_text(text))
+    inject(rt, "c", "p", "e", {"rec": {"x": 1}})
+    assert step(rt)
+    assert render_trace(rt.trace[1:2]) == (
+        "seq=1 t=0 inst=c kind=event_delivered event=e eseq=0 from=env payload={rec={x=1}}\n"
+    )

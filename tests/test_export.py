@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -75,6 +76,43 @@ def test_roundtrip_keeps_simulation_behavior(parking_model, arrive_depart_path):
     t1 = occupancy_timeline(simulate(parking_model, scenario))
     t2 = occupancy_timeline(simulate(roundtrip(parking_model), scenario))
     assert t1 == t2
+
+
+def chain(kind: str, depth: int, fanout: int) -> str:
+    """``depth`` components each instancing the next ``fanout`` times, or
+    payloads each holding the next in ``fanout`` fields."""
+    if kind == "composition":
+        links = [
+            f"component C{i} : Board {{ {' '.join(f'instance c{j}: C{i + 1};' for j in range(fanout))} }}\n"
+            for i in range(depth - 1)
+        ]
+        return "".join(links) + f"component C{depth - 1} : IoTElement {{}}\n"
+    links = [f"payload P{i} {{ {' '.join(f'f{j}: P{i + 1};' for j in range(fanout))} }}\n" for i in range(depth - 1)]
+    return "".join(links) + f"payload P{depth - 1} {{ v: int; }}\n"
+
+
+@pytest.mark.parametrize("kind", ["composition", "payload"])
+def test_structural_equality_compares_each_declaration_once(kind):
+    """2**29 paths reach the last declaration; compared once per path, this
+    would not finish."""
+    model = load_text(chain(kind, 30, fanout=2), check=False)
+    again = roundtrip(model)
+    start = time.perf_counter()
+    assert structurally_equal(model, again)
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("kind", ["composition", "payload"])
+def test_deep_chain_roundtrips_equal(kind):
+    model = load_text(chain(kind, 3000, fanout=1), check=False)
+    assert structurally_equal(model, roundtrip(model))
+
+
+def test_structural_equality_sees_inside_referenced_declarations():
+    comps = "component Leaf : IoTElement { property v: int = 0; }\ncomponent Top : Board { instance leaf: Leaf; }\n"
+    assert not structurally_equal(load_text(comps), load_text(comps.replace("= 0", "= 1")))
+    payloads = "payload Inner { v: int; }\npayload Outer { inner: Inner; }\n"
+    assert not structurally_equal(load_text(payloads), load_text(payloads.replace("v: int", "v: float")))
 
 
 # --- state machine DOT ----------------------------------------------------

@@ -286,7 +286,7 @@ def test_fit_value_is_the_verdict_at_every_site(t, value):
         with pytest.raises(ValueError):
             with_property_initial(model, "p", value)
     else:
-        assert _same(with_property_initial(model, "p", value).components[0].properties[0].initial, fit)
+        assert _same(instantiate(with_property_initial(model, "p", value)).instances["c"].properties["p"], fit)
 
     rt = instantiate(model)
     if fit is None:

@@ -199,8 +199,8 @@ def test_deep_guard_is_parse_error_at_offending_token(parking_path, shape):
 
 @pytest.mark.parametrize("shape", sorted(NESTED))
 def test_guard_at_nesting_limit_runs_everywhere(parking_path, shape):
-    """Typing, guard rendering at instantiate, deep copy and export all walk
-    the tree recursively; at the limit none comes near the recursion limit."""
+    """Typing, guard rendering at instantiate and export all walk the tree
+    recursively; at the limit none comes near the recursion limit."""
     build, _, deepest = NESTED[shape]
     model, diags = collect_diagnostics(_with_first_guard(parking_path, build(deepest)))
     assert diags == []

@@ -123,6 +123,31 @@ def test_scenario_rejects_non_finite_values(stimulus):
     assert "is not a finite number" in exc.value.diagnostics[0].message
 
 
+# A 5,000-digit number: past the interpreter's int-string digit limit (4,300
+# by default; the test only needs "far past") and past float range.
+HUGE = "9" * 5000
+
+
+@pytest.mark.parametrize(
+    "body, what",
+    [
+        (f"mode=duration\nhorizon_ms={HUGE}\n", "line 2: horizon_ms"),
+        (f"mode=duration\nhorizon_ms=100\nsample_period_ms={HUGE}\n", "line 3: sample_period_ms"),
+        (f"mode=duration\nhorizon_ms=100\nat {HUGE} slot node echo 1\n", "line 3: time"),
+        (f"mode=duration\nhorizon_ms=100\nat 0 slot node echo {HUGE}\n", "line 3: echo value"),
+        (f"mode=physical\nhorizon_ms=100\nat 0 slot node occupy {HUGE}\n", "line 3: occupy value"),
+    ],
+    ids=["horizon_ms", "sample_period_ms", "time", "echo", "occupy"],
+)
+def test_scenario_huge_number_is_one_short_error(body, what):
+    with pytest.raises(CiotError) as exc:
+        load_scenario(body)
+    assert exc.value.code == "E_SCENARIO"
+    assert [d.render() for d in exc.value.diagnostics] == [
+        f"<input>: error E_SCENARIO {what} of 5000 digits is out of range"
+    ]
+
+
 def test_scenario_equal_times_allowed():
     s = scn("mode=physical\nhorizon_ms=100\nat 0 slot node occupy 1.0\nat 0 slot node vacate\n")
     assert len(s.stimuli) == 2
