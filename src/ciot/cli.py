@@ -207,16 +207,20 @@ def _parse_field_value(text: str):
     try:
         return int(text)
     except ValueError:
-        if re.fullmatch(r"[+-]?[0-9]+", text):  # past the interpreter's int-string digit limit
-            raise CiotError.of("E_USAGE", f"field value of {len(text.lstrip('+-'))} digits is out of range")
+        pass
     try:
         value = float(text)
     except ValueError:
         pass
     else:
-        if not math.isfinite(value):
-            raise CiotError.of("E_USAGE", f"field value {text!r} is not a finite number")
-        return value
+        if math.isfinite(value):
+            return value
+        # Digits that int() refuses past the interpreter's int-string digit
+        # limit, or that float() reads as inf: named by length, not echoed.
+        if re.fullmatch(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)", text):
+            digits = sum(ch.isdigit() for ch in text)
+            raise CiotError.of("E_USAGE", f"field value of {digits} digits is out of range")
+        raise CiotError.of("E_USAGE", f"field value {text!r} is not a finite number")
     if len(text) >= 2 and text[0] == '"' and text[-1] == '"':
         inner = text[1:-1]
         for esc, repl in (('\\"', '"'), ("\\n", "\n"), ("\\t", "\t"), ("\\\\", "\\")):

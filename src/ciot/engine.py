@@ -33,6 +33,12 @@ at the boundaries (initial values, injected payloads) a misfit is
 
 A send that finds no connector, or a peer with no matching incoming event,
 is recorded with ``error=E_NO_ROUTE`` and dropped; it is not a runtime fault.
+
+Trace records hold raw values (``trace.FIELDS``), and text is built only when
+a record is read. Payload and assigned-value dicts are kept by reference, so
+the engine never mutates such a dict after building it: every payload is a
+fresh dict from ``_conform_payload`` or ``_snapshot_payload``, and every
+action collects its assignments in a new one.
 """
 
 from __future__ import annotations
@@ -55,7 +61,9 @@ from .metamodel import (
     TransitionDef,
     instance_paths,
 )
-from .trace import TraceRecord, fmt_payload
+from .trace import TraceRecord
+
+_new_tuple = tuple.__new__
 
 
 @dataclass
@@ -102,8 +110,10 @@ class RuntimeState:
     step_count: int = 0
     ready: list[int] = field(default_factory=list)  # min-heap of indices with a non-empty inbox
 
-    def record(self, instance: str, kind: str, detail: dict) -> None:
-        self.trace.append(TraceRecord(self.seq, self.clock_us, instance, kind, detail))
+    def record(self, instance: str, kind: str, values: tuple) -> None:
+        # The same record as TraceRecord(...), without the Python-level call
+        # of its generated __new__, which takes about four times as long.
+        self.trace.append(_new_tuple(TraceRecord, (self.seq, self.clock_us, instance, kind, values)))
         self.seq += 1
 
 
@@ -146,7 +156,7 @@ def instantiate(model: Model) -> RuntimeState:
         inst = instances[path]
         if inst.state is None:
             continue
-        rt.record(path, "state_entered", {"state": inst.state})
+        rt.record(path, "state_entered", (inst.state,))
         for ev in inst.dispatch.states[inst.state].entry:
             _execute_positioned(rt, inst, ev, enqueue_generic=True)
     return rt
@@ -215,28 +225,43 @@ def trigger_internal(rt: RuntimeState, path: str, event_name: str, payload: dict
 
 
 def _conform_payload(payload_def: PayloadDef | None, values: dict | None, what: str) -> dict | None:
-    """Check field names and types, widen ints, return field-ordered dict."""
+    """Check field names and types, widen ints, return field-ordered dict.
+
+    Nested records are checked depth-first in field order with an explicit
+    stack, so depth cannot exhaust the interpreter's recursion limit."""
     if payload_def is None:
         if values:
             raise CiotError.of("E_TYPE", f"{what} carries no payload but values were given")
         return None
     if values is None:
         raise CiotError.of("E_TYPE", f"{what} requires payload {payload_def.name!r}")
+    _check_field_names(payload_def, values, what)
+    root: dict = {}
+    # Per open record: its given values, its conformed dict, its remaining fields.
+    stack = [(values, root, iter(payload_def.fields))]
+    while stack:
+        given, out, fields = stack[-1]
+        for fld in fields:
+            if fld.name not in given:
+                raise CiotError.of("E_TYPE", f"{what}: missing payload field {fld.name!r}")
+            v = given[fld.name]
+            if isinstance(fld.type, PayloadDef):
+                if not isinstance(v, dict):
+                    raise CiotError.of("E_TYPE", f"{what}: field {fld.name!r} expects a record")
+                _check_field_names(fld.type, v, what)
+                out[fld.name] = nested = {}
+                stack.append((v, nested, iter(fld.type.fields)))
+                break
+            out[fld.name] = _conform_primitive(fld.type, v, fld.name, what)
+        else:
+            stack.pop()
+    return root
+
+
+def _check_field_names(payload_def: PayloadDef, values: dict, what: str) -> None:
     extra = set(values) - {f.name for f in payload_def.fields}
     if extra:
         raise CiotError.of("E_TYPE", f"{what}: unknown payload field(s) {sorted(extra)!r}")
-    out = {}
-    for fld in payload_def.fields:
-        if fld.name not in values:
-            raise CiotError.of("E_TYPE", f"{what}: missing payload field {fld.name!r}")
-        v = values[fld.name]
-        if isinstance(fld.type, PayloadDef):
-            if not isinstance(v, dict):
-                raise CiotError.of("E_TYPE", f"{what}: field {fld.name!r} expects a record")
-            out[fld.name] = _conform_payload(fld.type, v, what)
-            continue
-        out[fld.name] = _conform_primitive(fld.type, v, fld.name, what)
-    return out
 
 
 def _conform_primitive(t: PrimType, v, name: str, what: str):
@@ -263,11 +288,7 @@ def step(rt: RuntimeState) -> bool:
     ei = inst.inbox.popleft()
     if not inst.inbox:
         heappop(rt.ready)  # before the action runs, so a self-enqueue pushes it again
-    rt.record(
-        inst.path,
-        "event_delivered",
-        {"event": ei.event.name, "eseq": ei.eseq, "from": ei.source, "payload": fmt_payload(ei.payload)},
-    )
+    rt.record(inst.path, "event_delivered", (ei.event.name, ei.eseq, ei.source, ei.payload))
     _run_action(rt, inst, ei.event.action, ei.payload)
     if inst.state is None:
         return True
@@ -282,22 +303,18 @@ def step(rt: RuntimeState) -> bool:
             break
         payload_scope = ei.payload if t.trigger is not None else None
         result = eval_guard(t.guard, inst.properties, payload_scope)
-        rt.record(
-            inst.path,
-            "guard_eval",
-            {"transition": label, "guard": guard_text, "result": "true" if result else "false"},
-        )
+        rt.record(inst.path, "guard_eval", (label, guard_text, result))
         if result:
             fired = t
             break
     if fired is not None:
-        trigger = fired.trigger.name if fired.trigger is not None else "-"
-        rt.record(inst.path, "transition", {"from": fired.source.name, "to": fired.target.name, "trigger": trigger})
+        trigger = fired.trigger.name if fired.trigger is not None else None
+        rt.record(inst.path, "transition", (fired.source.name, fired.target.name, trigger))
         for ev in current.exit:
             _execute_positioned(rt, inst, ev, enqueue_generic=True)
-        rt.record(inst.path, "state_exited", {"state": current.name})
+        rt.record(inst.path, "state_exited", (current.name,))
         inst.state = fired.target.name
-        rt.record(inst.path, "state_entered", {"state": fired.target.name})
+        rt.record(inst.path, "state_entered", (fired.target.name,))
         for ev in fired.target.entry:
             _execute_positioned(rt, inst, ev, enqueue_generic=True)
     for ev in table.states[inst.state].continuous:
@@ -372,11 +389,7 @@ def _run_action(
             _misfit(inst, f"property {eff.target!r} set by action {action.name!r}", t, result)
         inst.properties[eff.target] = value
         assigned[eff.target] = value
-    rt.record(
-        inst.path,
-        "action",
-        {"action": action.name, "type": action.kind.value, "set": fmt_payload(assigned) if assigned else "-"},
-    )
+    rt.record(inst.path, "action", (action.name, action.kind, assigned))
     if action.kind is ActionKind.SEND_PAYLOAD and send_event is not None:
         _send(rt, inst, send_event)
 
@@ -385,14 +398,10 @@ def _send(rt: RuntimeState, inst: InstanceState, event: EventDef) -> None:
     payload_def = event.action.payload
     values = _snapshot_payload(inst, payload_def)
     port_name = event.port.name if event.port is not None else "-"
-    detail = {"port": port_name, "event": event.name}
     route = rt.routing.get((inst.path, port_name))
-    delivered = False
-    if route is None:
-        detail["to"] = "-"
-    else:
+    error = "E_NO_ROUTE"
+    if route is not None:
         peer_path, peer_port = route
-        detail["to"] = f"{peer_path}.{peer_port}"
         peer = rt.instances.get(peer_path)
         target_event = None
         if peer is not None:
@@ -403,11 +412,8 @@ def _send(rt: RuntimeState, inst: InstanceState, event: EventDef) -> None:
             target_event = memo[key]
         if target_event is not None:
             _enqueue(rt, peer, target_event, values, f"{inst.path}.{port_name}")
-            delivered = True
-    detail["payload"] = fmt_payload(values)
-    if not delivered:
-        detail["error"] = "E_NO_ROUTE"
-    rt.record(inst.path, "payload_sent", detail)
+            error = None
+    rt.record(inst.path, "payload_sent", (port_name, event.name, route, values, error))
 
 
 def _matching_incoming(peer: InstanceState, port_name: str, payload_def: PayloadDef | None) -> EventDef | None:

@@ -33,6 +33,8 @@ from .trace import TraceRecord
 DEFAULT_SAMPLE_PERIOD_MS = 100
 DEFAULT_FLOOR_DISTANCE_M = 2.5
 DEFAULT_SPEED_M_PER_S = 343.0
+# Ticks from 0 to the horizon a run may take, so every scenario ends promptly.
+MAX_TICKS = 1_000_000
 
 # Names the simulator reads off a parking-node model: the indicator components
 # whose states make the timeline, the echo field of the sensing payload, and the
@@ -211,12 +213,17 @@ def bind_environment(rt: RuntimeState, slots: list[str]) -> dict[str, list[tuple
         ev = _sensing_event(rt.instances[path].component)
         if ev is not None:
             sensors.append((path, ev.name))
+    # Each sensor under every dotted prefix of its path, in depth-first order.
+    beneath: dict[str, list[tuple[str, str]]] = {}
+    for path, event_name in sensors:
+        parts = path.split(".")
+        for depth in range(1, len(parts) + 1):
+            beneath.setdefault(".".join(parts[:depth]), []).append((path, event_name))
     bound: dict[str, list[tuple[str, str]]] = {}
     for slot in slots:
-        matches = [(p, e) for p, e in sensors if p == slot or p.startswith(slot + ".")]
-        if not matches:
+        if slot not in beneath:
             raise CiotError.of("E_UNBOUND_SENSOR", f"slot {slot!r} matches no sensing instance")
-        bound[slot] = matches
+        bound[slot] = beneath[slot]
     return bound
 
 
@@ -232,6 +239,8 @@ def simulate(
     period = scenario.sample_period_ms if sample_period_ms is None else sample_period_ms
     if period <= 0:
         raise CiotError.of("E_SCENARIO", f"sample period must be positive, got {period}")
+    if scenario.horizon_ms // period + 1 > MAX_TICKS:
+        raise CiotError.of("E_SCENARIO", f"scenario runs more than {MAX_TICKS} ticks of the sample period")
     rt = instantiate(model)
     quiesce(rt, max_steps)
 
@@ -317,7 +326,7 @@ def occupancy_timeline(result: SimResult) -> list[tuple[int, str]]:
             close_group(current_t)
         current_t = rec.time_us
         if rec.kind == "state_entered" and rec.instance in state:
-            state[rec.instance] = rec.detail["state"]
+            state[rec.instance] = rec.values[0]
     if current_t is not None:
         close_group(current_t)
     return timeline

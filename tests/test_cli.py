@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import pathlib
+import time
 
 import pytest
 
 from ciot.cli import main
+from ciot.sim import MAX_TICKS
 
 
 def run_cli(capsys, *argv):
@@ -175,6 +177,19 @@ def test_run_inject_int_past_digit_limit_is_one_short_usage_error(capsys, parkin
     assert len(err.encode()) < 200
 
 
+@pytest.mark.parametrize(
+    "value",
+    ["9" * 5000 + ".5", "-" + "9" * 5000 + ".", "+" + "9" * 4999 + ".99"],
+    ids=["point_five", "minus_trailing_point", "plus_two_places"],
+)
+def test_run_inject_huge_decimal_is_one_short_usage_error(capsys, parking_path, value):
+    code, out, err = run_cli(capsys, "run", parking_path, "--inject", f"node.pSense.evtReading{{duration={value}}}")
+    assert (code, out) == (2, "")
+    digits = sum(ch.isdigit() for ch in value)
+    assert err == f"<input>: error E_USAGE field value of {digits} digits is out of range\n"
+    assert len(err.encode()) < 200
+
+
 def test_run_inject_int_beyond_float_range_is_type_error(capsys, parking_path):
     nines = "9" * 400
     code, out, err = run_cli(capsys, "run", parking_path, "--inject", f"node.pSense.evtReading{{duration={nines}}}")
@@ -243,6 +258,16 @@ def test_simulate_horizon_zero(capsys, tmp_path, parking_path):
     code, out, err = run_cli(capsys, "simulate", parking_path, str(scn))
     assert code == 0
     assert out == ""
+
+
+def test_simulate_unbounded_horizon_fails_promptly(capsys, tmp_path, parking_path):
+    scn = tmp_path / "googol.scn"
+    scn.write_text("mode=duration\nhorizon_ms=1" + "0" * 100 + "\n", encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "simulate", parking_path, str(scn))
+    assert time.perf_counter() - start < 5.0
+    assert (code, out) == (1, "")
+    assert err == f"<input>: error E_SCENARIO scenario runs more than {MAX_TICKS} ticks of the sample period\n"
 
 
 def test_simulate_writes_trace_file(capsys, tmp_path, parking_path, arrive_depart_path):

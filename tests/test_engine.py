@@ -8,8 +8,10 @@ from ciot import load_text
 from ciot.diagnostics import CiotError
 from ciot.engine import inject, instantiate, run_to_quiescence, step, trigger_internal
 from ciot.export import export_model
-from ciot.metamodel import with_property_initial
-from ciot.trace import render_trace
+from ciot.metamodel import ActionKind, with_property_initial
+from ciot.trace import FIELDS, render_trace, render_trace_line
+
+from genmodels import alphabet, generate
 
 HIGH = {"state": "high"}
 LOW = {"state": "low"}
@@ -551,3 +553,118 @@ def test_nested_record_payload_renders_in_trace():
     assert render_trace(rt.trace[1:2]) == (
         "seq=1 t=0 inst=c kind=event_delivered event=e eseq=0 from=env payload={rec={x=1}}\n"
     )
+
+
+def test_records_hold_raw_values(parking_model):
+    rt = instantiate(parking_model)
+    inject(rt, "node.green", "p1", "evtCommand", HIGH)
+    mark = len(rt.trace)
+    step(rt)
+    ev, act, guard, trans, exited, entered = rt.trace[mark:]
+    assert ev == (mark, 0, "node.green", "event_delivered", ("evtCommand", 0, "env", HIGH))
+    assert act.values == ("actReceiveCommand", ActionKind.RECEIVE_PAYLOAD, {})
+    assert guard.values == ("OFF->ON", '"payload.state == \\"high\\""', True)
+    assert guard.values[2] is True
+    assert (trans.values, exited.values, entered.values) == (("OFF", "ON", "evtCommand"), ("OFF",), ("ON",))
+    # A send holds its route, its payload dict (the one the peer receives) and no error.
+    rt = instantiate(parking_model)
+    inject(rt, "node", "pSense", "evtReading", {"duration": 100.0})
+    run_to_quiescence(rt)
+    send = next(r for r in rt.trace if r.kind == "payload_sent")
+    assert send.values == ("pRed", "evtRedHigh", ("node.red", "p1"), {"state": "high"}, None)
+    received = next(r for r in rt.trace if r.kind == "event_delivered" and r.instance == "node.red")
+    assert received.values[3] is send.values[3]
+    assert all(len(r.values) == len(FIELDS[r.kind]) for r in rt.trace)
+
+
+def test_detail_is_fixed_once_recorded(parking_model):
+    """Later steps reassign the properties that earlier records' payloads and
+    assignments were built from; those records read the same afterwards."""
+    rt = instantiate(parking_model)
+    trigger_internal(rt, "node.sensor", "evtSense", {"duration": 100.0})
+    run_to_quiescence(rt)
+    assert any(r.kind == "action" and r.values[2] for r in rt.trace)
+    before = [(r.detail, render_trace_line(r)) for r in rt.trace]
+    for duration in (450.0, 20.0, 450.0):
+        trigger_internal(rt, "node.sensor", "evtSense", {"duration": duration})
+        run_to_quiescence(rt)
+    assert len(rt.trace) > len(before)
+    assert [(r.detail, render_trace_line(r)) for r in rt.trace[: len(before)]] == before
+
+
+def assert_lines_match_detail(records) -> None:
+    """The direct renderer and the ``detail`` view cannot drift apart."""
+    for r in records:
+        head = f"seq={r.seq} t={r.time_us} inst={r.instance} kind={r.kind}"
+        assert render_trace_line(r) == " ".join([head] + [f"{k}={v}" for k, v in r.detail.items()])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6), picks=st.lists(st.integers(min_value=0), max_size=10))
+def test_rendered_line_agrees_with_detail_on_generated_models(seed, picks):
+    gm = generate(seed)
+    symbols = alphabet(gm)
+    rt = instantiate(load_text(gm.text))
+    for pick in picks:
+        event, payload = symbols[pick % len(symbols)]
+        inject(rt, "m", "p1", event, dict(payload))
+        run_to_quiescence(rt, 100)
+    assert_lines_match_detail(rt.trace)
+
+
+def test_rendered_line_agrees_with_detail_on_sends(parking_model):
+    rt = instantiate(parking_model)
+    trigger_internal(rt, "node.sensor", "evtSense", {"duration": 100.0})
+    run_to_quiescence(rt)
+    assert {r.kind for r in rt.trace} == set(FIELDS)
+    assert_lines_match_detail(rt.trace)
+    unwired = (
+        "payload P { v: int; }\n"
+        "interface I { op f(P); }\n"
+        "component C : Board {\n"
+        "    property v: int = 7;\n"
+        "    port p1 requires I;\n"
+        "    event out1 outgoing port p1 payload P action actSend;\n"
+        "    action actSend send port p1 payload P;\n"
+        "    statemachine { initial state A { entry out1; } }\n"
+        "}\n"
+        "instance c: C;\n"
+    )
+    dropped = instantiate(load_text(unwired)).trace
+    assert dropped[-1].values == ("p1", "out1", None, {"v": 7}, "E_NO_ROUTE")
+    assert_lines_match_detail(dropped)
+
+
+def test_deep_nested_payload_conforms_and_renders():
+    depth = 2000
+    links = "".join(f"payload P{i} {{ next: P{i + 1}; }}\n" for i in range(depth - 1))
+    text = (
+        links
+        + f"payload P{depth - 1} {{ v: int; }}\n"
+        + "interface I { op o(P0); }\n"
+        + "component C : Board {\n"
+        + "    port p provides I;\n"
+        + "    event e incoming port p payload P0 action a;\n"
+        + "    action a receive port p payload P0;\n"
+        + "    statemachine { initial state S {} }\n"
+        + "}\n"
+        + "instance c: C;\n"
+    )
+    payload = {"v": 1}
+    for _ in range(depth - 1):
+        payload = {"next": payload}
+    rt = instantiate(load_text(text))
+    inject(rt, "c", "p", "e", payload)
+    assert step(rt)
+    expected = "{next=" * (depth - 1) + "{v=1}" + "}" * (depth - 1)
+    assert rt.trace[1].detail["payload"] == expected
+    assert render_trace(rt.trace[1:2]) == (
+        f"seq=1 t=0 inst=c kind=event_delivered event=e eseq=0 from=env payload={expected}\n"
+    )
+    # The innermost field is still type-checked.
+    bad = {"v": "x"}
+    for _ in range(depth - 1):
+        bad = {"next": bad}
+    with pytest.raises(CiotError) as exc:
+        inject(rt, "c", "p", "e", bad)
+    assert exc.value.code == "E_TYPE"

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,7 @@ from ciot.engine import instantiate
 from ciot.metamodel import instance_paths, with_property_initial
 from ciot.sim import (
     DEFAULT_SAMPLE_PERIOD_MS,
+    MAX_TICKS,
     Scenario,
     Stimulus,
     bind_environment,
@@ -148,6 +151,25 @@ def test_scenario_huge_number_is_one_short_error(body, what):
     ]
 
 
+@pytest.mark.parametrize(
+    "horizon, period",
+    [("1" + "0" * 100, None), (str(100 * MAX_TICKS), None), (str(MAX_TICKS), 1)],
+    ids=["googol", "one_past", "period_override"],
+)
+def test_scenario_tick_count_is_bounded(parking_model, horizon, period):
+    scenario = load_scenario(f"mode=duration\nhorizon_ms={horizon}\n")
+    with pytest.raises(CiotError) as exc:
+        simulate(parking_model, scenario, sample_period_ms=period)
+    assert [d.render() for d in exc.value.diagnostics] == [
+        f"<input>: error E_SCENARIO scenario runs more than {MAX_TICKS} ticks of the sample period"
+    ]
+
+
+def test_scenario_of_max_ticks_runs(parking_model):
+    scenario = load_scenario(f"mode=duration\nhorizon_ms={100 * (MAX_TICKS - 1)}\n")
+    assert simulate(parking_model, scenario).runtime.clock_us == 100_000 * (MAX_TICKS - 1)
+
+
 def test_scenario_equal_times_allowed():
     s = scn("mode=physical\nhorizon_ms=100\nat 0 slot node occupy 1.0\nat 0 slot node vacate\n")
     assert len(s.stimuli) == 2
@@ -170,6 +192,22 @@ def test_arrive_depart_timeline(parking_model, arrive_depart_path):
         (5000, "occupied"),
         (12000, "vacant"),
     ]
+
+
+@pytest.mark.parametrize("scenario_fixture, threshold", [("arrive_depart_path", None), ("physical_path", 5.0)])
+def test_corpus_scenario_record_counts(request, parking_model, scenario_fixture, threshold):
+    model = parking_model if threshold is None else with_property_initial(parking_model, "threshold", threshold)
+    result = simulate(model, load_scenario_file(str(request.getfixturevalue(scenario_fixture))))
+    assert (len(result.trace), result.runtime.step_count) == (5656, 907)
+    assert Counter(r.kind for r in result.trace) == {
+        "state_entered": 759,
+        "event_delivered": 755,
+        "action": 1208,
+        "transition": 755,
+        "state_exited": 755,
+        "payload_sent": 453,
+        "guard_eval": 971,
+    }
 
 
 def test_physical_mode_with_tight_threshold(parking_model, physical_path):
@@ -252,6 +290,30 @@ def test_bind_environment_matches_descendants(parking_model):
     assert bound == {"node": [("node.sensor", "evtSense")]}
     with pytest.raises(CiotError):
         bind_environment(rt, ["node.red"])
+
+
+@pytest.mark.parametrize("slot", ["nod", "node.sens", "node.", ""])
+def test_bind_environment_matches_whole_path_segments(parking_model, slot):
+    rt = instantiate(parking_model)
+    assert bind_environment(rt, ["node.sensor"]) == {"node.sensor": [("node.sensor", "evtSense")]}
+    with pytest.raises(CiotError) as exc:
+        bind_environment(rt, [slot])
+    assert exc.value.code == "E_UNBOUND_SENSOR"
+
+
+def test_bind_environment_keeps_depth_first_order(parking_path):
+    from pathlib import Path
+
+    text = Path(parking_path).read_text(encoding="utf-8")
+    text = text.replace("component Node : Board {", "component Node : Board {\n    instance spare: UltrasonicSensor;", 1)
+    text += "\ncomponent Lot : Board { instance b: Node; instance a: Node; }\ninstance lot: Lot;\n"
+    rt = instantiate(load_text(text, check=False))
+    sensing = [p for p in rt.order if p.endswith(("sensor", "spare"))]
+    bound = bind_environment(rt, ["lot", "lot.a", "node"])
+    assert bound["lot"] == [(p, "evtSense") for p in sensing if p.startswith("lot.")]
+    assert [p for p, _ in bound["lot"]] == ["lot.b.spare", "lot.b.sensor", "lot.a.spare", "lot.a.sensor"]
+    assert bound["lot.a"] == [("lot.a.spare", "evtSense"), ("lot.a.sensor", "evtSense")]
+    assert bound["node"] == [("node.spare", "evtSense"), ("node.sensor", "evtSense")]
 
 
 def test_clock_stamps_trace_in_microseconds(parking_model, arrive_depart_path):
