@@ -12,15 +12,23 @@ from __future__ import annotations
 
 import argparse
 import math
-import re
 import sys
 
 from .diagnostics import CiotError, Severity
 from .engine import inject, instantiate, quiesce
 from .export import export_model, statemachine_to_dot, structure_to_dot
+from .lexer import decode_string
 from .loader import collect_diagnostics_file, load_file
 from .metamodel import instance_paths, with_property_initial
-from .sim import THRESHOLD_PROPERTY, find_led_paths, load_scenario_file, occupancy_timeline, render_timeline, simulate
+from .sim import (
+    NUMBER_DIGITS,
+    THRESHOLD_PROPERTY,
+    find_led_paths,
+    load_scenario_file,
+    occupancy_timeline,
+    render_timeline,
+    simulate,
+)
 from .trace import render_trace
 
 
@@ -179,12 +187,14 @@ def _parse_value_list(body: str, spec: str) -> dict:
 
 
 def _split_pairs(body: str) -> list[str]:
-    parts, depth, quoted, start = [], 0, False, 0
+    parts, depth, quoted, escaped, start = [], 0, False, False, 0
     for i, ch in enumerate(body):
-        if quoted:
+        if escaped:
+            escaped = False
+        elif quoted:
             if ch == "\\":
-                continue
-            if ch == '"':
+                escaped = True
+            elif ch == '"':
                 quoted = False
         elif ch == '"':
             quoted = True
@@ -217,15 +227,12 @@ def _parse_field_value(text: str):
             return value
         # Digits that int() refuses past the interpreter's int-string digit
         # limit, or that float() reads as inf: named by length, not echoed.
-        if re.fullmatch(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)", text):
+        if NUMBER_DIGITS.fullmatch(text):
             digits = sum(ch.isdigit() for ch in text)
             raise CiotError.of("E_USAGE", f"field value of {digits} digits is out of range")
         raise CiotError.of("E_USAGE", f"field value {text!r} is not a finite number")
     if len(text) >= 2 and text[0] == '"' and text[-1] == '"':
-        inner = text[1:-1]
-        for esc, repl in (('\\"', '"'), ("\\n", "\n"), ("\\t", "\t"), ("\\\\", "\\")):
-            inner = inner.replace(esc, repl)
-        return inner
+        return decode_string(text)
     return text
 
 

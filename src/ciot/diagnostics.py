@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 
 class Severity(Enum):
@@ -16,9 +17,12 @@ class Severity(Enum):
     WARNING = "warning"
 
 
-@dataclass(frozen=True)
-class SourceSpan:
-    """1-based region of source text; ``end_*`` is inclusive."""
+class SourceSpan(NamedTuple):
+    """1-based region of source text; ``end_*`` is inclusive.
+
+    A plain tuple underneath: it equals, unpacks and orders like
+    ``(line, column, end_line, end_column)``. Spans are built with
+    ``tuple.__new__``, which skips the slower generated constructor."""
 
     line: int
     column: int
@@ -27,12 +31,10 @@ class SourceSpan:
 
     @staticmethod
     def point(line: int, column: int) -> "SourceSpan":
-        return SourceSpan(line, column, line, column)
+        return tuple.__new__(SourceSpan, (line, column, line, column))
 
     def merge(self, other: "SourceSpan") -> "SourceSpan":
-        start = min((self.line, self.column), (other.line, other.column))
-        end = max((self.end_line, self.end_column), (other.end_line, other.end_column))
-        return SourceSpan(start[0], start[1], end[0], end[1])
+        return tuple.__new__(SourceSpan, min(self[:2], other[:2]) + max(self[2:], other[2:]))
 
 
 @dataclass(frozen=True)

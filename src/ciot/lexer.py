@@ -86,6 +86,12 @@ _SCAN = re.compile(
 )
 _BLANKS = re.compile(r"[ \t\r]*")
 _KINDS = {"STRING": TokenKind.STRING, "FLOAT": TokenKind.FLOAT, "INT": TokenKind.INT, "PUNCT": TokenKind.PUNCT}
+# Escapes that stand for another character; after any other backslash the
+# next character stands for itself.
+_ESCAPES = {"n": "\n", "t": "\t"}
+# Tokens and spans are built without their generated constructors, which
+# take nearly twice as long.
+_new = tuple.__new__
 
 
 class Token(NamedTuple):
@@ -96,8 +102,8 @@ class Token(NamedTuple):
 
     @property
     def span(self) -> SourceSpan:
-        end_col = self.column + max(len(self.text), 1) - 1
-        return SourceSpan(self.line, self.column, self.line, end_col)
+        _, text, line, column = self
+        return _new(SourceSpan, (line, column, line, column + (len(text) or 1) - 1))
 
     def describe(self) -> str:
         if self.kind is TokenKind.EOI:
@@ -121,7 +127,7 @@ def tokenize(source: str, file: str | None = None) -> list[Token]:
                 kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
             else:
                 kind = _KINDS[group]
-            append(Token(kind, text, lineno, m.start(group) + 1))
+            append(_new(Token, (kind, text, lineno, m.start(group) + 1)))
             pos = m.end()
         else:
             at = _BLANKS.match(line, pos).end()
@@ -129,24 +135,22 @@ def tokenize(source: str, file: str | None = None) -> list[Token]:
             message = "unterminated string literal" if c == '"' else f"unexpected character {c!r}"
             raise CiotError.of(E_LEX, message, SourceSpan.point(lineno, at + 1), file)
     # After a trailing comment, end of input sits where the comment starts.
-    append(Token(TokenKind.EOI, "", lineno, m.start("STOP") + 1))
+    append(_new(Token, (TokenKind.EOI, "", lineno, m.start("STOP") + 1)))
     return tokens
 
 
-def decode_string(token: Token) -> str:
-    """Decode a STRING token's raw text (strip quotes, resolve escapes)."""
-    raw = token.text[1:-1]
+def decode_string(quoted: str) -> str:
+    """Decode a string literal's quoted text: strip the quotes and resolve
+    escapes. ``\\n`` and ``\\t`` are a newline and a tab; a backslash before
+    any other character stands for that character."""
+    raw = quoted[1:-1]
     out: list[str] = []
     i = 0
     while i < len(raw):
         c = raw[i]
         if c == "\\" and i + 1 < len(raw):
             nxt = raw[i + 1]
-            mapped = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}.get(nxt)
-            if mapped is None:
-                out.append(nxt)
-            else:
-                out.append(mapped)
+            out.append(_ESCAPES.get(nxt, nxt))
             i += 2
             continue
         out.append(c)

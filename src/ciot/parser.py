@@ -18,10 +18,11 @@ from dataclasses import dataclass, field
 
 from .diagnostics import E_PARSE, CiotError, SourceSpan
 from .guards import Binary, Expr, Literal, NameRef, PayloadFieldRef, PrimType, Unary
-from .lexer import EXPR_RESERVED, Token, TokenKind, decode_string, tokenize
+from .lexer import EXPR_RESERVED, KEYWORDS, Token, TokenKind, decode_string, tokenize
 from .metamodel import ACTION_KEYWORDS, ActionKind, ComponentKind, EventDirection
 
 _PRIM_NAMES = {"int": PrimType.INT, "float": PrimType.FLOAT, "bool": PrimType.BOOL, "string": PrimType.STRING}
+_COMPARISONS = frozenset({"==", "!=", "<", "<=", ">", ">="})
 
 
 @dataclass(frozen=True)
@@ -182,6 +183,12 @@ class AstModel:
 
 
 class _Stream:
+    """The parser's cursor over a token list.
+
+    Tokens are tested by text alone: no identifier, literal or end-of-input
+    token has the text of a keyword or a punctuation mark, so a keyword or a
+    punctuation mark is known by its text."""
+
     def __init__(self, tokens: list[Token], file: str | None) -> None:
         self.tokens = tokens
         self.pos = 0
@@ -196,20 +203,27 @@ class _Stream:
             self.current = self.tokens[self.pos]
         return tok
 
-    def check(self, kind: TokenKind, text: str | None = None) -> bool:
+    def check(self, text: str) -> bool:
+        return self.current.text == text
+
+    def accept(self, text: str) -> Token | None:
         tok = self.current
-        return tok.kind is kind and (text is None or tok.text == text)
+        if tok.text != text:
+            return None
+        self.pos += 1
+        self.current = self.tokens[self.pos]
+        return tok
 
-    def accept(self, kind: TokenKind, text: str | None = None) -> Token | None:
-        if self.check(kind, text):
-            return self.advance()
-        return None
-
-    def expect(self, kind: TokenKind, text: str | None = None, what: str | None = None) -> Token:
-        if self.check(kind, text):
-            return self.advance()
-        wanted = what or (f"{kind.value} {text!r}" if text else kind.value)
-        return self.fail(f"expected {wanted}, got {self.current.describe()}")
+    def expect(self, text: str, what: str | None = None) -> Token:
+        tok = self.current
+        if tok.text == text:
+            self.pos += 1
+            self.current = self.tokens[self.pos]
+            return tok
+        if what is None:
+            kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.PUNCT
+            what = f"{kind.value} {text!r}"
+        return self.fail(f"expected {what}, got {tok.describe()}")
 
     def fail(self, message: str, span: SourceSpan | None = None):
         raise CiotError.of(E_PARSE, message, span or self.current.span, self.file)
@@ -222,14 +236,14 @@ def parse(source: str, file: str | None = None) -> AstModel:
     interfaces: list[AstInterface] = []
     components: list[AstComponent] = []
     instances: list[AstInstance] = []
-    while not ts.check(TokenKind.EOI):
-        if ts.check(TokenKind.KEYWORD, "payload"):
+    while ts.current.kind is not TokenKind.EOI:
+        if ts.check("payload"):
             payloads.append(_parse_payload(ts))
-        elif ts.check(TokenKind.KEYWORD, "interface"):
+        elif ts.check("interface"):
             interfaces.append(_parse_interface(ts))
-        elif ts.check(TokenKind.KEYWORD, "component"):
+        elif ts.check("component"):
             components.append(_parse_component(ts))
-        elif ts.check(TokenKind.KEYWORD, "instance"):
+        elif ts.check("instance"):
             instances.append(_parse_instance(ts))
         else:
             ts.fail(
@@ -243,7 +257,8 @@ def parse_expression(source: str, file: str | None = None) -> Expr:
     """Parse a standalone guard/effect expression (used by tests and tools)."""
     ts = _Stream(tokenize(source, file), file)
     expr = _parse_expr(ts)
-    ts.expect(TokenKind.EOI)
+    if ts.current.kind is not TokenKind.EOI:
+        ts.fail(f"expected end of input, got {ts.current.describe()}")
     return expr
 
 
@@ -286,23 +301,23 @@ def _enum_word(ts: _Stream, kind: TokenKind, convert, what: str):
 
 
 def _parse_payload(ts: _Stream) -> AstPayload:
-    start = ts.expect(TokenKind.KEYWORD, "payload").span
+    start = ts.expect("payload").span
     name = _entity_name(ts, "payload name")
-    ts.expect(TokenKind.PUNCT, "{")
+    ts.expect("{")
     fields: list[AstPayloadField] = []
-    while not ts.check(TokenKind.PUNCT, "}"):
+    while not ts.check("}"):
         fname, fspan = _member_name(ts, "field name")
-        ts.expect(TokenKind.PUNCT, ":")
+        ts.expect(":")
         ftype = _parse_type_ref(ts)
-        ts.expect(TokenKind.PUNCT, ";")
+        ts.expect(";")
         fields.append(AstPayloadField(fname, fspan, ftype))
-    end = ts.expect(TokenKind.PUNCT, "}").span
+    end = ts.expect("}").span
     return AstPayload(name, fields, start.merge(end))
 
 
 def _parse_type_ref(ts: _Stream) -> AstTypeRef:
     tok = ts.current
-    if tok.kind is TokenKind.KEYWORD and tok.text in _PRIM_NAMES:
+    if tok.text in _PRIM_NAMES:
         ts.advance()
         return AstTypeRef(_PRIM_NAMES[tok.text], None, tok.span)
     if tok.kind is TokenKind.IDENT:
@@ -313,53 +328,53 @@ def _parse_type_ref(ts: _Stream) -> AstTypeRef:
 
 
 def _parse_interface(ts: _Stream) -> AstInterface:
-    start = ts.expect(TokenKind.KEYWORD, "interface").span
+    start = ts.expect("interface").span
     name = _entity_name(ts, "interface name")
-    ts.expect(TokenKind.PUNCT, "{")
+    ts.expect("{")
     ops: list[AstOperation] = []
-    while not ts.check(TokenKind.PUNCT, "}"):
-        ts.expect(TokenKind.KEYWORD, "op")
+    while not ts.check("}"):
+        ts.expect("op")
         op_name = _entity_name(ts, "operation name")
-        ts.expect(TokenKind.PUNCT, "(")
+        ts.expect("(")
         payload = _entity_name(ts, "payload name")
-        ts.expect(TokenKind.PUNCT, ")")
-        ts.expect(TokenKind.PUNCT, ";")
+        ts.expect(")")
+        ts.expect(";")
         ops.append(AstOperation(op_name, payload))
-    end = ts.expect(TokenKind.PUNCT, "}").span
+    end = ts.expect("}").span
     return AstInterface(name, ops, start.merge(end))
 
 
 def _parse_instance(ts: _Stream) -> AstInstance:
-    start = ts.expect(TokenKind.KEYWORD, "instance").span
+    start = ts.expect("instance").span
     name = _entity_name(ts, "instance name")
-    ts.expect(TokenKind.PUNCT, ":")
+    ts.expect(":")
     comp = _entity_name(ts, "component name")
-    end = ts.expect(TokenKind.PUNCT, ";").span
+    end = ts.expect(";").span
     return AstInstance(name, comp, start.merge(end))
 
 
 def _parse_component(ts: _Stream) -> AstComponent:
-    start = ts.expect(TokenKind.KEYWORD, "component").span
+    start = ts.expect("component").span
     name = _entity_name(ts, "component name")
-    ts.expect(TokenKind.PUNCT, ":")
+    ts.expect(":")
     kind_span = ts.current.span
     kind = _enum_word(ts, TokenKind.IDENT, ComponentKind, "a component kind (IoTElement, Board, or VirtualEntity)")
     comp = AstComponent(name=name, kind=kind, kind_span=kind_span)
-    ts.expect(TokenKind.PUNCT, "{")
-    while not ts.check(TokenKind.PUNCT, "}"):
-        if ts.check(TokenKind.KEYWORD, "property"):
+    ts.expect("{")
+    while not ts.check("}"):
+        if ts.check("property"):
             comp.properties.append(_parse_property(ts))
-        elif ts.check(TokenKind.KEYWORD, "port"):
+        elif ts.check("port"):
             comp.ports.append(_parse_port(ts))
-        elif ts.check(TokenKind.KEYWORD, "instance"):
+        elif ts.check("instance"):
             comp.instances.append(_parse_instance(ts))
-        elif ts.check(TokenKind.KEYWORD, "connect"):
+        elif ts.check("connect"):
             comp.connectors.append(_parse_connector(ts))
-        elif ts.check(TokenKind.KEYWORD, "event"):
+        elif ts.check("event"):
             comp.events.append(_parse_event(ts))
-        elif ts.check(TokenKind.KEYWORD, "action"):
+        elif ts.check("action"):
             comp.actions.append(_parse_action(ts))
-        elif ts.check(TokenKind.KEYWORD, "statemachine"):
+        elif ts.check("statemachine"):
             if comp.machine is not None:
                 ts.fail("component already has a statemachine block")
             comp.machine = _parse_machine(ts)
@@ -368,22 +383,22 @@ def _parse_component(ts: _Stream) -> AstComponent:
                 "expected a component member (property, port, instance, connect, "
                 f"event, action, or statemachine), got {ts.current.describe()}"
             )
-    end = ts.expect(TokenKind.PUNCT, "}").span
+    end = ts.expect("}").span
     comp.span = start.merge(end)
     return comp
 
 
 def _parse_property(ts: _Stream) -> AstProperty:
-    ts.expect(TokenKind.KEYWORD, "property")
+    ts.expect("property")
     name, name_span = _member_name(ts, "property name")
-    ts.expect(TokenKind.PUNCT, ":")
+    ts.expect(":")
     type_tok = ts.current
-    if type_tok.kind is not TokenKind.KEYWORD or type_tok.text not in _PRIM_NAMES:
+    if type_tok.text not in _PRIM_NAMES:
         ts.fail(f"expected a primitive type (int, float, bool, string), got {type_tok.describe()}")
     ts.advance()
-    ts.expect(TokenKind.PUNCT, "=")
+    ts.expect("=")
     initial = _parse_literal(ts)
-    ts.expect(TokenKind.PUNCT, ";")
+    ts.expect(";")
     return AstProperty(name, name_span, _PRIM_NAMES[type_tok.text], type_tok.span, initial)
 
 
@@ -404,8 +419,8 @@ def _parse_literal(ts: _Stream) -> Literal:
         return Literal(value, PrimType.FLOAT, tok.span)
     if tok.kind is TokenKind.STRING:
         ts.advance()
-        return Literal(decode_string(tok), PrimType.STRING, tok.span)
-    if tok.kind is TokenKind.KEYWORD and tok.text in ("true", "false"):
+        return Literal(decode_string(tok.text), PrimType.STRING, tok.span)
+    if tok.text in ("true", "false"):
         ts.advance()
         return Literal(tok.text == "true", PrimType.BOOL, tok.span)
     ts.fail(f"expected a literal, got {tok.describe()}")
@@ -413,20 +428,20 @@ def _parse_literal(ts: _Stream) -> Literal:
 
 
 def _parse_port(ts: _Stream) -> AstPort:
-    start = ts.expect(TokenKind.KEYWORD, "port").span
+    start = ts.expect("port").span
     name = _entity_name(ts, "port name")
     provides: list[Ref] = []
     requires: list[Ref] = []
     seen_provides = False
     seen_requires = False
     while True:
-        if ts.check(TokenKind.KEYWORD, "provides"):
+        if ts.check("provides"):
             if seen_provides:
                 ts.fail("duplicate provides clause on port")
             ts.advance()
             seen_provides = True
             provides.extend(_ref_list(ts, "interface name"))
-        elif ts.check(TokenKind.KEYWORD, "requires"):
+        elif ts.check("requires"):
             if seen_requires:
                 ts.fail("duplicate requires clause on port")
             ts.advance()
@@ -436,29 +451,29 @@ def _parse_port(ts: _Stream) -> AstPort:
             break
     if not provides and not requires:
         ts.fail("port must provide or require at least one interface")
-    end = ts.expect(TokenKind.PUNCT, ";").span
+    end = ts.expect(";").span
     return AstPort(name, provides, requires, start.merge(end))
 
 
 def _ref_list(ts: _Stream, what: str) -> list[Ref]:
     refs = [_entity_name(ts, what)]
-    while ts.accept(TokenKind.PUNCT, ","):
+    while ts.accept(","):
         refs.append(_entity_name(ts, what))
     return refs
 
 
 def _parse_connector(ts: _Stream) -> AstConnector:
-    start = ts.expect(TokenKind.KEYWORD, "connect").span
+    start = ts.expect("connect").span
     a = _parse_endpoint(ts)
-    ts.expect(TokenKind.PUNCT, "--")
+    ts.expect("--")
     b = _parse_endpoint(ts)
-    end = ts.expect(TokenKind.PUNCT, ";").span
+    end = ts.expect(";").span
     return AstConnector(a, b, start.merge(end))
 
 
 def _parse_endpoint(ts: _Stream) -> AstEndpoint:
     tok = ts.current
-    if tok.kind is TokenKind.KEYWORD and tok.text == "self":
+    if tok.text == "self":
         ts.advance()
         inst: Ref | None = None
         inst_span = tok.span
@@ -466,101 +481,101 @@ def _parse_endpoint(ts: _Stream) -> AstEndpoint:
         ref = _entity_name(ts, "instance name or 'self'")
         inst = ref
         inst_span = ref.span
-    ts.expect(TokenKind.PUNCT, ".")
+    ts.expect(".")
     port = _entity_name(ts, "port name")
     return AstEndpoint(inst, port, inst_span.merge(port.span))
 
 
 def _parse_event(ts: _Stream) -> AstEvent:
-    start = ts.expect(TokenKind.KEYWORD, "event").span
+    start = ts.expect("event").span
     name = _entity_name(ts, "event name")
     direction = _enum_word(ts, TokenKind.KEYWORD, EventDirection, "an event direction (incoming, outgoing, generic)")
     port = None
-    if ts.accept(TokenKind.KEYWORD, "port"):
+    if ts.accept("port"):
         port = _entity_name(ts, "port name")
     payload = None
-    if ts.accept(TokenKind.KEYWORD, "payload"):
+    if ts.accept("payload"):
         payload = _entity_name(ts, "payload name")
-    ts.expect(TokenKind.KEYWORD, "action")
+    ts.expect("action")
     action = _entity_name(ts, "action name")
-    end = ts.expect(TokenKind.PUNCT, ";").span
+    end = ts.expect(";").span
     return AstEvent(name, direction, port, payload, action, start.merge(end))
 
 
 def _parse_action(ts: _Stream) -> AstAction:
-    start = ts.expect(TokenKind.KEYWORD, "action").span
+    start = ts.expect("action").span
     name = _entity_name(ts, "action name")
     kind = _enum_word(ts, TokenKind.KEYWORD, ACTION_KEYWORDS.__getitem__, "an action kind (send, receive, generic)")
     port = None
-    if ts.accept(TokenKind.KEYWORD, "port"):
+    if ts.accept("port"):
         port = _entity_name(ts, "port name")
     payload = None
-    if ts.accept(TokenKind.KEYWORD, "payload"):
+    if ts.accept("payload"):
         payload = _entity_name(ts, "payload name")
     effects: list[AstAssign] = []
-    if ts.accept(TokenKind.PUNCT, "{"):
-        while not ts.check(TokenKind.PUNCT, "}"):
+    if ts.accept("{"):
+        while not ts.check("}"):
             target, target_span = _member_name(ts, "property name")
-            ts.expect(TokenKind.PUNCT, ":=")
+            ts.expect(":=")
             expr = _parse_expr(ts)
-            ts.expect(TokenKind.PUNCT, ";")
+            ts.expect(";")
             effects.append(AstAssign(target, target_span, expr))
-        end = ts.expect(TokenKind.PUNCT, "}").span
+        end = ts.expect("}").span
     else:
-        end = ts.expect(TokenKind.PUNCT, ";").span
+        end = ts.expect(";").span
     return AstAction(name, kind, port, payload, effects, start.merge(end))
 
 
 def _parse_machine(ts: _Stream) -> AstMachine:
-    start = ts.expect(TokenKind.KEYWORD, "statemachine").span
-    ts.expect(TokenKind.PUNCT, "{")
+    start = ts.expect("statemachine").span
+    ts.expect("{")
     states: list[AstState] = []
     transitions: list[AstTransition] = []
-    while not ts.check(TokenKind.PUNCT, "}"):
-        if ts.check(TokenKind.KEYWORD, "initial") or ts.check(TokenKind.KEYWORD, "state"):
+    while not ts.check("}"):
+        if ts.check("initial") or ts.check("state"):
             states.append(_parse_state(ts))
-        elif ts.check(TokenKind.KEYWORD, "transition"):
+        elif ts.check("transition"):
             transitions.append(_parse_transition(ts))
         else:
             ts.fail(f"expected a state or transition declaration, got {ts.current.describe()}")
-    end = ts.expect(TokenKind.PUNCT, "}").span
+    end = ts.expect("}").span
     return AstMachine(states, transitions, start.merge(end))
 
 
 def _parse_state(ts: _Stream) -> AstState:
-    initial = ts.accept(TokenKind.KEYWORD, "initial") is not None
-    start = ts.expect(TokenKind.KEYWORD, "state").span
+    initial = ts.accept("initial") is not None
+    start = ts.expect("state").span
     name = _entity_name(ts, "state name")
-    ts.expect(TokenKind.PUNCT, "{")
+    ts.expect("{")
     entry: list[Ref] = []
     exit_: list[Ref] = []
     continuous: list[Ref] = []
-    while not ts.check(TokenKind.PUNCT, "}"):
+    while not ts.check("}"):
         tok = ts.current
-        if tok.kind is TokenKind.KEYWORD and tok.text in ("entry", "exit", "continuous"):
+        if tok.text in ("entry", "exit", "continuous"):
             ts.advance()
             refs = _ref_list(ts, "event name")
-            ts.expect(TokenKind.PUNCT, ";")
+            ts.expect(";")
             {"entry": entry, "exit": exit_, "continuous": continuous}[tok.text].extend(refs)
         else:
             ts.fail(f"expected entry, exit, or continuous, got {tok.describe()}")
-    end = ts.expect(TokenKind.PUNCT, "}").span
+    end = ts.expect("}").span
     return AstState(name, initial, entry, exit_, continuous, start.merge(end))
 
 
 def _parse_transition(ts: _Stream) -> AstTransition:
-    start = ts.expect(TokenKind.KEYWORD, "transition").span
+    start = ts.expect("transition").span
     source = _entity_name(ts, "source state name")
-    ts.expect(TokenKind.PUNCT, "->")
+    ts.expect("->")
     target = _entity_name(ts, "target state name")
     trigger = None
-    if ts.accept(TokenKind.KEYWORD, "when"):
+    if ts.accept("when"):
         trigger = _entity_name(ts, "event name")
     guard = None
-    if ts.accept(TokenKind.PUNCT, "["):
+    if ts.accept("["):
         guard = _parse_expr(ts)
-        ts.expect(TokenKind.PUNCT, "]")
-    end = ts.expect(TokenKind.PUNCT, ";").span
+        ts.expect("]")
+    end = ts.expect(";").span
     return AstTransition(source, target, trigger, guard, start.merge(end))
 
 
@@ -597,30 +612,30 @@ def _open(ts: _Stream) -> Token:
 
 def _parse_or(ts: _Stream) -> tuple[Expr, int]:
     expr, height = _parse_and(ts)
-    while ts.check(TokenKind.KEYWORD, "or"):
+    while ts.check("or"):
         op_tok = ts.advance()
         right, right_height = _parse_and(ts)
         height = _node_height(ts, max(height, right_height), op_tok)
-        expr = Binary("or", expr, right, _expr_span(expr).merge(_expr_span(right) or op_tok.span))
+        expr = Binary("or", expr, right, expr.span.merge(right.span))
     return expr, height
 
 
 def _parse_and(ts: _Stream) -> tuple[Expr, int]:
     expr, height = _parse_unary(ts)
-    while ts.check(TokenKind.KEYWORD, "and"):
+    while ts.check("and"):
         op_tok = ts.advance()
         right, right_height = _parse_unary(ts)
         height = _node_height(ts, max(height, right_height), op_tok)
-        expr = Binary("and", expr, right, _expr_span(expr).merge(_expr_span(right) or op_tok.span))
+        expr = Binary("and", expr, right, expr.span.merge(right.span))
     return expr, height
 
 
 def _parse_unary(ts: _Stream) -> tuple[Expr, int]:
-    if ts.check(TokenKind.KEYWORD, "not"):
+    if ts.check("not"):
         tok = _open(ts)
         operand, height = _parse_unary(ts)
         ts.nesting -= 1
-        expr = Unary("not", operand, tok.span.merge(_expr_span(operand) or tok.span))
+        expr = Unary("not", operand, tok.span.merge(operand.span))
         return expr, _node_height(ts, height, tok)
     return _parse_comparison(ts)
 
@@ -628,11 +643,11 @@ def _parse_unary(ts: _Stream) -> tuple[Expr, int]:
 def _parse_comparison(ts: _Stream) -> tuple[Expr, int]:
     left, height = _parse_atom(ts)
     tok = ts.current
-    if tok.kind is TokenKind.PUNCT and tok.text in ("==", "!=", "<", "<=", ">", ">="):
+    if tok.text in _COMPARISONS:
         ts.advance()
         right, right_height = _parse_atom(ts)
         height = _node_height(ts, max(height, right_height), tok)
-        return Binary(tok.text, left, right, _expr_span(left).merge(_expr_span(right) or tok.span)), height
+        return Binary(tok.text, left, right, left.span.merge(right.span)), height
     return left, height
 
 
@@ -640,11 +655,11 @@ def _parse_atom(ts: _Stream) -> tuple[Expr, int]:
     tok = ts.current
     if tok.kind in (TokenKind.INT, TokenKind.FLOAT, TokenKind.STRING):
         return _parse_literal(ts), 0
-    if tok.kind is TokenKind.KEYWORD and tok.text in ("true", "false"):
+    if tok.text in ("true", "false"):
         return _parse_literal(ts), 0
-    if tok.kind is TokenKind.KEYWORD and tok.text == "payload":
+    if tok.text == "payload":
         ts.advance()
-        ts.expect(TokenKind.PUNCT, ".", what="'.' after 'payload'")
+        ts.expect(".", what="'.' after 'payload'")
         member = ts.current
         if member.kind not in (TokenKind.IDENT, TokenKind.KEYWORD):
             ts.fail(f"expected payload field name, got {member.describe()}")
@@ -653,16 +668,11 @@ def _parse_atom(ts: _Stream) -> tuple[Expr, int]:
     if tok.kind is TokenKind.IDENT or (tok.kind is TokenKind.KEYWORD and tok.text not in EXPR_RESERVED):
         ts.advance()
         return NameRef(tok.text, tok.span), 0
-    if ts.check(TokenKind.PUNCT, "("):
+    if tok.text == "(":
         _open(ts)
         inner = _parse_or(ts)
-        ts.expect(TokenKind.PUNCT, ")")
+        ts.expect(")")
         ts.nesting -= 1
         return inner
     ts.fail(f"expected an expression, got {tok.describe()}")
     raise AssertionError  # unreachable
-
-
-def _expr_span(expr: Expr) -> SourceSpan:
-    span = getattr(expr, "span", None)
-    return span if span is not None else SourceSpan.point(1, 1)

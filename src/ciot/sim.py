@@ -47,8 +47,11 @@ THRESHOLD_PROPERTY = "threshold"
 MODES = ("duration", "physical")
 # Numbers written out in digits: int() refuses one past the interpreter's
 # int-string digit limit, and float() reads one past float range as inf.
+# Errors name such a number by its digit count instead of echoing it.
+# NUMBER_DIGITS, a decimal in plain or exponent form, is also the rule for
+# the values of the CLI's ``--inject``.
 _INT_DIGITS = re.compile(r"[+-]?[0-9]+")
-_DECIMAL_DIGITS = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)")
+NUMBER_DIGITS = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
 _VERBS = {"duration": ("echo",), "physical": ("occupy", "vacate")}
 
 
@@ -167,7 +170,7 @@ def _parse_stimulus(line: str, where: str) -> Stimulus:
         except ValueError:
             raise CiotError.of("E_SCENARIO", f"{where}: {verb} value {tokens[5]!r} is not a number")
         if not math.isfinite(value):
-            if _DECIMAL_DIGITS.fullmatch(tokens[5]):
+            if NUMBER_DIGITS.fullmatch(tokens[5]):
                 raise _out_of_range(tokens[5], f"{verb} value", where)
             raise CiotError.of("E_SCENARIO", f"{where}: {verb} value {tokens[5]!r} is not a finite number")
         if verb == "occupy" and value <= 0:

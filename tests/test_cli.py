@@ -5,7 +5,8 @@ import time
 
 import pytest
 
-from ciot.cli import main
+from ciot.cli import _parse_inject_spec, main
+from ciot.parser import parse_expression
 from ciot.sim import MAX_TICKS
 
 
@@ -179,8 +180,15 @@ def test_run_inject_int_past_digit_limit_is_one_short_usage_error(capsys, parkin
 
 @pytest.mark.parametrize(
     "value",
-    ["9" * 5000 + ".5", "-" + "9" * 5000 + ".", "+" + "9" * 4999 + ".99"],
-    ids=["point_five", "minus_trailing_point", "plus_two_places"],
+    [
+        "9" * 5000 + ".5",
+        "-" + "9" * 5000 + ".",
+        "+" + "9" * 4999 + ".99",
+        "1e" + "9" * 5000,
+        "-2.5E+" + "9" * 5000,
+        ".5e" + "9" * 5000,
+    ],
+    ids=["point_five", "minus_trailing_point", "plus_two_places", "exponent", "signed_exponent", "point_mantissa"],
 )
 def test_run_inject_huge_decimal_is_one_short_usage_error(capsys, parking_path, value):
     code, out, err = run_cli(capsys, "run", parking_path, "--inject", f"node.pSense.evtReading{{duration={value}}}")
@@ -188,6 +196,17 @@ def test_run_inject_huge_decimal_is_one_short_usage_error(capsys, parking_path, 
     digits = sum(ch.isdigit() for ch in value)
     assert err == f"<input>: error E_USAGE field value of {digits} digits is out of range\n"
     assert len(err.encode()) < 200
+
+
+# (quoted text, decoded value): "\\n" is a backslash and an n, not a newline.
+STRING_ESCAPES = [('"a\\\\n"', "a\\n"), ('"\\""', '"'), ('"\\\\\\\\"', "\\\\")]
+
+
+@pytest.mark.parametrize("quoted, value", STRING_ESCAPES, ids=["backslash_n", "quote", "two_backslashes"])
+def test_inject_strings_decode_like_model_literals(quoted, value):
+    assert parse_expression(quoted).value == value
+    spec = f"node.pSense.evtReading{{text={quoted},n=1}}"
+    assert _parse_inject_spec(spec) == ("node", "pSense", "evtReading", {"text": value, "n": 1})
 
 
 def test_run_inject_int_beyond_float_range_is_type_error(capsys, parking_path):

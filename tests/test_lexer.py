@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ciot.diagnostics import CiotError
@@ -101,7 +101,7 @@ def test_comments_and_blank_lines_are_skipped():
 def test_string_escapes_decode():
     toks = tokenize('"a\\"b\\\\c\\nd\\te"')
     assert toks[0].kind is TokenKind.STRING
-    assert decode_string(toks[0]) == 'a"b\\c\nd\te'
+    assert decode_string(toks[0].text) == 'a"b\\c\nd\te'
 
 
 def _strip_outside_strings(source: str) -> str:
@@ -161,12 +161,14 @@ _STRING_BODY = st.lists(
     ),
     max_size=6,
 ).map("".join)
+# Every punctuation mark of the language.
+PUNCTUATION = frozenset([":=", "->", "--", "==", "!=", "<=", ">=", "{", "}", "(", ")", "[", "]", ":", ";", ",", ".", "<", ">", "="])
 _TOKEN = st.one_of(
     _WORD,
     st.sampled_from(sorted(KEYWORDS)),
     st.integers(min_value=0, max_value=10**6).map(str),
     st.tuples(st.integers(0, 999), st.integers(0, 999)).map(lambda p: f"{p[0]}.{p[1]}"),
-    st.sampled_from([":=", "->", "--", "==", "!=", "<=", ">=", "{", "}", "(", ")", "[", "]", ":", ";", ",", ".", "<", ">", "="]),
+    st.sampled_from(sorted(PUNCTUATION)),
     _STRING_BODY.map(lambda body: f'"{body}"'),
 )
 _GAP = st.sampled_from(["", " ", "  ", "\t", "\r", "\n", "\r\n", " \n\t", " // note \u00e9\n", "//\n"])
@@ -218,3 +220,16 @@ def test_stray_character_reported_at_its_position(prefix, blanks, char, rest):
     diag = exc.value.diagnostics[0]
     assert (diag.rule, diag.message) == ("E_LEX", f"unexpected character {char!r}")
     assert (diag.span.line, diag.span.column) == (prefix.count("\n") + 2, len(blanks) + 1)
+
+
+@given(_sources())
+@example('"when" "{" "" when_ _or or1 007 1.5 x.y')
+def test_only_keywords_and_punctuation_have_their_texts(source):
+    """The parser knows a keyword or a punctuation mark by its text alone."""
+    for tok in tokenize(source):
+        if tok.kind is TokenKind.KEYWORD:
+            assert tok.text in KEYWORDS
+        elif tok.kind is TokenKind.PUNCT:
+            assert tok.text in PUNCTUATION
+        else:
+            assert tok.text not in KEYWORDS and tok.text not in PUNCTUATION

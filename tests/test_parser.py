@@ -3,15 +3,18 @@ from __future__ import annotations
 import pathlib
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from ciot.diagnostics import CiotError
+from ciot.diagnostics import CiotError, SourceSpan
 from ciot.engine import instantiate
 from ciot.export import export_model
 from ciot.loader import collect_diagnostics
 from ciot.metamodel import with_property_initial
 from ciot.parser import MAX_EXPR_DEPTH, parse, parse_expression
 
-SYNTAX_DIR = pathlib.Path(__file__).resolve().parent.parent / "corpus" / "syntax_errors"
+CORPUS_DIR = pathlib.Path(__file__).resolve().parent.parent / "corpus"
+SYNTAX_DIR = CORPUS_DIR / "syntax_errors"
 
 # filename -> (rule, line, column) of the first diagnostic; positions sit on
 # the defective token, per the seeded defect comment in each file.
@@ -236,3 +239,130 @@ def test_out_of_range_literal_is_parse_error_at_literal(case, where):
     line = source.splitlines()[diag.span.line - 1]
     assert line.index(literal) + 1 == diag.span.column
     assert diag.span.end_column - diag.span.column + 1 == len(literal)
+
+
+# --- front-end output pinned per corpus file ------------------------------------
+
+# file -> (rendered diagnostic, full span) of the one diagnostic that
+# collect_diagnostics reports for each mutant and each seeded syntax error.
+EXPECTED_CORPUS_DIAGNOSTICS = {
+    "mutations/r1_no_initial.ciot": (
+        "r1_no_initial.ciot:141:5: error R1 state machine of component 'Node' has no initial state",
+        (141, 5, 155, 5),
+    ),
+    "mutations/r2_missing_provides.ciot": (
+        "r2_missing_provides.ciot:117:5: error R2 connector self.pRed -- red.p1 in component 'Node': "
+        "red.p1 requires interface 'ISendBlinkRed' but self.pRed does not provide it",
+        (117, 5, 117, 32),
+    ),
+    "mutations/r3_generic_for_incoming.ciot": (
+        "r3_generic_for_incoming.ciot:42:5: error R3 incoming event 'evtCommand' must bind a "
+        "ReceivePayload action, but 'actReceiveCommand' is Generic",
+        (42, 5, 42, 82),
+    ),
+    "mutations/r4_guard_type.ciot": (
+        "r4_guard_type.ciot:149:69: error R4 guard on transition ACQUISITION -> RED_OFF_GREEN_ON of "
+        "component 'Node' does not type-check: '>=' needs numeric operands, got float and string",
+        (149, 69, 149, 94),
+    ),
+    "mutations/r5_element_with_child.ciot": (
+        "r5_element_with_child.ciot:39:1: error R5 IoTElement 'RedLED' must be a leaf but declares "
+        "subcomponents: extra",
+        (39, 1, 56, 1),
+    ),
+    "mutations/r6_unreachable_state.ciot": (
+        "r6_unreachable_state.ciot:96:9: warning R6 state 'ORPHAN' of component 'UltrasonicSensor' "
+        "is unreachable from the initial state",
+        (96, 9, 96, 23),
+    ),
+    "mutations/r7_payload_not_carried.ciot": (
+        "r7_payload_not_carried.ciot:121:5: error R7 incoming event 'evtReading' on port 'pSense' of "
+        "component 'Node' expects payload 'SensePayload', but no interface on that port carries it",
+        (121, 5, 121, 81),
+    ),
+    "syntax_errors/bad_character.ciot": (
+        "bad_character.ciot:1:13: error E_LEX unexpected character '@'",
+        (1, 13, 1, 13),
+    ),
+    "syntax_errors/missing_semicolon.ciot": (
+        "missing_semicolon.ciot:3:1: error E_PARSE expected punctuation ';', got punctuation '}'",
+        (3, 1, 3, 1),
+    ),
+    "syntax_errors/reserved_component_name.ciot": (
+        "reserved_component_name.ciot:1:11: error E_PARSE expected component name (identifier), "
+        "got keyword 'and'",
+        (1, 11, 1, 13),
+    ),
+    "syntax_errors/truncated_file.ciot": (
+        "truncated_file.ciot:7:1: error E_PARSE expected a component member (property, port, instance, "
+        "connect, event, action, or statemachine), got end of input",
+        (7, 1, 7, 1),
+    ),
+    "syntax_errors/unterminated_string.ciot": (
+        "unterminated_string.ciot:2:30: error E_LEX unterminated string literal",
+        (2, 30, 2, 30),
+    ),
+}
+
+
+def test_corpus_diagnostics_cover_every_defective_file():
+    found = {
+        f"{path.parent.name}/{path.name}"
+        for folder in ("mutations", "syntax_errors")
+        for path in (CORPUS_DIR / folder).glob("*.ciot")
+    }
+    assert found == set(EXPECTED_CORPUS_DIAGNOSTICS)
+
+
+@pytest.mark.parametrize("relpath", sorted(EXPECTED_CORPUS_DIAGNOSTICS))
+def test_corpus_diagnostic_and_full_span(relpath):
+    rendered, span = EXPECTED_CORPUS_DIAGNOSTICS[relpath]
+    path = CORPUS_DIR / relpath
+    _, diags = collect_diagnostics(path.read_text(encoding="utf-8"), path.name)
+    assert [(d.render(), _full(d.span)) for d in diags] == [(rendered, span)]
+
+
+def _full(span: SourceSpan) -> tuple[int, int, int, int]:
+    return (span.line, span.column, span.end_line, span.end_column)
+
+
+_POSITIONS = st.tuples(st.integers(1, 50), st.integers(1, 80))
+
+
+@given(_POSITIONS, _POSITIONS, _POSITIONS, _POSITIONS)
+def test_span_merge_is_commutative_and_covers_both(a0, a1, b0, b1):
+    a = SourceSpan(*min(a0, a1), *max(a0, a1))
+    b = SourceSpan(*min(b0, b1), *max(b0, b1))
+    merged = a.merge(b)
+    assert merged == b.merge(a)
+    assert type(merged) is SourceSpan
+    start, end = _full(merged)[:2], _full(merged)[2:]
+    for span in (a, b):
+        assert start <= _full(span)[:2] and _full(span)[2:] <= end
+    assert start in (_full(a)[:2], _full(b)[:2]) and end in (_full(a)[2:], _full(b)[2:])
+
+
+def test_span_is_a_four_tuple():
+    span = SourceSpan(2, 5, 3, 1)
+    assert span == (2, 5, 3, 1)
+    line, column, end_line, end_column = span
+    assert (line, column, end_line, end_column) == (span.line, span.column, span.end_line, span.end_column)
+    assert SourceSpan.point(2, 5) < span < SourceSpan(2, 6, 2, 6)
+    assert repr(span) == "SourceSpan(line=2, column=5, end_line=3, end_column=1)"
+
+
+def test_top_level_declaration_spans_run_from_keyword_to_terminator(parking_path):
+    source = pathlib.Path(parking_path).read_text(encoding="utf-8")
+    lines = source.split("\n")
+    ast = parse(source, parking_path)
+    declarations = [
+        *(("payload", d.span, "}") for d in ast.payloads),
+        *(("interface", d.span, "}") for d in ast.interfaces),
+        *(("component", d.span, "}") for d in ast.components),
+        *(("instance", d.span, ";") for d in ast.instances),
+    ]
+    assert len(declarations) == 13
+    for keyword, span, terminator in declarations:
+        line, column, end_line, end_column = _full(span)
+        assert lines[line - 1][column - 1 :].startswith(keyword + " ")
+        assert lines[end_line - 1][end_column - 1] == terminator

@@ -151,6 +151,20 @@ def test_scenario_huge_number_is_one_short_error(body, what):
     ]
 
 
+@pytest.mark.parametrize("verb, mode", [("echo", "duration"), ("occupy", "physical")])
+@pytest.mark.parametrize(
+    "value", ["1e" + HUGE, "-1.5E+" + HUGE, ".5e" + HUGE], ids=["plain_exponent", "signed_exponent", "point_mantissa"]
+)
+def test_scenario_huge_exponent_is_one_short_error(verb, mode, value):
+    with pytest.raises(CiotError) as exc:
+        load_scenario(f"mode={mode}\nhorizon_ms=100\nat 0 slot node {verb} {value}\n")
+    assert exc.value.code == "E_SCENARIO"
+    digits = sum(ch.isdigit() for ch in value)
+    [rendered] = [d.render() for d in exc.value.diagnostics]
+    assert rendered == f"<input>: error E_SCENARIO line 3: {verb} value of {digits} digits is out of range"
+    assert len(rendered.encode()) < 200
+
+
 @pytest.mark.parametrize(
     "horizon, period",
     [("1" + "0" * 100, None), (str(100 * MAX_TICKS), None), (str(MAX_TICKS), 1)],
