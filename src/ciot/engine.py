@@ -22,9 +22,17 @@ The next instance is found without a scan: each instance carries its
 depth-first index, and ``RuntimeState.ready`` is a min-heap of the indices
 whose inbox is non-empty. An index is pushed when its inbox goes from empty
 to non-empty and popped when a step empties it again, so the heap's top is
-always the instance the depth-first order names. What a step looks up per
-event (transitions by source state, guard text, property types, the peer's
-incoming event per route) is tabulated once per component at ``instantiate``.
+always the instance the depth-first order names.
+
+What the model fixes is worked out once per component at ``instantiate``
+and shared by that run's instances of it: the transitions by source state,
+each with its guard compiled by ``guards.compile_expr`` and the values of the
+records it makes (guard_eval for either result, transition, state_exited,
+state_entered) built in advance; and each action's effects as compiled
+``(target, type, expression)`` triples. Each instance plans a send the first
+time it makes it: the route, the peer, the peer's incoming event and the
+source text. Nothing compiled is kept on the model, so every ``instantiate``
+builds its own tables.
 
 Every value stored in a property or payload field passes ``guards.fit_value``:
 at the boundaries (initial values, injected payloads) a misfit is
@@ -46,9 +54,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
+from typing import Callable
 
 from .diagnostics import CiotError
-from .guards import PrimType, describe_value, eval_guard, expr_to_text, fit_value
+from .guards import PrimType, compile_expr, describe_value, expr_to_text, fit_value
 from .metamodel import (
     ActionDef,
     ActionKind,
@@ -74,15 +83,30 @@ class EventInstance:
     eseq: int
 
 
+@dataclass(frozen=True, slots=True)
+class Transition:
+    """One transition as ``step`` takes it: its compiled guard and the values
+    of the records it makes, all fixed by the model."""
+
+    trigger: EventDef | None
+    guard: Callable | None  # compiled; sees the payload only when the transition has a trigger
+    rejected: tuple  # guard_eval values: ("A->B", quoted guard text, False)
+    accepted: tuple  # the same with True
+    taken: tuple  # transition values: (source, target, trigger name or None)
+    exited: tuple  # (source,)
+    entered: tuple  # (target,)
+    target: StateDef
+
+
 @dataclass
 class Dispatch:
     """One component's lookup tables, built at ``instantiate`` and shared by
     that run's instances of the component."""
 
     states: dict[str, StateDef]  # first state of each name, as ``state_named``
-    # Per source state name, in declaration order: (transition, "A->B", quoted guard text or None).
-    transitions: dict[str, list[tuple[TransitionDef, str, str | None]]]
-    property_types: dict[str, PrimType]
+    transitions: dict[str, list[Transition]]  # per source state name, in declaration order
+    # Per id(action) of each event's action: its effects as (target, target type, compiled expression).
+    effects: dict[int, tuple[tuple[str, PrimType | None, Callable], ...]]
     # (port, payload name) -> this component's matching incoming event, filled on first send.
     incoming: dict[tuple[str, str | None], EventDef | None] = field(default_factory=dict)
 
@@ -96,6 +120,8 @@ class InstanceState:
     index: int  # position in depth-first order
     dispatch: Dispatch
     inbox: deque[EventInstance] = field(default_factory=deque)
+    # Per id(event) sent: (port name, route, peer, peer's incoming event, source text), filled on first send.
+    sends: dict[int, tuple] = field(default_factory=dict)
 
 
 @dataclass
@@ -164,7 +190,7 @@ def instantiate(model: Model) -> RuntimeState:
 
 def _build_dispatch(comp: ComponentDef) -> Dispatch:
     states: dict[str, StateDef] = {}
-    transitions: dict[str, list] = {}
+    transitions: dict[str, list[Transition]] = {}
     machine = comp.state_machine
     if machine is not None:
         for s in machine.states:
@@ -173,9 +199,28 @@ def _build_dispatch(comp: ComponentDef) -> Dispatch:
                 transitions[s.name] = []
         for t in machine.transitions:
             if states.get(t.source.name) is t.source:
-                guard = _quote(expr_to_text(t.guard)) if t.guard is not None else None
-                transitions[t.source.name].append((t, f"{t.source.name}->{t.target.name}", guard))
-    return Dispatch(states, transitions, {p.name: p.type for p in comp.properties})
+                transitions[t.source.name].append(_transition(t))
+    types = {p.name: p.type for p in comp.properties}
+    effects = {
+        id(ev.action): tuple((e.target, types.get(e.target), compile_expr(e.expr)) for e in ev.action.effects)
+        for ev in comp.events
+    }
+    return Dispatch(states, transitions, effects)
+
+
+def _transition(t: TransitionDef) -> Transition:
+    label = f"{t.source.name}->{t.target.name}"
+    guard_text = _quote(expr_to_text(t.guard)) if t.guard is not None else None
+    return Transition(
+        trigger=t.trigger,
+        guard=compile_expr(t.guard) if t.guard is not None else None,
+        rejected=(label, guard_text, False),
+        accepted=(label, guard_text, True),
+        taken=(t.source.name, t.target.name, t.trigger.name if t.trigger is not None else None),
+        exited=(t.source.name,),
+        entered=(t.target.name,),
+        target=t.target,
+    )
 
 
 def _initial_value(comp: ComponentDef, prop, path: str, overrides: dict):
@@ -214,14 +259,24 @@ def inject(rt: RuntimeState, path: str, port: str, event_name: str, payload: dic
 
 def trigger_internal(rt: RuntimeState, path: str, event_name: str, payload: dict | None = None) -> None:
     """Queue a generic event onto one instance, as sensing hardware would."""
+    bind_internal(rt, path, event_name)(payload)
+
+
+def bind_internal(rt: RuntimeState, path: str, event_name: str) -> Callable[[dict | None], None]:
+    """``trigger_internal`` with the instance and the event looked up once:
+    a function that queues the event with the payload it is given."""
     inst = rt.instances.get(path)
     if inst is None:
         raise CiotError.of("E_BAD_TARGET", f"no instance at path {path!r}")
     event = inst.component.event_named(event_name)
     if event is None or event.direction is not EventDirection.GENERIC:
         raise CiotError.of("E_BAD_TARGET", f"component {inst.component.name!r} has no generic event {event_name!r}")
-    values = _conform_payload(event.payload, payload, f"event {event_name!r}")
-    _enqueue(rt, inst, event, values, "env")
+    what = f"event {event_name!r}"
+
+    def trigger(payload: dict | None = None) -> None:
+        _enqueue(rt, inst, event, _conform_payload(event.payload, payload, what), "env")
+
+    return trigger
 
 
 def _conform_payload(payload_def: PayloadDef | None, values: dict | None, what: str) -> dict | None:
@@ -288,33 +343,30 @@ def step(rt: RuntimeState) -> bool:
     ei = inst.inbox.popleft()
     if not inst.inbox:
         heappop(rt.ready)  # before the action runs, so a self-enqueue pushes it again
-    rt.record(inst.path, "event_delivered", (ei.event.name, ei.eseq, ei.source, ei.payload))
-    _run_action(rt, inst, ei.event.action, ei.payload)
+    event, payload, path, record = ei.event, ei.payload, inst.path, rt.record
+    record(path, "event_delivered", (event.name, ei.eseq, ei.source, payload))
+    _run_action(rt, inst, event.action, payload)
     if inst.state is None:
         return True
     table = inst.dispatch
-    current = table.states[inst.state]
     fired = None
-    for t, label, guard_text in table.transitions[inst.state]:
-        if t.trigger is not None and t.trigger is not ei.event:
+    for t in table.transitions[inst.state]:
+        if t.trigger is not None and t.trigger is not event:
             continue
-        if t.guard is None:
-            fired = t
-            break
-        payload_scope = ei.payload if t.trigger is not None else None
-        result = eval_guard(t.guard, inst.properties, payload_scope)
-        rt.record(inst.path, "guard_eval", (label, guard_text, result))
-        if result:
-            fired = t
-            break
+        if t.guard is not None:
+            if not t.guard(inst.properties, payload if t.trigger is not None else None):
+                record(path, "guard_eval", t.rejected)
+                continue
+            record(path, "guard_eval", t.accepted)
+        fired = t
+        break
     if fired is not None:
-        trigger = fired.trigger.name if fired.trigger is not None else None
-        rt.record(inst.path, "transition", (fired.source.name, fired.target.name, trigger))
-        for ev in current.exit:
+        record(path, "transition", fired.taken)
+        for ev in table.states[inst.state].exit:
             _execute_positioned(rt, inst, ev, enqueue_generic=True)
-        rt.record(inst.path, "state_exited", (current.name,))
+        record(path, "state_exited", fired.exited)
         inst.state = fired.target.name
-        rt.record(inst.path, "state_entered", (fired.target.name,))
+        record(path, "state_entered", fired.entered)
         for ev in fired.target.entry:
             _execute_positioned(rt, inst, ev, enqueue_generic=True)
     for ev in table.states[inst.state].continuous:
@@ -344,7 +396,7 @@ def quiesce(rt: RuntimeState, max_steps: int) -> None:
 
 def _execute_positioned(rt: RuntimeState, inst: InstanceState, ev: EventDef, *, enqueue_generic: bool) -> None:
     if ev.direction is EventDirection.OUTGOING:
-        _run_action(rt, inst, ev.action, None, send_event=ev)
+        _run_action(rt, inst, ev.action, None, ev)
     elif enqueue_generic:
         values = _snapshot_payload(inst, ev.payload)
         _enqueue(rt, inst, ev, values, inst.path)
@@ -378,42 +430,53 @@ def _run_action(
     payload: dict | None,
     send_event: EventDef | None = None,
 ) -> None:
-    effect_scope = None if action.kind is ActionKind.SEND_PAYLOAD else payload
+    is_send = action.kind is ActionKind.SEND_PAYLOAD
+    effect_scope = None if is_send else payload
+    properties = inst.properties
     assigned = {}
-    types = inst.dispatch.property_types
-    for eff in action.effects:
-        result = eval_guard(eff.expr, inst.properties, effect_scope)
-        t = types.get(eff.target)
+    for target, t, fn in inst.dispatch.effects[id(action)]:
+        result = fn(properties, effect_scope)
         value = fit_value(t, result)
         if value is None:
-            _misfit(inst, f"property {eff.target!r} set by action {action.name!r}", t, result)
-        inst.properties[eff.target] = value
-        assigned[eff.target] = value
+            _misfit(inst, f"property {target!r} set by action {action.name!r}", t, result)
+        properties[target] = value
+        assigned[target] = value
     rt.record(inst.path, "action", (action.name, action.kind, assigned))
-    if action.kind is ActionKind.SEND_PAYLOAD and send_event is not None:
+    if is_send and send_event is not None:
         _send(rt, inst, send_event)
 
 
 def _send(rt: RuntimeState, inst: InstanceState, event: EventDef) -> None:
+    values = _snapshot_payload(inst, event.action.payload)
+    plan = inst.sends.get(id(event))
+    if plan is None:
+        plan = inst.sends[id(event)] = _plan_send(rt, inst, event)
+    port_name, route, peer, target_event, source = plan
+    error = "E_NO_ROUTE"
+    if target_event is not None:
+        _enqueue(rt, peer, target_event, values, source)
+        error = None
+    rt.record(inst.path, "payload_sent", (port_name, event.name, route, values, error))
+
+
+def _plan_send(rt: RuntimeState, inst: InstanceState, event: EventDef) -> tuple:
+    """Where ``event`` sent from ``inst`` goes: (port name, route, peer,
+    peer's incoming event, source text); the event is None for a send that
+    finds no connector or no matching incoming event."""
     payload_def = event.action.payload
-    values = _snapshot_payload(inst, payload_def)
     port_name = event.port.name if event.port is not None else "-"
     route = rt.routing.get((inst.path, port_name))
-    error = "E_NO_ROUTE"
+    peer = target_event = None
     if route is not None:
         peer_path, peer_port = route
         peer = rt.instances.get(peer_path)
-        target_event = None
         if peer is not None:
             memo = peer.dispatch.incoming
             key = (peer_port, payload_def.name if payload_def is not None else None)
             if key not in memo:
                 memo[key] = _matching_incoming(peer, peer_port, payload_def)
             target_event = memo[key]
-        if target_event is not None:
-            _enqueue(rt, peer, target_event, values, f"{inst.path}.{port_name}")
-            error = None
-    rt.record(inst.path, "payload_sent", (port_name, event.name, route, values, error))
+    return port_name, route, peer, target_event, f"{inst.path}.{port_name}"
 
 
 def _matching_incoming(peer: InstanceState, port_name: str, payload_def: PayloadDef | None) -> EventDef | None:

@@ -5,14 +5,19 @@ The expression language is deliberately small: literals, property references,
 There is no arithmetic. Comparisons require same-typed operands except that
 int and float mix by widening to float; ordering comparisons additionally
 require numeric operands.
+
+There is one evaluator, ``compile_expr``: it turns an expression into a
+function of the properties and the payload. The engine compiles each guard
+and effect once per ``instantiate``; ``eval_guard`` compiles and calls.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping, Union
+from typing import Callable, Mapping, Union
 
 from .diagnostics import (
     E_EVAL,
@@ -201,47 +206,62 @@ def eval_guard(
     properties: Mapping[str, int | float | bool | str],
     payload: Mapping[str, object] | None = None,
 ):
-    """Evaluate a typechecked expression; guards yield a Python bool.
+    """Evaluate a typechecked expression once; guards yield a Python bool.
 
-    Runtime failures (unknown names on an expression that skipped the
-    typechecker) surface as CiotError with code E_EVAL.
+    ``compile_expr(expr)(properties, payload)``: compile once instead where
+    one expression is evaluated many times."""
+    return compile_expr(expr)(properties, payload)
+
+
+def compile_expr(expr: Expr) -> Callable[[Mapping, Mapping | None], object]:
+    """The expression as a function of ``(properties, payload)``.
+
+    This is the one evaluator. ``and``/``or`` short-circuit on their left
+    operand's truth and yield a bool; ``==``/``!=`` keep bool apart from int
+    (``_eq``); ints and floats compare by Python's widening. A name missing
+    at evaluation (an expression that skipped the typechecker) raises
+    CiotError with code E_EVAL at the name's span.
     """
     if isinstance(expr, Literal):
-        return expr.value
+        value = expr.value
+        return lambda properties, payload: value
     if isinstance(expr, NameRef):
-        if expr.name not in properties:
-            raise CiotError.of(E_EVAL, f"unknown property {expr.name!r} at evaluation", expr.span)
-        return properties[expr.name]
+        return _read_property(expr.name, expr.span)
     if isinstance(expr, PayloadFieldRef):
-        if payload is None or expr.field not in payload:
-            raise CiotError.of(E_EVAL, f"payload field {expr.field!r} absent at evaluation", expr.span)
-        return payload[expr.field]
+        return _read_field(expr.field, expr.span)
     if isinstance(expr, Unary):
-        return not eval_guard(expr.operand, properties, payload)
+        operand = compile_expr(expr.operand)
+        return lambda properties, payload: not operand(properties, payload)
     if isinstance(expr, Binary):
+        left, right = compile_expr(expr.left), compile_expr(expr.right)
         if expr.op == "and":
-            return bool(eval_guard(expr.left, properties, payload)) and bool(
-                eval_guard(expr.right, properties, payload)
-            )
+            return lambda properties, payload: bool(left(properties, payload)) and bool(right(properties, payload))
         if expr.op == "or":
-            return bool(eval_guard(expr.left, properties, payload)) or bool(
-                eval_guard(expr.right, properties, payload)
-            )
-        lv = eval_guard(expr.left, properties, payload)
-        rv = eval_guard(expr.right, properties, payload)
-        if expr.op == "==":
-            return _eq(lv, rv)
-        if expr.op == "!=":
-            return not _eq(lv, rv)
-        if expr.op == "<":
-            return lv < rv
-        if expr.op == "<=":
-            return lv <= rv
-        if expr.op == ">":
-            return lv > rv
-        if expr.op == ">=":
-            return lv >= rv
+            return lambda properties, payload: bool(left(properties, payload)) or bool(right(properties, payload))
+        compare = _COMPARE.get(expr.op)
+        if compare is not None:
+            return lambda properties, payload: compare(left(properties, payload), right(properties, payload))
     raise TypeError(f"not an expression node: {expr!r}")
+
+
+def _read_property(name: str, span: SourceSpan | None):
+    def read(properties, payload):
+        try:
+            return properties[name]
+        except KeyError:
+            raise CiotError.of(E_EVAL, f"unknown property {name!r} at evaluation", span) from None
+
+    return read
+
+
+def _read_field(name: str, span: SourceSpan | None):
+    def read(properties, payload):
+        try:
+            return payload[name]
+        except (KeyError, TypeError):  # TypeError: no payload in scope
+            raise CiotError.of(E_EVAL, f"payload field {name!r} absent at evaluation", span) from None
+
+    return read
 
 
 def _eq(a, b) -> bool:
@@ -249,6 +269,16 @@ def _eq(a, b) -> bool:
     if isinstance(a, bool) != isinstance(b, bool):
         return False
     return a == b
+
+
+_COMPARE = {
+    "==": _eq,
+    "!=": lambda a, b: not _eq(a, b),
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
 
 
 _PRECEDENCE = {"or": 1, "and": 2, "not": 3, "cmp": 4}

@@ -25,8 +25,8 @@ import re
 from dataclasses import dataclass, field
 
 from .diagnostics import CiotError
-from .engine import RuntimeState, instantiate, quiesce, trigger_internal
-from .guards import PrimType
+from .engine import RuntimeState, bind_internal, instantiate, quiesce
+from .guards import PrimType, describe_value, fit_value
 from .metamodel import ComponentDef, EventDef, EventDirection, Model
 from .trace import TraceRecord
 
@@ -84,11 +84,23 @@ class SimResult:
 
 def echo_duration(distance_m: float, speed_m_per_s: float = DEFAULT_SPEED_M_PER_S) -> float:
     """Round-trip ultrasonic echo time in milliseconds."""
-    if distance_m <= 0:
-        raise CiotError.of("E_DOMAIN", f"distance must be positive, got {distance_m}")
-    if speed_m_per_s <= 0:
-        raise CiotError.of("E_DOMAIN", f"speed must be positive, got {speed_m_per_s}")
-    return 2.0 * distance_m / speed_m_per_s * 1000.0
+    distance = _positive("distance", distance_m)
+    speed = _positive("speed", speed_m_per_s)
+    duration = 2.0 * distance / speed * 1000.0
+    if not math.isfinite(duration):
+        raise CiotError.of("E_DOMAIN", f"echo time of {distance!r} m at {speed!r} m/s is beyond float range")
+    return duration
+
+
+def _positive(name: str, value) -> float:
+    """``value`` as a float, or E_DOMAIN naming ``name`` unless it is a finite
+    positive number. The message shows a number by ``describe_value``, which
+    names a huge int by its size, and anything else by its type."""
+    number = fit_value(PrimType.FLOAT, value)
+    if number is None or number <= 0:
+        shown = describe_value(value) if isinstance(value, (int, float)) else type(value).__name__
+        raise CiotError.of("E_DOMAIN", f"{name} must be a finite positive number, got {shown}")
+    return number
 
 
 def load_scenario(text: str, source: str | None = None) -> Scenario:
@@ -239,16 +251,25 @@ def simulate(
     floor_distance_m: float = DEFAULT_FLOOR_DISTANCE_M,
     max_steps: int = 10000,
 ) -> SimResult:
+    """Run ``scenario`` against a fresh instantiation of ``model``.
+
+    ``speed_m_per_s`` and ``floor_distance_m`` must be finite and positive
+    (E_DOMAIN otherwise), whatever the mode. Each bound sensor's event is
+    looked up once per run; every reading is still conformed to its payload.
+    """
     period = scenario.sample_period_ms if sample_period_ms is None else sample_period_ms
     if period <= 0:
         raise CiotError.of("E_SCENARIO", f"sample period must be positive, got {period}")
     if scenario.horizon_ms // period + 1 > MAX_TICKS:
         raise CiotError.of("E_SCENARIO", f"scenario runs more than {MAX_TICKS} ticks of the sample period")
+    speed_m_per_s = _positive("speed_m_per_s", speed_m_per_s)
+    floor_distance_m = _positive("floor_distance_m", floor_distance_m)
     rt = instantiate(model)
     quiesce(rt, max_steps)
 
     slots = sorted({st.slot for st in scenario.stimuli}) or _implicit_slots(rt)
     bound = bind_environment(rt, slots)
+    triggers = {slot: [bind_internal(rt, path, event_name) for path, event_name in bound[slot]] for slot in slots}
     # Environment state per slot: distance to the nearest object (physical
     # mode) or the last echo reading (duration mode, None until set).
     distance: dict[str, float | None] = {s: None for s in slots}
@@ -274,8 +295,8 @@ def simulate(
             else:
                 d = distance[slot] if distance[slot] is not None else floor_distance_m
                 reading = echo_duration(d, speed_m_per_s)
-            for path, event_name in bound[slot]:
-                trigger_internal(rt, path, event_name, {ECHO_FIELD: reading})
+            for trigger in triggers[slot]:
+                trigger({ECHO_FIELD: reading})
                 quiesce(rt, max_steps)
     return SimResult(rt, scenario)
 

@@ -261,6 +261,25 @@ def test_simulate_non_finite_threshold_fails(capsys, parking_path, arrive_depart
     assert err == f"--threshold-ms: no component declares a property named 'threshold' accepting {value}\n"
 
 
+@pytest.mark.parametrize(
+    "option, value, name",
+    [
+        ("--speed", "inf", "speed_m_per_s"),
+        ("--speed", "1e400", "speed_m_per_s"),
+        ("--speed", "nan", "speed_m_per_s"),
+        ("--floor-distance-m", "inf", "floor_distance_m"),
+        ("--floor-distance-m", "nan", "floor_distance_m"),
+    ],
+    ids=["speed_inf", "speed_1e400", "speed_nan", "floor_inf", "floor_nan"],
+)
+def test_simulate_non_finite_physics_option_fails(capsys, parking_path, physical_path, option, value, name):
+    code, out, err = run_cli(capsys, "simulate", parking_path, physical_path, option, value)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and len(err) < 100
+    assert f"error E_DOMAIN {name} must be a finite positive number" in err
+
+
 def test_simulate_int_beyond_float_range_in_effect_fails(capsys, tmp_path, big_int_effect_text, arrive_depart_path):
     model = tmp_path / "big.ciot"
     model.write_text(big_int_effect_text, encoding="utf-8")

@@ -668,3 +668,101 @@ def test_deep_nested_payload_conforms_and_renders():
     with pytest.raises(CiotError) as exc:
         inject(rt, "c", "p", "e", bad)
     assert exc.value.code == "E_TYPE"
+
+
+# --- compiled effects and prebuilt record values --------------------------
+
+
+def test_effects_run_in_order_on_live_properties():
+    text = (
+        "payload P { v: int; }\n"
+        "interface I { op f(P); }\n"
+        "component C : Board {\n"
+        "    property a: int = 0;\n"
+        "    property b: int = 0;\n"
+        "    port p1 provides I;\n"
+        "    event ping incoming port p1 payload P action act;\n"
+        "    action act receive port p1 payload P { a := 1; b := a; }\n"
+        "    statemachine { initial state A {} }\n"
+        "}\n"
+        "instance c: C;\n"
+    )
+    rt = instantiate(load_text(text))
+    inject(rt, "c", "p1", "ping", {"v": 5})
+    step(rt)
+    assert rt.instances["c"].properties == {"a": 1, "b": 1}
+    [action] = [r for r in rt.trace if r.kind == "action"]
+    assert action.values[2] == {"a": 1, "b": 1}
+    assert render_trace_line(action) == "seq=2 t=0 inst=c kind=action action=act type=ReceivePayload set={a=1,b=1}"
+
+
+FLAG_MODEL = (
+    "payload P { v: int; }\n"
+    "interface I { op f(P); }\n"
+    "component C : Board {\n"
+    "    property flag: bool = false;\n"
+    "    property v: int = 0;\n"
+    "    port pin provides I;\n"
+    "    port pout requires I;\n"
+    "    event ping incoming port pin payload P action actPing;\n"
+    "    event raise outgoing port pout payload P action actRaise;\n"
+    "    event tick generic action actTick;\n"
+    "    action actPing receive port pin payload P { flag := false; }\n"
+    "    action actRaise send port pout payload P { flag := true; }\n"
+    "    action actTick generic;\n"
+    "    statemachine {\n"
+    "        initial state A {}\n"
+    "        state B { entry raise, tick; }\n"
+    "        transition A -> B when ping;\n"
+    "        transition B -> A [flag == true];\n"
+    "    }\n"
+    "}\n"
+    "instance c: C;\n"
+)
+
+
+def test_triggerless_guard_reads_what_entry_actions_set():
+    """``ping`` clears the flag, entering B sets it inline, and the queued
+    ``tick`` then finds the trigger-less guard true; twice, so the compiled
+    guard reads the properties at each evaluation."""
+    rt = instantiate(load_text(FLAG_MODEL))
+    inst = rt.instances["c"]
+    for v in (1, 2):
+        mark = len(rt.trace)
+        inject(rt, "c", "pin", "ping", {"v": v})
+        step(rt)
+        assert (inst.state, inst.properties["flag"]) == ("B", True)
+        step(rt)
+        assert inst.state == "A"
+        guards = [r.values for r in rt.trace[mark:] if r.kind == "guard_eval"]
+        assert guards == [("B->A", '"flag == true"', True)]
+    # in A the flag is false again before the ping's transition is taken
+    inject(rt, "c", "pin", "ping", {"v": 3})
+    mark = len(rt.trace)
+    step(rt)
+    assert [r.values[2] for r in rt.trace[mark:] if r.kind == "action"][0] == {"flag": False}
+
+
+TRANSITION_KINDS = ("guard_eval", "transition", "state_exited", "state_entered")
+
+
+def test_repeated_transition_records_equal_values(parking_model):
+    """Three readings under the threshold take RED_ON_GREEN_OFF -> RED_ON_GREEN_OFF
+    twice; both traversals record equal values that render alike."""
+    rt = instantiate(parking_model)
+    traversals = []
+    for _ in range(3):
+        mark = len(rt.trace)
+        inject(rt, "node", "pSense", "evtReading", {"duration": 100.0})
+        step(rt)
+        traversals.append([r for r in rt.trace[mark:] if r.kind in TRANSITION_KINDS])
+        run_to_quiescence(rt)
+    first, second = traversals[1:]
+    assert [r.kind for r in first] == ["guard_eval", "guard_eval", "transition", "state_exited", "state_entered"]
+    assert [r.values for r in first] == [r.values for r in second]
+    assert first[2].values == ("RED_ON_GREEN_OFF", "RED_ON_GREEN_OFF", "evtReading")
+
+    def text(r):
+        return render_trace_line(r).split(" ", 3)[3]  # without seq, t and inst
+
+    assert [text(r) for r in first] == [text(r) for r in second]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ciot.diagnostics import CiotError
+from ciot.diagnostics import CiotError, SourceSpan
 from ciot.engine import inject, instantiate
 from ciot.guards import (
     Binary,
@@ -16,6 +16,7 @@ from ciot.guards import (
     PayloadFieldRef,
     PrimType,
     Unary,
+    compile_expr,
     eval_guard,
     expr_to_text,
     fit_value,
@@ -312,3 +313,156 @@ def test_fit_value_is_the_verdict_at_every_site(t, value):
         initial = parsed.components[0].properties[0].initial
         assert _same(initial, value) or isinstance(value, float) and type(initial) is float
         assert [d.rule for d in diags] == (["R4"] if fit_value(t, initial) is None else [])
+
+
+# --- one evaluator: compiled evaluation against a reference tree walk -------
+
+_PROPERTY_NAMES = ("a", "b", "c")
+_FIELD_NAMES = ("f", "g", "h")
+_PRIM_OF = {bool: PrimType.BOOL, int: PrimType.INT, float: PrimType.FLOAT, str: PrimType.STRING}
+# Few values, with 0 and 1 in every numeric type and as bools, so equal
+# values of unlike types (the bool/int and int/float edges) meet often.
+_SCALARS = st.one_of(
+    st.sampled_from([0, 1, 2]),
+    st.sampled_from([0.0, 1.0, 2.5]),
+    st.booleans(),
+    st.sampled_from(["", "x"]),
+)
+_SPANS = st.tuples(st.integers(min_value=1, max_value=40), st.integers(min_value=1, max_value=60))
+_COMPARISONS = ["==", "!=", "<", "<=", ">", ">="]
+
+
+def _spanned(node, names):
+    return st.tuples(st.sampled_from(names), _SPANS).map(
+        lambda t: node(t[0], SourceSpan(t[1][0], t[1][1], t[1][0], t[1][1] + len(t[0]) - 1))
+    )
+
+
+def _binary(ops, left, right):
+    return st.tuples(st.sampled_from(ops), left, right).map(lambda t: Binary(*t))
+
+
+_LEAVES = st.one_of(
+    _SCALARS.map(lambda v: Literal(v, _PRIM_OF[type(v)])),
+    _spanned(NameRef, _PROPERTY_NAMES),
+    _spanned(PayloadFieldRef, _FIELD_NAMES),
+)
+
+
+def _sometimes_negated(nodes):
+    return st.tuples(st.integers(min_value=0, max_value=3), nodes).map(
+        lambda t: Unary("not", t[1]) if t[0] == 0 else t[1]
+    )
+
+
+# Comparisons of two leaves, the usual guard, are drawn directly as well as
+# built up from subtrees. "not" wraps a node now and then: as a branch of its
+# own it would crowd out the rest, since it spends none of the leaves.
+_DIFF_EXPRS = st.recursive(
+    _sometimes_negated(_LEAVES | _binary(_COMPARISONS, _LEAVES, _LEAVES)),
+    lambda sub: _sometimes_negated(_binary(["and", "or"] + _COMPARISONS, sub, sub)),
+    max_leaves=10,
+)
+
+
+def _scopes(names):
+    """Every name bound (values decide), or any subset of them (names go missing)."""
+    return st.fixed_dictionaries({name: _SCALARS for name in names}) | st.dictionaries(st.sampled_from(names), _SCALARS)
+
+
+_PROPERTIES = _scopes(_PROPERTY_NAMES)
+_PAYLOADS = st.none() | _scopes(_FIELD_NAMES)
+
+
+def _reference_eval(expr, properties, payload):
+    """The evaluation rules written out as a plain tree walk: ``and``/``or``
+    decide on the left operand's truth before the right one is looked at and
+    yield a bool, ``==``/``!=`` never equate a bool with a number, ints and
+    floats compare by value, and a missing name is E_EVAL at its span."""
+    if isinstance(expr, Literal):
+        return expr.value
+    if isinstance(expr, NameRef):
+        if expr.name not in properties:
+            raise CiotError.of("E_EVAL", f"unknown property {expr.name!r} at evaluation", expr.span)
+        return properties[expr.name]
+    if isinstance(expr, PayloadFieldRef):
+        if payload is None or expr.field not in payload:
+            raise CiotError.of("E_EVAL", f"payload field {expr.field!r} absent at evaluation", expr.span)
+        return payload[expr.field]
+    if isinstance(expr, Unary):
+        return not _reference_eval(expr.operand, properties, payload)
+    lv = _reference_eval(expr.left, properties, payload)
+    if expr.op in ("and", "or"):
+        if bool(lv) == (expr.op == "or"):  # the left operand decides
+            return bool(lv)
+        return bool(_reference_eval(expr.right, properties, payload))
+    rv = _reference_eval(expr.right, properties, payload)
+    if expr.op in ("==", "!="):
+        equal = isinstance(lv, bool) == isinstance(rv, bool) and lv == rv
+        return equal if expr.op == "==" else not equal
+    if expr.op == "<":
+        return lv < rv
+    if expr.op == "<=":
+        return lv <= rv
+    if expr.op == ">":
+        return lv > rv
+    return lv >= rv
+
+
+def _outcome(evaluate, expr, properties, payload):
+    """A value with its exact type, an E_EVAL diagnostic, or a Python
+    TypeError (an ordering of unlike types, which typing rules out)."""
+    try:
+        value = evaluate(expr, properties, payload)
+    except CiotError as exc:
+        [diag] = exc.diagnostics
+        return ("error", exc.code, diag.message, diag.span)
+    except TypeError:
+        return ("type error",)
+    return ("value", type(value), value)
+
+
+@settings(max_examples=500, deadline=None)
+@given(expr=_DIFF_EXPRS, properties=_PROPERTIES, payload=_PAYLOADS)
+def test_evaluation_matches_reference_tree_walk(expr, properties, payload):
+    assert _outcome(eval_guard, expr, properties, payload) == _outcome(_reference_eval, expr, properties, payload)
+
+
+@settings(max_examples=100, deadline=None)
+@given(expr=_DIFF_EXPRS, scopes=st.lists(st.tuples(_PROPERTIES, _PAYLOADS), min_size=1, max_size=5))
+def test_compiled_once_evaluates_each_scope_afresh(expr, scopes):
+    compiled = compile_expr(expr)
+    for properties, payload in scopes:
+        got = _outcome(lambda _, p, q: compiled(p, q), expr, properties, payload)
+        assert got == _outcome(_reference_eval, expr, properties, payload)
+
+
+_GHOST = NameRef("ghost", SourceSpan(3, 9, 3, 13))
+
+
+@pytest.mark.parametrize(
+    "expr, expected",
+    [
+        (Binary("and", Literal(False, PrimType.BOOL), _GHOST), False),
+        (Binary("or", Literal(True, PrimType.BOOL), _GHOST), True),
+        (Binary("and", Literal(1, PrimType.INT), Literal(2.5, PrimType.FLOAT)), True),
+        (Binary("or", Literal("", PrimType.STRING), Literal(0, PrimType.INT)), False),
+    ],
+    ids=["false_and_ghost", "true_or_ghost", "and_is_bool", "or_is_bool"],
+)
+def test_deciding_left_operand_skips_the_right(expr, expected):
+    assert eval_guard(expr, {}) is expected
+
+
+def test_missing_names_fail_at_their_span():
+    field = PayloadFieldRef("gone", SourceSpan(2, 4, 2, 15))
+    for expr, message, span in [
+        (Binary("and", Literal(True, PrimType.BOOL), _GHOST), "unknown property 'ghost' at evaluation", _GHOST.span),
+        (Binary("==", field, Literal(1, PrimType.INT)), "payload field 'gone' absent at evaluation", field.span),
+    ]:
+        for payload in (None, {"other": 1}):
+            with pytest.raises(CiotError) as exc:
+                eval_guard(expr, {"x": 1}, payload)
+            assert exc.value.code == "E_EVAL"
+            [diag] = exc.value.diagnostics
+            assert (diag.message, diag.span) == (message, span)

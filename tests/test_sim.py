@@ -291,6 +291,53 @@ def test_effect_beyond_float_range_is_eval_error(big_int_effect_text, arrive_dep
     )
 
 
+@pytest.mark.parametrize(
+    "option, value, shown",
+    [
+        ("speed_m_per_s", float("inf"), "inf"),
+        ("speed_m_per_s", float("nan"), "nan"),
+        ("speed_m_per_s", 1e400, "inf"),
+        ("speed_m_per_s", 10**400, "an int of 1329 bits"),
+        ("speed_m_per_s", 0.0, "0.0"),
+        ("floor_distance_m", float("inf"), "inf"),
+        ("floor_distance_m", float("nan"), "nan"),
+        ("floor_distance_m", -2.5, "-2.5"),
+        ("floor_distance_m", "2.5", "str"),
+    ],
+    ids=["speed_inf", "speed_nan", "speed_1e400", "speed_huge_int", "speed_zero",
+         "floor_inf", "floor_nan", "floor_negative", "floor_text"],
+)
+def test_simulate_rejects_non_finite_or_non_positive_physics(parking_model, physical_path, option, value, shown):
+    with pytest.raises(CiotError) as exc:
+        simulate(parking_model, load_scenario_file(physical_path), **{option: value})
+    assert exc.value.code == "E_DOMAIN"
+    assert str(exc.value) == f"{option} must be a finite positive number, got {shown}"
+
+
+def test_simulate_checks_physics_before_instantiating():
+    model = load_text('component C : Board { property x: float = "oops"; }\ninstance c: C;', check=False)
+    with pytest.raises(CiotError) as exc:
+        simulate(model, scn("mode=duration\nhorizon_ms=0\n"), speed_m_per_s=float("inf"))
+    assert exc.value.code == "E_DOMAIN"
+
+
+@pytest.mark.parametrize(
+    "distance, speed, message",
+    [
+        (float("inf"), 343.0, "distance must be a finite positive number, got inf"),
+        (1.0, float("nan"), "speed must be a finite positive number, got nan"),
+        (1.0, float("inf"), "speed must be a finite positive number, got inf"),
+        (1e308, 1e-300, "echo time of 1e+308 m at 1e-300 m/s is beyond float range"),
+    ],
+    ids=["distance_inf", "speed_nan", "speed_inf", "result_overflow"],
+)
+def test_echo_duration_rejects_non_finite_argument_or_result(distance, speed, message):
+    with pytest.raises(CiotError) as exc:
+        echo_duration(distance, speed)
+    assert exc.value.code == "E_DOMAIN"
+    assert str(exc.value) == message
+
+
 def test_step_limit_raises(parking_model):
     scenario = scn("mode=duration\nhorizon_ms=0\nat 0 slot node echo 320\n")
     with pytest.raises(CiotError) as exc:
