@@ -29,10 +29,10 @@ and shared by that run's instances of it: the transitions by source state,
 each with its guard compiled by ``guards.compile_expr`` and the values of the
 records it makes (guard_eval for either result, transition, state_exited,
 state_entered) built in advance; and each action's effects as compiled
-``(target, type, expression)`` triples. Each instance plans a send the first
-time it makes it: the route, the peer, the peer's incoming event and the
-source text. Nothing compiled is kept on the model, so every ``instantiate``
-builds its own tables.
+``(target, type, expression)`` triples. ``instantiate`` also resolves every
+send of every instance before anything runs: the route, the peer, the peer's
+incoming event and the source text. Nothing compiled is kept on the model, so
+every ``instantiate`` builds its own tables.
 
 Every value stored in a property or payload field passes ``guards.fit_value``:
 at the boundaries (initial values, injected payloads) a misfit is
@@ -107,8 +107,6 @@ class Dispatch:
     transitions: dict[str, list[Transition]]  # per source state name, in declaration order
     # Per id(action) of each event's action: its effects as (target, target type, compiled expression).
     effects: dict[int, tuple[tuple[str, PrimType | None, Callable], ...]]
-    # (port, payload name) -> this component's matching incoming event, filled on first send.
-    incoming: dict[tuple[str, str | None], EventDef | None] = field(default_factory=dict)
 
 
 @dataclass
@@ -120,7 +118,8 @@ class InstanceState:
     index: int  # position in depth-first order
     dispatch: Dispatch
     inbox: deque[EventInstance] = field(default_factory=deque)
-    # Per id(event) sent: (port name, route, peer, peer's incoming event, source text), filled on first send.
+    # Per id(event) of each outgoing event: (port name, route, peer, peer's
+    # incoming event, source text), resolved by ``instantiate``.
     sends: dict[int, tuple] = field(default_factory=dict)
 
 
@@ -128,7 +127,6 @@ class InstanceState:
 class RuntimeState:
     instances: dict[str, InstanceState]
     order: list[str]  # depth-first instance paths
-    routing: dict[tuple[str, str], tuple[str, str]]
     trace: list[TraceRecord] = field(default_factory=list)
     clock_us: int = 0
     seq: int = 0
@@ -169,15 +167,26 @@ def instantiate(model: Model) -> RuntimeState:
             dispatch=tables[id(comp)],
         )
 
-    routing: dict[tuple[str, str], tuple[str, str]] = {}
+    routes: dict[tuple[str, str], tuple[str, str]] = {}
     for path, comp in paths:
         for conn in comp.connectors:
             a = _endpoint_key(path, conn.a)
             b = _endpoint_key(path, conn.b)
-            routing.setdefault(a, b)
-            routing.setdefault(b, a)
+            routes.setdefault(a, b)
+            routes.setdefault(b, a)
+    for path, comp in paths:
+        for ev in comp.events:
+            if ev.direction is not EventDirection.OUTGOING:
+                continue
+            port_name = ev.port.name if ev.port is not None else "-"
+            route = routes.get((path, port_name))
+            peer = target_event = None
+            if route is not None:
+                peer = instances[route[0]]
+                target_event = _matching_incoming(peer, route[1], ev.action.payload)
+            instances[path].sends[id(ev)] = (port_name, route, peer, target_event, f"{path}.{port_name}")
 
-    rt = RuntimeState(instances=instances, order=[p for p, _ in paths], routing=routing)
+    rt = RuntimeState(instances=instances, order=[p for p, _ in paths])
     for path, comp in paths:
         inst = instances[path]
         if inst.state is None:
@@ -245,12 +254,7 @@ def _endpoint_key(owner_path: str, endpoint) -> tuple[str, str]:
 
 def inject(rt: RuntimeState, path: str, port: str, event_name: str, payload: dict | None = None) -> None:
     """Queue an incoming event from the environment onto one instance."""
-    inst = rt.instances.get(path)
-    if inst is None:
-        raise CiotError.of("E_BAD_TARGET", f"no instance at path {path!r}")
-    event = inst.component.event_named(event_name)
-    if event is None or event.direction is not EventDirection.INCOMING:
-        raise CiotError.of("E_BAD_TARGET", f"component {inst.component.name!r} has no incoming event {event_name!r}")
+    inst, event = _event_at(rt, path, event_name, EventDirection.INCOMING)
     if event.port is None or event.port.name != port:
         raise CiotError.of("E_BAD_TARGET", f"event {event_name!r} is not bound to port {port!r}")
     values = _conform_payload(event.payload, payload, f"event {event_name!r}")
@@ -265,18 +269,23 @@ def trigger_internal(rt: RuntimeState, path: str, event_name: str, payload: dict
 def bind_internal(rt: RuntimeState, path: str, event_name: str) -> Callable[[dict | None], None]:
     """``trigger_internal`` with the instance and the event looked up once:
     a function that queues the event with the payload it is given."""
-    inst = rt.instances.get(path)
-    if inst is None:
-        raise CiotError.of("E_BAD_TARGET", f"no instance at path {path!r}")
-    event = inst.component.event_named(event_name)
-    if event is None or event.direction is not EventDirection.GENERIC:
-        raise CiotError.of("E_BAD_TARGET", f"component {inst.component.name!r} has no generic event {event_name!r}")
+    inst, event = _event_at(rt, path, event_name, EventDirection.GENERIC)
     what = f"event {event_name!r}"
 
     def trigger(payload: dict | None = None) -> None:
         _enqueue(rt, inst, event, _conform_payload(event.payload, payload, what), "env")
 
     return trigger
+
+
+def _event_at(rt: RuntimeState, path: str, name: str, direction: EventDirection) -> tuple[InstanceState, EventDef]:
+    inst = rt.instances.get(path)
+    if inst is None:
+        raise CiotError.of("E_BAD_TARGET", f"no instance at path {path!r}")
+    event = inst.component.event_named(name)
+    if event is None or event.direction is not direction:
+        raise CiotError.of("E_BAD_TARGET", f"component {inst.component.name!r} has no {direction.value} event {name!r}")
+    return inst, event
 
 
 def _conform_payload(payload_def: PayloadDef | None, values: dict | None, what: str) -> dict | None:
@@ -389,7 +398,10 @@ def run_to_quiescence(rt: RuntimeState, max_steps: int = 10000) -> RunResult:
 
 
 def quiesce(rt: RuntimeState, max_steps: int) -> None:
-    """``run_to_quiescence``, raising ``E_STEP_LIMIT`` when the steps run out first."""
+    """``run_to_quiescence``, raising ``E_STEP_LIMIT`` when the steps run out
+    first and ``E_DOMAIN`` when ``max_steps`` is not a non-negative int."""
+    if type(max_steps) is not int or max_steps < 0:
+        raise CiotError.of("E_DOMAIN", f"max_steps must be a non-negative integer, got {describe_value(max_steps)}")
     if run_to_quiescence(rt, max_steps).step_limit_hit:
         raise CiotError.of("E_STEP_LIMIT", f"model did not quiesce within {max_steps} steps")
 
@@ -448,35 +460,12 @@ def _run_action(
 
 def _send(rt: RuntimeState, inst: InstanceState, event: EventDef) -> None:
     values = _snapshot_payload(inst, event.action.payload)
-    plan = inst.sends.get(id(event))
-    if plan is None:
-        plan = inst.sends[id(event)] = _plan_send(rt, inst, event)
-    port_name, route, peer, target_event, source = plan
+    port_name, route, peer, target_event, source = inst.sends[id(event)]
     error = "E_NO_ROUTE"
     if target_event is not None:
         _enqueue(rt, peer, target_event, values, source)
         error = None
     rt.record(inst.path, "payload_sent", (port_name, event.name, route, values, error))
-
-
-def _plan_send(rt: RuntimeState, inst: InstanceState, event: EventDef) -> tuple:
-    """Where ``event`` sent from ``inst`` goes: (port name, route, peer,
-    peer's incoming event, source text); the event is None for a send that
-    finds no connector or no matching incoming event."""
-    payload_def = event.action.payload
-    port_name = event.port.name if event.port is not None else "-"
-    route = rt.routing.get((inst.path, port_name))
-    peer = target_event = None
-    if route is not None:
-        peer_path, peer_port = route
-        peer = rt.instances.get(peer_path)
-        if peer is not None:
-            memo = peer.dispatch.incoming
-            key = (peer_port, payload_def.name if payload_def is not None else None)
-            if key not in memo:
-                memo[key] = _matching_incoming(peer, peer_port, payload_def)
-            target_event = memo[key]
-    return port_name, route, peer, target_event, f"{inst.path}.{port_name}"
 
 
 def _matching_incoming(peer: InstanceState, port_name: str, payload_def: PayloadDef | None) -> EventDef | None:

@@ -95,10 +95,6 @@ def typecheck_guard(expr: Expr, scope: GuardScope) -> PrimType:
     Raises CiotError (code E_TYPE_MISMATCH or E_UNKNOWN_NAME) with a diagnostic
     pinned to the offending subexpression.
     """
-    return _infer(expr, scope)
-
-
-def _infer(expr: Expr, scope: GuardScope) -> PrimType:
     if isinstance(expr, Literal):
         return expr.type
     if isinstance(expr, NameRef):
@@ -118,14 +114,14 @@ def _infer(expr: Expr, scope: GuardScope) -> PrimType:
             raise CiotError.of(E_UNKNOWN_NAME, f"payload has no field {expr.field!r}", expr.span)
         return t
     if isinstance(expr, Unary):
-        t = _infer(expr.operand, scope)
+        t = typecheck_guard(expr.operand, scope)
         if t is not PrimType.BOOL:
             raise CiotError.of(E_TYPE_MISMATCH, f"'not' needs a bool operand, got {t.value}", expr.span)
         return PrimType.BOOL
     if isinstance(expr, Binary):
         if expr.op in BOOLEAN_OPS:
             for side in (expr.left, expr.right):
-                t = _infer(side, scope)
+                t = typecheck_guard(side, scope)
                 if t is not PrimType.BOOL:
                     raise CiotError.of(
                         E_TYPE_MISMATCH,
@@ -133,8 +129,8 @@ def _infer(expr: Expr, scope: GuardScope) -> PrimType:
                         _span_of(side) or expr.span,
                     )
             return PrimType.BOOL
-        lt = _infer(expr.left, scope)
-        rt = _infer(expr.right, scope)
+        lt = typecheck_guard(expr.left, scope)
+        rt = typecheck_guard(expr.right, scope)
         numeric = {PrimType.INT, PrimType.FLOAT}
         if expr.op in ORDERING_OPS:
             if lt not in numeric or rt not in numeric:
@@ -306,14 +302,10 @@ def _render(expr: Expr, parent_prec: int) -> str:
         if expr.op in BOOLEAN_OPS:
             prec = _PRECEDENCE[expr.op]
             left = _render(expr.left, prec)
-            # Same-operator left chains stay flat; anything else at or below
-            # this precedence gets parentheses so tree shape survives reparse.
-            if _binds_looser(expr.left, prec) or (
-                isinstance(expr.left, Binary)
-                and expr.left.op in BOOLEAN_OPS
-                and expr.left.op != expr.op
-                and _PRECEDENCE[expr.left.op] == prec
-            ):
+            # Left chains stay flat (only this operator binds at this level);
+            # a looser operand, or a right operand at this level, gets
+            # parentheses so tree shape survives reparse.
+            if _binds_looser(expr.left, prec):
                 left = f"({left})"
             right = _render(expr.right, prec)
             if _binds_looser(expr.right, prec) or _same_level(expr.right, prec):

@@ -291,18 +291,8 @@ def _check_effects(comp: ComponentDef, file, diags) -> None:
                     )
                 )
                 continue
-            try:
-                value_type = typecheck_guard(eff.expr, scope)
-            except CiotError as exc:
-                detail = exc.diagnostics[0] if exc.diagnostics else None
-                diags.append(
-                    error(
-                        "R4",
-                        f"effect expression in action {act.name!r} does not type-check: {exc}",
-                        detail.span if detail else eff.span,
-                        file,
-                    )
-                )
+            value_type = _type_of(eff.expr, scope, f"effect expression in action {act.name!r}", eff.span, file, diags)
+            if value_type is None:
                 continue
             if not assignable(target_type, value_type):
                 diags.append(
@@ -314,6 +304,17 @@ def _check_effects(comp: ComponentDef, file, diags) -> None:
                         file,
                     )
                 )
+
+
+def _type_of(expr, scope: GuardScope, what: str, span, file, diags) -> PrimType | None:
+    """The type of ``expr``, or None after reporting R4 ("``what`` does not
+    type-check") at the span of the typing error, else at ``span``."""
+    try:
+        return typecheck_guard(expr, scope)
+    except CiotError as exc:
+        detail = exc.diagnostics[0] if exc.diagnostics else None
+        diags.append(error("R4", f"{what} does not type-check: {exc}", detail.span if detail else span, file))
+        return None
 
 
 def _check_machine(comp: ComponentDef, machine: StateMachine, file, diags) -> None:
@@ -331,31 +332,10 @@ def _check_machine(comp: ComponentDef, machine: StateMachine, file, diags) -> No
         if t.guard is None:
             continue
         payload_fields = _payload_scope(t.trigger.payload) if t.trigger is not None else None
-        scope = GuardScope(props, payload_fields)
-        try:
-            guard_type = typecheck_guard(t.guard, scope)
-        except CiotError as exc:
-            detail = exc.diagnostics[0] if exc.diagnostics else None
-            diags.append(
-                error(
-                    "R4",
-                    f"guard on transition {t.source.name} -> {t.target.name} of component "
-                    f"{comp.name!r} does not type-check: {exc}",
-                    detail.span if detail else t.span,
-                    file,
-                )
-            )
-            continue
-        if guard_type is not PrimType.BOOL:
-            diags.append(
-                error(
-                    "R4",
-                    f"guard on transition {t.source.name} -> {t.target.name} of component "
-                    f"{comp.name!r} must be bool, got {guard_type.value}",
-                    t.span,
-                    file,
-                )
-            )
+        what = f"guard on transition {t.source.name} -> {t.target.name} of component {comp.name!r}"
+        guard_type = _type_of(t.guard, GuardScope(props, payload_fields), what, t.span, file, diags)
+        if guard_type is not None and guard_type is not PrimType.BOOL:
+            diags.append(error("R4", f"{what} must be bool, got {guard_type.value}", t.span, file))
 
     # R6 needs a unique entry point; skip it while R1 is violated so one
     # seeded defect reports exactly one rule.

@@ -228,6 +228,20 @@ def test_run_step_limit_exits_1(capsys, parking_path):
     assert err == "<input>: error E_STEP_LIMIT model did not quiesce within 2 steps\n"
 
 
+@pytest.mark.parametrize("command", ["run", "simulate"])
+def test_negative_max_steps_is_one_line_domain_error(capsys, parking_path, arrive_depart_path, command):
+    scenario = [arrive_depart_path] if command == "simulate" else []
+    code, out, err = run_cli(capsys, command, parking_path, *scenario, "--max-steps", "-3")
+    assert (code, out) == (1, "")
+    assert err == "<input>: error E_DOMAIN max_steps must be a non-negative integer, got -3\n"
+
+
+def test_run_zero_max_steps_is_valid(capsys, parking_path):
+    code, out, err = run_cli(capsys, "run", parking_path, "--max-steps", "0")
+    assert (code, err) == (0, "")
+    assert out.startswith("seq=0 t=0 inst=node kind=state_entered state=ACQUISITION\n")
+
+
 def test_run_inject_unknown_target(capsys, parking_path):
     code, out, err = run_cli(
         capsys, "run", parking_path, "--inject", "node.ghost.evt{duration=1.0}"

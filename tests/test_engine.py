@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ciot import load_text
+from ciot import collect_diagnostics, load_text
 from ciot.diagnostics import CiotError
 from ciot.engine import inject, instantiate, run_to_quiescence, step, trigger_internal
 from ciot.export import export_model
@@ -275,6 +275,41 @@ def test_unwired_port_drops_payload_with_no_route():
     assert run_to_quiescence(rt).steps == 0
 
 
+def test_wired_port_without_matching_incoming_event_drops_payload():
+    text = (
+        "payload P { v: int; }\n"
+        "payload Q { w: int; }\n"
+        "interface I { op f(P); }\n"
+        "interface J { op g(Q); }\n"
+        "component A : IoTElement {\n"
+        "    property v: int = 7;\n"
+        "    port p requires I;\n"
+        "    event out1 outgoing port p payload P action actSend;\n"
+        "    action actSend send port p payload P;\n"
+        "    statemachine { initial state S { entry out1; } }\n"
+        "}\n"
+        "component B : IoTElement {\n"
+        "    port q provides I, J;\n"
+        "    event inQ incoming port q payload Q action actQ;\n"
+        "    action actQ receive port q payload Q;\n"
+        "}\n"
+        "component Top : Board {\n"
+        "    instance a: A;\n"
+        "    instance b: B;\n"
+        "    connect a.p -- b.q;\n"
+        "}\n"
+        "instance top: Top;\n"
+    )
+    model, diags = collect_diagnostics(text)
+    assert diags == []
+    rt = instantiate(model)
+    assert render_trace_line(rt.trace[-1]) == (
+        f"seq={rt.trace[-1].seq} t=0 inst=top.a kind=payload_sent "
+        "port=p event=out1 to=top.b.q payload={v=7} error=E_NO_ROUTE"
+    )
+    assert not rt.ready and all(not inst.inbox for inst in rt.instances.values())
+
+
 def test_continuous_event_runs_each_step_not_at_instantiate():
     text = (
         "payload P { v: int; }\n"
@@ -414,7 +449,8 @@ def fresh_runtime(parking_path):
     """A function from root names to a new runtime of the parking node with
     those roots. Hypothesis prints a failing test's arguments, and a function
     prints as its name where a ``Model`` would print as megabytes."""
-    text = open(parking_path, encoding="utf-8").read()
+    with open(parking_path, encoding="utf-8") as f:
+        text = f.read()
     models = {
         ("node",): load_text(text),
         ("a", "b"): load_text(text.replace("instance node: Node;", "instance a: Node;\ninstance b: Node;")),
@@ -480,7 +516,7 @@ def test_dispatch_tables_are_per_instantiate(parking_model):
     a, b = instantiate(parking_model), instantiate(low)
     for path in a.order:
         assert a.instances[path].dispatch is not b.instances[path].dispatch
-        assert a.instances[path].dispatch.incoming is not b.instances[path].dispatch.incoming
+        assert a.instances[path].sends is not b.instances[path].sends
     for rt in (a, b):
         inject(rt, "node", "pSense", "evtReading", {"duration": 100.0})
         run_to_quiescence(rt)
@@ -766,3 +802,15 @@ def test_repeated_transition_records_equal_values(parking_model):
         return render_trace_line(r).split(" ", 3)[3]  # without seq, t and inst
 
     assert [text(r) for r in first] == [text(r) for r in second]
+
+
+def test_grammar_doc_example_validates_and_runs(corpus_dir):
+    doc = (corpus_dir.parent / "docs" / "grammar.md").read_text(encoding="utf-8")
+    section = doc.split("## A small complete example", 1)[1]
+    text = section.split("```\n", 2)[1]
+    model, diags = collect_diagnostics(text)
+    assert diags == []
+    rt = instantiate(model)
+    inject(rt, "echo", "p1", "evtPing", {"n": 1})
+    assert run_to_quiescence(rt).quiescent
+    assert rt.instances["echo"].state == "BUSY"

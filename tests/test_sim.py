@@ -345,6 +345,18 @@ def test_step_limit_raises(parking_model):
     assert exc.value.code == "E_STEP_LIMIT"
 
 
+@pytest.mark.parametrize("max_steps, shown", [(-1, "-1"), (2.5, "2.5"), ("3", '"3"'), (True, "true"), (None, "None")])
+def test_max_steps_not_a_non_negative_int_is_a_domain_error(parking_model, max_steps, shown):
+    with pytest.raises(CiotError) as exc:
+        simulate(parking_model, scn("mode=duration\nhorizon_ms=0\n"), max_steps=max_steps)
+    assert exc.value.code == "E_DOMAIN"
+    assert str(exc.value) == f"max_steps must be a non-negative integer, got {shown}"
+
+
+def test_zero_max_steps_is_valid(parking_model):
+    assert simulate(parking_model, scn("mode=duration\nhorizon_ms=0\n"), max_steps=0).trace
+
+
 def test_bind_environment_matches_descendants(parking_model):
     rt = instantiate(parking_model)
     bound = bind_environment(rt, ["node"])
