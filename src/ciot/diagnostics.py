@@ -7,8 +7,10 @@ reports problems either as a list of :class:`Diagnostic` values or by raising
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 from typing import NamedTuple
 
 
@@ -35,6 +37,35 @@ class SourceSpan(NamedTuple):
 
     def merge(self, other: "SourceSpan") -> "SourceSpan":
         return tuple.__new__(SourceSpan, min(self[:2], other[:2]) + max(self[2:], other[2:]))
+
+
+class Locator:
+    """Line and column of character offsets into one text.
+
+    The lexer and parser keep offsets; a :class:`SourceSpan` is built only
+    where one is kept, by ``bisect`` over the offsets at which the text's
+    lines start, a table built once per text. A line ends at ``"\\n"``, and
+    each character (a tab or a ``"\\r"`` too) is one column."""
+
+    __slots__ = ("starts",)
+
+    def __init__(self, text: str) -> None:
+        self.starts = list(accumulate((len(line) + 1 for line in text.split("\n")[:-1]), initial=0))
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Locator) and self.starts == other.starts
+
+    def span(self, start: int, end: int) -> SourceSpan:
+        """The span of ``text[start:end]``; an empty one (end of input) is
+        the one column at ``start``."""
+        starts = self.starts
+        line = bisect_right(starts, start)
+        first = starts[line - 1]
+        last = end - 1 if end > start else start
+        if line == len(starts) or last < starts[line]:  # one line, as every token
+            return tuple.__new__(SourceSpan, (line, start - first + 1, line, last - first + 1))
+        end_line = bisect_right(starts, last, line)
+        return tuple.__new__(SourceSpan, (line, start - first + 1, end_line, last - starts[end_line - 1] + 1))
 
 
 @dataclass(frozen=True)
@@ -91,6 +122,13 @@ class CiotError(Exception):
     def of(cls, code: str, message: str, span: SourceSpan | None = None, file: str | None = None) -> "CiotError":
         """An error carrying one diagnostic whose rule is ``code``."""
         return cls(code, [error(code, message, span, file)])
+
+
+def require_text(text: object) -> None:
+    """Raise E_USAGE unless ``text``, model or scenario text handed to an
+    entry point, is a str."""
+    if not isinstance(text, str):
+        raise CiotError.of(E_USAGE, f"text must be a str, got {type(text).__name__}")
 
 
 def error(rule: str, message: str, span: SourceSpan | None = None, file: str | None = None) -> Diagnostic:

@@ -1,17 +1,22 @@
 """Tokenizer for the component-model DSL.
 
-Produces a flat token list ending in an end-of-input token. Each token keeps
-its raw source text, so joining token texts reproduces the input modulo
-whitespace and ``//`` comments.
+Produces a flat token list ending in an end-of-input token. A token is a
+plain ``(kind, text, start)`` tuple: its kind, its raw source text and the
+character offset where it starts. Joining token texts reproduces the input
+modulo whitespace and ``//`` comments. Line and column are not tracked here:
+a :class:`~ciot.diagnostics.Locator` turns offsets into a ``SourceSpan``
+where one is kept.
+
+End of input sits at the start of a ``//`` comment that ends the last line,
+and otherwise at the end of the text.
 """
 
 from __future__ import annotations
 
 import re
 from enum import Enum
-from typing import NamedTuple
 
-from .diagnostics import E_LEX, CiotError, SourceSpan
+from .diagnostics import E_LEX, CiotError, Locator, require_text
 
 
 class TokenKind(Enum):
@@ -68,75 +73,75 @@ KEYWORDS = frozenset(
 # used as member names (payload fields, properties, assignment targets).
 EXPR_RESERVED = frozenset({"and", "or", "not", "true", "false", "payload"})
 
-# One token per match, after optional blanks. No token spans a newline, so
-# the source is scanned line by line. Two-character punctuation comes first
+# One token per match, after blanks: spaces, tabs, carriage returns, newlines
+# and "//" comments. The match is anchored at the scan position, so a bad
+# character ends the scan instead of being searched past. A comment among
+# the blanks must run to a newline: it cannot stop early and let a token
+# start inside it, and one that ends the text is where end of input sits.
+# Each blank matches in exactly one way, so a failed match backtracks
+# linearly. No token spans a newline. Two-character punctuation comes first
 # so ":=", "->", "--" and the two-character comparisons win; FLOAT comes
-# before INT so "1.5" is one token while "1." is INT then ".". A line's scan
-# stops at "//" or at its end, whichever comes first.
+# before INT so "1.5" is one token while "1." is INT then ".".
+_BLANKS = r"(?:[ \t\r\n]|//[^\n]*(?=\n))*"
 _SCAN = re.compile(
-    r"""[ \t\r]*(?:
-        (?P<STRING>"(?:[^"\\]|\\.)*")
+    _BLANKS
+    + r"""(?:
+        (?P<STRING>"(?:[^"\\\n]|\\.)*")
       | (?P<FLOAT>[0-9]+\.[0-9]+)
       | (?P<INT>[0-9]+)
       | (?P<WORD>[A-Za-z_][A-Za-z0-9_]*)
       | (?P<PUNCT>:=|->|--|==|!=|<=|>=|[{}()\[\]:;,.<>=])
-      | (?P<STOP>//|\Z)
+      | (?P<EOI>(?://[^\n]*)?\Z)
     )""",
     re.VERBOSE,
 )
-_BLANKS = re.compile(r"[ \t\r]*")
+_SKIP = re.compile(_BLANKS)
 _KINDS = {"STRING": TokenKind.STRING, "FLOAT": TokenKind.FLOAT, "INT": TokenKind.INT, "PUNCT": TokenKind.PUNCT}
 # Escapes that stand for another character; after any other backslash the
 # next character stands for itself.
 _ESCAPES = {"n": "\n", "t": "\t"}
-# Tokens and spans are built without their generated constructors, which
-# take nearly twice as long.
-_new = tuple.__new__
+
+# A token: (kind, text, start offset). Plain tuples, which the lexer builds
+# faster than any named type.
+Token = tuple[TokenKind, str, int]
 
 
-class Token(NamedTuple):
-    kind: TokenKind
-    text: str
-    line: int
-    column: int
-
-    @property
-    def span(self) -> SourceSpan:
-        _, text, line, column = self
-        return _new(SourceSpan, (line, column, line, column + (len(text) or 1) - 1))
-
-    def describe(self) -> str:
-        if self.kind is TokenKind.EOI:
-            return "end of input"
-        return f"{self.kind.value} {self.text!r}"
+def describe(token: Token) -> str:
+    """The token as an error message names it: ``keyword 'state'``."""
+    kind, text, _ = token
+    if kind is TokenKind.EOI:
+        return "end of input"
+    return f"{kind.value} {text!r}"
 
 
 def tokenize(source: str, file: str | None = None) -> list[Token]:
     """Tokenize ``source``; raises CiotError (E_LEX) on the first bad character."""
+    require_text(source)
     tokens: list[Token] = []
     append = tokens.append
     match = _SCAN.match
-    for lineno, line in enumerate(source.split("\n"), 1):
-        pos = 0
-        while m := match(line, pos):
-            group = m.lastgroup
-            if group == "STOP":
-                break
-            text = m[group]
-            if group == "WORD":
-                kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
-            else:
-                kind = _KINDS[group]
-            append(_new(Token, (kind, text, lineno, m.start(group) + 1)))
-            pos = m.end()
+    # One str per distinct word, which its tokens (and the tree's names)
+    # share: this keeps a parse's peak memory down, which an int start offset
+    # per token would otherwise raise.
+    words: dict[str, str] = {}
+    pos = 0
+    while m := match(source, pos):
+        group = m.lastgroup
+        if group == "EOI":
+            append((TokenKind.EOI, "", m.start(group)))
+            return tokens
+        text = m[group]
+        if group == "WORD":
+            text = words.setdefault(text, text)
+            kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
         else:
-            at = _BLANKS.match(line, pos).end()
-            c = line[at]
-            message = "unterminated string literal" if c == '"' else f"unexpected character {c!r}"
-            raise CiotError.of(E_LEX, message, SourceSpan.point(lineno, at + 1), file)
-    # After a trailing comment, end of input sits where the comment starts.
-    append(_new(Token, (TokenKind.EOI, "", lineno, m.start("STOP") + 1)))
-    return tokens
+            kind = _KINDS[group]
+        append((kind, text, m.start(group)))
+        pos = m.end()
+    at = _SKIP.match(source, pos).end()
+    c = source[at]
+    message = "unterminated string literal" if c == '"' else f"unexpected character {c!r}"
+    raise CiotError.of(E_LEX, message, Locator(source).span(at, at), file)
 
 
 def decode_string(quoted: str) -> str:

@@ -4,6 +4,13 @@ Produces a raw syntax tree whose name references are unresolved strings with
 source spans; the resolver binds them into a :class:`~ciot.metamodel.Model`.
 The normative grammar lives in ``docs/grammar.md``.
 
+Syntax tree spans are ``(start, end)`` character offsets, ``end`` exclusive,
+from the first token of a node to its last. The tree carries the text's
+:class:`~ciot.diagnostics.Locator`, which turns them into a ``SourceSpan``
+where one is kept: the resolver does so for each metamodel object and
+diagnostic, and the parser for its own E_PARSE diagnostics and for guard and
+effect expression nodes, whose spans are ``SourceSpan`` values.
+
 Naming rule: entity names (payloads, interfaces, components, ports, events,
 actions, states, instances) must be plain identifiers. Member positions
 (payload fields, property names, assignment targets, names after ``payload.``)
@@ -15,35 +22,39 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from .diagnostics import E_PARSE, CiotError, SourceSpan
+from .diagnostics import E_PARSE, CiotError, Locator, SourceSpan
 from .guards import Binary, Expr, Literal, NameRef, PayloadFieldRef, PrimType, Unary
-from .lexer import EXPR_RESERVED, KEYWORDS, Token, TokenKind, decode_string, tokenize
+from .lexer import EXPR_RESERVED, KEYWORDS, Token, TokenKind, decode_string, describe, tokenize
 from .metamodel import ACTION_KEYWORDS, ActionKind, ComponentKind, EventDirection
 
 _PRIM_NAMES = {"int": PrimType.INT, "float": PrimType.FLOAT, "bool": PrimType.BOOL, "string": PrimType.STRING}
 _COMPARISONS = frozenset({"==", "!=", "<", "<=", ">", ">="})
 
 
-@dataclass(frozen=True)
-class Ref:
+# (start, end) character offsets of a syntax tree node, ``end`` exclusive.
+Offsets = tuple[int, int]
+
+
+class Ref(NamedTuple):
     """Unresolved name occurrence."""
 
     name: str
-    span: SourceSpan
+    span: Offsets
 
 
 @dataclass
 class AstTypeRef:
     prim: PrimType | None
     payload: Ref | None
-    span: SourceSpan
+    span: Offsets
 
 
 @dataclass
 class AstPayloadField:
     name: str
-    name_span: SourceSpan
+    name_span: Offsets
     type: AstTypeRef
 
 
@@ -51,7 +62,7 @@ class AstPayloadField:
 class AstPayload:
     name: Ref
     fields: list[AstPayloadField]
-    span: SourceSpan
+    span: Offsets
 
 
 @dataclass
@@ -64,15 +75,15 @@ class AstOperation:
 class AstInterface:
     name: Ref
     operations: list[AstOperation]
-    span: SourceSpan
+    span: Offsets
 
 
 @dataclass
 class AstProperty:
     name: str
-    name_span: SourceSpan
+    name_span: Offsets
     type: PrimType
-    type_span: SourceSpan
+    type_span: Offsets
     initial: Literal
 
 
@@ -81,34 +92,34 @@ class AstPort:
     name: Ref
     provides: list[Ref]
     requires: list[Ref]
-    span: SourceSpan
+    span: Offsets
 
 
 @dataclass
 class AstInstance:
     name: Ref
     component: Ref
-    span: SourceSpan
+    span: Offsets
 
 
 @dataclass
 class AstEndpoint:
     instance: Ref | None  # None means "self"
     port: Ref
-    span: SourceSpan
+    span: Offsets
 
 
 @dataclass
 class AstConnector:
     a: AstEndpoint
     b: AstEndpoint
-    span: SourceSpan
+    span: Offsets
 
 
 @dataclass
 class AstAssign:
     target: str
-    target_span: SourceSpan
+    target_span: Offsets
     expr: Expr
 
 
@@ -119,7 +130,7 @@ class AstAction:
     port: Ref | None
     payload: Ref | None
     effects: list[AstAssign]
-    span: SourceSpan
+    span: Offsets
 
 
 @dataclass
@@ -129,7 +140,7 @@ class AstEvent:
     port: Ref | None
     payload: Ref | None
     action: Ref
-    span: SourceSpan
+    span: Offsets
 
 
 @dataclass
@@ -139,7 +150,7 @@ class AstState:
     entry: list[Ref]
     exit: list[Ref]
     continuous: list[Ref]
-    span: SourceSpan
+    span: Offsets
 
 
 @dataclass
@@ -148,21 +159,21 @@ class AstTransition:
     target: Ref
     trigger: Ref | None
     guard: Expr | None
-    span: SourceSpan
+    span: Offsets
 
 
 @dataclass
 class AstMachine:
     states: list[AstState]
     transitions: list[AstTransition]
-    span: SourceSpan
+    span: Offsets
 
 
 @dataclass
 class AstComponent:
     name: Ref
     kind: ComponentKind
-    kind_span: SourceSpan
+    kind_span: Offsets
     properties: list[AstProperty] = field(default_factory=list)
     ports: list[AstPort] = field(default_factory=list)
     instances: list[AstInstance] = field(default_factory=list)
@@ -170,7 +181,7 @@ class AstComponent:
     events: list[AstEvent] = field(default_factory=list)
     actions: list[AstAction] = field(default_factory=list)
     machine: AstMachine | None = None
-    span: SourceSpan | None = None
+    span: Offsets | None = None
 
 
 @dataclass
@@ -179,36 +190,39 @@ class AstModel:
     interfaces: list[AstInterface]
     components: list[AstComponent]
     instances: list[AstInstance]
+    locator: Locator = field(repr=False)
     file: str | None = None
 
 
 class _Stream:
-    """The parser's cursor over a token list.
+    """The parser's cursor over the token list of one text, with the text's
+    locator.
 
     Tokens are tested by text alone: no identifier, literal or end-of-input
     token has the text of a keyword or a punctuation mark, so a keyword or a
     punctuation mark is known by its text."""
 
-    def __init__(self, tokens: list[Token], file: str | None) -> None:
-        self.tokens = tokens
+    def __init__(self, source: str, file: str | None) -> None:
+        self.tokens = tokenize(source, file)
+        self.locator = Locator(source)
         self.pos = 0
-        self.current = tokens[0]
+        self.current = self.tokens[0]
         self.file = file
         self.nesting = 0  # open "(" and "not" in the expression being parsed
 
     def advance(self) -> Token:
         tok = self.current
-        if tok.kind is not TokenKind.EOI:
+        if tok[0] is not TokenKind.EOI:
             self.pos += 1
             self.current = self.tokens[self.pos]
         return tok
 
     def check(self, text: str) -> bool:
-        return self.current.text == text
+        return self.current[1] == text
 
     def accept(self, text: str) -> Token | None:
         tok = self.current
-        if tok.text != text:
+        if tok[1] != text:
             return None
         self.pos += 1
         self.current = self.tokens[self.pos]
@@ -216,27 +230,42 @@ class _Stream:
 
     def expect(self, text: str, what: str | None = None) -> Token:
         tok = self.current
-        if tok.text == text:
+        if tok[1] == text:
             self.pos += 1
             self.current = self.tokens[self.pos]
             return tok
         if what is None:
             kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.PUNCT
             what = f"{kind.value} {text!r}"
-        return self.fail(f"expected {what}, got {tok.describe()}")
+        return self.fail(f"expected {what}, got {describe(tok)}")
 
-    def fail(self, message: str, span: SourceSpan | None = None):
-        raise CiotError.of(E_PARSE, message, span or self.current.span, self.file)
+    def source_span(self, tok: Token) -> SourceSpan:
+        _, text, start = tok
+        return self.locator.span(start, start + len(text))
+
+    def fail(self, message: str, tok: Token | None = None):
+        """Raise E_PARSE at ``tok``, by default the current token."""
+        raise CiotError.of(E_PARSE, message, self.source_span(tok or self.current), self.file)
+
+
+# Refs are built without the generated NamedTuple constructor, which takes
+# nearly twice as long.
+_new = tuple.__new__
+
+
+def _end(tok: Token) -> int:
+    """The offset just past ``tok``."""
+    return tok[2] + len(tok[1])
 
 
 def parse(source: str, file: str | None = None) -> AstModel:
     """Parse DSL text into a raw syntax tree (raises CiotError E_LEX/E_PARSE)."""
-    ts = _Stream(tokenize(source, file), file)
+    ts = _Stream(source, file)
     payloads: list[AstPayload] = []
     interfaces: list[AstInterface] = []
     components: list[AstComponent] = []
     instances: list[AstInstance] = []
-    while ts.current.kind is not TokenKind.EOI:
+    while ts.current[0] is not TokenKind.EOI:
         if ts.check("payload"):
             payloads.append(_parse_payload(ts))
         elif ts.check("interface"):
@@ -248,39 +277,39 @@ def parse(source: str, file: str | None = None) -> AstModel:
         else:
             ts.fail(
                 "expected a top-level declaration "
-                f"(payload, interface, component, or instance), got {ts.current.describe()}"
+                f"(payload, interface, component, or instance), got {describe(ts.current)}"
             )
-    return AstModel(payloads, interfaces, components, instances, file)
+    return AstModel(payloads, interfaces, components, instances, ts.locator, file)
 
 
 def parse_expression(source: str, file: str | None = None) -> Expr:
     """Parse a standalone guard/effect expression (used by tests and tools)."""
-    ts = _Stream(tokenize(source, file), file)
+    ts = _Stream(source, file)
     expr = _parse_expr(ts)
-    if ts.current.kind is not TokenKind.EOI:
-        ts.fail(f"expected end of input, got {ts.current.describe()}")
+    if ts.current[0] is not TokenKind.EOI:
+        ts.fail(f"expected end of input, got {describe(ts.current)}")
     return expr
 
 
 def _entity_name(ts: _Stream, what: str) -> Ref:
-    tok = ts.current
-    if tok.kind is TokenKind.IDENT:
+    tok = kind, text, start = ts.current
+    if kind is TokenKind.IDENT:
         ts.advance()
-        return Ref(tok.text, tok.span)
-    if tok.kind is TokenKind.KEYWORD:
-        ts.fail(f"expected {what} (identifier), got keyword {tok.text!r}")
-    ts.fail(f"expected {what} (identifier), got {tok.describe()}")
+        return _new(Ref, (text, (start, start + len(text))))
+    if kind is TokenKind.KEYWORD:
+        ts.fail(f"expected {what} (identifier), got keyword {text!r}")
+    ts.fail(f"expected {what} (identifier), got {describe(tok)}")
     raise AssertionError  # unreachable
 
 
-def _member_name(ts: _Stream, what: str) -> tuple[str, SourceSpan]:
-    tok = ts.current
-    if tok.kind is TokenKind.IDENT or (tok.kind is TokenKind.KEYWORD and tok.text not in EXPR_RESERVED):
+def _member_name(ts: _Stream, what: str) -> tuple[str, Offsets]:
+    tok = kind, text, start = ts.current
+    if kind is TokenKind.IDENT or (kind is TokenKind.KEYWORD and text not in EXPR_RESERVED):
         ts.advance()
-        return tok.text, tok.span
-    if tok.kind is TokenKind.KEYWORD:
-        ts.fail(f"expected {what}, got {tok.text!r} (reserved in expressions)")
-    ts.fail(f"expected {what}, got {tok.describe()}")
+        return text, (start, start + len(text))
+    if kind is TokenKind.KEYWORD:
+        ts.fail(f"expected {what}, got {text!r} (reserved in expressions)")
+    ts.fail(f"expected {what}, got {describe(tok)}")
     raise AssertionError  # unreachable
 
 
@@ -288,20 +317,20 @@ def _enum_word(ts: _Stream, kind: TokenKind, convert, what: str):
     """The enum member ``convert`` makes of the current token's text; E_PARSE
     when the token is not of ``kind`` or ``convert`` rejects its text."""
     tok = ts.current
-    if tok.kind is kind:
+    if tok[0] is kind:
         try:
-            value = convert(tok.text)
+            value = convert(tok[1])
         except (KeyError, ValueError):
             pass
         else:
             ts.advance()
             return value
-    ts.fail(f"expected {what}, got {tok.describe()}")
+    ts.fail(f"expected {what}, got {describe(tok)}")
     raise AssertionError  # unreachable
 
 
 def _parse_payload(ts: _Stream) -> AstPayload:
-    start = ts.expect("payload").span
+    start = ts.expect("payload")[2]
     name = _entity_name(ts, "payload name")
     ts.expect("{")
     fields: list[AstPayloadField] = []
@@ -311,24 +340,24 @@ def _parse_payload(ts: _Stream) -> AstPayload:
         ftype = _parse_type_ref(ts)
         ts.expect(";")
         fields.append(AstPayloadField(fname, fspan, ftype))
-    end = ts.expect("}").span
-    return AstPayload(name, fields, start.merge(end))
+    return AstPayload(name, fields, (start, _end(ts.expect("}"))))
 
 
 def _parse_type_ref(ts: _Stream) -> AstTypeRef:
-    tok = ts.current
-    if tok.text in _PRIM_NAMES:
+    tok = kind, text, start = ts.current
+    span = (start, start + len(text))
+    if text in _PRIM_NAMES:
         ts.advance()
-        return AstTypeRef(_PRIM_NAMES[tok.text], None, tok.span)
-    if tok.kind is TokenKind.IDENT:
+        return AstTypeRef(_PRIM_NAMES[text], None, span)
+    if kind is TokenKind.IDENT:
         ts.advance()
-        return AstTypeRef(None, Ref(tok.text, tok.span), tok.span)
-    ts.fail(f"expected a type (int, float, bool, string, or payload name), got {tok.describe()}")
+        return AstTypeRef(None, _new(Ref, (text, span)), span)
+    ts.fail(f"expected a type (int, float, bool, string, or payload name), got {describe(tok)}")
     raise AssertionError  # unreachable
 
 
 def _parse_interface(ts: _Stream) -> AstInterface:
-    start = ts.expect("interface").span
+    start = ts.expect("interface")[2]
     name = _entity_name(ts, "interface name")
     ts.expect("{")
     ops: list[AstOperation] = []
@@ -340,24 +369,22 @@ def _parse_interface(ts: _Stream) -> AstInterface:
         ts.expect(")")
         ts.expect(";")
         ops.append(AstOperation(op_name, payload))
-    end = ts.expect("}").span
-    return AstInterface(name, ops, start.merge(end))
+    return AstInterface(name, ops, (start, _end(ts.expect("}"))))
 
 
 def _parse_instance(ts: _Stream) -> AstInstance:
-    start = ts.expect("instance").span
+    start = ts.expect("instance")[2]
     name = _entity_name(ts, "instance name")
     ts.expect(":")
     comp = _entity_name(ts, "component name")
-    end = ts.expect(";").span
-    return AstInstance(name, comp, start.merge(end))
+    return AstInstance(name, comp, (start, _end(ts.expect(";"))))
 
 
 def _parse_component(ts: _Stream) -> AstComponent:
-    start = ts.expect("component").span
+    start = ts.expect("component")[2]
     name = _entity_name(ts, "component name")
     ts.expect(":")
-    kind_span = ts.current.span
+    kind_span = (ts.current[2], _end(ts.current))
     kind = _enum_word(ts, TokenKind.IDENT, ComponentKind, "a component kind (IoTElement, Board, or VirtualEntity)")
     comp = AstComponent(name=name, kind=kind, kind_span=kind_span)
     ts.expect("{")
@@ -381,10 +408,9 @@ def _parse_component(ts: _Stream) -> AstComponent:
         else:
             ts.fail(
                 "expected a component member (property, port, instance, connect, "
-                f"event, action, or statemachine), got {ts.current.describe()}"
+                f"event, action, or statemachine), got {describe(ts.current)}"
             )
-    end = ts.expect("}").span
-    comp.span = start.merge(end)
+    comp.span = (start, _end(ts.expect("}")))
     return comp
 
 
@@ -392,43 +418,43 @@ def _parse_property(ts: _Stream) -> AstProperty:
     ts.expect("property")
     name, name_span = _member_name(ts, "property name")
     ts.expect(":")
-    type_tok = ts.current
-    if type_tok.text not in _PRIM_NAMES:
-        ts.fail(f"expected a primitive type (int, float, bool, string), got {type_tok.describe()}")
+    type_tok = _, type_text, type_start = ts.current
+    if type_text not in _PRIM_NAMES:
+        ts.fail(f"expected a primitive type (int, float, bool, string), got {describe(type_tok)}")
     ts.advance()
     ts.expect("=")
     initial = _parse_literal(ts)
     ts.expect(";")
-    return AstProperty(name, name_span, _PRIM_NAMES[type_tok.text], type_tok.span, initial)
+    return AstProperty(name, name_span, _PRIM_NAMES[type_text], (type_start, _end(type_tok)), initial)
 
 
 def _parse_literal(ts: _Stream) -> Literal:
-    tok = ts.current
-    if tok.kind is TokenKind.INT:
+    tok = kind, text, _ = ts.current
+    if kind is TokenKind.INT:
         try:
-            value = int(tok.text)
+            value = int(text)
         except ValueError:  # past the interpreter's int-string digit limit
-            ts.fail(f"integer literal of {len(tok.text)} digits is out of range")
+            ts.fail(f"integer literal of {len(text)} digits is out of range")
         ts.advance()
-        return Literal(value, PrimType.INT, tok.span)
-    if tok.kind is TokenKind.FLOAT:
-        value = float(tok.text)
+        return Literal(value, PrimType.INT, ts.source_span(tok))
+    if kind is TokenKind.FLOAT:
+        value = float(text)
         if math.isinf(value):
             ts.fail("float literal is out of range")
         ts.advance()
-        return Literal(value, PrimType.FLOAT, tok.span)
-    if tok.kind is TokenKind.STRING:
+        return Literal(value, PrimType.FLOAT, ts.source_span(tok))
+    if kind is TokenKind.STRING:
         ts.advance()
-        return Literal(decode_string(tok.text), PrimType.STRING, tok.span)
-    if tok.text in ("true", "false"):
+        return Literal(decode_string(text), PrimType.STRING, ts.source_span(tok))
+    if text in ("true", "false"):
         ts.advance()
-        return Literal(tok.text == "true", PrimType.BOOL, tok.span)
-    ts.fail(f"expected a literal, got {tok.describe()}")
+        return Literal(text == "true", PrimType.BOOL, ts.source_span(tok))
+    ts.fail(f"expected a literal, got {describe(tok)}")
     raise AssertionError  # unreachable
 
 
 def _parse_port(ts: _Stream) -> AstPort:
-    start = ts.expect("port").span
+    start = ts.expect("port")[2]
     name = _entity_name(ts, "port name")
     provides: list[Ref] = []
     requires: list[Ref] = []
@@ -451,8 +477,7 @@ def _parse_port(ts: _Stream) -> AstPort:
             break
     if not provides and not requires:
         ts.fail("port must provide or require at least one interface")
-    end = ts.expect(";").span
-    return AstPort(name, provides, requires, start.merge(end))
+    return AstPort(name, provides, requires, (start, _end(ts.expect(";"))))
 
 
 def _ref_list(ts: _Stream, what: str) -> list[Ref]:
@@ -463,31 +488,27 @@ def _ref_list(ts: _Stream, what: str) -> list[Ref]:
 
 
 def _parse_connector(ts: _Stream) -> AstConnector:
-    start = ts.expect("connect").span
+    start = ts.expect("connect")[2]
     a = _parse_endpoint(ts)
     ts.expect("--")
     b = _parse_endpoint(ts)
-    end = ts.expect(";").span
-    return AstConnector(a, b, start.merge(end))
+    return AstConnector(a, b, (start, _end(ts.expect(";"))))
 
 
 def _parse_endpoint(ts: _Stream) -> AstEndpoint:
-    tok = ts.current
-    if tok.text == "self":
-        ts.advance()
+    if ts.check("self"):
+        start = ts.advance()[2]
         inst: Ref | None = None
-        inst_span = tok.span
     else:
-        ref = _entity_name(ts, "instance name or 'self'")
-        inst = ref
-        inst_span = ref.span
+        inst = _entity_name(ts, "instance name or 'self'")
+        start = inst.span[0]
     ts.expect(".")
     port = _entity_name(ts, "port name")
-    return AstEndpoint(inst, port, inst_span.merge(port.span))
+    return AstEndpoint(inst, port, (start, port.span[1]))
 
 
 def _parse_event(ts: _Stream) -> AstEvent:
-    start = ts.expect("event").span
+    start = ts.expect("event")[2]
     name = _entity_name(ts, "event name")
     direction = _enum_word(ts, TokenKind.KEYWORD, EventDirection, "an event direction (incoming, outgoing, generic)")
     port = None
@@ -498,12 +519,11 @@ def _parse_event(ts: _Stream) -> AstEvent:
         payload = _entity_name(ts, "payload name")
     ts.expect("action")
     action = _entity_name(ts, "action name")
-    end = ts.expect(";").span
-    return AstEvent(name, direction, port, payload, action, start.merge(end))
+    return AstEvent(name, direction, port, payload, action, (start, _end(ts.expect(";"))))
 
 
 def _parse_action(ts: _Stream) -> AstAction:
-    start = ts.expect("action").span
+    start = ts.expect("action")[2]
     name = _entity_name(ts, "action name")
     kind = _enum_word(ts, TokenKind.KEYWORD, ACTION_KEYWORDS.__getitem__, "an action kind (send, receive, generic)")
     port = None
@@ -520,14 +540,14 @@ def _parse_action(ts: _Stream) -> AstAction:
             expr = _parse_expr(ts)
             ts.expect(";")
             effects.append(AstAssign(target, target_span, expr))
-        end = ts.expect("}").span
+        end = ts.expect("}")
     else:
-        end = ts.expect(";").span
-    return AstAction(name, kind, port, payload, effects, start.merge(end))
+        end = ts.expect(";")
+    return AstAction(name, kind, port, payload, effects, (start, _end(end)))
 
 
 def _parse_machine(ts: _Stream) -> AstMachine:
-    start = ts.expect("statemachine").span
+    start = ts.expect("statemachine")[2]
     ts.expect("{")
     states: list[AstState] = []
     transitions: list[AstTransition] = []
@@ -537,14 +557,13 @@ def _parse_machine(ts: _Stream) -> AstMachine:
         elif ts.check("transition"):
             transitions.append(_parse_transition(ts))
         else:
-            ts.fail(f"expected a state or transition declaration, got {ts.current.describe()}")
-    end = ts.expect("}").span
-    return AstMachine(states, transitions, start.merge(end))
+            ts.fail(f"expected a state or transition declaration, got {describe(ts.current)}")
+    return AstMachine(states, transitions, (start, _end(ts.expect("}"))))
 
 
 def _parse_state(ts: _Stream) -> AstState:
     initial = ts.accept("initial") is not None
-    start = ts.expect("state").span
+    start = ts.expect("state")[2]
     name = _entity_name(ts, "state name")
     ts.expect("{")
     entry: list[Ref] = []
@@ -552,19 +571,18 @@ def _parse_state(ts: _Stream) -> AstState:
     continuous: list[Ref] = []
     while not ts.check("}"):
         tok = ts.current
-        if tok.text in ("entry", "exit", "continuous"):
+        if tok[1] in ("entry", "exit", "continuous"):
             ts.advance()
             refs = _ref_list(ts, "event name")
             ts.expect(";")
-            {"entry": entry, "exit": exit_, "continuous": continuous}[tok.text].extend(refs)
+            {"entry": entry, "exit": exit_, "continuous": continuous}[tok[1]].extend(refs)
         else:
-            ts.fail(f"expected entry, exit, or continuous, got {tok.describe()}")
-    end = ts.expect("}").span
-    return AstState(name, initial, entry, exit_, continuous, start.merge(end))
+            ts.fail(f"expected entry, exit, or continuous, got {describe(tok)}")
+    return AstState(name, initial, entry, exit_, continuous, (start, _end(ts.expect("}"))))
 
 
 def _parse_transition(ts: _Stream) -> AstTransition:
-    start = ts.expect("transition").span
+    start = ts.expect("transition")[2]
     source = _entity_name(ts, "source state name")
     ts.expect("->")
     target = _entity_name(ts, "target state name")
@@ -575,13 +593,12 @@ def _parse_transition(ts: _Stream) -> AstTransition:
     if ts.accept("["):
         guard = _parse_expr(ts)
         ts.expect("]")
-    end = ts.expect(";").span
-    return AstTransition(source, target, trigger, guard, start.merge(end))
+    return AstTransition(source, target, trigger, guard, (start, _end(ts.expect(";"))))
 
 
 # Expression parsing: or < and < not < comparison < atom. Each function
-# returns the tree and its height, the number of operator nodes on its
-# longest path.
+# returns the tree, its height (the number of operator nodes on its longest
+# path) and the offsets the tree spans. Expression nodes keep a SourceSpan.
 
 # Deepest expression the parser accepts. Open "(" and "not" are counted on the
 # way down, which bounds the parser's own recursion; the height is checked on
@@ -589,6 +606,8 @@ def _parse_transition(ts: _Stream) -> AstTransition:
 # typing, evaluation and rendering walk recursively.
 MAX_EXPR_DEPTH = 100
 _TOO_DEEP = f"expression nested deeper than {MAX_EXPR_DEPTH} levels"
+
+_Parsed = tuple[Expr, int, int, int]  # (tree, height, start, end)
 
 
 def _parse_expr(ts: _Stream) -> Expr:
@@ -598,7 +617,7 @@ def _parse_expr(ts: _Stream) -> Expr:
 def _node_height(ts: _Stream, child_height: int, op_tok: Token) -> int:
     """Height of a new operator node over its tallest child; E_PARSE past the limit."""
     if child_height >= MAX_EXPR_DEPTH:
-        ts.fail(_TOO_DEEP, op_tok.span)
+        ts.fail(_TOO_DEEP, op_tok)
     return child_height + 1
 
 
@@ -610,69 +629,68 @@ def _open(ts: _Stream) -> Token:
     return ts.advance()
 
 
-def _parse_or(ts: _Stream) -> tuple[Expr, int]:
-    expr, height = _parse_and(ts)
+def _parse_or(ts: _Stream) -> _Parsed:
+    expr, height, start, end = _parse_and(ts)
     while ts.check("or"):
         op_tok = ts.advance()
-        right, right_height = _parse_and(ts)
+        right, right_height, _, end = _parse_and(ts)
         height = _node_height(ts, max(height, right_height), op_tok)
-        expr = Binary("or", expr, right, expr.span.merge(right.span))
-    return expr, height
+        expr = Binary("or", expr, right, ts.locator.span(start, end))
+    return expr, height, start, end
 
 
-def _parse_and(ts: _Stream) -> tuple[Expr, int]:
-    expr, height = _parse_unary(ts)
+def _parse_and(ts: _Stream) -> _Parsed:
+    expr, height, start, end = _parse_unary(ts)
     while ts.check("and"):
         op_tok = ts.advance()
-        right, right_height = _parse_unary(ts)
+        right, right_height, _, end = _parse_unary(ts)
         height = _node_height(ts, max(height, right_height), op_tok)
-        expr = Binary("and", expr, right, expr.span.merge(right.span))
-    return expr, height
+        expr = Binary("and", expr, right, ts.locator.span(start, end))
+    return expr, height, start, end
 
 
-def _parse_unary(ts: _Stream) -> tuple[Expr, int]:
+def _parse_unary(ts: _Stream) -> _Parsed:
     if ts.check("not"):
         tok = _open(ts)
-        operand, height = _parse_unary(ts)
+        operand, height, _, end = _parse_unary(ts)
         ts.nesting -= 1
-        expr = Unary("not", operand, tok.span.merge(operand.span))
-        return expr, _node_height(ts, height, tok)
+        expr = Unary("not", operand, ts.locator.span(tok[2], end))
+        return expr, _node_height(ts, height, tok), tok[2], end
     return _parse_comparison(ts)
 
 
-def _parse_comparison(ts: _Stream) -> tuple[Expr, int]:
-    left, height = _parse_atom(ts)
+def _parse_comparison(ts: _Stream) -> _Parsed:
+    left, height, start, end = _parse_atom(ts)
     tok = ts.current
-    if tok.text in _COMPARISONS:
+    if tok[1] in _COMPARISONS:
         ts.advance()
-        right, right_height = _parse_atom(ts)
+        right, right_height, _, end = _parse_atom(ts)
         height = _node_height(ts, max(height, right_height), tok)
-        return Binary(tok.text, left, right, left.span.merge(right.span)), height
-    return left, height
+        return Binary(tok[1], left, right, ts.locator.span(start, end)), height, start, end
+    return left, height, start, end
 
 
-def _parse_atom(ts: _Stream) -> tuple[Expr, int]:
-    tok = ts.current
-    if tok.kind in (TokenKind.INT, TokenKind.FLOAT, TokenKind.STRING):
-        return _parse_literal(ts), 0
-    if tok.text in ("true", "false"):
-        return _parse_literal(ts), 0
-    if tok.text == "payload":
+def _parse_atom(ts: _Stream) -> _Parsed:
+    tok = kind, text, start = ts.current
+    if kind in (TokenKind.INT, TokenKind.FLOAT, TokenKind.STRING) or text in ("true", "false"):
+        return _parse_literal(ts), 0, start, _end(tok)
+    if text == "payload":
         ts.advance()
         ts.expect(".", what="'.' after 'payload'")
         member = ts.current
-        if member.kind not in (TokenKind.IDENT, TokenKind.KEYWORD):
-            ts.fail(f"expected payload field name, got {member.describe()}")
+        if member[0] not in (TokenKind.IDENT, TokenKind.KEYWORD):
+            ts.fail(f"expected payload field name, got {describe(member)}")
         ts.advance()
-        return PayloadFieldRef(member.text, tok.span.merge(member.span)), 0
-    if tok.kind is TokenKind.IDENT or (tok.kind is TokenKind.KEYWORD and tok.text not in EXPR_RESERVED):
+        end = _end(member)
+        return PayloadFieldRef(member[1], ts.locator.span(start, end)), 0, start, end
+    if kind is TokenKind.IDENT or (kind is TokenKind.KEYWORD and text not in EXPR_RESERVED):
         ts.advance()
-        return NameRef(tok.text, tok.span), 0
-    if tok.text == "(":
+        return NameRef(text, ts.source_span(tok)), 0, start, _end(tok)
+    if text == "(":
         _open(ts)
         inner = _parse_or(ts)
         ts.expect(")")
         ts.nesting -= 1
         return inner
-    ts.fail(f"expected an expression, got {tok.describe()}")
+    ts.fail(f"expected an expression, got {describe(tok)}")
     raise AssertionError  # unreachable

@@ -24,7 +24,7 @@ import math
 import re
 from dataclasses import dataclass, field
 
-from .diagnostics import CiotError
+from .diagnostics import CiotError, require_text
 from .engine import RuntimeState, bind_internal, instantiate, quiesce
 from .guards import PrimType, describe_value, fit_value
 from .metamodel import ComponentDef, EventDef, EventDirection, Model
@@ -104,6 +104,7 @@ def _positive(name: str, value) -> float:
 
 
 def load_scenario(text: str, source: str | None = None) -> Scenario:
+    require_text(text)
     mode: str | None = None
     horizon: int | None = None
     period: int | None = None

@@ -4,16 +4,22 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ciot.diagnostics import CiotError
+from ciot.diagnostics import CiotError, Locator, SourceSpan
 from ciot.lexer import KEYWORDS, Token, TokenKind, decode_string, tokenize
 
 
 def kinds(tokens: list[Token]) -> list[TokenKind]:
-    return [t.kind for t in tokens]
+    return [kind for kind, _, _ in tokens]
 
 
 def texts(tokens: list[Token]) -> list[str]:
-    return [t.text for t in tokens]
+    return [text for _, text, _ in tokens]
+
+
+def spans(source: str, tokens: list[Token]) -> list[SourceSpan]:
+    """Each token's span, read through the source's locator."""
+    at = Locator(source).span
+    return [at(start, start + len(text)) for _, text, start in tokens]
 
 
 def test_component_header_tokens():
@@ -37,7 +43,7 @@ def test_guard_fragment_tokens():
         TokenKind.PUNCT,
         TokenKind.INT,
     ]
-    assert toks[4].text == "300"
+    assert texts(toks)[4] == "300"
 
 
 def test_unterminated_string_reports_start_column():
@@ -56,8 +62,8 @@ def test_illegal_character_position():
 
 
 def test_lines_and_columns_are_one_based():
-    toks = tokenize("a\n  bb\nccc")
-    a, bb, ccc = toks[0], toks[1], toks[2]
+    source = "a\n  bb\nccc"
+    a, bb, ccc = spans(source, tokenize(source))[:3]
     assert (a.line, a.column) == (1, 1)
     assert (bb.line, bb.column) == (2, 3)
     assert (ccc.line, ccc.column) == (3, 1)
@@ -86,22 +92,26 @@ def test_keywords_versus_identifiers():
 
 
 def test_end_of_input_after_trailing_comment_sits_at_comment_start():
-    toks = tokenize("port p1; // tail")
-    assert (toks[-1].kind, toks[-1].line, toks[-1].column) == (TokenKind.EOI, 1, 10)
-    toks = tokenize("port p1; // tail\n")
-    assert (toks[-1].line, toks[-1].column) == (2, 1)
+    source = "port p1; // tail"
+    toks = tokenize(source)
+    eoi = spans(source, toks)[-1]
+    assert (kinds(toks)[-1], eoi.line, eoi.column) == (TokenKind.EOI, 1, 10)
+    source = "port p1; // tail\n"
+    eoi = spans(source, tokenize(source))[-1]
+    assert (eoi.line, eoi.column) == (2, 1)
 
 
 def test_comments_and_blank_lines_are_skipped():
-    toks = tokenize("// header\nport p1; // tail\n\n// done")
+    source = "// header\nport p1; // tail\n\n// done"
+    toks = tokenize(source)
     assert texts(toks)[:-1] == ["port", "p1", ";"]
-    assert toks[0].line == 2
+    assert spans(source, toks)[0].line == 2
 
 
 def test_string_escapes_decode():
     toks = tokenize('"a\\"b\\\\c\\nd\\te"')
-    assert toks[0].kind is TokenKind.STRING
-    assert decode_string(toks[0].text) == 'a"b\\c\nd\te'
+    assert kinds(toks)[0] is TokenKind.STRING
+    assert decode_string(texts(toks)[0]) == 'a"b\\c\nd\te'
 
 
 def _strip_outside_strings(source: str) -> str:
@@ -131,7 +141,7 @@ def test_concatenation_reproduces_corpus_source(parking_path):
     with open(parking_path, encoding="utf-8") as fh:
         source = fh.read()
     toks = tokenize(source)
-    assert "".join(t.text for t in toks) == _strip_outside_strings(source)
+    assert "".join(texts(toks)) == _strip_outside_strings(source)
 
 
 _WORD = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,8}", fullmatch=True).filter(
@@ -149,7 +159,7 @@ _PIECE = st.one_of(
 def test_token_texts_round_trip(pieces):
     source = " ".join(pieces)
     toks = tokenize(source)
-    assert "".join(t.text for t in toks) == source.replace(" ", "")
+    assert "".join(texts(toks)) == source.replace(" ", "")
 
 
 # --- positions ------------------------------------------------------------------
@@ -192,12 +202,12 @@ def _at(source: str, line: int, column: int, length: int) -> str:
 @given(_sources())
 def test_each_token_text_sits_at_its_position(source):
     toks = tokenize(source)
-    for tok in toks[:-1]:
-        assert _at(source, tok.line, tok.column, len(tok.text)) == tok.text
-    positions = [(t.line, t.column) for t in toks]
+    positions = [(span.line, span.column) for span in spans(source, toks)]
+    for (line, column), text in zip(positions[:-1], texts(toks)):
+        assert _at(source, line, column, len(text)) == text
     assert positions == sorted(set(positions))
-    assert toks[-1].kind is TokenKind.EOI
-    assert toks[-1].line == source.count("\n") + 1
+    assert kinds(toks)[-1] is TokenKind.EOI
+    assert positions[-1][0] == source.count("\n") + 1
 
 
 @settings(max_examples=50)
@@ -226,10 +236,58 @@ def test_stray_character_reported_at_its_position(prefix, blanks, char, rest):
 @example('"when" "{" "" when_ _or or1 007 1.5 x.y')
 def test_only_keywords_and_punctuation_have_their_texts(source):
     """The parser knows a keyword or a punctuation mark by its text alone."""
-    for tok in tokenize(source):
-        if tok.kind is TokenKind.KEYWORD:
-            assert tok.text in KEYWORDS
-        elif tok.kind is TokenKind.PUNCT:
-            assert tok.text in PUNCTUATION
+    for kind, text, _ in tokenize(source):
+        if kind is TokenKind.KEYWORD:
+            assert text in KEYWORDS
+        elif kind is TokenKind.PUNCT:
+            assert text in PUNCTUATION
         else:
-            assert tok.text not in KEYWORDS and tok.text not in PUNCTUATION
+            assert text not in KEYWORDS and text not in PUNCTUATION
+
+
+@given(_sources())
+def test_locator_agrees_with_counting_newlines(source):
+    at = Locator(source).span
+    for offset in range(len(source) + 1):
+        line = source.count("\n", 0, offset) + 1
+        column = offset - source.rfind("\n", 0, offset)
+        assert at(offset, offset) == (line, column, line, column)
+        if offset < len(source):
+            assert at(0, offset + 1) == (1, 1, line, column)
+
+
+# A scan that searched past a bad character, or whose blanks could match in
+# more than one way, would take minutes on these; no timing is asserted.
+@pytest.mark.parametrize(
+    "blanks, line, column",
+    [(" " * 100_000, 1, 100_001), ("\n" * 100_000, 100_001, 1), ("// c\n" * 25_000, 25_001, 1)],
+    ids=["spaces", "newlines", "comments"],
+)
+@pytest.mark.parametrize(
+    "bad, message", [("@", "unexpected character '@'"), ('"', "unterminated string literal")], ids=["stray", "quote"]
+)
+def test_bad_character_after_many_blanks(blanks, line, column, bad, message):
+    with pytest.raises(CiotError) as exc:
+        tokenize(blanks + bad)
+    assert [(d.rule, d.message, d.span.line, d.span.column) for d in exc.value.diagnostics] == [
+        ("E_LEX", message, line, column)
+    ]
+
+
+def test_end_of_input_after_many_blank_lines():
+    source = "instance a: A;" + "\n" * 100_000
+    toks = tokenize(source)
+    assert texts(toks) == ["instance", "a", ":", "A", ";", ""]
+    eoi = spans(source, toks)[-1]
+    assert (kinds(toks)[-1], eoi.line, eoi.column) == (TokenKind.EOI, 100_001, 1)
+
+
+@pytest.mark.parametrize("source, line, column", [('// a "\n@', 2, 1), ('// x\n// y "\n  @ z', 3, 3)])
+def test_comment_is_not_reread_before_a_bad_character(source, line, column):
+    """The words and quotes of a comment never become tokens, also when the
+    scan fails after it."""
+    with pytest.raises(CiotError) as exc:
+        tokenize(source)
+    assert [(d.message, d.span.line, d.span.column) for d in exc.value.diagnostics] == [
+        ("unexpected character '@'", line, column)
+    ]

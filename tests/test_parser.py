@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 from ciot.diagnostics import CiotError, SourceSpan
 from ciot.engine import instantiate
 from ciot.export import export_model
-from ciot.loader import collect_diagnostics
+from ciot.lexer import tokenize
+from ciot.loader import collect_diagnostics, load_text
 from ciot.metamodel import with_property_initial
 from ciot.parser import MAX_EXPR_DEPTH, parse, parse_expression
+from ciot.sim import load_scenario
 
 CORPUS_DIR = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 SYNTAX_DIR = CORPUS_DIR / "syntax_errors"
@@ -362,7 +364,26 @@ def test_top_level_declaration_spans_run_from_keyword_to_terminator(parking_path
         *(("instance", d.span, ";") for d in ast.instances),
     ]
     assert len(declarations) == 13
-    for keyword, span, terminator in declarations:
-        line, column, end_line, end_column = _full(span)
+    for keyword, offsets, terminator in declarations:
+        line, column, end_line, end_column = _full(ast.locator.span(*offsets))
         assert lines[line - 1][column - 1 :].startswith(keyword + " ")
         assert lines[end_line - 1][end_column - 1] == terminator
+
+
+@pytest.mark.parametrize(
+    "entry, text, message",
+    [
+        (tokenize, None, "text must be a str, got NoneType"),
+        (parse, b"component", "text must be a str, got bytes"),
+        (parse_expression, 1, "text must be a str, got int"),
+        (load_text, None, "text must be a str, got NoneType"),
+        (collect_diagnostics, b"component", "text must be a str, got bytes"),
+        (load_scenario, None, "text must be a str, got NoneType"),
+    ],
+    ids=lambda v: getattr(v, "__name__", None),
+)
+def test_text_entry_points_reject_non_str_text(entry, text, message):
+    with pytest.raises(CiotError) as exc:
+        entry(text)
+    assert exc.value.code == "E_USAGE"
+    assert [d.render() for d in exc.value.diagnostics] == [f"<input>: error E_USAGE {message}"]
