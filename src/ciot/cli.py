@@ -112,11 +112,7 @@ def _cmd_run(args) -> int:
 def _cmd_simulate(args) -> int:
     model = load_file(args.model)
     if args.threshold_ms is not None:
-        try:
-            model = with_property_initial(model, THRESHOLD_PROPERTY, args.threshold_ms)
-        except ValueError as exc:
-            print(f"--threshold-ms: {exc}", file=sys.stderr)
-            return 1
+        model = with_property_initial(model, THRESHOLD_PROPERTY, args.threshold_ms)
     scenario = load_scenario_file(args.scenario)
     if not args.trace:
         # Without a trace to write, a model whose timeline cannot be read

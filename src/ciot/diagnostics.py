@@ -124,11 +124,11 @@ class CiotError(Exception):
         return cls(code, [error(code, message, span, file)])
 
 
-def require_text(text: object) -> None:
-    """Raise E_USAGE unless ``text``, model or scenario text handed to an
-    entry point, is a str."""
-    if not isinstance(text, str):
-        raise CiotError.of(E_USAGE, f"text must be a str, got {type(text).__name__}")
+def require_type(value: object, kind: type, what: str) -> None:
+    """Raise E_USAGE unless ``value``, the argument ``what`` handed to an
+    entry point (model or scenario text, a model, a scenario), is a ``kind``."""
+    if not isinstance(value, kind):
+        raise CiotError.of(E_USAGE, f"{what} must be a {kind.__name__}, got {type(value).__name__}")
 
 
 def error(rule: str, message: str, span: SourceSpan | None = None, file: str | None = None) -> Diagnostic:

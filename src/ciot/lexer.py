@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from enum import Enum
 
-from .diagnostics import E_LEX, CiotError, Locator, require_text
+from .diagnostics import E_LEX, CiotError, Locator, require_type
 
 
 class TokenKind(Enum):
@@ -116,7 +116,7 @@ def describe(token: Token) -> str:
 
 def tokenize(source: str, file: str | None = None) -> list[Token]:
     """Tokenize ``source``; raises CiotError (E_LEX) on the first bad character."""
-    require_text(source)
+    require_type(source, str, "text")
     tokens: list[Token] = []
     append = tokens.append
     match = _SCAN.match

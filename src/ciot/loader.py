@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .diagnostics import CiotError, Diagnostic, Severity, require_text
+from .diagnostics import CiotError, Diagnostic, Severity, require_type
 from .metamodel import Model
 from .parser import parse
 from .resolver import resolve
@@ -27,7 +27,7 @@ def load_file(path: str, *, check: bool = True) -> Model:
 def collect_diagnostics(text: str, source: str | None = None) -> tuple[Model | None, list[Diagnostic]]:
     """Gather every diagnostic instead of raising; model is None when the
     text does not even resolve. Text that is not a str raises E_USAGE."""
-    require_text(text)
+    require_type(text, str, "text")
     try:
         model = resolve(parse(text, source))
     except CiotError as exc:

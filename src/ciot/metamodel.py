@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Union
 
-from .diagnostics import SourceSpan
+from .diagnostics import CiotError, SourceSpan
 from .guards import Expr, PrimType, describe_value, fit_value
 
 __all__ = [
@@ -318,12 +318,11 @@ def with_property_initial(model: Model, prop_name: str, value: int | float | boo
     int, floats are finite). The override is a run input, like ``source``:
     ``instantiate`` applies it, while equality, ``export_model`` and
     ``validate`` see the declared values. The result shares every declaration
-    with ``model``, which is left untouched; raises ValueError when nothing
+    with ``model``, which is left untouched; raises E_DOMAIN when nothing
     matched.
     """
     props = (p for c in model.components for p in c.properties if p.name == prop_name)
     if all(fit_value(p.type, value) is None for p in props):
-        raise ValueError(
-            f"no component declares a property named {prop_name!r} accepting {describe_value(value)}"
-        )
+        message = f"no component declares a property named {prop_name!r} accepting {describe_value(value)}"
+        raise CiotError.of("E_DOMAIN", message)
     return replace(model, overrides={**model.overrides, prop_name: value})

@@ -83,7 +83,6 @@ class AstProperty:
     name: str
     name_span: Offsets
     type: PrimType
-    type_span: Offsets
     initial: Literal
 
 
@@ -173,7 +172,6 @@ class AstMachine:
 class AstComponent:
     name: Ref
     kind: ComponentKind
-    kind_span: Offsets
     properties: list[AstProperty] = field(default_factory=list)
     ports: list[AstPort] = field(default_factory=list)
     instances: list[AstInstance] = field(default_factory=list)
@@ -384,9 +382,8 @@ def _parse_component(ts: _Stream) -> AstComponent:
     start = ts.expect("component")[2]
     name = _entity_name(ts, "component name")
     ts.expect(":")
-    kind_span = (ts.current[2], _end(ts.current))
     kind = _enum_word(ts, TokenKind.IDENT, ComponentKind, "a component kind (IoTElement, Board, or VirtualEntity)")
-    comp = AstComponent(name=name, kind=kind, kind_span=kind_span)
+    comp = AstComponent(name=name, kind=kind)
     ts.expect("{")
     while not ts.check("}"):
         if ts.check("property"):
@@ -418,14 +415,14 @@ def _parse_property(ts: _Stream) -> AstProperty:
     ts.expect("property")
     name, name_span = _member_name(ts, "property name")
     ts.expect(":")
-    type_tok = _, type_text, type_start = ts.current
+    type_tok = _, type_text, _ = ts.current
     if type_text not in _PRIM_NAMES:
         ts.fail(f"expected a primitive type (int, float, bool, string), got {describe(type_tok)}")
     ts.advance()
     ts.expect("=")
     initial = _parse_literal(ts)
     ts.expect(";")
-    return AstProperty(name, name_span, _PRIM_NAMES[type_text], (type_start, _end(type_tok)), initial)
+    return AstProperty(name, name_span, _PRIM_NAMES[type_text], initial)
 
 
 def _parse_literal(ts: _Stream) -> Literal:

@@ -22,9 +22,11 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from itertools import groupby
+from operator import attrgetter
 
-from .diagnostics import CiotError, require_text
+from .diagnostics import CiotError, require_type
 from .engine import RuntimeState, bind_internal, instantiate, quiesce
 from .guards import PrimType, describe_value, fit_value
 from .metamodel import ComponentDef, EventDef, EventDirection, Model
@@ -104,16 +106,16 @@ def _positive(name: str, value) -> float:
 
 
 def load_scenario(text: str, source: str | None = None) -> Scenario:
-    require_text(text)
+    require_type(text, str, "text")
     mode: str | None = None
     horizon: int | None = None
-    period: int | None = None
+    period = DEFAULT_SAMPLE_PERIOD_MS
     stimuli: list[Stimulus] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        where = f"line {lineno}"
+        where = f"line {lineno}: "
         if line.startswith("at ") or line == "at":
             stimuli.append(_parse_stimulus(line, where))
             continue
@@ -121,37 +123,21 @@ def load_scenario(text: str, source: str | None = None) -> Scenario:
             key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
             if key == "mode":
-                if value not in MODES:
-                    raise CiotError.of("E_SCENARIO", f"{where}: mode must be one of {MODES}, got {value!r}")
-                mode = value
+                mode = _check_mode(value, where)
             elif key == "horizon_ms":
                 horizon = _parse_int(value, key, where)
             elif key == "sample_period_ms":
                 period = _parse_int(value, key, where)
             else:
-                raise CiotError.of("E_SCENARIO", f"{where}: unknown header {key!r}")
+                raise CiotError.of("E_SCENARIO", f"{where}unknown header {key!r}")
             continue
-        raise CiotError.of("E_SCENARIO", f"{where}: cannot parse {line!r}")
+        raise CiotError.of("E_SCENARIO", f"{where}cannot parse {line!r}")
 
     if mode is None:
         raise CiotError.of("E_SCENARIO", "scenario does not set mode=")
     if horizon is None:
         raise CiotError.of("E_SCENARIO", "scenario does not set horizon_ms=")
-    if horizon < 0:
-        raise CiotError.of("E_SCENARIO", f"horizon_ms must be non-negative, got {horizon}")
-    if period is None:
-        period = DEFAULT_SAMPLE_PERIOD_MS
-    if period <= 0:
-        raise CiotError.of("E_SCENARIO", f"sample_period_ms must be positive, got {period}")
-    for prev, st in zip(stimuli, stimuli[1:]):
-        if st.time_ms < prev.time_ms:
-            raise CiotError.of("E_SCENARIO", f"stimuli out of order: {st.time_ms} ms after {prev.time_ms} ms")
-    for st in stimuli:
-        if st.verb not in _VERBS[mode]:
-            raise CiotError.of("E_SCENARIO", f"stimulus {st.verb!r} is not valid in {mode} mode")
-        if st.time_ms > horizon:
-            raise CiotError.of("E_SCENARIO", f"stimulus at {st.time_ms} ms lies beyond horizon_ms={horizon}")
-    return Scenario(mode, horizon, period, stimuli, source)
+    return _check_scenario(Scenario(mode, horizon, period, stimuli, source))
 
 
 def load_scenario_file(path: str) -> Scenario:
@@ -163,35 +149,85 @@ def load_scenario_file(path: str) -> Scenario:
     return load_scenario(text, path)
 
 
+def _check_scenario(scenario: Scenario) -> Scenario:
+    """``scenario``, or E_SCENARIO unless it keeps every scenario rule."""
+    mode = _check_mode(scenario.mode, "")
+    horizon = _check_type(scenario.horizon_ms, int, "horizon_ms")
+    if horizon < 0:
+        raise CiotError.of("E_SCENARIO", f"horizon_ms must be non-negative, got {describe_value(horizon)}")
+    period = _check_type(scenario.sample_period_ms, int, "sample_period_ms")
+    if period <= 0:
+        raise CiotError.of("E_SCENARIO", f"sample_period_ms must be positive, got {describe_value(period)}")
+    stimuli = _check_type(scenario.stimuli, list, "stimuli")
+    for i, st in enumerate(stimuli):
+        _check_type(st, Stimulus, f"stimuli[{i}]")
+        _check_type(st.slot, str, f"stimuli[{i}].slot")
+        _check_time(_check_type(st.time_ms, int, f"stimuli[{i}].time_ms"), f"stimuli[{i}]: ")
+        if i and st.time_ms < stimuli[i - 1].time_ms:
+            raise CiotError.of("E_SCENARIO", f"stimuli out of order: {st.time_ms} ms after {stimuli[i - 1].time_ms} ms")
+    for i, st in enumerate(stimuli):
+        if st.verb not in _VERBS[mode]:
+            raise CiotError.of("E_SCENARIO", f"stimulus {st.verb!r} is not valid in {mode} mode")
+        _check_value(st.verb, st.value, f"stimuli[{i}]: ", describe_value(st.value))
+        if st.time_ms > horizon:
+            raise CiotError.of("E_SCENARIO", f"stimulus at {st.time_ms} ms lies beyond horizon_ms={horizon}")
+    return scenario
+
+
+def _check_type(value, kind: type, what: str):
+    """``value`` if its type is exactly ``kind`` (a bool is no int), else E_SCENARIO."""
+    if type(value) is not kind:
+        raise CiotError.of("E_SCENARIO", f"{what} must be of type {kind.__name__}, got {describe_value(value)}")
+    return value
+
+
+def _check_mode(mode, where: str) -> str:
+    if mode not in MODES:
+        raise CiotError.of("E_SCENARIO", f"{where}mode must be one of {MODES}, got {mode!r}")
+    return mode
+
+
+def _check_time(time_ms: int, where: str) -> int:
+    if time_ms < 0:
+        raise CiotError.of("E_SCENARIO", f"{where}stimulus time must be non-negative")
+    return time_ms
+
+
+def _check_value(verb: str, value, where: str, shown: str) -> None:
+    """None for ``vacate``, finite and above 0 for ``occupy``, finite and 0 or more for ``echo``."""
+    if verb == "vacate":
+        if value is not None:
+            raise CiotError.of("E_SCENARIO", f"{where}vacate takes no value")
+    elif (number := fit_value(PrimType.FLOAT, value)) is None:
+        raise CiotError.of("E_SCENARIO", f"{where}{verb} value {shown} is not a finite number")
+    elif verb == "occupy" and number <= 0:
+        raise CiotError.of("E_SCENARIO", f"{where}occupy distance must be positive")
+    elif verb == "echo" and number < 0:
+        raise CiotError.of("E_SCENARIO", f"{where}echo duration must be non-negative")
+
+
 def _parse_stimulus(line: str, where: str) -> Stimulus:
     tokens = line.split()
     if len(tokens) < 5 or tokens[0] != "at" or tokens[2] != "slot":
-        raise CiotError.of("E_SCENARIO", f"{where}: expected 'at <ms> slot <path> <verb> [value]'")
-    time_ms = _parse_int(tokens[1], "time", where)
-    if time_ms < 0:
-        raise CiotError.of("E_SCENARIO", f"{where}: stimulus time must be non-negative")
-    slot, verb = tokens[3], tokens[4]
+        raise CiotError.of("E_SCENARIO", f"{where}expected 'at <ms> slot <path> <verb> [value]'")
+    time_ms = _check_time(_parse_int(tokens[1], "time", where), where)
+    slot, verb, args = tokens[3], tokens[4], tokens[5:]
     if verb == "vacate":
-        if len(tokens) != 5:
-            raise CiotError.of("E_SCENARIO", f"{where}: vacate takes no value")
+        if args:
+            raise CiotError.of("E_SCENARIO", f"{where}vacate takes no value")
         return Stimulus(time_ms, slot, verb, None)
-    if verb in ("occupy", "echo"):
-        if len(tokens) != 6:
-            raise CiotError.of("E_SCENARIO", f"{where}: {verb} needs exactly one value")
-        try:
-            value = float(tokens[5])
-        except ValueError:
-            raise CiotError.of("E_SCENARIO", f"{where}: {verb} value {tokens[5]!r} is not a number")
-        if not math.isfinite(value):
-            if NUMBER_DIGITS.fullmatch(tokens[5]):
-                raise _out_of_range(tokens[5], f"{verb} value", where)
-            raise CiotError.of("E_SCENARIO", f"{where}: {verb} value {tokens[5]!r} is not a finite number")
-        if verb == "occupy" and value <= 0:
-            raise CiotError.of("E_SCENARIO", f"{where}: occupy distance must be positive")
-        if verb == "echo" and value < 0:
-            raise CiotError.of("E_SCENARIO", f"{where}: echo duration must be non-negative")
-        return Stimulus(time_ms, slot, verb, value)
-    raise CiotError.of("E_SCENARIO", f"{where}: unknown stimulus verb {verb!r}")
+    if verb not in ("occupy", "echo"):
+        raise CiotError.of("E_SCENARIO", f"{where}unknown stimulus verb {verb!r}")
+    if len(args) != 1:
+        raise CiotError.of("E_SCENARIO", f"{where}{verb} needs exactly one value")
+    try:
+        value = float(args[0])
+    except ValueError:
+        raise CiotError.of("E_SCENARIO", f"{where}{verb} value {args[0]!r} is not a number")
+    if math.isinf(value) and NUMBER_DIGITS.fullmatch(args[0]):
+        raise _out_of_range(args[0], f"{verb} value", where)
+    _check_value(verb, value, where, repr(args[0]))
+    return Stimulus(time_ms, slot, verb, value)
 
 
 def _parse_int(text: str, what: str, where: str) -> int:
@@ -200,13 +236,13 @@ def _parse_int(text: str, what: str, where: str) -> int:
     except ValueError:
         if _INT_DIGITS.fullmatch(text):
             raise _out_of_range(text, what, where)
-        raise CiotError.of("E_SCENARIO", f"{where}: {what} {text!r} is not an integer")
+        raise CiotError.of("E_SCENARIO", f"{where}{what} {text!r} is not an integer")
 
 
 def _out_of_range(text: str, what: str, where: str) -> CiotError:
     """The error for a number too large to hold, which names its length, not its digits."""
     digits = sum(ch.isdigit() for ch in text)
-    return CiotError.of("E_SCENARIO", f"{where}: {what} of {digits} digits is out of range")
+    return CiotError.of("E_SCENARIO", f"{where}{what} of {digits} digits is out of range")
 
 
 def _sensing_event(comp: ComponentDef) -> EventDef | None:
@@ -224,23 +260,19 @@ def _sensing_event(comp: ComponentDef) -> EventDef | None:
 
 def bind_environment(rt: RuntimeState, slots: list[str]) -> dict[str, list[tuple[str, str]]]:
     """Map each scenario slot to the sensing instances at or beneath it."""
-    sensors: list[tuple[str, str]] = []
-    for path in rt.order:
-        ev = _sensing_event(rt.instances[path].component)
-        if ev is not None:
-            sensors.append((path, ev.name))
     # Each sensor under every dotted prefix of its path, in depth-first order.
     beneath: dict[str, list[tuple[str, str]]] = {}
-    for path, event_name in sensors:
+    for path in rt.order:
+        ev = _sensing_event(rt.instances[path].component)
+        if ev is None:
+            continue
         parts = path.split(".")
         for depth in range(1, len(parts) + 1):
-            beneath.setdefault(".".join(parts[:depth]), []).append((path, event_name))
-    bound: dict[str, list[tuple[str, str]]] = {}
+            beneath.setdefault(".".join(parts[:depth]), []).append((path, ev.name))
     for slot in slots:
         if slot not in beneath:
             raise CiotError.of("E_UNBOUND_SENSOR", f"slot {slot!r} matches no sensing instance")
-        bound[slot] = beneath[slot]
-    return bound
+    return {slot: beneath[slot] for slot in slots}
 
 
 def simulate(
@@ -258,9 +290,11 @@ def simulate(
     (E_DOMAIN otherwise), whatever the mode. Each bound sensor's event is
     looked up once per run; every reading is still conformed to its payload.
     """
-    period = scenario.sample_period_ms if sample_period_ms is None else sample_period_ms
-    if period <= 0:
-        raise CiotError.of("E_SCENARIO", f"sample period must be positive, got {period}")
+    require_type(model, Model, "model")
+    require_type(scenario, Scenario, "scenario")
+    if sample_period_ms is not None:
+        scenario = replace(scenario, sample_period_ms=sample_period_ms)
+    period = _check_scenario(scenario).sample_period_ms
     if scenario.horizon_ms // period + 1 > MAX_TICKS:
         raise CiotError.of("E_SCENARIO", f"scenario runs more than {MAX_TICKS} ticks of the sample period")
     speed_m_per_s = _positive("speed_m_per_s", speed_m_per_s)
@@ -268,43 +302,28 @@ def simulate(
     rt = instantiate(model)
     quiesce(rt, max_steps)
 
-    slots = sorted({st.slot for st in scenario.stimuli}) or _implicit_slots(rt)
+    # With no stimuli, every root instance is a slot.
+    slots = sorted({st.slot for st in scenario.stimuli}) or [p for p in rt.order if "." not in p]
     bound = bind_environment(rt, slots)
     triggers = {slot: [bind_internal(rt, path, event_name) for path, event_name in bound[slot]] for slot in slots}
-    # Environment state per slot: distance to the nearest object (physical
-    # mode) or the last echo reading (duration mode, None until set).
-    distance: dict[str, float | None] = {s: None for s in slots}
-    echo: dict[str, float | None] = {s: None for s in slots}
-
+    # Per slot, its last stimulus value: an echo, or a distance (None: no echo yet, or vacant).
+    level: dict[str, float | None] = dict.fromkeys(slots)
     stimuli, applied = scenario.stimuli, 0
     for t_ms in range(0, scenario.horizon_ms + 1, period):
         rt.clock_us = t_ms * 1000
         while applied < len(stimuli) and stimuli[applied].time_ms <= t_ms:
-            st = stimuli[applied]
+            level[stimuli[applied].slot] = stimuli[applied].value
             applied += 1
-            if st.verb == "occupy":
-                distance[st.slot] = st.value
-            elif st.verb == "vacate":
-                distance[st.slot] = None
-            else:
-                echo[st.slot] = st.value
         for slot in slots:
-            if scenario.mode == "duration":
-                reading = echo[slot]
-                if reading is None:
-                    continue
-            else:
-                d = distance[slot] if distance[slot] is not None else floor_distance_m
-                reading = echo_duration(d, speed_m_per_s)
+            reading = level[slot]
+            if scenario.mode == "physical":
+                reading = echo_duration(floor_distance_m if reading is None else reading, speed_m_per_s)
+            elif reading is None:
+                continue
             for trigger in triggers[slot]:
                 trigger({ECHO_FIELD: reading})
                 quiesce(rt, max_steps)
     return SimResult(rt, scenario)
-
-
-def _implicit_slots(rt: RuntimeState) -> list[str]:
-    roots = [p for p in rt.order if "." not in p]
-    return roots
 
 
 def find_led_paths(instances: list[tuple[str, ComponentDef]]) -> tuple[str, str]:
@@ -333,27 +352,16 @@ def occupancy_timeline(result: SimResult) -> list[tuple[int, str]]:
     red_path, green_path = find_led_paths([(p, rt.instances[p].component) for p in rt.order])
     state = {red_path: None, green_path: None}
     timeline: list[tuple[int, str]] = []
-
-    def close_group(t_us: int) -> None:
-        red_on = state[red_path] == "ON"
-        green_on = state[green_path] == "ON"
+    for t_us, records in groupby(rt.trace, attrgetter("time_us")):
+        for rec in records:
+            if rec.kind == "state_entered" and rec.instance in state:
+                state[rec.instance] = rec.values[0]
+        red_on, green_on = state[red_path] == "ON", state[green_path] == "ON"
         if red_on and green_on:
             raise CiotError.of("E_TRACE", f"both indicators ON at t={t_us}us")
-        if not red_on and not green_on:
-            return
-        status = "occupied" if red_on else "vacant"
-        if not timeline or timeline[-1][1] != status:
+        status = "occupied" if red_on else "vacant" if green_on else None
+        if status is not None and (not timeline or timeline[-1][1] != status):
             timeline.append((t_us // 1000, status))
-
-    current_t: int | None = None
-    for rec in rt.trace:
-        if current_t is not None and rec.time_us != current_t:
-            close_group(current_t)
-        current_t = rec.time_us
-        if rec.kind == "state_entered" and rec.instance in state:
-            state[rec.instance] = rec.values[0]
-    if current_t is not None:
-        close_group(current_t)
     return timeline
 
 

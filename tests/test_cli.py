@@ -272,7 +272,7 @@ def test_simulate_non_finite_threshold_fails(capsys, parking_path, arrive_depart
     code, out, err = run_cli(capsys, "simulate", parking_path, arrive_depart_path, "--threshold-ms", value)
     assert code == 1
     assert out == ""
-    assert err == f"--threshold-ms: no component declares a property named 'threshold' accepting {value}\n"
+    assert err == f"<input>: error E_DOMAIN no component declares a property named 'threshold' accepting {value}\n"
 
 
 @pytest.mark.parametrize(

@@ -284,8 +284,9 @@ def test_fit_value_is_the_verdict_at_every_site(t, value):
     model = load_text(_one_property_model(t, _DEFAULT_LITERAL[t]), check=False)
 
     if fit is None:
-        with pytest.raises(ValueError):
+        with pytest.raises(CiotError) as exc:
             with_property_initial(model, "p", value)
+        assert exc.value.code == "E_DOMAIN"
     else:
         assert _same(instantiate(with_property_initial(model, "p", value)).instances["c"].properties["p"], fit)
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from ciot.sim import (
     DEFAULT_SAMPLE_PERIOD_MS,
     MAX_TICKS,
     Scenario,
+    SimResult,
     Stimulus,
     bind_environment,
     echo_duration,
@@ -90,40 +92,58 @@ def test_scenario_vacate_takes_no_value():
     scenario_error("E_SCENARIO", "mode=physical\nhorizon_ms=100\nat 0 slot node vacate 1.0\n")
 
 
+def rejection(text: str) -> str:
+    """The one rendered E_SCENARIO line that loading ``text`` raises."""
+    with pytest.raises(CiotError) as exc:
+        load_scenario(text)
+    assert exc.value.code == "E_SCENARIO"
+    [rendered] = [d.render() for d in exc.value.diagnostics]
+    return rendered
+
+
 def test_scenario_rejections():
-    scenario_error("E_SCENARIO", "horizon_ms=100\n")  # missing mode
-    scenario_error("E_SCENARIO", "mode=duration\n")  # missing horizon
-    scenario_error("E_SCENARIO", "mode=laser\nhorizon_ms=100\n")
-    scenario_error("E_SCENARIO", "mode=duration\nhorizon_ms=100\nfrobnicate=1\n")
-    scenario_error("E_SCENARIO", "mode=duration\nhorizon_ms=-5\n")
-    scenario_error("E_SCENARIO", "mode=duration\nhorizon_ms=100\nsample_period_ms=0\n")
-    scenario_error("E_SCENARIO", "mode=duration\nhorizon_ms=abc\n")
-    scenario_error("E_SCENARIO", "mode=duration\nhorizon_ms=100\nnot a line\n")
+    cases = [
+        ("horizon_ms=100\n", "scenario does not set mode="),
+        ("mode=duration\n", "scenario does not set horizon_ms="),
+        ("mode=laser\nhorizon_ms=100\n", "line 1: mode must be one of ('duration', 'physical'), got 'laser'"),
+        ("mode=duration\nhorizon_ms=100\nfrobnicate=1\n", "line 3: unknown header 'frobnicate'"),
+        ("mode=duration\nhorizon_ms=-5\n", "horizon_ms must be non-negative, got -5"),
+        ("mode=duration\nhorizon_ms=100\nsample_period_ms=0\n", "sample_period_ms must be positive, got 0"),
+        ("mode=duration\nhorizon_ms=abc\n", "line 2: horizon_ms 'abc' is not an integer"),
+        ("mode=duration\nhorizon_ms=100\nnot a line\n", "line 3: cannot parse 'not a line'"),
+    ]
+    for text, message in cases:
+        assert rejection(text) == f"<input>: error E_SCENARIO {message}", text
 
 
 def test_scenario_stimulus_rejections():
     head = "mode=duration\nhorizon_ms=1000\n"
-    scenario_error("E_SCENARIO", head + "at 200 slot node echo 1\nat 100 slot node echo 2\n")  # unsorted
-    scenario_error("E_SCENARIO", head + "at 2000 slot node echo 1\n")  # beyond horizon
-    scenario_error("E_SCENARIO", head + "at -1 slot node echo 1\n")  # negative time
-    scenario_error("E_SCENARIO", head + "at 0 slot node occupy 1.0\n")  # physical verb in duration mode
-    scenario_error("E_SCENARIO", head + "at 0 slot node echo -1\n")  # negative echo
-    scenario_error("E_SCENARIO", head + "at 0 slot node warp 1\n")  # unknown verb
-    scenario_error("E_SCENARIO", head + "at 0 slot node echo\n")  # missing value
-    scenario_error("E_SCENARIO", head + "at 0.5 slot node echo 1\n")  # non-integer time
-    scenario_error("E_SCENARIO", head + "at 0 slot node echo x\n")  # non-numeric value
     phys = "mode=physical\nhorizon_ms=1000\n"
-    scenario_error("E_SCENARIO", phys + "at 0 slot node occupy 0\n")  # occupy needs distance > 0
-    scenario_error("E_SCENARIO", phys + "at 0 slot node echo 5\n")  # duration verb in physical mode
+    cases = [
+        (head + "at 200 slot node echo 1\nat 100 slot node echo 2\n", "stimuli out of order: 100 ms after 200 ms"),
+        (head + "at 2000 slot node echo 1\n", "stimulus at 2000 ms lies beyond horizon_ms=1000"),
+        (head + "at -1 slot node echo 1\n", "line 3: stimulus time must be non-negative"),
+        (head + "at 0 slot node occupy 1.0\n", "stimulus 'occupy' is not valid in duration mode"),
+        (head + "at 0 slot node echo -1\n", "line 3: echo duration must be non-negative"),
+        (head + "at 0 slot node warp 1\n", "line 3: unknown stimulus verb 'warp'"),
+        (head + "at 0 slot node echo\n", "line 3: echo needs exactly one value"),
+        (head + "at 0.5 slot node echo 1\n", "line 3: time '0.5' is not an integer"),
+        (head + "at 0 slot node echo x\n", "line 3: echo value 'x' is not a number"),
+        (phys + "at 0 slot node occupy 0\n", "line 3: occupy distance must be positive"),
+        (phys + "at 0 slot node echo 5\n", "stimulus 'echo' is not valid in physical mode"),
+        (phys + "at 0 slot node vacate 1.0\n", "line 3: vacate takes no value"),
+    ]
+    for text, message in cases:
+        assert rejection(text) == f"<input>: error E_SCENARIO {message}", text
 
 
 @pytest.mark.parametrize("stimulus", ["echo nan", "echo inf", "echo NaN", "occupy inf", "occupy nan"])
 def test_scenario_rejects_non_finite_values(stimulus):
-    mode = "physical" if stimulus.startswith("occupy") else "duration"
-    with pytest.raises(CiotError) as exc:
-        load_scenario(f"mode={mode}\nhorizon_ms=100\nat 0 slot node {stimulus}\n")
-    assert exc.value.code == "E_SCENARIO"
-    assert "is not a finite number" in exc.value.diagnostics[0].message
+    verb, value = stimulus.split()
+    mode = "physical" if verb == "occupy" else "duration"
+    assert rejection(f"mode={mode}\nhorizon_ms=100\nat 0 slot node {stimulus}\n") == (
+        f"<input>: error E_SCENARIO line 3: {verb} value {value!r} is not a finite number"
+    )
 
 
 # A 5,000-digit number: past the interpreter's int-string digit limit (4,300
@@ -193,6 +213,94 @@ def test_load_scenario_file_missing(tmp_path):
     with pytest.raises(CiotError) as exc:
         load_scenario_file(str(tmp_path / "nope.scn"))
     assert exc.value.code == "E_IO"
+
+
+# --- scenarios built by hand -------------------------------------------
+
+# One echo at time 0; each case below changes one field of it.
+VALID = Scenario("duration", 1000, 100, [Stimulus(0, "node", "echo", 320.0)])
+
+
+def one_error(call) -> str:
+    """The one rendered diagnostic of the CiotError that ``call()`` raises."""
+    with pytest.raises(CiotError) as exc:
+        call()
+    [rendered] = [d.render() for d in exc.value.diagnostics]
+    return rendered
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"mode": "bogus"}, "mode must be one of ('duration', 'physical'), got 'bogus'"),
+        ({"horizon_ms": -5}, "horizon_ms must be non-negative, got -5"),
+        (
+            {"stimuli": [Stimulus(500, "node", "echo", 1.0), Stimulus(100, "node", "echo", 2.0)]},
+            "stimuli out of order: 100 ms after 500 ms",
+        ),
+        ({"stimuli": [Stimulus(0, "node", "echo", None)]}, "stimuli[0]: echo value None is not a finite number"),
+        ({"stimuli": [Stimulus(0, "node", "jump", 1.0)]}, "stimulus 'jump' is not valid in duration mode"),
+        ({"stimuli": [Stimulus(2000, "node", "echo", 1.0)]}, "stimulus at 2000 ms lies beyond horizon_ms=1000"),
+        ({"stimuli": [Stimulus(0, "node", "echo", -1.0)]}, "stimuli[0]: echo duration must be non-negative"),
+        ({"sample_period_ms": True}, "sample_period_ms must be of type int, got true"),
+        ({"sample_period_ms": "5"}, 'sample_period_ms must be of type int, got "5"'),
+        ({"sample_period_ms": 0.5}, "sample_period_ms must be of type int, got 0.5"),
+        ({"horizon_ms": 1000.5}, "horizon_ms must be of type int, got 1000.5"),
+        ({"stimuli": [Stimulus("0", "node", "echo", 1.0)]}, 'stimuli[0].time_ms must be of type int, got "0"'),
+        ({"stimuli": None}, "stimuli must be of type list, got None"),
+        ({"stimuli": [(0, "node", "echo", 1.0)]}, "stimuli[0] must be of type Stimulus, got (0, 'node', 'echo', 1.0)"),
+        (
+            {"stimuli": [Stimulus(0, "node", "echo", 1.0), Stimulus(0, 3, "echo", 1.0)]},
+            "stimuli[1].slot must be of type str, got 3",
+        ),
+        ({"stimuli": [Stimulus(-1, "node", "echo", 1.0)]}, "stimuli[0]: stimulus time must be non-negative"),
+        (
+            {"mode": "physical", "stimuli": [Stimulus(0, "node", "vacate", 1.0)]},
+            "stimuli[0]: vacate takes no value",
+        ),
+        (
+            {"mode": "physical", "stimuli": [Stimulus(0, "node", "occupy", 0)]},
+            "stimuli[0]: occupy distance must be positive",
+        ),
+    ],
+    ids=[
+        "mode", "negative_horizon", "out_of_order", "echo_none", "unknown_verb", "past_horizon", "negative_echo",
+        "period_bool", "period_str", "period_float", "horizon_float", "time_str", "stimuli_none", "stimulus_tuple",
+        "slot_int", "negative_time", "vacate_value", "occupy_zero",
+    ],
+)
+def test_simulate_applies_scenario_rules_to_built_scenario(parking_model, changes, message):
+    scenario = replace(VALID, **changes)
+    assert one_error(lambda: simulate(parking_model, scenario)) == f"<input>: error E_SCENARIO {message}"
+
+
+@pytest.mark.parametrize(
+    "period, message",
+    [(True, "must be of type int, got true"), (0, "must be positive, got 0"), ("5", 'must be of type int, got "5"')],
+    ids=["bool", "zero", "str"],
+)
+def test_simulate_checks_the_sample_period_override(parking_model, period, message):
+    rendered = one_error(lambda: simulate(parking_model, VALID, sample_period_ms=period))
+    assert rendered == f"<input>: error E_SCENARIO sample_period_ms {message}"
+
+
+def test_simulate_runs_at_the_sample_period_override(parking_model):
+    result = simulate(parking_model, VALID, sample_period_ms=250)
+    assert result.scenario.sample_period_ms == 250
+    assert {r.time_us for r in result.trace} == {0, 250_000, 500_000, 750_000, 1_000_000}
+
+
+@pytest.mark.parametrize("model_is_text", [False, True], ids=["scenario", "model"])
+def test_simulate_rejects_an_argument_of_the_wrong_type(parking_model, model_is_text):
+    args = ("x", VALID) if model_is_text else (parking_model, "x")
+    message = "model must be a Model, got str" if model_is_text else "scenario must be a Scenario, got str"
+    assert one_error(lambda: simulate(*args)) == f"<input>: error E_USAGE {message}"
+
+
+def test_threshold_override_that_fits_nothing_is_a_domain_error(parking_model):
+    assert one_error(lambda: with_property_initial(parking_model, "threshold", float("nan"))) == (
+        "<input>: error E_DOMAIN no component declares a property named 'threshold' accepting nan"
+    )
 
 
 # --- simulation runs ----------------------------------------------------
@@ -443,6 +551,47 @@ def test_stable_input_yields_single_sample(shared_parking_model, echo, horizon):
     result = simulate(shared_parking_model(), scenario)
     status = "vacant" if echo >= 300.0 else "occupied"
     assert occupancy_timeline(result) == [(0, status)]
+
+
+# Any value at all for one field; hypothesis draws these ints mostly small.
+_ANY = st.one_of(
+    st.none(), st.booleans(), st.integers(-5, 3000), st.just(10**400), st.floats(), st.text(max_size=4)
+)
+_SLOTS = ["node", "node.sensor", "garage"]
+
+
+def _scenario(mode: str, horizon: int, period: int, events: list[tuple[int, str, float]]) -> Scenario:
+    """A scenario that keeps every rule: stimuli in time order, within the
+    horizon, each verb valid in ``mode`` (slot ``garage`` binds no sensor)."""
+    stimuli = []
+    for i, (time_ms, slot, value) in enumerate(sorted(events)):
+        verb = "echo" if mode == "duration" else ("occupy", "vacate")[i % 2]
+        stimuli.append(Stimulus(min(time_ms, horizon), slot, verb, None if verb == "vacate" else value))
+    return Scenario(mode, horizon, period, stimuli)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    mode=st.sampled_from(["duration", "physical"]),
+    horizon=st.integers(0, 2000),
+    period=st.integers(1, 2000),
+    events=st.lists(st.tuples(st.integers(0, 2000), st.sampled_from(_SLOTS), st.floats(0.5, 1000.0)), max_size=4),
+    fields=st.dictionaries(st.sampled_from(["mode", "horizon_ms", "sample_period_ms", "stimuli"]), _ANY, max_size=2),
+    stimulus_fields=st.dictionaries(st.sampled_from(["time_ms", "slot", "verb", "value"]), _ANY, max_size=2),
+    override=st.one_of(st.none(), _ANY),
+)
+def test_simulate_ends_in_a_result_or_a_ciot_error(
+    shared_parking_model, mode, horizon, period, events, fields, stimulus_fields, override
+):
+    scenario = replace(_scenario(mode, horizon, period, events), **fields)
+    if stimulus_fields and isinstance(scenario.stimuli, list) and scenario.stimuli:
+        scenario.stimuli[0] = replace(scenario.stimuli[0], **stimulus_fields)
+    try:
+        result = simulate(shared_parking_model(), scenario, sample_period_ms=override)
+    except CiotError as exc:
+        assert len(exc.diagnostics) == 1 and "\n" not in exc.diagnostics[0].render()
+    else:
+        assert isinstance(result, SimResult)
 
 
 def test_status_change_lags_at_most_one_period(parking_model):
