@@ -131,6 +131,16 @@ def require_type(value: object, kind: type, what: str) -> None:
         raise CiotError.of(E_USAGE, f"{what} must be a {kind.__name__}, got {type(value).__name__}")
 
 
+def read_text(path: str) -> str:
+    """The UTF-8 text of the file at ``path``, or E_IO (with ``path`` as the
+    diagnostic's file) when it cannot be read or is not UTF-8."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CiotError.of(E_IO, f"cannot read {path!r}: {exc}", None, path) from exc
+
+
 def error(rule: str, message: str, span: SourceSpan | None = None, file: str | None = None) -> Diagnostic:
     return Diagnostic(rule, Severity.ERROR, message, span, file)
 

@@ -191,10 +191,17 @@ def fit_value(t: PrimType, value):
 
 def describe_value(value) -> str:
     """``value`` for a diagnostic: literal syntax, or an int's size when it
-    is beyond float range (and may be too long to print)."""
+    is beyond float range (and may be too long to print). Anything else is
+    its ``repr``, or its type when that fails (an int in it past the
+    interpreter's digit limit, or nesting past its recursion limit)."""
     if isinstance(value, int) and not isinstance(value, bool) and value.bit_length() > 1024:
         return f"an int of {value.bit_length()} bits"
-    return format_value(value) if isinstance(value, (int, float, str)) else repr(value)
+    if isinstance(value, (int, float, str)):
+        return format_value(value)
+    try:
+        return repr(value)
+    except (ValueError, RecursionError):
+        return f"a {type(value).__name__} that cannot be printed"
 
 
 def eval_guard(

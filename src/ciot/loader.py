@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .diagnostics import CiotError, Diagnostic, Severity, require_type
+from .diagnostics import CiotError, Diagnostic, Severity, read_text, require_type
 from .metamodel import Model
 from .parser import parse
 from .resolver import resolve
@@ -21,7 +21,7 @@ def load_text(text: str, source: str | None = None, *, check: bool = True) -> Mo
 
 
 def load_file(path: str, *, check: bool = True) -> Model:
-    return load_text(_read(path), path, check=check)
+    return load_text(read_text(path), path, check=check)
 
 
 def collect_diagnostics(text: str, source: str | None = None) -> tuple[Model | None, list[Diagnostic]]:
@@ -36,12 +36,5 @@ def collect_diagnostics(text: str, source: str | None = None) -> tuple[Model | N
 
 
 def collect_diagnostics_file(path: str) -> tuple[Model | None, list[Diagnostic]]:
-    return collect_diagnostics(_read(path), path)
+    return collect_diagnostics(read_text(path), path)
 
-
-def _read(path: str) -> str:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise CiotError.of("E_IO", f"cannot read {path!r}: {exc}", None, path) from exc

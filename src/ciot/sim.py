@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 from itertools import groupby
 from operator import attrgetter
 
-from .diagnostics import CiotError, require_type
+from .diagnostics import CiotError, read_text, require_type
 from .engine import RuntimeState, bind_internal, instantiate, quiesce
 from .guards import PrimType, describe_value, fit_value
 from .metamodel import ComponentDef, EventDef, EventDirection, Model
@@ -141,12 +141,7 @@ def load_scenario(text: str, source: str | None = None) -> Scenario:
 
 
 def load_scenario_file(path: str) -> Scenario:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise CiotError.of("E_IO", f"cannot read scenario {path!r}: {exc}")
-    return load_scenario(text, path)
+    return load_scenario(read_text(path), path)
 
 
 def _check_scenario(scenario: Scenario) -> Scenario:

@@ -8,9 +8,10 @@ so two identical runs produce byte-identical trace files.
 
 from __future__ import annotations
 
-from typing import Any, Mapping, NamedTuple
+from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
 from .guards import format_value
+from .metamodel import ActionKind
 
 # The keys of each kind's values, in record and render order. Raw values:
 # names as strings; ``eseq`` an int; ``payload`` and ``set`` the field dicts
@@ -49,8 +50,8 @@ def _route(route: tuple[str, str] | None) -> str:
     return "-" if route is None else f"{route[0]}.{route[1]}"
 
 
-def _set(assigned: Mapping[str, Any]) -> str:
-    return fmt_payload(assigned) if assigned else "-"
+# The ``type`` text of each action kind.
+_ACTION_TYPE = {kind: kind.value for kind in ActionKind}
 
 
 # Per kind: the text of each value, in FIELDS order (None leaves the key out).
@@ -58,29 +59,13 @@ _TEXTS = {
     "state_entered": lambda state: (state,),
     "state_exited": lambda state: (state,),
     "event_delivered": lambda event, eseq, source, payload: (event, eseq, source, fmt_payload(payload)),
-    "action": lambda action, kind, assigned: (action, kind.value, _set(assigned)),
+    "action": lambda action, kind, assigned: (
+        action, _ACTION_TYPE[kind], fmt_payload(assigned) if assigned else "-"
+    ),
     "guard_eval": lambda label, guard, result: (label, guard, "true" if result else "false"),
     "transition": lambda source, target, trigger: (source, target, trigger or "-"),
     "payload_sent": lambda port, event, route, payload, error: (
         port, event, _route(route), fmt_payload(payload), error
-    ),
-}
-
-# Per kind: the rendered values, one f-string straight from the raw values.
-_LINES = {
-    "state_entered": lambda state: f" state={state}",
-    "state_exited": lambda state: f" state={state}",
-    "event_delivered": lambda event, eseq, source, payload: (
-        f" event={event} eseq={eseq} from={source} payload={fmt_payload(payload)}"
-    ),
-    "action": lambda action, kind, assigned: f" action={action} type={kind.value} set={_set(assigned)}",
-    "guard_eval": lambda label, guard, result: (
-        f" transition={label} guard={guard} result={'true' if result else 'false'}"
-    ),
-    "transition": lambda source, target, trigger: f" from={source} to={target} trigger={trigger or '-'}",
-    "payload_sent": lambda port, event, route, payload, error: (
-        f" port={port} event={event} to={_route(route)} payload={fmt_payload(payload)}"
-        + ("" if error is None else f" error={error}")
     ),
 }
 
@@ -109,10 +94,76 @@ def fmt_payload(values: Mapping[str, Any] | None) -> str:
             stack[-1][1].append(f"{key}={text}")
 
 
+def _renderer() -> Callable[[Iterable[TraceRecord]], list[str]]:
+    """A function from records to their lines that formats each distinct text once.
+
+    It keeps the text after ``kind=`` of each state, guard and transition
+    record by the identity of its values tuple, and the text of each float
+    and str in a payload or ``set`` by the identity of that value. It holds
+    every object it keys, so no id is reused while the renderer lives, and no
+    value is hashed. Payload and ``set`` dicts are formatted at each record:
+    keeping their text too saves little and holds it all until the end."""
+    tails: dict[int, tuple[str, str]] = {}  # id(values) -> (text, kind)
+    texts: dict[int, str] = {}  # id(value) -> text
+    held: list = []  # every keyed object, so that its id is not reused
+    hold = held.append
+
+    def payload(values: Mapping[str, Any] | None) -> str:
+        """``fmt_payload(values)``, flat records without its stack walk."""
+        if values is None:
+            return "-"
+        parts = []
+        for k, v in values.items():
+            t = type(v)
+            if t is float or t is str:
+                text = texts.get(id(v))
+                if text is None:
+                    text = texts[id(v)] = format_value(v)
+                    hold(v)
+                parts.append(f"{k}={text}")
+            elif t is int or t is bool:
+                parts.append(f"{k}={format_value(v)}")
+            else:  # a nested record, or a value of another type
+                return fmt_payload(values)
+        return "{" + ",".join(parts) + "}"
+
+    def lines(records: Iterable[TraceRecord]) -> list[str]:
+        out = []
+        append = out.append
+        last_time = time_text = None  # consecutive records mostly share a time
+        for seq, time_us, instance, kind, values in records:
+            if time_us is not last_time:
+                last_time, time_text = time_us, f"{time_us}"
+            if kind == "action":
+                action, action_kind, assigned = values
+                assigned_text = payload(assigned) if assigned else "-"
+                tail = f" action={action} type={_ACTION_TYPE[action_kind]} set={assigned_text}"
+            elif kind == "event_delivered":
+                event, eseq, source, sent = values
+                tail = f" event={event} eseq={eseq} from={source} payload={payload(sent)}"
+            elif kind == "payload_sent":
+                port, event, route, sent, error = values
+                tail = f" port={port} event={event} to={_route(route)} payload={payload(sent)}"
+                if error is not None:
+                    tail += f" error={error}"
+            else:  # a state, guard or transition record: values the engine builds once
+                entry = tails.get(id(values))
+                if entry is None or entry[1] is not kind:
+                    pairs = zip(FIELDS[kind], _TEXTS[kind](*values))
+                    entry = tails[id(values)] = ("".join(f" {k}={text}" for k, text in pairs), kind)
+                    hold(values)
+                tail = entry[0]
+            append(f"seq={seq} t={time_text} inst={instance} kind={kind}{tail}")
+        return out
+
+    return lines
+
+
 def render_trace_line(rec: TraceRecord) -> str:
-    seq, time_us, instance, kind, values = rec
-    return f"seq={seq} t={time_us} inst={instance} kind={kind}" + _LINES[kind](*values)
+    return _renderer()((rec,))[0]
 
 
-def render_trace(records: list[TraceRecord]) -> str:
-    return "".join(render_trace_line(r) + "\n" for r in records)
+def render_trace(records: Iterable[TraceRecord]) -> str:
+    lines = _renderer()(records)
+    lines.append("")
+    return "\n".join(lines)

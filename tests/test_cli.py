@@ -56,6 +56,18 @@ def test_validate_missing_file(capsys, tmp_path):
     assert "E_IO" in err
 
 
+@pytest.mark.parametrize("command, bad", [("validate", "model"), ("simulate", "model"), ("simulate", "scenario")])
+def test_file_not_utf8_is_one_io_line(capsys, tmp_path, parking_path, arrive_depart_path, command, bad):
+    path = tmp_path / f"bad.{bad}"
+    path.write_bytes(b"\xff\xfe")
+    model = str(path) if bad == "model" else parking_path
+    scenario = [] if command == "validate" else [str(path) if bad == "scenario" else arrive_depart_path]
+    code, out, err = run_cli(capsys, command, model, *scenario)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1
+    assert err.startswith(f"{path}: error E_IO cannot read {str(path)!r}: 'utf-8' codec can't decode")
+
+
 @pytest.mark.parametrize(
     "text, line, column, char",
     [

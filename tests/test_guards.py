@@ -17,6 +17,7 @@ from ciot.guards import (
     PrimType,
     Unary,
     compile_expr,
+    describe_value,
     eval_guard,
     expr_to_text,
     fit_value,
@@ -467,3 +468,26 @@ def test_missing_names_fail_at_their_span():
             assert exc.value.code == "E_EVAL"
             [diag] = exc.value.diagnostics
             assert (diag.message, diag.span) == (message, span)
+
+
+@pytest.mark.parametrize(
+    "value, shown",
+    [
+        (2.5, "2.5"),
+        ("a\"b", '"a\\"b"'),
+        (10**400, "an int of 1329 bits"),
+        ((0, "x"), "(0, 'x')"),
+        (None, "None"),
+        ([10**5000], "a list that cannot be printed"),
+        ({"v": 10**5000}, "a dict that cannot be printed"),
+    ],
+)
+def test_describe_value_never_raises(value, shown):
+    assert describe_value(value) == shown
+
+
+def test_describe_value_of_nesting_past_the_recursion_limit():
+    nested: list = []
+    for _ in range(100_000):
+        nested = [nested]
+    assert describe_value(nested) == "a list that cannot be printed"

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from ciot import load_text
 from ciot.diagnostics import CiotError
-from ciot.engine import instantiate
+from ciot.engine import instantiate, quiesce
+from ciot.loader import collect_diagnostics_file, load_file
 from ciot.metamodel import instance_paths, with_property_initial
 from ciot.sim import (
     DEFAULT_SAMPLE_PERIOD_MS,
@@ -213,6 +214,18 @@ def test_load_scenario_file_missing(tmp_path):
     with pytest.raises(CiotError) as exc:
         load_scenario_file(str(tmp_path / "nope.scn"))
     assert exc.value.code == "E_IO"
+
+
+@pytest.mark.parametrize("reader", [load_scenario_file, load_file, collect_diagnostics_file])
+def test_file_not_utf8_is_io_error_naming_the_file(tmp_path, reader):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"\xff\xfemode=duration\n")
+    with pytest.raises(CiotError) as exc:
+        reader(str(path))
+    assert exc.value.code == "E_IO"
+    [diag] = exc.value.diagnostics
+    assert diag.file == str(path)
+    assert diag.message.startswith(f"cannot read {str(path)!r}: 'utf-8' codec can't decode byte 0xff")
 
 
 # --- scenarios built by hand -------------------------------------------
@@ -459,6 +472,19 @@ def test_max_steps_not_a_non_negative_int_is_a_domain_error(parking_model, max_s
         simulate(parking_model, scn("mode=duration\nhorizon_ms=0\n"), max_steps=max_steps)
     assert exc.value.code == "E_DOMAIN"
     assert str(exc.value) == f"max_steps must be a non-negative integer, got {shown}"
+
+
+def test_unprintable_stimulus_value_and_max_steps_are_coded_errors(parking_model):
+    """A list holding an int past the interpreter's digit limit has no repr."""
+    value = [10**5000]
+    with pytest.raises(CiotError) as exc:
+        simulate(parking_model, Scenario("duration", 100, 100, [Stimulus(0, "node", "echo", value)]))
+    assert exc.value.code == "E_SCENARIO"
+    assert str(exc.value) == "stimuli[0]: echo value a list that cannot be printed is not a finite number"
+    with pytest.raises(CiotError) as exc:
+        quiesce(instantiate(parking_model), value)
+    assert exc.value.code == "E_DOMAIN"
+    assert str(exc.value) == "max_steps must be a non-negative integer, got a list that cannot be printed"
 
 
 def test_zero_max_steps_is_valid(parking_model):
