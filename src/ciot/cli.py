@@ -15,12 +15,14 @@ import math
 import sys
 
 from .diagnostics import CiotError, Severity
-from .engine import inject, instantiate, quiesce
+from .engine import DEFAULT_MAX_STEPS, inject, instantiate, quiesce
 from .export import export_model, statemachine_to_dot, structure_to_dot
 from .lexer import decode_string
 from .loader import collect_diagnostics_file, load_file
 from .metamodel import instance_paths, with_property_initial
 from .sim import (
+    DEFAULT_FLOOR_DISTANCE_M,
+    DEFAULT_SPEED_M_PER_S,
     NUMBER_DIGITS,
     THRESHOLD_PROPERTY,
     find_led_paths,
@@ -64,18 +66,18 @@ def _build_parser() -> argparse.ArgumentParser:
         help="queue an incoming event; repeatable, processed in order",
     )
     p.add_argument("--trace", metavar="FILE", help="write the trace here instead of stdout")
-    p.add_argument("--max-steps", type=int, default=10000)
+    p.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS)
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("simulate", help="run a sensing scenario and print the occupancy timeline")
     p.add_argument("model")
     p.add_argument("scenario")
     p.add_argument("--threshold-ms", type=float, help="override the model's threshold property")
-    p.add_argument("--speed", type=float, default=343.0, help="speed of sound in m/s")
+    p.add_argument("--speed", type=float, default=DEFAULT_SPEED_M_PER_S, help="speed of sound in m/s")
     p.add_argument("--sample-period-ms", type=int, help="override the scenario's sample period")
-    p.add_argument("--floor-distance-m", type=float, default=2.5)
+    p.add_argument("--floor-distance-m", type=float, default=DEFAULT_FLOOR_DISTANCE_M)
     p.add_argument("--trace", metavar="FILE", help="also write the full trace here")
-    p.add_argument("--max-steps", type=int, default=10000)
+    p.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("export", help="print a model in interchange or DOT form")

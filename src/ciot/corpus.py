@@ -10,6 +10,7 @@ any golden output shows up as a corpus failure rather than a silent drift.
 from __future__ import annotations
 
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .diagnostics import CiotError
@@ -48,10 +49,8 @@ class CorpusReport:
 
 
 def corpus_check(corpus_dir: str, regen: bool = False) -> CorpusReport:
-    checks: list[CorpusCheck] = []
     model_path = os.path.join(corpus_dir, MODEL_FILE)
-
-    _check_pristine(checks, model_path)
+    checks = list(_check_pristine(model_path))
     try:
         model = load_file(model_path)
     except CiotError:
@@ -59,70 +58,61 @@ def corpus_check(corpus_dir: str, regen: bool = False) -> CorpusReport:
     if model is not None:
         golden = os.path.join(corpus_dir, "golden")
         result = simulate(model, load_scenario_file(os.path.join(corpus_dir, SCENARIO_ARRIVE_DEPART)))
-        _check_golden(checks, golden, "arrive_depart.trace", render_trace(result.trace), regen)
-        _check_golden(checks, golden, "arrive_depart.timeline", render_timeline(occupancy_timeline(result)), regen)
+        checks += _check_golden(golden, "arrive_depart.trace", render_trace(result.trace), regen)
+        checks += _check_golden(golden, "arrive_depart.timeline", render_timeline(occupancy_timeline(result)), regen)
 
         low = with_property_initial(model, THRESHOLD_PROPERTY, PHYSICAL_THRESHOLD_MS)
         result = simulate(low, load_scenario_file(os.path.join(corpus_dir, SCENARIO_PHYSICAL)))
-        _check_golden(checks, golden, "physical.trace", render_trace(result.trace), regen)
-        _check_golden(checks, golden, "physical.timeline", render_timeline(occupancy_timeline(result)), regen)
+        checks += _check_golden(golden, "physical.trace", render_trace(result.trace), regen)
+        checks += _check_golden(golden, "physical.timeline", render_timeline(occupancy_timeline(result)), regen)
 
-        _check_roundtrip(checks, model)
-        _check_dot_counts(checks, model)
+        checks += _check_roundtrip(model)
+        checks += _check_dot_counts(model)
 
-    _check_mutations(checks, os.path.join(corpus_dir, "mutations"))
-    _check_syntax_errors(checks, os.path.join(corpus_dir, "syntax_errors"))
+    checks += _check_mutations(os.path.join(corpus_dir, "mutations"))
+    checks += _check_syntax_errors(os.path.join(corpus_dir, "syntax_errors"))
     return CorpusReport(checks)
 
 
-def _check_pristine(checks: list[CorpusCheck], model_path: str) -> None:
+def _check_pristine(model_path: str) -> Iterator[CorpusCheck]:
     model, diags = collect_diagnostics_file(model_path)
     if model is None:
-        checks.append(CorpusCheck("pristine", False, f"model does not resolve: {diags[0].message}"))
+        yield CorpusCheck("pristine", False, f"model does not resolve: {diags[0].message}")
     elif diags:
-        checks.append(CorpusCheck("pristine", False, f"{len(diags)} diagnostic(s), expected none"))
+        yield CorpusCheck("pristine", False, f"{len(diags)} diagnostic(s), expected none")
     else:
-        checks.append(CorpusCheck("pristine", True, "0 errors, 0 warnings"))
+        yield CorpusCheck("pristine", True, "0 errors, 0 warnings")
 
 
-def _check_golden(checks: list[CorpusCheck], golden_dir: str, name: str, actual: str, regen: bool) -> None:
+def _check_golden(golden_dir: str, name: str, actual: str, regen: bool) -> Iterator[CorpusCheck]:
     path = os.path.join(golden_dir, name)
     if regen:
         os.makedirs(golden_dir, exist_ok=True)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(actual)
-        checks.append(CorpusCheck(f"golden:{name}", True, "regenerated"))
-        return
-    if not os.path.exists(path):
-        checks.append(CorpusCheck(f"golden:{name}", False, "golden file missing (regen it)"))
-        return
-    with open(path, encoding="utf-8") as fh:
-        expected = fh.read()
-    if actual == expected:
-        checks.append(CorpusCheck(f"golden:{name}", True, f"{len(actual.splitlines())} lines match"))
+        yield CorpusCheck(f"golden:{name}", True, "regenerated")
+    elif not os.path.exists(path):
+        yield CorpusCheck(f"golden:{name}", False, "golden file missing (regen it)")
     else:
-        checks.append(CorpusCheck(f"golden:{name}", False, "output differs from golden"))
+        with open(path, encoding="utf-8") as fh:
+            expected = fh.read()
+        if actual == expected:
+            yield CorpusCheck(f"golden:{name}", True, f"{len(actual.splitlines())} lines match")
+        else:
+            yield CorpusCheck(f"golden:{name}", False, "output differs from golden")
 
 
-def _check_roundtrip(checks: list[CorpusCheck], model) -> None:
-    text = export_model(model)
-    back = import_model(text, "<roundtrip>")
-    ok = structurally_equal(model, back)
-    checks.append(CorpusCheck("roundtrip", ok, "export/import is structure-preserving" if ok else "round-trip changed the model"))
+def _check_roundtrip(model) -> Iterator[CorpusCheck]:
+    ok = structurally_equal(model, import_model(export_model(model), "<roundtrip>"))
+    message = "export/import is structure-preserving" if ok else "round-trip changed the model"
+    yield CorpusCheck("roundtrip", ok, message)
 
 
-def _check_dot_counts(checks: list[CorpusCheck], model) -> None:
+def _check_dot_counts(model) -> Iterator[CorpusCheck]:
     for comp, expected in MACHINE_STATE_COUNTS.items():
-        dot = statemachine_to_dot(model, comp)
-        nodes = _count_dot_states(dot)
+        nodes = _count_dot_states(statemachine_to_dot(model, comp))
         ok = nodes == expected
-        checks.append(
-            CorpusCheck(
-                f"dot:{comp}",
-                ok,
-                f"{nodes} state nodes" + ("" if ok else f", expected {expected}"),
-            )
-        )
+        yield CorpusCheck(f"dot:{comp}", ok, f"{nodes} state nodes" + ("" if ok else f", expected {expected}"))
 
 
 def _count_dot_states(dot: str) -> int:
@@ -134,10 +124,10 @@ def _count_dot_states(dot: str) -> int:
     return count
 
 
-def _check_mutations(checks: list[CorpusCheck], mutations_dir: str) -> None:
+def _check_mutations(mutations_dir: str) -> Iterator[CorpusCheck]:
     manifest_path = os.path.join(mutations_dir, "expected_diagnostics.txt")
     if not os.path.exists(manifest_path):
-        checks.append(CorpusCheck("mutations", False, "expected_diagnostics.txt missing"))
+        yield CorpusCheck("mutations", False, "expected_diagnostics.txt missing")
         return
     with open(manifest_path, encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
@@ -148,12 +138,12 @@ def _check_mutations(checks: list[CorpusCheck], mutations_dir: str) -> None:
         actual = [(d.rule, d.severity.value) for d in diags]
         ok = actual == [(rule, sev) for rule, sev in expected]
         detail = "diagnostics match manifest" if ok else f"expected {expected}, got {actual}"
-        checks.append(CorpusCheck(f"mutation:{fname}", ok, detail))
+        yield CorpusCheck(f"mutation:{fname}", ok, detail)
 
 
-def _check_syntax_errors(checks: list[CorpusCheck], syntax_dir: str) -> None:
+def _check_syntax_errors(syntax_dir: str) -> Iterator[CorpusCheck]:
     if not os.path.isdir(syntax_dir):
-        checks.append(CorpusCheck("syntax_errors", False, "directory missing"))
+        yield CorpusCheck("syntax_errors", False, "directory missing")
         return
     for fname in sorted(os.listdir(syntax_dir)):
         if not fname.endswith(".ciot"):
@@ -161,4 +151,4 @@ def _check_syntax_errors(checks: list[CorpusCheck], syntax_dir: str) -> None:
         model, diags = collect_diagnostics_file(os.path.join(syntax_dir, fname))
         ok = model is None and bool(diags) and diags[0].rule in ("E_LEX", "E_PARSE")
         detail = diags[0].rule if diags else "no diagnostics"
-        checks.append(CorpusCheck(f"syntax:{fname}", ok, detail))
+        yield CorpusCheck(f"syntax:{fname}", ok, detail)

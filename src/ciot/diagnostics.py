@@ -31,13 +31,6 @@ class SourceSpan(NamedTuple):
     end_line: int
     end_column: int
 
-    @staticmethod
-    def point(line: int, column: int) -> "SourceSpan":
-        return tuple.__new__(SourceSpan, (line, column, line, column))
-
-    def merge(self, other: "SourceSpan") -> "SourceSpan":
-        return tuple.__new__(SourceSpan, min(self[:2], other[:2]) + max(self[2:], other[2:]))
-
 
 class Locator:
     """Line and column of character offsets into one text.
@@ -143,7 +136,3 @@ def read_text(path: str) -> str:
 
 def error(rule: str, message: str, span: SourceSpan | None = None, file: str | None = None) -> Diagnostic:
     return Diagnostic(rule, Severity.ERROR, message, span, file)
-
-
-def warning(rule: str, message: str, span: SourceSpan | None = None, file: str | None = None) -> Diagnostic:
-    return Diagnostic(rule, Severity.WARNING, message, span, file)

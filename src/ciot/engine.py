@@ -74,6 +74,9 @@ from .trace import TraceRecord
 
 _new_tuple = tuple.__new__
 
+# Steps a run may take to quiesce unless the caller says otherwise.
+DEFAULT_MAX_STEPS = 10000
+
 
 @dataclass
 class EventInstance:
@@ -387,7 +390,7 @@ def _quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def run_to_quiescence(rt: RuntimeState, max_steps: int = 10000) -> RunResult:
+def run_to_quiescence(rt: RuntimeState, max_steps: int = DEFAULT_MAX_STEPS) -> RunResult:
     steps = 0
     while steps < max_steps:
         if not step(rt):

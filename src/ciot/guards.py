@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Mapping, Union
@@ -166,16 +167,20 @@ def fit_value(t: PrimType, value):
     """The value a ``t`` property or payload field stores for ``value``, or
     None when ``value`` does not fit.
 
-    The value-level form of ``assignable``: an int widens to float only where
-    ``float()`` can represent it, a float fits only if it is finite, and a
-    bool fits only ``bool`` although Python counts it as an int. Anything
-    that is not a ``PrimType`` (a record type, None) fits nothing.
+    The value-level form of ``assignable``: an int fits only where the
+    interpreter's int-string digit limit lets it print (a trace prints it)
+    and widens to float only where ``float()`` can represent it, a float
+    fits only if it is finite, and a bool fits only ``bool`` although Python
+    counts it as an int. Anything that is not a ``PrimType`` (a record type,
+    None) fits nothing.
     """
     if isinstance(value, bool):
         return value if t is PrimType.BOOL else None
     if isinstance(value, int):
         if t is PrimType.INT:
-            return value
+            # Within float range an int has at most 309 digits, below any
+            # limit the interpreter accepts (none is under 640 digits).
+            return value if value.bit_length() <= 1024 or _prints(value) else None
         if t is PrimType.FLOAT:
             try:
                 return float(value)
@@ -187,6 +192,11 @@ def fit_value(t: PrimType, value):
     if isinstance(value, str):
         return value if t is PrimType.STRING else None
     return None
+
+
+def _prints(value: int) -> bool:
+    limit = sys.get_int_max_str_digits()
+    return not limit or abs(value) < 10**limit
 
 
 def describe_value(value) -> str:

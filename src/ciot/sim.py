@@ -27,7 +27,7 @@ from itertools import groupby
 from operator import attrgetter
 
 from .diagnostics import CiotError, read_text, require_type
-from .engine import RuntimeState, bind_internal, instantiate, quiesce
+from .engine import DEFAULT_MAX_STEPS, RuntimeState, bind_internal, instantiate, quiesce
 from .guards import PrimType, describe_value, fit_value
 from .metamodel import ComponentDef, EventDef, EventDirection, Model
 from .trace import TraceRecord
@@ -277,7 +277,7 @@ def simulate(
     speed_m_per_s: float = DEFAULT_SPEED_M_PER_S,
     sample_period_ms: int | None = None,
     floor_distance_m: float = DEFAULT_FLOOR_DISTANCE_M,
-    max_steps: int = 10000,
+    max_steps: int = DEFAULT_MAX_STEPS,
 ) -> SimResult:
     """Run ``scenario`` against a fresh instantiation of ``model``.
 

@@ -1,13 +1,15 @@
 from __future__ import annotations
 
+import inspect
 import pathlib
 import time
 
 import pytest
 
-from ciot.cli import _parse_inject_spec, main
+from ciot.cli import _build_parser, _parse_inject_spec, main
+from ciot.engine import run_to_quiescence
 from ciot.parser import parse_expression
-from ciot.sim import MAX_TICKS
+from ciot.sim import MAX_TICKS, simulate
 
 
 def run_cli(capsys, *argv):
@@ -247,6 +249,15 @@ def test_negative_max_steps_is_one_line_domain_error(capsys, parking_path, arriv
     assert (code, out) == (1, "")
     assert err == "<input>: error E_DOMAIN max_steps must be a non-negative integer, got -3\n"
 
+
+def test_cli_defaults_are_the_api_defaults():
+    parser = _build_parser()
+    run = parser.parse_args(["run", "m.ciot"])
+    sim = parser.parse_args(["simulate", "m.ciot", "s.scn"])
+    api = inspect.signature(simulate).parameters
+    steps = inspect.signature(run_to_quiescence).parameters["max_steps"].default
+    assert run.max_steps == sim.max_steps == api["max_steps"].default == steps
+    assert (sim.speed, sim.floor_distance_m) == (api["speed_m_per_s"].default, api["floor_distance_m"].default)
 
 def test_run_zero_max_steps_is_valid(capsys, parking_path):
     code, out, err = run_cli(capsys, "run", parking_path, "--max-steps", "0")

@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ciot.diagnostics import CiotError, SourceSpan
-from ciot.engine import inject, instantiate
+from ciot.engine import inject, instantiate, quiesce
 from ciot.guards import (
     Binary,
     GuardScope,
@@ -27,6 +28,7 @@ from ciot.guards import (
 from ciot.loader import collect_diagnostics, load_text
 from ciot.metamodel import with_property_initial
 from ciot.parser import parse_expression
+from ciot.trace import render_trace
 
 NUMERIC_SCOPE = GuardScope(
     properties={"x": PrimType.INT, "rate": PrimType.FLOAT, "on": PrimType.BOOL, "tag": PrimType.STRING},
@@ -244,6 +246,36 @@ def test_fit_value_rule(t, value, stored):
     result = fit_value(t, value)
     assert type(result) is type(stored) and result == stored
 
+
+
+def test_fit_value_follows_the_int_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        assert fit_value(PrimType.INT, 10**640 - 1) == 10**640 - 1
+        assert fit_value(PrimType.INT, 10**640) is None
+        assert fit_value(PrimType.INT, -(10**640)) is None
+        sys.set_int_max_str_digits(0)
+        assert fit_value(PrimType.INT, 10**5000) == 10**5000
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_unprintable_int_ends_in_a_code_and_every_stored_int_renders():
+    model = load_text(_one_property_model(PrimType.INT, "0"))
+    with pytest.raises(CiotError) as exc:
+        with_property_initial(model, "p", 10**5000)
+    assert exc.value.code == "E_DOMAIN"
+    rt = instantiate(model)
+    with pytest.raises(CiotError) as exc:
+        inject(rt, "c", "p1", "e", {"f": 10**5000})
+    assert exc.value.code == "E_TYPE"
+    assert exc.value.diagnostics[0].message.endswith("got an int of 16610 bits")
+    largest = 10 ** sys.get_int_max_str_digits() - 1
+    rt = instantiate(with_property_initial(model, "p", largest))
+    inject(rt, "c", "p1", "e", {"f": largest})
+    quiesce(rt, 10)
+    assert str(largest) in render_trace(rt.trace)
 
 _DEFAULT_LITERAL = {PrimType.INT: "0", PrimType.FLOAT: "0.0", PrimType.BOOL: "false", PrimType.STRING: '""'}
 

@@ -5,7 +5,7 @@ import pytest
 from ciot import load_file, load_text, structurally_equal
 from ciot.diagnostics import Severity
 from ciot.loader import collect_diagnostics, collect_diagnostics_file
-from ciot.validate import error_count, validate
+from ciot.validate import validate
 
 BASE = (
     "payload P { v: int; }\n"
@@ -179,7 +179,7 @@ def test_r4_triggerless_guard_cannot_read_payload():
 
 def test_r4_guard_with_trigger_sees_payload(parking_model):
     # the corpus node guards read payload.duration under a trigger; clean
-    assert error_count(validate(parking_model)) == 0
+    assert validate(parking_model) == []
 
 
 def test_r4_effect_assigns_unknown_property():
@@ -281,6 +281,120 @@ def test_r7_incoming_payload_must_ride_port_interface():
         "}\n"
     )
     assert "R7" in errors_of(text)
+
+
+EVERY_REPORT_SITE = """\
+payload P { v: int; }
+payload Q { w: float; }
+payload R { p: P; z: int; }
+interface I { op f(P); }
+interface J { op g(Q); }
+component Kid : IoTElement {
+    port pk provides J;
+    port pb provides I requires I;
+    instance inner: Leaf;
+}
+component Leaf : IoTElement { port q provides I; }
+component C : Board {
+    property v: float = 0.0;
+    property w: int = 1.5;
+    property flag: bool = true;
+    property p: int = 0;
+    port pc requires I;
+    port pd requires I;
+    port pe provides I;
+    instance kid: Kid;
+    instance leaf: Leaf;
+    connect self.pc -- kid.pk;
+    connect self.pd -- kid.pk;
+    action recv receive port pe payload P { v := payload.v; nope := 1; flag := 3; w := ghost; }
+    action snd send port pe payload Q;
+    action gen generic port pe;
+    action gen2 generic;
+    action bare send;
+    action rec send port pe payload R;
+    event e1 incoming port pe payload P action snd;
+    event e2 generic port pe action gen2;
+    event e3 outgoing action snd;
+    event e4 incoming port pe payload Q action recv;
+    event e5 incoming port pd action recv;
+    event e6 incoming port pe payload P action recv2;
+    event e7 generic payload P action gen2;
+    action recv2 receive port pc payload P;
+    statemachine {
+        initial state A { entry e1; exit e7; }
+        state B {}
+        state D { continuous e7; }
+        transition A -> B when e1 [payload.v];
+        transition B -> A [flag < 1];
+        transition A -> A [w == "x"];
+    }
+}
+component M : Board { statemachine { state X {} } }
+component N : Board { statemachine { initial state X {} initial state Y {} } }
+component S : Board {
+    property v: string = "a";
+    event g generic payload P action act;
+    action act generic payload P;
+    statemachine { initial state X { entry g; } state Y {} transition Y -> X; }
+}
+"""
+
+
+def test_every_report_site_in_order():
+    # One model reaching each R1-R7 report site of the validator: per
+    # component, R2 ports, R2 connectors, R3/R7 events, R3 actions, R3
+    # positioned events, R4 initials, R4 effects, R5, then the machine (R1,
+    # R4 guards, R6). Rule, severity, message, span and file are all pinned.
+    _, diags = collect_diagnostics(EVERY_REPORT_SITE, "v.ciot")
+    assert [d.render() for d in diags] == [
+        "v.ciot:8:5: error R2 interface 'I' appears in both provides and requires of port 'pb' on component 'Kid'",
+        "v.ciot:6:1: error R5 IoTElement 'Kid' must be a leaf but declares subcomponents: inner",
+        "v.ciot:22:5: error R2 connector self.pc -- kid.pk in component 'C': self.pc requires interface 'I'"
+        " but kid.pk does not provide it",
+        "v.ciot:23:5: error R2 port 'pk' of 'kid' is wired by more than one connector in component 'C'",
+        "v.ciot:23:5: error R2 connector self.pd -- kid.pk in component 'C': self.pd requires interface 'I'"
+        " but kid.pk does not provide it",
+        "v.ciot:30:5: error R3 incoming event 'e1' must bind a ReceivePayload action, but 'snd' is SendPayload",
+        "v.ciot:30:5: error R3 event 'e1' carries payload 'P' but its action 'snd' declares 'Q'",
+        "v.ciot:31:5: error R3 generic event 'e2' must not name a port",
+        "v.ciot:32:5: error R3 outgoing event 'e3' must name a port",
+        "v.ciot:32:5: error R3 'snd' declares a payload type but 'e3' does not",
+        "v.ciot:33:5: error R3 event 'e4' carries payload 'Q' but its action 'recv' declares 'P'",
+        "v.ciot:33:5: error R7 incoming event 'e4' on port 'pe' of component 'C' expects payload 'Q', but no"
+        " interface on that port carries it",
+        "v.ciot:34:5: error R3 'recv' declares a payload type but 'e5' does not",
+        "v.ciot:34:5: error R3 event 'e5' is bound to port 'pd' but its action 'recv' names port 'pe'",
+        "v.ciot:35:5: error R3 event 'e6' is bound to port 'pe' but its action 'recv2' names port 'pc'",
+        "v.ciot:36:5: error R3 'e7' declares a payload type but 'gen2' does not",
+        "v.ciot:26:5: error R3 Generic action 'gen' must not name a port",
+        "v.ciot:28:5: error R3 SendPayload action 'bare' must name a port",
+        "v.ciot:28:5: error R3 SendPayload action 'bare' must declare a payload type",
+        "v.ciot:29:5: error R3 SendPayload action 'rec': payload 'R' field 'p' is record-typed and cannot be"
+        " built from a primitive property",
+        "v.ciot:29:5: error R3 SendPayload action 'rec': payload 'R' field 'z' has no same-named property on"
+        " component 'C' to read from",
+        "v.ciot:30:5: error R3 incoming event 'e1' cannot be used in entry of state 'A'",
+        "v.ciot:36:5: error R3 generic event 'e7' used in exit of state 'A': payload field 'v' is int but"
+        " property 'v' is float",
+        "v.ciot:36:5: error R3 generic event 'e7' used in continuous of state 'D': payload field 'v' is int"
+        " but property 'v' is float",
+        "v.ciot:14:14: error R4 property 'w' of component 'C' is int but its initial value is 1.5",
+        "v.ciot:24:61: error R4 effect in action 'recv' assigns unknown property 'nope'",
+        "v.ciot:24:72: error R4 effect in action 'recv' assigns int to bool property 'flag'",
+        "v.ciot:24:88: error R4 effect expression in action 'recv' does not type-check: unknown property 'ghost'",
+        "v.ciot:42:9: error R4 guard on transition A -> B of component 'C' must be bool, got int",
+        "v.ciot:43:28: error R4 guard on transition B -> A of component 'C' does not type-check: '<' needs"
+        " numeric operands, got bool and int",
+        "v.ciot:44:28: error R4 guard on transition A -> A of component 'C' does not type-check: cannot"
+        " compare int with string",
+        "v.ciot:41:9: warning R6 state 'D' of component 'C' is unreachable from the initial state",
+        "v.ciot:47:23: error R1 state machine of component 'M' has no initial state",
+        "v.ciot:48:23: error R1 state machine of component 'N' has multiple initial states: X, Y",
+        "v.ciot:51:5: error R3 generic event 'g' used in entry of state 'X': payload field 'v' is int but"
+        " property 'v' is string",
+        "v.ciot:53:49: warning R6 state 'Y' of component 'S' is unreachable from the initial state",
+    ]
 
 
 def test_mutation_corpus_matches_expected_table(corpus_dir):
