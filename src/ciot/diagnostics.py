@@ -32,13 +32,19 @@ class SourceSpan(NamedTuple):
     end_column: int
 
 
+# (start, end) character offsets into one text, ``end`` exclusive.
+Offsets = tuple[int, int]
+
+
 class Locator:
     """Line and column of character offsets into one text.
 
-    The lexer and parser keep offsets; a :class:`SourceSpan` is built only
-    where one is kept, by ``bisect`` over the offsets at which the text's
-    lines start, a table built once per text. A line ends at ``"\\n"``, and
-    each character (a tab or a ``"\\r"`` too) is one column."""
+    Tokens, syntax tree nodes and metamodel objects keep offsets; a
+    :class:`SourceSpan` is built only where one is kept (a diagnostic, or a
+    guard or effect expression node), by ``bisect`` over the offsets at
+    which the text's lines start, a table built once per text. A line ends
+    at ``"\\n"``, and each character (a tab or a ``"\\r"`` too) is one
+    column."""
 
     __slots__ = ("starts",)
 
@@ -125,10 +131,11 @@ def require_type(value: object, kind: type, what: str) -> None:
 
 
 def read_text(path: str) -> str:
-    """The UTF-8 text of the file at ``path``, or E_IO (with ``path`` as the
-    diagnostic's file) when it cannot be read or is not UTF-8."""
+    """The UTF-8 text of the file at ``path``, one leading byte-order mark
+    dropped, or E_IO (with ``path`` as the diagnostic's file) when it cannot
+    be read or is not UTF-8."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise CiotError.of(E_IO, f"cannot read {path!r}: {exc}", None, path) from exc

@@ -164,7 +164,7 @@ def instantiate(model: Model) -> RuntimeState:
         instances[path] = InstanceState(
             path=path,
             component=comp,
-            properties={p.name: _initial_value(comp, p, path, model.overrides) for p in comp.properties},
+            properties={p.name: _initial_value(model, comp, p, path) for p in comp.properties},
             state=initial,
             index=index,
             dispatch=tables[id(comp)],
@@ -235,8 +235,8 @@ def _transition(t: TransitionDef) -> Transition:
     )
 
 
-def _initial_value(comp: ComponentDef, prop, path: str, overrides: dict):
-    value = fit_value(prop.type, overrides.get(prop.name))
+def _initial_value(model: Model, comp: ComponentDef, prop, path: str):
+    value = fit_value(prop.type, model.overrides.get(prop.name))
     if value is None:
         value = fit_value(prop.type, prop.initial)
     if value is None:
@@ -244,7 +244,7 @@ def _initial_value(comp: ComponentDef, prop, path: str, overrides: dict):
             "E_INSTANTIATE",
             f"property {prop.name!r} of {path} ({comp.name}) is {prop.type.value} "
             f"but its initial value is {describe_value(prop.initial)}",
-            prop.span,
+            model.locate(prop.span),
         )
     return value
 

@@ -74,28 +74,29 @@ KEYWORDS = frozenset(
 EXPR_RESERVED = frozenset({"and", "or", "not", "true", "false", "payload"})
 
 # One token per match, after blanks: spaces, tabs, carriage returns, newlines
-# and "//" comments. The match is anchored at the scan position, so a bad
-# character ends the scan instead of being searched past. A comment among
-# the blanks must run to a newline: it cannot stop early and let a token
-# start inside it, and one that ends the text is where end of input sits.
-# Each blank matches in exactly one way, so a failed match backtracks
-# linearly. No token spans a newline. Two-character punctuation comes first
-# so ":=", "->", "--" and the two-character comparisons win; FLOAT comes
-# before INT so "1.5" is one token while "1." is INT then ".".
-_BLANKS = r"(?:[ \t\r\n]|//[^\n]*(?=\n))*"
+# and "//" comments. A comment among the blanks must run to a newline: it
+# cannot stop early and let a token start inside it, and one that ends the
+# text is where end of input sits. The blank run is unrolled (a run of white
+# space, then comments each followed by one), so the engine never tries a
+# blank twice. Alternatives go from the most common token to the least;
+# two-character punctuation comes first so ":=", "->", "--" and the
+# two-character comparisons win, and FLOAT comes before INT so "1.5" is one
+# token while "1." is INT then ".". No token spans a newline. BAD matches any
+# other character, so the scan of ``finditer`` never searches past one: each
+# match starts where the last one ended, and the first BAD ends the scan.
 _SCAN = re.compile(
-    _BLANKS
-    + r"""(?:
-        (?P<STRING>"(?:[^"\\\n]|\\.)*")
+    r"""[ \t\r\n]*(?://[^\n]*(?=\n)[ \t\r\n]*)*
+    (?:
+        (?P<WORD>[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<PUNCT>:=|->|--|==|!=|<=|>=|[{}()\[\]:;,.<>=])
+      | (?P<STRING>"(?:[^"\\\n]|\\.)*")
       | (?P<FLOAT>[0-9]+\.[0-9]+)
       | (?P<INT>[0-9]+)
-      | (?P<WORD>[A-Za-z_][A-Za-z0-9_]*)
-      | (?P<PUNCT>:=|->|--|==|!=|<=|>=|[{}()\[\]:;,.<>=])
       | (?P<EOI>(?://[^\n]*)?\Z)
+      | (?P<BAD>.)
     )""",
     re.VERBOSE,
 )
-_SKIP = re.compile(_BLANKS)
 _KINDS = {"STRING": TokenKind.STRING, "FLOAT": TokenKind.FLOAT, "INT": TokenKind.INT, "PUNCT": TokenKind.PUNCT}
 # Escapes that stand for another character; after any other backslash the
 # next character stands for itself.
@@ -119,29 +120,26 @@ def tokenize(source: str, file: str | None = None) -> list[Token]:
     require_type(source, str, "text")
     tokens: list[Token] = []
     append = tokens.append
-    match = _SCAN.match
     # One str per distinct word, which its tokens (and the tree's names)
     # share: this keeps a parse's peak memory down, which an int start offset
     # per token would otherwise raise.
     words: dict[str, str] = {}
-    pos = 0
-    while m := match(source, pos):
+    for m in _SCAN.finditer(source):
         group = m.lastgroup
-        if group == "EOI":
-            append((TokenKind.EOI, "", m.start(group)))
-            return tokens
         text = m[group]
         if group == "WORD":
             text = words.setdefault(text, text)
-            kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
+            append((TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT, text, m.start(group)))
+        elif group == "EOI":
+            append((TokenKind.EOI, "", m.start(group)))
+            return tokens
+        elif group == "BAD":
+            message = "unterminated string literal" if text == '"' else f"unexpected character {text!r}"
+            at = m.start(group)
+            raise CiotError.of(E_LEX, message, Locator(source).span(at, at), file)
         else:
-            kind = _KINDS[group]
-        append((kind, text, m.start(group)))
-        pos = m.end()
-    at = _SKIP.match(source, pos).end()
-    c = source[at]
-    message = "unterminated string literal" if c == '"' else f"unexpected character {c!r}"
-    raise CiotError.of(E_LEX, message, Locator(source).span(at, at), file)
+            append((_KINDS[group], text, m.start(group)))
+    raise AssertionError  # unreachable: EOI matches at the end of any text
 
 
 def decode_string(quoted: str) -> str:

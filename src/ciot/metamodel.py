@@ -2,9 +2,11 @@
 
 A :class:`Model` is pure data: every name reference has been bound to the
 defining object by the resolver, and nothing here mutates after resolution.
-Source spans ride along for diagnostics but are excluded from equality, so
-two structurally identical models compare equal regardless of where their
-text came from.
+Each declaration's ``span`` is the ``(start, end)`` offsets of its syntax
+tree node, and the model keeps the text's locator, so a ``SourceSpan`` is
+built (:meth:`Model.locate`) only for a diagnostic. Spans and the locator
+are excluded from equality, so two structurally identical models compare
+equal regardless of where their text came from.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Union
 
-from .diagnostics import CiotError, SourceSpan
+from .diagnostics import CiotError, Locator, Offsets, SourceSpan
 from .guards import Expr, PrimType, describe_value, fit_value
 
 __all__ = [
@@ -80,7 +82,7 @@ FieldType = Union[PrimType, "PayloadDef"]
 class PayloadField:
     name: str
     type: FieldType
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
+    span: Offsets | None = field(default=None, compare=False, repr=False)
 
     def __eq__(self, other):  # a record type compares by name, see ``structurally_equal``
         if not isinstance(other, PayloadField):
@@ -92,21 +94,21 @@ class PayloadField:
 class PayloadDef:
     name: str
     fields: list[PayloadField]
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
+    span: Offsets | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
 class Operation:
     name: str
     payload: PayloadDef
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
+    span: Offsets | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
 class InterfaceDef:
     name: str
     operations: list[Operation]
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
+    span: Offsets | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -114,7 +116,7 @@ class PropertyDef:
     name: str
     type: PrimType
     initial: int | float | bool | str
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
+    span: Offsets | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -122,7 +124,7 @@ class PortDef:
     name: str
     provided: list[InterfaceDef]
     required: list[InterfaceDef]
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
+    span: Offsets | None = field(default=None, compare=False, repr=False)
 
     def interfaces(self) -> list[InterfaceDef]:
         return [*self.provided, *self.required]
@@ -132,7 +134,7 @@ class PortDef:
 class InstanceDecl:
     name: str
     component: "ComponentDef"
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
+    span: Offsets | None = field(default=None, compare=False, repr=False)
 
     def __eq__(self, other):  # the component compares by name, see ``structurally_equal``
         if not isinstance(other, InstanceDecl):
@@ -146,7 +148,7 @@ class Endpoint:
 
     instance: InstanceDecl | None
     port: PortDef
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
+    span: Offsets | None = field(default=None, compare=False, repr=False)
 
     def describe(self) -> str:
         owner = "self" if self.instance is None else self.instance.name
@@ -157,7 +159,7 @@ class Endpoint:
 class Connector:
     a: Endpoint
     b: Endpoint
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
+    span: Offsets | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -166,7 +168,7 @@ class Assignment:
 
     target: str
     expr: Expr
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
+    span: Offsets | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -176,7 +178,7 @@ class ActionDef:
     payload: PayloadDef | None
     port: PortDef | None
     effects: list[Assignment]
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
+    span: Offsets | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -186,7 +188,7 @@ class EventDef:
     port: PortDef | None
     payload: PayloadDef | None
     action: ActionDef
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
+    span: Offsets | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -196,7 +198,7 @@ class StateDef:
     entry: list[EventDef]
     exit: list[EventDef]
     continuous: list[EventDef]
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
+    span: Offsets | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -205,14 +207,14 @@ class TransitionDef:
     target: StateDef
     trigger: EventDef | None
     guard: Expr | None
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
+    span: Offsets | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
 class StateMachine:
     states: list[StateDef]
     transitions: list[TransitionDef]
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
+    span: Offsets | None = field(default=None, compare=False, repr=False)
 
     @property
     def initial(self) -> StateDef | None:
@@ -239,7 +241,7 @@ class ComponentDef:
     events: list[EventDef]
     actions: list[ActionDef]
     state_machine: StateMachine | None
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
+    span: Offsets | None = field(default=None, compare=False, repr=False)
 
     def property_named(self, name: str) -> PropertyDef | None:
         for p in self.properties:
@@ -261,6 +263,7 @@ class Model:
     components: list[ComponentDef]
     root_instances: list[InstanceDecl]
     source: str | None = field(default=None, compare=False, repr=False)
+    locator: Locator | None = field(default=None, compare=False, repr=False)
     # A run input, not declared structure: property name -> initial value for ``instantiate``.
     overrides: dict[str, int | float | bool | str] = field(default_factory=dict, compare=False, repr=False)
 
@@ -269,6 +272,11 @@ class Model:
             if c.name == name:
                 return c
         return None
+
+    def locate(self, span: Offsets | None) -> SourceSpan | None:
+        """The ``SourceSpan`` of a declaration's ``span`` in the model's text
+        (None for a declaration built without one)."""
+        return None if span is None else self.locator.span(*span)
 
 
 def structurally_equal(a: Model, b: Model) -> bool:

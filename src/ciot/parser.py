@@ -5,11 +5,11 @@ source spans; the resolver binds them into a :class:`~ciot.metamodel.Model`.
 The normative grammar lives in ``docs/grammar.md``.
 
 Syntax tree spans are ``(start, end)`` character offsets, ``end`` exclusive,
-from the first token of a node to its last. The tree carries the text's
-:class:`~ciot.diagnostics.Locator`, which turns them into a ``SourceSpan``
-where one is kept: the resolver does so for each metamodel object and
-diagnostic, and the parser for its own E_PARSE diagnostics and for guard and
-effect expression nodes, whose spans are ``SourceSpan`` values.
+from the first token of a node to its last; the metamodel keeps the same
+tuples. The tree carries the text's :class:`~ciot.diagnostics.Locator`,
+which turns them into a ``SourceSpan`` where one is kept: for a diagnostic,
+and for guard and effect expression nodes, whose spans are ``SourceSpan``
+values because the evaluator reports through them and has no locator.
 
 Naming rule: entity names (payloads, interfaces, components, ports, events,
 actions, states, instances) must be plain identifiers. Member positions
@@ -24,17 +24,13 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .diagnostics import E_PARSE, CiotError, Locator, SourceSpan
+from .diagnostics import E_PARSE, CiotError, Locator, Offsets, SourceSpan
 from .guards import Binary, Expr, Literal, NameRef, PayloadFieldRef, PrimType, Unary
 from .lexer import EXPR_RESERVED, KEYWORDS, Token, TokenKind, decode_string, describe, tokenize
 from .metamodel import ACTION_KEYWORDS, ActionKind, ComponentKind, EventDirection
 
 _PRIM_NAMES = {"int": PrimType.INT, "float": PrimType.FLOAT, "bool": PrimType.BOOL, "string": PrimType.STRING}
 _COMPARISONS = frozenset({"==", "!=", "<", "<=", ">", ">="})
-
-
-# (start, end) character offsets of a syntax tree node, ``end`` exclusive.
-Offsets = tuple[int, int]
 
 
 class Ref(NamedTuple):

@@ -3,8 +3,9 @@
 Collects every resolution problem (unknown references, duplicate names,
 payload/composition cycles) before failing, so one run reports them all.
 Guard and effect expressions are left as unresolved name trees; the validator
-types them (rule R4). Syntax tree offsets become ``SourceSpan`` values here,
-through the tree's locator, for each metamodel object and each diagnostic.
+types them (rule R4). Metamodel objects keep their syntax tree node's
+offsets, and the model keeps the tree's locator; a ``SourceSpan`` is built
+here only for a diagnostic.
 
 Each scope rule is stated once: ``unique`` keeps the first declaration of a
 name, ``lookup`` binds a reference, and ``_check_acyclic`` walks the payload
@@ -21,7 +22,7 @@ from .diagnostics import (
     E_UNKNOWN_REF,
     CiotError,
     Diagnostic,
-    SourceSpan,
+    Offsets,
     error,
 )
 from .metamodel import (
@@ -67,15 +68,14 @@ class _Resolver:
     def __init__(self, ast: AstModel) -> None:
         self.ast = ast
         self.file = ast.file
-        self.locate = ast.locator.span
         self.diagnostics: list[Diagnostic] = []
         self.payloads: dict[str, PayloadDef] = {}
         self.interfaces: dict[str, InterfaceDef] = {}
         self.components: dict[str, ComponentDef] = {}
         self.ports: dict[str, dict[str, PortDef]] = {}  # component name -> its ports by name
 
-    def err(self, rule: str, message: str, span: SourceSpan) -> None:
-        self.diagnostics.append(error(rule, message, span, self.file))
+    def err(self, rule: str, message: str, span: Offsets) -> None:
+        self.diagnostics.append(error(rule, message, self.ast.locator.span(*span), self.file))
 
     def unique(self, decls: Iterable[T], what: str, where: str = "") -> Iterator[T]:
         """Yield the first declaration of each name; report a later one as a
@@ -85,7 +85,7 @@ class _Resolver:
         for d in decls:
             name, span = (d.name.name, d.name.span) if isinstance(d.name, Ref) else (d.name, d.name_span)
             if name in seen:
-                self.err(E_DUPLICATE, f"duplicate {what} {name!r}{where}", self.locate(*span))
+                self.err(E_DUPLICATE, f"duplicate {what} {name!r}{where}", span)
             else:
                 seen.add(name)
                 yield d
@@ -96,21 +96,16 @@ class _Resolver:
             return None
         found = table.get(ref.name)
         if found is None:
-            self.err(E_UNKNOWN_REF, f"unknown {what} {ref.name!r}{where}", self.locate(*ref.span))
+            self.err(E_UNKNOWN_REF, f"unknown {what} {ref.name!r}{where}", ref.span)
         return found
 
     def run(self) -> Model | None:
         # Pass 1: register every top-level definition (shells only) so that
         # forward references work.
-        locate = self.locate
-        payloads = [
-            (p, PayloadDef(p.name.name, [], locate(*p.span))) for p in self.unique(self.ast.payloads, "payload")
-        ]
-        interfaces = [
-            (i, InterfaceDef(i.name.name, [], locate(*i.span))) for i in self.unique(self.ast.interfaces, "interface")
-        ]
+        payloads = [(p, PayloadDef(p.name.name, [], p.span)) for p in self.unique(self.ast.payloads, "payload")]
+        interfaces = [(i, InterfaceDef(i.name.name, [], i.span)) for i in self.unique(self.ast.interfaces, "interface")]
         components = [
-            (c, ComponentDef(c.name.name, c.kind, [], [], [], [], [], [], None, locate(*c.span)))
+            (c, ComponentDef(c.name.name, c.kind, [], [], [], [], [], [], None, c.span))
             for c in self.unique(self.ast.components, "component")
         ]
         self.payloads = {d.name: d for _, d in payloads}
@@ -123,7 +118,7 @@ class _Resolver:
             for f in self.unique(p.fields, "field", f" in payload {p.name.name!r}"):
                 ftype = f.type.prim or self.lookup(self.payloads, f.type.payload, "payload type")
                 if ftype is not None:
-                    target.fields.append(PayloadField(f.name, ftype, locate(*f.name_span)))
+                    target.fields.append(PayloadField(f.name, ftype, f.name_span))
         self._check_acyclic(
             self.payloads.values(),
             lambda p: [f.type for f in p.fields if isinstance(f.type, PayloadDef)],
@@ -134,7 +129,7 @@ class _Resolver:
             for op in self.unique(i.operations, "operation", f" in interface {i.name.name!r}"):
                 payload = self.lookup(self.payloads, op.payload, "payload")
                 if payload is not None:
-                    target.operations.append(Operation(op.name.name, payload, locate(*op.name.span)))
+                    target.operations.append(Operation(op.name.name, payload, op.name.span))
 
         for c, target in components:
             self._fill_component(c, target)
@@ -158,6 +153,7 @@ class _Resolver:
             components=list(self.components.values()),
             root_instances=roots,
             source=self.file,
+            locator=self.ast.locator,
         )
 
     # -- component internals ----------------------------------------------
@@ -167,15 +163,14 @@ class _Resolver:
         for d in self.unique(decls, "instance", where):
             comp = self.lookup(self.components, d.component, "component")
             if comp is not None:
-                out.append(InstanceDecl(d.name.name, comp, self.locate(*d.span)))
+                out.append(InstanceDecl(d.name.name, comp, d.span))
         return out
 
     def _fill_component(self, ast: AstComponent, comp: ComponentDef) -> None:
         where = f" in component {ast.name.name!r}"
-        locate = self.locate
 
         for prop in self.unique(ast.properties, "property", where):
-            comp.properties.append(PropertyDef(prop.name, prop.type, prop.initial.value, locate(*prop.name_span)))
+            comp.properties.append(PropertyDef(prop.name, prop.type, prop.initial.value, prop.name_span))
 
         for port in self.unique(ast.ports, "port", where):
             provided = [self.lookup(self.interfaces, r, "interface") for r in port.provides]
@@ -185,7 +180,7 @@ class _Resolver:
                     port.name.name,
                     [i for i in provided if i is not None],
                     [i for i in required if i is not None],
-                    locate(*port.span),
+                    port.span,
                 )
             )
         ports = self.ports[comp.name] = {p.name: p for p in comp.ports}
@@ -196,8 +191,8 @@ class _Resolver:
         for act in self.unique(ast.actions, "action", where):
             payload = self.lookup(self.payloads, act.payload, "payload")
             port = self.lookup(ports, act.port, "port", where)
-            effects = [Assignment(e.target, e.expr, locate(*e.target_span)) for e in act.effects]
-            comp.actions.append(ActionDef(act.name.name, act.kind, payload, port, effects, locate(*act.span)))
+            effects = [Assignment(e.target, e.expr, e.target_span) for e in act.effects]
+            comp.actions.append(ActionDef(act.name.name, act.kind, payload, port, effects, act.span))
 
         actions = {a.name: a for a in comp.actions}
         for ev in self.unique(ast.events, "event", where):
@@ -205,7 +200,7 @@ class _Resolver:
             port = self.lookup(ports, ev.port, "port", where)
             action = self.lookup(actions, ev.action, "action", where)
             if action is not None:
-                comp.events.append(EventDef(ev.name.name, ev.direction, port, payload, action, locate(*ev.span)))
+                comp.events.append(EventDef(ev.name.name, ev.direction, port, payload, action, ev.span))
 
         if ast.machine is not None:
             comp.state_machine = self._machine(ast, comp, where)
@@ -216,12 +211,12 @@ class _Resolver:
             a = self._endpoint(conn.a, comp, children)
             b = self._endpoint(conn.b, comp, children)
             if a is not None and b is not None:
-                comp.connectors.append(Connector(a, b, self.locate(*conn.span)))
+                comp.connectors.append(Connector(a, b, conn.span))
 
     def _endpoint(self, ast_ep, comp: ComponentDef, children: dict[str, InstanceDecl]) -> Endpoint | None:
         if ast_ep.instance is None:
             port = self.lookup(self.ports[comp.name], ast_ep.port, "port", " on 'self'")
-            return None if port is None else Endpoint(None, port, self.locate(*ast_ep.span))
+            return None if port is None else Endpoint(None, port, ast_ep.span)
         inst = self.lookup(children, ast_ep.instance, "subcomponent instance", f" in component {comp.name!r}")
         if inst is None:
             return None
@@ -230,15 +225,14 @@ class _Resolver:
             self.err(
                 E_UNKNOWN_REF,
                 f"component {inst.component.name!r} has no port {ast_ep.port.name!r}",
-                self.locate(*ast_ep.port.span),
+                ast_ep.port.span,
             )
             return None
-        return Endpoint(inst, port, self.locate(*ast_ep.span))
+        return Endpoint(inst, port, ast_ep.span)
 
     def _machine(self, ast: AstComponent, comp: ComponentDef, where: str) -> StateMachine:
         assert ast.machine is not None
         events = {e.name: e for e in comp.events}
-        locate = self.locate
 
         def event_refs(refs: list[Ref]) -> list[EventDef]:
             found = [self.lookup(events, r, "event", where) for r in refs]
@@ -251,7 +245,7 @@ class _Resolver:
                 event_refs(s.entry),
                 event_refs(s.exit),
                 event_refs(s.continuous),
-                locate(*s.span),
+                s.span,
             )
             for s in self.unique(ast.machine.states, "state", where)
         ]
@@ -262,8 +256,8 @@ class _Resolver:
             target = self.lookup(by_name, t.target, "state")
             trigger = self.lookup(events, t.trigger, "event")
             if source is not None and target is not None and (trigger is not None or t.trigger is None):
-                transitions.append(TransitionDef(source, target, trigger, t.guard, locate(*t.span)))
-        return StateMachine(states, transitions, locate(*ast.machine.span))
+                transitions.append(TransitionDef(source, target, trigger, t.guard, t.span))
+        return StateMachine(states, transitions, ast.machine.span)
 
     def _check_acyclic(self, nodes: Iterable, children: Callable[[T], list[T]], message: str) -> None:
         """Report, in depth-first order, each node reached again while it is

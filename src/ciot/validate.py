@@ -23,7 +23,8 @@ Rules (errors unless noted):
       port, otherwise no peer could ever send it
 
 Each check yields ``(rule, message, span)`` findings; ``validate`` alone
-makes them diagnostics, attaching the model's source and the severity.
+makes them diagnostics, attaching the model's source and the severity, and
+building each ``SourceSpan`` (see ``_Finding``).
 ``validate`` is pure: same model in, same diagnostic list out, model untouched.
 """
 
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-from .diagnostics import Diagnostic, Severity, SourceSpan
+from .diagnostics import Diagnostic, Offsets, Severity, SourceSpan
 from .guards import CiotError, GuardScope, PrimType, assignable, describe_value, fit_value, typecheck_guard
 from .metamodel import (
     ActionKind,
@@ -44,7 +45,11 @@ from .metamodel import (
     StateMachine,
 )
 
-_Finding = tuple[str, str, SourceSpan | None]
+# A finding's span is the offsets of the metamodel object it names, which
+# ``validate`` locates in the model's text, except for an expression that
+# does not type-check (R4): that finding keeps the ``SourceSpan`` the parser
+# gave the offending expression node.
+_Finding = tuple[str, str, Offsets | SourceSpan | None]
 
 _EXPECTED_ACTION = {
     EventDirection.INCOMING: ActionKind.RECEIVE_PAYLOAD,
@@ -57,7 +62,13 @@ def validate(model: Model) -> list[Diagnostic]:
     """Check R1-R7 over a resolved model; deterministic diagnostic order."""
     file = model.source
     return [
-        Diagnostic(rule, Severity.WARNING if rule == "R6" else Severity.ERROR, message, span, file)
+        Diagnostic(
+            rule,
+            Severity.WARNING if rule == "R6" else Severity.ERROR,
+            message,
+            span if isinstance(span, SourceSpan) else model.locate(span),
+            file,
+        )
         for comp in model.components
         for rule, message, span in _check_component(comp)
     ]

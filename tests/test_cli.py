@@ -71,6 +71,30 @@ def test_file_not_utf8_is_one_io_line(capsys, tmp_path, parking_path, arrive_dep
 
 
 @pytest.mark.parametrize(
+    "argv, marked",
+    [
+        (["validate", "parking_node.ciot"], 0),
+        (["validate", "mutations/r4_guard_type.ciot"], 0),
+        (["validate", "syntax_errors/bad_character.ciot"], 0),
+        (["simulate", "parking_node.ciot", "scenario_arrive_depart.scn"], 0),
+        (["simulate", "parking_node.ciot", "scenario_arrive_depart.scn"], 1),
+    ],
+    ids=["validate_model", "validate_mutant", "validate_line_1_error", "simulate_model", "simulate_scenario"],
+)
+def test_leading_byte_order_mark_is_dropped(capsys, tmp_path, corpus_dir, argv, marked):
+    """A file that starts with a UTF-8 byte-order mark gives the output and
+    exit code of the same file without it, positions on line 1 included."""
+    command, *names = argv
+    paths = [tmp_path / pathlib.Path(name).name for name in names]
+    data = [(corpus_dir / name).read_bytes() for name in names]
+    for path, raw in zip(paths, data):
+        path.write_bytes(raw)
+    plain = run_cli(capsys, command, *map(str, paths))
+    paths[marked].write_bytes(b"\xef\xbb\xbf" + data[marked])
+    assert run_cli(capsys, command, *map(str, paths)) == plain
+
+
+@pytest.mark.parametrize(
     "text, line, column, char",
     [
         ("component C : IoTElement {\n    property x: int = \u00b2;\n}\n", 2, 23, "\u00b2"),

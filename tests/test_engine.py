@@ -393,6 +393,8 @@ def test_bad_initial_raises_at_instantiate():
     with pytest.raises(CiotError) as exc:
         instantiate(m)
     assert exc.value.code == "E_INSTANTIATE"
+    # The span is the property name's, built from the model's text when the error is made.
+    assert [d.span for d in exc.value.diagnostics] == [(1, 32, 1, 32)]
 
 
 def test_built_payload_beyond_float_range_is_eval_error():

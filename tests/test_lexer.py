@@ -291,3 +291,113 @@ def test_comment_is_not_reread_before_a_bad_character(source, line, column):
     assert [(d.message, d.span.line, d.span.column) for d in exc.value.diagnostics] == [
         ("unexpected character '@'", line, column)
     ]
+
+
+# --- differential: a character-at-a-time reference scanner ------------------
+
+_TWO_CHAR_PUNCT = (":=", "->", "--", "==", "!=", "<=", ">=")
+_ONE_CHAR_PUNCT = "{}()[]:;,.<>="
+_DIGITS = "0123456789"
+
+
+def _is_word_char(c: str, first: bool) -> bool:
+    return c.isascii() and (c.isalpha() or c == "_" or (not first and c in _DIGITS))
+
+
+def _reference_tokens(source: str):
+    """The tokens of ``source`` as ``(kind, text, start)`` tuples, or
+    ``("E_LEX", message, line, column)`` for the first bad character, by the
+    rules of docs/grammar.md, walking the text one character at a time."""
+    tokens = []
+    i, n = 0, len(source)
+    while True:
+        while i < n:
+            if source[i] in " \t\r\n":
+                i += 1
+            elif source.startswith("//", i) and "\n" in source[i:]:
+                i = source.index("\n", i)
+            else:
+                break
+        if i == n or source.startswith("//", i):
+            tokens.append((TokenKind.EOI, "", i))
+            return tokens
+        c = source[i]
+        j = i + 1
+        if _is_word_char(c, first=True):
+            while j < n and _is_word_char(source[j], first=False):
+                j += 1
+            kind = TokenKind.KEYWORD if source[i:j] in KEYWORDS else TokenKind.IDENT
+        elif c in _DIGITS:
+            while j < n and source[j] in _DIGITS:
+                j += 1
+            kind = TokenKind.INT
+            if source[j : j + 1] == "." and j + 1 < n and source[j + 1] in _DIGITS:
+                j += 2
+                while j < n and source[j] in _DIGITS:
+                    j += 1
+                kind = TokenKind.FLOAT
+        elif c == '"':
+            while j < n and source[j] not in '"\n':
+                if source[j] == "\\":
+                    if j + 1 == n or source[j + 1] == "\n":
+                        break
+                    j += 1
+                j += 1
+            if j == n or source[j] != '"':
+                return _reference_error(source, i, "unterminated string literal")
+            j += 1
+            kind = TokenKind.STRING
+        elif source[i : i + 2] in _TWO_CHAR_PUNCT:
+            j += 1
+            kind = TokenKind.PUNCT
+        elif c in _ONE_CHAR_PUNCT:
+            kind = TokenKind.PUNCT
+        else:
+            return _reference_error(source, i, f"unexpected character {c!r}")
+        tokens.append((kind, source[i:j], i))
+        i = j
+
+
+def _reference_error(source: str, at: int, message: str):
+    line = source.count("\n", 0, at) + 1
+    column = at - source.rfind("\n", 0, at)
+    return ("E_LEX", message, line, column)
+
+
+_STRAY = "@#$%^&?!'`~|+*/-\\\x0b\x0c\x00\u00e9\u00b2\u00a0\u2028\u0663"
+_ESCAPED_BODY = st.lists(
+    st.one_of(st.sampled_from("ab \t\u00e9"), st.sampled_from(['\\"', "\\\\", "\\n", "\\t", "\\x", "\\", "\\\n"])),
+    max_size=5,
+).map("".join)
+_VALID_PIECE = st.one_of(
+    _WORD,
+    st.sampled_from(sorted(KEYWORDS)),
+    st.integers(min_value=0, max_value=10**6).map(str),
+    st.tuples(st.integers(0, 99), st.integers(0, 99)).map(lambda p: f"{p[0]}.{p[1]}"),
+    st.just("1."),
+    st.sampled_from(sorted(PUNCTUATION)),
+    _ESCAPED_BODY.map(lambda body: f'"{body}"'),
+    st.sampled_from(["// c", "//", "// x \u00e9 \"\n", "//\n", "// @\r\n"]),
+    st.sampled_from([" ", "\t", "\r", "\n", "\r\n", "  \n\t"]),
+)
+# Pieces are joined with nothing between them, so they also abut ("1." then
+# "5" is "1.5"); texts of any piece mostly end in an error, so half the texts
+# are drawn from pieces that are tokens or blanks alone.
+_LEX_TEXT = st.one_of(
+    st.lists(_VALID_PIECE, max_size=40),
+    st.lists(st.one_of(_VALID_PIECE, _ESCAPED_BODY.map(lambda body: f'"{body}'), st.sampled_from(_STRAY)), max_size=25),
+).map("".join)
+
+
+@settings(max_examples=300)
+@given(_LEX_TEXT)
+@example('"a\\"b\\\\" 1. 1.5 x// c\r\n@')
+@example('"\\')
+@example("a // tail")
+def test_tokenize_agrees_with_a_character_at_a_time_scan(source):
+    try:
+        got = tokenize(source)
+    except CiotError as exc:
+        diag = exc.diagnostics[0]
+        got = (diag.rule, diag.message, diag.span.line, diag.span.column)
+    assert got == _reference_tokens(source)

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import pathlib
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ciot import load_text, structurally_equal
+from ciot import load_file, load_text, structurally_equal
 from ciot.cli import main
 from ciot.diagnostics import CiotError, Severity
 from ciot.guards import expr_to_text
@@ -12,6 +15,8 @@ from ciot.loader import collect_diagnostics
 from ciot.metamodel import ComponentKind, instance_paths
 from ciot.parser import parse
 from ciot.resolver import resolve
+
+CORPUS_DIR = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
 
 def rules(text: str) -> list[str]:
@@ -25,6 +30,55 @@ def test_corpus_resolves_fully(parking_model):
     assert len(m.interfaces) == 6
     assert len(m.payloads) == 2
     assert [p for p, _ in instance_paths(m)] == ["node", "node.red", "node.green", "node.sensor"]
+
+
+def _declarations(model):
+    """Every metamodel object that has a span, with the word the text at the
+    start of its span must be: its declaring keyword, or its name where the
+    span is the name's (payload fields, operations, properties, effect
+    targets and connector ends)."""
+    for p in model.payloads:
+        yield p, "payload"
+        yield from ((f, f.name) for f in p.fields)
+    for i in model.interfaces:
+        yield i, "interface"
+        yield from ((op, op.name) for op in i.operations)
+    for c in model.components:
+        yield c, "component"
+        yield from ((p, p.name) for p in c.properties)
+        yield from ((p, "port") for p in c.ports)
+        yield from ((d, "instance") for d in c.subcomponents)
+        for conn in c.connectors:
+            yield conn, "connect"
+            yield from ((ep, "self" if ep.instance is None else ep.instance.name) for ep in (conn.a, conn.b))
+        for a in c.actions:
+            yield a, "action"
+            yield from ((e, e.target) for e in a.effects)
+        yield from ((e, "event") for e in c.events)
+        if c.state_machine is not None:
+            yield c.state_machine, "statemachine"
+            yield from ((s, "state") for s in c.state_machine.states)
+            yield from ((t, "transition") for t in c.state_machine.transitions)
+    yield from ((d, "instance") for d in model.root_instances)
+
+
+@pytest.mark.parametrize(
+    "relpath", ["parking_node.ciot", *sorted(f"mutations/{p.name}" for p in CORPUS_DIR.glob("mutations/*.ciot"))]
+)
+def test_metamodel_spans_start_at_their_declaration(relpath):
+    """The span a diagnostic would carry for each metamodel object starts at
+    its declaring keyword or name; the text is split into lines here, not
+    through the model's locator."""
+    path = CORPUS_DIR / relpath
+    model = load_file(str(path), check=False)
+    lines = path.read_text(encoding="utf-8").split("\n")
+    kinds = set()
+    for obj, word in _declarations(model):
+        span = model.locate(obj.span)
+        at = lines[span.line - 1][span.column - 1 :]
+        assert re.match(rf"{word}\b", at), (type(obj).__name__, word, span, at)
+        kinds.add(type(obj))
+    assert len(kinds) == 16  # every metamodel type with a span
 
 
 def test_corpus_has_three_distinct_machine_shapes(parking_model):
