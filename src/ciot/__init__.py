@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from .diagnostics import CiotError, Diagnostic, Severity, SourceSpan
 from .engine import (
-    EventInstance,
     InstanceState,
     RunResult,
     RuntimeState,
@@ -68,7 +67,6 @@ __all__ = [
     "ComponentKind",
     "Diagnostic",
     "EventDirection",
-    "EventInstance",
     "GuardScope",
     "InstanceState",
     "Model",

@@ -19,25 +19,38 @@ from same-named properties); at continuous position its action runs inline
 without enqueueing, so a quiescent state stays quiescent.
 
 The next instance is found without a scan: each instance carries its
-depth-first index, and ``RuntimeState.ready`` is a min-heap of the indices
-whose inbox is non-empty. An index is pushed when its inbox goes from empty
-to non-empty and popped when a step empties it again, so the heap's top is
-always the instance the depth-first order names.
+depth-first index, ``RuntimeState.by_index`` lists the instances in that
+order, and ``RuntimeState.ready`` is a min-heap of the indices whose inbox is
+non-empty. An index is pushed when its inbox goes from empty to non-empty
+and popped when a step empties it again, so the heap's top is always the
+instance the depth-first order names. An inbox entry is a plain
+``(event, delivered)`` tuple: ``delivered`` holds the values of the event's
+``event_delivered`` record (name, sequence number, source, payload), built
+once when the event is queued and recorded as it is when a step takes it.
 
 What the model fixes is worked out once per component at ``instantiate``
-and shared by that run's instances of it: the transitions by source state,
-each with its guard compiled by ``guards.compile_expr`` and the values of the
-records it makes (guard_eval for either result, transition, state_exited,
-state_entered) built in advance; and each action's effects as compiled
-``(target, type, expression)`` triples. ``instantiate`` also resolves every
-send of every instance before anything runs: the route, the peer, the peer's
-incoming event and the source text. Nothing compiled is kept on the model, so
-every ``instantiate`` builds its own tables.
+and shared by that run's instances of it (``Dispatch``). Per state: its
+transitions, each with its guard compiled by ``guards.compile_expr`` and the
+values of the records it makes (guard_eval for either result, transition,
+state_exited, state_entered) built in advance; and its entry, exit and
+continuous executions with the direction already decided: run the action
+and send, queue a payload snapshot, or run the action inline. Per event:
+its action's effects as compiled expressions. ``instantiate`` also resolves
+every send of every instance before anything runs: the route, the peer, the
+peer's incoming event and the source text. Nothing compiled is kept on the
+model, so every ``instantiate`` builds its own tables.
 
-Every value stored in a property or payload field passes ``guards.fit_value``:
-at the boundaries (initial values, injected payloads) a misfit is
-``E_INSTANTIATE`` or ``E_TYPE``, during a run (effects, built payloads) it is
-``E_EVAL`` naming the instance and the property.
+Every value stored in a property or payload field fits its declared type,
+and ``guards.fit_value`` runs where the declared types do not prove the fit.
+At the boundaries (initial values, injected payloads) a misfit is
+``E_INSTANTIATE`` or ``E_TYPE``; during a run (effects, built payloads) it
+is ``E_EVAL`` naming the instance and the property. The declared types prove
+the fit of a payload field built from a property of the field's type, and of
+an effect whose expression has the target's type: a literal that fits it, a
+property, a field of the payload that both the event and its action declare,
+or a comparison, ``not``, ``and`` or ``or``, which all give a bool. Each
+proof rests on every value stored before it having fitted; widening an int
+to a float is not a proof, so it still goes through ``fit_value``.
 
 A send that finds no connector, or a peer with no matching incoming event,
 is recorded with ``error=E_NO_ROUTE`` and dropped; it is not a runtime fault.
@@ -54,16 +67,16 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .diagnostics import CiotError
-from .guards import PrimType, compile_expr, describe_value, expr_to_text, fit_value
+from .guards import Expr, Literal, NameRef, PayloadFieldRef, PrimType, compile_expr, describe_value, expr_to_text, fit_value
 from .metamodel import (
-    ActionDef,
     ActionKind,
     ComponentDef,
     EventDef,
     EventDirection,
+    FieldType,
     Model,
     PayloadDef,
     StateDef,
@@ -77,19 +90,19 @@ _new_tuple = tuple.__new__
 # Steps a run may take to quiesce unless the caller says otherwise.
 DEFAULT_MAX_STEPS = 10000
 
-
-@dataclass
-class EventInstance:
-    event: EventDef
-    payload: dict | None
-    source: str  # "env", sender path, or sender "path.port"
-    eseq: int
+# One state-position execution, its direction decided: called with the
+# runtime and the instance whose state it belongs to.
+Execution = Callable[["RuntimeState", "InstanceState"], None]
+# The fields of a payload built from properties: (name, declared type,
+# whether the property's declared type proves the fit); None for no payload.
+Fields = tuple[tuple[str, FieldType, bool], ...] | None
 
 
 @dataclass(frozen=True, slots=True)
 class Transition:
-    """One transition as ``step`` takes it: its compiled guard and the values
-    of the records it makes, all fixed by the model."""
+    """One transition as ``step`` takes it: its compiled guard, the values
+    of the records it makes and its target's entry executions, all fixed by
+    the model."""
 
     trigger: EventDef | None
     guard: Callable | None  # compiled; sees the payload only when the transition has a trigger
@@ -99,17 +112,36 @@ class Transition:
     exited: tuple  # (source,)
     entered: tuple  # (target,)
     target: StateDef
+    entry: tuple[Execution, ...]  # the target's entry executions
 
 
-@dataclass
-class Dispatch:
+class State(NamedTuple):
+    """One state as ``step`` runs it."""
+
+    transitions: tuple[Transition, ...]  # in declaration order
+    entry: tuple[Execution, ...]
+    exit: tuple[Execution, ...]
+    continuous: tuple[Execution, ...]
+
+
+class Action(NamedTuple):
+    """An event's action as that event runs it."""
+
+    name: str
+    kind: ActionKind
+    sees_payload: bool  # False for a send action, whose effects see no payload
+    # (target, its declared type, compiled expression, whether the declared types prove the fit)
+    effects: tuple[tuple[str, PrimType | None, Callable, bool], ...]
+
+
+class Dispatch(NamedTuple):
     """One component's lookup tables, built at ``instantiate`` and shared by
     that run's instances of the component."""
 
-    states: dict[str, StateDef]  # first state of each name, as ``state_named``
-    transitions: dict[str, list[Transition]]  # per source state name, in declaration order
-    # Per id(action) of each event's action: its effects as (target, target type, compiled expression).
-    effects: dict[int, tuple[tuple[str, PrimType | None, Callable], ...]]
+    states: dict[str, State]  # first state of each name, as ``state_named``
+    actions: dict[str, Action]  # per event name
+    # Each outgoing event in declaration order, with the fields of its action's payload.
+    outgoing: tuple[tuple[EventDef, Fields], ...]
 
 
 @dataclass
@@ -120,16 +152,17 @@ class InstanceState:
     state: str | None
     index: int  # position in depth-first order
     dispatch: Dispatch
-    inbox: deque[EventInstance] = field(default_factory=deque)
-    # Per id(event) of each outgoing event: (port name, route, peer, peer's
-    # incoming event, source text), resolved by ``instantiate``.
-    sends: dict[int, tuple] = field(default_factory=dict)
+    inbox: deque[tuple[EventDef, tuple]] = field(default_factory=deque)  # (event, event_delivered values)
+    # Per entry of ``dispatch.outgoing``: (port name, event name, route, peer,
+    # peer's incoming event, payload fields, source text), resolved by ``instantiate``.
+    sends: list[tuple] = field(default_factory=list)
 
 
 @dataclass
 class RuntimeState:
     instances: dict[str, InstanceState]
     order: list[str]  # depth-first instance paths
+    by_index: list[InstanceState]  # the instances in depth-first order
     trace: list[TraceRecord] = field(default_factory=list)
     clock_us: int = 0
     seq: int = 0
@@ -154,21 +187,16 @@ class RunResult:
 def instantiate(model: Model) -> RuntimeState:
     """Build the instance tree, wire connectors, enter initial states."""
     paths = instance_paths(model)
-    instances: dict[str, InstanceState] = {}
+    by_index: list[InstanceState] = []
     tables: dict[int, Dispatch] = {}  # by id(comp); the model keeps every comp alive meanwhile
     for index, (path, comp) in enumerate(paths):
         machine = comp.state_machine
         initial = machine.initial.name if machine is not None and machine.initial is not None else None
         if id(comp) not in tables:
             tables[id(comp)] = _build_dispatch(comp)
-        instances[path] = InstanceState(
-            path=path,
-            component=comp,
-            properties={p.name: _initial_value(model, comp, p, path) for p in comp.properties},
-            state=initial,
-            index=index,
-            dispatch=tables[id(comp)],
-        )
+        properties = {p.name: _initial_value(model, comp, p, path) for p in comp.properties}
+        by_index.append(InstanceState(path, comp, properties, initial, index, tables[id(comp)]))
+    instances = {inst.path: inst for inst in by_index}
 
     routes: dict[tuple[str, str], tuple[str, str]] = {}
     for path, comp in paths:
@@ -177,50 +205,99 @@ def instantiate(model: Model) -> RuntimeState:
             b = _endpoint_key(path, conn.b)
             routes.setdefault(a, b)
             routes.setdefault(b, a)
-    for path, comp in paths:
-        for ev in comp.events:
-            if ev.direction is not EventDirection.OUTGOING:
-                continue
+    for inst in by_index:
+        for ev, fields in inst.dispatch.outgoing:
             port_name = ev.port.name if ev.port is not None else "-"
-            route = routes.get((path, port_name))
+            route = routes.get((inst.path, port_name))
             peer = target_event = None
             if route is not None:
                 peer = instances[route[0]]
                 target_event = _matching_incoming(peer, route[1], ev.action.payload)
-            instances[path].sends[id(ev)] = (port_name, route, peer, target_event, f"{path}.{port_name}")
+            inst.sends.append((port_name, ev.name, route, peer, target_event, fields, f"{inst.path}.{port_name}"))
 
-    rt = RuntimeState(instances=instances, order=[p for p, _ in paths])
-    for path, comp in paths:
-        inst = instances[path]
+    rt = RuntimeState(instances=instances, order=[p for p, _ in paths], by_index=by_index)
+    for inst in by_index:
         if inst.state is None:
             continue
-        rt.record(path, "state_entered", (inst.state,))
-        for ev in inst.dispatch.states[inst.state].entry:
-            _execute_positioned(rt, inst, ev, enqueue_generic=True)
+        rt.record(inst.path, "state_entered", (inst.state,))
+        for run in inst.dispatch.states[inst.state].entry:
+            run(rt, inst)
     return rt
 
 
 def _build_dispatch(comp: ComponentDef) -> Dispatch:
-    states: dict[str, StateDef] = {}
-    transitions: dict[str, list[Transition]] = {}
-    machine = comp.state_machine
-    if machine is not None:
-        for s in machine.states:
-            if s.name not in states:
-                states[s.name] = s
-                transitions[s.name] = []
-        for t in machine.transitions:
-            if states.get(t.source.name) is t.source:
-                transitions[t.source.name].append(_transition(t))
     types = {p.name: p.type for p in comp.properties}
-    effects = {
-        id(ev.action): tuple((e.target, types.get(e.target), compile_expr(e.expr)) for e in ev.action.effects)
-        for ev in comp.events
-    }
-    return Dispatch(states, transitions, effects)
+    actions: dict[str, Action] = {}
+    for ev in comp.events:
+        actions.setdefault(ev.name, _action(ev, types))
+    outgoing = [ev for ev in comp.events if ev.direction is EventDirection.OUTGOING]
+
+    def executions(events: list[EventDef], inline: bool) -> tuple[Execution, ...]:
+        return tuple(_execution(ev, actions[ev.name], types, outgoing, inline) for ev in events)
+
+    states: dict[str, State] = {}
+    machine = comp.state_machine
+    for s in machine.states if machine is not None else ():
+        if s.name not in states:
+            transitions = tuple(
+                _transition(t, executions(t.target.entry, False)) for t in machine.transitions if t.source is s
+            )
+            states[s.name] = State(
+                transitions, executions(s.entry, False), executions(s.exit, False), executions(s.continuous, True)
+            )
+    return Dispatch(states, actions, tuple((ev, _fields(ev.action.payload, types)) for ev in outgoing))
 
 
-def _transition(t: TransitionDef) -> Transition:
+def _action(ev: EventDef, types: dict[str, PrimType]) -> Action:
+    act = ev.action
+    sees_payload = act.kind is not ActionKind.SEND_PAYLOAD
+    fields = {}
+    if sees_payload and ev.payload is not None and ev.payload is act.payload:
+        fields = {f.name: f.type for f in ev.payload.fields}
+    effects = []
+    for e in act.effects:
+        t = types.get(e.target)
+        effects.append((e.target, t, compile_expr(e.expr), _proves(t, e.expr, types, fields)))
+    return Action(act.name, act.kind, sees_payload, tuple(effects))
+
+
+def _proves(t: PrimType | None, expr: Expr, properties: dict, fields: dict) -> bool:
+    """Whether every value of ``expr`` fits ``t`` by the declared types alone."""
+    if t is None:
+        return False
+    if isinstance(expr, Literal):
+        return fit_value(t, expr.value) is expr.value
+    if isinstance(expr, NameRef):
+        return properties.get(expr.name) is t
+    if isinstance(expr, PayloadFieldRef):
+        return fields.get(expr.field) is t
+    return t is PrimType.BOOL  # a comparison, not, and, or
+
+
+def _fields(payload_def: PayloadDef | None, types: dict[str, PrimType]) -> Fields:
+    if payload_def is None:
+        return None
+    return tuple((f.name, f.type, types.get(f.name) is f.type) for f in payload_def.fields)
+
+
+def _execution(ev: EventDef, action: Action, types: dict, outgoing: list[EventDef], inline: bool) -> Execution:
+    if ev.direction is EventDirection.OUTGOING:
+        if action.kind is not ActionKind.SEND_PAYLOAD:
+            return lambda rt, inst: _run_action(rt, inst, action, None)
+        k = outgoing.index(ev)
+
+        def send(rt: RuntimeState, inst: InstanceState) -> None:
+            _run_action(rt, inst, action, None)
+            _send(rt, inst, inst.sends[k])
+
+        return send
+    fields = _fields(ev.payload, types)
+    if inline:
+        return lambda rt, inst: _run_action(rt, inst, action, _snapshot_payload(inst, fields))
+    return lambda rt, inst: _enqueue(rt, inst, ev, _snapshot_payload(inst, fields), inst.path)
+
+
+def _transition(t: TransitionDef, entry: tuple[Execution, ...]) -> Transition:
     label = f"{t.source.name}->{t.target.name}"
     guard_text = _quote(expr_to_text(t.guard)) if t.guard is not None else None
     return Transition(
@@ -232,6 +309,7 @@ def _transition(t: TransitionDef) -> Transition:
         exited=(t.source.name,),
         entered=(t.target.name,),
         target=t.target,
+        entry=entry,
     )
 
 
@@ -296,6 +374,8 @@ def _conform_payload(payload_def: PayloadDef | None, values: dict | None, what: 
 
     Nested records are checked depth-first in field order with an explicit
     stack, so depth cannot exhaust the interpreter's recursion limit."""
+    if values is not None and not isinstance(values, dict):
+        raise CiotError.of("E_TYPE", f"{what}: a payload is a dict of field values, got {describe_value(values)}")
     if payload_def is None:
         if values:
             raise CiotError.of("E_TYPE", f"{what} carries no payload but values were given")
@@ -342,27 +422,31 @@ def _conform_primitive(t: PrimType, v, name: str, what: str):
 def _enqueue(rt: RuntimeState, inst: InstanceState, event: EventDef, values: dict | None, source: str) -> None:
     if not inst.inbox:
         heappush(rt.ready, inst.index)
-    inst.inbox.append(EventInstance(event, values, source, rt.eseq))
+    inst.inbox.append((event, (event.name, rt.eseq, source, values)))
     rt.eseq += 1
 
 
 def step(rt: RuntimeState) -> bool:
     """Process one queued event to completion; False when nothing is queued."""
     rt.step_count += 1
-    if not rt.ready:
+    ready = rt.ready
+    if not ready:
         return False
-    inst = rt.instances[rt.order[rt.ready[0]]]
-    ei = inst.inbox.popleft()
-    if not inst.inbox:
-        heappop(rt.ready)  # before the action runs, so a self-enqueue pushes it again
-    event, payload, path, record = ei.event, ei.payload, inst.path, rt.record
-    record(path, "event_delivered", (event.name, ei.eseq, ei.source, payload))
-    _run_action(rt, inst, event.action, payload)
+    inst = rt.by_index[ready[0]]
+    inbox = inst.inbox
+    event, delivered = inbox.popleft()
+    if not inbox:
+        heappop(ready)  # before the action runs, so a self-enqueue pushes it again
+    path, record = inst.path, rt.record
+    states, actions, _ = inst.dispatch
+    record(path, "event_delivered", delivered)
+    payload = delivered[3]
+    _run_action(rt, inst, actions[event.name], payload)
     if inst.state is None:
         return True
-    table = inst.dispatch
+    transitions, _, exits, continuous = states[inst.state]
     fired = None
-    for t in table.transitions[inst.state]:
+    for t in transitions:
         if t.trigger is not None and t.trigger is not event:
             continue
         if t.guard is not None:
@@ -374,15 +458,16 @@ def step(rt: RuntimeState) -> bool:
         break
     if fired is not None:
         record(path, "transition", fired.taken)
-        for ev in table.states[inst.state].exit:
-            _execute_positioned(rt, inst, ev, enqueue_generic=True)
+        for run in exits:
+            run(rt, inst)
         record(path, "state_exited", fired.exited)
         inst.state = fired.target.name
         record(path, "state_entered", fired.entered)
-        for ev in fired.target.entry:
-            _execute_positioned(rt, inst, ev, enqueue_generic=True)
-    for ev in table.states[inst.state].continuous:
-        _execute_positioned(rt, inst, ev, enqueue_generic=False)
+        for run in fired.entry:
+            run(rt, inst)
+        continuous = states[inst.state].continuous
+    for run in continuous:
+        run(rt, inst)
     return True
 
 
@@ -391,6 +476,10 @@ def _quote(text: str) -> str:
 
 
 def run_to_quiescence(rt: RuntimeState, max_steps: int = DEFAULT_MAX_STEPS) -> RunResult:
+    """Step until no event is queued or ``max_steps`` steps have run;
+    ``E_DOMAIN`` when ``max_steps`` is not a non-negative int."""
+    if type(max_steps) is not int or max_steps < 0:
+        raise CiotError.of("E_DOMAIN", f"max_steps must be a non-negative integer, got {describe_value(max_steps)}")
     steps = 0
     while steps < max_steps:
         if not step(rt):
@@ -401,34 +490,24 @@ def run_to_quiescence(rt: RuntimeState, max_steps: int = DEFAULT_MAX_STEPS) -> R
 
 
 def quiesce(rt: RuntimeState, max_steps: int) -> None:
-    """``run_to_quiescence``, raising ``E_STEP_LIMIT`` when the steps run out
-    first and ``E_DOMAIN`` when ``max_steps`` is not a non-negative int."""
-    if type(max_steps) is not int or max_steps < 0:
-        raise CiotError.of("E_DOMAIN", f"max_steps must be a non-negative integer, got {describe_value(max_steps)}")
+    """``run_to_quiescence``, raising ``E_STEP_LIMIT`` when the steps run out first."""
     if run_to_quiescence(rt, max_steps).step_limit_hit:
         raise CiotError.of("E_STEP_LIMIT", f"model did not quiesce within {max_steps} steps")
 
 
-def _execute_positioned(rt: RuntimeState, inst: InstanceState, ev: EventDef, *, enqueue_generic: bool) -> None:
-    if ev.direction is EventDirection.OUTGOING:
-        _run_action(rt, inst, ev.action, None, ev)
-    elif enqueue_generic:
-        values = _snapshot_payload(inst, ev.payload)
-        _enqueue(rt, inst, ev, values, inst.path)
-    else:
-        _run_action(rt, inst, ev.action, _snapshot_payload(inst, ev.payload))
-
-
-def _snapshot_payload(inst: InstanceState, payload_def: PayloadDef | None) -> dict | None:
-    if payload_def is None:
+def _snapshot_payload(inst: InstanceState, fields: Fields) -> dict | None:
+    if fields is None:
         return None
+    properties = inst.properties
     values = {}
-    for fld in payload_def.fields:
-        v = inst.properties.get(fld.name)
-        value = fit_value(fld.type, v)
-        if value is None:
-            _misfit(inst, f"payload field {fld.name!r} built from property {fld.name!r}", fld.type, v)
-        values[fld.name] = value
+    for name, t, proven in fields:
+        v = properties.get(name)
+        if not proven:
+            value = fit_value(t, v)
+            if value is None:
+                _misfit(inst, f"payload field {name!r} built from property {name!r}", t, v)
+            v = value
+        values[name] = v
     return values
 
 
@@ -438,37 +517,31 @@ def _misfit(inst: InstanceState, what: str, t, value) -> None:
     raise CiotError.of("E_EVAL", message)
 
 
-def _run_action(
-    rt: RuntimeState,
-    inst: InstanceState,
-    action: ActionDef,
-    payload: dict | None,
-    send_event: EventDef | None = None,
-) -> None:
-    is_send = action.kind is ActionKind.SEND_PAYLOAD
-    effect_scope = None if is_send else payload
+def _run_action(rt: RuntimeState, inst: InstanceState, action: Action, payload: dict | None) -> None:
+    name, kind, sees_payload, effects = action
+    scope = payload if sees_payload else None
     properties = inst.properties
     assigned = {}
-    for target, t, fn in inst.dispatch.effects[id(action)]:
-        result = fn(properties, effect_scope)
-        value = fit_value(t, result)
-        if value is None:
-            _misfit(inst, f"property {target!r} set by action {action.name!r}", t, result)
+    for target, t, fn, proven in effects:
+        value = fn(properties, scope)
+        if not proven:
+            fitted = fit_value(t, value)
+            if fitted is None:
+                _misfit(inst, f"property {target!r} set by action {name!r}", t, value)
+            value = fitted
         properties[target] = value
         assigned[target] = value
-    rt.record(inst.path, "action", (action.name, action.kind, assigned))
-    if is_send and send_event is not None:
-        _send(rt, inst, send_event)
+    rt.record(inst.path, "action", (name, kind, assigned))
 
 
-def _send(rt: RuntimeState, inst: InstanceState, event: EventDef) -> None:
-    values = _snapshot_payload(inst, event.action.payload)
-    port_name, route, peer, target_event, source = inst.sends[id(event)]
+def _send(rt: RuntimeState, inst: InstanceState, send: tuple) -> None:
+    port_name, event_name, route, peer, target_event, fields, source = send
+    values = _snapshot_payload(inst, fields)
     error = "E_NO_ROUTE"
     if target_event is not None:
         _enqueue(rt, peer, target_event, values, source)
         error = None
-    rt.record(inst.path, "payload_sent", (port_name, event.name, route, values, error))
+    rt.record(inst.path, "payload_sent", (port_name, event_name, route, values, error))
 
 
 def _matching_incoming(peer: InstanceState, port_name: str, payload_def: PayloadDef | None) -> EventDef | None:

@@ -233,7 +233,8 @@ def compile_expr(expr: Expr) -> Callable[[Mapping, Mapping | None], object]:
     operand's truth and yield a bool; ``==``/``!=`` keep bool apart from int
     (``_eq``); ints and floats compare by Python's widening. A name missing
     at evaluation (an expression that skipped the typechecker) raises
-    CiotError with code E_EVAL at the name's span.
+    CiotError with code E_EVAL at the name's span. A comparison of two
+    leaves runs as one closure (``_fused``) with the same results and errors.
     """
     if isinstance(expr, Literal):
         value = expr.value
@@ -253,8 +254,52 @@ def compile_expr(expr: Expr) -> Callable[[Mapping, Mapping | None], object]:
             return lambda properties, payload: bool(left(properties, payload)) or bool(right(properties, payload))
         compare = _COMPARE.get(expr.op)
         if compare is not None:
-            return lambda properties, payload: compare(left(properties, payload), right(properties, payload))
+
+            def general(properties, payload):
+                return compare(left(properties, payload), right(properties, payload))
+
+            return _fused(expr, general) or general
     raise TypeError(f"not an expression node: {expr!r}")
+
+
+def _fused(expr: Binary, general: Callable) -> Callable | None:
+    """A comparison of two leaves (properties, payload fields, literals) as
+    one closure; None when an operand is not a leaf.
+
+    A ``KeyError`` or ``TypeError`` (a name missing, no payload in scope,
+    unlike types ordered) reruns the comparison through ``general``, so it
+    fails with the error, message and span of reading the operands one by
+    one.
+    """
+    sides = (expr.left, expr.right)
+    literals = tuple(leaf.value if isinstance(leaf, Literal) else None for leaf in sides)
+    reads = []  # per side: (0 properties, 1 payload, 2 literals; key)
+    for side, leaf in enumerate(sides):
+        if isinstance(leaf, NameRef):
+            reads.append((0, leaf.name))
+        elif isinstance(leaf, PayloadFieldRef):
+            reads.append((1, leaf.field))
+        elif isinstance(leaf, Literal):
+            reads.append((2, side))
+        else:
+            return None
+    (i, a), (j, b) = reads
+    compare = _COMPARE[expr.op]
+    if expr.op in ("==", "!="):
+        # A str literal equals only a str, and a bool literal only itself.
+        if any(isinstance(v, str) for v in literals):
+            compare = operator.eq if expr.op == "==" else operator.ne
+        elif any(isinstance(v, bool) for v in literals):
+            compare = operator.is_ if expr.op == "==" else operator.is_not
+
+    def fused(properties, payload):
+        try:
+            scopes = (properties, payload, literals)
+            return compare(scopes[i][a], scopes[j][b])
+        except (KeyError, TypeError):
+            return general(properties, payload)
+
+    return fused
 
 
 def _read_property(name: str, span: SourceSpan | None):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from ciot import collect_diagnostics, load_text
 from ciot.diagnostics import CiotError
-from ciot.engine import inject, instantiate, run_to_quiescence, step, trigger_internal
+from ciot.engine import bind_internal, inject, instantiate, quiesce, run_to_quiescence, step, trigger_internal
 from ciot.export import export_model
 from ciot.metamodel import ActionKind, with_property_initial
 from ciot.trace import FIELDS, render_trace, render_trace_line
@@ -185,6 +185,38 @@ def test_step_limit_reports_nonquiescence(parking_model):
     result = run_to_quiescence(rt, max_steps=2)
     assert result.steps == 2
     assert result.step_limit_hit and not result.quiescent
+
+
+@pytest.mark.parametrize("max_steps", ["x", 2.5, -1, True, None], ids=["str", "float", "negative", "bool", "none"])
+def test_both_quiesce_entry_points_check_max_steps(parking_model, max_steps):
+    rt = instantiate(parking_model)
+    inject(rt, "node", "pSense", "evtReading", {"duration": 10.0})
+    messages = []
+    for run in (run_to_quiescence, quiesce):
+        with pytest.raises(CiotError) as exc:
+            run(rt, max_steps)
+        assert exc.value.code == "E_DOMAIN"
+        messages.append(exc.value.diagnostics[0].message)
+    assert messages[0] == messages[1] and messages[0].startswith("max_steps must be a non-negative integer, got ")
+    assert rt.step_count == 0 and len(rt.instances["node"].inbox) == 1  # nothing ran
+
+
+@pytest.mark.parametrize("payload", [["duration"], 5, "abc", ("duration", 1.0)], ids=["list", "int", "str", "tuple"])
+def test_payload_that_is_not_a_dict_is_a_type_error(parking_model, payload):
+    rt = instantiate(parking_model)
+    queue = [
+        lambda: inject(rt, "node", "pSense", "evtReading", payload),
+        lambda: trigger_internal(rt, "node.sensor", "evtSense", payload),
+        lambda: bind_internal(rt, "node.sensor", "evtSense")(payload),
+        lambda: trigger_internal(rt, "node.sensor", "evtDone", payload),  # an event with no payload
+    ]
+    for attempt in queue:
+        with pytest.raises(CiotError) as exc:
+            attempt()
+        assert exc.value.code == "E_TYPE"
+        message = exc.value.diagnostics[0].message
+        assert "a payload is a dict of field values, got " in message and "unknown payload field" not in message
+    assert not rt.ready
 
 
 def test_inject_bad_path(parking_model):
@@ -415,6 +447,83 @@ def test_built_payload_beyond_float_range_is_eval_error():
     assert exc.value.diagnostics[0].message == (
         "c: payload field 'n' built from property 'n' expects float, got an int of 1329 bits"
     )
+
+
+# --- the declared types prove a fit, or fit_value runs ----------------------
+
+
+def test_effect_of_another_type_is_eval_error_without_the_validator():
+    # R4 rejects both effects; check=False lets them reach the engine.
+    text = (
+        "component C : Board {\n"
+        "    property x: float = 0.0;\n"
+        '    property s: string = "oops";\n'
+        "    event e generic action a;\n"
+        "    event f generic action b;\n"
+        '    action a generic { x := "oops"; }\n'
+        "    action b generic { x := s; }\n"
+        "}\n"
+        "instance c: C;\n"
+    )
+    for event, action in (("e", "a"), ("f", "b")):
+        rt = instantiate(load_text(text, check=False))
+        trigger_internal(rt, "c", event)
+        with pytest.raises(CiotError) as exc:
+            run_to_quiescence(rt)
+        assert exc.value.code == "E_EVAL"
+        assert exc.value.diagnostics[0].message == f"c: property 'x' set by action '{action}' expects float, got \"oops\""
+        assert rt.instances["c"].properties["x"] == 0.0
+
+
+def test_int_property_snapshot_widens_into_float_field():
+    text = (
+        "payload P { n: float; }\n"
+        "interface I { op o(P); }\n"
+        "component C : Board {\n"
+        "    property n: int = 7;\n"
+        "    port p1 requires I;\n"
+        "    event e generic payload P action a;\n"
+        "    event out outgoing port p1 payload P action s;\n"
+        "    action a generic payload P;\n"
+        "    action s send port p1 payload P;\n"
+        "    statemachine { initial state S { entry e, out; } }\n"
+        "}\n"
+        "instance c: C;\n"
+    )
+    rt = instantiate(load_text(text))
+    [(event, (_, _, source, queued))] = rt.instances["c"].inbox
+    [sent] = [r for r in rt.trace if r.kind == "payload_sent"]
+    for payload in (queued, sent.values[3]):
+        assert type(payload["n"]) is float and payload["n"] == 7.0
+    assert (event.name, source) == ("e", "c")
+
+
+@pytest.mark.parametrize("value, stored", [(3, 3.0), ("abc", None)], ids=["int widens", "str misfits"])
+def test_effect_reading_a_payload_its_action_does_not_declare_keeps_fit_value(value, stored):
+    """The action declares Q, whose float field would prove the fit; the
+    event delivers P, whose field is what the effect reads."""
+    ftype = "int" if isinstance(value, int) else "string"
+    text = (
+        f"payload P {{ f: {ftype}; }}\n"
+        "payload Q { f: float; }\n"
+        "component C : Board {\n"
+        "    property x: float = 0.0;\n"
+        "    event e generic payload P action a;\n"
+        "    action a generic payload Q { x := payload.f; }\n"
+        "}\n"
+        "instance c: C;\n"
+    )
+    rt = instantiate(load_text(text, check=False))
+    trigger_internal(rt, "c", "e", {"f": value})
+    if stored is None:
+        with pytest.raises(CiotError) as exc:
+            run_to_quiescence(rt)
+        assert exc.value.code == "E_EVAL"
+        assert exc.value.diagnostics[0].message == "c: property 'x' set by action 'a' expects float, got \"abc\""
+    else:
+        run_to_quiescence(rt)
+        x = rt.instances["c"].properties["x"]
+        assert type(x) is float and x == stored
 
 
 def test_identical_runs_render_identical_traces(parking_model):

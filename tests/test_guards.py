@@ -4,7 +4,7 @@ import math
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ciot.diagnostics import CiotError, SourceSpan
@@ -331,7 +331,9 @@ def test_fit_value_is_the_verdict_at_every_site(t, value):
         assert not rt.instances["c"].inbox
     else:
         inject(rt, "c", "p1", "e", {"f": value})
-        assert _same(rt.instances["c"].inbox[0].payload["f"], fit)
+        [(event, (name, eseq, source, payload))] = rt.instances["c"].inbox
+        assert (event.name, name, eseq, source) == ("e", "e", 0, "env")
+        assert _same(payload["f"], fit)
 
     model.components[0].properties[0].initial = value
     if fit is None:
@@ -466,6 +468,44 @@ def test_evaluation_matches_reference_tree_walk(expr, properties, payload):
 @given(expr=_DIFF_EXPRS, scopes=st.lists(st.tuples(_PROPERTIES, _PAYLOADS), min_size=1, max_size=5))
 def test_compiled_once_evaluates_each_scope_afresh(expr, scopes):
     compiled = compile_expr(expr)
+    for properties, payload in scopes:
+        got = _outcome(lambda _, p, q: compiled(p, q), expr, properties, payload)
+        assert got == _outcome(_reference_eval, expr, properties, payload)
+
+
+# Leaf comparisons, which compile to one fused closure, at the edges where
+# Python's own comparison and the evaluation rules part: bool against int
+# and float, int against float, -0.0, ints past float precision, the
+# non-finite floats, and str against everything.
+_EDGE_SCALARS = st.sampled_from([0, 1, 1.0, -0.0, 2**53 + 1, float(2**53), math.nan, True, False, "", "1"])
+_EDGE_LEAVES = st.one_of(
+    _EDGE_SCALARS.map(lambda v: Literal(v, _PRIM_OF[type(v)])),
+    _spanned(NameRef, _PROPERTY_NAMES[:2]),
+    _spanned(PayloadFieldRef, _FIELD_NAMES[:2]),
+)
+
+
+def _edge_scopes(names):
+    return st.fixed_dictionaries({name: _EDGE_SCALARS for name in names}) | st.dictionaries(
+        st.sampled_from(names), _EDGE_SCALARS
+    )
+
+
+_A, _F = NameRef("a", SourceSpan(1, 1, 1, 1)), PayloadFieldRef("f", SourceSpan(1, 6, 1, 14))
+
+
+@settings(max_examples=800, deadline=None)
+@given(
+    expr=_binary(_COMPARISONS, _EDGE_LEAVES, _EDGE_LEAVES),
+    scopes=st.lists(st.tuples(_edge_scopes(_PROPERTY_NAMES[:2]), st.none() | _edge_scopes(_FIELD_NAMES[:2])), min_size=1, max_size=4),
+)
+@example(expr=Binary("==", _A, Literal(True, PrimType.BOOL)), scopes=[({"a": 1}, None), ({"a": True}, None)])
+@example(expr=Binary("!=", _F, Literal(1, PrimType.INT)), scopes=[({}, {"f": True}), ({}, {"f": 1.0})])
+@example(expr=Binary("==", Literal("1", PrimType.STRING), _A), scopes=[({"a": 1}, None), ({"a": "1"}, None)])
+@example(expr=Binary("<", _F, _A), scopes=[({"a": 1}, None), ({}, {"f": 1}), ({"a": "1"}, {"f": 1})])
+def test_fused_leaf_comparison_matches_reference_tree_walk(expr, scopes):
+    compiled = compile_expr(expr)
+    assert compiled.__qualname__ == "_fused.<locals>.fused"  # the fused closure is what runs here
     for properties, payload in scopes:
         got = _outcome(lambda _, p, q: compiled(p, q), expr, properties, payload)
         assert got == _outcome(_reference_eval, expr, properties, payload)
