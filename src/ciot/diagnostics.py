@@ -39,12 +39,11 @@ Offsets = tuple[int, int]
 class Locator:
     """Line and column of character offsets into one text.
 
-    Tokens, syntax tree nodes and metamodel objects keep offsets; a
-    :class:`SourceSpan` is built only where one is kept (a diagnostic, or a
-    guard or effect expression node), by ``bisect`` over the offsets at
-    which the text's lines start, a table built once per text. A line ends
-    at ``"\\n"``, and each character (a tab or a ``"\\r"`` too) is one
-    column."""
+    Tokens, syntax tree nodes (expression nodes too) and metamodel objects
+    keep offsets; a :class:`SourceSpan` is built only for a diagnostic, by
+    ``bisect`` over the offsets at which the text's lines start, a table
+    built once per text. A line ends at ``"\\n"``, and each character (a tab
+    or a ``"\\r"`` too) is one column."""
 
     __slots__ = ("starts",)
 

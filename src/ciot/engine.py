@@ -193,7 +193,7 @@ def instantiate(model: Model) -> RuntimeState:
         machine = comp.state_machine
         initial = machine.initial.name if machine is not None and machine.initial is not None else None
         if id(comp) not in tables:
-            tables[id(comp)] = _build_dispatch(comp)
+            tables[id(comp)] = _build_dispatch(comp, model.locate)
         properties = {p.name: _initial_value(model, comp, p, path) for p in comp.properties}
         by_index.append(InstanceState(path, comp, properties, initial, index, tables[id(comp)]))
     instances = {inst.path: inst for inst in by_index}
@@ -225,11 +225,11 @@ def instantiate(model: Model) -> RuntimeState:
     return rt
 
 
-def _build_dispatch(comp: ComponentDef) -> Dispatch:
+def _build_dispatch(comp: ComponentDef, locate: Callable) -> Dispatch:
     types = {p.name: p.type for p in comp.properties}
     actions: dict[str, Action] = {}
     for ev in comp.events:
-        actions.setdefault(ev.name, _action(ev, types))
+        actions.setdefault(ev.name, _action(ev, types, locate))
     outgoing = [ev for ev in comp.events if ev.direction is EventDirection.OUTGOING]
 
     def executions(events: list[EventDef], inline: bool) -> tuple[Execution, ...]:
@@ -240,7 +240,7 @@ def _build_dispatch(comp: ComponentDef) -> Dispatch:
     for s in machine.states if machine is not None else ():
         if s.name not in states:
             transitions = tuple(
-                _transition(t, executions(t.target.entry, False)) for t in machine.transitions if t.source is s
+                _transition(t, executions(t.target.entry, False), locate) for t in machine.transitions if t.source is s
             )
             states[s.name] = State(
                 transitions, executions(s.entry, False), executions(s.exit, False), executions(s.continuous, True)
@@ -248,7 +248,7 @@ def _build_dispatch(comp: ComponentDef) -> Dispatch:
     return Dispatch(states, actions, tuple((ev, _fields(ev.action.payload, types)) for ev in outgoing))
 
 
-def _action(ev: EventDef, types: dict[str, PrimType]) -> Action:
+def _action(ev: EventDef, types: dict[str, PrimType], locate: Callable) -> Action:
     act = ev.action
     sees_payload = act.kind is not ActionKind.SEND_PAYLOAD
     fields = {}
@@ -257,7 +257,7 @@ def _action(ev: EventDef, types: dict[str, PrimType]) -> Action:
     effects = []
     for e in act.effects:
         t = types.get(e.target)
-        effects.append((e.target, t, compile_expr(e.expr), _proves(t, e.expr, types, fields)))
+        effects.append((e.target, t, compile_expr(e.expr, locate), _proves(t, e.expr, types, fields)))
     return Action(act.name, act.kind, sees_payload, tuple(effects))
 
 
@@ -297,12 +297,12 @@ def _execution(ev: EventDef, action: Action, types: dict, outgoing: list[EventDe
     return lambda rt, inst: _enqueue(rt, inst, ev, _snapshot_payload(inst, fields), inst.path)
 
 
-def _transition(t: TransitionDef, entry: tuple[Execution, ...]) -> Transition:
+def _transition(t: TransitionDef, entry: tuple[Execution, ...], locate: Callable) -> Transition:
     label = f"{t.source.name}->{t.target.name}"
     guard_text = _quote(expr_to_text(t.guard)) if t.guard is not None else None
     return Transition(
         trigger=t.trigger,
-        guard=compile_expr(t.guard) if t.guard is not None else None,
+        guard=compile_expr(t.guard, locate) if t.guard is not None else None,
         rejected=(label, guard_text, False),
         accepted=(label, guard_text, True),
         taken=(t.source.name, t.target.name, t.trigger.name if t.trigger is not None else None),
@@ -314,7 +314,7 @@ def _transition(t: TransitionDef, entry: tuple[Execution, ...]) -> Transition:
 
 
 def _initial_value(model: Model, comp: ComponentDef, prop, path: str):
-    value = fit_value(prop.type, model.overrides.get(prop.name))
+    value = fit_value(prop.type, model.overrides[prop.name]) if prop.name in model.overrides else None
     if value is None:
         value = fit_value(prop.type, prop.initial)
     if value is None:

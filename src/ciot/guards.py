@@ -20,13 +20,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Mapping, Union
 
-from .diagnostics import (
-    E_EVAL,
-    E_TYPE_MISMATCH,
-    E_UNKNOWN_NAME,
-    CiotError,
-    SourceSpan,
-)
+from .diagnostics import E_EVAL, E_TYPE_MISMATCH, E_UNKNOWN_NAME, CiotError, Offsets, error
 
 
 class PrimType(Enum):
@@ -42,7 +36,7 @@ class PrimType(Enum):
 class Literal:
     value: int | float | bool | str
     type: PrimType
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
+    span: Offsets | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -50,7 +44,7 @@ class NameRef:
     """Bare name; refers to a property of the owning component."""
 
     name: str
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
+    span: Offsets | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -58,14 +52,14 @@ class PayloadFieldRef:
     """``payload.<field>`` reference into the in-scope payload record."""
 
     field: str
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
+    span: Offsets | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
 class Unary:
     op: str  # "not"
     operand: "Expr"
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
+    span: Offsets | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -73,7 +67,7 @@ class Binary:
     op: str  # "and" "or" "==" "!=" "<" "<=" ">" ">="
     left: "Expr"
     right: "Expr"
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
+    span: Offsets | None = field(default=None, compare=False, repr=False)
 
 
 Expr = Union[Literal, NameRef, PayloadFieldRef, Unary, Binary]
@@ -90,70 +84,60 @@ class GuardScope:
     payload_fields: Mapping[str, PrimType] | None = None
 
 
+class TypeCheckError(CiotError):
+    """A typing error; ``at`` is the offsets of the offending expression node."""
+
+    def __init__(self, code: str, message: str, at: Offsets | None) -> None:
+        super().__init__(code, [error(code, message)])
+        self.at = at
+
+
 def typecheck_guard(expr: Expr, scope: GuardScope) -> PrimType:
     """Infer the expression's type; a guard must come out BOOL.
 
-    Raises CiotError (code E_TYPE_MISMATCH or E_UNKNOWN_NAME) with a diagnostic
-    pinned to the offending subexpression.
+    Raises TypeCheckError (code E_TYPE_MISMATCH or E_UNKNOWN_NAME) at the
+    offending subexpression.
     """
     if isinstance(expr, Literal):
         return expr.type
     if isinstance(expr, NameRef):
         t = scope.properties.get(expr.name)
         if t is None:
-            raise CiotError.of(E_UNKNOWN_NAME, f"unknown property {expr.name!r}", expr.span)
+            raise TypeCheckError(E_UNKNOWN_NAME, f"unknown property {expr.name!r}", expr.span)
         return t
     if isinstance(expr, PayloadFieldRef):
         if scope.payload_fields is None:
-            raise CiotError.of(
-                E_UNKNOWN_NAME,
-                f"payload.{expr.field} used where no payload is in scope",
-                expr.span,
-            )
+            raise TypeCheckError(E_UNKNOWN_NAME, f"payload.{expr.field} used where no payload is in scope", expr.span)
         t = scope.payload_fields.get(expr.field)
         if t is None:
-            raise CiotError.of(E_UNKNOWN_NAME, f"payload has no field {expr.field!r}", expr.span)
+            raise TypeCheckError(E_UNKNOWN_NAME, f"payload has no field {expr.field!r}", expr.span)
         return t
     if isinstance(expr, Unary):
         t = typecheck_guard(expr.operand, scope)
         if t is not PrimType.BOOL:
-            raise CiotError.of(E_TYPE_MISMATCH, f"'not' needs a bool operand, got {t.value}", expr.span)
+            raise TypeCheckError(E_TYPE_MISMATCH, f"'not' needs a bool operand, got {t.value}", expr.span)
         return PrimType.BOOL
     if isinstance(expr, Binary):
         if expr.op in BOOLEAN_OPS:
             for side in (expr.left, expr.right):
                 t = typecheck_guard(side, scope)
                 if t is not PrimType.BOOL:
-                    raise CiotError.of(
-                        E_TYPE_MISMATCH,
-                        f"{expr.op!r} needs bool operands, got {t.value}",
-                        _span_of(side) or expr.span,
-                    )
+                    message = f"{expr.op!r} needs bool operands, got {t.value}"
+                    raise TypeCheckError(E_TYPE_MISMATCH, message, side.span or expr.span)
             return PrimType.BOOL
         lt = typecheck_guard(expr.left, scope)
         rt = typecheck_guard(expr.right, scope)
         numeric = {PrimType.INT, PrimType.FLOAT}
         if expr.op in ORDERING_OPS:
             if lt not in numeric or rt not in numeric:
-                raise CiotError.of(
-                    E_TYPE_MISMATCH,
-                    f"{expr.op!r} needs numeric operands, got {lt.value} and {rt.value}",
-                    expr.span,
-                )
+                message = f"{expr.op!r} needs numeric operands, got {lt.value} and {rt.value}"
+                raise TypeCheckError(E_TYPE_MISMATCH, message, expr.span)
             return PrimType.BOOL
         # Equality: same type, or int/float widened.
         if lt is rt or (lt in numeric and rt in numeric):
             return PrimType.BOOL
-        raise CiotError.of(
-            E_TYPE_MISMATCH,
-            f"cannot compare {lt.value} with {rt.value}",
-            expr.span,
-        )
+        raise TypeCheckError(E_TYPE_MISMATCH, f"cannot compare {lt.value} with {rt.value}", expr.span)
     raise TypeError(f"not an expression node: {expr!r}")
-
-
-def _span_of(expr: Expr) -> SourceSpan | None:
-    return getattr(expr, "span", None)
 
 
 def assignable(target: PrimType, source: PrimType) -> bool:
@@ -221,33 +205,35 @@ def eval_guard(
 ):
     """Evaluate a typechecked expression once; guards yield a Python bool.
 
-    ``compile_expr(expr)(properties, payload)``: compile once instead where
-    one expression is evaluated many times."""
-    return compile_expr(expr)(properties, payload)
+    ``compile_expr(expr, locate)(properties, payload)`` with a ``locate``
+    that gives no span, so an E_EVAL has none: compile once instead where
+    one expression is evaluated many times or has a text to be located in."""
+    return compile_expr(expr, lambda span: None)(properties, payload)
 
 
-def compile_expr(expr: Expr) -> Callable[[Mapping, Mapping | None], object]:
+def compile_expr(expr: Expr, locate: Callable) -> Callable[[Mapping, Mapping | None], object]:
     """The expression as a function of ``(properties, payload)``.
 
     This is the one evaluator. ``and``/``or`` short-circuit on their left
     operand's truth and yield a bool; ``==``/``!=`` keep bool apart from int
     (``_eq``); ints and floats compare by Python's widening. A name missing
     at evaluation (an expression that skipped the typechecker) raises
-    CiotError with code E_EVAL at the name's span. A comparison of two
+    CiotError with code E_EVAL at the span that ``locate`` (such as
+    ``Model.locate``) gives for the name's offsets. A comparison of two
     leaves runs as one closure (``_fused``) with the same results and errors.
     """
     if isinstance(expr, Literal):
         value = expr.value
         return lambda properties, payload: value
     if isinstance(expr, NameRef):
-        return _read_property(expr.name, expr.span)
+        return _read_property(expr.name, expr.span, locate)
     if isinstance(expr, PayloadFieldRef):
-        return _read_field(expr.field, expr.span)
+        return _read_field(expr.field, expr.span, locate)
     if isinstance(expr, Unary):
-        operand = compile_expr(expr.operand)
+        operand = compile_expr(expr.operand, locate)
         return lambda properties, payload: not operand(properties, payload)
     if isinstance(expr, Binary):
-        left, right = compile_expr(expr.left), compile_expr(expr.right)
+        left, right = compile_expr(expr.left, locate), compile_expr(expr.right, locate)
         if expr.op == "and":
             return lambda properties, payload: bool(left(properties, payload)) and bool(right(properties, payload))
         if expr.op == "or":
@@ -302,22 +288,22 @@ def _fused(expr: Binary, general: Callable) -> Callable | None:
     return fused
 
 
-def _read_property(name: str, span: SourceSpan | None):
+def _read_property(name: str, span: Offsets | None, locate: Callable):
     def read(properties, payload):
         try:
             return properties[name]
         except KeyError:
-            raise CiotError.of(E_EVAL, f"unknown property {name!r} at evaluation", span) from None
+            raise CiotError.of(E_EVAL, f"unknown property {name!r} at evaluation", locate(span)) from None
 
     return read
 
 
-def _read_field(name: str, span: SourceSpan | None):
+def _read_field(name: str, span: Offsets | None, locate: Callable):
     def read(properties, payload):
         try:
             return payload[name]
         except (KeyError, TypeError):  # TypeError: no payload in scope
-            raise CiotError.of(E_EVAL, f"payload field {name!r} absent at evaluation", span) from None
+            raise CiotError.of(E_EVAL, f"payload field {name!r} absent at evaluation", locate(span)) from None
 
     return read
 

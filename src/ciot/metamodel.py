@@ -275,8 +275,8 @@ class Model:
 
     def locate(self, span: Offsets | None) -> SourceSpan | None:
         """The ``SourceSpan`` of a declaration's ``span`` in the model's text
-        (None for a declaration built without one)."""
-        return None if span is None else self.locator.span(*span)
+        (None for a declaration built without one, or a model without text)."""
+        return None if span is None or self.locator is None else self.locator.span(*span)
 
 
 def structurally_equal(a: Model, b: Model) -> bool:

@@ -4,12 +4,11 @@ Produces a raw syntax tree whose name references are unresolved strings with
 source spans; the resolver binds them into a :class:`~ciot.metamodel.Model`.
 The normative grammar lives in ``docs/grammar.md``.
 
-Syntax tree spans are ``(start, end)`` character offsets, ``end`` exclusive,
-from the first token of a node to its last; the metamodel keeps the same
-tuples. The tree carries the text's :class:`~ciot.diagnostics.Locator`,
-which turns them into a ``SourceSpan`` where one is kept: for a diagnostic,
-and for guard and effect expression nodes, whose spans are ``SourceSpan``
-values because the evaluator reports through them and has no locator.
+Syntax tree spans, guard and effect expression nodes' included, are
+``(start, end)`` character offsets, ``end`` exclusive, from the first token
+of a node to its last; the metamodel keeps the same tuples. The tree carries
+the text's :class:`~ciot.diagnostics.Locator`, which turns them into a
+``SourceSpan`` only for a diagnostic.
 
 Naming rule: entity names (payloads, interfaces, components, ports, events,
 actions, states, instances) must be plain identifiers. Member positions
@@ -24,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .diagnostics import E_PARSE, CiotError, Locator, Offsets, SourceSpan
+from .diagnostics import E_PARSE, CiotError, Locator, Offsets
 from .guards import Binary, Expr, Literal, NameRef, PayloadFieldRef, PrimType, Unary
 from .lexer import EXPR_RESERVED, KEYWORDS, Token, TokenKind, decode_string, describe, tokenize
 from .metamodel import ACTION_KEYWORDS, ActionKind, ComponentKind, EventDirection
@@ -233,13 +232,10 @@ class _Stream:
             what = f"{kind.value} {text!r}"
         return self.fail(f"expected {what}, got {describe(tok)}")
 
-    def source_span(self, tok: Token) -> SourceSpan:
-        _, text, start = tok
-        return self.locator.span(start, start + len(text))
-
     def fail(self, message: str, tok: Token | None = None):
         """Raise E_PARSE at ``tok``, by default the current token."""
-        raise CiotError.of(E_PARSE, message, self.source_span(tok or self.current), self.file)
+        _, text, start = tok or self.current
+        raise CiotError.of(E_PARSE, message, self.locator.span(start, start + len(text)), self.file)
 
 
 # Refs are built without the generated NamedTuple constructor, which takes
@@ -422,26 +418,27 @@ def _parse_property(ts: _Stream) -> AstProperty:
 
 
 def _parse_literal(ts: _Stream) -> Literal:
-    tok = kind, text, _ = ts.current
+    tok = kind, text, start = ts.current
+    span = (start, start + len(text))
     if kind is TokenKind.INT:
         try:
             value = int(text)
         except ValueError:  # past the interpreter's int-string digit limit
             ts.fail(f"integer literal of {len(text)} digits is out of range")
         ts.advance()
-        return Literal(value, PrimType.INT, ts.source_span(tok))
+        return Literal(value, PrimType.INT, span)
     if kind is TokenKind.FLOAT:
         value = float(text)
         if math.isinf(value):
             ts.fail("float literal is out of range")
         ts.advance()
-        return Literal(value, PrimType.FLOAT, ts.source_span(tok))
+        return Literal(value, PrimType.FLOAT, span)
     if kind is TokenKind.STRING:
         ts.advance()
-        return Literal(decode_string(text), PrimType.STRING, ts.source_span(tok))
+        return Literal(decode_string(text), PrimType.STRING, span)
     if text in ("true", "false"):
         ts.advance()
-        return Literal(text == "true", PrimType.BOOL, ts.source_span(tok))
+        return Literal(text == "true", PrimType.BOOL, span)
     ts.fail(f"expected a literal, got {describe(tok)}")
     raise AssertionError  # unreachable
 
@@ -590,8 +587,8 @@ def _parse_transition(ts: _Stream) -> AstTransition:
 
 
 # Expression parsing: or < and < not < comparison < atom. Each function
-# returns the tree, its height (the number of operator nodes on its longest
-# path) and the offsets the tree spans. Expression nodes keep a SourceSpan.
+# returns the tree and its height (the number of operator nodes on its
+# longest path).
 
 # Deepest expression the parser accepts. Open "(" and "not" are counted on the
 # way down, which bounds the parser's own recursion; the height is checked on
@@ -600,7 +597,7 @@ def _parse_transition(ts: _Stream) -> AstTransition:
 MAX_EXPR_DEPTH = 100
 _TOO_DEEP = f"expression nested deeper than {MAX_EXPR_DEPTH} levels"
 
-_Parsed = tuple[Expr, int, int, int]  # (tree, height, start, end)
+_Parsed = tuple[Expr, int]  # (tree, height)
 
 
 def _parse_expr(ts: _Stream) -> Expr:
@@ -623,50 +620,49 @@ def _open(ts: _Stream) -> Token:
 
 
 def _parse_or(ts: _Stream) -> _Parsed:
-    expr, height, start, end = _parse_and(ts)
+    expr, height = _parse_and(ts)
     while ts.check("or"):
         op_tok = ts.advance()
-        right, right_height, _, end = _parse_and(ts)
+        right, right_height = _parse_and(ts)
         height = _node_height(ts, max(height, right_height), op_tok)
-        expr = Binary("or", expr, right, ts.locator.span(start, end))
-    return expr, height, start, end
+        expr = Binary("or", expr, right, (expr.span[0], right.span[1]))
+    return expr, height
 
 
 def _parse_and(ts: _Stream) -> _Parsed:
-    expr, height, start, end = _parse_unary(ts)
+    expr, height = _parse_unary(ts)
     while ts.check("and"):
         op_tok = ts.advance()
-        right, right_height, _, end = _parse_unary(ts)
+        right, right_height = _parse_unary(ts)
         height = _node_height(ts, max(height, right_height), op_tok)
-        expr = Binary("and", expr, right, ts.locator.span(start, end))
-    return expr, height, start, end
+        expr = Binary("and", expr, right, (expr.span[0], right.span[1]))
+    return expr, height
 
 
 def _parse_unary(ts: _Stream) -> _Parsed:
     if ts.check("not"):
         tok = _open(ts)
-        operand, height, _, end = _parse_unary(ts)
+        operand, height = _parse_unary(ts)
         ts.nesting -= 1
-        expr = Unary("not", operand, ts.locator.span(tok[2], end))
-        return expr, _node_height(ts, height, tok), tok[2], end
+        return Unary("not", operand, (tok[2], operand.span[1])), _node_height(ts, height, tok)
     return _parse_comparison(ts)
 
 
 def _parse_comparison(ts: _Stream) -> _Parsed:
-    left, height, start, end = _parse_atom(ts)
+    left, height = _parse_atom(ts)
     tok = ts.current
     if tok[1] in _COMPARISONS:
         ts.advance()
-        right, right_height, _, end = _parse_atom(ts)
+        right, right_height = _parse_atom(ts)
         height = _node_height(ts, max(height, right_height), tok)
-        return Binary(tok[1], left, right, ts.locator.span(start, end)), height, start, end
-    return left, height, start, end
+        return Binary(tok[1], left, right, (left.span[0], right.span[1])), height
+    return left, height
 
 
 def _parse_atom(ts: _Stream) -> _Parsed:
     tok = kind, text, start = ts.current
     if kind in (TokenKind.INT, TokenKind.FLOAT, TokenKind.STRING) or text in ("true", "false"):
-        return _parse_literal(ts), 0, start, _end(tok)
+        return _parse_literal(ts), 0
     if text == "payload":
         ts.advance()
         ts.expect(".", what="'.' after 'payload'")
@@ -674,11 +670,10 @@ def _parse_atom(ts: _Stream) -> _Parsed:
         if member[0] not in (TokenKind.IDENT, TokenKind.KEYWORD):
             ts.fail(f"expected payload field name, got {describe(member)}")
         ts.advance()
-        end = _end(member)
-        return PayloadFieldRef(member[1], ts.locator.span(start, end)), 0, start, end
+        return PayloadFieldRef(member[1], (start, _end(member))), 0
     if kind is TokenKind.IDENT or (kind is TokenKind.KEYWORD and text not in EXPR_RESERVED):
         ts.advance()
-        return NameRef(text, ts.source_span(tok)), 0, start, _end(tok)
+        return NameRef(text, (start, _end(tok))), 0
     if text == "(":
         _open(ts)
         inner = _parse_or(ts)

@@ -22,9 +22,10 @@ Rules (errors unless noted):
 * R7  an incoming event's payload must be carried by some interface on its
       port, otherwise no peer could ever send it
 
-Each check yields ``(rule, message, span)`` findings; ``validate`` alone
-makes them diagnostics, attaching the model's source and the severity, and
-building each ``SourceSpan`` (see ``_Finding``).
+Each check yields ``(rule, message, span)`` findings, ``span`` the offsets
+of the declaration or expression node at fault; ``validate`` alone makes them
+diagnostics, attaching the model's source and the severity, and locating each
+span in the model's text.
 ``validate`` is pure: same model in, same diagnostic list out, model untouched.
 """
 
@@ -32,8 +33,8 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-from .diagnostics import Diagnostic, Offsets, Severity, SourceSpan
-from .guards import CiotError, GuardScope, PrimType, assignable, describe_value, fit_value, typecheck_guard
+from .diagnostics import Diagnostic, Offsets, Severity
+from .guards import GuardScope, PrimType, TypeCheckError, assignable, describe_value, fit_value, typecheck_guard
 from .metamodel import (
     ActionKind,
     ComponentDef,
@@ -45,11 +46,7 @@ from .metamodel import (
     StateMachine,
 )
 
-# A finding's span is the offsets of the metamodel object it names, which
-# ``validate`` locates in the model's text, except for an expression that
-# does not type-check (R4): that finding keeps the ``SourceSpan`` the parser
-# gave the offending expression node.
-_Finding = tuple[str, str, Offsets | SourceSpan | None]
+_Finding = tuple[str, str, Offsets | None]
 
 _EXPECTED_ACTION = {
     EventDirection.INCOMING: ActionKind.RECEIVE_PAYLOAD,
@@ -66,7 +63,7 @@ def validate(model: Model) -> list[Diagnostic]:
             rule,
             Severity.WARNING if rule == "R6" else Severity.ERROR,
             message,
-            span if isinstance(span, SourceSpan) else model.locate(span),
+            model.locate(span),
             file,
         )
         for comp in model.components
@@ -283,8 +280,8 @@ def _type_of(expr, scope: GuardScope, what: str) -> PrimType | _Finding:
     at the span of the typing error."""
     try:
         return typecheck_guard(expr, scope)
-    except CiotError as exc:
-        return "R4", f"{what} does not type-check: {exc}", exc.diagnostics[0].span
+    except TypeCheckError as exc:
+        return "R4", f"{what} does not type-check: {exc}", exc.at
 
 
 def _check_machine(comp: ComponentDef, machine: StateMachine) -> Iterator[_Finding]:

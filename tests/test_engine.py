@@ -8,7 +8,7 @@ from ciot import collect_diagnostics, load_text
 from ciot.diagnostics import CiotError
 from ciot.engine import bind_internal, inject, instantiate, quiesce, run_to_quiescence, step, trigger_internal
 from ciot.export import export_model
-from ciot.metamodel import ActionKind, with_property_initial
+from ciot.metamodel import ActionKind, Model, with_property_initial
 from ciot.trace import FIELDS, render_trace, render_trace_line
 
 from genmodels import alphabet, generate
@@ -427,6 +427,59 @@ def test_bad_initial_raises_at_instantiate():
     assert exc.value.code == "E_INSTANTIATE"
     # The span is the property name's, built from the model's text when the error is made.
     assert [d.span for d in exc.value.diagnostics] == [(1, 32, 1, 32)]
+
+
+def test_bad_initial_of_a_model_without_text_has_no_line():
+    m = load_text('component C : Board { property x: float = "oops"; }\ninstance c: C;', check=False)
+    with pytest.raises(CiotError) as exc:
+        instantiate(Model(m.payloads, m.interfaces, m.components, m.root_instances))
+    assert exc.value.code == "E_INSTANTIATE"
+    assert [d.render() for d in exc.value.diagnostics] == [
+        "<input>: error E_INSTANTIATE property 'x' of c (C) is float but its initial value is \"oops\""
+    ]
+
+
+_READS_A_MISSING_NAME = (
+    "payload P { v: int; } interface I { op f(P); }\n"
+    "component C : Board {\n"
+    "    property v: int = 0;\n"
+    "    port p1 provides I;\n"
+    "    event e incoming port p1 payload P action act;\n"
+    "    action act receive port p1 payload P EFFECT\n"
+    "    statemachine { initial state A {} state B {}\n"
+    "        transition A -> B when e [GUARD];\n"
+    "    }\n"
+    "}\n"
+    "instance c: C;\n"
+)
+_MISSING_NAME_CASES = [
+    (";", "ghost > 1", ":8:35", "unknown property 'ghost' at evaluation"),
+    ("{ v := payload.gone; }", "true", ":6:49", "payload field 'gone' absent at evaluation"),
+]
+
+
+def _eval_error(model):
+    rt = instantiate(model)
+    inject(rt, "c", "p1", "e", {"v": 1})
+    with pytest.raises(CiotError) as exc:
+        run_to_quiescence(rt)
+    assert exc.value.code == "E_EVAL"
+    [diag] = exc.value.diagnostics
+    return diag
+
+
+@pytest.mark.parametrize("effect, guard, at, message", _MISSING_NAME_CASES, ids=["guard", "effect"])
+def test_eval_error_of_an_unchecked_model_is_at_the_name(effect, guard, at, message):
+    # R4 rejects both reads; check=False lets them reach the engine.
+    m = load_text(_READS_A_MISSING_NAME.replace("EFFECT", effect).replace("GUARD", guard), check=False)
+    assert _eval_error(m).render() == f"<input>{at}: error E_EVAL {message}"
+
+
+@pytest.mark.parametrize("effect, guard, at, message", _MISSING_NAME_CASES, ids=["guard", "effect"])
+def test_eval_error_of_a_model_without_text_has_no_line(effect, guard, at, message):
+    m = load_text(_READS_A_MISSING_NAME.replace("EFFECT", effect).replace("GUARD", guard), check=False)
+    diag = _eval_error(Model(m.payloads, m.interfaces, m.components, m.root_instances))
+    assert diag.render() == f"<input>: error E_EVAL {message}"
 
 
 def test_built_payload_beyond_float_range_is_eval_error():

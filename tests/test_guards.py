@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ciot.diagnostics import CiotError, SourceSpan
+from ciot.diagnostics import CiotError, Locator
 from ciot.engine import inject, instantiate, quiesce
 from ciot.guards import (
     Binary,
@@ -366,12 +366,23 @@ _SCALARS = st.one_of(
 )
 _SPANS = st.tuples(st.integers(min_value=1, max_value=40), st.integers(min_value=1, max_value=60))
 _COMPARISONS = ["==", "!=", "<", "<=", ">", ">="]
+# Names sit at offsets into a text of 40 lines of 80 columns, which
+# ``_locate`` turns into a SourceSpan as ``Model.locate`` does for a model.
+_LOCATOR = Locator("\n".join(" " * 80 for _ in range(40)))
+
+
+def _locate(span):
+    return _LOCATOR.span(*span)
+
+
+def _at(line, column, length):
+    """The offsets of ``length`` characters from ``line``:``column`` of the located text."""
+    start = (line - 1) * 81 + column - 1
+    return (start, start + length)
 
 
 def _spanned(node, names):
-    return st.tuples(st.sampled_from(names), _SPANS).map(
-        lambda t: node(t[0], SourceSpan(t[1][0], t[1][1], t[1][0], t[1][1] + len(t[0]) - 1))
-    )
+    return st.tuples(st.sampled_from(names), _SPANS).map(lambda t: node(t[0], _at(*t[1], len(t[0]))))
 
 
 def _binary(ops, left, right):
@@ -419,11 +430,11 @@ def _reference_eval(expr, properties, payload):
         return expr.value
     if isinstance(expr, NameRef):
         if expr.name not in properties:
-            raise CiotError.of("E_EVAL", f"unknown property {expr.name!r} at evaluation", expr.span)
+            raise CiotError.of("E_EVAL", f"unknown property {expr.name!r} at evaluation", _locate(expr.span))
         return properties[expr.name]
     if isinstance(expr, PayloadFieldRef):
         if payload is None or expr.field not in payload:
-            raise CiotError.of("E_EVAL", f"payload field {expr.field!r} absent at evaluation", expr.span)
+            raise CiotError.of("E_EVAL", f"payload field {expr.field!r} absent at evaluation", _locate(expr.span))
         return payload[expr.field]
     if isinstance(expr, Unary):
         return not _reference_eval(expr.operand, properties, payload)
@@ -461,13 +472,14 @@ def _outcome(evaluate, expr, properties, payload):
 @settings(max_examples=500, deadline=None)
 @given(expr=_DIFF_EXPRS, properties=_PROPERTIES, payload=_PAYLOADS)
 def test_evaluation_matches_reference_tree_walk(expr, properties, payload):
-    assert _outcome(eval_guard, expr, properties, payload) == _outcome(_reference_eval, expr, properties, payload)
+    got = _outcome(lambda e, p, q: compile_expr(e, _locate)(p, q), expr, properties, payload)
+    assert got == _outcome(_reference_eval, expr, properties, payload)
 
 
 @settings(max_examples=100, deadline=None)
 @given(expr=_DIFF_EXPRS, scopes=st.lists(st.tuples(_PROPERTIES, _PAYLOADS), min_size=1, max_size=5))
 def test_compiled_once_evaluates_each_scope_afresh(expr, scopes):
-    compiled = compile_expr(expr)
+    compiled = compile_expr(expr, _locate)
     for properties, payload in scopes:
         got = _outcome(lambda _, p, q: compiled(p, q), expr, properties, payload)
         assert got == _outcome(_reference_eval, expr, properties, payload)
@@ -491,7 +503,7 @@ def _edge_scopes(names):
     )
 
 
-_A, _F = NameRef("a", SourceSpan(1, 1, 1, 1)), PayloadFieldRef("f", SourceSpan(1, 6, 1, 14))
+_A, _F = NameRef("a", _at(1, 1, 1)), PayloadFieldRef("f", _at(1, 6, 9))
 
 
 @settings(max_examples=800, deadline=None)
@@ -504,14 +516,14 @@ _A, _F = NameRef("a", SourceSpan(1, 1, 1, 1)), PayloadFieldRef("f", SourceSpan(1
 @example(expr=Binary("==", Literal("1", PrimType.STRING), _A), scopes=[({"a": 1}, None), ({"a": "1"}, None)])
 @example(expr=Binary("<", _F, _A), scopes=[({"a": 1}, None), ({}, {"f": 1}), ({"a": "1"}, {"f": 1})])
 def test_fused_leaf_comparison_matches_reference_tree_walk(expr, scopes):
-    compiled = compile_expr(expr)
+    compiled = compile_expr(expr, _locate)
     assert compiled.__qualname__ == "_fused.<locals>.fused"  # the fused closure is what runs here
     for properties, payload in scopes:
         got = _outcome(lambda _, p, q: compiled(p, q), expr, properties, payload)
         assert got == _outcome(_reference_eval, expr, properties, payload)
 
 
-_GHOST = NameRef("ghost", SourceSpan(3, 9, 3, 13))
+_GHOST = NameRef("ghost", _at(3, 9, 5))
 
 
 @pytest.mark.parametrize(
@@ -529,17 +541,19 @@ def test_deciding_left_operand_skips_the_right(expr, expected):
 
 
 def test_missing_names_fail_at_their_span():
-    field = PayloadFieldRef("gone", SourceSpan(2, 4, 2, 15))
+    field = PayloadFieldRef("gone", _at(2, 4, 12))
     for expr, message, span in [
-        (Binary("and", Literal(True, PrimType.BOOL), _GHOST), "unknown property 'ghost' at evaluation", _GHOST.span),
-        (Binary("==", field, Literal(1, PrimType.INT)), "payload field 'gone' absent at evaluation", field.span),
+        (Binary("and", Literal(True, PrimType.BOOL), _GHOST), "unknown property 'ghost' at evaluation", (3, 9, 3, 13)),
+        (Binary("==", field, Literal(1, PrimType.INT)), "payload field 'gone' absent at evaluation", (2, 4, 2, 15)),
     ]:
         for payload in (None, {"other": 1}):
-            with pytest.raises(CiotError) as exc:
-                eval_guard(expr, {"x": 1}, payload)
-            assert exc.value.code == "E_EVAL"
-            [diag] = exc.value.diagnostics
-            assert (diag.message, diag.span) == (message, span)
+            # eval_guard has no text to locate the name in.
+            for evaluate, expected in ((compile_expr(expr, _locate), span), (lambda *scope: eval_guard(expr, *scope), None)):
+                with pytest.raises(CiotError) as exc:
+                    evaluate({"x": 1}, payload)
+                assert exc.value.code == "E_EVAL"
+                [diag] = exc.value.diagnostics
+                assert (diag.message, diag.span) == (message, expected)
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ import pytest
 
 from ciot.diagnostics import CiotError, SourceSpan
 from ciot.engine import instantiate
+from ciot.guards import Binary, Literal, NameRef, PayloadFieldRef, Unary
 from ciot.export import export_model
 from ciot.lexer import tokenize
 from ciot.loader import collect_diagnostics, load_text
@@ -350,6 +351,43 @@ def test_top_level_declaration_spans_run_from_keyword_to_terminator(parking_path
         line, column, end_line, end_column = _full(ast.locator.span(*offsets))
         assert lines[line - 1][column - 1 :].startswith(keyword + " ")
         assert lines[end_line - 1][end_column - 1] == terminator
+
+
+def _subtrees(roots):
+    roots = list(roots)
+    while roots:
+        expr = roots.pop()
+        yield expr
+        roots += [getattr(expr, child) for child in ("operand", "left", "right") if hasattr(expr, child)]
+
+
+def test_expression_nodes_keep_the_offsets_of_their_tokens(parking_path):
+    corpus = pathlib.Path(parking_path).read_text(encoding="utf-8")
+    expression = 'not (x < 1.5) and payload . f != "s" or (((on)))'
+    components = parse(corpus).components
+    guards_effects_initials = [
+        *(p.initial for c in components for p in c.properties),
+        *(e.expr for c in components for a in c.actions for e in a.effects),
+        *(t.guard for c in components if c.machine for t in c.machine.transitions if t.guard),
+    ]
+    kinds = set()
+    for source, trees in [(corpus, guards_effects_initials), (expression, [parse_expression(expression)])]:
+        tokens = {start: text for _, text, start in tokenize(source)}
+        for expr in _subtrees(trees):
+            kinds.add(type(expr))
+            start, end = expr.span
+            assert type(start) is int and type(end) is int
+            if isinstance(expr, (NameRef, Literal)):
+                assert source[start:end] == tokens[start]
+            if isinstance(expr, NameRef):
+                assert tokens[start] == expr.name
+            elif isinstance(expr, PayloadFieldRef):
+                assert (tokens[start], source[start:end].split(".")[-1].strip()) == ("payload", expr.field)
+            elif isinstance(expr, Unary):
+                assert (tokens[start], end) == ("not", expr.operand.span[1])
+            elif isinstance(expr, Binary):
+                assert (start, end) == (expr.left.span[0], expr.right.span[1])
+    assert kinds == {Literal, NameRef, PayloadFieldRef, Unary, Binary}
 
 
 @pytest.mark.parametrize(

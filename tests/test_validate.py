@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import pathlib
+
 import pytest
 
 from ciot import load_file, load_text, structurally_equal
-from ciot.diagnostics import Severity
+from ciot.diagnostics import Locator, Severity
 from ciot.loader import collect_diagnostics, collect_diagnostics_file
+from ciot.metamodel import Model
 from ciot.validate import validate
 
 BASE = (
@@ -26,6 +29,25 @@ def test_pristine_corpus_is_clean(parking_path):
     model, diags = collect_diagnostics_file(str(parking_path))
     assert model is not None
     assert diags == []
+
+
+def test_clean_text_builds_no_source_span(parking_path, monkeypatch):
+    text = pathlib.Path(parking_path).read_text(encoding="utf-8")
+    calls = []
+    span = Locator.span
+    monkeypatch.setattr(Locator, "span", lambda *args: calls.append(args) or span(*args))
+    assert collect_diagnostics(text)[1] == []
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", ["r4_guard_type.ciot", "r6_unreachable_state.ciot"])
+def test_model_without_text_has_diagnostics_without_lines(corpus_dir, name):
+    model = load_file(str(corpus_dir / "mutations" / name), check=False)
+    no_text = Model(model.payloads, model.interfaces, model.components, model.root_instances)
+    expected = [(d.rule, d.severity, d.message) for d in validate(model)]
+    assert [(d.rule, d.severity, d.message, d.span, d.file) for d in validate(no_text)] == [
+        (*finding, None, None) for finding in expected
+    ]
 
 
 def test_r1_no_initial_state():
