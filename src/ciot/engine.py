@@ -28,17 +28,25 @@ instance the depth-first order names. An inbox entry is a plain
 ``event_delivered`` record (name, sequence number, source, payload), built
 once when the event is queued and recorded as it is when a step takes it.
 
-What the model fixes is worked out once per component at ``instantiate``
-and shared by that run's instances of it (``Dispatch``). Per state: its
-transitions, each with its guard compiled by ``guards.compile_expr`` and the
-values of the records it makes (guard_eval for either result, transition,
-state_exited, state_entered) built in advance; and its entry, exit and
-continuous executions with the direction already decided: run the action
-and send, queue a payload snapshot, or run the action inline. Per event:
-its action's effects as compiled expressions. ``instantiate`` also resolves
-every send of every instance before anything runs: the route, the peer, the
-peer's incoming event and the source text. Nothing compiled is kept on the
-model, so every ``instantiate`` builds its own tables.
+What the model fixes is worked out once per component, at its first
+instance in depth-first order, as a template that the call's later instances
+of it reuse. Its ``Dispatch`` is shared. Per state: its transitions, each
+with its guard compiled by ``guards.compile_expr`` and the values of the
+records it makes (guard_eval for either result, transition, state_exited,
+state_entered) built in advance; and its entry, exit and continuous
+executions with the direction already decided: run the action and send,
+queue a payload snapshot, or run the action inline. A state's entry
+executions are built once and shared by the transitions into it. Per event:
+its action's effects as compiled expressions, or, for an action with no
+effects, the values of its action record. Per outgoing event: the port, the
+payload and the fields of the payload it builds. The template also holds the
+fitted initial property values, which each instance gets a copy of, the
+initial state's name, and each connector's ends relative to the owner's
+path. From these ``instantiate`` resolves every send of every instance
+before anything runs: the route, the peer, the peer's incoming event (found
+once per peer component, port and payload) and the source text. Nothing
+compiled or fitted outlives the call, so every ``instantiate`` builds its
+own templates.
 
 Every value stored in a property or payload field fits its declared type,
 and ``guards.fit_value`` runs where the declared types do not prove the fit.
@@ -132,6 +140,7 @@ class Action(NamedTuple):
     sees_payload: bool  # False for a send action, whose effects see no payload
     # (target, its declared type, compiled expression, whether the declared types prove the fit)
     effects: tuple[tuple[str, PrimType | None, Callable, bool], ...]
+    fixed: tuple | None  # with no effects, the values of every action record it makes: (name, kind, {})
 
 
 class Dispatch(NamedTuple):
@@ -140,11 +149,22 @@ class Dispatch(NamedTuple):
 
     states: dict[str, State]  # first state of each name, as ``state_named``
     actions: dict[str, Action]  # per event name
-    # Each outgoing event in declaration order, with the fields of its action's payload.
-    outgoing: tuple[tuple[EventDef, Fields], ...]
+    # Per outgoing event in declaration order: (port name, event name, its
+    # action's payload name, that payload's fields).
+    outgoing: tuple[tuple[str, str, str | None, Fields], ...]
 
 
-@dataclass
+class _Template(NamedTuple):
+    """What ``instantiate`` fixes once per component: every instance shares
+    the dispatch and the links and starts from a copy of the properties."""
+
+    dispatch: Dispatch
+    properties: dict  # the fitted initial values
+    initial: str | None  # the initial state's name
+    links: tuple  # per connector: both ends as (suffix of the owner's path, port name)
+
+
+@dataclass(slots=True)
 class InstanceState:
     path: str
     component: ComponentDef
@@ -158,7 +178,7 @@ class InstanceState:
     sends: list[tuple] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(slots=True)
 class RuntimeState:
     instances: dict[str, InstanceState]
     order: list[str]  # depth-first instance paths
@@ -177,8 +197,7 @@ class RuntimeState:
         self.seq += 1
 
 
-@dataclass(frozen=True)
-class RunResult:
+class RunResult(NamedTuple):
     steps: int
     quiescent: bool
     step_limit_hit: bool
@@ -188,32 +207,33 @@ def instantiate(model: Model) -> RuntimeState:
     """Build the instance tree, wire connectors, enter initial states."""
     paths = instance_paths(model)
     by_index: list[InstanceState] = []
-    tables: dict[int, Dispatch] = {}  # by id(comp); the model keeps every comp alive meanwhile
-    for index, (path, comp) in enumerate(paths):
-        machine = comp.state_machine
-        initial = machine.initial.name if machine is not None and machine.initial is not None else None
-        if id(comp) not in tables:
-            tables[id(comp)] = _build_dispatch(comp, model.locate)
-        properties = {p.name: _initial_value(model, comp, p, path) for p in comp.properties}
-        by_index.append(InstanceState(path, comp, properties, initial, index, tables[id(comp)]))
-    instances = {inst.path: inst for inst in by_index}
-
+    templates: dict[int, _Template] = {}  # by id(comp); the model keeps every comp alive meanwhile
     routes: dict[tuple[str, str], tuple[str, str]] = {}
-    for path, comp in paths:
-        for conn in comp.connectors:
-            a = _endpoint_key(path, conn.a)
-            b = _endpoint_key(path, conn.b)
+    for index, (path, comp) in enumerate(paths):
+        template = templates.get(id(comp))
+        if template is None:
+            template = templates[id(comp)] = _template(model, comp, path)
+        dispatch, properties, initial, links = template
+        by_index.append(InstanceState(path, comp, properties.copy(), initial, index, dispatch))
+        for (a_suffix, a_port), (b_suffix, b_port) in links:
+            a, b = (path + a_suffix, a_port), (path + b_suffix, b_port)
             routes.setdefault(a, b)
             routes.setdefault(b, a)
+    instances = {inst.path: inst for inst in by_index}
+
+    matches: dict[tuple, EventDef | None] = {}  # (id(peer comp), peer port, payload name) -> its incoming event
     for inst in by_index:
-        for ev, fields in inst.dispatch.outgoing:
-            port_name = ev.port.name if ev.port is not None else "-"
-            route = routes.get((inst.path, port_name))
+        path, sends = inst.path, inst.sends
+        for port_name, event_name, payload_name, fields in inst.dispatch.outgoing:
+            route = routes.get((path, port_name))
             peer = target_event = None
             if route is not None:
                 peer = instances[route[0]]
-                target_event = _matching_incoming(peer, route[1], ev.action.payload)
-            inst.sends.append((port_name, ev.name, route, peer, target_event, fields, f"{inst.path}.{port_name}"))
+                key = (id(peer.component), route[1], payload_name)
+                if key not in matches:
+                    matches[key] = _matching_incoming(peer, route[1], payload_name)
+                target_event = matches[key]
+            sends.append((port_name, event_name, route, peer, target_event, fields, f"{path}.{port_name}"))
 
     rt = RuntimeState(instances=instances, order=[p for p, _ in paths], by_index=by_index)
     for inst in by_index:
@@ -225,30 +245,54 @@ def instantiate(model: Model) -> RuntimeState:
     return rt
 
 
-def _build_dispatch(comp: ComponentDef, locate: Callable) -> Dispatch:
+def _template(model: Model, comp: ComponentDef, path: str) -> _Template:
+    """What every instance of ``comp`` starts from; ``path`` is the first
+    instance's, which an ``E_INSTANTIATE`` names."""
+    dispatch = _build_dispatch(comp, model)
+    properties = {p.name: _initial_value(model, comp, p, path) for p in comp.properties}
+    machine = comp.state_machine
+    initial = machine.initial if machine is not None else None
+    links = tuple((_endpoint(conn.a), _endpoint(conn.b)) for conn in comp.connectors)
+    return _Template(dispatch, properties, initial.name if initial is not None else None, links)
+
+
+def _endpoint(endpoint) -> tuple[str, str]:
+    """A connector end as (suffix of the owner's path, port name)."""
+    return ("" if endpoint.instance is None else f".{endpoint.instance.name}"), endpoint.port.name
+
+
+def _build_dispatch(comp: ComponentDef, model: Model) -> Dispatch:
     types = {p.name: p.type for p in comp.properties}
     actions: dict[str, Action] = {}
     for ev in comp.events:
-        actions.setdefault(ev.name, _action(ev, types, locate))
+        actions.setdefault(ev.name, _action(ev, types, model))
     outgoing = [ev for ev in comp.events if ev.direction is EventDirection.OUTGOING]
 
     def executions(events: list[EventDef], inline: bool) -> tuple[Execution, ...]:
         return tuple(_execution(ev, actions[ev.name], types, outgoing, inline) for ev in events)
 
+    entries: dict[int, tuple[Execution, ...]] = {}  # by id(state), shared by the transitions into it
+
+    def entry(s: StateDef) -> tuple[Execution, ...]:
+        if id(s) not in entries:
+            entries[id(s)] = executions(s.entry, False)
+        return entries[id(s)]
+
     states: dict[str, State] = {}
     machine = comp.state_machine
     for s in machine.states if machine is not None else ():
         if s.name not in states:
-            transitions = tuple(
-                _transition(t, executions(t.target.entry, False), locate) for t in machine.transitions if t.source is s
-            )
-            states[s.name] = State(
-                transitions, executions(s.entry, False), executions(s.exit, False), executions(s.continuous, True)
-            )
-    return Dispatch(states, actions, tuple((ev, _fields(ev.action.payload, types)) for ev in outgoing))
+            transitions = tuple(_transition(t, entry(t.target), model) for t in machine.transitions if t.source is s)
+            states[s.name] = State(transitions, entry(s), executions(s.exit, False), executions(s.continuous, True))
+    sends = []
+    for ev in outgoing:
+        payload = ev.action.payload
+        port_name = ev.port.name if ev.port is not None else "-"
+        sends.append((port_name, ev.name, payload.name if payload is not None else None, _fields(payload, types)))
+    return Dispatch(states, actions, tuple(sends))
 
 
-def _action(ev: EventDef, types: dict[str, PrimType], locate: Callable) -> Action:
+def _action(ev: EventDef, types: dict[str, PrimType], model: Model) -> Action:
     act = ev.action
     sees_payload = act.kind is not ActionKind.SEND_PAYLOAD
     fields = {}
@@ -257,8 +301,9 @@ def _action(ev: EventDef, types: dict[str, PrimType], locate: Callable) -> Actio
     effects = []
     for e in act.effects:
         t = types.get(e.target)
-        effects.append((e.target, t, compile_expr(e.expr, locate), _proves(t, e.expr, types, fields)))
-    return Action(act.name, act.kind, sees_payload, tuple(effects))
+        compiled = compile_expr(e.expr, model.locate, model.source)
+        effects.append((e.target, t, compiled, _proves(t, e.expr, types, fields)))
+    return Action(act.name, act.kind, sees_payload, tuple(effects), None if effects else (act.name, act.kind, {}))
 
 
 def _proves(t: PrimType | None, expr: Expr, properties: dict, fields: dict) -> bool:
@@ -297,12 +342,12 @@ def _execution(ev: EventDef, action: Action, types: dict, outgoing: list[EventDe
     return lambda rt, inst: _enqueue(rt, inst, ev, _snapshot_payload(inst, fields), inst.path)
 
 
-def _transition(t: TransitionDef, entry: tuple[Execution, ...], locate: Callable) -> Transition:
+def _transition(t: TransitionDef, entry: tuple[Execution, ...], model: Model) -> Transition:
     label = f"{t.source.name}->{t.target.name}"
     guard_text = _quote(expr_to_text(t.guard)) if t.guard is not None else None
     return Transition(
         trigger=t.trigger,
-        guard=compile_expr(t.guard, locate) if t.guard is not None else None,
+        guard=compile_expr(t.guard, model.locate, model.source) if t.guard is not None else None,
         rejected=(label, guard_text, False),
         accepted=(label, guard_text, True),
         taken=(t.source.name, t.target.name, t.trigger.name if t.trigger is not None else None),
@@ -323,14 +368,9 @@ def _initial_value(model: Model, comp: ComponentDef, prop, path: str):
             f"property {prop.name!r} of {path} ({comp.name}) is {prop.type.value} "
             f"but its initial value is {describe_value(prop.initial)}",
             model.locate(prop.span),
+            model.source,
         )
     return value
-
-
-def _endpoint_key(owner_path: str, endpoint) -> tuple[str, str]:
-    if endpoint.instance is None:
-        return owner_path, endpoint.port.name
-    return f"{owner_path}.{endpoint.instance.name}", endpoint.port.name
 
 
 def inject(rt: RuntimeState, path: str, port: str, event_name: str, payload: dict | None = None) -> None:
@@ -351,10 +391,26 @@ def bind_internal(rt: RuntimeState, path: str, event_name: str) -> Callable[[dic
     """``trigger_internal`` with the instance and the event looked up once:
     a function that queues the event with the payload it is given."""
     inst, event = _event_at(rt, path, event_name, EventDirection.GENERIC)
-    what = f"event {event_name!r}"
+    payload_def, what = event.payload, f"event {event_name!r}"
+    flat = None  # (name, type) per field of a payload with no record field
+    if payload_def is not None and all(isinstance(f.type, PrimType) for f in payload_def.fields):
+        flat = tuple((f.name, f.type) for f in payload_def.fields)
 
     def trigger(payload: dict | None = None) -> None:
-        _enqueue(rt, inst, event, _conform_payload(event.payload, payload, what), "env")
+        # A flat payload given as a plain dict of exactly its fields is fitted
+        # field by field; anything else, or a value that does not fit, goes
+        # through _conform_payload for its error.
+        if flat is not None and type(payload) is dict and len(payload) == len(flat):
+            values = {}
+            for name, t in flat:
+                value = fit_value(t, payload.get(name))
+                if value is None:
+                    break
+                values[name] = value
+            else:
+                _enqueue(rt, inst, event, values, "env")
+                return
+        _enqueue(rt, inst, event, _conform_payload(payload_def, payload, what), "env")
 
     return trigger
 
@@ -483,10 +539,10 @@ def run_to_quiescence(rt: RuntimeState, max_steps: int = DEFAULT_MAX_STEPS) -> R
     steps = 0
     while steps < max_steps:
         if not step(rt):
-            return RunResult(steps, True, False)
+            return _new_tuple(RunResult, (steps, True, False))
         steps += 1
     quiescent = not rt.ready
-    return RunResult(steps, quiescent, not quiescent)
+    return _new_tuple(RunResult, (steps, quiescent, not quiescent))
 
 
 def quiesce(rt: RuntimeState, max_steps: int) -> None:
@@ -518,7 +574,10 @@ def _misfit(inst: InstanceState, what: str, t, value) -> None:
 
 
 def _run_action(rt: RuntimeState, inst: InstanceState, action: Action, payload: dict | None) -> None:
-    name, kind, sees_payload, effects = action
+    name, kind, sees_payload, effects, fixed = action
+    if fixed is not None:
+        rt.record(inst.path, "action", fixed)
+        return
     scope = payload if sees_payload else None
     properties = inst.properties
     assigned = {}
@@ -544,14 +603,12 @@ def _send(rt: RuntimeState, inst: InstanceState, send: tuple) -> None:
     rt.record(inst.path, "payload_sent", (port_name, event_name, route, values, error))
 
 
-def _matching_incoming(peer: InstanceState, port_name: str, payload_def: PayloadDef | None) -> EventDef | None:
+def _matching_incoming(peer: InstanceState, port_name: str, payload_name: str | None) -> EventDef | None:
     for ev in peer.component.events:
         if ev.direction is not EventDirection.INCOMING:
             continue
         if ev.port is None or ev.port.name != port_name:
             continue
-        mine = ev.payload.name if ev.payload is not None else None
-        theirs = payload_def.name if payload_def is not None else None
-        if mine == theirs:
+        if (ev.payload.name if ev.payload is not None else None) == payload_name:
             return ev
     return None

@@ -211,7 +211,9 @@ def eval_guard(
     return compile_expr(expr, lambda span: None)(properties, payload)
 
 
-def compile_expr(expr: Expr, locate: Callable) -> Callable[[Mapping, Mapping | None], object]:
+def compile_expr(
+    expr: Expr, locate: Callable, source: str | None = None
+) -> Callable[[Mapping, Mapping | None], object]:
     """The expression as a function of ``(properties, payload)``.
 
     This is the one evaluator. ``and``/``or`` short-circuit on their left
@@ -219,43 +221,43 @@ def compile_expr(expr: Expr, locate: Callable) -> Callable[[Mapping, Mapping | N
     (``_eq``); ints and floats compare by Python's widening. A name missing
     at evaluation (an expression that skipped the typechecker) raises
     CiotError with code E_EVAL at the span that ``locate`` (such as
-    ``Model.locate``) gives for the name's offsets. A comparison of two
+    ``Model.locate``) gives for the name's offsets, in the file ``source``
+    (such as ``Model.source``). A comparison of two
     leaves runs as one closure (``_fused``) with the same results and errors.
     """
     if isinstance(expr, Literal):
         value = expr.value
         return lambda properties, payload: value
     if isinstance(expr, NameRef):
-        return _read_property(expr.name, expr.span, locate)
+        return _read_property(expr.name, expr.span, locate, source)
     if isinstance(expr, PayloadFieldRef):
-        return _read_field(expr.field, expr.span, locate)
+        return _read_field(expr.field, expr.span, locate, source)
     if isinstance(expr, Unary):
-        operand = compile_expr(expr.operand, locate)
+        operand = compile_expr(expr.operand, locate, source)
         return lambda properties, payload: not operand(properties, payload)
     if isinstance(expr, Binary):
-        left, right = compile_expr(expr.left, locate), compile_expr(expr.right, locate)
+        compare = _COMPARE.get(expr.op)
+        fused = _fused(expr, compare, locate, source) if compare is not None else None
+        if fused is not None:
+            return fused
+        left, right = compile_expr(expr.left, locate, source), compile_expr(expr.right, locate, source)
         if expr.op == "and":
             return lambda properties, payload: bool(left(properties, payload)) and bool(right(properties, payload))
         if expr.op == "or":
             return lambda properties, payload: bool(left(properties, payload)) or bool(right(properties, payload))
-        compare = _COMPARE.get(expr.op)
         if compare is not None:
-
-            def general(properties, payload):
-                return compare(left(properties, payload), right(properties, payload))
-
-            return _fused(expr, general) or general
+            return lambda properties, payload: compare(left(properties, payload), right(properties, payload))
     raise TypeError(f"not an expression node: {expr!r}")
 
 
-def _fused(expr: Binary, general: Callable) -> Callable | None:
+def _fused(expr: Binary, compare: Callable, locate: Callable, source: str | None) -> Callable | None:
     """A comparison of two leaves (properties, payload fields, literals) as
     one closure; None when an operand is not a leaf.
 
     A ``KeyError`` or ``TypeError`` (a name missing, no payload in scope,
-    unlike types ordered) reruns the comparison through ``general``, so it
-    fails with the error, message and span of reading the operands one by
-    one.
+    unlike types ordered) reruns the comparison with its operands compiled
+    and read one by one, so it fails with the error, message and span of
+    the operand that fails. They are compiled only then.
     """
     sides = (expr.left, expr.right)
     literals = tuple(leaf.value if isinstance(leaf, Literal) else None for leaf in sides)
@@ -270,7 +272,7 @@ def _fused(expr: Binary, general: Callable) -> Callable | None:
         else:
             return None
     (i, a), (j, b) = reads
-    compare = _COMPARE[expr.op]
+    general = compare
     if expr.op in ("==", "!="):
         # A str literal equals only a str, and a bool literal only itself.
         if any(isinstance(v, str) for v in literals):
@@ -283,27 +285,28 @@ def _fused(expr: Binary, general: Callable) -> Callable | None:
             scopes = (properties, payload, literals)
             return compare(scopes[i][a], scopes[j][b])
         except (KeyError, TypeError):
-            return general(properties, payload)
+            left, right = (compile_expr(side, locate, source) for side in sides)
+            return general(left(properties, payload), right(properties, payload))
 
     return fused
 
 
-def _read_property(name: str, span: Offsets | None, locate: Callable):
+def _read_property(name: str, span: Offsets | None, locate: Callable, source: str | None):
     def read(properties, payload):
         try:
             return properties[name]
         except KeyError:
-            raise CiotError.of(E_EVAL, f"unknown property {name!r} at evaluation", locate(span)) from None
+            raise CiotError.of(E_EVAL, f"unknown property {name!r} at evaluation", locate(span), source) from None
 
     return read
 
 
-def _read_field(name: str, span: Offsets | None, locate: Callable):
+def _read_field(name: str, span: Offsets | None, locate: Callable, source: str | None):
     def read(properties, payload):
         try:
             return payload[name]
         except (KeyError, TypeError):  # TypeError: no payload in scope
-            raise CiotError.of(E_EVAL, f"payload field {name!r} absent at evaluation", locate(span)) from None
+            raise CiotError.of(E_EVAL, f"payload field {name!r} absent at evaluation", locate(span), source) from None
 
     return read
 

@@ -155,24 +155,29 @@ def _check_scenario(scenario: Scenario) -> Scenario:
         raise CiotError.of("E_SCENARIO", f"sample_period_ms must be positive, got {describe_value(period)}")
     stimuli = _check_type(scenario.stimuli, list, "stimuli")
     for i, st in enumerate(stimuli):
-        _check_type(st, Stimulus, f"stimuli[{i}]")
-        _check_type(st.slot, str, f"stimuli[{i}].slot")
-        _check_time(_check_type(st.time_ms, int, f"stimuli[{i}].time_ms"), f"stimuli[{i}]: ")
+        _check_type(st, Stimulus, "stimuli[{i}]", i)
+        _check_type(st.slot, str, "stimuli[{i}].slot", i)
+        _check_time(_check_type(st.time_ms, int, "stimuli[{i}].time_ms", i), "stimuli[{i}]: ", i)
         if i and st.time_ms < stimuli[i - 1].time_ms:
             raise CiotError.of("E_SCENARIO", f"stimuli out of order: {st.time_ms} ms after {stimuli[i - 1].time_ms} ms")
+    verbs = _VERBS[mode]
     for i, st in enumerate(stimuli):
-        if st.verb not in _VERBS[mode]:
+        if st.verb not in verbs:
             raise CiotError.of("E_SCENARIO", f"stimulus {st.verb!r} is not valid in {mode} mode")
-        _check_value(st.verb, st.value, f"stimuli[{i}]: ", describe_value(st.value))
+        fault = _value_fault(st.verb, st.value)
+        if fault is not None:
+            raise CiotError.of("E_SCENARIO", f"stimuli[{i}]: {fault}")
         if st.time_ms > horizon:
             raise CiotError.of("E_SCENARIO", f"stimulus at {st.time_ms} ms lies beyond horizon_ms={horizon}")
     return scenario
 
 
-def _check_type(value, kind: type, what: str):
-    """``value`` if its type is exactly ``kind`` (a bool is no int), else E_SCENARIO."""
+def _check_type(value, kind: type, what: str, i: int | None = None):
+    """``value`` if its type is exactly ``kind`` (a bool is no int), else
+    E_SCENARIO naming it ``what``, whose ``{i}`` is filled in only then."""
     if type(value) is not kind:
-        raise CiotError.of("E_SCENARIO", f"{what} must be of type {kind.__name__}, got {describe_value(value)}")
+        message = f"{what.format(i=i)} must be of type {kind.__name__}, got {describe_value(value)}"
+        raise CiotError.of("E_SCENARIO", message)
     return value
 
 
@@ -182,23 +187,27 @@ def _check_mode(mode, where: str) -> str:
     return mode
 
 
-def _check_time(time_ms: int, where: str) -> int:
+def _check_time(time_ms: int, where: str, i: int | None = None) -> int:
     if time_ms < 0:
-        raise CiotError.of("E_SCENARIO", f"{where}stimulus time must be non-negative")
+        raise CiotError.of("E_SCENARIO", f"{where.format(i=i)}stimulus time must be non-negative")
     return time_ms
 
 
-def _check_value(verb: str, value, where: str, shown: str) -> None:
-    """None for ``vacate``, finite and above 0 for ``occupy``, finite and 0 or more for ``echo``."""
+def _value_fault(verb: str, value, text: str | None = None) -> str | None:
+    """What is wrong with a stimulus value, or None when it is right: None for
+    ``vacate``, finite and above 0 for ``occupy``, finite and 0 or more for
+    ``echo``. A message shows the value by ``text``, its token in a scenario
+    file, when there is one."""
     if verb == "vacate":
-        if value is not None:
-            raise CiotError.of("E_SCENARIO", f"{where}vacate takes no value")
-    elif (number := fit_value(PrimType.FLOAT, value)) is None:
-        raise CiotError.of("E_SCENARIO", f"{where}{verb} value {shown} is not a finite number")
-    elif verb == "occupy" and number <= 0:
-        raise CiotError.of("E_SCENARIO", f"{where}occupy distance must be positive")
-    elif verb == "echo" and number < 0:
-        raise CiotError.of("E_SCENARIO", f"{where}echo duration must be non-negative")
+        return None if value is None else "vacate takes no value"
+    number = fit_value(PrimType.FLOAT, value)
+    if number is None:
+        return f"{verb} value {describe_value(value) if text is None else repr(text)} is not a finite number"
+    if verb == "occupy" and number <= 0:
+        return "occupy distance must be positive"
+    if verb == "echo" and number < 0:
+        return "echo duration must be non-negative"
+    return None
 
 
 def _parse_stimulus(line: str, where: str) -> Stimulus:
@@ -221,7 +230,9 @@ def _parse_stimulus(line: str, where: str) -> Stimulus:
         raise CiotError.of("E_SCENARIO", f"{where}{verb} value {args[0]!r} is not a number")
     if math.isinf(value) and NUMBER_DIGITS.fullmatch(args[0]):
         raise _out_of_range(args[0], f"{verb} value", where)
-    _check_value(verb, value, where, repr(args[0]))
+    fault = _value_fault(verb, value, args[0])
+    if fault is not None:
+        raise CiotError.of("E_SCENARIO", where + fault)
     return Stimulus(time_ms, slot, verb, value)
 
 
@@ -257,8 +268,12 @@ def bind_environment(rt: RuntimeState, slots: list[str]) -> dict[str, list[tuple
     """Map each scenario slot to the sensing instances at or beneath it."""
     # Each sensor under every dotted prefix of its path, in depth-first order.
     beneath: dict[str, list[tuple[str, str]]] = {}
+    sensing: dict[int, EventDef | None] = {}  # by id(component)
     for path in rt.order:
-        ev = _sensing_event(rt.instances[path].component)
+        comp = rt.instances[path].component
+        if id(comp) not in sensing:
+            sensing[id(comp)] = _sensing_event(comp)
+        ev = sensing[id(comp)]
         if ev is None:
             continue
         parts = path.split(".")
@@ -304,6 +319,7 @@ def simulate(
     # Per slot, its last stimulus value: an echo, or a distance (None: no echo yet, or vacant).
     level: dict[str, float | None] = dict.fromkeys(slots)
     stimuli, applied = scenario.stimuli, 0
+    physical = scenario.mode == "physical"
     for t_ms in range(0, scenario.horizon_ms + 1, period):
         rt.clock_us = t_ms * 1000
         while applied < len(stimuli) and stimuli[applied].time_ms <= t_ms:
@@ -311,7 +327,7 @@ def simulate(
             applied += 1
         for slot in slots:
             reading = level[slot]
-            if scenario.mode == "physical":
+            if physical:
                 reading = echo_duration(floor_distance_m if reading is None else reading, speed_m_per_s)
             elif reading is None:
                 continue

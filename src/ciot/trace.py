@@ -50,8 +50,9 @@ def _route(route: tuple[str, str] | None) -> str:
     return "-" if route is None else f"{route[0]}.{route[1]}"
 
 
-# The ``type`` text of each action kind.
-_ACTION_TYPE = {kind: kind.value for kind in ActionKind}
+# The ``type`` text of each action kind, by identity: hashing an enum member
+# runs Python code.
+_ACTION_TYPE = {id(kind): kind.value for kind in ActionKind}
 
 
 # Per kind: the text of each value, in FIELDS order (None leaves the key out).
@@ -60,7 +61,7 @@ _TEXTS = {
     "state_exited": lambda state: (state,),
     "event_delivered": lambda event, eseq, source, payload: (event, eseq, source, fmt_payload(payload)),
     "action": lambda action, kind, assigned: (
-        action, _ACTION_TYPE[kind], fmt_payload(assigned) if assigned else "-"
+        action, _ACTION_TYPE[id(kind)], fmt_payload(assigned) if assigned else "-"
     ),
     "guard_eval": lambda label, guard, result: (label, guard, "true" if result else "false"),
     "transition": lambda source, target, trigger: (source, target, trigger or "-"),
@@ -98,7 +99,8 @@ def _renderer() -> Callable[[Iterable[TraceRecord]], list[str]]:
     """A function from records to their lines that formats each distinct text once.
 
     It keeps the text after ``kind=`` of each state, guard and transition
-    record by the identity of its values tuple, and the text of each float
+    record, and of each action record that assigns nothing, by the identity
+    of its values tuple (the engine builds these once), and the text of each float
     and str in a payload or ``set`` by the identity of that value. It holds
     every object it keys, so no id is reused while the renderer lives, and no
     value is hashed. Payload and ``set`` dicts are formatted at each record:
@@ -134,10 +136,9 @@ def _renderer() -> Callable[[Iterable[TraceRecord]], list[str]]:
         for seq, time_us, instance, kind, values in records:
             if time_us is not last_time:
                 last_time, time_text = time_us, f"{time_us}"
-            if kind == "action":
+            if kind == "action" and values[2]:
                 action, action_kind, assigned = values
-                assigned_text = payload(assigned) if assigned else "-"
-                tail = f" action={action} type={_ACTION_TYPE[action_kind]} set={assigned_text}"
+                tail = f" action={action} type={_ACTION_TYPE[id(action_kind)]} set={payload(assigned)}"
             elif kind == "event_delivered":
                 event, eseq, source, sent = values
                 tail = f" event={event} eseq={eseq} from={source} payload={payload(sent)}"
@@ -146,7 +147,7 @@ def _renderer() -> Callable[[Iterable[TraceRecord]], list[str]]:
                 tail = f" port={port} event={event} to={_route(route)} payload={payload(sent)}"
                 if error is not None:
                     tail += f" error={error}"
-            else:  # a state, guard or transition record: values the engine builds once
+            else:  # a state, guard, transition or no-assignment action record
                 entry = tails.get(id(values))
                 if entry is None or entry[1] is not kind:
                     pairs = zip(FIELDS[kind], _TEXTS[kind](*values))

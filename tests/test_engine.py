@@ -6,8 +6,18 @@ from hypothesis import strategies as st
 
 from ciot import collect_diagnostics, load_text
 from ciot.diagnostics import CiotError
-from ciot.engine import bind_internal, inject, instantiate, quiesce, run_to_quiescence, step, trigger_internal
+from ciot.engine import (
+    _conform_payload,
+    bind_internal,
+    inject,
+    instantiate,
+    quiesce,
+    run_to_quiescence,
+    step,
+    trigger_internal,
+)
 from ciot.export import export_model
+from ciot.loader import load_file
 from ciot.metamodel import ActionKind, Model, with_property_initial
 from ciot.trace import FIELDS, render_trace, render_trace_line
 
@@ -437,6 +447,43 @@ def test_bad_initial_of_a_model_without_text_has_no_line():
     assert [d.render() for d in exc.value.diagnostics] == [
         "<input>: error E_INSTANTIATE property 'x' of c (C) is float but its initial value is \"oops\""
     ]
+
+
+def test_bad_initial_names_the_model_file(tmp_path):
+    path = tmp_path / "bad.ciot"
+    path.write_text('component C : Board { property x: float = "oops"; }\ninstance c: C;', encoding="utf-8")
+    with pytest.raises(CiotError) as exc:
+        instantiate(load_file(str(path), check=False))
+    assert [d.render() for d in exc.value.diagnostics] == [
+        f"{path}:1:32: error E_INSTANTIATE property 'x' of c (C) is float but its initial value is \"oops\""
+    ]
+
+
+def test_bad_initial_names_the_first_instance_in_depth_first_order():
+    m = load_text(
+        'component Leaf : Board { property x: float = "oops"; }\n'
+        'component Other : Board { property y: int = "no"; }\n'
+        "component Pair : Board { instance one: Leaf; instance two: Leaf; }\n"
+        "instance b: Pair;\ninstance a: Leaf;\ninstance o: Other;\n",
+        check=False,
+    )
+    with pytest.raises(CiotError) as exc:
+        instantiate(m)
+    assert [d.message for d in exc.value.diagnostics] == [
+        "property 'x' of b.one (Leaf) is float but its initial value is \"oops\""
+    ]
+
+
+def test_instances_of_one_component_own_their_properties(fresh_runtime):
+    rt, again = fresh_runtime(("a", "b")), fresh_runtime(("a", "b"))
+    paths = [p for p in rt.order if rt.instances[p].properties]
+    dicts = [rt.instances[p].properties for p in paths] + [again.instances[p].properties for p in paths]
+    assert len({id(d) for d in dicts}) == len(dicts) == 8
+    trigger_internal(rt, "a.sensor", "evtSense", {"duration": 5.0})
+    run_to_quiescence(rt)
+    assert rt.instances["a.sensor"].properties["duration"] == 5.0
+    assert rt.instances["b.sensor"].properties["duration"] == 0.0
+    assert again.instances["a.sensor"].properties["duration"] == 0.0
 
 
 _READS_A_MISSING_NAME = (
@@ -978,3 +1025,80 @@ def test_grammar_doc_example_validates_and_runs(corpus_dir):
     inject(rt, "echo", "p1", "evtPing", {"n": 1})
     assert run_to_quiescence(rt).quiescent
     assert rt.instances["echo"].state == "BUSY"
+
+
+# --- the flat-payload probe path --------------------------------------------------
+
+_FLAT_PAYLOAD = (
+    "payload P { i: int; f: float; b: bool; s: string; }\n"
+    "component C : Board {\n"
+    "    event e generic payload P action a;\n"
+    "    action a generic payload P;\n"
+    "}\n"
+    "instance c: C;\n"
+)
+_FIELD_VALUES = st.one_of(
+    st.sampled_from([None, True, False, 0, -7, 2**70, 10**400, 10**5000, 1.5, -0.0, "x", [], {}]),
+    st.sampled_from([float("nan"), float("inf"), -float("inf")]),
+    st.integers(),
+    st.floats(),
+    st.text(max_size=3),
+)
+_FITTING = {
+    "i": st.integers(),
+    "f": st.one_of(st.integers(), st.floats(allow_nan=False, allow_infinity=False)),
+    "b": st.booleans(),
+    "s": st.text(max_size=3),
+}
+
+
+@st.composite
+def _flat_payloads(draw):
+    """Something that is not a dict, or a dict of fitting field values with
+    up to two fields dropped or changed and maybe an extra field, its keys
+    in any order."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.sampled_from([None, 5, "i", ["i"], ("i", 1)]))
+    payload = {name: draw(values) for name, values in _FITTING.items()}
+    for name in draw(st.lists(st.sampled_from(list(_FITTING)), max_size=2, unique=True)):
+        if draw(st.booleans()):
+            del payload[name]
+        else:
+            payload[name] = draw(_FIELD_VALUES)
+    if draw(st.booleans()):
+        payload["x"] = draw(_FIELD_VALUES)
+    return {name: payload[name] for name in draw(st.permutations(list(payload)))}
+
+
+@pytest.fixture(scope="module")
+def flat_event():
+    """A function giving a fresh runtime of a one-event model with a flat
+    payload, and that event (a function, so hypothesis prints its name)."""
+    model = load_text(_FLAT_PAYLOAD)
+    return lambda: (instantiate(model), model.components[0].events[0])
+
+
+def _shown(outcome):
+    if isinstance(outcome, CiotError):
+        return "error", outcome.code, [d.render() for d in outcome.diagnostics]
+    return [(k, type(v), repr(v)) for k, v in outcome.items()]
+
+
+@settings(max_examples=400, deadline=None)
+@given(payload=_flat_payloads(), as_subclass=st.booleans())
+def test_flat_payload_probe_matches_conform_payload(flat_event, payload, as_subclass):
+    """``bind_internal``'s prebuilt path for flat payloads queues what
+    ``_conform_payload`` returns, or fails with its code and message."""
+    if as_subclass and isinstance(payload, dict):
+        payload = type("Payload", (dict,), {})(payload)
+    rt, event = flat_event()
+    try:
+        expected = _conform_payload(event.payload, payload, "event 'e'")
+    except CiotError as exc:
+        expected = exc
+    try:
+        bind_internal(rt, "c", "e")(payload)
+        got = rt.instances["c"].inbox[-1][1][3]
+    except CiotError as exc:
+        got = exc
+    assert _shown(got) == _shown(expected)

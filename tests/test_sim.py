@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import pathlib
 from collections import Counter
 from dataclasses import replace
 
@@ -401,6 +402,18 @@ def test_unbound_slot_raises(parking_model):
         simulate(parking_model, scenario)
     assert exc.value.code == "E_UNBOUND_SENSOR"
 
+
+def test_eval_error_names_the_model_file(tmp_path, parking_path, arrive_depart_path):
+    lines = pathlib.Path(parking_path).read_text(encoding="utf-8").splitlines(keepends=True)
+    assert lines[98].strip() == "transition SEND -> SENSE [sent == true];"
+    lines[98] = lines[98].replace("[sent == true]", "[ghost == true]")
+    copy = tmp_path / "copy.ciot"
+    copy.write_text("".join(lines), encoding="utf-8")
+    with pytest.raises(CiotError) as exc:
+        simulate(load_file(str(copy), check=False), load_scenario_file(arrive_depart_path))
+    assert [d.render() for d in exc.value.diagnostics] == [
+        f"{copy}:99:35: error E_EVAL unknown property 'ghost' at evaluation"
+    ]
 
 def test_effect_beyond_float_range_is_eval_error(big_int_effect_text, arrive_depart_path):
     model = load_text(big_int_effect_text)
