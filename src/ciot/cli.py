@@ -15,7 +15,7 @@ import math
 import sys
 
 from .diagnostics import CiotError, Severity
-from .engine import DEFAULT_MAX_STEPS, inject, instantiate, quiesce
+from .engine import DEFAULT_MAX_STEPS, inject, instantiate, run_to_quiescence
 from .export import export_model, statemachine_to_dot, structure_to_dot
 from .lexer import decode_string
 from .loader import collect_diagnostics_file, load_file
@@ -102,11 +102,11 @@ def _cmd_validate(args) -> int:
 def _cmd_run(args) -> int:
     model = load_file(args.model)
     rt = instantiate(model)
-    quiesce(rt, args.max_steps)
+    run_to_quiescence(rt, args.max_steps)
     for spec in args.inject:
         path, port, event, values = _parse_inject_spec(spec)
         inject(rt, path, port, event, values)
-        quiesce(rt, args.max_steps)
+        run_to_quiescence(rt, args.max_steps)
     _write_text(render_trace(rt.trace), args.trace)
     return 0
 

@@ -7,6 +7,7 @@ reports problems either as a list of :class:`Diagnostic` values or by raising
 
 from __future__ import annotations
 
+import os
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
@@ -122,17 +123,22 @@ class CiotError(Exception):
         return cls(code, [error(code, message, span, file)])
 
 
-def require_type(value: object, kind: type, what: str) -> None:
+def require_type(value: object, kind: type | tuple[type, ...], what: str) -> None:
     """Raise E_USAGE unless ``value``, the argument ``what`` handed to an
-    entry point (model or scenario text, a model, a scenario), is a ``kind``."""
+    entry point (a text, a path, a model, a runtime, a scenario, a result),
+    is a ``kind``, or one of several."""
     if not isinstance(value, kind):
-        raise CiotError.of(E_USAGE, f"{what} must be a {kind.__name__}, got {type(value).__name__}")
+        names = " or ".join(k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,)))
+        raise CiotError.of(E_USAGE, f"{what} must be a {names}, got {type(value).__name__}")
 
 
-def read_text(path: str) -> str:
+def read_text(path: str | os.PathLike) -> str:
     """The UTF-8 text of the file at ``path``, one leading byte-order mark
     dropped, or E_IO (with ``path`` as the diagnostic's file) when it cannot
-    be read or is not UTF-8."""
+    be read or is not UTF-8. A ``path`` that is not a str or an
+    ``os.PathLike``, such as a file descriptor, is E_USAGE: ``open`` would
+    take an int as a descriptor and close it."""
+    require_type(path, (str, os.PathLike), "path")
     try:
         with open(path, encoding="utf-8-sig") as fh:
             return fh.read()

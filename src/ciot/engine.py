@@ -77,7 +77,7 @@ from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from typing import Callable, NamedTuple
 
-from .diagnostics import CiotError
+from .diagnostics import CiotError, require_type
 from .guards import Expr, Literal, NameRef, PayloadFieldRef, PrimType, compile_expr, describe_value, expr_to_text, fit_value
 from .metamodel import (
     ActionKind,
@@ -197,14 +197,9 @@ class RuntimeState:
         self.seq += 1
 
 
-class RunResult(NamedTuple):
-    steps: int
-    quiescent: bool
-    step_limit_hit: bool
-
-
 def instantiate(model: Model) -> RuntimeState:
     """Build the instance tree, wire connectors, enter initial states."""
+    require_type(model, Model, "model")
     paths = instance_paths(model)
     by_index: list[InstanceState] = []
     templates: dict[int, _Template] = {}  # by id(comp); the model keeps every comp alive meanwhile
@@ -382,14 +377,10 @@ def inject(rt: RuntimeState, path: str, port: str, event_name: str, payload: dic
     _enqueue(rt, inst, event, values, "env")
 
 
-def trigger_internal(rt: RuntimeState, path: str, event_name: str, payload: dict | None = None) -> None:
-    """Queue a generic event onto one instance, as sensing hardware would."""
-    bind_internal(rt, path, event_name)(payload)
-
-
 def bind_internal(rt: RuntimeState, path: str, event_name: str) -> Callable[[dict | None], None]:
-    """``trigger_internal`` with the instance and the event looked up once:
-    a function that queues the event with the payload it is given."""
+    """A function that queues a generic event onto one instance, as sensing
+    hardware would, with the payload it is given; the instance and the event
+    are looked up once."""
     inst, event = _event_at(rt, path, event_name, EventDirection.GENERIC)
     payload_def, what = event.payload, f"event {event_name!r}"
     flat = None  # (name, type) per field of a payload with no record field
@@ -416,6 +407,8 @@ def bind_internal(rt: RuntimeState, path: str, event_name: str) -> Callable[[dic
 
 
 def _event_at(rt: RuntimeState, path: str, name: str, direction: EventDirection) -> tuple[InstanceState, EventDef]:
+    require_type(rt, RuntimeState, "runtime")
+    require_type(path, str, "path")
     inst = rt.instances.get(path)
     if inst is None:
         raise CiotError.of("E_BAD_TARGET", f"no instance at path {path!r}")
@@ -531,24 +524,21 @@ def _quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def run_to_quiescence(rt: RuntimeState, max_steps: int = DEFAULT_MAX_STEPS) -> RunResult:
-    """Step until no event is queued or ``max_steps`` steps have run;
-    ``E_DOMAIN`` when ``max_steps`` is not a non-negative int."""
+def run_to_quiescence(rt: RuntimeState, max_steps: int = DEFAULT_MAX_STEPS) -> int:
+    """Step until no event is queued and return the number of steps taken;
+    ``E_DOMAIN`` when ``max_steps`` is not a non-negative int, and
+    ``E_STEP_LIMIT`` when events are still queued after ``max_steps`` steps."""
+    require_type(rt, RuntimeState, "runtime")
     if type(max_steps) is not int or max_steps < 0:
         raise CiotError.of("E_DOMAIN", f"max_steps must be a non-negative integer, got {describe_value(max_steps)}")
     steps = 0
     while steps < max_steps:
         if not step(rt):
-            return _new_tuple(RunResult, (steps, True, False))
+            return steps
         steps += 1
-    quiescent = not rt.ready
-    return _new_tuple(RunResult, (steps, quiescent, not quiescent))
-
-
-def quiesce(rt: RuntimeState, max_steps: int) -> None:
-    """``run_to_quiescence``, raising ``E_STEP_LIMIT`` when the steps run out first."""
-    if run_to_quiescence(rt, max_steps).step_limit_hit:
+    if rt.ready:
         raise CiotError.of("E_STEP_LIMIT", f"model did not quiesce within {max_steps} steps")
+    return steps
 
 
 def _snapshot_payload(inst: InstanceState, fields: Fields) -> dict | None:

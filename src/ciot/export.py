@@ -9,7 +9,7 @@ interchange format.
 
 from __future__ import annotations
 
-from .diagnostics import CiotError
+from .diagnostics import CiotError, require_type
 from .engine import _quote
 from .guards import expr_to_text, format_value
 from .loader import load_text
@@ -29,6 +29,7 @@ def import_model(text: str, source: str | None = None) -> Model:
 
 
 def export_model(model: Model) -> str:
+    require_type(model, Model, "model")
     out: list[str] = []
     for p in sorted(model.payloads, key=lambda d: d.name):
         out.append(_payload_text(p))
@@ -149,6 +150,7 @@ def _machine_lines(m: StateMachine) -> list[str]:
 
 
 def statemachine_to_dot(model: Model, component_name: str) -> str:
+    require_type(model, Model, "model")
     comp = model.component_named(component_name)
     if comp is None:
         raise CiotError.of("E_UNKNOWN_REF", f"no component named {component_name!r}", None, model.source)
@@ -172,6 +174,7 @@ def statemachine_to_dot(model: Model, component_name: str) -> str:
 
 
 def structure_to_dot(model: Model, root: str) -> str:
+    require_type(model, Model, "model")
     comp = model.component_named(root)
     if comp is None:
         raise CiotError.of("E_UNKNOWN_REF", f"no component named {root!r}", None, model.source)

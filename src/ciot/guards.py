@@ -206,8 +206,9 @@ def eval_guard(
     """Evaluate a typechecked expression once; guards yield a Python bool.
 
     ``compile_expr(expr, locate)(properties, payload)`` with a ``locate``
-    that gives no span, so an E_EVAL has none: compile once instead where
-    one expression is evaluated many times or has a text to be located in."""
+    that gives no span, so an E_EVAL has none. Nothing in the package calls
+    it: only the benchmark's per-layer attribution (``perfbench/layers.py``)
+    reads it, by name, and tests."""
     return compile_expr(expr, lambda span: None)(properties, payload)
 
 

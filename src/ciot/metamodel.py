@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Union
 
-from .diagnostics import CiotError, Locator, Offsets, SourceSpan
+from .diagnostics import CiotError, Locator, Offsets, SourceSpan, require_type
 from .guards import Expr, PrimType, describe_value, fit_value
 
 __all__ = [
@@ -291,6 +291,8 @@ def structurally_equal(a: Model, b: Model) -> bool:
     so each declaration is compared once, in its sorted list, however many
     paths reach it and however deep the chain.
     """
+    require_type(a, Model, "model")
+    require_type(b, Model, "model")
     return _normalized(a) == _normalized(b)
 
 
@@ -329,6 +331,7 @@ def with_property_initial(model: Model, prop_name: str, value: int | float | boo
     with ``model``, which is left untouched; raises E_DOMAIN when nothing
     matched.
     """
+    require_type(model, Model, "model")
     props = (p for c in model.components for p in c.properties if p.name == prop_name)
     if all(fit_value(p.type, value) is None for p in props):
         message = f"no component declares a property named {prop_name!r} accepting {describe_value(value)}"

@@ -27,7 +27,7 @@ from itertools import groupby
 from operator import attrgetter
 
 from .diagnostics import CiotError, read_text, require_type
-from .engine import DEFAULT_MAX_STEPS, RuntimeState, bind_internal, instantiate, quiesce
+from .engine import DEFAULT_MAX_STEPS, RuntimeState, bind_internal, instantiate, run_to_quiescence
 from .guards import PrimType, describe_value, fit_value
 from .metamodel import ComponentDef, EventDef, EventDirection, Model
 from .trace import TraceRecord
@@ -310,7 +310,7 @@ def simulate(
     speed_m_per_s = _positive("speed_m_per_s", speed_m_per_s)
     floor_distance_m = _positive("floor_distance_m", floor_distance_m)
     rt = instantiate(model)
-    quiesce(rt, max_steps)
+    run_to_quiescence(rt, max_steps)
 
     # With no stimuli, every root instance is a slot.
     slots = sorted({st.slot for st in scenario.stimuli}) or [p for p in rt.order if "." not in p]
@@ -333,7 +333,7 @@ def simulate(
                 continue
             for trigger in triggers[slot]:
                 trigger({ECHO_FIELD: reading})
-                quiesce(rt, max_steps)
+                run_to_quiescence(rt, max_steps)
     return SimResult(rt, scenario)
 
 
@@ -359,6 +359,7 @@ def occupancy_timeline(result: SimResult) -> list[tuple[int, str]]:
     vacant, neither means no sample yet, both is a contradiction. Consecutive
     equal samples collapse.
     """
+    require_type(result, SimResult, "result")
     rt = result.runtime
     red_path, green_path = find_led_paths([(p, rt.instances[p].component) for p in rt.order])
     state = {red_path: None, green_path: None}

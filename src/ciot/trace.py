@@ -160,10 +160,6 @@ def _renderer() -> Callable[[Iterable[TraceRecord]], list[str]]:
     return lines
 
 
-def render_trace_line(rec: TraceRecord) -> str:
-    return _renderer()((rec,))[0]
-
-
 def render_trace(records: Iterable[TraceRecord]) -> str:
     lines = _renderer()(records)
     lines.append("")

@@ -211,8 +211,7 @@ def engine_reached(gm: GeneratedMachine, depth: int, max_steps: int = 100) -> se
                 inst.properties = dict(props)
                 rt.trace.clear()
                 inject(rt, "m", "p1", ev_name, dict(payload))
-                result = run_to_quiescence(rt, max_steps)
-                assert result.quiescent, f"seed {gm.seed}: no quiescence"
+                run_to_quiescence(rt, max_steps)  # E_STEP_LIMIT unless it quiesces
                 key = freeze(inst.state, inst.properties)
                 if key not in seen:
                     seen.add(key)
@@ -238,8 +237,7 @@ def engine_reached_by_replay(gm: GeneratedMachine, depth: int) -> set[tuple]:
             inst = rt.instances["m"]
             for ev_name, payload in seq:
                 inject(rt, "m", "p1", ev_name, dict(payload))
-                result = run_to_quiescence(rt, 100)
-                assert result.quiescent
+                run_to_quiescence(rt, 100)  # E_STEP_LIMIT unless it quiesces
             seen.add(freeze(inst.state, inst.properties))
     return seen
 

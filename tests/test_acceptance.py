@@ -43,8 +43,7 @@ def criterion(cid: str, title: str, budget_s: float | None = None):
 def final_leds(model, duration_ms: float) -> tuple[str, str]:
     rt = instantiate(model)
     inject(rt, "node", "pSense", "evtReading", {"duration": duration_ms})
-    result = run_to_quiescence(rt)
-    assert result.quiescent
+    run_to_quiescence(rt)  # E_STEP_LIMIT unless it quiesces
     return rt.instances["node.red"].state, rt.instances["node.green"].state
 
 
@@ -103,7 +102,7 @@ def test_c6_mutual_exclusion(parking_model):
             # mostly smooth readings, with boundary values mixed in
             duration = 300.0 if rng.random() < 0.05 else rng.uniform(0.0, 10000.0)
             inject(rt, "node", "pSense", "evtReading", {"duration": duration})
-            assert run_to_quiescence(rt).quiescent
+            run_to_quiescence(rt)  # E_STEP_LIMIT unless it quiesces
             lit = [
                 p
                 for p in ("node.red", "node.green")

@@ -11,15 +11,13 @@ from ciot.engine import (
     bind_internal,
     inject,
     instantiate,
-    quiesce,
     run_to_quiescence,
     step,
-    trigger_internal,
 )
 from ciot.export import export_model
 from ciot.loader import load_file
 from ciot.metamodel import ActionKind, Model, with_property_initial
-from ciot.trace import FIELDS, render_trace, render_trace_line
+from ciot.trace import FIELDS, render_trace
 
 from genmodels import alphabet, generate
 
@@ -115,10 +113,8 @@ def test_self_transition_exits_and_reenters(parking_model):
 
 def test_reading_cascade_order_and_quiescence(parking_model):
     rt = instantiate(parking_model)
-    trigger_internal(rt, "node.sensor", "evtSense", {"duration": 450.0})
-    result = run_to_quiescence(rt)
-    assert result.quiescent and not result.step_limit_hit
-    assert result.steps == 5
+    bind_internal(rt, "node.sensor", "evtSense")({"duration": 450.0})
+    assert run_to_quiescence(rt) == 5
     # generic entry events queue up; outgoing entry events send inline,
     # so the node and both indicators run before the sensor's hand-off
     assert delivered(rt) == [
@@ -183,31 +179,35 @@ def test_threshold_boundary_is_vacant(parking_model):
 
 def test_empty_system_is_quiescent(parking_model):
     rt = instantiate(parking_model)
-    result = run_to_quiescence(rt)
-    assert result == type(result)(steps=0, quiescent=True, step_limit_hit=False)
+    assert run_to_quiescence(rt) == 0
     assert rt.step_count == 1  # the probe step that found nothing queued
+    rt = instantiate(parking_model)
+    assert run_to_quiescence(rt, max_steps=0) == 0
+    assert rt.step_count == 0
 
 
 def test_step_limit_reports_nonquiescence(parking_model):
     rt = instantiate(parking_model)
     for _ in range(4):
         inject(rt, "node", "pSense", "evtReading", {"duration": 10.0})
-    result = run_to_quiescence(rt, max_steps=2)
-    assert result.steps == 2
-    assert result.step_limit_hit and not result.quiescent
+    mark = len(rt.trace)
+    with pytest.raises(CiotError) as exc:
+        run_to_quiescence(rt, max_steps=2)
+    assert exc.value.code == "E_STEP_LIMIT"
+    assert str(exc.value) == "model did not quiesce within 2 steps"
+    assert rt.step_count == 2
+    assert [r.instance for r in rt.trace[mark:] if r.kind == "event_delivered"] == ["node", "node"]
+    assert len(rt.instances["node"].inbox) == 2
 
 
 @pytest.mark.parametrize("max_steps", ["x", 2.5, -1, True, None], ids=["str", "float", "negative", "bool", "none"])
-def test_both_quiesce_entry_points_check_max_steps(parking_model, max_steps):
+def test_run_to_quiescence_checks_max_steps(parking_model, max_steps):
     rt = instantiate(parking_model)
     inject(rt, "node", "pSense", "evtReading", {"duration": 10.0})
-    messages = []
-    for run in (run_to_quiescence, quiesce):
-        with pytest.raises(CiotError) as exc:
-            run(rt, max_steps)
-        assert exc.value.code == "E_DOMAIN"
-        messages.append(exc.value.diagnostics[0].message)
-    assert messages[0] == messages[1] and messages[0].startswith("max_steps must be a non-negative integer, got ")
+    with pytest.raises(CiotError) as exc:
+        run_to_quiescence(rt, max_steps)
+    assert exc.value.code == "E_DOMAIN"
+    assert exc.value.diagnostics[0].message.startswith("max_steps must be a non-negative integer, got ")
     assert rt.step_count == 0 and len(rt.instances["node"].inbox) == 1  # nothing ran
 
 
@@ -216,9 +216,8 @@ def test_payload_that_is_not_a_dict_is_a_type_error(parking_model, payload):
     rt = instantiate(parking_model)
     queue = [
         lambda: inject(rt, "node", "pSense", "evtReading", payload),
-        lambda: trigger_internal(rt, "node.sensor", "evtSense", payload),
         lambda: bind_internal(rt, "node.sensor", "evtSense")(payload),
-        lambda: trigger_internal(rt, "node.sensor", "evtDone", payload),  # an event with no payload
+        lambda: bind_internal(rt, "node.sensor", "evtDone")(payload),  # an event with no payload
     ]
     for attempt in queue:
         with pytest.raises(CiotError) as exc:
@@ -287,10 +286,10 @@ def test_inject_rejects_int_beyond_float_range(parking_model):
     assert not rt.ready and not rt.instances["node"].inbox
 
 
-def test_trigger_internal_rejects_non_generic(parking_model):
+def test_bind_internal_rejects_non_generic(parking_model):
     rt = instantiate(parking_model)
     with pytest.raises(CiotError) as exc:
-        trigger_internal(rt, "node", "evtReading", {"duration": 1.0})
+        bind_internal(rt, "node", "evtReading")
     assert exc.value.code == "E_BAD_TARGET"
 
 
@@ -314,7 +313,7 @@ def test_unwired_port_drops_payload_with_no_route():
     assert sends[0].detail["error"] == "E_NO_ROUTE"
     assert sends[0].detail["payload"] == "{v=7}"
     # the drop is recorded, not raised, and nothing is queued anywhere
-    assert run_to_quiescence(rt).steps == 0
+    assert run_to_quiescence(rt) == 0
 
 
 def test_wired_port_without_matching_incoming_event_drops_payload():
@@ -345,9 +344,9 @@ def test_wired_port_without_matching_incoming_event_drops_payload():
     model, diags = collect_diagnostics(text)
     assert diags == []
     rt = instantiate(model)
-    assert render_trace_line(rt.trace[-1]) == (
+    assert render_trace(rt.trace[-1:]) == (
         f"seq={rt.trace[-1].seq} t=0 inst=top.a kind=payload_sent "
-        "port=p event=out1 to=top.b.q payload={v=7} error=E_NO_ROUTE"
+        "port=p event=out1 to=top.b.q payload={v=7} error=E_NO_ROUTE\n"
     )
     assert not rt.ready and all(not inst.inbox for inst in rt.instances.values())
 
@@ -479,7 +478,7 @@ def test_instances_of_one_component_own_their_properties(fresh_runtime):
     paths = [p for p in rt.order if rt.instances[p].properties]
     dicts = [rt.instances[p].properties for p in paths] + [again.instances[p].properties for p in paths]
     assert len({id(d) for d in dicts}) == len(dicts) == 8
-    trigger_internal(rt, "a.sensor", "evtSense", {"duration": 5.0})
+    bind_internal(rt, "a.sensor", "evtSense")({"duration": 5.0})
     run_to_quiescence(rt)
     assert rt.instances["a.sensor"].properties["duration"] == 5.0
     assert rt.instances["b.sensor"].properties["duration"] == 0.0
@@ -567,7 +566,7 @@ def test_effect_of_another_type_is_eval_error_without_the_validator():
     )
     for event, action in (("e", "a"), ("f", "b")):
         rt = instantiate(load_text(text, check=False))
-        trigger_internal(rt, "c", event)
+        bind_internal(rt, "c", event)()
         with pytest.raises(CiotError) as exc:
             run_to_quiescence(rt)
         assert exc.value.code == "E_EVAL"
@@ -614,7 +613,7 @@ def test_effect_reading_a_payload_its_action_does_not_declare_keeps_fit_value(va
         "instance c: C;\n"
     )
     rt = instantiate(load_text(text, check=False))
-    trigger_internal(rt, "c", "e", {"f": value})
+    bind_internal(rt, "c", "e")({"f": value})
     if stored is None:
         with pytest.raises(CiotError) as exc:
             run_to_quiescence(rt)
@@ -643,8 +642,7 @@ def test_final_leds_depend_only_on_last_reading(shared_parking_model, durations)
     rt = instantiate(shared_parking_model())
     for d in durations:
         inject(rt, "node", "pSense", "evtReading", {"duration": d})
-    result = run_to_quiescence(rt)
-    assert result.quiescent
+    run_to_quiescence(rt)  # E_STEP_LIMIT unless it quiesces
     vacant = durations[-1] >= 300.0
     assert (rt.instances["node.green"].state == "ON") is vacant
     assert (rt.instances["node.red"].state == "ON") is (not vacant)
@@ -692,9 +690,9 @@ def apply_op(rt, root: str, kind: str, value: float) -> None:
     elif kind in ("red", "green"):
         inject(rt, f"{root}.{kind}", "p1", "evtCommand", HIGH if value < 300.0 else LOW)
     elif kind == "sense":
-        trigger_internal(rt, f"{root}.sensor", "evtSense", {"duration": value})
+        bind_internal(rt, f"{root}.sensor", "evtSense")({"duration": value})
     elif kind == "done":
-        trigger_internal(rt, f"{root}.sensor", "evtDone")
+        bind_internal(rt, f"{root}.sensor", "evtDone")()
     else:
         checked_step(rt)
 
@@ -828,22 +826,22 @@ def test_detail_is_fixed_once_recorded(parking_model):
     """Later steps reassign the properties that earlier records' payloads and
     assignments were built from; those records read the same afterwards."""
     rt = instantiate(parking_model)
-    trigger_internal(rt, "node.sensor", "evtSense", {"duration": 100.0})
+    bind_internal(rt, "node.sensor", "evtSense")({"duration": 100.0})
     run_to_quiescence(rt)
     assert any(r.kind == "action" and r.values[2] for r in rt.trace)
-    before = [(r.detail, render_trace_line(r)) for r in rt.trace]
+    before = [(r.detail, render_trace([r])) for r in rt.trace]
     for duration in (450.0, 20.0, 450.0):
-        trigger_internal(rt, "node.sensor", "evtSense", {"duration": duration})
+        bind_internal(rt, "node.sensor", "evtSense")({"duration": duration})
         run_to_quiescence(rt)
     assert len(rt.trace) > len(before)
-    assert [(r.detail, render_trace_line(r)) for r in rt.trace[: len(before)]] == before
+    assert [(r.detail, render_trace([r])) for r in rt.trace[: len(before)]] == before
 
 
 def assert_lines_match_detail(records) -> None:
     """The direct renderer and the ``detail`` view cannot drift apart."""
     for r in records:
         head = f"seq={r.seq} t={r.time_us} inst={r.instance} kind={r.kind}"
-        assert render_trace_line(r) == " ".join([head] + [f"{k}={v}" for k, v in r.detail.items()])
+        assert render_trace([r]) == " ".join([head] + [f"{k}={v}" for k, v in r.detail.items()]) + "\n"
 
 
 @settings(max_examples=60, deadline=None)
@@ -861,7 +859,7 @@ def test_rendered_line_agrees_with_detail_on_generated_models(seed, picks):
 
 def test_rendered_line_agrees_with_detail_on_sends(parking_model):
     rt = instantiate(parking_model)
-    trigger_internal(rt, "node.sensor", "evtSense", {"duration": 100.0})
+    bind_internal(rt, "node.sensor", "evtSense")({"duration": 100.0})
     run_to_quiescence(rt)
     assert {r.kind for r in rt.trace} == set(FIELDS)
     assert_lines_match_detail(rt.trace)
@@ -940,7 +938,7 @@ def test_effects_run_in_order_on_live_properties():
     assert rt.instances["c"].properties == {"a": 1, "b": 1}
     [action] = [r for r in rt.trace if r.kind == "action"]
     assert action.values[2] == {"a": 1, "b": 1}
-    assert render_trace_line(action) == "seq=2 t=0 inst=c kind=action action=act type=ReceivePayload set={a=1,b=1}"
+    assert render_trace([action]) == "seq=2 t=0 inst=c kind=action action=act type=ReceivePayload set={a=1,b=1}\n"
 
 
 FLAG_MODEL = (
@@ -1010,7 +1008,7 @@ def test_repeated_transition_records_equal_values(parking_model):
     assert first[2].values == ("RED_ON_GREEN_OFF", "RED_ON_GREEN_OFF", "evtReading")
 
     def text(r):
-        return render_trace_line(r).split(" ", 3)[3]  # without seq, t and inst
+        return render_trace([r]).split(" ", 3)[3]  # without seq, t and inst
 
     assert [text(r) for r in first] == [text(r) for r in second]
 
@@ -1023,7 +1021,7 @@ def test_grammar_doc_example_validates_and_runs(corpus_dir):
     assert diags == []
     rt = instantiate(model)
     inject(rt, "echo", "p1", "evtPing", {"n": 1})
-    assert run_to_quiescence(rt).quiescent
+    run_to_quiescence(rt)  # E_STEP_LIMIT unless it quiesces
     assert rt.instances["echo"].state == "BUSY"
 
 

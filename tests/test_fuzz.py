@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from ciot import load_scenario, load_text, simulate
 from ciot.cli import _parse_inject_spec
 from ciot.diagnostics import CiotError
-from ciot.engine import inject, instantiate, quiesce
+from ciot.engine import inject, instantiate, run_to_quiescence
 from ciot.lexer import KEYWORDS
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
@@ -56,7 +56,7 @@ def model_texts(draw) -> str:
 @given(text=model_texts())
 def test_model_text_ends_in_model_or_ciot_error(text):
     try:
-        quiesce(instantiate(load_text(text, "fuzz.ciot")), 500)
+        run_to_quiescence(instantiate(load_text(text, "fuzz.ciot")), 500)
     except CiotError:
         pass
 
@@ -136,6 +136,6 @@ def test_inject_spec_ends_in_run_or_ciot_error(shared_parking_model, spec):
     try:
         path, port, event, values = _parse_inject_spec(spec)
         inject(rt, path, port, event, values)
-        quiesce(rt, 500)
+        run_to_quiescence(rt, 500)
     except CiotError:
         pass

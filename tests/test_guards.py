@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ciot.diagnostics import CiotError, Locator
-from ciot.engine import inject, instantiate, quiesce
+from ciot.engine import inject, instantiate, run_to_quiescence
 from ciot.guards import (
     Binary,
     GuardScope,
@@ -274,7 +274,7 @@ def test_unprintable_int_ends_in_a_code_and_every_stored_int_renders():
     largest = 10 ** sys.get_int_max_str_digits() - 1
     rt = instantiate(with_property_initial(model, "p", largest))
     inject(rt, "c", "p1", "e", {"f": largest})
-    quiesce(rt, 10)
+    run_to_quiescence(rt, 10)
     assert str(largest) in render_trace(rt.trace)
 
 _DEFAULT_LITERAL = {PrimType.INT: "0", PrimType.FLOAT: "0.0", PrimType.BOOL: "false", PrimType.STRING: '""'}

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from ciot import load_text
 from ciot.diagnostics import CiotError
-from ciot.engine import instantiate, quiesce
+from ciot.engine import instantiate, run_to_quiescence
 from ciot.loader import collect_diagnostics_file, load_file
 from ciot.metamodel import instance_paths, with_property_initial
 from ciot.sim import (
@@ -495,7 +495,7 @@ def test_unprintable_stimulus_value_and_max_steps_are_coded_errors(parking_model
     assert exc.value.code == "E_SCENARIO"
     assert str(exc.value) == "stimuli[0]: echo value a list that cannot be printed is not a finite number"
     with pytest.raises(CiotError) as exc:
-        quiesce(instantiate(parking_model), value)
+        run_to_quiescence(instantiate(parking_model), value)
     assert exc.value.code == "E_DOMAIN"
     assert str(exc.value) == "max_steps must be a non-negative integer, got a list that cannot be printed"
 

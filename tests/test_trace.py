@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ciot.metamodel import ActionKind
-from ciot.trace import FIELDS, TraceRecord, render_trace, render_trace_line
+from ciot.trace import FIELDS, TraceRecord, render_trace
 
 # Kinds whose values have the same shape: a values tuple may appear under either.
 TWIN = {
@@ -75,10 +75,10 @@ def traces(draw) -> list[TraceRecord]:
 @settings(max_examples=200, deadline=None)
 @given(records=traces())
 def test_trace_renders_as_its_lines_and_their_detail(records):
-    assert render_trace(records) == "".join(render_trace_line(r) + "\n" for r in records)
+    assert render_trace(records) == "".join(render_trace([r]) for r in records)
     for r in records:
         head = f"seq={r.seq} t={r.time_us} inst={r.instance} kind={r.kind}"
-        assert render_trace_line(r) == " ".join([head] + [f"{k}={v}" for k, v in r.detail.items()])
+        assert render_trace([r]) == " ".join([head] + [f"{k}={v}" for k, v in r.detail.items()]) + "\n"
 
 
 def test_empty_trace_renders_empty():
