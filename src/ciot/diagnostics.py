@@ -134,11 +134,14 @@ def require_type(value: object, kind: type | tuple[type, ...], what: str) -> Non
 
 def read_text(path: str | os.PathLike) -> str:
     """The UTF-8 text of the file at ``path``, one leading byte-order mark
-    dropped, or E_IO (with ``path`` as the diagnostic's file) when it cannot
-    be read or is not UTF-8. A ``path`` that is not a str or an
+    dropped, or E_IO (with ``os.fspath(path)`` as the diagnostic's file) when
+    it cannot be read or is not UTF-8. A ``path`` that is not a str or an
     ``os.PathLike``, such as a file descriptor, is E_USAGE: ``open`` would
-    take an int as a descriptor and close it."""
+    take an int as a descriptor and close it. So is an ``os.PathLike`` whose
+    path is bytes: a model's or scenario's source is a str."""
     require_type(path, (str, os.PathLike), "path")
+    path = os.fspath(path)
+    require_type(path, str, "path")
     try:
         with open(path, encoding="utf-8-sig") as fh:
             return fh.read()

@@ -74,6 +74,9 @@ Expr = Union[Literal, NameRef, PayloadFieldRef, Unary, Binary]
 
 ORDERING_OPS = ("<", "<=", ">", ">=")
 BOOLEAN_OPS = ("and", "or")
+# A tuple, not a set: ``in`` on a tuple tests its members by identity and
+# hashes nothing, while an Enum member's hash is a Python-level call.
+_NUMERIC = (PrimType.INT, PrimType.FLOAT)
 
 
 @dataclass(frozen=True)
@@ -127,14 +130,13 @@ def typecheck_guard(expr: Expr, scope: GuardScope) -> PrimType:
             return PrimType.BOOL
         lt = typecheck_guard(expr.left, scope)
         rt = typecheck_guard(expr.right, scope)
-        numeric = {PrimType.INT, PrimType.FLOAT}
         if expr.op in ORDERING_OPS:
-            if lt not in numeric or rt not in numeric:
+            if lt not in _NUMERIC or rt not in _NUMERIC:
                 message = f"{expr.op!r} needs numeric operands, got {lt.value} and {rt.value}"
                 raise TypeCheckError(E_TYPE_MISMATCH, message, expr.span)
             return PrimType.BOOL
         # Equality: same type, or int/float widened.
-        if lt is rt or (lt in numeric and rt in numeric):
+        if lt is rt or (lt in _NUMERIC and rt in _NUMERIC):
             return PrimType.BOOL
         raise TypeCheckError(E_TYPE_MISMATCH, f"cannot compare {lt.value} with {rt.value}", expr.span)
     raise TypeError(f"not an expression node: {expr!r}")

@@ -7,6 +7,15 @@ modulo whitespace and ``//`` comments. Line and column are not tracked here:
 a :class:`~ciot.diagnostics.Locator` turns offsets into a ``SourceSpan``
 where one is kept.
 
+A kind is one of the plain strings of :class:`TokenKind`, the text an error
+message names it by, and is compared by identity. It is not an ``Enum``
+member for two reasons. On Python 3.10 and 3.11 every attribute lookup on an
+``Enum`` class goes through the metaclass's ``__getattr__``, several times
+slower than on a plain class, and the parser looks a kind up for most tokens.
+And a tuple that holds only strings and ints is untracked by the garbage
+collector after its first collection, while one holding an ``Enum`` member
+stays tracked, so every young collection would walk each token again.
+
 End of input sits at the start of a ``//`` comment that ends the last line,
 and otherwise at the end of the text.
 """
@@ -14,12 +23,13 @@ and otherwise at the end of the text.
 from __future__ import annotations
 
 import re
-from enum import Enum
 
 from .diagnostics import E_LEX, CiotError, Locator, require_type
 
 
-class TokenKind(Enum):
+class TokenKind:
+    """The token kinds: each is the text a message names it by."""
+
     IDENT = "identifier"
     KEYWORD = "keyword"
     INT = "int literal"
@@ -102,17 +112,18 @@ _KINDS = {"STRING": TokenKind.STRING, "FLOAT": TokenKind.FLOAT, "INT": TokenKind
 # next character stands for itself.
 _ESCAPES = {"n": "\n", "t": "\t"}
 
-# A token: (kind, text, start offset). Plain tuples, which the lexer builds
-# faster than any named type.
-Token = tuple[TokenKind, str, int]
+# A token: (kind, text, start offset), the kind one of TokenKind's strings.
+# Plain tuples, which the lexer builds faster than any named type and the
+# collector untracks, as it does any tuple of strings and ints.
+Token = tuple[str, str, int]
 
 
 def describe(token: Token) -> str:
     """The token as an error message names it: ``keyword 'state'``."""
     kind, text, _ = token
     if kind is TokenKind.EOI:
-        return "end of input"
-    return f"{kind.value} {text!r}"
+        return kind
+    return f"{kind} {text!r}"
 
 
 def tokenize(source: str, file: str | None = None) -> list[Token]:
@@ -120,6 +131,7 @@ def tokenize(source: str, file: str | None = None) -> list[Token]:
     require_type(source, str, "text")
     tokens: list[Token] = []
     append = tokens.append
+    keyword, ident = TokenKind.KEYWORD, TokenKind.IDENT
     # One str per distinct word, which its tokens (and the tree's names)
     # share: this keeps a parse's peak memory down, which an int start offset
     # per token would otherwise raise.
@@ -129,7 +141,7 @@ def tokenize(source: str, file: str | None = None) -> list[Token]:
         text = m[group]
         if group == "WORD":
             text = words.setdefault(text, text)
-            append((TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT, text, m.start(group)))
+            append((keyword if text in KEYWORDS else ident, text, m.start(group)))
         elif group == "EOI":
             append((TokenKind.EOI, "", m.start(group)))
             return tokens

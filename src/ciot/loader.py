@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 from .diagnostics import CiotError, Diagnostic, Severity, read_text, require_type
 from .metamodel import Model
 from .parser import parse
@@ -20,8 +22,8 @@ def load_text(text: str, source: str | None = None, *, check: bool = True) -> Mo
     return model
 
 
-def load_file(path: str, *, check: bool = True) -> Model:
-    return load_text(read_text(path), path, check=check)
+def load_file(path: str | os.PathLike, *, check: bool = True) -> Model:
+    return load_text(read_text(path), os.fspath(path), check=check)
 
 
 def collect_diagnostics(text: str, source: str | None = None) -> tuple[Model | None, list[Diagnostic]]:
@@ -35,6 +37,6 @@ def collect_diagnostics(text: str, source: str | None = None) -> tuple[Model | N
     return model, validate(model)
 
 
-def collect_diagnostics_file(path: str) -> tuple[Model | None, list[Diagnostic]]:
-    return collect_diagnostics(read_text(path), path)
+def collect_diagnostics_file(path: str | os.PathLike) -> tuple[Model | None, list[Diagnostic]]:
+    return collect_diagnostics(read_text(path), os.fspath(path))
 

@@ -30,6 +30,11 @@ from .metamodel import ACTION_KEYWORDS, ActionKind, ComponentKind, EventDirectio
 
 _PRIM_NAMES = {"int": PrimType.INT, "float": PrimType.FLOAT, "bool": PrimType.BOOL, "string": PrimType.STRING}
 _COMPARISONS = frozenset({"==", "!=", "<", "<=", ">", ">="})
+_LITERAL_KINDS = frozenset({TokenKind.INT, TokenKind.FLOAT, TokenKind.STRING})
+# The member each model-text word stands for: dict lookups, since calling an
+# Enum class to look a value up costs several times as much.
+_COMPONENT_KINDS = {kind.value: kind for kind in ComponentKind}
+_DIRECTIONS = {direction.value: direction for direction in EventDirection}
 
 
 class Ref(NamedTuple):
@@ -229,7 +234,7 @@ class _Stream:
             return tok
         if what is None:
             kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.PUNCT
-            what = f"{kind.value} {text!r}"
+            what = f"{kind} {text!r}"
         return self.fail(f"expected {what}, got {describe(tok)}")
 
     def fail(self, message: str, tok: Token | None = None):
@@ -303,16 +308,13 @@ def _member_name(ts: _Stream, what: str) -> tuple[str, Offsets]:
     raise AssertionError  # unreachable
 
 
-def _enum_word(ts: _Stream, kind: TokenKind, convert, what: str):
-    """The enum member ``convert`` makes of the current token's text; E_PARSE
-    when the token is not of ``kind`` or ``convert`` rejects its text."""
+def _enum_word(ts: _Stream, kind: str, members: dict, what: str):
+    """The enum member ``members`` maps the current token's text to; E_PARSE
+    when the token is not of ``kind`` or ``members`` lacks its text."""
     tok = ts.current
     if tok[0] is kind:
-        try:
-            value = convert(tok[1])
-        except (KeyError, ValueError):
-            pass
-        else:
+        value = members.get(tok[1])
+        if value is not None:
             ts.advance()
             return value
     ts.fail(f"expected {what}, got {describe(tok)}")
@@ -374,7 +376,7 @@ def _parse_component(ts: _Stream) -> AstComponent:
     start = ts.expect("component")[2]
     name = _entity_name(ts, "component name")
     ts.expect(":")
-    kind = _enum_word(ts, TokenKind.IDENT, ComponentKind, "a component kind (IoTElement, Board, or VirtualEntity)")
+    kind = _enum_word(ts, TokenKind.IDENT, _COMPONENT_KINDS, "a component kind (IoTElement, Board, or VirtualEntity)")
     comp = AstComponent(name=name, kind=kind)
     ts.expect("{")
     while not ts.check("}"):
@@ -500,7 +502,7 @@ def _parse_endpoint(ts: _Stream) -> AstEndpoint:
 def _parse_event(ts: _Stream) -> AstEvent:
     start = ts.expect("event")[2]
     name = _entity_name(ts, "event name")
-    direction = _enum_word(ts, TokenKind.KEYWORD, EventDirection, "an event direction (incoming, outgoing, generic)")
+    direction = _enum_word(ts, TokenKind.KEYWORD, _DIRECTIONS, "an event direction (incoming, outgoing, generic)")
     port = None
     if ts.accept("port"):
         port = _entity_name(ts, "port name")
@@ -515,7 +517,7 @@ def _parse_event(ts: _Stream) -> AstEvent:
 def _parse_action(ts: _Stream) -> AstAction:
     start = ts.expect("action")[2]
     name = _entity_name(ts, "action name")
-    kind = _enum_word(ts, TokenKind.KEYWORD, ACTION_KEYWORDS.__getitem__, "an action kind (send, receive, generic)")
+    kind = _enum_word(ts, TokenKind.KEYWORD, ACTION_KEYWORDS, "an action kind (send, receive, generic)")
     port = None
     if ts.accept("port"):
         port = _entity_name(ts, "port name")
@@ -661,7 +663,7 @@ def _parse_comparison(ts: _Stream) -> _Parsed:
 
 def _parse_atom(ts: _Stream) -> _Parsed:
     tok = kind, text, start = ts.current
-    if kind in (TokenKind.INT, TokenKind.FLOAT, TokenKind.STRING) or text in ("true", "false"):
+    if kind in _LITERAL_KINDS or text in ("true", "false"):
         return _parse_literal(ts), 0
     if text == "payload":
         ts.advance()

@@ -21,6 +21,7 @@ A vacant slot in physical mode reads the floor at ``floor_distance_m``.
 from __future__ import annotations
 
 import math
+import os
 import re
 from dataclasses import dataclass, field, replace
 from itertools import groupby
@@ -140,8 +141,8 @@ def load_scenario(text: str, source: str | None = None) -> Scenario:
     return _check_scenario(Scenario(mode, horizon, period, stimuli, source))
 
 
-def load_scenario_file(path: str) -> Scenario:
-    return load_scenario(read_text(path), path)
+def load_scenario_file(path: str | os.PathLike) -> Scenario:
+    return load_scenario(read_text(path), os.fspath(path))
 
 
 def _check_scenario(scenario: Scenario) -> Scenario:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
+from .diagnostics import E_USAGE, CiotError
 from .guards import format_value
 from .metamodel import ActionKind
 
@@ -161,6 +162,18 @@ def _renderer() -> Callable[[Iterable[TraceRecord]], list[str]]:
 
 
 def render_trace(records: Iterable[TraceRecord]) -> str:
-    lines = _renderer()(records)
+    """The trace text of ``records``, one line each; E_USAGE unless
+    ``records`` is an iterable of trace records.
+
+    No record is checked up front: one that is not a trace record fails in
+    the renderer's unpacking or lookups, and that failure becomes E_USAGE."""
+    try:
+        records = iter(records)
+    except TypeError:
+        raise CiotError.of(E_USAGE, f"records must be an iterable, got {type(records).__name__}") from None
+    try:
+        lines = _renderer()(records)
+    except (TypeError, ValueError, LookupError, AttributeError) as exc:
+        raise CiotError.of(E_USAGE, "records must hold only trace records") from exc
     lines.append("")
     return "\n".join(lines)

@@ -48,10 +48,12 @@ from .metamodel import (
 
 _Finding = tuple[str, str, Offsets | None]
 
+# Keyed by the direction's id, since an Enum member's hash is a Python-level
+# call.
 _EXPECTED_ACTION = {
-    EventDirection.INCOMING: ActionKind.RECEIVE_PAYLOAD,
-    EventDirection.OUTGOING: ActionKind.SEND_PAYLOAD,
-    EventDirection.GENERIC: ActionKind.GENERIC,
+    id(EventDirection.INCOMING): ActionKind.RECEIVE_PAYLOAD,
+    id(EventDirection.OUTGOING): ActionKind.SEND_PAYLOAD,
+    id(EventDirection.GENERIC): ActionKind.GENERIC,
 }
 
 
@@ -136,7 +138,7 @@ def _positioned_events(comp: ComponentDef) -> list[tuple[EventDef, str]]:
 
 def _check_events(comp: ComponentDef) -> Iterator[_Finding]:
     for ev in comp.events:
-        expected = _EXPECTED_ACTION[ev.direction]
+        expected = _EXPECTED_ACTION[id(ev.direction)]
         if ev.action.kind is not expected:
             yield (
                 "R3",

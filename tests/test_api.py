@@ -47,6 +47,16 @@ _WRONG_TYPES = {
         "model must be a Model, got NoneType",
     ),
     "structure_to_dot": (lambda m, rt: ciot.structure_to_dot(None, "Node"), "model must be a Model, got NoneType"),
+    "render_trace": (lambda m, rt: ciot.render_trace(None), "records must be an iterable, got NoneType"),
+    "render_trace short record": (
+        lambda m, rt: ciot.render_trace([(0, 0, "node")]),
+        "records must hold only trace records",
+    ),
+    "render_trace not a record": (lambda m, rt: ciot.render_trace([None]), "records must hold only trace records"),
+    "render_trace unknown kind": (
+        lambda m, rt: ciot.render_trace([ciot.TraceRecord(0, 0, "node", "no_such_kind", ())]),
+        "records must hold only trace records",
+    ),
 }
 
 
@@ -81,3 +91,46 @@ def test_file_entry_point_path_of_the_wrong_type_is_a_usage_error(read, path):
         read(path)
     assert exc.value.code == "E_USAGE"
     assert str(exc.value) == f"path must be a str or PathLike, got {type(path).__name__}"
+
+
+class _BytesPath:
+    def __fspath__(self) -> bytes:
+        return b"corpus/parking_node.ciot"
+
+
+@pytest.mark.parametrize("read", _FILE_ENTRY_POINTS, ids=lambda f: f.__name__)
+def test_file_entry_point_takes_no_path_like_of_bytes(read):
+    with pytest.raises(CiotError) as exc:
+        read(_BytesPath())
+    assert exc.value.code == "E_USAGE"
+    assert str(exc.value) == "path must be a str, got bytes"
+
+
+@pytest.mark.parametrize(
+    "read, name",
+    [
+        (ciot.load_file, "parking_node.ciot"),
+        (ciot.load_file, "mutations/r4_guard_type.ciot"),
+        (ciot.load_file, "no_such_file.ciot"),
+        (ciot.load_scenario_file, "scenario_physical.scn"),
+        (ciot.load_scenario_file, "no_such_file.scn"),
+        (ciot.collect_diagnostics_file, "mutations/r3_generic_for_incoming.ciot"),
+        (ciot.collect_diagnostics_file, "syntax_errors/unterminated_string.ciot"),
+    ],
+)
+def test_file_entry_point_keeps_a_path_as_its_str(corpus_dir, read, name):
+    """A ``PathLike`` gives the model, scenario or diagnostics that its str does."""
+
+    def outcome(path) -> tuple:  # (model or scenario or None, diagnostics)
+        try:
+            result = read(path)
+        except CiotError as exc:
+            return None, exc.diagnostics
+        return result if read is ciot.collect_diagnostics_file else (result, [])
+
+    path = corpus_dir / name
+    value, diagnostics = outcome(path)
+    assert (value, diagnostics) == outcome(str(path))
+    assert all(type(d.file) is str for d in diagnostics)
+    assert value is None or type(value.source) is str
+    assert value is not None or diagnostics

@@ -56,22 +56,30 @@ def test_comparisons_produce_bool():
 def test_int_float_mix_widens():
     assert tc("x < rate") is PrimType.BOOL
     assert tc("rate == 2") is PrimType.BOOL
+    for left, right in [("x", "rate"), ("rate", "x"), ("1", "2.5"), ("2.5", "1")]:
+        for op in ("==", "!=", "<", "<=", ">", ">="):
+            assert tc(f"{left} {op} {right}") is PrimType.BOOL
 
 
 def test_ordering_rejects_non_numeric():
     with pytest.raises(CiotError) as exc:
         tc("tag < tag")
     assert exc.value.code == "E_TYPE_MISMATCH"
-    with pytest.raises(CiotError):
-        tc("on >= on")
+    assert str(exc.value) == "'<' needs numeric operands, got string and string"
+    for src, types in [("on >= on", "bool and bool"), ("rate >= on", "float and bool")]:
+        with pytest.raises(CiotError) as exc:
+            tc(src)
+        assert str(exc.value) == f"'>=' needs numeric operands, got {types}"
 
 
 def test_equality_requires_same_type():
     assert tc('tag == "high"') is PrimType.BOOL
-    with pytest.raises(CiotError):
+    with pytest.raises(CiotError) as exc:
         tc("tag == 1")
-    with pytest.raises(CiotError):
+    assert str(exc.value) == "cannot compare string with int"
+    with pytest.raises(CiotError) as exc:
         tc("on == 1")
+    assert str(exc.value) == "cannot compare bool with int"
 
 
 def test_boolean_ops_need_bool_operands():

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import gc
+import pathlib
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -8,7 +11,7 @@ from ciot.diagnostics import CiotError, Locator, SourceSpan
 from ciot.lexer import KEYWORDS, Token, TokenKind, decode_string, tokenize
 
 
-def kinds(tokens: list[Token]) -> list[TokenKind]:
+def kinds(tokens: list[Token]) -> list[str]:
     return [kind for kind, _, _ in tokens]
 
 
@@ -99,6 +102,15 @@ def test_end_of_input_after_trailing_comment_sits_at_comment_start():
     source = "port p1; // tail\n"
     eoi = spans(source, tokenize(source))[-1]
     assert (eoi.line, eoi.column) == (2, 1)
+
+
+def test_kinds_are_plain_strings_and_tokens_are_left_untracked(parking_path):
+    """A token holds only strings and an int, so the collector stops tracking
+    it at its first collection and no later one walks it."""
+    tokens = tokenize(pathlib.Path(parking_path).read_text(encoding="utf-8"))
+    gc.collect()
+    assert all(type(kind) is str for kind in kinds(tokens))
+    assert not any(gc.is_tracked(tok) for tok in tokens)
 
 
 def test_comments_and_blank_lines_are_skipped():

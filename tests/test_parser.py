@@ -407,3 +407,59 @@ def test_text_entry_points_reject_non_str_text(entry, text, message):
         entry(text)
     assert exc.value.code == "E_USAGE"
     assert [d.render() for d in exc.value.diagnostics] == [f"<input>: error E_USAGE {message}"]
+
+
+# One message per token kind, and the texts ``expect`` and the enum words
+# print: each names the token's kind as its text.
+_PARSE_MESSAGES = {
+    "x": "1:1: error E_PARSE expected a top-level declaration (payload, interface, component, or instance), "
+    "got identifier 'x'",
+    "state": "1:1: error E_PARSE expected a top-level declaration (payload, interface, component, or instance), "
+    "got keyword 'state'",
+    "3": "1:1: error E_PARSE expected a top-level declaration (payload, interface, component, or instance), "
+    "got int literal '3'",
+    "1.5": "1:1: error E_PARSE expected a top-level declaration (payload, interface, component, or instance), "
+    "got float literal '1.5'",
+    '"s"': "1:1: error E_PARSE expected a top-level declaration (payload, interface, component, or instance), "
+    "got string literal '\"s\"'",
+    ";": "1:1: error E_PARSE expected a top-level declaration (payload, interface, component, or instance), "
+    "got punctuation ';'",
+    "component": "1:10: error E_PARSE expected component name (identifier), got end of input",
+    "payload P x": "1:11: error E_PARSE expected punctuation '{', got identifier 'x'",
+    "interface I { x": "1:15: error E_PARSE expected keyword 'op', got identifier 'x'",
+    "interface I { op o(P) }": "1:23: error E_PARSE expected punctuation ';', got punctuation '}'",
+    "component C : Gadget {}": "1:15: error E_PARSE expected a component kind (IoTElement, Board, or VirtualEntity), "
+    "got identifier 'Gadget'",
+    "component C : state {}": "1:15: error E_PARSE expected a component kind (IoTElement, Board, or VirtualEntity), "
+    "got keyword 'state'",
+    "component C : Board { event e port; }": "1:31: error E_PARSE expected an event direction "
+    "(incoming, outgoing, generic), got keyword 'port'",
+    "component C : Board { event e Incoming; }": "1:31: error E_PARSE expected an event direction "
+    "(incoming, outgoing, generic), got identifier 'Incoming'",
+    "component C : Board { action a incoming; }": "1:32: error E_PARSE expected an action kind "
+    "(send, receive, generic), got keyword 'incoming'",
+    "component C : Board { property p: int = x; }": "1:41: error E_PARSE expected a literal, got identifier 'x'",
+}
+
+
+@pytest.mark.parametrize("text", sorted(_PARSE_MESSAGES))
+def test_parse_error_names_the_token_by_its_kind(text):
+    with pytest.raises(CiotError) as exc:
+        parse(text)
+    assert [d.render() for d in exc.value.diagnostics] == [f"<input>:{_PARSE_MESSAGES[text]}"]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("payload x", "1:9: error E_PARSE expected '.' after 'payload', got identifier 'x'"),
+        ("x y", "1:3: error E_PARSE expected end of input, got identifier 'y'"),
+        ("(x", "1:3: error E_PARSE expected punctuation ')', got end of input"),
+        ("x <", "1:4: error E_PARSE expected an expression, got end of input"),
+        ("x < 1 2.5", "1:7: error E_PARSE expected end of input, got float literal '2.5'"),
+    ],
+)
+def test_expression_parse_error_names_the_token_by_its_kind(text, message):
+    with pytest.raises(CiotError) as exc:
+        parse_expression(text)
+    assert [d.render() for d in exc.value.diagnostics] == [f"<input>:{message}"]
