@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from .diagnostics import CiotError, Diagnostic, Severity, SourceSpan
 from .engine import bind_internal, inject, instantiate, run_to_quiescence
-from .export import export_model, import_model, statemachine_to_dot, structure_to_dot
+from .export import export_model, statemachine_to_dot, structure_to_dot
 from .loader import collect_diagnostics, collect_diagnostics_file, load_file, load_text
 from .metamodel import Model, structurally_equal, with_property_initial
 from .sim import (
@@ -63,7 +63,6 @@ __all__ = [
     "TraceRecord",
     "render_trace",
     "export_model",
-    "import_model",
     "statemachine_to_dot",
     "structure_to_dot",
     "__version__",

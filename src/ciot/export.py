@@ -2,9 +2,9 @@
 
 ``export_model`` prints a resolved model back to source text in a canonical
 shape: payloads, interfaces and components sorted by name, member order
-inside each declaration preserved. Reading that text back yields a model
-structurally equal to the original, so the text form doubles as the
-interchange format.
+inside each declaration preserved. Reading that text back with
+``load_text(text, check=False)`` yields a model structurally equal to the
+original, so the text form doubles as the interchange format.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 from .diagnostics import CiotError, require_type
 from .engine import _quote
 from .guards import expr_to_text, format_value
-from .loader import load_text
 from .metamodel import (
     ACTION_KEYWORDS,
     ActionDef,
@@ -22,10 +21,6 @@ from .metamodel import (
     PayloadDef,
     StateMachine,
 )
-
-def import_model(text: str, source: str | None = None) -> Model:
-    """Parse and resolve interchange text; validation is the caller's call."""
-    return load_text(text, source, check=False)
 
 
 def export_model(model: Model) -> str:

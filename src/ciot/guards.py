@@ -24,8 +24,6 @@ from .diagnostics import E_EVAL, E_TYPE_MISMATCH, E_UNKNOWN_NAME, CiotError, Off
 
 
 class PrimType(Enum):
-    # The one primitive-type enum; metamodel re-exports it. Defined here so
-    # this module needs neither the metamodel nor the engine.
     INT = "int"
     FLOAT = "float"
     BOOL = "bool"

@@ -18,34 +18,6 @@ from typing import Union
 from .diagnostics import CiotError, Locator, Offsets, SourceSpan, require_type
 from .guards import Expr, PrimType, describe_value, fit_value
 
-__all__ = [
-    "PrimType",
-    "ComponentKind",
-    "EventDirection",
-    "ActionKind",
-    "ACTION_KEYWORDS",
-    "PayloadField",
-    "PayloadDef",
-    "Operation",
-    "InterfaceDef",
-    "PropertyDef",
-    "PortDef",
-    "InstanceDecl",
-    "Endpoint",
-    "Connector",
-    "Assignment",
-    "ActionDef",
-    "EventDef",
-    "StateDef",
-    "TransitionDef",
-    "StateMachine",
-    "ComponentDef",
-    "Model",
-    "structurally_equal",
-    "instance_paths",
-    "with_property_initial",
-]
-
 
 class ComponentKind(Enum):
     IOT_ELEMENT = "IoTElement"

@@ -277,15 +277,6 @@ def parse(source: str, file: str | None = None) -> AstModel:
     return AstModel(payloads, interfaces, components, instances, ts.locator, file)
 
 
-def parse_expression(source: str, file: str | None = None) -> Expr:
-    """Parse a standalone guard/effect expression (used by tests and tools)."""
-    ts = _Stream(source, file)
-    expr = _parse_expr(ts)
-    if ts.current[0] is not TokenKind.EOI:
-        ts.fail(f"expected end of input, got {describe(ts.current)}")
-    return expr
-
-
 def _entity_name(ts: _Stream, what: str) -> Ref:
     tok = kind, text, start = ts.current
     if kind is TokenKind.IDENT:

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -14,9 +18,20 @@ def test_all_is_the_readme_api_list(corpus_dir):
     readme = (corpus_dir.parent / "README.md").read_text(encoding="utf-8")
     section = readme.split("\n## API\n", 1)[1].split("\n## ", 1)[0]
     listed = [name for line in section.splitlines() if line.startswith("- **") for name in re.findall(r"`(\w+)`", line)]
-    assert len(listed) == 29
+    assert len(listed) == 28
     assert ciot.__all__ == listed + ["__version__"]
     assert all(hasattr(ciot, name) for name in ciot.__all__)
+
+
+def test_package_ships_only_what_import_and_cli_load():
+    """Every module under ``src/ciot/`` is one the library or the command
+    loads; repository tooling lives outside the package."""
+    package = pathlib.Path(ciot.__file__).parent
+    code = "import sys, ciot, ciot.cli; print(*sorted(m for m in sys.modules if m.partition('.')[0] == 'ciot'))"
+    env = {**os.environ, "PYTHONPATH": str(package.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    files = {"ciot"} | {f"ciot.{p.stem}" for p in package.glob("*.py") if p.stem != "__init__"}
+    assert set(out.split()) == files
 
 
 _WRONG_TYPES = {

@@ -8,8 +8,9 @@ import pytest
 
 from ciot.cli import _build_parser, _parse_inject_spec, main
 from ciot.engine import run_to_quiescence
-from ciot.parser import parse_expression
 from ciot.sim import MAX_TICKS, simulate
+
+from exprparse import parse_expression
 
 
 def run_cli(capsys, *argv):

@@ -1,7 +1,37 @@
 from __future__ import annotations
 
-from ciot.corpus import corpus_check
-from ciot.sim import render_timeline
+import importlib.util
+import pathlib
+import shutil
+import sys
+
+import pytest
+
+SCRIPT = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "corpus_check.py"
+
+
+def _load_script():
+    # Registered before it runs: dataclasses look their module up in sys.modules.
+    spec = importlib.util.spec_from_file_location("corpus_check", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+script = _load_script()
+corpus_check = script.corpus_check
+
+
+@pytest.fixture()
+def clone(corpus_dir, tmp_path):
+    copy = tmp_path / "corpus"
+    shutil.copytree(str(corpus_dir), copy)
+    return copy
+
+
+def _failing(report):
+    return {c.name: c.message for c in report.checks if not c.ok}
 
 
 def test_corpus_check_all_green(corpus_dir):
@@ -47,11 +77,7 @@ def test_report_render_has_summary_line(corpus_dir):
     assert rendered.count("PASS") == 22
 
 
-def test_corpus_detects_golden_drift(corpus_dir, tmp_path):
-    import shutil
-
-    clone = tmp_path / "corpus"
-    shutil.copytree(str(corpus_dir), clone)
+def test_corpus_detects_golden_drift(clone):
     golden = clone / "golden" / "arrive_depart.timeline"
     golden.write_text(golden.read_text().replace("vacant", "ghost"))
     report = corpus_check(str(clone))
@@ -60,11 +86,7 @@ def test_corpus_detects_golden_drift(corpus_dir, tmp_path):
     assert bad == {"golden:arrive_depart.timeline"}
 
 
-def test_corpus_regen_rewrites_goldens(corpus_dir, tmp_path):
-    import shutil
-
-    clone = tmp_path / "corpus"
-    shutil.copytree(str(corpus_dir), clone)
+def test_corpus_regen_rewrites_goldens(corpus_dir, clone):
     (clone / "golden" / "physical.trace").unlink()
     report = corpus_check(str(clone), regen=True)
     assert report.ok
@@ -74,8 +96,35 @@ def test_corpus_regen_rewrites_goldens(corpus_dir, tmp_path):
     assert (clone / "golden" / "physical.trace").read_bytes() == committed
 
 
-def test_render_timeline_format():
-    assert render_timeline([(0, "vacant"), (5000, "occupied")]) == (
-        "t=0 status=vacant\nt=5000 status=occupied\n"
-    )
-    assert render_timeline([]) == ""
+def test_missing_model_is_one_failing_pristine_line(clone, capsys):
+    (clone / "parking_node.ciot").unlink()
+    assert script.main(["--corpus", str(clone)]) == 1
+    out = capsys.readouterr().out
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+        f"FAIL pristine: model does not load: E_IO cannot read '{clone / 'parking_node.ciot'}': "
+        f"[Errno 2] No such file or directory: '{clone / 'parking_node.ciot'}'"
+    ]
+    # the mutants and the syntax errors are still checked
+    assert out.splitlines()[-2] == "12/13 corpus checks passed"
+
+
+def test_manifest_naming_a_missing_mutant_fails_that_mutant(clone):
+    manifest = clone / "mutations" / "expected_diagnostics.txt"
+    manifest.write_text(manifest.read_text() + "nonexistent.ciot R1:error\n")
+    failing = _failing(corpus_check(str(clone)))
+    assert failing == {"mutation:nonexistent.ciot": "expected [('R1', 'error')], got [('E_IO', 'error')]"}
+
+
+@pytest.mark.parametrize("spec", ["R1", "", "R1:error, :error", "R1:"])
+def test_malformed_manifest_entry_fails_that_mutant(clone, spec):
+    manifest = clone / "mutations" / "expected_diagnostics.txt"
+    manifest.write_text(manifest.read_text().replace("r1_no_initial.ciot R1:error", f"r1_no_initial.ciot {spec}"))
+    failing = _failing(corpus_check(str(clone)))
+    assert failing == {"mutation:r1_no_initial.ciot": f"manifest entry {spec!r} is not RULE:severity[,...]"}
+
+
+def test_missing_scenario_fails_its_two_goldens(clone):
+    (clone / "scenario_physical.scn").unlink()
+    failing = _failing(corpus_check(str(clone)))
+    assert set(failing) == {"golden:physical.trace", "golden:physical.timeline"}
+    assert all(m.startswith("scenario does not run: cannot read ") for m in failing.values())

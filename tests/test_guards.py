@@ -27,8 +27,9 @@ from ciot.guards import (
 )
 from ciot.loader import collect_diagnostics, load_text
 from ciot.metamodel import with_property_initial
-from ciot.parser import parse_expression
 from ciot.trace import render_trace
+
+from exprparse import parse_expression
 
 NUMERIC_SCOPE = GuardScope(
     properties={"x": PrimType.INT, "rate": PrimType.FLOAT, "on": PrimType.BOOL, "tag": PrimType.STRING},

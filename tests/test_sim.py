@@ -25,6 +25,7 @@ from ciot.sim import (
     load_scenario,
     load_scenario_file,
     occupancy_timeline,
+    render_timeline,
     simulate,
 )
 from ciot.trace import render_trace
@@ -328,6 +329,13 @@ def test_arrive_depart_timeline(parking_model, arrive_depart_path):
         (5000, "occupied"),
         (12000, "vacant"),
     ]
+
+
+def test_render_timeline_format():
+    assert render_timeline([(0, "vacant"), (5000, "occupied")]) == (
+        "t=0 status=vacant\nt=5000 status=occupied\n"
+    )
+    assert render_timeline([]) == ""
 
 
 @pytest.mark.parametrize("scenario_fixture, threshold", [("arrive_depart_path", None), ("physical_path", 5.0)])
