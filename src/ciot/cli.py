@@ -17,13 +17,13 @@ import sys
 from .diagnostics import CiotError, Severity
 from .engine import DEFAULT_MAX_STEPS, inject, instantiate, run_to_quiescence
 from .export import export_model, statemachine_to_dot, structure_to_dot
+from .guards import read_number
 from .lexer import decode_string
 from .loader import collect_diagnostics_file, load_file
 from .metamodel import instance_paths, with_property_initial
 from .sim import (
     DEFAULT_FLOOR_DISTANCE_M,
     DEFAULT_SPEED_M_PER_S,
-    NUMBER_DIGITS,
     THRESHOLD_PROPERTY,
     find_led_paths,
     load_scenario_file,
@@ -172,7 +172,13 @@ def _parse_inject_spec(spec: str) -> tuple[str, str, str, dict | None]:
     return ".".join(parts[:-2]), parts[-2], parts[-1], values
 
 
-def _parse_value_list(body: str, spec: str) -> dict:
+# Records an --inject value may nest: the reader recurses once per level.
+_MAX_DEPTH = 100
+
+
+def _parse_value_list(body: str, spec: str, depth: int = 0) -> dict:
+    if depth > _MAX_DEPTH:
+        raise CiotError.of("E_USAGE", f"malformed injection {spec!r}: values nested deeper than {_MAX_DEPTH} levels")
     values: dict = {}
     for pair in _split_pairs(body):
         if not pair.strip():
@@ -180,7 +186,7 @@ def _parse_value_list(body: str, spec: str) -> dict:
         key, eq, raw = pair.partition("=")
         if not eq:
             raise CiotError.of("E_USAGE", f"malformed injection {spec!r}: field {pair.strip()!r} has no value")
-        values[key.strip()] = _parse_field_value(raw.strip())
+        values[key.strip()] = _parse_field_value(raw.strip(), spec, depth)
     return values
 
 
@@ -207,28 +213,18 @@ def _split_pairs(body: str) -> list[str]:
     return parts
 
 
-def _parse_field_value(text: str):
-    if text == "true":
-        return True
-    if text == "false":
-        return False
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        value = float(text)
-    except ValueError:
-        pass
-    else:
-        if math.isfinite(value):
-            return value
-        # Digits that int() refuses past the interpreter's int-string digit
-        # limit, or that float() reads as inf: named by length, not echoed.
-        if NUMBER_DIGITS.fullmatch(text):
-            digits = sum(ch.isdigit() for ch in text)
-            raise CiotError.of("E_USAGE", f"field value of {digits} digits is out of range")
-        raise CiotError.of("E_USAGE", f"field value {text!r} is not a finite number")
+def _parse_field_value(text: str, spec: str, depth: int):
+    """A value as a trace payload prints it: an int, a finite decimal, ``true``,
+    ``false``, a quoted string or a ``{f=v,...}`` record; any other word is a string."""
+    if text in ("true", "false"):
+        return text == "true"
+    if text[:1] == "{" and text[-1:] == "}":
+        return _parse_value_list(text[1:-1], spec, depth + 1)
+    number = read_number(text, (int, float), "field value", "E_USAGE")
+    if number is not None:
+        if type(number) is float and not math.isfinite(number):
+            raise CiotError.of("E_USAGE", f"field value {text!r} is not a finite number")
+        return number
     if len(text) >= 2 and text[0] == '"' and text[-1] == '"':
         return decode_string(text)
     return text

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
@@ -196,6 +197,30 @@ def describe_value(value) -> str:
         return repr(value)
     except (ValueError, RecursionError):
         return f"a {type(value).__name__} that cannot be printed"
+
+
+_INT_DIGITS = re.compile(r"[+-]?[0-9]+")
+_NUMBER_DIGITS = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+
+
+def read_number(text: str, kinds: tuple[type, ...], what: str, code: str, file: str | None = None):
+    """``text`` read by the first of ``kinds`` (``int``, ``float``) that
+    accepts it, or None. Digits that do not fit (``int()`` refuses them past
+    the interpreter's int-string digit limit, ``float()`` reads them as inf)
+    are ``code``, naming the number ``what`` by its digit count, not its text."""
+    for kind in kinds:
+        try:
+            number = kind(text)
+        except ValueError:
+            continue
+        if abs(number) != math.inf or not _NUMBER_DIGITS.fullmatch(text):
+            return number
+        break
+    else:
+        if not _INT_DIGITS.fullmatch(text):
+            return None
+    digits = sum(ch.isdigit() for ch in text)
+    raise CiotError.of(code, f"{what} of {digits} digits is out of range", None, file)
 
 
 def eval_guard(

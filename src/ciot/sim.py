@@ -16,20 +16,24 @@ Scenario files are plain text: ``#`` comments, ``key=value`` headers
 ``duration`` mode feeds echo durations straight to the sensor; ``physical``
 mode tracks object distance per slot and converts it with ``echo_duration``.
 A vacant slot in physical mode reads the floor at ``floor_distance_m``.
+
+``load_scenario`` reads only the syntax of that text; ``_check_scenario``
+states every scenario rule, the tick bound too, for text and, in ``simulate``,
+for any ``Scenario``. A fault in text names the file and ``line N: ``; one in
+a ``Scenario`` object names ``stimuli[i]: `` (or nothing, for a header).
 """
 
 from __future__ import annotations
 
 import math
 import os
-import re
 from dataclasses import dataclass, field, replace
 from itertools import groupby
 from operator import attrgetter
 
 from .diagnostics import CiotError, read_text, require_type
 from .engine import DEFAULT_MAX_STEPS, RuntimeState, bind_internal, instantiate, run_to_quiescence
-from .guards import PrimType, describe_value, fit_value
+from .guards import PrimType, describe_value, fit_value, read_number
 from .metamodel import ComponentDef, EventDef, EventDirection, Model
 from .trace import TraceRecord
 
@@ -48,13 +52,7 @@ ECHO_FIELD = "duration"
 THRESHOLD_PROPERTY = "threshold"
 
 MODES = ("duration", "physical")
-# Numbers written out in digits: int() refuses one past the interpreter's
-# int-string digit limit, and float() reads one past float range as inf.
-# Errors name such a number by its digit count instead of echoing it.
-# NUMBER_DIGITS, a decimal in plain or exponent form, is also the rule for
-# the values of the CLI's ``--inject``.
-_INT_DIGITS = re.compile(r"[+-]?[0-9]+")
-NUMBER_DIGITS = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+_HEADERS = ("mode", "horizon_ms", "sample_period_ms")  # the first two are required
 _VERBS = {"duration": ("echo",), "physical": ("occupy", "vacate")}
 
 
@@ -107,10 +105,12 @@ def _positive(name: str, value) -> float:
 
 
 def load_scenario(text: str, source: str | None = None) -> Scenario:
+    """The scenario ``text`` states, read for syntax only; ``_check_scenario``
+    applies the rules. Each E_SCENARIO names ``source`` as its file and, but
+    for a missing header, the line at fault."""
     require_type(text, str, "text")
-    mode: str | None = None
-    horizon: int | None = None
-    period = DEFAULT_SAMPLE_PERIOD_MS
+    header = {"sample_period_ms": DEFAULT_SAMPLE_PERIOD_MS}
+    lines: dict[str | int, int] = {}  # the line of each header key and of each stimulus, by index
     stimuli: list[Stimulus] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -118,58 +118,85 @@ def load_scenario(text: str, source: str | None = None) -> Scenario:
             continue
         where = f"line {lineno}: "
         if line.startswith("at ") or line == "at":
-            stimuli.append(_parse_stimulus(line, where))
+            tokens = line.split()
+            if not 5 <= len(tokens) <= 6 or tokens[0] != "at" or tokens[2] != "slot":
+                raise CiotError.of("E_SCENARIO", f"{where}expected 'at <ms> slot <path> <verb> [value]'", None, source)
+            time_ms = _read(tokens[1], int, "time", where, source)
+            value = _read(tokens[5], float, f"{tokens[4]} value", where, source) if len(tokens) == 6 else None
+            lines[len(stimuli)] = lineno
+            stimuli.append(Stimulus(time_ms, tokens[3], tokens[4], value))
             continue
-        if "=" in line:
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key == "mode":
-                mode = _check_mode(value, where)
-            elif key == "horizon_ms":
-                horizon = _parse_int(value, key, where)
-            elif key == "sample_period_ms":
-                period = _parse_int(value, key, where)
-            else:
-                raise CiotError.of("E_SCENARIO", f"{where}unknown header {key!r}")
-            continue
-        raise CiotError.of("E_SCENARIO", f"{where}cannot parse {line!r}")
-
-    if mode is None:
-        raise CiotError.of("E_SCENARIO", "scenario does not set mode=")
-    if horizon is None:
-        raise CiotError.of("E_SCENARIO", "scenario does not set horizon_ms=")
-    return _check_scenario(Scenario(mode, horizon, period, stimuli, source))
+        key, eq, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if not eq:
+            raise CiotError.of("E_SCENARIO", f"{where}cannot parse {line!r}", None, source)
+        if key not in _HEADERS:
+            raise CiotError.of("E_SCENARIO", f"{where}unknown header {key!r}", None, source)
+        header[key] = value if key == "mode" else _read(value, int, key, where, source)
+        lines[key] = lineno
+    for key in _HEADERS[:2]:
+        if key not in header:
+            raise CiotError.of("E_SCENARIO", f"scenario does not set {key}=", None, source)
+    scenario = Scenario(header["mode"], header["horizon_ms"], header["sample_period_ms"], stimuli, source)
+    return _check_scenario(scenario, lines)
 
 
 def load_scenario_file(path: str | os.PathLike) -> Scenario:
     return load_scenario(read_text(path), os.fspath(path))
 
 
-def _check_scenario(scenario: Scenario) -> Scenario:
-    """``scenario``, or E_SCENARIO unless it keeps every scenario rule."""
-    mode = _check_mode(scenario.mode, "")
+def _read(text: str, kind: type, what: str, where: str, source: str | None) -> int | float:
+    """``text`` read as a ``kind``, ``int`` or ``float``, or E_SCENARIO naming it ``what``."""
+    number = read_number(text, (kind,), where + what, "E_SCENARIO", source)
+    if number is None:
+        noun = "an integer" if kind is int else "a number"
+        raise CiotError.of("E_SCENARIO", f"{where}{what} {text!r} is not {noun}", None, source)
+    return number
+
+
+def _check_scenario(scenario: Scenario, lines: dict[str | int, int] | None = None) -> Scenario:
+    """``scenario``, or E_SCENARIO unless it keeps every scenario rule, each
+    stated only here. Given the ``lines`` of a scenario read from text (by
+    header key and stimulus index), a fault reads ``line N: …`` and names
+    ``scenario.source``; else ``stimuli[i]: …``, or bare for a header. A type
+    fault, which only a built scenario can have, names its field."""
+
+    def fault(at: str | int, message: str) -> CiotError:
+        if lines is not None:
+            return CiotError.of("E_SCENARIO", f"line {lines[at]}: {message}", None, scenario.source)
+        return CiotError.of("E_SCENARIO", f"stimuli[{at}]: {message}" if type(at) is int else message)
+
+    mode = scenario.mode
+    if mode not in MODES:
+        _check_type(mode, str, "mode")
+        raise fault("mode", f"mode must be one of {MODES}, got {mode!r}")
     horizon = _check_type(scenario.horizon_ms, int, "horizon_ms")
     if horizon < 0:
-        raise CiotError.of("E_SCENARIO", f"horizon_ms must be non-negative, got {describe_value(horizon)}")
+        raise fault("horizon_ms", f"horizon_ms must be non-negative, got {describe_value(horizon)}")
     period = _check_type(scenario.sample_period_ms, int, "sample_period_ms")
     if period <= 0:
-        raise CiotError.of("E_SCENARIO", f"sample_period_ms must be positive, got {describe_value(period)}")
-    stimuli = _check_type(scenario.stimuli, list, "stimuli")
-    for i, st in enumerate(stimuli):
+        raise fault("sample_period_ms", f"sample_period_ms must be positive, got {describe_value(period)}")
+    if horizon // period + 1 > MAX_TICKS:
+        raise fault("horizon_ms", f"scenario runs more than {MAX_TICKS} ticks of the sample period")
+    verbs = _VERBS[mode]
+    previous = 0
+    for i, st in enumerate(_check_type(scenario.stimuli, list, "stimuli")):
         _check_type(st, Stimulus, "stimuli[{i}]", i)
         _check_type(st.slot, str, "stimuli[{i}].slot", i)
-        _check_time(_check_type(st.time_ms, int, "stimuli[{i}].time_ms", i), "stimuli[{i}]: ", i)
-        if i and st.time_ms < stimuli[i - 1].time_ms:
-            raise CiotError.of("E_SCENARIO", f"stimuli out of order: {st.time_ms} ms after {stimuli[i - 1].time_ms} ms")
-    verbs = _VERBS[mode]
-    for i, st in enumerate(stimuli):
+        time_ms = _check_type(st.time_ms, int, "stimuli[{i}].time_ms", i)
+        if time_ms < 0:
+            raise fault(i, "stimulus time must be non-negative")
+        if time_ms < previous:
+            raise fault(i, f"stimuli out of order: {time_ms} ms after {previous} ms")
         if st.verb not in verbs:
-            raise CiotError.of("E_SCENARIO", f"stimulus {st.verb!r} is not valid in {mode} mode")
-        fault = _value_fault(st.verb, st.value)
-        if fault is not None:
-            raise CiotError.of("E_SCENARIO", f"stimuli[{i}]: {fault}")
-        if st.time_ms > horizon:
-            raise CiotError.of("E_SCENARIO", f"stimulus at {st.time_ms} ms lies beyond horizon_ms={horizon}")
+            _check_type(st.verb, str, "stimuli[{i}].verb", i)
+            raise fault(i, f"stimulus {st.verb!r} is not valid in {mode} mode")
+        value_fault = _value_fault(st.verb, st.value)
+        if value_fault is not None:
+            raise fault(i, value_fault)
+        if time_ms > horizon:
+            raise fault(i, f"stimulus at {time_ms} ms lies beyond horizon_ms={horizon}")
+        previous = time_ms
     return scenario
 
 
@@ -182,74 +209,23 @@ def _check_type(value, kind: type, what: str, i: int | None = None):
     return value
 
 
-def _check_mode(mode, where: str) -> str:
-    if mode not in MODES:
-        raise CiotError.of("E_SCENARIO", f"{where}mode must be one of {MODES}, got {mode!r}")
-    return mode
-
-
-def _check_time(time_ms: int, where: str, i: int | None = None) -> int:
-    if time_ms < 0:
-        raise CiotError.of("E_SCENARIO", f"{where.format(i=i)}stimulus time must be non-negative")
-    return time_ms
-
-
-def _value_fault(verb: str, value, text: str | None = None) -> str | None:
+def _value_fault(verb: str, value) -> str | None:
     """What is wrong with a stimulus value, or None when it is right: None for
     ``vacate``, finite and above 0 for ``occupy``, finite and 0 or more for
-    ``echo``. A message shows the value by ``text``, its token in a scenario
-    file, when there is one."""
+    ``echo``."""
     if verb == "vacate":
         return None if value is None else "vacate takes no value"
-    number = fit_value(PrimType.FLOAT, value)
-    if number is None:
-        return f"{verb} value {describe_value(value) if text is None else repr(text)} is not a finite number"
+    if value is None:
+        return f"{verb} needs exactly one value"
+    # A float, as every scenario read from text has, skips fit_value's type tests.
+    number = value if type(value) is float else fit_value(PrimType.FLOAT, value)
+    if number is None or not math.isfinite(number):
+        return f"{verb} value {describe_value(value)} is not a finite number"
     if verb == "occupy" and number <= 0:
         return "occupy distance must be positive"
     if verb == "echo" and number < 0:
         return "echo duration must be non-negative"
     return None
-
-
-def _parse_stimulus(line: str, where: str) -> Stimulus:
-    tokens = line.split()
-    if len(tokens) < 5 or tokens[0] != "at" or tokens[2] != "slot":
-        raise CiotError.of("E_SCENARIO", f"{where}expected 'at <ms> slot <path> <verb> [value]'")
-    time_ms = _check_time(_parse_int(tokens[1], "time", where), where)
-    slot, verb, args = tokens[3], tokens[4], tokens[5:]
-    if verb == "vacate":
-        if args:
-            raise CiotError.of("E_SCENARIO", f"{where}vacate takes no value")
-        return Stimulus(time_ms, slot, verb, None)
-    if verb not in ("occupy", "echo"):
-        raise CiotError.of("E_SCENARIO", f"{where}unknown stimulus verb {verb!r}")
-    if len(args) != 1:
-        raise CiotError.of("E_SCENARIO", f"{where}{verb} needs exactly one value")
-    try:
-        value = float(args[0])
-    except ValueError:
-        raise CiotError.of("E_SCENARIO", f"{where}{verb} value {args[0]!r} is not a number")
-    if math.isinf(value) and NUMBER_DIGITS.fullmatch(args[0]):
-        raise _out_of_range(args[0], f"{verb} value", where)
-    fault = _value_fault(verb, value, args[0])
-    if fault is not None:
-        raise CiotError.of("E_SCENARIO", where + fault)
-    return Stimulus(time_ms, slot, verb, value)
-
-
-def _parse_int(text: str, what: str, where: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        if _INT_DIGITS.fullmatch(text):
-            raise _out_of_range(text, what, where)
-        raise CiotError.of("E_SCENARIO", f"{where}{what} {text!r} is not an integer")
-
-
-def _out_of_range(text: str, what: str, where: str) -> CiotError:
-    """The error for a number too large to hold, which names its length, not its digits."""
-    digits = sum(ch.isdigit() for ch in text)
-    return CiotError.of("E_SCENARIO", f"{where}{what} of {digits} digits is out of range")
 
 
 def _sensing_event(comp: ComponentDef) -> EventDef | None:
@@ -265,8 +241,9 @@ def _sensing_event(comp: ComponentDef) -> EventDef | None:
     return found[0] if len(found) == 1 else None
 
 
-def bind_environment(rt: RuntimeState, slots: list[str]) -> dict[str, list[tuple[str, str]]]:
-    """Map each scenario slot to the sensing instances at or beneath it."""
+def bind_environment(rt: RuntimeState, slots: list[str], source: str | None = None) -> dict[str, list[tuple[str, str]]]:
+    """Map each scenario slot to the sensing instances at or beneath it; a slot
+    that matches none is E_UNBOUND_SENSOR naming ``source``, the scenario's file."""
     # Each sensor under every dotted prefix of its path, in depth-first order.
     beneath: dict[str, list[tuple[str, str]]] = {}
     sensing: dict[int, EventDef | None] = {}  # by id(component)
@@ -282,7 +259,7 @@ def bind_environment(rt: RuntimeState, slots: list[str]) -> dict[str, list[tuple
             beneath.setdefault(".".join(parts[:depth]), []).append((path, ev.name))
     for slot in slots:
         if slot not in beneath:
-            raise CiotError.of("E_UNBOUND_SENSOR", f"slot {slot!r} matches no sensing instance")
+            raise CiotError.of("E_UNBOUND_SENSOR", f"slot {slot!r} matches no sensing instance", None, source)
     return {slot: beneath[slot] for slot in slots}
 
 
@@ -297,8 +274,10 @@ def simulate(
 ) -> SimResult:
     """Run ``scenario`` against a fresh instantiation of ``model``.
 
-    ``speed_m_per_s`` and ``floor_distance_m`` must be finite and positive
-    (E_DOMAIN otherwise), whatever the mode. Each bound sensor's event is
+    ``scenario`` must keep the scenario rules after any ``sample_period_ms``
+    override (E_SCENARIO, naming no file, otherwise). ``speed_m_per_s`` and
+    ``floor_distance_m`` must be finite and positive (E_DOMAIN otherwise),
+    whatever the mode. Each bound sensor's event is
     looked up once per run; every reading is still conformed to its payload.
     """
     require_type(model, Model, "model")
@@ -306,8 +285,6 @@ def simulate(
     if sample_period_ms is not None:
         scenario = replace(scenario, sample_period_ms=sample_period_ms)
     period = _check_scenario(scenario).sample_period_ms
-    if scenario.horizon_ms // period + 1 > MAX_TICKS:
-        raise CiotError.of("E_SCENARIO", f"scenario runs more than {MAX_TICKS} ticks of the sample period")
     speed_m_per_s = _positive("speed_m_per_s", speed_m_per_s)
     floor_distance_m = _positive("floor_distance_m", floor_distance_m)
     rt = instantiate(model)
@@ -315,7 +292,7 @@ def simulate(
 
     # With no stimuli, every root instance is a slot.
     slots = sorted({st.slot for st in scenario.stimuli}) or [p for p in rt.order if "." not in p]
-    bound = bind_environment(rt, slots)
+    bound = bind_environment(rt, slots, scenario.source)
     triggers = {slot: [bind_internal(rt, path, event_name) for path, event_name in bound[slot]] for slot in slots}
     # Per slot, its last stimulus value: an echo, or a distance (None: no echo yet, or vacant).
     level: dict[str, float | None] = dict.fromkeys(slots)

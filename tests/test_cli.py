@@ -248,6 +248,37 @@ def test_inject_strings_decode_like_model_literals(quoted, value):
     assert _parse_inject_spec(spec) == ("node", "pSense", "evtReading", {"text": value, "n": 1})
 
 
+# A payload with a record field, as in the engine's nested-payload trace test.
+NESTED_PAYLOAD_MODEL = (
+    "payload R { x: int; }\n"
+    "payload P { r: R; n: int; }\n"
+    "interface I { op o(P); }\n"
+    "component C : Board {\n"
+    "    port p provides I;\n"
+    "    event e incoming port p payload P action a;\n"
+    "    action a receive port p payload P;\n"
+    "    statemachine { initial state S {} }\n"
+    "}\n"
+    "instance c: C;\n"
+)
+
+
+def test_run_inject_nested_record(capsys, tmp_path):
+    model = tmp_path / "nested.ciot"
+    model.write_text(NESTED_PAYLOAD_MODEL, encoding="utf-8")
+    code, out, err = run_cli(capsys, "run", str(model), "--inject", "c.p.e{r={x=1},n=2}")
+    assert (code, err) == (0, "")
+    assert "seq=1 t=0 inst=c kind=event_delivered event=e eseq=0 from=env payload={r={x=1},n=2}\n" in out
+
+
+def test_inject_value_nested_past_the_limit_is_one_usage_error(capsys, parking_path):
+    spec = "node.pSense.evtReading{duration=" + "{a=" * 101 + "1" + "}" * 102
+    code, out, err = run_cli(capsys, "run", parking_path, "--inject", spec)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "error E_USAGE malformed injection" in err
+    assert err.endswith("values nested deeper than 100 levels\n")
+
+
 def test_run_inject_int_beyond_float_range_is_type_error(capsys, parking_path):
     nines = "9" * 400
     code, out, err = run_cli(capsys, "run", parking_path, "--inject", f"node.pSense.evtReading{{duration={nines}}}")
@@ -367,7 +398,7 @@ def test_simulate_unbounded_horizon_fails_promptly(capsys, tmp_path, parking_pat
     code, out, err = run_cli(capsys, "simulate", parking_path, str(scn))
     assert time.perf_counter() - start < 5.0
     assert (code, out) == (1, "")
-    assert err == f"<input>: error E_SCENARIO scenario runs more than {MAX_TICKS} ticks of the sample period\n"
+    assert err == f"{scn}: error E_SCENARIO line 2: scenario runs more than {MAX_TICKS} ticks of the sample period\n"
 
 
 def test_simulate_writes_trace_file(capsys, tmp_path, parking_path, arrive_depart_path):
@@ -395,7 +426,26 @@ def test_simulate_non_finite_echo_fails(capsys, tmp_path, parking_path):
     code, out, err = run_cli(capsys, "simulate", parking_path, str(scenario))
     assert code == 1
     assert out == ""
-    assert err == "<input>: error E_SCENARIO line 3: echo value 'nan' is not a finite number\n"
+    assert err == f"{scenario}: error E_SCENARIO line 3: echo value nan is not a finite number\n"
+
+
+def test_simulate_scenario_rule_fault_names_the_file_and_line(capsys, tmp_path, parking_path, arrive_depart_path):
+    scenario = tmp_path / "late.scn"
+    text = pathlib.Path(arrive_depart_path).read_text(encoding="utf-8")
+    scenario.write_text(text + "at 0 slot node echo 1\n", encoding="utf-8")
+    line = len(text.splitlines()) + 1
+    code, out, err = run_cli(capsys, "simulate", parking_path, str(scenario))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"{scenario}: error E_SCENARIO line {line}: stimuli out of order: 0 ms after ")
+    assert err.count("\n") == 1
+
+
+def test_simulate_unbound_slot_names_the_scenario_file(capsys, tmp_path, parking_path):
+    scenario = tmp_path / "ghost.scn"
+    scenario.write_text("mode=duration\nhorizon_ms=0\nat 0 slot ghost echo 1\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "simulate", parking_path, str(scenario))
+    assert (code, out) == (1, "")
+    assert err == f"{scenario}: error E_UNBOUND_SENSOR slot 'ghost' matches no sensing instance\n"
 
 
 def test_simulate_repeat_runs_identical(capsys, parking_path, arrive_depart_path):

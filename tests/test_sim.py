@@ -110,8 +110,8 @@ def test_scenario_rejections():
         ("mode=duration\n", "scenario does not set horizon_ms="),
         ("mode=laser\nhorizon_ms=100\n", "line 1: mode must be one of ('duration', 'physical'), got 'laser'"),
         ("mode=duration\nhorizon_ms=100\nfrobnicate=1\n", "line 3: unknown header 'frobnicate'"),
-        ("mode=duration\nhorizon_ms=-5\n", "horizon_ms must be non-negative, got -5"),
-        ("mode=duration\nhorizon_ms=100\nsample_period_ms=0\n", "sample_period_ms must be positive, got 0"),
+        ("mode=duration\nhorizon_ms=-5\n", "line 2: horizon_ms must be non-negative, got -5"),
+        ("mode=duration\nhorizon_ms=100\nsample_period_ms=0\n", "line 3: sample_period_ms must be positive, got 0"),
         ("mode=duration\nhorizon_ms=abc\n", "line 2: horizon_ms 'abc' is not an integer"),
         ("mode=duration\nhorizon_ms=100\nnot a line\n", "line 3: cannot parse 'not a line'"),
     ]
@@ -123,17 +123,20 @@ def test_scenario_stimulus_rejections():
     head = "mode=duration\nhorizon_ms=1000\n"
     phys = "mode=physical\nhorizon_ms=1000\n"
     cases = [
-        (head + "at 200 slot node echo 1\nat 100 slot node echo 2\n", "stimuli out of order: 100 ms after 200 ms"),
-        (head + "at 2000 slot node echo 1\n", "stimulus at 2000 ms lies beyond horizon_ms=1000"),
+        (
+            head + "at 200 slot node echo 1\nat 100 slot node echo 2\n",
+            "line 4: stimuli out of order: 100 ms after 200 ms",
+        ),
+        (head + "at 2000 slot node echo 1\n", "line 3: stimulus at 2000 ms lies beyond horizon_ms=1000"),
         (head + "at -1 slot node echo 1\n", "line 3: stimulus time must be non-negative"),
-        (head + "at 0 slot node occupy 1.0\n", "stimulus 'occupy' is not valid in duration mode"),
+        (head + "at 0 slot node occupy 1.0\n", "line 3: stimulus 'occupy' is not valid in duration mode"),
         (head + "at 0 slot node echo -1\n", "line 3: echo duration must be non-negative"),
-        (head + "at 0 slot node warp 1\n", "line 3: unknown stimulus verb 'warp'"),
+        (head + "at 0 slot node warp 1\n", "line 3: stimulus 'warp' is not valid in duration mode"),
         (head + "at 0 slot node echo\n", "line 3: echo needs exactly one value"),
         (head + "at 0.5 slot node echo 1\n", "line 3: time '0.5' is not an integer"),
         (head + "at 0 slot node echo x\n", "line 3: echo value 'x' is not a number"),
         (phys + "at 0 slot node occupy 0\n", "line 3: occupy distance must be positive"),
-        (phys + "at 0 slot node echo 5\n", "stimulus 'echo' is not valid in physical mode"),
+        (phys + "at 0 slot node echo 5\n", "line 3: stimulus 'echo' is not valid in physical mode"),
         (phys + "at 0 slot node vacate 1.0\n", "line 3: vacate takes no value"),
     ]
     for text, message in cases:
@@ -145,7 +148,7 @@ def test_scenario_rejects_non_finite_values(stimulus):
     verb, value = stimulus.split()
     mode = "physical" if verb == "occupy" else "duration"
     assert rejection(f"mode={mode}\nhorizon_ms=100\nat 0 slot node {stimulus}\n") == (
-        f"<input>: error E_SCENARIO line 3: {verb} value {value!r} is not a finite number"
+        f"<input>: error E_SCENARIO line 3: {verb} value {value.lower()} is not a finite number"
     )
 
 
@@ -189,16 +192,17 @@ def test_scenario_huge_exponent_is_one_short_error(verb, mode, value):
 
 
 @pytest.mark.parametrize(
-    "horizon, period",
-    [("1" + "0" * 100, None), (str(100 * MAX_TICKS), None), (str(MAX_TICKS), 1)],
+    "horizon, period, where",
+    [("1" + "0" * 100, None, "line 2: "), (str(100 * MAX_TICKS), None, "line 2: "), (str(MAX_TICKS), 1, "")],
     ids=["googol", "one_past", "period_override"],
 )
-def test_scenario_tick_count_is_bounded(parking_model, horizon, period):
-    scenario = load_scenario(f"mode=duration\nhorizon_ms={horizon}\n")
+def test_scenario_tick_count_is_bounded(parking_model, horizon, period, where):
+    """Loading checks the tick bound at the scenario's own period;
+    ``simulate`` checks it again after a period override."""
     with pytest.raises(CiotError) as exc:
-        simulate(parking_model, scenario, sample_period_ms=period)
+        simulate(parking_model, load_scenario(f"mode=duration\nhorizon_ms={horizon}\n"), sample_period_ms=period)
     assert [d.render() for d in exc.value.diagnostics] == [
-        f"<input>: error E_SCENARIO scenario runs more than {MAX_TICKS} ticks of the sample period"
+        f"<input>: error E_SCENARIO {where}scenario runs more than {MAX_TICKS} ticks of the sample period"
     ]
 
 
@@ -251,11 +255,14 @@ def one_error(call) -> str:
         ({"horizon_ms": -5}, "horizon_ms must be non-negative, got -5"),
         (
             {"stimuli": [Stimulus(500, "node", "echo", 1.0), Stimulus(100, "node", "echo", 2.0)]},
-            "stimuli out of order: 100 ms after 500 ms",
+            "stimuli[1]: stimuli out of order: 100 ms after 500 ms",
         ),
-        ({"stimuli": [Stimulus(0, "node", "echo", None)]}, "stimuli[0]: echo value None is not a finite number"),
-        ({"stimuli": [Stimulus(0, "node", "jump", 1.0)]}, "stimulus 'jump' is not valid in duration mode"),
-        ({"stimuli": [Stimulus(2000, "node", "echo", 1.0)]}, "stimulus at 2000 ms lies beyond horizon_ms=1000"),
+        ({"stimuli": [Stimulus(0, "node", "echo", None)]}, "stimuli[0]: echo needs exactly one value"),
+        ({"stimuli": [Stimulus(0, "node", "jump", 1.0)]}, "stimuli[0]: stimulus 'jump' is not valid in duration mode"),
+        (
+            {"stimuli": [Stimulus(2000, "node", "echo", 1.0)]},
+            "stimuli[0]: stimulus at 2000 ms lies beyond horizon_ms=1000",
+        ),
         ({"stimuli": [Stimulus(0, "node", "echo", -1.0)]}, "stimuli[0]: echo duration must be non-negative"),
         ({"sample_period_ms": True}, "sample_period_ms must be of type int, got true"),
         ({"sample_period_ms": "5"}, 'sample_period_ms must be of type int, got "5"'),
@@ -263,6 +270,11 @@ def one_error(call) -> str:
         ({"horizon_ms": 1000.5}, "horizon_ms must be of type int, got 1000.5"),
         ({"stimuli": [Stimulus("0", "node", "echo", 1.0)]}, 'stimuli[0].time_ms must be of type int, got "0"'),
         ({"stimuli": None}, "stimuli must be of type list, got None"),
+        ({"mode": [10**5000]}, "mode must be of type str, got a list that cannot be printed"),
+        (
+            {"stimuli": [Stimulus(0, "node", [10**5000], 1.0)]},
+            "stimuli[0].verb must be of type str, got a list that cannot be printed",
+        ),
         ({"stimuli": [(0, "node", "echo", 1.0)]}, "stimuli[0] must be of type Stimulus, got (0, 'node', 'echo', 1.0)"),
         (
             {"stimuli": [Stimulus(0, "node", "echo", 1.0), Stimulus(0, 3, "echo", 1.0)]},
@@ -280,13 +292,119 @@ def one_error(call) -> str:
     ],
     ids=[
         "mode", "negative_horizon", "out_of_order", "echo_none", "unknown_verb", "past_horizon", "negative_echo",
-        "period_bool", "period_str", "period_float", "horizon_float", "time_str", "stimuli_none", "stimulus_tuple",
+        "period_bool", "period_str", "period_float", "horizon_float", "time_str", "stimuli_none", "mode_unprintable",
+        "verb_unprintable", "stimulus_tuple",
         "slot_int", "negative_time", "vacate_value", "occupy_zero",
     ],
 )
 def test_simulate_applies_scenario_rules_to_built_scenario(parking_model, changes, message):
     scenario = replace(VALID, **changes)
     assert one_error(lambda: simulate(parking_model, scenario)) == f"<input>: error E_SCENARIO {message}"
+
+
+DURATION = "mode=duration\nhorizon_ms=1000\n"
+PHYSICAL = "mode=physical\nhorizon_ms=1000\n"
+
+# Each scenario rule broken once, as scenario text and as a Scenario built by
+# hand: (text, its faulty line, the built scenario's changes to
+# Scenario("duration", 1000), its fault's prefix, the message after the prefix).
+RULES = {
+    "mode": (
+        "mode=laser\nhorizon_ms=1000\n", 1, {"mode": "laser"}, "",
+        "mode must be one of ('duration', 'physical'), got 'laser'",
+    ),
+    "negative_horizon": (
+        "mode=duration\nhorizon_ms=-5\n", 2, {"horizon_ms": -5}, "", "horizon_ms must be non-negative, got -5"
+    ),
+    "zero_period": (
+        DURATION + "sample_period_ms=0\n", 3, {"sample_period_ms": 0}, "", "sample_period_ms must be positive, got 0"
+    ),
+    "tick_bound": (
+        f"mode=duration\nhorizon_ms={100 * MAX_TICKS}\n", 2, {"horizon_ms": 100 * MAX_TICKS}, "",
+        f"scenario runs more than {MAX_TICKS} ticks of the sample period",
+    ),
+    "negative_time": (
+        DURATION + "at -1 slot node echo 1\n", 3, {"stimuli": [Stimulus(-1, "node", "echo", 1.0)]}, "stimuli[0]: ",
+        "stimulus time must be non-negative",
+    ),
+    "out_of_order": (
+        DURATION + "at 200 slot node echo 1\nat 100 slot node echo 2\n", 4,
+        {"stimuli": [Stimulus(200, "node", "echo", 1.0), Stimulus(100, "node", "echo", 2.0)]}, "stimuli[1]: ",
+        "stimuli out of order: 100 ms after 200 ms",
+    ),
+    "unknown_verb": (
+        DURATION + "at 0 slot node warp 1\n", 3, {"stimuli": [Stimulus(0, "node", "warp", 1.0)]}, "stimuli[0]: ",
+        "stimulus 'warp' is not valid in duration mode",
+    ),
+    "verb_of_other_mode": (
+        PHYSICAL + "at 0 slot node echo 5\n", 3, {"mode": "physical", "stimuli": [Stimulus(0, "node", "echo", 5.0)]},
+        "stimuli[0]: ", "stimulus 'echo' is not valid in physical mode",
+    ),
+    "missing_value": (
+        DURATION + "at 0 slot node echo\n", 3, {"stimuli": [Stimulus(0, "node", "echo", None)]}, "stimuli[0]: ",
+        "echo needs exactly one value",
+    ),
+    "non_finite_value": (
+        DURATION + "at 0 slot node echo NaN\n", 3, {"stimuli": [Stimulus(0, "node", "echo", float("nan"))]},
+        "stimuli[0]: ", "echo value nan is not a finite number",
+    ),
+    "negative_echo": (
+        DURATION + "at 0 slot node echo -1\n", 3, {"stimuli": [Stimulus(0, "node", "echo", -1.0)]}, "stimuli[0]: ",
+        "echo duration must be non-negative",
+    ),
+    "zero_distance": (
+        PHYSICAL + "at 0 slot node occupy 0\n", 3,
+        {"mode": "physical", "stimuli": [Stimulus(0, "node", "occupy", 0.0)]}, "stimuli[0]: ",
+        "occupy distance must be positive",
+    ),
+    "vacate_value": (
+        PHYSICAL + "at 0 slot node vacate 1.0\n", 3,
+        {"mode": "physical", "stimuli": [Stimulus(0, "node", "vacate", 1.0)]}, "stimuli[0]: ", "vacate takes no value",
+    ),
+    "past_horizon": (
+        DURATION + "at 2000 slot node echo 1\n", 3, {"stimuli": [Stimulus(2000, "node", "echo", 1.0)]},
+        "stimuli[0]: ", "stimulus at 2000 ms lies beyond horizon_ms=1000",
+    ),
+}
+
+
+@pytest.mark.parametrize("text, line, changes, prefix, message", RULES.values(), ids=RULES.keys())
+def test_scenario_text_and_built_scenario_break_a_rule_alike(
+    tmp_path, parking_model, text, line, changes, prefix, message
+):
+    """A fault in a file names the file and the line; one in a built
+    scenario names the stimulus and no file; the message is the same."""
+    path = tmp_path / "rule.scn"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(CiotError) as exc:
+        load_scenario_file(path)
+    [diag] = exc.value.diagnostics
+    assert (exc.value.code, diag.file, diag.message) == ("E_SCENARIO", str(path), f"line {line}: {message}")
+    with pytest.raises(CiotError) as exc:
+        simulate(parking_model, replace(Scenario("duration", 1000), **changes))
+    [diag] = exc.value.diagnostics
+    assert (exc.value.code, diag.file, diag.message) == ("E_SCENARIO", None, prefix + message)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("mode=duration\n", "scenario does not set horizon_ms="),
+        (DURATION + "speed=1\n", "line 3: unknown header 'speed'"),
+        (DURATION + "at 0 slot node\n", "line 3: expected 'at <ms> slot <path> <verb> [value]'"),
+        (DURATION + "at 0 slot node echo 1 2\n", "line 3: expected 'at <ms> slot <path> <verb> [value]'"),
+        (DURATION + "at 0 slot node echo x\n", "line 3: echo value 'x' is not a number"),
+        (DURATION + f"at {HUGE} slot node echo 1\n", "line 3: time of 5000 digits is out of range"),
+    ],
+    ids=["missing_header", "unknown_header", "short_line", "two_values", "not_a_number", "huge_time"],
+)
+def test_scenario_file_syntax_fault_names_the_file(tmp_path, text, message):
+    path = tmp_path / "syntax.scn"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(CiotError) as exc:
+        load_scenario_file(path)
+    [diag] = exc.value.diagnostics
+    assert (exc.value.code, diag.file, diag.message) == ("E_SCENARIO", str(path), message)
 
 
 @pytest.mark.parametrize(
