@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .diagnostics import CiotError, require_type
 from .engine import _quote
-from .guards import expr_to_text, format_value
+from .guards import expr_to_text, literal_text
 from .metamodel import (
     ACTION_KEYWORDS,
     ActionDef,
@@ -60,7 +60,7 @@ def _component_text(c: ComponentDef) -> str:
     sections: list[list[str]] = []
     if c.properties:
         sections.append(
-            [f"    property {p.name}: {p.type.value} = {format_value(p.initial)};" for p in c.properties]
+            [f"    property {p.name}: {p.type.value} = {literal_text(p.initial)};" for p in c.properties]
         )
     if c.ports:
         sections.append([_port_line(p) for p in c.ports])

@@ -18,6 +18,7 @@ import operator
 import re
 import sys
 from dataclasses import dataclass, field
+from decimal import Decimal
 from enum import Enum
 from typing import Callable, Mapping, Union
 
@@ -199,8 +200,11 @@ def describe_value(value) -> str:
         return f"a {type(value).__name__} that cannot be printed"
 
 
-_INT_DIGITS = re.compile(r"[+-]?[0-9]+")
-_NUMBER_DIGITS = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+# Digits as ``int()`` and ``float()`` read them: any Unicode decimal digits,
+# with single underscores between them.
+_DIGITS = r"\d(?:_?\d)*"
+_INT_DIGITS = re.compile(rf"[+-]?{_DIGITS}")
+_NUMBER_DIGITS = re.compile(rf"[+-]?(?:{_DIGITS}(?:\.(?:{_DIGITS})?)?|\.{_DIGITS})(?:[eE][+-]?{_DIGITS})?")
 
 
 def read_number(text: str, kinds: tuple[type, ...], what: str, code: str, file: str | None = None):
@@ -354,71 +358,52 @@ _COMPARE = {
 }
 
 
-_PRECEDENCE = {"or": 1, "and": 2, "not": 3, "cmp": 4}
+# How tightly a node binds, as the parser reads it: or 1, and 2, not 3, a
+# comparison 4, a leaf 5.
+_STRENGTH = {"or": 1, "and": 2}
 
 
 def expr_to_text(expr: Expr) -> str:
-    """Canonical text form; reparsing it yields a structurally equal tree."""
+    """Canonical text form; reparsing it yields a structurally equal tree.
+    A subexpression is parenthesized only where the grammar needs it."""
     return _render(expr, 0)
 
 
-def _render(expr: Expr, parent_prec: int) -> str:
+def _render(expr: Expr, need: int) -> str:
+    """``expr`` as text in a slot that needs binding strength ``need``:
+    wrapped once if it binds looser. and/or chain to the left, so their left
+    operand needs their own strength and their right one more; ``not`` takes
+    a ``not`` or a comparison, and a comparison takes two leaves."""
     if isinstance(expr, Literal):
-        return format_value(expr.value)
+        return literal_text(expr.value)
     if isinstance(expr, NameRef):
         return expr.name
     if isinstance(expr, PayloadFieldRef):
         return f"payload.{expr.field}"
     if isinstance(expr, Unary):
-        inner = _render(expr.operand, _PRECEDENCE["not"])
-        if isinstance(expr.operand, Binary):
-            inner = f"({inner})"
-        text = f"not {inner}"
-        return f"({text})" if parent_prec > _PRECEDENCE["not"] else text
-    if isinstance(expr, Binary):
-        if expr.op in BOOLEAN_OPS:
-            prec = _PRECEDENCE[expr.op]
-            left = _render(expr.left, prec)
-            # Left chains stay flat (only this operator binds at this level);
-            # a looser operand, or a right operand at this level, gets
-            # parentheses so tree shape survives reparse.
-            if _binds_looser(expr.left, prec):
-                left = f"({left})"
-            right = _render(expr.right, prec)
-            if _binds_looser(expr.right, prec) or _same_level(expr.right, prec):
-                right = f"({right})"
-            text = f"{left} {expr.op} {right}"
-            return f"({text})" if parent_prec > prec else text
-        prec = _PRECEDENCE["cmp"]
-        left = _render(expr.left, prec)
-        if isinstance(expr.left, (Binary, Unary)):
-            left = f"({left})"
-        right = _render(expr.right, prec)
-        if isinstance(expr.right, (Binary, Unary)):
-            right = f"({right})"
-        text = f"{left} {expr.op} {right}"
-        return f"({text})" if parent_prec > prec else text
-    raise TypeError(f"not an expression node: {expr!r}")
+        strength, text = 3, f"not {_render(expr.operand, 3)}"
+    elif isinstance(expr, Binary):
+        strength = _STRENGTH.get(expr.op, 4)
+        left, right = (strength, strength + 1) if strength < 4 else (5, 5)
+        text = f"{_render(expr.left, left)} {expr.op} {_render(expr.right, right)}"
+    else:
+        raise TypeError(f"not an expression node: {expr!r}")
+    return f"({text})" if strength < need else text
 
 
-def _prec_of(expr: Expr) -> int:
-    if isinstance(expr, Binary):
-        return _PRECEDENCE.get(expr.op, _PRECEDENCE["cmp"])
-    if isinstance(expr, Unary):
-        return _PRECEDENCE["not"]
-    return 99
-
-
-def _binds_looser(expr: Expr, prec: int) -> bool:
-    return _prec_of(expr) < prec
-
-
-def _same_level(expr: Expr, prec: int) -> bool:
-    return isinstance(expr, (Binary, Unary)) and _prec_of(expr) == prec
+def literal_text(value: int | float | bool | str) -> str:
+    """``value`` as model text, which the lexer reads back: ``format_value``,
+    except that a finite float is written positionally with the digits of its
+    ``repr`` (``1e-05`` is ``0.00001``, ``1e+16`` is ``10000000000000000.0``)."""
+    if isinstance(value, float) and math.isfinite(value):
+        text = format(Decimal(repr(value)), "f")
+        return text if "." in text else text + ".0"
+    return format_value(value)
 
 
 def format_value(value: int | float | bool | str) -> str:
-    """Canonical literal rendering shared by the printer and trace output."""
+    """A value as trace output and diagnostics write it: literal syntax, a
+    float by its ``repr``."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):

@@ -111,6 +111,7 @@ _KINDS = {"STRING": TokenKind.STRING, "FLOAT": TokenKind.FLOAT, "INT": TokenKind
 # Escapes that stand for another character; after any other backslash the
 # next character stands for itself.
 _ESCAPES = {"n": "\n", "t": "\t"}
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
 
 # A token: (kind, text, start offset), the kind one of TokenKind's strings.
 # Plain tuples, which the lexer builds faster than any named type and the
@@ -158,16 +159,4 @@ def decode_string(quoted: str) -> str:
     """Decode a string literal's quoted text: strip the quotes and resolve
     escapes. ``\\n`` and ``\\t`` are a newline and a tab; a backslash before
     any other character stands for that character."""
-    raw = quoted[1:-1]
-    out: list[str] = []
-    i = 0
-    while i < len(raw):
-        c = raw[i]
-        if c == "\\" and i + 1 < len(raw):
-            nxt = raw[i + 1]
-            out.append(_ESCAPES.get(nxt, nxt))
-            i += 2
-            continue
-        out.append(c)
-        i += 1
-    return "".join(out)
+    return _ESCAPE.sub(lambda m: _ESCAPES.get(m[1], m[1]), quoted[1:-1])

@@ -226,8 +226,19 @@ def test_run_inject_int_past_digit_limit_is_one_short_usage_error(capsys, parkin
         "1e" + "9" * 5000,
         "-2.5E+" + "9" * 5000,
         ".5e" + "9" * 5000,
+        "\u0669" * 5000,
+        "1_" * 5000 + "1",
     ],
-    ids=["point_five", "minus_trailing_point", "plus_two_places", "exponent", "signed_exponent", "point_mantissa"],
+    ids=[
+        "point_five",
+        "minus_trailing_point",
+        "plus_two_places",
+        "exponent",
+        "signed_exponent",
+        "point_mantissa",
+        "arabic_indic_digits",
+        "underscores",
+    ],
 )
 def test_run_inject_huge_decimal_is_one_short_usage_error(capsys, parking_path, value):
     code, out, err = run_cli(capsys, "run", parking_path, "--inject", f"node.pSense.evtReading{{duration={value}}}")

@@ -69,6 +69,29 @@ def test_interchange_read_rejects_bad_text():
     assert exc.value.code == "E_PARSE"
 
 
+# A float that ``repr`` writes with an exponent, as a property initial and in
+# a guard: the lexer reads no exponent, so export writes them positionally.
+EXPONENT_FLOATS = """component C : IoTElement {
+    property x: float = 0.00001;
+
+    statemachine {
+        initial state A {}
+        state B {}
+        transition A -> B [x < 10000000000000000.0];
+    }
+}
+"""
+
+
+def test_exponent_floats_export_as_text_that_reads_back():
+    model = load_text(EXPONENT_FLOATS, check=False)
+    text = export_model(model)
+    assert "= 0.00001;" in text and "[x < 10000000000000000.0]" in text
+    again = load_text(text, check=False)
+    assert structurally_equal(model, again)
+    assert export_model(again) == text
+
+
 def test_roundtrip_keeps_simulation_behavior(parking_model, arrive_depart_path):
     from ciot.sim import load_scenario_file, occupancy_timeline, simulate
 

@@ -175,19 +175,36 @@ def test_format_value_forms():
 
 def test_expr_to_text_examples():
     assert expr_to_text(parse_expression("payload.duration >= 300")) == "payload.duration >= 300"
-    assert expr_to_text(parse_expression("not (x > 0) or x == 5")) == "not (x > 0) or x == 5"
+    assert expr_to_text(parse_expression("not (x > 0) or x == 5")) == "not x > 0 or x == 5"
+
+
+def _chain(level: str, depth: int) -> str:
+    text = "x"
+    for i in reversed(range(depth)):
+        text = level.format(i=i, inner=text)
+    return text
+
+
+# The deepest chains of each kind that the parser accepts: every level opens
+# one "not" and one "(", against its limit of 100.
+@pytest.mark.parametrize(
+    "source",
+    [_chain("not a{i} == ({inner})", 50), _chain("not (a{i} and {inner})", 50)],
+    ids=["not_over_comparison", "not_over_and"],
+)
+def test_deepest_chain_renders_to_text_that_reparses_equal(source):
+    expr = parse_expression(source)
+    assert parse_expression(expr_to_text(expr)) == expr
 
 
 _names = st.from_regex(r"[a-z][a-z0-9_]{0,6}", fullmatch=True).filter(
     lambda n: n not in ("and", "or", "not", "true", "false", "payload")
     and n not in ("int", "float", "bool", "string", "state", "exit", "entry", "op", "when", "self")
 )
-_plain_floats = st.floats(min_value=0.001, max_value=99999.0, allow_nan=False).filter(
-    lambda v: "e" not in repr(v)
-)
+_floats = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
 _atoms = st.one_of(
     st.integers(min_value=0, max_value=9999).map(lambda v: Literal(v, PrimType.INT)),
-    _plain_floats.map(lambda v: Literal(v, PrimType.FLOAT)),
+    _floats.map(lambda v: Literal(v, PrimType.FLOAT)),
     st.booleans().map(lambda v: Literal(v, PrimType.BOOL)),
     st.text(alphabet="abc xyz_", max_size=6).map(lambda v: Literal(v, PrimType.STRING)),
     _names.map(NameRef),

@@ -126,6 +126,18 @@ def test_string_escapes_decode():
     assert decode_string(texts(toks)[0]) == 'a"b\\c\nd\te'
 
 
+@pytest.mark.parametrize(
+    "quoted, decoded",
+    [('"a\\"', "a\\"), ('"a\\\nb"', "a\nb")],
+    ids=["trailing_backslash", "backslash_newline"],
+)
+def test_string_escapes_the_lexer_never_forms_decode(quoted, decoded):
+    """--inject decodes a quoted value that no string token can be: a lone
+    backslash before the closing quote stands for itself, and one before a
+    newline escapes the newline."""
+    assert decode_string(quoted) == decoded
+
+
 def _strip_outside_strings(source: str) -> str:
     """Source minus whitespace and comments, keeping string literals whole."""
     out = []

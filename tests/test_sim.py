@@ -158,22 +158,24 @@ HUGE = "9" * 5000
 
 
 @pytest.mark.parametrize(
-    "body, what",
+    "body, what, digits",
     [
-        (f"mode=duration\nhorizon_ms={HUGE}\n", "line 2: horizon_ms"),
-        (f"mode=duration\nhorizon_ms=100\nsample_period_ms={HUGE}\n", "line 3: sample_period_ms"),
-        (f"mode=duration\nhorizon_ms=100\nat {HUGE} slot node echo 1\n", "line 3: time"),
-        (f"mode=duration\nhorizon_ms=100\nat 0 slot node echo {HUGE}\n", "line 3: echo value"),
-        (f"mode=physical\nhorizon_ms=100\nat 0 slot node occupy {HUGE}\n", "line 3: occupy value"),
+        (f"mode=duration\nhorizon_ms={HUGE}\n", "line 2: horizon_ms", 5000),
+        (f"mode=duration\nhorizon_ms=100\nsample_period_ms={HUGE}\n", "line 3: sample_period_ms", 5000),
+        (f"mode=duration\nhorizon_ms=100\nat {HUGE} slot node echo 1\n", "line 3: time", 5000),
+        (f"mode=duration\nhorizon_ms=100\nat 0 slot node echo {HUGE}\n", "line 3: echo value", 5000),
+        (f"mode=physical\nhorizon_ms=100\nat 0 slot node occupy {HUGE}\n", "line 3: occupy value", 5000),
+        ("mode=duration\nhorizon_ms=" + "\u0669" * 5000, "line 2: horizon_ms", 5000),
+        ("mode=duration\nhorizon_ms=" + "1_" * 5000 + "1", "line 2: horizon_ms", 5001),
     ],
-    ids=["horizon_ms", "sample_period_ms", "time", "echo", "occupy"],
+    ids=["horizon_ms", "sample_period_ms", "time", "echo", "occupy", "arabic_indic_digits", "underscores"],
 )
-def test_scenario_huge_number_is_one_short_error(body, what):
+def test_scenario_huge_number_is_one_short_error(body, what, digits):
     with pytest.raises(CiotError) as exc:
         load_scenario(body)
     assert exc.value.code == "E_SCENARIO"
     assert [d.render() for d in exc.value.diagnostics] == [
-        f"<input>: error E_SCENARIO {what} of 5000 digits is out of range"
+        f"<input>: error E_SCENARIO {what} of {digits} digits is out of range"
     ]
 
 
