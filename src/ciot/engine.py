@@ -56,18 +56,22 @@ is ``E_EVAL`` naming the instance and the property. The declared types prove
 the fit of a payload field built from a property of the field's type, and of
 an effect whose expression has the target's type: a literal that fits it, a
 property, a field of the payload that both the event and its action declare,
-or a comparison, ``not``, ``and`` or ``or``, which all give a bool. Each
-proof rests on every value stored before it having fitted; widening an int
-to a float is not a proof, so it still goes through ``fit_value``.
+or a comparison, ``not``, ``and`` or ``or``, which all give a bool. The sensing
+contract proves the fit of a simulator reading: one float field, a finite
+float. Each proof rests on every value stored before it having fitted;
+widening an int to a float is not a proof, so it still goes through
+``fit_value``.
 
 A send that finds no connector, or a peer with no matching incoming event,
 is recorded with ``error=E_NO_ROUTE`` and dropped; it is not a runtime fault.
 
 Trace records hold raw values (``trace.FIELDS``), and text is built only when
 a record is read. Payload and assigned-value dicts are kept by reference, so
-the engine never mutates such a dict after building it: every payload is a
-fresh dict from ``_conform_payload`` or ``_snapshot_payload``, and every
-action collects its assignments in a new one.
+the engine never mutates such a dict after building it. ``enqueue`` checks
+nothing and queues a fresh payload from ``_conform_payload`` (``inject``,
+``bind_internal``), ``_snapshot_payload`` (sends, entry and exit positions)
+or ``sim.simulate`` (its readings); every action collects its assignments
+in a new dict.
 """
 
 from __future__ import annotations
@@ -147,7 +151,7 @@ class Dispatch(NamedTuple):
     """One component's lookup tables, built at ``instantiate`` and shared by
     that run's instances of the component."""
 
-    states: dict[str, State]  # first state of each name, as ``state_named``
+    states: dict[str, State]  # the first state of each name
     actions: dict[str, Action]  # per event name
     # Per outgoing event in declaration order: (port name, event name, its
     # action's payload name, that payload's fields).
@@ -334,7 +338,7 @@ def _execution(ev: EventDef, action: Action, types: dict, outgoing: list[EventDe
     fields = _fields(ev.payload, types)
     if inline:
         return lambda rt, inst: _run_action(rt, inst, action, _snapshot_payload(inst, fields))
-    return lambda rt, inst: _enqueue(rt, inst, ev, _snapshot_payload(inst, fields), inst.path)
+    return lambda rt, inst: enqueue(rt, inst, ev, _snapshot_payload(inst, fields), inst.path)
 
 
 def _transition(t: TransitionDef, entry: tuple[Execution, ...], model: Model) -> Transition:
@@ -374,36 +378,16 @@ def inject(rt: RuntimeState, path: str, port: str, event_name: str, payload: dic
     if event.port is None or event.port.name != port:
         raise CiotError.of("E_BAD_TARGET", f"event {event_name!r} is not bound to port {port!r}")
     values = _conform_payload(event.payload, payload, f"event {event_name!r}")
-    _enqueue(rt, inst, event, values, "env")
+    enqueue(rt, inst, event, values, "env")
 
 
 def bind_internal(rt: RuntimeState, path: str, event_name: str) -> Callable[[dict | None], None]:
     """A function that queues a generic event onto one instance, as sensing
-    hardware would, with the payload it is given; the instance and the event
-    are looked up once."""
+    hardware would, with the payload it is given, conformed as by ``inject``;
+    the instance and the event are looked up once."""
     inst, event = _event_at(rt, path, event_name, EventDirection.GENERIC)
-    payload_def, what = event.payload, f"event {event_name!r}"
-    flat = None  # (name, type) per field of a payload with no record field
-    if payload_def is not None and all(isinstance(f.type, PrimType) for f in payload_def.fields):
-        flat = tuple((f.name, f.type) for f in payload_def.fields)
-
-    def trigger(payload: dict | None = None) -> None:
-        # A flat payload given as a plain dict of exactly its fields is fitted
-        # field by field; anything else, or a value that does not fit, goes
-        # through _conform_payload for its error.
-        if flat is not None and type(payload) is dict and len(payload) == len(flat):
-            values = {}
-            for name, t in flat:
-                value = fit_value(t, payload.get(name))
-                if value is None:
-                    break
-                values[name] = value
-            else:
-                _enqueue(rt, inst, event, values, "env")
-                return
-        _enqueue(rt, inst, event, _conform_payload(payload_def, payload, what), "env")
-
-    return trigger
+    what = f"event {event_name!r}"
+    return lambda payload=None: enqueue(rt, inst, event, _conform_payload(event.payload, payload, what), "env")
 
 
 def _event_at(rt: RuntimeState, path: str, name: str, direction: EventDirection) -> tuple[InstanceState, EventDef]:
@@ -468,7 +452,10 @@ def _conform_primitive(t: PrimType, v, name: str, what: str):
     return value
 
 
-def _enqueue(rt: RuntimeState, inst: InstanceState, event: EventDef, values: dict | None, source: str) -> None:
+def enqueue(rt: RuntimeState, inst: InstanceState, event: EventDef, values: dict | None, source: str) -> None:
+    """Queue ``event`` onto ``inst`` with the payload ``values``, sent by
+    ``source``. Nothing is checked: ``values`` must already fit the event's
+    payload, and it is kept by reference."""
     if not inst.inbox:
         heappush(rt.ready, inst.index)
     inst.inbox.append((event, (event.name, rt.eseq, source, values)))
@@ -588,7 +575,7 @@ def _send(rt: RuntimeState, inst: InstanceState, send: tuple) -> None:
     values = _snapshot_payload(inst, fields)
     error = "E_NO_ROUTE"
     if target_event is not None:
-        _enqueue(rt, peer, target_event, values, source)
+        enqueue(rt, peer, target_event, values, source)
         error = None
     rt.record(inst.path, "payload_sent", (port_name, event_name, route, values, error))
 

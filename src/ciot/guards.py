@@ -209,22 +209,34 @@ _NUMBER_DIGITS = re.compile(rf"[+-]?(?:{_DIGITS}(?:\.(?:{_DIGITS})?)?|\.{_DIGITS
 
 def read_number(text: str, kinds: tuple[type, ...], what: str, code: str, file: str | None = None):
     """``text`` read by the first of ``kinds`` (``int``, ``float``) that
-    accepts it, or None. Digits that do not fit (``int()`` refuses them past
-    the interpreter's int-string digit limit, ``float()`` reads them as inf)
-    are ``code``, naming the number ``what`` by its digit count, not its text."""
+    accepts it, or None. Digits that do not fit (``read_long_int`` refuses
+    them, ``float()`` reads them as inf) are ``code``, naming the number
+    ``what`` by its digit count, not its text."""
     for kind in kinds:
         try:
             number = kind(text)
         except ValueError:
-            continue
-        if abs(number) != math.inf or not _NUMBER_DIGITS.fullmatch(text):
-            return number
-        break
-    else:
-        if not _INT_DIGITS.fullmatch(text):
-            return None
-    digits = sum(ch.isdigit() for ch in text)
-    raise CiotError.of(code, f"{what} of {digits} digits is out of range", None, file)
+            if kind is not int or not _INT_DIGITS.fullmatch(text):
+                continue
+            number, digits = read_long_int(text)
+            if number is not None:
+                return number
+        else:
+            if abs(number) != math.inf or not _NUMBER_DIGITS.fullmatch(text):
+                return number
+            digits = sum(ch.isdigit() for ch in text)
+        raise CiotError.of(code, f"{what} of {digits} digits is out of range", None, file)
+    return None
+
+
+def read_long_int(text: str) -> tuple[int | None, int]:
+    """Integer text that ``int()`` refuses for its length, as its value (None
+    past the interpreter's int-string digit limit) and its count of digits,
+    where leading zeros of any script and ``_`` separators do not count."""
+    digits = "".join(str(int(ch)) for ch in text if ch.isdecimal()).lstrip("0") or "0"
+    if len(digits) > sys.get_int_max_str_digits():
+        return None, len(digits)
+    return int(text[0] + digits if text[0] in "+-" else digits), len(digits)
 
 
 def eval_guard(

@@ -195,12 +195,6 @@ class StateMachine:
                 return s
         return None
 
-    def state_named(self, name: str) -> StateDef | None:
-        for s in self.states:
-            if s.name == name:
-                return s
-        return None
-
 
 @dataclass
 class ComponentDef:

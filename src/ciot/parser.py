@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .diagnostics import E_PARSE, CiotError, Locator, Offsets
-from .guards import Binary, Expr, Literal, NameRef, PayloadFieldRef, PrimType, Unary
+from .guards import Binary, Expr, Literal, NameRef, PayloadFieldRef, PrimType, Unary, read_long_int
 from .lexer import EXPR_RESERVED, KEYWORDS, Token, TokenKind, decode_string, describe, tokenize
 from .metamodel import ACTION_KEYWORDS, ActionKind, ComponentKind, EventDirection
 
@@ -417,7 +417,9 @@ def _parse_literal(ts: _Stream) -> Literal:
         try:
             value = int(text)
         except ValueError:  # past the interpreter's int-string digit limit
-            ts.fail(f"integer literal of {len(text)} digits is out of range")
+            value, digits = read_long_int(text)
+            if value is None:
+                ts.fail(f"integer literal of {digits} digits is out of range")
         ts.advance()
         return Literal(value, PrimType.INT, span)
     if kind is TokenKind.FLOAT:

@@ -32,7 +32,7 @@ from itertools import groupby
 from operator import attrgetter
 
 from .diagnostics import CiotError, read_text, require_type
-from .engine import DEFAULT_MAX_STEPS, RuntimeState, bind_internal, instantiate, run_to_quiescence
+from .engine import DEFAULT_MAX_STEPS, RuntimeState, enqueue, instantiate, run_to_quiescence
 from .guards import PrimType, describe_value, fit_value, read_number
 from .metamodel import ComponentDef, EventDef, EventDirection, Model
 from .trace import TraceRecord
@@ -277,8 +277,10 @@ def simulate(
     ``scenario`` must keep the scenario rules after any ``sample_period_ms``
     override (E_SCENARIO, naming no file, otherwise). ``speed_m_per_s`` and
     ``floor_distance_m`` must be finite and positive (E_DOMAIN otherwise),
-    whatever the mode. Each bound sensor's event is
-    looked up once per run; every reading is still conformed to its payload.
+    whatever the mode. Each bound sensor is looked up once per run, and a
+    reading is queued without a check: the sensing payload is one float
+    field, and every reading is a finite float, ``echo_duration``'s or a
+    stimulus value fitted to float as it applies.
     """
     require_type(model, Model, "model")
     require_type(scenario, Scenario, "scenario")
@@ -293,15 +295,17 @@ def simulate(
     # With no stimuli, every root instance is a slot.
     slots = sorted({st.slot for st in scenario.stimuli}) or [p for p in rt.order if "." not in p]
     bound = bind_environment(rt, slots, scenario.source)
-    triggers = {slot: [bind_internal(rt, path, event_name) for path, event_name in bound[slot]] for slot in slots}
-    # Per slot, its last stimulus value: an echo, or a distance (None: no echo yet, or vacant).
+    # Per slot, each bound sensor's instance and sensing event.
+    instances = rt.instances
+    sensors = {slot: [(instances[p], instances[p].component.event_named(e)) for p, e in bound[slot]] for slot in slots}
+    # Per slot, its last stimulus value as a float: an echo, or a distance (None: no echo yet, or vacant).
     level: dict[str, float | None] = dict.fromkeys(slots)
     stimuli, applied = scenario.stimuli, 0
     physical = scenario.mode == "physical"
     for t_ms in range(0, scenario.horizon_ms + 1, period):
         rt.clock_us = t_ms * 1000
         while applied < len(stimuli) and stimuli[applied].time_ms <= t_ms:
-            level[stimuli[applied].slot] = stimuli[applied].value
+            level[stimuli[applied].slot] = fit_value(PrimType.FLOAT, stimuli[applied].value)
             applied += 1
         for slot in slots:
             reading = level[slot]
@@ -309,8 +313,8 @@ def simulate(
                 reading = echo_duration(floor_distance_m if reading is None else reading, speed_m_per_s)
             elif reading is None:
                 continue
-            for trigger in triggers[slot]:
-                trigger({ECHO_FIELD: reading})
+            for inst, event in sensors[slot]:
+                enqueue(rt, inst, event, {ECHO_FIELD: reading}, "env")
                 run_to_quiescence(rt, max_steps)
     return SimResult(rt, scenario)
 

@@ -218,16 +218,17 @@ def test_run_inject_int_past_digit_limit_is_one_short_usage_error(capsys, parkin
 
 
 @pytest.mark.parametrize(
-    "value",
+    "value, digits",
     [
-        "9" * 5000 + ".5",
-        "-" + "9" * 5000 + ".",
-        "+" + "9" * 4999 + ".99",
-        "1e" + "9" * 5000,
-        "-2.5E+" + "9" * 5000,
-        ".5e" + "9" * 5000,
-        "\u0669" * 5000,
-        "1_" * 5000 + "1",
+        ("9" * 5000 + ".5", 5001),
+        ("-" + "9" * 5000 + ".", 5000),
+        ("+" + "9" * 4999 + ".99", 5001),
+        ("1e" + "9" * 5000, 5001),
+        ("-2.5E+" + "9" * 5000, 5002),
+        (".5e" + "9" * 5000, 5001),
+        ("\u0669" * 5000, 5000),
+        ("1_" * 5000 + "1", 5001),
+        ("-" + "0" * 5000 + "9" * 5000, 5000),
     ],
     ids=[
         "point_five",
@@ -238,14 +239,21 @@ def test_run_inject_int_past_digit_limit_is_one_short_usage_error(capsys, parkin
         "point_mantissa",
         "arabic_indic_digits",
         "underscores",
+        "leading_zeros",
     ],
 )
-def test_run_inject_huge_decimal_is_one_short_usage_error(capsys, parking_path, value):
+def test_run_inject_huge_decimal_is_one_short_usage_error(capsys, parking_path, value, digits):
     code, out, err = run_cli(capsys, "run", parking_path, "--inject", f"node.pSense.evtReading{{duration={value}}}")
     assert (code, out) == (2, "")
-    digits = sum(ch.isdigit() for ch in value)
     assert err == f"<input>: error E_USAGE field value of {digits} digits is out of range\n"
     assert len(err.encode()) < 200
+
+
+def test_inject_int_padded_past_digit_limit_reads_as_its_value():
+    """Leading zeros do not count against the interpreter's int-string digit
+    limit, so the value stays an int and is not read as a float."""
+    [*_, payload] = _parse_inject_spec("node.pSense.evtReading{n=" + "0" * 4999 + "5}")
+    assert (payload, type(payload["n"])) == ({"n": 5}, int)
 
 
 # (quoted text, decoded value): "\\n" is a backslash and an n, not a newline.

@@ -53,7 +53,7 @@ def test_roundtrip_preserves_guards_and_entries(parking_model):
     sm = node.state_machine
     assert len(sm.transitions) == 6
     assert all(t.guard is not None for t in sm.transitions)
-    vacant = sm.state_named("RED_OFF_GREEN_ON")
+    vacant = next(s for s in sm.states if s.name == "RED_OFF_GREEN_ON")
     assert [e.name for e in vacant.entry] == ["evtRedLow", "evtGreenHigh"]
 
 

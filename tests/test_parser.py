@@ -220,6 +220,7 @@ def test_guard_at_nesting_limit_runs_everywhere(parking_path, shape):
 OUT_OF_RANGE = {
     "int_past_digit_limit": ("int", "1" + "0" * 5000, "integer literal of 5001 digits is out of range"),
     "float_to_inf": ("float", "1" + "0" * 400 + ".0", "float literal is out of range"),
+    "int_leading_zeros": ("int", "0" * 5000 + "1" + "0" * 5000, "integer literal of 5001 digits is out of range"),
 }
 
 
@@ -242,6 +243,13 @@ def test_out_of_range_literal_is_parse_error_at_literal(case, where):
     line = source.splitlines()[diag.span.line - 1]
     assert line.index(literal) + 1 == diag.span.column
     assert diag.span.end_column - diag.span.column + 1 == len(literal)
+
+
+def test_int_literal_padded_past_digit_limit_reads_as_its_value():
+    """Leading zeros do not count against the interpreter's int-string digit limit."""
+    model = load_text("component C : Board {\n    property n: int = " + "0" * 4999 + "5;\n}\n")
+    [prop] = model.component_named("C").properties
+    assert (prop.initial, type(prop.initial)) == (5, int)
 
 
 # --- front-end output pinned per corpus file ------------------------------------

@@ -167,8 +167,13 @@ HUGE = "9" * 5000
         (f"mode=physical\nhorizon_ms=100\nat 0 slot node occupy {HUGE}\n", "line 3: occupy value", 5000),
         ("mode=duration\nhorizon_ms=" + "\u0669" * 5000, "line 2: horizon_ms", 5000),
         ("mode=duration\nhorizon_ms=" + "1_" * 5000 + "1", "line 2: horizon_ms", 5001),
+        ("mode=duration\nhorizon_ms=" + "0" * 5000 + HUGE, "line 2: horizon_ms", 5000),
+        ("mode=duration\nhorizon_ms=" + "\u0660_" * 5000 + HUGE, "line 2: horizon_ms", 5000),
     ],
-    ids=["horizon_ms", "sample_period_ms", "time", "echo", "occupy", "arabic_indic_digits", "underscores"],
+    ids=[
+        "horizon_ms", "sample_period_ms", "time", "echo", "occupy", "arabic_indic_digits", "underscores",
+        "leading_zeros", "leading_arabic_indic_zeros",
+    ],
 )
 def test_scenario_huge_number_is_one_short_error(body, what, digits):
     with pytest.raises(CiotError) as exc:
@@ -177,6 +182,12 @@ def test_scenario_huge_number_is_one_short_error(body, what, digits):
     assert [d.render() for d in exc.value.diagnostics] == [
         f"<input>: error E_SCENARIO {what} of {digits} digits is out of range"
     ]
+
+
+def test_scenario_int_padded_past_digit_limit_reads_as_its_value():
+    """Leading zeros do not count against the interpreter's int-string digit limit."""
+    horizon = load_scenario("mode=duration\nhorizon_ms=" + "0" * 4999 + "5").horizon_ms
+    assert (horizon, type(horizon)) == (5, int)
 
 
 @pytest.mark.parametrize("verb, mode", [("echo", "duration"), ("occupy", "physical")])
@@ -507,6 +518,26 @@ def test_zero_stimulus_physical_mode_reads_floor(parking_model):
     model = with_property_initial(parking_model, "threshold", 5.0)
     result = simulate(model, scenario)
     assert occupancy_timeline(result) == [(0, "vacant")]
+
+
+def test_int_echo_values_run_as_their_floats(parking_model, arrive_depart_path):
+    """A built scenario's int echo is queued as the float the same scenario
+    read from text carries (``duration=320.0``), never as the int."""
+    stimuli = [Stimulus(0, "node", "echo", 320), Stimulus(5000, "node", "echo", 250), Stimulus(12000, "node", "echo", 320)]
+    built, loaded = Scenario("duration", 15000, 100, stimuli), load_scenario_file(arrive_depart_path)
+    assert loaded.stimuli == built.stimuli  # 320 == 320.0
+    expected, result = simulate(parking_model, loaded), simulate(parking_model, built)
+    assert "duration=320.0" in render_trace(result.trace)
+    assert render_trace(result.trace) == render_trace(expected.trace)
+    assert render_timeline(occupancy_timeline(result)) == render_timeline(occupancy_timeline(expected))
+
+
+def test_physical_run_with_no_slot_computes_no_echo():
+    """With no root instance there is no slot to probe, so even physics whose
+    echo time is beyond float range never computes one."""
+    result = simulate(load_text(""), Scenario("physical", 100), floor_distance_m=1e308, speed_m_per_s=1e-300)
+    assert isinstance(result, SimResult)
+    assert result.trace == []
 
 
 def test_horizon_zero_still_samples_once(parking_model):
