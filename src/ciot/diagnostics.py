@@ -86,29 +86,6 @@ class Diagnostic:
         return f"{loc}: {self.severity.value} {self.rule} {self.message}"
 
 
-# Stable error codes used across the toolkit.
-E_LEX = "E_LEX"
-E_PARSE = "E_PARSE"
-E_IO = "E_IO"
-E_UNKNOWN_REF = "E_UNKNOWN_REF"
-E_DUPLICATE = "E_DUPLICATE"
-E_CYCLE = "E_CYCLE"
-E_TYPE_MISMATCH = "E_TYPE_MISMATCH"
-E_UNKNOWN_NAME = "E_UNKNOWN_NAME"
-E_INSTANTIATE = "E_INSTANTIATE"
-E_BAD_TARGET = "E_BAD_TARGET"
-E_TYPE = "E_TYPE"
-E_EVAL = "E_EVAL"
-E_NO_ROUTE = "E_NO_ROUTE"
-E_STEP_LIMIT = "E_STEP_LIMIT"
-E_SCENARIO = "E_SCENARIO"
-E_DOMAIN = "E_DOMAIN"
-E_UNBOUND_SENSOR = "E_UNBOUND_SENSOR"
-E_TRACE = "E_TRACE"
-E_NO_MACHINE = "E_NO_MACHINE"
-E_USAGE = "E_USAGE"
-
-
 class CiotError(Exception):
     """Toolkit failure with a stable code and the diagnostics behind it."""
 
@@ -129,7 +106,7 @@ def require_type(value: object, kind: type | tuple[type, ...], what: str) -> Non
     is a ``kind``, or one of several."""
     if not isinstance(value, kind):
         names = " or ".join(k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,)))
-        raise CiotError.of(E_USAGE, f"{what} must be a {names}, got {type(value).__name__}")
+        raise CiotError.of("E_USAGE", f"{what} must be a {names}, got {type(value).__name__}")
 
 
 def read_text(path: str | os.PathLike) -> str:
@@ -146,7 +123,7 @@ def read_text(path: str | os.PathLike) -> str:
         with open(path, encoding="utf-8-sig") as fh:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise CiotError.of(E_IO, f"cannot read {path!r}: {exc}", None, path) from exc
+        raise CiotError.of("E_IO", f"cannot read {path!r}: {exc}", None, path) from exc
 
 
 def error(rule: str, message: str, span: SourceSpan | None = None, file: str | None = None) -> Diagnostic:

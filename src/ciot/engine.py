@@ -364,7 +364,7 @@ def _initial_value(model: Model, comp: ComponentDef, prop, path: str):
     if value is None:
         raise CiotError.of(
             "E_INSTANTIATE",
-            f"property {prop.name!r} of {path} ({comp.name}) is {prop.type.value} "
+            f"property {prop.name!r} of {path} ({comp.name}) is {prop.type} "
             f"but its initial value is {describe_value(prop.initial)}",
             model.locate(prop.span),
             model.source,
@@ -398,7 +398,7 @@ def _event_at(rt: RuntimeState, path: str, name: str, direction: EventDirection)
         raise CiotError.of("E_BAD_TARGET", f"no instance at path {path!r}")
     event = inst.component.event_named(name)
     if event is None or event.direction is not direction:
-        raise CiotError.of("E_BAD_TARGET", f"component {inst.component.name!r} has no {direction.value} event {name!r}")
+        raise CiotError.of("E_BAD_TARGET", f"component {inst.component.name!r} has no {direction} event {name!r}")
     return inst, event
 
 
@@ -447,7 +447,7 @@ def _check_field_names(payload_def: PayloadDef, values: dict, what: str) -> None
 def _conform_primitive(t: PrimType, v, name: str, what: str):
     value = fit_value(t, v)
     if value is None:
-        expected = "a finite float" if t is PrimType.FLOAT else t.value
+        expected = "a finite float" if t is PrimType.FLOAT else t
         raise CiotError.of("E_TYPE", f"{what}: payload field {name!r} expects {expected}, got {describe_value(v)}")
     return value
 
@@ -545,7 +545,7 @@ def _snapshot_payload(inst: InstanceState, fields: Fields) -> dict | None:
 
 
 def _misfit(inst: InstanceState, what: str, t, value) -> None:
-    expected = t.value if isinstance(t, PrimType) else "a declared primitive"
+    expected = t if isinstance(t, str) else "a declared primitive"
     message = f"{inst.path}: {what} expects {expected}, got {describe_value(value)}"
     raise CiotError.of("E_EVAL", message)
 

@@ -41,7 +41,7 @@ def export_model(model: Model) -> str:
 def _payload_text(p: PayloadDef) -> str:
     lines = [f"payload {p.name} {{"]
     for f in p.fields:
-        tname = f.type.name if isinstance(f.type, PayloadDef) else f.type.value
+        tname = f.type.name if isinstance(f.type, PayloadDef) else f.type
         lines.append(f"    {f.name}: {tname};")
     lines.append("}\n")
     return "\n".join(lines)
@@ -56,11 +56,11 @@ def _interface_text(i) -> str:
 
 
 def _component_text(c: ComponentDef) -> str:
-    lines = [f"component {c.name} : {c.kind.value} {{"]
+    lines = [f"component {c.name} : {c.kind} {{"]
     sections: list[list[str]] = []
     if c.properties:
         sections.append(
-            [f"    property {p.name}: {p.type.value} = {literal_text(p.initial)};" for p in c.properties]
+            [f"    property {p.name}: {p.type} = {literal_text(p.initial)};" for p in c.properties]
         )
     if c.ports:
         sections.append([_port_line(p) for p in c.ports])
@@ -94,7 +94,7 @@ def _port_line(p) -> str:
 
 
 def _event_line(e: EventDef) -> str:
-    parts = [f"    event {e.name} {e.direction.value}"]
+    parts = [f"    event {e.name} {e.direction}"]
     if e.port is not None:
         parts.append(f"port {e.port.name}")
     if e.payload is not None:

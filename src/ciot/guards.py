@@ -19,13 +19,15 @@ import re
 import sys
 from dataclasses import dataclass, field
 from decimal import Decimal
-from enum import Enum
 from typing import Callable, Mapping, Union
 
-from .diagnostics import E_EVAL, E_TYPE_MISMATCH, E_UNKNOWN_NAME, CiotError, Offsets, error
+from .diagnostics import CiotError, Offsets, error
 
 
-class PrimType(Enum):
+class PrimType:
+    """The primitive types: each is its model-text word. The parser hands out
+    these very strings, so a type is compared by identity."""
+
     INT = "int"
     FLOAT = "float"
     BOOL = "bool"
@@ -74,8 +76,6 @@ Expr = Union[Literal, NameRef, PayloadFieldRef, Unary, Binary]
 
 ORDERING_OPS = ("<", "<=", ">", ">=")
 BOOLEAN_OPS = ("and", "or")
-# A tuple, not a set: ``in`` on a tuple tests its members by identity and
-# hashes nothing, while an Enum member's hash is a Python-level call.
 _NUMERIC = (PrimType.INT, PrimType.FLOAT)
 
 
@@ -106,39 +106,39 @@ def typecheck_guard(expr: Expr, scope: GuardScope) -> PrimType:
     if isinstance(expr, NameRef):
         t = scope.properties.get(expr.name)
         if t is None:
-            raise TypeCheckError(E_UNKNOWN_NAME, f"unknown property {expr.name!r}", expr.span)
+            raise TypeCheckError("E_UNKNOWN_NAME", f"unknown property {expr.name!r}", expr.span)
         return t
     if isinstance(expr, PayloadFieldRef):
         if scope.payload_fields is None:
-            raise TypeCheckError(E_UNKNOWN_NAME, f"payload.{expr.field} used where no payload is in scope", expr.span)
+            raise TypeCheckError("E_UNKNOWN_NAME", f"payload.{expr.field} used where no payload is in scope", expr.span)
         t = scope.payload_fields.get(expr.field)
         if t is None:
-            raise TypeCheckError(E_UNKNOWN_NAME, f"payload has no field {expr.field!r}", expr.span)
+            raise TypeCheckError("E_UNKNOWN_NAME", f"payload has no field {expr.field!r}", expr.span)
         return t
     if isinstance(expr, Unary):
         t = typecheck_guard(expr.operand, scope)
         if t is not PrimType.BOOL:
-            raise TypeCheckError(E_TYPE_MISMATCH, f"'not' needs a bool operand, got {t.value}", expr.span)
+            raise TypeCheckError("E_TYPE_MISMATCH", f"'not' needs a bool operand, got {t}", expr.span)
         return PrimType.BOOL
     if isinstance(expr, Binary):
         if expr.op in BOOLEAN_OPS:
             for side in (expr.left, expr.right):
                 t = typecheck_guard(side, scope)
                 if t is not PrimType.BOOL:
-                    message = f"{expr.op!r} needs bool operands, got {t.value}"
-                    raise TypeCheckError(E_TYPE_MISMATCH, message, side.span or expr.span)
+                    message = f"{expr.op!r} needs bool operands, got {t}"
+                    raise TypeCheckError("E_TYPE_MISMATCH", message, side.span or expr.span)
             return PrimType.BOOL
         lt = typecheck_guard(expr.left, scope)
         rt = typecheck_guard(expr.right, scope)
         if expr.op in ORDERING_OPS:
             if lt not in _NUMERIC or rt not in _NUMERIC:
-                message = f"{expr.op!r} needs numeric operands, got {lt.value} and {rt.value}"
-                raise TypeCheckError(E_TYPE_MISMATCH, message, expr.span)
+                message = f"{expr.op!r} needs numeric operands, got {lt} and {rt}"
+                raise TypeCheckError("E_TYPE_MISMATCH", message, expr.span)
             return PrimType.BOOL
         # Equality: same type, or int/float widened.
         if lt is rt or (lt in _NUMERIC and rt in _NUMERIC):
             return PrimType.BOOL
-        raise TypeCheckError(E_TYPE_MISMATCH, f"cannot compare {lt.value} with {rt.value}", expr.span)
+        raise TypeCheckError("E_TYPE_MISMATCH", f"cannot compare {lt} with {rt}", expr.span)
     raise TypeError(f"not an expression node: {expr!r}")
 
 
@@ -157,8 +157,8 @@ def fit_value(t: PrimType, value):
     interpreter's int-string digit limit lets it print (a trace prints it)
     and widens to float only where ``float()`` can represent it, a float
     fits only if it is finite, and a bool fits only ``bool`` although Python
-    counts it as an int. Anything that is not a ``PrimType`` (a record type,
-    None) fits nothing.
+    counts it as an int. Anything that is not a ``PrimType`` word (a record
+    type, None) fits nothing.
     """
     if isinstance(value, bool):
         return value if t is PrimType.BOOL else None
@@ -211,7 +211,8 @@ def read_number(text: str, kinds: tuple[type, ...], what: str, code: str, file: 
     """``text`` read by the first of ``kinds`` (``int``, ``float``) that
     accepts it, or None. Digits that do not fit (``read_long_int`` refuses
     them, ``float()`` reads them as inf) are ``code``, naming the number
-    ``what`` by its digit count, not its text."""
+    ``what`` by its count of digits as ``read_long_int`` counts them, not
+    by its text."""
     for kind in kinds:
         try:
             number = kind(text)
@@ -224,7 +225,7 @@ def read_number(text: str, kinds: tuple[type, ...], what: str, code: str, file: 
         else:
             if abs(number) != math.inf or not _NUMBER_DIGITS.fullmatch(text):
                 return number
-            digits = sum(ch.isdigit() for ch in text)
+            digits = len(_significant_digits(text))
         raise CiotError.of(code, f"{what} of {digits} digits is out of range", None, file)
     return None
 
@@ -233,10 +234,15 @@ def read_long_int(text: str) -> tuple[int | None, int]:
     """Integer text that ``int()`` refuses for its length, as its value (None
     past the interpreter's int-string digit limit) and its count of digits,
     where leading zeros of any script and ``_`` separators do not count."""
-    digits = "".join(str(int(ch)) for ch in text if ch.isdecimal()).lstrip("0") or "0"
+    digits = _significant_digits(text) or "0"
     if len(digits) > sys.get_int_max_str_digits():
         return None, len(digits)
     return int(text[0] + digits if text[0] in "+-" else digits), len(digits)
+
+
+def _significant_digits(text: str) -> str:
+    """The decimal digits of ``text`` in ASCII, leading zeros dropped."""
+    return "".join(str(int(ch)) for ch in text if ch.isdecimal()).lstrip("0")
 
 
 def eval_guard(
@@ -338,7 +344,7 @@ def _read_property(name: str, span: Offsets | None, locate: Callable, source: st
         try:
             return properties[name]
         except KeyError:
-            raise CiotError.of(E_EVAL, f"unknown property {name!r} at evaluation", locate(span), source) from None
+            raise CiotError.of("E_EVAL", f"unknown property {name!r} at evaluation", locate(span), source) from None
 
     return read
 
@@ -348,7 +354,7 @@ def _read_field(name: str, span: Offsets | None, locate: Callable, source: str |
         try:
             return payload[name]
         except (KeyError, TypeError):  # TypeError: no payload in scope
-            raise CiotError.of(E_EVAL, f"payload field {name!r} absent at evaluation", locate(span), source) from None
+            raise CiotError.of("E_EVAL", f"payload field {name!r} absent at evaluation", locate(span), source) from None
 
     return read
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import re
 
-from .diagnostics import E_LEX, CiotError, Locator, require_type
+from .diagnostics import CiotError, Locator, require_type
 
 
 class TokenKind:
@@ -149,7 +149,7 @@ def tokenize(source: str, file: str | None = None) -> list[Token]:
         elif group == "BAD":
             message = "unterminated string literal" if text == '"' else f"unexpected character {text!r}"
             at = m.start(group)
-            raise CiotError.of(E_LEX, message, Locator(source).span(at, at), file)
+            raise CiotError.of("E_LEX", message, Locator(source).span(at, at), file)
         else:
             append((_KINDS[group], text, m.start(group)))
     raise AssertionError  # unreachable: EOI matches at the end of any text

@@ -12,33 +12,34 @@ equal regardless of where their text came from.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from enum import Enum
 from typing import Union
 
 from .diagnostics import CiotError, Locator, Offsets, SourceSpan, require_type
 from .guards import Expr, PrimType, describe_value, fit_value
 
 
-class ComponentKind(Enum):
+# The model's fixed words, plain strings as ``PrimType``'s are. The parser
+# hands out these very objects, so a word is compared by identity.
+class ComponentKind:
     IOT_ELEMENT = "IoTElement"
     BOARD = "Board"
     VIRTUAL_ENTITY = "VirtualEntity"
 
 
-class EventDirection(Enum):
+class EventDirection:
     INCOMING = "incoming"
     OUTGOING = "outgoing"
     GENERIC = "generic"
 
 
-class ActionKind(Enum):
+class ActionKind:
     SEND_PAYLOAD = "SendPayload"
     RECEIVE_PAYLOAD = "ReceivePayload"
     GENERIC = "Generic"
 
 
-# Model-text keyword of each action kind. The other two enums' values are
-# their keywords.
+# Model-text keyword of each action kind. A component kind and an event
+# direction are their own keywords.
 ACTION_KEYWORDS = {
     "send": ActionKind.SEND_PAYLOAD,
     "receive": ActionKind.RECEIVE_PAYLOAD,
@@ -262,7 +263,7 @@ def structurally_equal(a: Model, b: Model) -> bool:
     return _normalized(a) == _normalized(b)
 
 
-def _by_name(t: FieldType) -> PrimType | str:
+def _by_name(t: FieldType) -> str:
     return t.name if isinstance(t, PayloadDef) else t
 
 

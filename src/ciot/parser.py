@@ -23,18 +23,18 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .diagnostics import E_PARSE, CiotError, Locator, Offsets
+from .diagnostics import CiotError, Locator, Offsets
 from .guards import Binary, Expr, Literal, NameRef, PayloadFieldRef, PrimType, Unary, read_long_int
 from .lexer import EXPR_RESERVED, KEYWORDS, Token, TokenKind, decode_string, describe, tokenize
 from .metamodel import ACTION_KEYWORDS, ActionKind, ComponentKind, EventDirection
 
-_PRIM_NAMES = {"int": PrimType.INT, "float": PrimType.FLOAT, "bool": PrimType.BOOL, "string": PrimType.STRING}
+# Each model-text word to its class constant, so that the model's words
+# compare by identity.
+_PRIM_NAMES = {t: t for t in (PrimType.INT, PrimType.FLOAT, PrimType.BOOL, PrimType.STRING)}
+_COMPONENT_KINDS = {k: k for k in (ComponentKind.IOT_ELEMENT, ComponentKind.BOARD, ComponentKind.VIRTUAL_ENTITY)}
+_DIRECTIONS = {d: d for d in (EventDirection.INCOMING, EventDirection.OUTGOING, EventDirection.GENERIC)}
 _COMPARISONS = frozenset({"==", "!=", "<", "<=", ">", ">="})
 _LITERAL_KINDS = frozenset({TokenKind.INT, TokenKind.FLOAT, TokenKind.STRING})
-# The member each model-text word stands for: dict lookups, since calling an
-# Enum class to look a value up costs several times as much.
-_COMPONENT_KINDS = {kind.value: kind for kind in ComponentKind}
-_DIRECTIONS = {direction.value: direction for direction in EventDirection}
 
 
 class Ref(NamedTuple):
@@ -240,7 +240,7 @@ class _Stream:
     def fail(self, message: str, tok: Token | None = None):
         """Raise E_PARSE at ``tok``, by default the current token."""
         _, text, start = tok or self.current
-        raise CiotError.of(E_PARSE, message, self.locator.span(start, start + len(text)), self.file)
+        raise CiotError.of("E_PARSE", message, self.locator.span(start, start + len(text)), self.file)
 
 
 # Refs are built without the generated NamedTuple constructor, which takes
@@ -299,8 +299,8 @@ def _member_name(ts: _Stream, what: str) -> tuple[str, Offsets]:
     raise AssertionError  # unreachable
 
 
-def _enum_word(ts: _Stream, kind: str, members: dict, what: str):
-    """The enum member ``members`` maps the current token's text to; E_PARSE
+def _fixed_word(ts: _Stream, kind: str, members: dict, what: str):
+    """The constant ``members`` maps the current token's text to; E_PARSE
     when the token is not of ``kind`` or ``members`` lacks its text."""
     tok = ts.current
     if tok[0] is kind:
@@ -367,7 +367,7 @@ def _parse_component(ts: _Stream) -> AstComponent:
     start = ts.expect("component")[2]
     name = _entity_name(ts, "component name")
     ts.expect(":")
-    kind = _enum_word(ts, TokenKind.IDENT, _COMPONENT_KINDS, "a component kind (IoTElement, Board, or VirtualEntity)")
+    kind = _fixed_word(ts, TokenKind.IDENT, _COMPONENT_KINDS, "a component kind (IoTElement, Board, or VirtualEntity)")
     comp = AstComponent(name=name, kind=kind)
     ts.expect("{")
     while not ts.check("}"):
@@ -495,7 +495,7 @@ def _parse_endpoint(ts: _Stream) -> AstEndpoint:
 def _parse_event(ts: _Stream) -> AstEvent:
     start = ts.expect("event")[2]
     name = _entity_name(ts, "event name")
-    direction = _enum_word(ts, TokenKind.KEYWORD, _DIRECTIONS, "an event direction (incoming, outgoing, generic)")
+    direction = _fixed_word(ts, TokenKind.KEYWORD, _DIRECTIONS, "an event direction (incoming, outgoing, generic)")
     port = None
     if ts.accept("port"):
         port = _entity_name(ts, "port name")
@@ -510,7 +510,7 @@ def _parse_event(ts: _Stream) -> AstEvent:
 def _parse_action(ts: _Stream) -> AstAction:
     start = ts.expect("action")[2]
     name = _entity_name(ts, "action name")
-    kind = _enum_word(ts, TokenKind.KEYWORD, ACTION_KEYWORDS, "an action kind (send, receive, generic)")
+    kind = _fixed_word(ts, TokenKind.KEYWORD, ACTION_KEYWORDS, "an action kind (send, receive, generic)")
     port = None
     if ts.accept("port"):
         port = _entity_name(ts, "port name")

@@ -16,15 +16,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Iterator, Mapping, TypeVar
 
-from .diagnostics import (
-    E_CYCLE,
-    E_DUPLICATE,
-    E_UNKNOWN_REF,
-    CiotError,
-    Diagnostic,
-    Offsets,
-    error,
-)
+from .diagnostics import CiotError, Diagnostic, Offsets, error
 from .metamodel import (
     ActionDef,
     Assignment,
@@ -85,7 +77,7 @@ class _Resolver:
         for d in decls:
             name, span = (d.name.name, d.name.span) if isinstance(d.name, Ref) else (d.name, d.name_span)
             if name in seen:
-                self.err(E_DUPLICATE, f"duplicate {what} {name!r}{where}", span)
+                self.err("E_DUPLICATE", f"duplicate {what} {name!r}{where}", span)
             else:
                 seen.add(name)
                 yield d
@@ -96,7 +88,7 @@ class _Resolver:
             return None
         found = table.get(ref.name)
         if found is None:
-            self.err(E_UNKNOWN_REF, f"unknown {what} {ref.name!r}{where}", ref.span)
+            self.err("E_UNKNOWN_REF", f"unknown {what} {ref.name!r}{where}", ref.span)
         return found
 
     def run(self) -> Model | None:
@@ -223,7 +215,7 @@ class _Resolver:
         port = self.ports[inst.component.name].get(ast_ep.port.name)
         if port is None:
             self.err(
-                E_UNKNOWN_REF,
+                "E_UNKNOWN_REF",
                 f"component {inst.component.name!r} has no port {ast_ep.port.name!r}",
                 ast_ep.port.span,
             )
@@ -275,7 +267,7 @@ class _Resolver:
                     if kid.name in done:
                         continue
                     if kid.name in visiting:
-                        self.err(E_CYCLE, message.format(kid.name), kid.span)
+                        self.err("E_CYCLE", message.format(kid.name), kid.span)
                         done.add(kid.name)
                         continue
                     visiting.add(kid.name)

@@ -10,16 +10,16 @@ from __future__ import annotations
 
 from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
-from .diagnostics import E_USAGE, CiotError
+from .diagnostics import CiotError
 from .guards import format_value
-from .metamodel import ActionKind
 
 # The keys of each kind's values, in record and render order. Raw values:
 # names as strings; ``eseq`` an int; ``payload`` and ``set`` the field dicts
-# (None for no payload, empty for no assignment); ``type`` an ``ActionKind``;
-# ``guard`` the quoted guard text; ``result`` a bool; a transition's
-# ``trigger`` an event name or None; a send's ``to`` the (peer path, peer
-# port) route or None, and its ``error`` None when the send was delivered.
+# (None for no payload, empty for no assignment); ``type`` the action kind's
+# text, such as "SendPayload"; ``guard`` the quoted guard text; ``result`` a
+# bool; a transition's ``trigger`` an event name or None; a send's ``to`` the
+# (peer path, peer port) route or None, and its ``error`` None when the send
+# was delivered.
 FIELDS = {
     "state_entered": ("state",),
     "state_exited": ("state",),
@@ -51,19 +51,12 @@ def _route(route: tuple[str, str] | None) -> str:
     return "-" if route is None else f"{route[0]}.{route[1]}"
 
 
-# The ``type`` text of each action kind, by identity: hashing an enum member
-# runs Python code.
-_ACTION_TYPE = {id(kind): kind.value for kind in ActionKind}
-
-
 # Per kind: the text of each value, in FIELDS order (None leaves the key out).
 _TEXTS = {
     "state_entered": lambda state: (state,),
     "state_exited": lambda state: (state,),
     "event_delivered": lambda event, eseq, source, payload: (event, eseq, source, fmt_payload(payload)),
-    "action": lambda action, kind, assigned: (
-        action, _ACTION_TYPE[id(kind)], fmt_payload(assigned) if assigned else "-"
-    ),
+    "action": lambda action, kind, assigned: (action, kind, fmt_payload(assigned) if assigned else "-"),
     "guard_eval": lambda label, guard, result: (label, guard, "true" if result else "false"),
     "transition": lambda source, target, trigger: (source, target, trigger or "-"),
     "payload_sent": lambda port, event, route, payload, error: (
@@ -139,7 +132,7 @@ def _renderer() -> Callable[[Iterable[TraceRecord]], list[str]]:
                 last_time, time_text = time_us, f"{time_us}"
             if kind == "action" and values[2]:
                 action, action_kind, assigned = values
-                tail = f" action={action} type={_ACTION_TYPE[id(action_kind)]} set={payload(assigned)}"
+                tail = f" action={action} type={action_kind} set={payload(assigned)}"
             elif kind == "event_delivered":
                 event, eseq, source, sent = values
                 tail = f" event={event} eseq={eseq} from={source} payload={payload(sent)}"
@@ -170,10 +163,10 @@ def render_trace(records: Iterable[TraceRecord]) -> str:
     try:
         records = iter(records)
     except TypeError:
-        raise CiotError.of(E_USAGE, f"records must be an iterable, got {type(records).__name__}") from None
+        raise CiotError.of("E_USAGE", f"records must be an iterable, got {type(records).__name__}") from None
     try:
         lines = _renderer()(records)
     except (TypeError, ValueError, LookupError, AttributeError) as exc:
-        raise CiotError.of(E_USAGE, "records must hold only trace records") from exc
+        raise CiotError.of("E_USAGE", "records must hold only trace records") from exc
     lines.append("")
     return "\n".join(lines)

@@ -48,12 +48,10 @@ from .metamodel import (
 
 _Finding = tuple[str, str, Offsets | None]
 
-# Keyed by the direction's id, since an Enum member's hash is a Python-level
-# call.
 _EXPECTED_ACTION = {
-    id(EventDirection.INCOMING): ActionKind.RECEIVE_PAYLOAD,
-    id(EventDirection.OUTGOING): ActionKind.SEND_PAYLOAD,
-    id(EventDirection.GENERIC): ActionKind.GENERIC,
+    EventDirection.INCOMING: ActionKind.RECEIVE_PAYLOAD,
+    EventDirection.OUTGOING: ActionKind.SEND_PAYLOAD,
+    EventDirection.GENERIC: ActionKind.GENERIC,
 }
 
 
@@ -138,19 +136,19 @@ def _positioned_events(comp: ComponentDef) -> list[tuple[EventDef, str]]:
 
 def _check_events(comp: ComponentDef) -> Iterator[_Finding]:
     for ev in comp.events:
-        expected = _EXPECTED_ACTION[id(ev.direction)]
+        expected = _EXPECTED_ACTION[ev.direction]
         if ev.action.kind is not expected:
             yield (
                 "R3",
-                f"{ev.direction.value} event {ev.name!r} must bind a {expected.value} action, "
-                f"but {ev.action.name!r} is {ev.action.kind.value}",
+                f"{ev.direction} event {ev.name!r} must bind a {expected} action, "
+                f"but {ev.action.name!r} is {ev.action.kind}",
                 ev.span,
             )
         if ev.direction is EventDirection.GENERIC:
             if ev.port is not None:
                 yield "R3", f"generic event {ev.name!r} must not name a port", ev.span
         elif ev.port is None:
-            yield "R3", f"{ev.direction.value} event {ev.name!r} must name a port", ev.span
+            yield "R3", f"{ev.direction} event {ev.name!r} must name a port", ev.span
         if ev.payload is not None and ev.action.payload is not None and ev.payload is not ev.action.payload:
             yield (
                 "R3",
@@ -174,7 +172,7 @@ def _check_events(comp: ComponentDef) -> Iterator[_Finding]:
         if act.kind is ActionKind.GENERIC and act.port is not None:
             yield "R3", f"Generic action {act.name!r} must not name a port", act.span
         if act.kind is not ActionKind.GENERIC and act.port is None:
-            yield "R3", f"{act.kind.value} action {act.name!r} must name a port", act.span
+            yield "R3", f"{act.kind} action {act.name!r} must name a port", act.span
         if act.kind is ActionKind.SEND_PAYLOAD:
             if act.payload is None:
                 yield "R3", f"SendPayload action {act.name!r} must declare a payload type", act.span
@@ -209,8 +207,8 @@ def _check_constructible(comp: ComponentDef, payload: PayloadDef, what: str, spa
         elif not assignable(fld.type, prop.type):
             yield (
                 "R3",
-                f"{what}: payload field {fld.name!r} is {fld.type.value} but property "
-                f"{fld.name!r} is {prop.type.value}",
+                f"{what}: payload field {fld.name!r} is {fld.type} but property "
+                f"{fld.name!r} is {prop.type}",
                 span,
             )
 
@@ -239,7 +237,7 @@ def _payload_scope(payload: PayloadDef | None) -> dict[str, PrimType] | None:
         return None
     # Record-typed fields stay out of expression scope; payload.<field> only
     # reaches primitive fields.
-    return {f.name: f.type for f in payload.fields if isinstance(f.type, PrimType)}
+    return {f.name: f.type for f in payload.fields if isinstance(f.type, str)}
 
 
 def _check_property_initials(comp: ComponentDef) -> Iterator[_Finding]:
@@ -247,7 +245,7 @@ def _check_property_initials(comp: ComponentDef) -> Iterator[_Finding]:
         if fit_value(prop.type, prop.initial) is None:
             yield (
                 "R4",
-                f"property {prop.name!r} of component {comp.name!r} is {prop.type.value} "
+                f"property {prop.name!r} of component {comp.name!r} is {prop.type} "
                 f"but its initial value is {describe_value(prop.initial)}",
                 prop.span,
             )
@@ -266,13 +264,13 @@ def _check_effects(comp: ComponentDef) -> Iterator[_Finding]:
                 yield "R4", f"effect in action {act.name!r} assigns unknown property {eff.target!r}", eff.span
                 continue
             value_type = _type_of(eff.expr, scope, f"effect expression in action {act.name!r}")
-            if not isinstance(value_type, PrimType):
+            if not isinstance(value_type, str):
                 yield value_type
             elif not assignable(target_type, value_type):
                 yield (
                     "R4",
-                    f"effect in action {act.name!r} assigns {value_type.value} to "
-                    f"{target_type.value} property {eff.target!r}",
+                    f"effect in action {act.name!r} assigns {value_type} to "
+                    f"{target_type} property {eff.target!r}",
                     eff.span,
                 )
 
@@ -301,10 +299,10 @@ def _check_machine(comp: ComponentDef, machine: StateMachine) -> Iterator[_Findi
         payload_fields = _payload_scope(t.trigger.payload) if t.trigger is not None else None
         what = f"guard on transition {t.source.name} -> {t.target.name} of component {comp.name!r}"
         guard_type = _type_of(t.guard, GuardScope(props, payload_fields), what)
-        if not isinstance(guard_type, PrimType):
+        if not isinstance(guard_type, str):
             yield guard_type
         elif guard_type is not PrimType.BOOL:
-            yield "R4", f"{what} must be bool, got {guard_type.value}", t.span
+            yield "R4", f"{what} must be bool, got {guard_type}", t.span
 
     # R6 needs a unique entry point; skip it while R1 is violated so one
     # seeded defect reports exactly one rule. The resolver binds every

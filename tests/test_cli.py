@@ -229,6 +229,7 @@ def test_run_inject_int_past_digit_limit_is_one_short_usage_error(capsys, parkin
         ("\u0669" * 5000, 5000),
         ("1_" * 5000 + "1", 5001),
         ("-" + "0" * 5000 + "9" * 5000, 5000),
+        ("0" * 5000 + "9" * 5000 + ".5", 5001),
     ],
     ids=[
         "point_five",
@@ -240,6 +241,7 @@ def test_run_inject_int_past_digit_limit_is_one_short_usage_error(capsys, parkin
         "arabic_indic_digits",
         "underscores",
         "leading_zeros",
+        "decimal_leading_zeros",
     ],
 )
 def test_run_inject_huge_decimal_is_one_short_usage_error(capsys, parking_path, value, digits):

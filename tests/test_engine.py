@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ciot import collect_diagnostics, load_text
+from ciot import collect_diagnostics, load_scenario_file, load_text, simulate
 from ciot.diagnostics import CiotError
 from ciot.engine import (
     _conform_payload,
@@ -16,7 +16,7 @@ from ciot.engine import (
 )
 from ciot.export import export_model
 from ciot.loader import load_file
-from ciot.metamodel import ActionKind, Model, with_property_initial
+from ciot.metamodel import Model, with_property_initial
 from ciot.trace import FIELDS, render_trace
 
 from genmodels import alphabet, generate
@@ -807,7 +807,7 @@ def test_records_hold_raw_values(parking_model):
     step(rt)
     ev, act, guard, trans, exited, entered = rt.trace[mark:]
     assert ev == (mark, 0, "node.green", "event_delivered", ("evtCommand", 0, "env", HIGH))
-    assert act.values == ("actReceiveCommand", ActionKind.RECEIVE_PAYLOAD, {})
+    assert act.values == ("actReceiveCommand", "ReceivePayload", {})
     assert guard.values == ("OFF->ON", '"payload.state == \\"high\\""', True)
     assert guard.values[2] is True
     assert (trans.values, exited.values, entered.values) == (("OFF", "ON", "evtCommand"), ("OFF",), ("ON",))
@@ -820,6 +820,27 @@ def test_records_hold_raw_values(parking_model):
     received = next(r for r in rt.trace if r.kind == "event_delivered" and r.instance == "node.red")
     assert received.values[3] is send.values[3]
     assert all(len(r.values) == len(FIELDS[r.kind]) for r in rt.trace)
+
+
+@pytest.mark.parametrize("scenario_file", ["scenario_arrive_depart.scn", "scenario_physical.scn"])
+def test_record_values_are_builtin_values(parking_model, corpus_dir, scenario_file):
+    """Every leaf of a record's values is a builtin scalar: a consumer of the
+    trace needs nothing from ciot to read it."""
+
+    def leaves(value):
+        if type(value) is dict:
+            for v in value.values():
+                yield from leaves(v)
+        elif type(value) is tuple:
+            for v in value:
+                yield from leaves(v)
+        else:
+            yield value
+
+    trace = simulate(parking_model, load_scenario_file(str(corpus_dir / scenario_file))).trace
+    assert {r.kind for r in trace} >= {"action", "payload_sent", "event_delivered"}
+    kinds = {type(leaf) for r in trace for leaf in leaves(r.values)}
+    assert kinds <= {str, int, float, bool, type(None)}
 
 
 def test_detail_is_fixed_once_recorded(parking_model):

@@ -308,10 +308,10 @@ _DEFAULT_LITERAL = {PrimType.INT: "0", PrimType.FLOAT: "0.0", PrimType.BOOL: "fa
 
 def _one_property_model(t: PrimType, literal: str) -> str:
     return (
-        f"payload P {{ f: {t.value}; }}\n"
+        f"payload P {{ f: {t}; }}\n"
         "interface I { op o(P); }\n"
         "component C : IoTElement {\n"
-        f"    property p: {t.value} = {literal};\n"
+        f"    property p: {t} = {literal};\n"
         "    port p1 provides I;\n"
         "    event e incoming port p1 payload P action a;\n"
         "    action a receive port p1 payload P;\n"
@@ -337,7 +337,7 @@ def _same(a, b) -> bool:
 
 
 @settings(max_examples=150, deadline=None)
-@given(t=st.sampled_from(list(PrimType)), value=_VALUES)
+@given(t=st.sampled_from((PrimType.INT, PrimType.FLOAT, PrimType.BOOL, PrimType.STRING)), value=_VALUES)
 def test_fit_value_is_the_verdict_at_every_site(t, value):
     fit = fit_value(t, value)
     model = load_text(_one_property_model(t, _DEFAULT_LITERAL[t]), check=False)

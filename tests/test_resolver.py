@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from ciot import load_file, load_text, structurally_equal
 from ciot.cli import main
 from ciot.diagnostics import CiotError, Severity
-from ciot.guards import expr_to_text
+from ciot.guards import PrimType, expr_to_text
 from ciot.loader import collect_diagnostics
-from ciot.metamodel import ComponentKind, instance_paths
+from ciot.metamodel import ActionKind, ComponentKind, EventDirection, instance_paths
 from ciot.parser import parse
 from ciot.resolver import resolve
 
@@ -136,12 +136,50 @@ def test_connectors_resolve_when_composite_precedes_child():
 
 
 def test_component_kinds():
-    m = load_text(
-        "component A : IoTElement {}\ncomponent B : Board {}\ncomponent V : VirtualEntity {}\n"
+    """Every fixed word the parser produces is its class constant, not an
+    equal string: the engine, the validator and ``fit_value`` compare words
+    by identity. The text is built at runtime, so that no word of it is an
+    interned literal of this file."""
+    text = "".join(
+        [
+            "payload P { i: int; f: float; b: bool; s: string; }\n",
+            "interface I { op o(P); }\n",
+            "component A : IoTElement {\n",
+            "    property i: int = 1; property f: float = 1.5;\n",
+            '    property b: bool = true; property s: string = "s";\n',
+            "    port p provides I;\n",
+            "    event ei incoming port p payload P action ar;\n",
+            "    event eo outgoing port p payload P action as;\n",
+            "    event eg generic action ag;\n",
+            "    action ar receive port p payload P;\n",
+            "    action as send port p payload P;\n",
+            "    action ag generic;\n",
+            "    statemachine { initial state S {}\n",
+            '        transition S -> S [i == 2 and f < 2.5 and b == false and s != "t"]; }\n',
+            "}\n",
+            "component B : Board {}\n",
+            "component V : VirtualEntity {}\n",
+        ]
     )
-    assert m.component_named("A").kind is ComponentKind.IOT_ELEMENT
-    assert m.component_named("B").kind is ComponentKind.BOARD
-    assert m.component_named("V").kind is ComponentKind.VIRTUAL_ENTITY
+    m = load_text(text, check=False)
+    a = m.component_named("A")
+    guard = a.state_machine.transitions[0].guard  # ((i == 2 and f < 2.5) and b == false) and s != "t"
+    literals = [cmp.right for cmp in (guard.left.left.left, guard.left.left.right, guard.left.right, guard.right)]
+    prims = [PrimType.INT, PrimType.FLOAT, PrimType.BOOL, PrimType.STRING]
+    kinds = [ComponentKind.IOT_ELEMENT, ComponentKind.BOARD, ComponentKind.VIRTUAL_ENTITY]
+    directions = [EventDirection.INCOMING, EventDirection.OUTGOING, EventDirection.GENERIC]
+    actions = [ActionKind.RECEIVE_PAYLOAD, ActionKind.SEND_PAYLOAD, ActionKind.GENERIC]
+    produced = {
+        "component kinds": ([m.component_named(n).kind for n in "ABV"], kinds),
+        "event directions": ([e.direction for e in a.events], directions),
+        "action kinds": ([act.kind for act in a.actions], actions),
+        "property types": ([p.type for p in a.properties], prims),
+        "payload field types": ([f.type for f in m.payloads[0].fields], prims),
+        "literal types": ([lit.type for lit in literals], prims),
+    }
+    for what, (words, constants) in produced.items():
+        assert words == constants, what
+        assert all(w is c for w, c in zip(words, constants)), what
 
 
 def test_duplicate_names_flagged():

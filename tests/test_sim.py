@@ -169,10 +169,11 @@ HUGE = "9" * 5000
         ("mode=duration\nhorizon_ms=" + "1_" * 5000 + "1", "line 2: horizon_ms", 5001),
         ("mode=duration\nhorizon_ms=" + "0" * 5000 + HUGE, "line 2: horizon_ms", 5000),
         ("mode=duration\nhorizon_ms=" + "\u0660_" * 5000 + HUGE, "line 2: horizon_ms", 5000),
+        ("mode=duration\nhorizon_ms=100\nat 0 slot node echo " + "0" * 5000 + HUGE, "line 3: echo value", 5000),
     ],
     ids=[
         "horizon_ms", "sample_period_ms", "time", "echo", "occupy", "arabic_indic_digits", "underscores",
-        "leading_zeros", "leading_arabic_indic_zeros",
+        "leading_zeros", "leading_arabic_indic_zeros", "echo_leading_zeros",
     ],
 )
 def test_scenario_huge_number_is_one_short_error(body, what, digits):

@@ -10,7 +10,6 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ciot.metamodel import ActionKind
 from ciot.trace import FIELDS, TraceRecord, render_trace
 
 # Kinds whose values have the same shape: a values tuple may appear under either.
@@ -49,7 +48,9 @@ def traces(draw) -> list[TraceRecord]:
         "guard_eval": st.tuples(names, texts, st.booleans()),
         "transition": st.tuples(names, names, st.one_of(st.none(), names, st.booleans())),
         "event_delivered": st.tuples(names, st.integers(0, 10**6), names, payload),
-        "action": st.tuples(names, st.sampled_from(ActionKind), st.one_of(st.just({}), st.sampled_from(shared))),
+        "action": st.tuples(
+            names, st.sampled_from(("SendPayload", "ReceivePayload", "Generic")), st.one_of(st.just({}), st.sampled_from(shared))
+        ),
         "payload_sent": st.one_of(
             st.tuples(names, names, st.tuples(texts, texts), payload, st.none()),
             st.tuples(names, names, st.none(), payload, st.just("E_NO_ROUTE")),
@@ -94,7 +95,7 @@ def test_freed_objects_cannot_return_stale_text():
         for i in range(n):
             yield TraceRecord(3 * i, i, "c", "state_entered", (f"S{i}",))
             yield TraceRecord(3 * i + 1, i, "c", "event_delivered", ("e", i, "env", {"v": float(i)}))
-            yield TraceRecord(3 * i + 2, i, "c", "action", ("a", ActionKind.GENERIC, {"v": float(i), "s": str(i)}))
+            yield TraceRecord(3 * i + 2, i, "c", "action", ("a", "Generic", {"v": float(i), "s": str(i)}))
 
     expected = "".join(
         f"seq={3 * i} t={i} inst=c kind=state_entered state=S{i}\n"
