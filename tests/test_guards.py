@@ -247,6 +247,11 @@ _VALUES = st.one_of(
 )
 
 
+def _type_id(value):
+    """Name a type word by its constant, such as ``PrimType.INT``; any other value keeps pytest's id."""
+    return next((f"PrimType.{name}" for name in ("INT", "FLOAT", "BOOL", "STRING") if getattr(PrimType, name) is value), None)
+
+
 @pytest.mark.parametrize(
     "t, value, stored",
     [
@@ -267,6 +272,7 @@ _VALUES = st.one_of(
         (PrimType.STRING, 1, None),
         (None, 1, None),
     ],
+    ids=_type_id,
 )
 def test_fit_value_rule(t, value, stored):
     result = fit_value(t, value)
