@@ -117,9 +117,9 @@ def _cmd_simulate(args) -> int:
         model = with_property_initial(model, THRESHOLD_PROPERTY, args.threshold_ms)
     scenario = load_scenario_file(args.scenario)
     if not args.trace:
-        # Without a trace to write, a model whose timeline cannot be read
-        # fails before it is simulated.
-        find_led_paths(instance_paths(model))
+        # A model whose timeline cannot be read fails, naming its file,
+        # before it is simulated or, with a trace to write, once it is written.
+        find_led_paths(instance_paths(model), model.source)
     result = simulate(
         model,
         scenario,
@@ -130,6 +130,7 @@ def _cmd_simulate(args) -> int:
     )
     if args.trace:
         _write_text(render_trace(result.trace), args.trace)
+        find_led_paths(instance_paths(model), model.source)
     sys.stdout.write(render_timeline(occupancy_timeline(result)))
     return 0
 

@@ -65,8 +65,13 @@ widening an int to a float is not a proof, so it still goes through
 A send that finds no connector, or a peer with no matching incoming event,
 is recorded with ``error=E_NO_ROUTE`` and dropped; it is not a runtime fault.
 
-Trace records hold raw values (``trace.FIELDS``), and text is built only when
-a record is read. Payload and assigned-value dicts are kept by reference, so
+Each trace record is a plain ``(seq, time_us, instance, kind, values)``
+tuple appended to ``RuntimeState.records`` by ``RuntimeState.record``, the
+one place records are made; a record whose values hold no dict is one the
+collector stops tracking. ``RuntimeState.trace`` reads the list as
+``TraceRecord``s through a live ``trace.Trace`` view, built only as each is
+read. The values are raw (``trace.FIELDS``), and text is built only when a
+record is read. Payload and assigned-value dicts are kept by reference, so
 the engine never mutates such a dict after building it. ``enqueue`` checks
 nothing and queues a fresh payload from ``_conform_payload`` (``inject``,
 ``bind_internal``), ``_snapshot_payload`` (sends, entry and exit positions)
@@ -95,9 +100,7 @@ from .metamodel import (
     TransitionDef,
     instance_paths,
 )
-from .trace import TraceRecord
-
-_new_tuple = tuple.__new__
+from .trace import Trace
 
 # Steps a run may take to quiesce unless the caller says otherwise.
 DEFAULT_MAX_STEPS = 10000
@@ -187,17 +190,20 @@ class RuntimeState:
     instances: dict[str, InstanceState]
     order: list[str]  # depth-first instance paths
     by_index: list[InstanceState]  # the instances in depth-first order
-    trace: list[TraceRecord] = field(default_factory=list)
+    records: list[tuple] = field(default_factory=list)  # (seq, time_us, instance, kind, values) each
     clock_us: int = 0
     seq: int = 0
     eseq: int = 0
     step_count: int = 0
     ready: list[int] = field(default_factory=list)  # min-heap of indices with a non-empty inbox
 
+    @property
+    def trace(self) -> Trace:
+        """The records as ``TraceRecord``s, a live read-only view."""
+        return Trace(self.records)
+
     def record(self, instance: str, kind: str, values: tuple) -> None:
-        # The same record as TraceRecord(...), without the Python-level call
-        # of its generated __new__, which takes about four times as long.
-        self.trace.append(_new_tuple(TraceRecord, (self.seq, self.clock_us, instance, kind, values)))
+        self.records.append((self.seq, self.clock_us, instance, kind, values))
         self.seq += 1
 
 

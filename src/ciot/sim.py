@@ -29,13 +29,13 @@ import math
 import os
 from dataclasses import dataclass, field, replace
 from itertools import groupby
-from operator import attrgetter
+from operator import itemgetter
 
 from .diagnostics import CiotError, read_text, require_type
 from .engine import DEFAULT_MAX_STEPS, RuntimeState, enqueue, instantiate, run_to_quiescence
 from .guards import PrimType, describe_value, fit_value, read_number
 from .metamodel import ComponentDef, EventDef, EventDirection, Model
-from .trace import TraceRecord
+from .trace import Trace
 
 DEFAULT_SAMPLE_PERIOD_MS = 100
 DEFAULT_FLOOR_DISTANCE_M = 2.5
@@ -79,7 +79,9 @@ class SimResult:
     scenario: Scenario
 
     @property
-    def trace(self) -> list[TraceRecord]:
+    def trace(self) -> Trace:
+        """The run's records as ``TraceRecord``s, a live read-only view of
+        ``runtime.records``; each record is built only as it is read."""
         return self.runtime.trace
 
 
@@ -319,16 +321,19 @@ def simulate(
     return SimResult(rt, scenario)
 
 
-def find_led_paths(instances: list[tuple[str, ComponentDef]]) -> tuple[str, str]:
+def find_led_paths(instances: list[tuple[str, ComponentDef]], source: str | None = None) -> tuple[str, str]:
     """Locate the red and green indicator instances by component name among
     (path, component) pairs, such as ``instance_paths(model)``, so a model
-    can be checked before it runs."""
+    can be checked before it runs; E_TRACE naming ``source``, the model's
+    file, unless there is exactly one of each."""
     reds = [p for p, comp in instances if comp.name == RED_LED]
     greens = [p for p, comp in instances if comp.name == GREEN_LED]
     if len(reds) != 1 or len(greens) != 1:
         raise CiotError.of(
             "E_TRACE",
             f"occupancy needs exactly one {RED_LED} and one {GREEN_LED} instance, found {len(reds)} and {len(greens)}",
+            None,
+            source,
         )
     return reds[0], greens[0]
 
@@ -346,10 +351,10 @@ def occupancy_timeline(result: SimResult) -> list[tuple[int, str]]:
     red_path, green_path = find_led_paths([(p, rt.instances[p].component) for p in rt.order])
     state = {red_path: None, green_path: None}
     timeline: list[tuple[int, str]] = []
-    for t_us, records in groupby(rt.trace, attrgetter("time_us")):
-        for rec in records:
-            if rec.kind == "state_entered" and rec.instance in state:
-                state[rec.instance] = rec.values[0]
+    for t_us, records in groupby(rt.records, itemgetter(1)):
+        for _, _, instance, kind, values in records:
+            if kind == "state_entered" and instance in state:
+                state[instance] = values[0]
         red_on, green_on = state[red_path] == "ON", state[green_path] == "ON"
         if red_on and green_on:
             raise CiotError.of("E_TRACE", f"both indicators ON at t={t_us}us")

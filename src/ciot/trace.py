@@ -1,13 +1,18 @@
 """Execution trace records and their canonical text form.
 
 Every observable step of a run becomes one record holding the raw values of
-that step. Text is built only when a record is read, by ``detail`` or by the
-renderer, so a run that renders nothing formats nothing. Rendering is stable,
-so two identical runs produce byte-identical trace files.
+that step. The engine keeps each as a plain ``(seq, time_us, instance, kind,
+values)`` tuple, which the collector can stop tracking; a ``Trace`` reads
+them as ``TraceRecord``s, built only as each is read. Text is built only
+when a record is read, by ``detail`` or by the renderer, so a run that
+renders nothing formats nothing. Rendering is stable, so two identical runs
+produce byte-identical trace files.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+from functools import partial
 from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
 from .diagnostics import CiotError
@@ -45,6 +50,43 @@ class TraceRecord(NamedTuple):
         ``eseq`` stays an int; a delivered send has no ``error`` key."""
         texts = zip(FIELDS[self.kind], _TEXTS[self.kind](*self.values))
         return {k: text for k, text in texts if text is not None}
+
+
+# A record's plain tuple as a TraceRecord, without the Python-level call of
+# its generated __new__.
+_as_record = partial(tuple.__new__, TraceRecord)
+
+
+class Trace(Sequence):
+    """A read-only, live view of a run's plain record tuples as ``TraceRecord``s.
+
+    Each record is built as it is read: iterating maps the tuples, an index
+    gives one record and a slice a list of them. The view shows records the
+    run appends after it was taken, and it equals a list (or another
+    ``Trace``) of the same records, since a record compares as a tuple."""
+
+    __slots__ = ("_records",)
+
+    def __init__(self, records: list[tuple]) -> None:
+        self._records = records
+
+    def __len__(self) -> int:
+        return len(self._records)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(map(_as_record, self._records[index]))
+        return _as_record(self._records[index])
+
+    def __iter__(self):
+        return map(_as_record, self._records)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, Trace):
+            return self._records == other._records
+        if isinstance(other, list):
+            return self._records == other
+        return NotImplemented
 
 
 def _route(route: tuple[str, str] | None) -> str:
@@ -156,10 +198,13 @@ def _renderer() -> Callable[[Iterable[TraceRecord]], list[str]]:
 
 def render_trace(records: Iterable[TraceRecord]) -> str:
     """The trace text of ``records``, one line each; E_USAGE unless
-    ``records`` is an iterable of trace records.
+    ``records`` is an iterable of trace records. A ``Trace`` is read through
+    its plain tuples, so no ``TraceRecord`` is built.
 
     No record is checked up front: one that is not a trace record fails in
     the renderer's unpacking or lookups, and that failure becomes E_USAGE."""
+    if isinstance(records, Trace):
+        records = records._records
     try:
         records = iter(records)
     except TypeError:

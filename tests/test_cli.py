@@ -492,7 +492,7 @@ def test_simulate_two_led_pairs_fails_before_simulating(capsys, monkeypatch, two
     code, out, err = run_cli(capsys, "simulate", two_node_path, arrive_depart_path)
     assert code == 1
     assert out == ""
-    assert "E_TRACE" in err and "found 2 and 2" in err
+    assert err.startswith(f"{two_node_path}: error E_TRACE ") and "found 2 and 2" in err
 
 
 def test_simulate_two_led_pairs_still_writes_trace(capsys, tmp_path, two_node_path, arrive_depart_path):
@@ -500,7 +500,7 @@ def test_simulate_two_led_pairs_still_writes_trace(capsys, tmp_path, two_node_pa
     code, out, err = run_cli(capsys, "simulate", two_node_path, arrive_depart_path, "--trace", str(target))
     assert code == 1
     assert out == ""
-    assert "E_TRACE" in err and "found 2 and 2" in err
+    assert err.startswith(f"{two_node_path}: error E_TRACE ") and "found 2 and 2" in err
     text = target.read_text()
     assert text.startswith("seq=0 t=0 ") and "inst=node2.red kind=state_entered" in text
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -856,6 +858,22 @@ def test_detail_is_fixed_once_recorded(parking_model):
         run_to_quiescence(rt)
     assert len(rt.trace) > len(before)
     assert [(r.detail, render_trace([r])) for r in rt.trace[: len(before)]] == before
+
+
+@pytest.mark.parametrize("scenario_file", ["scenario_arrive_depart.scn", "scenario_physical.scn"])
+def test_records_are_plain_tuples_and_those_without_dicts_are_left_untracked(parking_model, corpus_dir, scenario_file):
+    """A record is an exact tuple of strings, ints and its values tuple, so
+    unless its values hold a payload or ``set`` dict the collector stops
+    tracking it and no later collection walks it. A collection untracks a
+    tuple whose items are untracked when it reaches it, so a record that the
+    collector meets before its values tuple is left for the next one."""
+    records = simulate(parking_model, load_scenario_file(str(corpus_dir / scenario_file))).runtime.records
+    gc.collect()
+    gc.collect()
+    assert all(type(r) is tuple for r in records)
+    dictless = [r for r in records if not any(type(v) is dict for v in r[4])]
+    assert dictless
+    assert not any(gc.is_tracked(r) for r in dictless)
 
 
 def assert_lines_match_detail(records) -> None:

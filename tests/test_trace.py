@@ -1,16 +1,19 @@
-"""The trace renderer on hand-built records.
+"""The trace renderer on hand-built records, and the ``Trace`` view.
 
 ``render_trace`` keeps text by the identity of the objects it formats
 (shared values tuples, and the floats and strs in payloads); these tests pin
 that a whole trace renders exactly as its records do one at a time, and as
-their ``detail`` reads."""
+their ``detail`` reads. A ``Trace`` reads a run's plain record tuples as
+``TraceRecord``s; its tests pin that it reads as the list of its records."""
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ciot.trace import FIELDS, TraceRecord, render_trace
+from ciot import load_scenario_file, simulate
+from ciot.trace import FIELDS, Trace, TraceRecord, render_trace
 
 # Kinds whose values have the same shape: a values tuple may appear under either.
 TWIN = {
@@ -118,3 +121,34 @@ def test_dict_changed_between_records_renders_its_contents_at_each():
         'seq=0 t=0 inst=c kind=payload_sent port=p event=e to=- payload={v=1.0,s="a"} error=E_NO_ROUTE\n'
         'seq=1 t=0 inst=c kind=event_delivered event=e eseq=0 from=env payload={v=2.0,s="b"}\n'
     )
+
+
+def test_trace_view_reads_its_list_as_records():
+    sent = {"state": "high"}
+    records = [
+        (0, 0, "a", "state_entered", ("S",)),
+        (1, 5, "a.b", "payload_sent", ("p", "e", ("a", "q"), sent, None)),
+    ]
+    view = Trace(records)
+    assert len(view) == 2
+    last = view[-1]
+    assert type(last) is TraceRecord
+    assert (last.kind, last.instance, last.time_us) == ("payload_sent", "a.b", 5)
+    assert last.detail == {"port": "p", "event": "e", "to": "a.q", "payload": '{state="high"}'}
+    assert last.values is records[1][4] and last.values[3] is sent
+    assert view[:1] == [TraceRecord(0, 0, "a", "state_entered", ("S",))] and type(view[:1]) is list
+    # The view is live: it shows a record appended after it was taken.
+    records.append((2, 5, "a", "state_exited", ("S",)))
+    assert len(view) == 3 and view[2].detail == {"state": "S"}
+    assert all(type(r) is TraceRecord for r in view)
+    assert view == list(view) == records and view == Trace(list(records))
+    assert view != records[:2] and Trace([]) == []
+    with pytest.raises(TypeError):
+        view[0] = records[0]
+
+
+@pytest.mark.parametrize("scenario_fixture", ["arrive_depart_path", "physical_path"])
+def test_trace_view_renders_as_the_list_of_its_records(request, shared_parking_model, scenario_fixture):
+    view = simulate(shared_parking_model(), load_scenario_file(request.getfixturevalue(scenario_fixture))).trace
+    assert isinstance(view, Trace) and len(view) > 0
+    assert render_trace(view) == render_trace(list(view))
