@@ -271,7 +271,7 @@ def _build_dispatch(comp: ComponentDef, model: Model) -> Dispatch:
     actions: dict[str, Action] = {}
     for ev in comp.events:
         actions.setdefault(ev.name, _action(ev, types, model))
-    outgoing = [ev for ev in comp.events if ev.direction is EventDirection.OUTGOING]
+    outgoing = [ev for ev in comp.events if ev.direction == EventDirection.OUTGOING]
 
     def executions(events: list[EventDef], inline: bool) -> tuple[Execution, ...]:
         return tuple(_execution(ev, actions[ev.name], types, outgoing, inline) for ev in events)
@@ -299,7 +299,7 @@ def _build_dispatch(comp: ComponentDef, model: Model) -> Dispatch:
 
 def _action(ev: EventDef, types: dict[str, PrimType], model: Model) -> Action:
     act = ev.action
-    sees_payload = act.kind is not ActionKind.SEND_PAYLOAD
+    sees_payload = act.kind != ActionKind.SEND_PAYLOAD
     fields = {}
     if sees_payload and ev.payload is not None and ev.payload is act.payload:
         fields = {f.name: f.type for f in ev.payload.fields}
@@ -318,21 +318,21 @@ def _proves(t: PrimType | None, expr: Expr, properties: dict, fields: dict) -> b
     if isinstance(expr, Literal):
         return fit_value(t, expr.value) is expr.value
     if isinstance(expr, NameRef):
-        return properties.get(expr.name) is t
+        return properties.get(expr.name) == t
     if isinstance(expr, PayloadFieldRef):
-        return fields.get(expr.field) is t
-    return t is PrimType.BOOL  # a comparison, not, and, or
+        return fields.get(expr.field) == t
+    return t == PrimType.BOOL  # a comparison, not, and, or
 
 
 def _fields(payload_def: PayloadDef | None, types: dict[str, PrimType]) -> Fields:
     if payload_def is None:
         return None
-    return tuple((f.name, f.type, types.get(f.name) is f.type) for f in payload_def.fields)
+    return tuple((f.name, f.type, types.get(f.name) == f.type) for f in payload_def.fields)
 
 
 def _execution(ev: EventDef, action: Action, types: dict, outgoing: list[EventDef], inline: bool) -> Execution:
-    if ev.direction is EventDirection.OUTGOING:
-        if action.kind is not ActionKind.SEND_PAYLOAD:
+    if ev.direction == EventDirection.OUTGOING:
+        if action.kind != ActionKind.SEND_PAYLOAD:
             return lambda rt, inst: _run_action(rt, inst, action, None)
         k = outgoing.index(ev)
 
@@ -403,7 +403,7 @@ def _event_at(rt: RuntimeState, path: str, name: str, direction: EventDirection)
     if inst is None:
         raise CiotError.of("E_BAD_TARGET", f"no instance at path {path!r}")
     event = inst.component.event_named(name)
-    if event is None or event.direction is not direction:
+    if event is None or event.direction != direction:
         raise CiotError.of("E_BAD_TARGET", f"component {inst.component.name!r} has no {direction} event {name!r}")
     return inst, event
 
@@ -453,7 +453,7 @@ def _check_field_names(payload_def: PayloadDef, values: dict, what: str) -> None
 def _conform_primitive(t: PrimType, v, name: str, what: str):
     value = fit_value(t, v)
     if value is None:
-        expected = "a finite float" if t is PrimType.FLOAT else t
+        expected = "a finite float" if t == PrimType.FLOAT else t
         raise CiotError.of("E_TYPE", f"{what}: payload field {name!r} expects {expected}, got {describe_value(v)}")
     return value
 
@@ -588,7 +588,7 @@ def _send(rt: RuntimeState, inst: InstanceState, send: tuple) -> None:
 
 def _matching_incoming(peer: InstanceState, port_name: str, payload_name: str | None) -> EventDef | None:
     for ev in peer.component.events:
-        if ev.direction is not EventDirection.INCOMING:
+        if ev.direction != EventDirection.INCOMING:
             continue
         if ev.port is None or ev.port.name != port_name:
             continue

@@ -104,7 +104,9 @@ def _event_line(e: EventDef) -> str:
 
 
 def _action_lines(a: ActionDef) -> list[str]:
-    keyword = next(word for word, kind in ACTION_KEYWORDS.items() if kind is a.kind)
+    keyword = next((word for word, kind in ACTION_KEYWORDS.items() if kind == a.kind), None)
+    if keyword is None:
+        raise CiotError.of("E_USAGE", f"action {a.name!r} has kind {a.kind!r}, which no keyword names")
     head = [f"    action {a.name} {keyword}"]
     if a.port is not None:
         head.append(f"port {a.port.name}")

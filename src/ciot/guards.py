@@ -25,8 +25,7 @@ from .diagnostics import CiotError, Offsets, error
 
 
 class PrimType:
-    """The primitive types: each is its model-text word. The parser hands out
-    these very strings, so a type is compared by identity."""
+    """The primitive types: each is its model-text word."""
 
     INT = "int"
     FLOAT = "float"
@@ -76,6 +75,7 @@ Expr = Union[Literal, NameRef, PayloadFieldRef, Unary, Binary]
 
 ORDERING_OPS = ("<", "<=", ">", ">=")
 BOOLEAN_OPS = ("and", "or")
+PRIM_TYPES = (PrimType.INT, PrimType.FLOAT, PrimType.BOOL, PrimType.STRING)
 _NUMERIC = (PrimType.INT, PrimType.FLOAT)
 
 
@@ -117,14 +117,14 @@ def typecheck_guard(expr: Expr, scope: GuardScope) -> PrimType:
         return t
     if isinstance(expr, Unary):
         t = typecheck_guard(expr.operand, scope)
-        if t is not PrimType.BOOL:
+        if t != PrimType.BOOL:
             raise TypeCheckError("E_TYPE_MISMATCH", f"'not' needs a bool operand, got {t}", expr.span)
         return PrimType.BOOL
     if isinstance(expr, Binary):
         if expr.op in BOOLEAN_OPS:
             for side in (expr.left, expr.right):
                 t = typecheck_guard(side, scope)
-                if t is not PrimType.BOOL:
+                if t != PrimType.BOOL:
                     message = f"{expr.op!r} needs bool operands, got {t}"
                     raise TypeCheckError("E_TYPE_MISMATCH", message, side.span or expr.span)
             return PrimType.BOOL
@@ -136,7 +136,7 @@ def typecheck_guard(expr: Expr, scope: GuardScope) -> PrimType:
                 raise TypeCheckError("E_TYPE_MISMATCH", message, expr.span)
             return PrimType.BOOL
         # Equality: same type, or int/float widened.
-        if lt is rt or (lt in _NUMERIC and rt in _NUMERIC):
+        if lt == rt or (lt in _NUMERIC and rt in _NUMERIC):
             return PrimType.BOOL
         raise TypeCheckError("E_TYPE_MISMATCH", f"cannot compare {lt} with {rt}", expr.span)
     raise TypeError(f"not an expression node: {expr!r}")
@@ -144,9 +144,9 @@ def typecheck_guard(expr: Expr, scope: GuardScope) -> PrimType:
 
 def assignable(target: PrimType, source: PrimType) -> bool:
     """Whether a value of type ``source`` may be stored where ``target`` is declared."""
-    if target is source:
+    if target == source:
         return True
-    return target is PrimType.FLOAT and source is PrimType.INT
+    return target == PrimType.FLOAT and source == PrimType.INT
 
 
 def fit_value(t: PrimType, value):
@@ -161,22 +161,22 @@ def fit_value(t: PrimType, value):
     type, None) fits nothing.
     """
     if isinstance(value, bool):
-        return value if t is PrimType.BOOL else None
+        return value if t == PrimType.BOOL else None
     if isinstance(value, int):
-        if t is PrimType.INT:
+        if t == PrimType.INT:
             # Within float range an int has at most 309 digits, below any
             # limit the interpreter accepts (none is under 640 digits).
             return value if value.bit_length() <= 1024 or _prints(value) else None
-        if t is PrimType.FLOAT:
+        if t == PrimType.FLOAT:
             try:
                 return float(value)
             except OverflowError:
                 return None
         return None
     if isinstance(value, float):
-        return value if t is PrimType.FLOAT and math.isfinite(value) else None
+        return value if t == PrimType.FLOAT and math.isfinite(value) else None
     if isinstance(value, str):
-        return value if t is PrimType.STRING else None
+        return value if t == PrimType.STRING else None
     return None
 
 

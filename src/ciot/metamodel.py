@@ -18,8 +18,7 @@ from .diagnostics import CiotError, Locator, Offsets, SourceSpan, require_type
 from .guards import Expr, PrimType, describe_value, fit_value
 
 
-# The model's fixed words, plain strings as ``PrimType``'s are. The parser
-# hands out these very objects, so a word is compared by identity.
+# The model's fixed words, plain strings as ``PrimType``'s are.
 class ComponentKind:
     IOT_ELEMENT = "IoTElement"
     BOARD = "Board"

@@ -24,13 +24,12 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .diagnostics import CiotError, Locator, Offsets
-from .guards import Binary, Expr, Literal, NameRef, PayloadFieldRef, PrimType, Unary, read_long_int
+from .guards import PRIM_TYPES, Binary, Expr, Literal, NameRef, PayloadFieldRef, PrimType, Unary, read_long_int
 from .lexer import EXPR_RESERVED, KEYWORDS, Token, TokenKind, decode_string, describe, tokenize
 from .metamodel import ACTION_KEYWORDS, ActionKind, ComponentKind, EventDirection
 
-# Each model-text word to its class constant, so that the model's words
-# compare by identity.
-_PRIM_NAMES = {t: t for t in (PrimType.INT, PrimType.FLOAT, PrimType.BOOL, PrimType.STRING)}
+# The words each position accepts, each mapped to its class constant.
+_PRIM_NAMES = {t: t for t in PRIM_TYPES}
 _COMPONENT_KINDS = {k: k for k in (ComponentKind.IOT_ELEMENT, ComponentKind.BOARD, ComponentKind.VIRTUAL_ENTITY)}
 _DIRECTIONS = {d: d for d in (EventDirection.INCOMING, EventDirection.OUTGOING, EventDirection.GENERIC)}
 _COMPARISONS = frozenset({"==", "!=", "<", "<=", ">", ">="})

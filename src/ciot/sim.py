@@ -235,10 +235,10 @@ def _sensing_event(comp: ComponentDef) -> EventDef | None:
     that is exactly one float field named ``ECHO_FIELD``."""
     found = []
     for ev in comp.events:
-        if ev.direction is not EventDirection.GENERIC or ev.payload is None:
+        if ev.direction != EventDirection.GENERIC or ev.payload is None:
             continue
         fields = ev.payload.fields
-        if len(fields) == 1 and fields[0].name == ECHO_FIELD and fields[0].type is PrimType.FLOAT:
+        if len(fields) == 1 and fields[0].name == ECHO_FIELD and fields[0].type == PrimType.FLOAT:
             found.append(ev)
     return found[0] if len(found) == 1 else None
 

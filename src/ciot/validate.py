@@ -6,17 +6,18 @@ Rules (errors unless noted):
 * R2  port/connector wiring: connector peers provide what the other side
       requires, no interface sits in both lists of one port, and no port is
       wired by more than one connector of the same owner
-* R3  event/action kind consistency: incoming-ReceivePayload,
-      outgoing-SendPayload, generic-Generic pairing; port and payload
-      agreement between event and action; entry/exit/continuous references
-      must not be incoming; engine-constructed payloads (SendPayload, generic
-      events used in entry/exit/continuous position) must be buildable from
-      same-named properties
-* R4  expression typing: transition guards type to bool over properties plus
-      the trigger's payload fields; effect assignments type against the
-      declared property (int widens to float); a property's initial value
-      fits its type (``guards.fit_value``: also a finite float, an int
-      within float range for a float property)
+* R3  event/action kind consistency: a known event direction, paired
+      incoming-ReceivePayload, outgoing-SendPayload, generic-Generic; port
+      and payload agreement between event and action; entry/exit/continuous
+      references must not be incoming; engine-constructed payloads
+      (SendPayload, generic events used in entry/exit/continuous position)
+      must be buildable from same-named properties
+* R4  typing: every property and payload-field type is a known word or a
+      payload; transition guards type to bool over properties plus the
+      trigger's payload fields; effect assignments type against the declared
+      property (int widens to float); a property's initial value fits its
+      type (``guards.fit_value``: also a finite float, an int within float
+      range for a float property)
 * R5  IoTElement components are leaves (no subcomponents)
 * R6  unreachable state (warning)
 * R7  an incoming event's payload must be carried by some interface on its
@@ -34,7 +35,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 from .diagnostics import Diagnostic, Offsets, Severity
-from .guards import GuardScope, PrimType, TypeCheckError, assignable, describe_value, fit_value, typecheck_guard
+from .guards import PRIM_TYPES, GuardScope, PrimType, TypeCheckError, assignable, describe_value, fit_value, typecheck_guard
 from .metamodel import (
     ActionKind,
     ComponentDef,
@@ -66,9 +67,17 @@ def validate(model: Model) -> list[Diagnostic]:
             model.locate(span),
             file,
         )
-        for comp in model.components
-        for rule, message, span in _check_component(comp)
+        for rule, message, span in _check_model(model)
     ]
+
+
+def _check_model(model: Model) -> Iterator[_Finding]:
+    for payload in model.payloads:  # R4
+        for fld in payload.fields:
+            if not isinstance(fld.type, PayloadDef) and fld.type not in PRIM_TYPES:
+                yield "R4", f"field {fld.name!r} of payload {payload.name!r} has unknown type {fld.type!r}", fld.span
+    for comp in model.components:
+        yield from _check_component(comp)
 
 
 def _check_component(comp: ComponentDef) -> Iterator[_Finding]:
@@ -77,7 +86,7 @@ def _check_component(comp: ComponentDef) -> Iterator[_Finding]:
     yield from _check_events(comp)  # R3, R7
     yield from _check_property_initials(comp)  # R4
     yield from _check_effects(comp)  # R4
-    if comp.kind is ComponentKind.IOT_ELEMENT and comp.subcomponents:  # R5
+    if comp.kind == ComponentKind.IOT_ELEMENT and comp.subcomponents:  # R5
         names = ", ".join(d.name for d in comp.subcomponents)
         yield "R5", f"IoTElement {comp.name!r} must be a leaf but declares subcomponents: {names}", comp.span
     if comp.state_machine is not None:
@@ -136,15 +145,17 @@ def _positioned_events(comp: ComponentDef) -> list[tuple[EventDef, str]]:
 
 def _check_events(comp: ComponentDef) -> Iterator[_Finding]:
     for ev in comp.events:
-        expected = _EXPECTED_ACTION[ev.direction]
-        if ev.action.kind is not expected:
+        expected = _EXPECTED_ACTION.get(ev.direction)
+        if expected is None:
+            yield "R3", f"event {ev.name!r} has unknown direction {ev.direction!r}", ev.span
+        elif ev.action.kind != expected:
             yield (
                 "R3",
                 f"{ev.direction} event {ev.name!r} must bind a {expected} action, "
                 f"but {ev.action.name!r} is {ev.action.kind}",
                 ev.span,
             )
-        if ev.direction is EventDirection.GENERIC:
+        if ev.direction == EventDirection.GENERIC:
             if ev.port is not None:
                 yield "R3", f"generic event {ev.name!r} must not name a port", ev.span
         elif ev.port is None:
@@ -169,20 +180,20 @@ def _check_events(comp: ComponentDef) -> Iterator[_Finding]:
         yield from _check_r7(comp, ev)
 
     for act in comp.actions:
-        if act.kind is ActionKind.GENERIC and act.port is not None:
+        if act.kind == ActionKind.GENERIC and act.port is not None:
             yield "R3", f"Generic action {act.name!r} must not name a port", act.span
-        if act.kind is not ActionKind.GENERIC and act.port is None:
+        if act.kind != ActionKind.GENERIC and act.port is None:
             yield "R3", f"{act.kind} action {act.name!r} must name a port", act.span
-        if act.kind is ActionKind.SEND_PAYLOAD:
+        if act.kind == ActionKind.SEND_PAYLOAD:
             if act.payload is None:
                 yield "R3", f"SendPayload action {act.name!r} must declare a payload type", act.span
             else:
                 yield from _check_constructible(comp, act.payload, f"SendPayload action {act.name!r}", act.span)
 
     for ev, where in _positioned_events(comp):
-        if ev.direction is EventDirection.INCOMING:
+        if ev.direction == EventDirection.INCOMING:
             yield "R3", f"incoming event {ev.name!r} cannot be used in {where}", ev.span
-        elif ev.direction is EventDirection.GENERIC and ev.payload is not None:
+        elif ev.direction == EventDirection.GENERIC and ev.payload is not None:
             yield from _check_constructible(comp, ev.payload, f"generic event {ev.name!r} used in {where}", ev.span)
 
 
@@ -214,7 +225,7 @@ def _check_constructible(comp: ComponentDef, payload: PayloadDef, what: str, spa
 
 
 def _check_r7(comp: ComponentDef, ev: EventDef) -> Iterator[_Finding]:
-    if ev.direction is not EventDirection.INCOMING or ev.port is None or ev.payload is None:
+    if ev.direction != EventDirection.INCOMING or ev.port is None or ev.payload is None:
         return
     for iface in ev.port.interfaces():
         for op in iface.operations:
@@ -242,7 +253,9 @@ def _payload_scope(payload: PayloadDef | None) -> dict[str, PrimType] | None:
 
 def _check_property_initials(comp: ComponentDef) -> Iterator[_Finding]:
     for prop in comp.properties:
-        if fit_value(prop.type, prop.initial) is None:
+        if prop.type not in PRIM_TYPES:
+            yield "R4", f"property {prop.name!r} of component {comp.name!r} has unknown type {prop.type!r}", prop.span
+        elif fit_value(prop.type, prop.initial) is None:
             yield (
                 "R4",
                 f"property {prop.name!r} of component {comp.name!r} is {prop.type} "
@@ -256,7 +269,7 @@ def _check_effects(comp: ComponentDef) -> Iterator[_Finding]:
     for act in comp.actions:
         # SendPayload effects see properties only; the outgoing record is
         # built after them. Receive/generic actions also see their payload.
-        payload_fields = None if act.kind is ActionKind.SEND_PAYLOAD else _payload_scope(act.payload)
+        payload_fields = None if act.kind == ActionKind.SEND_PAYLOAD else _payload_scope(act.payload)
         scope = GuardScope(props, payload_fields)
         for eff in act.effects:
             target_type = props.get(eff.target)
@@ -301,7 +314,7 @@ def _check_machine(comp: ComponentDef, machine: StateMachine) -> Iterator[_Findi
         guard_type = _type_of(t.guard, GuardScope(props, payload_fields), what)
         if not isinstance(guard_type, str):
             yield guard_type
-        elif guard_type is not PrimType.BOOL:
+        elif guard_type != PrimType.BOOL:
             yield "R4", f"{what} must be bool, got {guard_type}", t.span
 
     # R6 needs a unique entry point; skip it while R1 is violated so one

@@ -12,6 +12,9 @@ import pytest
 
 import ciot
 from ciot import CiotError
+from ciot.guards import Binary, Literal, Unary
+from ciot.sim import THRESHOLD_PROPERTY, render_timeline
+from ciot.validate import validate
 
 
 def test_all_is_the_readme_api_list(corpus_dir):
@@ -149,3 +152,68 @@ def test_file_entry_point_keeps_a_path_as_its_str(corpus_dir, read, name):
     assert all(type(d.file) is str for d in diagnostics)
     assert value is None or type(value.source) is str
     assert value is not None or diagnostics
+
+
+def _fresh(word: str) -> str:
+    """A string equal to ``word`` that is not ``word`` itself."""
+    copy = "".join(list(word))
+    assert copy == word and copy is not word
+    return copy
+
+
+def _with_fresh_words(model: ciot.Model) -> ciot.Model:
+    """``model``, edited in place so that each fixed word (component kinds,
+    event directions, action kinds, and property, payload-field and literal
+    types) is an equal string the parser did not hand out, as in a model
+    built or edited through the API."""
+    for payload in model.payloads:
+        for fld in payload.fields:
+            if isinstance(fld.type, str):
+                fld.type = _fresh(fld.type)
+    for comp in model.components:
+        comp.kind = _fresh(comp.kind)
+        for prop in comp.properties:
+            prop.type = _fresh(prop.type)
+        for ev in comp.events:
+            ev.direction = _fresh(ev.direction)
+        exprs = []
+        for act in comp.actions:
+            act.kind = _fresh(act.kind)
+            exprs += [eff.expr for eff in act.effects]
+        if comp.state_machine is not None:
+            exprs += [t.guard for t in comp.state_machine.transitions if t.guard is not None]
+        while exprs:
+            expr = exprs.pop()
+            if isinstance(expr, Literal):
+                expr.type = _fresh(expr.type)
+            elif isinstance(expr, Unary):
+                exprs.append(expr.operand)
+            elif isinstance(expr, Binary):
+                exprs += [expr.left, expr.right]
+    return model
+
+
+CORPUS_DIR = pathlib.Path(__file__).resolve().parent.parent / "corpus"
+
+
+@pytest.mark.parametrize(
+    "relpath", ["parking_node.ciot", *sorted(f"mutations/{p.name}" for p in CORPUS_DIR.glob("mutations/*.ciot"))]
+)
+def test_model_with_fresh_words_validates_and_exports_as_parsed(relpath):
+    path = CORPUS_DIR / relpath
+    parsed = ciot.load_file(path, check=False)
+    built = _with_fresh_words(ciot.load_file(path, check=False))
+    assert validate(built) == validate(parsed)
+    assert ciot.export_model(built) == ciot.export_model(parsed)
+
+
+@pytest.mark.parametrize("stem, threshold", [("arrive_depart", None), ("physical", 5.0)])
+def test_model_with_fresh_words_runs_the_golden_trace_and_timeline(corpus_dir, parking_path, stem, threshold):
+    model = _with_fresh_words(ciot.load_file(parking_path, check=False))
+    if threshold is not None:
+        model = ciot.with_property_initial(model, THRESHOLD_PROPERTY, threshold)
+    result = ciot.simulate(model, ciot.load_scenario_file(corpus_dir / f"scenario_{stem}.scn"))
+    golden = corpus_dir / "golden"
+    assert ciot.render_trace(result.trace) == (golden / f"{stem}.trace").read_text(encoding="utf-8")
+    timeline = render_timeline(ciot.occupancy_timeline(result))
+    assert timeline == (golden / f"{stem}.timeline").read_text(encoding="utf-8")

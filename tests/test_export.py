@@ -138,6 +138,15 @@ def test_structural_equality_sees_inside_referenced_declarations():
     assert not structurally_equal(load_text(payloads), load_text(payloads.replace("v: int", "v: float")))
 
 
+def test_export_action_kind_without_keyword_is_a_usage_error(parking_model):
+    (action,) = [a for a in parking_model.component_named("Node").actions if a.name == "actReading"]
+    action.kind = "Teleport"
+    with pytest.raises(CiotError) as exc:
+        export_model(parking_model)
+    assert exc.value.code == "E_USAGE"
+    assert str(exc.value) == "action 'actReading' has kind 'Teleport', which no keyword names"
+
+
 # --- state machine DOT ----------------------------------------------------
 
 

@@ -137,8 +137,8 @@ def test_connectors_resolve_when_composite_precedes_child():
 
 def test_component_kinds():
     """Every fixed word the parser produces is its class constant, not an
-    equal string: the engine, the validator and ``fit_value`` compare words
-    by identity. The text is built at runtime, so that no word of it is an
+    equal string: the parser's word maps give each word it accepts one
+    object. The text is built at runtime, so that no word of it is an
     interned literal of this file."""
     text = "".join(
         [

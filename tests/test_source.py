@@ -1,0 +1,47 @@
+"""Rules of the package source, checked on its syntax trees."""
+
+from __future__ import annotations
+
+import ast
+import pathlib
+import re
+
+REPO = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = REPO / "src" / "ciot"
+WORD_CLASSES = {"PrimType", "ComponentKind", "EventDirection", "ActionKind"}
+
+
+def _trees() -> list[tuple[str, ast.AST]]:
+    return [(p.name, ast.parse(p.read_text(encoding="utf-8"), str(p))) for p in sorted(PACKAGE.glob("*.py"))]
+
+
+def test_every_error_code_is_in_the_readme_table():
+    codes = {
+        node.value
+        for _, tree in _trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and re.fullmatch(r"E_[A-Z_]+", node.value)
+    }
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Error codes\n", 1)[1].split("\n## ", 1)[0]
+    table = re.findall(r"^\| `(E_[A-Z_]+)` \|", section, re.MULTILINE)
+    assert len(table) == len(set(table))
+    assert codes == set(table)
+
+
+def test_no_model_word_is_compared_by_identity():
+    """A model built through the API may hold any equal string, so a fixed
+    word is compared by value."""
+
+    def is_word(node: ast.AST) -> bool:
+        return isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in WORD_CLASSES
+
+    found = [
+        f"{name}:{node.lineno}"
+        for name, tree in _trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        for op, left, right in zip(node.ops, [node.left, *node.comparators], node.comparators)
+        if isinstance(op, (ast.Is, ast.IsNot)) and (is_word(left) or is_word(right))
+    ]
+    assert found == []

@@ -245,6 +245,30 @@ def test_r4_property_initial_type_mismatch():
     assert errors_of("component C : Board { property x: float = 3; }") == []
 
 
+# Model text holds only known words, so the next three edit the parsed model.
+
+
+def test_r3_unknown_event_direction_is_named(parking_model):
+    parking_model.component_named("Node").event_named("evtReading").direction = "sideways"
+    assert [(d.rule, d.message) for d in validate(parking_model)] == [
+        ("R3", "event 'evtReading' has unknown direction 'sideways'"),
+    ]
+
+
+def test_r4_unknown_property_type_is_named(parking_model):
+    parking_model.component_named("Node").property_named("state").type = "floaty"
+    messages = [(d.rule, d.message) for d in validate(parking_model)]
+    assert ("R4", "property 'state' of component 'Node' has unknown type 'floaty'") in messages
+    assert not any("initial value" in message for _, message in messages)
+
+
+def test_r4_unknown_payload_field_type_is_named(parking_model):
+    (payload,) = [p for p in parking_model.payloads if p.name == "LedCommand"]
+    payload.fields[0].type = "floaty"
+    messages = [(d.rule, d.message) for d in validate(parking_model)]
+    assert messages[0] == ("R4", "field 'state' of payload 'LedCommand' has unknown type 'floaty'")
+
+
 def test_r5_iot_element_must_be_leaf():
     text = (
         "component Kid : IoTElement {}\n"
