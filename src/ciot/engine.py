@@ -29,24 +29,28 @@ instance the depth-first order names. An inbox entry is a plain
 once when the event is queued and recorded as it is when a step takes it.
 
 What the model fixes is worked out once per component, at its first
-instance in depth-first order, as a template that the call's later instances
-of it reuse. Its ``Dispatch`` is shared. Per state: its transitions, each
-with its guard compiled by ``guards.compile_expr`` and the values of the
-records it makes (guard_eval for either result, transition, state_exited,
-state_entered) built in advance; and its entry, exit and continuous
-executions with the direction already decided: run the action and send,
-queue a payload snapshot, or run the action inline. A state's entry
-executions are built once and shared by the transitions into it. Per event:
-its action's effects as compiled expressions, or, for an action with no
-effects, the values of its action record. Per outgoing event: the port, the
-payload and the fields of the payload it builds. The template also holds the
-fitted initial property values, which each instance gets a copy of, the
-initial state's name, and each connector's ends relative to the owner's
-path. From these ``instantiate`` resolves every send of every instance
-before anything runs: the route, the peer, the peer's incoming event (found
-once per peer component, port and payload) and the source text. Nothing
+instance in depth-first order, as one ``Dispatch`` record that the call's
+later instances of it share. Per state: its transitions, each with its guard
+compiled by ``guards.compile_expr`` and the values of the records it makes
+(guard_eval for either result, transition, state_exited, state_entered)
+built in advance; and its entry, exit and continuous executions with the
+direction already decided: run the action and send, queue a payload
+snapshot, or run the action inline. A state's entry executions are built
+once and shared by the transitions into it. Per event: its action's effects
+as compiled expressions, or, for an action with no effects, the values of
+its action record. Per outgoing event: the port, the payload and the fields
+of the payload it builds. Per port and payload name: the first incoming
+event declared with both, which is the event a send to that port with that
+payload delivers. The record also holds the fitted initial property values,
+which each instance gets a copy of, the initial state's name, and each
+connector's ends relative to the owner's path. ``instantiate`` then takes
+the instances once in depth-first order: it resolves each send of the
+instance (the route, the peer, the peer's incoming event as one lookup in
+the peer's record, and the source text) and enters the instance's initial
+state. One pass suffices because an instance's entry executions send only
+through its own sends, and nothing steps during ``instantiate``. Nothing
 compiled or fitted outlives the call, so every ``instantiate`` builds its
-own templates.
+own records.
 
 Every value stored in a property or payload field fits its declared type,
 and ``guards.fit_value`` runs where the declared types do not prove the fit.
@@ -151,21 +155,15 @@ class Action(NamedTuple):
 
 
 class Dispatch(NamedTuple):
-    """One component's lookup tables, built at ``instantiate`` and shared by
-    that run's instances of the component."""
+    """What ``instantiate`` fixes once per component: every instance of it in
+    that run shares the record and starts from a copy of the properties."""
 
     states: dict[str, State]  # the first state of each name
     actions: dict[str, Action]  # per event name
     # Per outgoing event in declaration order: (port name, event name, its
     # action's payload name, that payload's fields).
     outgoing: tuple[tuple[str, str, str | None, Fields], ...]
-
-
-class _Template(NamedTuple):
-    """What ``instantiate`` fixes once per component: every instance shares
-    the dispatch and the links and starts from a copy of the properties."""
-
-    dispatch: Dispatch
+    incoming: dict[tuple[str, str | None], EventDef]  # see ``_matching_incoming``
     properties: dict  # the fitted initial values
     initial: str | None  # the initial state's name
     links: tuple  # per connector: both ends as (suffix of the owner's path, port name)
@@ -212,53 +210,33 @@ def instantiate(model: Model) -> RuntimeState:
     require_type(model, Model, "model")
     paths = instance_paths(model)
     by_index: list[InstanceState] = []
-    templates: dict[int, _Template] = {}  # by id(comp); the model keeps every comp alive meanwhile
+    dispatches: dict[int, Dispatch] = {}  # by id(comp); the model keeps every comp alive meanwhile
     routes: dict[tuple[str, str], tuple[str, str]] = {}
     for index, (path, comp) in enumerate(paths):
-        template = templates.get(id(comp))
-        if template is None:
-            template = templates[id(comp)] = _template(model, comp, path)
-        dispatch, properties, initial, links = template
-        by_index.append(InstanceState(path, comp, properties.copy(), initial, index, dispatch))
-        for (a_suffix, a_port), (b_suffix, b_port) in links:
+        dispatch = dispatches.get(id(comp))
+        if dispatch is None:
+            dispatch = dispatches[id(comp)] = _build_dispatch(model, comp, path)
+        by_index.append(InstanceState(path, comp, dispatch.properties.copy(), dispatch.initial, index, dispatch))
+        for (a_suffix, a_port), (b_suffix, b_port) in dispatch.links:
             a, b = (path + a_suffix, a_port), (path + b_suffix, b_port)
             routes.setdefault(a, b)
             routes.setdefault(b, a)
     instances = {inst.path: inst for inst in by_index}
-
-    matches: dict[tuple, EventDef | None] = {}  # (id(peer comp), peer port, payload name) -> its incoming event
+    rt = RuntimeState(instances=instances, order=[p for p, _ in paths], by_index=by_index)
     for inst in by_index:
-        path, sends = inst.path, inst.sends
-        for port_name, event_name, payload_name, fields in inst.dispatch.outgoing:
+        path, dispatch, sends = inst.path, inst.dispatch, inst.sends
+        for port_name, event_name, payload_name, fields in dispatch.outgoing:
             route = routes.get((path, port_name))
             peer = target_event = None
             if route is not None:
                 peer = instances[route[0]]
-                key = (id(peer.component), route[1], payload_name)
-                if key not in matches:
-                    matches[key] = _matching_incoming(peer, route[1], payload_name)
-                target_event = matches[key]
+                target_event = peer.dispatch.incoming.get((route[1], payload_name))
             sends.append((port_name, event_name, route, peer, target_event, fields, f"{path}.{port_name}"))
-
-    rt = RuntimeState(instances=instances, order=[p for p, _ in paths], by_index=by_index)
-    for inst in by_index:
-        if inst.state is None:
-            continue
-        rt.record(inst.path, "state_entered", (inst.state,))
-        for run in inst.dispatch.states[inst.state].entry:
-            run(rt, inst)
+        if inst.state is not None:
+            rt.record(path, "state_entered", (inst.state,))
+            for run in dispatch.states[inst.state].entry:
+                run(rt, inst)
     return rt
-
-
-def _template(model: Model, comp: ComponentDef, path: str) -> _Template:
-    """What every instance of ``comp`` starts from; ``path`` is the first
-    instance's, which an ``E_INSTANTIATE`` names."""
-    dispatch = _build_dispatch(comp, model)
-    properties = {p.name: _initial_value(model, comp, p, path) for p in comp.properties}
-    machine = comp.state_machine
-    initial = machine.initial if machine is not None else None
-    links = tuple((_endpoint(conn.a), _endpoint(conn.b)) for conn in comp.connectors)
-    return _Template(dispatch, properties, initial.name if initial is not None else None, links)
 
 
 def _endpoint(endpoint) -> tuple[str, str]:
@@ -266,7 +244,9 @@ def _endpoint(endpoint) -> tuple[str, str]:
     return ("" if endpoint.instance is None else f".{endpoint.instance.name}"), endpoint.port.name
 
 
-def _build_dispatch(comp: ComponentDef, model: Model) -> Dispatch:
+def _build_dispatch(model: Model, comp: ComponentDef, path: str) -> Dispatch:
+    """What every instance of ``comp`` starts from; ``path`` is the first
+    instance's, which an ``E_INSTANTIATE`` names."""
     types = {p.name: p.type for p in comp.properties}
     actions: dict[str, Action] = {}
     for ev in comp.events:
@@ -294,7 +274,11 @@ def _build_dispatch(comp: ComponentDef, model: Model) -> Dispatch:
         payload = ev.action.payload
         port_name = ev.port.name if ev.port is not None else "-"
         sends.append((port_name, ev.name, payload.name if payload is not None else None, _fields(payload, types)))
-    return Dispatch(states, actions, tuple(sends))
+    properties = {p.name: _initial_value(model, comp, p, path) for p in comp.properties}
+    initial = machine.initial if machine is not None else None
+    links = tuple((_endpoint(conn.a), _endpoint(conn.b)) for conn in comp.connectors)
+    initial_name = initial.name if initial is not None else None
+    return Dispatch(states, actions, tuple(sends), _matching_incoming(comp), properties, initial_name, links)
 
 
 def _action(ev: EventDef, types: dict[str, PrimType], model: Model) -> Action:
@@ -479,13 +463,13 @@ def step(rt: RuntimeState) -> bool:
     event, delivered = inbox.popleft()
     if not inbox:
         heappop(ready)  # before the action runs, so a self-enqueue pushes it again
-    path, record = inst.path, rt.record
-    states, actions, _ = inst.dispatch
+    path, record, dispatch = inst.path, rt.record, inst.dispatch
     record(path, "event_delivered", delivered)
     payload = delivered[3]
-    _run_action(rt, inst, actions[event.name], payload)
+    _run_action(rt, inst, dispatch.actions[event.name], payload)
     if inst.state is None:
         return True
+    states = dispatch.states
     transitions, _, exits, continuous = states[inst.state]
     fired = None
     for t in transitions:
@@ -586,12 +570,11 @@ def _send(rt: RuntimeState, inst: InstanceState, send: tuple) -> None:
     rt.record(inst.path, "payload_sent", (port_name, event_name, route, values, error))
 
 
-def _matching_incoming(peer: InstanceState, port_name: str, payload_name: str | None) -> EventDef | None:
-    for ev in peer.component.events:
-        if ev.direction != EventDirection.INCOMING:
-            continue
-        if ev.port is None or ev.port.name != port_name:
-            continue
-        if (ev.payload.name if ev.payload is not None else None) == payload_name:
-            return ev
-    return None
+def _matching_incoming(comp: ComponentDef) -> dict[tuple[str, str | None], EventDef]:
+    """``comp``'s incoming events bound to a port, by (port name, payload name
+    or None); of two with the same key the first declared is kept."""
+    incoming: dict[tuple[str, str | None], EventDef] = {}
+    for ev in comp.events:
+        if ev.direction == EventDirection.INCOMING and ev.port is not None:
+            incoming.setdefault((ev.port.name, ev.payload.name if ev.payload is not None else None), ev)
+    return incoming

@@ -25,6 +25,9 @@ class ComponentKind:
     VIRTUAL_ENTITY = "VirtualEntity"
 
 
+COMPONENT_KINDS = (ComponentKind.IOT_ELEMENT, ComponentKind.BOARD, ComponentKind.VIRTUAL_ENTITY)
+
+
 class EventDirection:
     INCOMING = "incoming"
     OUTGOING = "outgoing"

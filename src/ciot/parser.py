@@ -26,11 +26,11 @@ from typing import NamedTuple
 from .diagnostics import CiotError, Locator, Offsets
 from .guards import PRIM_TYPES, Binary, Expr, Literal, NameRef, PayloadFieldRef, PrimType, Unary, read_long_int
 from .lexer import EXPR_RESERVED, KEYWORDS, Token, TokenKind, decode_string, describe, tokenize
-from .metamodel import ACTION_KEYWORDS, ActionKind, ComponentKind, EventDirection
+from .metamodel import ACTION_KEYWORDS, COMPONENT_KINDS, ActionKind, ComponentKind, EventDirection
 
 # The words each position accepts, each mapped to its class constant.
 _PRIM_NAMES = {t: t for t in PRIM_TYPES}
-_COMPONENT_KINDS = {k: k for k in (ComponentKind.IOT_ELEMENT, ComponentKind.BOARD, ComponentKind.VIRTUAL_ENTITY)}
+_COMPONENT_KINDS = {k: k for k in COMPONENT_KINDS}
 _DIRECTIONS = {d: d for d in (EventDirection.INCOMING, EventDirection.OUTGOING, EventDirection.GENERIC)}
 _COMPARISONS = frozenset({"==", "!=", "<", "<=", ">", ">="})
 _LITERAL_KINDS = frozenset({TokenKind.INT, TokenKind.FLOAT, TokenKind.STRING})

@@ -219,9 +219,8 @@ def _value_fault(verb: str, value) -> str | None:
         return None if value is None else "vacate takes no value"
     if value is None:
         return f"{verb} needs exactly one value"
-    # A float, as every scenario read from text has, skips fit_value's type tests.
-    number = value if type(value) is float else fit_value(PrimType.FLOAT, value)
-    if number is None or not math.isfinite(number):
+    number = fit_value(PrimType.FLOAT, value)
+    if number is None:
         return f"{verb} value {describe_value(value)} is not a finite number"
     if verb == "occupy" and number <= 0:
         return "occupy distance must be positive"

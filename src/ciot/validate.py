@@ -18,7 +18,8 @@ Rules (errors unless noted):
       property (int widens to float); a property's initial value fits its
       type (``guards.fit_value``: also a finite float, an int within float
       range for a float property)
-* R5  IoTElement components are leaves (no subcomponents)
+* R5  a known component kind; IoTElement components are leaves (no
+      subcomponents)
 * R6  unreachable state (warning)
 * R7  an incoming event's payload must be carried by some interface on its
       port, otherwise no peer could ever send it
@@ -37,6 +38,7 @@ from collections.abc import Iterator
 from .diagnostics import Diagnostic, Offsets, Severity
 from .guards import PRIM_TYPES, GuardScope, PrimType, TypeCheckError, assignable, describe_value, fit_value, typecheck_guard
 from .metamodel import (
+    COMPONENT_KINDS,
     ActionKind,
     ComponentDef,
     ComponentKind,
@@ -86,7 +88,9 @@ def _check_component(comp: ComponentDef) -> Iterator[_Finding]:
     yield from _check_events(comp)  # R3, R7
     yield from _check_property_initials(comp)  # R4
     yield from _check_effects(comp)  # R4
-    if comp.kind == ComponentKind.IOT_ELEMENT and comp.subcomponents:  # R5
+    if comp.kind not in COMPONENT_KINDS:  # R5
+        yield "R5", f"component {comp.name!r} has unknown kind {comp.kind!r}", comp.span
+    elif comp.kind == ComponentKind.IOT_ELEMENT and comp.subcomponents:
         names = ", ".join(d.name for d in comp.subcomponents)
         yield "R5", f"IoTElement {comp.name!r} must be a leaf but declares subcomponents: {names}", comp.span
     if comp.state_machine is not None:

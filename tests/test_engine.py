@@ -353,6 +353,85 @@ def test_wired_port_without_matching_incoming_event_drops_payload():
     assert not rt.ready and all(not inst.inbox for inst in rt.instances.values())
 
 
+def test_send_goes_to_the_first_declared_of_two_matching_incoming_events():
+    text = (
+        "payload P { v: int; }\n"
+        "interface I { op f(P); }\n"
+        "component A : IoTElement {\n"
+        "    property v: int = 7;\n"
+        "    port p requires I;\n"
+        "    event out1 outgoing port p payload P action actSend;\n"
+        "    action actSend send port p payload P;\n"
+        "    statemachine { initial state S { entry out1; } }\n"
+        "}\n"
+        "component B : IoTElement {\n"
+        "    port q provides I;\n"
+        "    event first incoming port q payload P action actFirst;\n"
+        "    event second incoming port q payload P action actSecond;\n"
+        "    action actFirst receive port q payload P;\n"
+        "    action actSecond receive port q payload P;\n"
+        "}\n"
+        "component Top : Board {\n"
+        "    instance a: A;\n"
+        "    instance b: B;\n"
+        "    connect a.p -- b.q;\n"
+        "}\n"
+        "instance top: Top;\n"
+    )
+    model, diags = collect_diagnostics(text)
+    assert diags == []
+    rt = instantiate(model)
+    assert [send[4].name for send in rt.instances["top.a"].sends] == ["first"]
+    run_to_quiescence(rt)
+    assert delivered(rt) == [("top.b", "first")]
+
+
+def fan_in_model(n: int) -> str:
+    """``n`` senders, each wired by its one outgoing port to its own port of
+    one central board; the board declares its events in reverse port order."""
+    lines = [
+        "payload P { v: int; }",
+        "interface I { op f(P); }",
+        "component Sender : IoTElement {",
+        "    property v: int = 0;",
+        "    port poke provides I;",
+        "    port out requires I;",
+        "    event evtPoke incoming port poke payload P action actPoke;",
+        "    event evtReport outgoing port out payload P action actReport;",
+        "    action actPoke receive port poke payload P { v := payload.v; }",
+        "    action actReport send port out payload P;",
+        "    statemachine { initial state Idle {} state Sent { entry evtReport; }",
+        "        transition Idle -> Sent when evtPoke;",
+        "    }",
+        "}",
+        "component Central : Board {",
+    ]
+    lines += [f"    port c{i} provides I;" for i in range(n)]
+    lines += [f"    event e{i} incoming port c{i} payload P action a{i};" for i in reversed(range(n))]
+    lines += [f"    action a{i} receive port c{i} payload P;" for i in range(n)]
+    lines += ["}", "component Lot : Board {", "    instance hub: Central;"]
+    lines += [f"    instance s{i}: Sender;" for i in range(n)]
+    lines += [f"    connect s{i}.out -- hub.c{i};" for i in range(n)]
+    lines += ["}", "instance lot: Lot;"]
+    return "\n".join(lines) + "\n"
+
+
+def test_fan_in_sends_reach_their_own_port_event():
+    model, diags = collect_diagnostics(fan_in_model(50))
+    assert diags == []
+    rt = instantiate(model)
+    hub = rt.instances["lot.hub"]
+    for i in range(50):
+        (send,) = rt.instances[f"lot.s{i}"].sends
+        _, _, route, peer, target_event, _, source = send
+        assert (route, peer, target_event.name, source) == (("lot.hub", f"c{i}"), hub, f"e{i}", f"lot.s{i}.out")
+    inject(rt, "lot.s17", "poke", "evtPoke", {"v": 17})
+    run_to_quiescence(rt)
+    assert delivered(rt) == [("lot.s17", "evtPoke"), ("lot.hub", "e17")]
+    sent = [r.detail for r in rt.trace if r.kind == "payload_sent"]
+    assert [(d["to"], d["payload"], "error" in d) for d in sent] == [("lot.hub.c17", "{v=17}", False)]
+
+
 def test_continuous_event_runs_each_step_not_at_instantiate():
     text = (
         "payload P { v: int; }\n"

@@ -269,6 +269,13 @@ def test_r4_unknown_payload_field_type_is_named(parking_model):
     assert messages[0] == ("R4", "field 'state' of payload 'LedCommand' has unknown type 'floaty'")
 
 
+def test_r5_unknown_component_kind_is_named(parking_model):
+    node = parking_model.component_named("Node")
+    node.kind = "Widget"
+    found = [(d.rule, d.message, d.span) for d in validate(parking_model) if d.rule == "R5"]
+    assert found == [("R5", "component 'Node' has unknown kind 'Widget'", parking_model.locate(node.span))]
+
+
 def test_r5_iot_element_must_be_leaf():
     text = (
         "component Kid : IoTElement {}\n"
