@@ -26,28 +26,29 @@ and popped when a step empties it again, so the heap's top is always the
 instance the depth-first order names. An inbox entry is a plain
 ``(event, delivered)`` tuple: ``delivered`` holds the values of the event's
 ``event_delivered`` record (name, sequence number, source, payload), built
-once when the event is queued and recorded as it is when a step takes it.
+once when the event is queued; the step that takes it records it in one new
+pair.
 
 What the model fixes is worked out once per component, at its first
 instance in depth-first order, as one ``Dispatch`` record that the call's
 later instances of it share. Per state: its transitions, each with its guard
-compiled by ``guards.compile_expr`` and the values of the records it makes
-(guard_eval for either result, transition, state_exited, state_entered)
-built in advance; and its entry, exit and continuous executions with the
-direction already decided: run the action and send, queue a payload
+compiled by ``guards.compile_expr`` and the records it makes (guard_eval for
+either result, transition, state_exited, state_entered) built in advance as
+``(kind, values)`` pairs; and its entry, exit and continuous executions with
+the direction already decided: run the action and send, queue a payload
 snapshot, or run the action inline. A state's entry executions are built
 once and shared by the transitions into it. Per event: its action's effects
-as compiled expressions, or, for an action with no effects, the values of
-its action record. Per outgoing event: the port, the payload and the fields
-of the payload it builds. Per port and payload name: the first incoming
+as compiled expressions, or, for an action with no effects, its action
+record's pair. Per outgoing event: the port, the payload and the fields of
+the payload it builds. Per port and payload name: the first incoming
 event declared with both, which is the event a send to that port with that
 payload delivers. The record also holds the fitted initial property values,
-which each instance gets a copy of, the initial state's name, and each
-connector's ends relative to the owner's path. ``instantiate`` then takes
-the instances once in depth-first order: it resolves each send of the
-instance (the route, the peer, the peer's incoming event as one lookup in
-the peer's record, and the source text) and enters the instance's initial
-state. One pass suffices because an instance's entry executions send only
+which each instance gets a copy of, the initial state's name and its
+state_entered pair, and each connector's ends relative to the owner's path.
+``instantiate`` then takes the instances once in depth-first order: it
+resolves each send of the instance (the route, the peer, the peer's incoming
+event as one lookup in the peer's record, and the source text) and enters
+the instance's initial state. One pass suffices because an instance's entry executions send only
 through its own sends, and nothing steps during ``instantiate``. Nothing
 compiled or fitted outlives the call, so every ``instantiate`` builds its
 own records.
@@ -69,13 +70,21 @@ widening an int to a float is not a proof, so it still goes through
 A send that finds no connector, or a peer with no matching incoming event,
 is recorded with ``error=E_NO_ROUTE`` and dropped; it is not a runtime fault.
 
-Each trace record is a plain ``(seq, time_us, instance, kind, values)``
-tuple appended to ``RuntimeState.records`` by ``RuntimeState.record``, the
-one place records are made; a record whose values hold no dict is one the
-collector stops tracking. ``RuntimeState.trace`` reads the list as
-``TraceRecord``s through a live ``trace.Trace`` view, built only as each is
-read. The values are raw (``trace.FIELDS``), and text is built only when a
-record is read. Payload and assigned-value dicts are kept by reference, so
+Each trace record is a plain ``(kind, values)`` pair appended to
+``RuntimeState.records``; its index is its seq. Every record of one step is
+made at the stepping instance, and the clock moves only between steps, so
+``RuntimeState.record`` opens one head per step (and one per instance that
+``instantiate`` enters): ``(index of its first record, time_us, instance)``
+on ``RuntimeState.heads``, which stamps every record up to the next head.
+The pairs the model fixes (a transition's guard_eval, transition and state
+records, an effect-free action's record, the initial state_entered) are
+built once in the ``Dispatch`` and shared by every instance, so appending
+one allocates nothing; event_delivered, payload_sent and an action with
+effects build one pair each. A head, and a pair whose values hold no dict,
+is one the collector stops tracking. ``RuntimeState.trace`` reads heads and
+pairs as ``TraceRecord``s through a live ``trace.Trace`` view, built only as
+each is read. The values are raw (``trace.FIELDS``), and text is built only
+when a record is read. Payload and assigned-value dicts are kept by reference, so
 the engine never mutates such a dict after building it. ``enqueue`` checks
 nothing and queues a fresh payload from ``_conform_payload`` (``inject``,
 ``bind_internal``), ``_snapshot_payload`` (sends, entry and exit positions)
@@ -125,11 +134,12 @@ class Transition:
 
     trigger: EventDef | None
     guard: Callable | None  # compiled; sees the payload only when the transition has a trigger
-    rejected: tuple  # guard_eval values: ("A->B", quoted guard text, False)
+    # Its records as prebuilt (kind, values) pairs, shared by every instance:
+    rejected: tuple  # ("guard_eval", ("A->B", quoted guard text, False))
     accepted: tuple  # the same with True
-    taken: tuple  # transition values: (source, target, trigger name or None)
-    exited: tuple  # (source,)
-    entered: tuple  # (target,)
+    taken: tuple  # ("transition", (source, target, trigger name or None))
+    exited: tuple  # ("state_exited", (source,))
+    entered: tuple  # ("state_entered", (target,))
     target: StateDef
     entry: tuple[Execution, ...]  # the target's entry executions
 
@@ -151,7 +161,7 @@ class Action(NamedTuple):
     sees_payload: bool  # False for a send action, whose effects see no payload
     # (target, its declared type, compiled expression, whether the declared types prove the fit)
     effects: tuple[tuple[str, PrimType | None, Callable, bool], ...]
-    fixed: tuple | None  # with no effects, the values of every action record it makes: (name, kind, {})
+    fixed: tuple | None  # with no effects, the pair of every action record it makes: ("action", (name, kind, {}))
 
 
 class Dispatch(NamedTuple):
@@ -166,6 +176,7 @@ class Dispatch(NamedTuple):
     incoming: dict[tuple[str, str | None], EventDef]  # see ``_matching_incoming``
     properties: dict  # the fitted initial values
     initial: str | None  # the initial state's name
+    entered: tuple | None  # its state_entered pair: ("state_entered", (name,))
     links: tuple  # per connector: both ends as (suffix of the owner's path, port name)
 
 
@@ -188,9 +199,9 @@ class RuntimeState:
     instances: dict[str, InstanceState]
     order: list[str]  # depth-first instance paths
     by_index: list[InstanceState]  # the instances in depth-first order
-    records: list[tuple] = field(default_factory=list)  # (seq, time_us, instance, kind, values) each
+    heads: list[tuple] = field(default_factory=list)  # (index of its first record, time_us, instance) each
+    records: list[tuple] = field(default_factory=list)  # (kind, values) each; its index is its seq
     clock_us: int = 0
-    seq: int = 0
     eseq: int = 0
     step_count: int = 0
     ready: list[int] = field(default_factory=list)  # min-heap of indices with a non-empty inbox
@@ -198,11 +209,12 @@ class RuntimeState:
     @property
     def trace(self) -> Trace:
         """The records as ``TraceRecord``s, a live read-only view."""
-        return Trace(self.records)
+        return Trace(self.heads, self.records)
 
-    def record(self, instance: str, kind: str, values: tuple) -> None:
-        self.records.append((self.seq, self.clock_us, instance, kind, values))
-        self.seq += 1
+    def record(self, instance: str) -> None:
+        """Open a head: the records appended from now until the next head
+        were made at ``instance`` at the current clock."""
+        self.heads.append((len(self.records), self.clock_us, instance))
 
 
 def instantiate(model: Model) -> RuntimeState:
@@ -233,7 +245,8 @@ def instantiate(model: Model) -> RuntimeState:
                 target_event = peer.dispatch.incoming.get((route[1], payload_name))
             sends.append((port_name, event_name, route, peer, target_event, fields, f"{path}.{port_name}"))
         if inst.state is not None:
-            rt.record(path, "state_entered", (inst.state,))
+            rt.record(path)
+            rt.records.append(dispatch.entered)
             for run in dispatch.states[inst.state].entry:
                 run(rt, inst)
     return rt
@@ -278,7 +291,8 @@ def _build_dispatch(model: Model, comp: ComponentDef, path: str) -> Dispatch:
     initial = machine.initial if machine is not None else None
     links = tuple((_endpoint(conn.a), _endpoint(conn.b)) for conn in comp.connectors)
     initial_name = initial.name if initial is not None else None
-    return Dispatch(states, actions, tuple(sends), _matching_incoming(comp), properties, initial_name, links)
+    entered = ("state_entered", (initial_name,)) if initial is not None else None
+    return Dispatch(states, actions, tuple(sends), _matching_incoming(comp), properties, initial_name, entered, links)
 
 
 def _action(ev: EventDef, types: dict[str, PrimType], model: Model) -> Action:
@@ -292,7 +306,8 @@ def _action(ev: EventDef, types: dict[str, PrimType], model: Model) -> Action:
         t = types.get(e.target)
         compiled = compile_expr(e.expr, model.locate, model.source)
         effects.append((e.target, t, compiled, _proves(t, e.expr, types, fields)))
-    return Action(act.name, act.kind, sees_payload, tuple(effects), None if effects else (act.name, act.kind, {}))
+    fixed = None if effects else ("action", (act.name, act.kind, {}))
+    return Action(act.name, act.kind, sees_payload, tuple(effects), fixed)
 
 
 def _proves(t: PrimType | None, expr: Expr, properties: dict, fields: dict) -> bool:
@@ -337,11 +352,11 @@ def _transition(t: TransitionDef, entry: tuple[Execution, ...], model: Model) ->
     return Transition(
         trigger=t.trigger,
         guard=compile_expr(t.guard, model.locate, model.source) if t.guard is not None else None,
-        rejected=(label, guard_text, False),
-        accepted=(label, guard_text, True),
-        taken=(t.source.name, t.target.name, t.trigger.name if t.trigger is not None else None),
-        exited=(t.source.name,),
-        entered=(t.target.name,),
+        rejected=("guard_eval", (label, guard_text, False)),
+        accepted=("guard_eval", (label, guard_text, True)),
+        taken=("transition", (t.source.name, t.target.name, t.trigger.name if t.trigger is not None else None)),
+        exited=("state_exited", (t.source.name,)),
+        entered=("state_entered", (t.target.name,)),
         target=t.target,
         entry=entry,
     )
@@ -463,9 +478,11 @@ def step(rt: RuntimeState) -> bool:
     event, delivered = inbox.popleft()
     if not inbox:
         heappop(ready)  # before the action runs, so a self-enqueue pushes it again
-    path, record, dispatch = inst.path, rt.record, inst.dispatch
-    record(path, "event_delivered", delivered)
+    rt.record(inst.path)
+    record = rt.records.append
+    record(("event_delivered", delivered))
     payload = delivered[3]
+    dispatch = inst.dispatch
     _run_action(rt, inst, dispatch.actions[event.name], payload)
     if inst.state is None:
         return True
@@ -477,18 +494,18 @@ def step(rt: RuntimeState) -> bool:
             continue
         if t.guard is not None:
             if not t.guard(inst.properties, payload if t.trigger is not None else None):
-                record(path, "guard_eval", t.rejected)
+                record(t.rejected)
                 continue
-            record(path, "guard_eval", t.accepted)
+            record(t.accepted)
         fired = t
         break
     if fired is not None:
-        record(path, "transition", fired.taken)
+        record(fired.taken)
         for run in exits:
             run(rt, inst)
-        record(path, "state_exited", fired.exited)
+        record(fired.exited)
         inst.state = fired.target.name
-        record(path, "state_entered", fired.entered)
+        record(fired.entered)
         for run in fired.entry:
             run(rt, inst)
         continuous = states[inst.state].continuous
@@ -543,7 +560,7 @@ def _misfit(inst: InstanceState, what: str, t, value) -> None:
 def _run_action(rt: RuntimeState, inst: InstanceState, action: Action, payload: dict | None) -> None:
     name, kind, sees_payload, effects, fixed = action
     if fixed is not None:
-        rt.record(inst.path, "action", fixed)
+        rt.records.append(fixed)
         return
     scope = payload if sees_payload else None
     properties = inst.properties
@@ -557,7 +574,7 @@ def _run_action(rt: RuntimeState, inst: InstanceState, action: Action, payload: 
             value = fitted
         properties[target] = value
         assigned[target] = value
-    rt.record(inst.path, "action", (name, kind, assigned))
+    rt.records.append(("action", (name, kind, assigned)))
 
 
 def _send(rt: RuntimeState, inst: InstanceState, send: tuple) -> None:
@@ -567,7 +584,7 @@ def _send(rt: RuntimeState, inst: InstanceState, send: tuple) -> None:
     if target_event is not None:
         enqueue(rt, peer, target_event, values, source)
         error = None
-    rt.record(inst.path, "payload_sent", (port_name, event_name, route, values, error))
+    rt.records.append(("payload_sent", (port_name, event_name, route, values, error)))
 
 
 def _matching_incoming(comp: ComponentDef) -> dict[tuple[str, str | None], EventDef]:

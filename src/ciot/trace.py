@@ -1,18 +1,24 @@
 """Execution trace records and their canonical text form.
 
 Every observable step of a run becomes one record holding the raw values of
-that step. The engine keeps each as a plain ``(seq, time_us, instance, kind,
-values)`` tuple, which the collector can stop tracking; a ``Trace`` reads
-them as ``TraceRecord``s, built only as each is read. Text is built only
-when a record is read, by ``detail`` or by the renderer, so a run that
+that step. The engine keeps each as a plain ``(kind, values)`` pair, whose
+index is its seq, and every record of one step shares a time and an
+instance, so it keeps that pair once as the step's head: ``(index of its
+first record, time_us, instance)``. A pair the model fixes is built once and
+appended by every instance that makes it. Heads, and pairs whose values hold
+no dict, are ones the collector stops tracking. A ``Trace`` reads the heads
+and pairs as ``TraceRecord``s, built only as each is read. Text is built
+only when a record is read, by ``detail`` or by the renderer, so a run that
 renders nothing formats nothing. Rendering is stable, so two identical runs
 produce byte-identical trace files.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Sequence
 from functools import partial
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
 from .diagnostics import CiotError
@@ -57,35 +63,54 @@ class TraceRecord(NamedTuple):
 _as_record = partial(tuple.__new__, TraceRecord)
 
 
-class Trace(Sequence):
-    """A read-only, live view of a run's plain record tuples as ``TraceRecord``s.
+def _groups(heads: list[tuple], records: list[tuple]):
+    """Each head with its records: ``(seq of its first record, time_us,
+    instance, its (kind, values) pairs)``. A head's records run from its
+    first index up to the next head's, or to the end of ``records``."""
+    for k, (first, time_us, instance) in enumerate(heads):
+        end = heads[k + 1][0] if k + 1 < len(heads) else len(records)
+        yield first, time_us, instance, records[first:end]
 
-    Each record is built as it is read: iterating maps the tuples, an index
-    gives one record and a slice a list of them. The view shows records the
-    run appends after it was taken, and it equals a list (or another
+
+class Trace(Sequence):
+    """A read-only, live view of a run's heads and ``(kind, values)`` pairs
+    as ``TraceRecord``s.
+
+    A head ``(first index, time_us, instance)`` stamps every record from its
+    first index up to the next head's, and a record's seq is its index. Each
+    record is built as it is read: iterating walks the heads, an index finds
+    its head by bisection, and a slice gives a list. The view shows records
+    the run appends after it was taken, and it equals a list (or another
     ``Trace``) of the same records, since a record compares as a tuple."""
 
-    __slots__ = ("_records",)
+    __slots__ = ("_heads", "_records")
 
-    def __init__(self, records: list[tuple]) -> None:
+    def __init__(self, heads: list[tuple], records: list[tuple]) -> None:
+        self._heads = heads
         self._records = records
 
     def __len__(self) -> int:
         return len(self._records)
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
-            return list(map(_as_record, self._records[index]))
-        return _as_record(self._records[index])
+        seqs = range(len(self._records))[index]  # IndexError or TypeError as a list's
+        if isinstance(seqs, range):
+            return [self._at(seq) for seq in seqs]
+        return self._at(seqs)
+
+    def _at(self, seq: int) -> TraceRecord:
+        _, time_us, instance = self._heads[bisect_right(self._heads, seq, key=itemgetter(0)) - 1]
+        kind, values = self._records[seq]
+        return _as_record((seq, time_us, instance, kind, values))
 
     def __iter__(self):
-        return map(_as_record, self._records)
+        for first, time_us, instance, pairs in _groups(self._heads, self._records):
+            for seq, (kind, values) in enumerate(pairs, first):
+                yield _as_record((seq, time_us, instance, kind, values))
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, Trace):
-            return self._records == other._records
-        if isinstance(other, list):
-            return self._records == other
+        if isinstance(other, (Trace, list)):
+            return list(self) == list(other)
         return NotImplemented
 
 
@@ -131,17 +156,21 @@ def fmt_payload(values: Mapping[str, Any] | None) -> str:
             stack[-1][1].append(f"{key}={text}")
 
 
-def _renderer() -> Callable[[Iterable[TraceRecord]], list[str]]:
-    """A function from records to their lines that formats each distinct text once.
+def _renderer() -> Callable[[Iterable[tuple]], list[str]]:
+    """A function from record groups, as ``_groups`` gives them, to their
+    lines that formats each distinct text once.
 
-    It keeps the text after ``kind=`` of each state, guard and transition
-    record, and of each action record that assigns nothing, by the identity
-    of its values tuple (the engine builds these once), and the text of each float
-    and str in a payload or ``set`` by the identity of that value. It holds
-    every object it keys, so no id is reused while the renderer lives, and no
-    value is hashed. Payload and ``set`` dicts are formatted at each record:
+    It builds the `` t=… inst=… kind=`` text once per group. It keeps the
+    text from the kind on of each state, guard and transition record, and of
+    each action record that assigns nothing, by the identity of its values
+    tuple. The engine builds that tuple once, inside its prebuilt pair, and
+    a record rendered from any other iterable shares it just as well, where
+    the pair built for it does not. It keeps the text of each float and str
+    in a payload or ``set`` by the identity of that value. It holds every
+    object it keys, so no id is reused while the renderer lives, and no value
+    is hashed. Payload and ``set`` dicts are formatted at each record:
     keeping their text too saves little and holds it all until the end."""
-    tails: dict[int, tuple[str, str]] = {}  # id(values) -> (text, kind)
+    tails: dict[int, tuple[str, str]] = {}  # id(values) -> (text from the kind on, kind)
     texts: dict[int, str] = {}  # id(value) -> text
     held: list = []  # every keyed object, so that its id is not reused
     hold = held.append
@@ -165,32 +194,31 @@ def _renderer() -> Callable[[Iterable[TraceRecord]], list[str]]:
                 return fmt_payload(values)
         return "{" + ",".join(parts) + "}"
 
-    def lines(records: Iterable[TraceRecord]) -> list[str]:
+    def lines(groups: Iterable[tuple]) -> list[str]:
         out = []
         append = out.append
-        last_time = time_text = None  # consecutive records mostly share a time
-        for seq, time_us, instance, kind, values in records:
-            if time_us is not last_time:
-                last_time, time_text = time_us, f"{time_us}"
-            if kind == "action" and values[2]:
-                action, action_kind, assigned = values
-                tail = f" action={action} type={action_kind} set={payload(assigned)}"
-            elif kind == "event_delivered":
-                event, eseq, source, sent = values
-                tail = f" event={event} eseq={eseq} from={source} payload={payload(sent)}"
-            elif kind == "payload_sent":
-                port, event, route, sent, error = values
-                tail = f" port={port} event={event} to={_route(route)} payload={payload(sent)}"
-                if error is not None:
-                    tail += f" error={error}"
-            else:  # a state, guard, transition or no-assignment action record
-                entry = tails.get(id(values))
-                if entry is None or entry[1] is not kind:
-                    pairs = zip(FIELDS[kind], _TEXTS[kind](*values))
-                    entry = tails[id(values)] = ("".join(f" {k}={text}" for k, text in pairs), kind)
-                    hold(values)
-                tail = entry[0]
-            append(f"seq={seq} t={time_text} inst={instance} kind={kind}{tail}")
+        for first, time_us, instance, pairs in groups:
+            head = f" t={time_us} inst={instance} kind="
+            for seq, (kind, values) in enumerate(pairs, first):
+                if kind == "action" and values[2]:
+                    action, action_kind, assigned = values
+                    tail = f"action action={action} type={action_kind} set={payload(assigned)}"
+                elif kind == "event_delivered":
+                    event, eseq, source, sent = values
+                    tail = f"event_delivered event={event} eseq={eseq} from={source} payload={payload(sent)}"
+                elif kind == "payload_sent":
+                    port, event, route, sent, error = values
+                    tail = f"payload_sent port={port} event={event} to={_route(route)} payload={payload(sent)}"
+                    if error is not None:
+                        tail += f" error={error}"
+                else:  # a state, guard, transition or no-assignment action record
+                    entry = tails.get(id(values))
+                    if entry is None or entry[1] is not kind:
+                        shown = zip(FIELDS[kind], _TEXTS[kind](*values))
+                        entry = tails[id(values)] = (kind + "".join(f" {k}={text}" for k, text in shown), kind)
+                        hold(values)
+                    tail = entry[0]
+                append(f"seq={seq}{head}{tail}")
         return out
 
     return lines
@@ -198,19 +226,21 @@ def _renderer() -> Callable[[Iterable[TraceRecord]], list[str]]:
 
 def render_trace(records: Iterable[TraceRecord]) -> str:
     """The trace text of ``records``, one line each; E_USAGE unless
-    ``records`` is an iterable of trace records. A ``Trace`` is read through
-    its plain tuples, so no ``TraceRecord`` is built.
+    ``records`` is an iterable of trace records. A ``Trace`` is rendered
+    head by head from its pairs, so no ``TraceRecord`` is built. Any other
+    iterable goes through the same renderer, each record a group of its own.
 
     No record is checked up front: one that is not a trace record fails in
     the renderer's unpacking or lookups, and that failure becomes E_USAGE."""
     if isinstance(records, Trace):
-        records = records._records
+        groups = _groups(records._heads, records._records)
+    else:
+        try:
+            groups = ((seq, t, instance, ((kind, values),)) for seq, t, instance, kind, values in records)
+        except TypeError:
+            raise CiotError.of("E_USAGE", f"records must be an iterable, got {type(records).__name__}") from None
     try:
-        records = iter(records)
-    except TypeError:
-        raise CiotError.of("E_USAGE", f"records must be an iterable, got {type(records).__name__}") from None
-    try:
-        lines = _renderer()(records)
+        lines = _renderer()(groups)
     except (TypeError, ValueError, LookupError, AttributeError) as exc:
         raise CiotError.of("E_USAGE", "records must hold only trace records") from exc
     lines.append("")

@@ -209,6 +209,7 @@ def engine_reached(gm: GeneratedMachine, depth: int, max_steps: int = 100) -> se
             for ev_name, payload in symbols:
                 inst.state = state
                 inst.properties = dict(props)
+                rt.heads.clear()
                 rt.records.clear()
                 inject(rt, "m", "p1", ev_name, dict(payload))
                 run_to_quiescence(rt, max_steps)  # E_STEP_LIMIT unless it quiesces

@@ -941,16 +941,19 @@ def test_detail_is_fixed_once_recorded(parking_model):
 
 @pytest.mark.parametrize("scenario_file", ["scenario_arrive_depart.scn", "scenario_physical.scn"])
 def test_records_are_plain_tuples_and_those_without_dicts_are_left_untracked(parking_model, corpus_dir, scenario_file):
-    """A record is an exact tuple of strings, ints and its values tuple, so
-    unless its values hold a payload or ``set`` dict the collector stops
-    tracking it and no later collection walks it. A collection untracks a
-    tuple whose items are untracked when it reaches it, so a record that the
-    collector meets before its values tuple is left for the next one."""
-    records = simulate(parking_model, load_scenario_file(str(corpus_dir / scenario_file))).runtime.records
+    """A head is an exact tuple of ints and a string, and a record an exact
+    ``(kind, values)`` pair, so every head, and every pair whose values hold
+    no payload or ``set`` dict, is one the collector stops tracking and no
+    later collection walks. A collection untracks a tuple whose items are
+    untracked when it reaches it, so a pair that the collector meets before
+    its values tuple is left for the next one."""
+    rt = simulate(parking_model, load_scenario_file(str(corpus_dir / scenario_file))).runtime
     gc.collect()
     gc.collect()
-    assert all(type(r) is tuple for r in records)
-    dictless = [r for r in records if not any(type(v) is dict for v in r[4])]
+    assert rt.heads and all(type(h) is tuple for h in rt.heads)
+    assert all(type(r) is tuple for r in rt.records)
+    assert not any(gc.is_tracked(h) for h in rt.heads)
+    dictless = [r for r in rt.records if not any(type(v) is dict for v in r[1])]
     assert dictless
     assert not any(gc.is_tracked(r) for r in dictless)
 
@@ -1129,6 +1132,39 @@ def test_repeated_transition_records_equal_values(parking_model):
         return render_trace([r]).split(" ", 3)[3]  # without seq, t and inst
 
     assert [text(r) for r in first] == [text(r) for r in second]
+
+
+def test_fixed_records_are_one_pair_shared_by_every_instance(parking_path):
+    """Three copies of the parking node under the same readings: each
+    guard_eval, transition and state record, and each action record that
+    assigns nothing, is the one prebuilt pair of every node, so appending it
+    allocates nothing. Every step opens one head, as does every instance
+    that ``instantiate`` enters."""
+    with open(parking_path, encoding="utf-8") as f:
+        text = f.read()
+    assert text.count("instance node: Node;") == 1
+    rt = instantiate(load_text(text.replace("instance node: Node;", "instance n0: Node; instance n1: Node; instance n2: Node;")))
+    entered = sum(1 for inst in rt.by_index if inst.component.state_machine is not None)
+    assert len(rt.heads) == entered
+    steps = 0
+    for duration in (100.0, 450.0, 100.0, 100.0, 20.0):
+        for node in ("n0", "n1", "n2"):
+            inject(rt, node, "pSense", "evtReading", {"duration": duration})
+        steps += run_to_quiescence(rt)
+    assert len(rt.heads) == steps + entered
+    by_node = {"n0": [], "n1": [], "n2": []}
+    for r in rt.trace:
+        by_node[r.instance.split(".")[0]].append(rt.records[r.seq])
+    n0, n1, n2 = by_node.values()
+    assert len(n0) == len(n1) == len(n2)
+    fixed = 0
+    for a, b, c in zip(n0, n1, n2):
+        kind, values = a
+        assert b[0] == c[0] == kind
+        if kind in TRANSITION_KINDS or (kind == "action" and not values[2]):
+            assert a is b is c
+            fixed += 1
+    assert {kind for kind, _ in n0} >= set(TRANSITION_KINDS) | {"action"} and fixed > len(n0) // 2
 
 
 def test_grammar_doc_example_validates_and_runs(corpus_dir):

@@ -3,8 +3,9 @@
 ``render_trace`` keeps text by the identity of the objects it formats
 (shared values tuples, and the floats and strs in payloads); these tests pin
 that a whole trace renders exactly as its records do one at a time, and as
-their ``detail`` reads. A ``Trace`` reads a run's plain record tuples as
-``TraceRecord``s; its tests pin that it reads as the list of its records."""
+their ``detail`` reads. A ``Trace`` reads a run's heads and ``(kind,
+values)`` pairs as ``TraceRecord``s; its tests pin that it reads as the list
+of its records, by index and slice as by iteration."""
 
 from __future__ import annotations
 
@@ -12,8 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ciot import load_scenario_file, simulate
+from ciot import inject, instantiate, load_scenario_file, load_text, run_to_quiescence, simulate
 from ciot.trace import FIELDS, Trace, TraceRecord, render_trace
+
+from genmodels import alphabet, generate
 
 # Kinds whose values have the same shape: a values tuple may appear under either.
 TWIN = {
@@ -123,26 +126,42 @@ def test_dict_changed_between_records_renders_its_contents_at_each():
     )
 
 
+def test_plain_records_render_their_own_seq_and_time():
+    """Records that are not a ``Trace`` render one by one: a seq that skips
+    and a time that goes back and forth show as each record holds them."""
+    records = [
+        (7, 100, "a", "state_entered", ("S",)),
+        (3, 5, "a", "state_exited", ("S",)),
+        (42, 100, "b", "event_delivered", ("e", 0, "env", None)),
+        (42, 0, "a", "state_entered", ("S",)),
+    ]
+    assert render_trace(records) == (
+        "seq=7 t=100 inst=a kind=state_entered state=S\n"
+        "seq=3 t=5 inst=a kind=state_exited state=S\n"
+        "seq=42 t=100 inst=b kind=event_delivered event=e eseq=0 from=env payload=-\n"
+        "seq=42 t=0 inst=a kind=state_entered state=S\n"
+    )
+
+
 def test_trace_view_reads_its_list_as_records():
     sent = {"state": "high"}
-    records = [
-        (0, 0, "a", "state_entered", ("S",)),
-        (1, 5, "a.b", "payload_sent", ("p", "e", ("a", "q"), sent, None)),
-    ]
-    view = Trace(records)
+    heads = [(0, 0, "a"), (1, 5, "a.b")]
+    pairs = [("state_entered", ("S",)), ("payload_sent", ("p", "e", ("a", "q"), sent, None))]
+    view = Trace(heads, pairs)
     assert len(view) == 2
     last = view[-1]
     assert type(last) is TraceRecord
-    assert (last.kind, last.instance, last.time_us) == ("payload_sent", "a.b", 5)
+    assert (last.seq, last.kind, last.instance, last.time_us) == (1, "payload_sent", "a.b", 5)
     assert last.detail == {"port": "p", "event": "e", "to": "a.q", "payload": '{state="high"}'}
-    assert last.values is records[1][4] and last.values[3] is sent
+    assert last.values is pairs[1][1] and last.values[3] is sent
     assert view[:1] == [TraceRecord(0, 0, "a", "state_entered", ("S",))] and type(view[:1]) is list
-    # The view is live: it shows a record appended after it was taken.
-    records.append((2, 5, "a", "state_exited", ("S",)))
-    assert len(view) == 3 and view[2].detail == {"state": "S"}
+    # The view is live: it shows a record appended after it was taken, under the last head.
+    pairs.append(("state_exited", ("S",)))
+    assert len(view) == 3 and view[2] == (2, 5, "a.b", "state_exited", ("S",)) and view[2].detail == {"state": "S"}
     assert all(type(r) is TraceRecord for r in view)
-    assert view == list(view) == records and view == Trace(list(records))
-    assert view != records[:2] and Trace([]) == []
+    records = [(0, 0, "a", *pairs[0]), (1, 5, "a.b", *pairs[1]), (2, 5, "a.b", *pairs[2])]
+    assert view == list(view) == records and view == Trace(list(heads), list(pairs))
+    assert view != records[:2] and Trace([], []) == []
     with pytest.raises(TypeError):
         view[0] = records[0]
 
@@ -152,3 +171,40 @@ def test_trace_view_renders_as_the_list_of_its_records(request, shared_parking_m
     view = simulate(shared_parking_model(), load_scenario_file(request.getfixturevalue(scenario_fixture))).trace
     assert isinstance(view, Trace) and len(view) > 0
     assert render_trace(view) == render_trace(list(view))
+
+
+def slices(n: int):
+    bounds = st.one_of(st.none(), st.integers(-n - 3, n + 3))
+    steps = st.one_of(st.none(), st.integers(-4, 4).filter(bool))
+    return st.builds(slice, bounds, bounds, steps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10**6),
+    picks=st.lists(st.tuples(st.integers(min_value=0), st.integers(0, 2)), max_size=10),
+    data=st.data(),
+)
+def test_trace_view_indexes_as_it_iterates(seed, picks, data):
+    """An index or a slice of a run's view reads the records that iterating
+    it reads: the head an index finds by bisection is the head its record
+    was made under, over several heads per clock time."""
+    gm = generate(seed)
+    symbols = alphabet(gm)
+    rt = instantiate(load_text(gm.text))
+    for pick, tick in picks:
+        rt.clock_us += tick * 1000
+        event, payload = symbols[pick % len(symbols)]
+        inject(rt, "m", "p1", event, dict(payload))
+        run_to_quiescence(rt, 100)
+    view = rt.trace
+    records = list(view)
+    n = len(records)
+    assert n == len(view) == len(rt.records)
+    for i in range(-n, n):
+        assert view[i] == records[i] and view[i].values is records[i].values
+    for i in (n, n + 1, -n - 1, -n - 2):
+        with pytest.raises(IndexError):
+            view[i]
+    for s in data.draw(st.lists(slices(n), max_size=6)):
+        assert view[s] == records[s] and type(view[s]) is list
