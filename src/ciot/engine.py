@@ -24,31 +24,40 @@ order, and ``RuntimeState.ready`` is a min-heap of the indices whose inbox is
 non-empty. An index is pushed when its inbox goes from empty to non-empty
 and popped when a step empties it again, so the heap's top is always the
 instance the depth-first order names. An inbox entry is a plain
-``(event, delivered)`` tuple: ``delivered`` holds the values of the event's
-``event_delivered`` record (name, sequence number, source, payload), built
-once when the event is queued; the step that takes it records it in one new
-pair.
+``(event, delivered)`` tuple: ``delivered`` is the event's
+``event_delivered`` record (kind, name, sequence number, source, payload),
+built once when the event is queued; the step that takes it appends it as
+is.
 
 What the model fixes is worked out once per component, at its first
 instance in depth-first order, as one ``Dispatch`` record that the call's
 later instances of it share. Per state: its transitions, each with its guard
 compiled by ``guards.compile_expr`` and the records it makes (guard_eval for
-either result, transition, state_exited, state_entered) built in advance as
-``(kind, values)`` pairs; and its entry, exit and continuous executions with
-the direction already decided: run the action and send, queue a payload
-snapshot, or run the action inline. A state's entry executions are built
-once and shared by the transitions into it. Per event: its action's effects
-as compiled expressions, or, for an action with no effects, its action
-record's pair. Per outgoing event: the port, the payload and the fields of
-the payload it builds. Per port and payload name: the first incoming
-event declared with both, which is the event a send to that port with that
-payload delivers. The record also holds the fitted initial property values,
-which each instance gets a copy of, the initial state's name and its
-state_entered pair, and each connector's ends relative to the owner's path.
-``instantiate`` then takes the instances once in depth-first order: it
-resolves each send of the instance (the route, the peer, the peer's incoming
-event as one lookup in the peer's record, and the source text) and enters
-the instance's initial state. One pass suffices because an instance's entry executions send only
+either result, transition, state_exited, state_entered) built in advance;
+and its entry, exit and continuous executions with the direction already
+decided: run the action and send, queue a payload snapshot, or run the
+action inline. A state's entry executions are built once and shared by the
+transitions into it. Per event: its action's effects as compiled
+expressions, or the action folded. An action folds when each of its effects
+(none at all included) is a literal that fits its target as it is
+(``_proves``): its one action record is built here, holding the dict of
+what it assigns, and a run only merges that dict into the instance's
+properties and appends the record. Per outgoing event: the port, the
+payload and the fields of the payload it builds, and whether the send
+folds: it does when its action is folded and sets every field of the
+payload through a property of the field's type, so every send of it
+delivers one payload dict, built here. A generic event at an entry or exit
+position never folds: its payload is snapshotted before its action runs.
+Per port and payload name: the first incoming event declared with both,
+which is the event a send to that port with that payload delivers. The
+record also holds the fitted initial property values, which each instance
+gets a copy of, the initial state's name and its state_entered record, and
+each connector's ends relative to the owner's path. ``instantiate`` then
+takes the instances once in depth-first order: it resolves each send of the
+instance (the route, the peer, the peer's incoming event as one lookup in
+the peer's record, the source text, and for a folded send its payload_sent
+record, with the route and error fixed) and enters the instance's initial
+state. One pass suffices because an instance's entry executions send only
 through its own sends, and nothing steps during ``instantiate``. Nothing
 compiled or fitted outlives the call, so every ``instantiate`` builds its
 own records.
@@ -70,26 +79,30 @@ widening an int to a float is not a proof, so it still goes through
 A send that finds no connector, or a peer with no matching incoming event,
 is recorded with ``error=E_NO_ROUTE`` and dropped; it is not a runtime fault.
 
-Each trace record is a plain ``(kind, values)`` pair appended to
+Each trace record is one flat tuple ``(kind, *values)`` appended to
 ``RuntimeState.records``; its index is its seq. Every record of one step is
 made at the stepping instance, and the clock moves only between steps, so
 ``RuntimeState.record`` opens one head per step (and one per instance that
-``instantiate`` enters): ``(index of its first record, time_us, instance)``
-on ``RuntimeState.heads``, which stamps every record up to the next head.
-The pairs the model fixes (a transition's guard_eval, transition and state
-records, an effect-free action's record, the initial state_entered) are
-built once in the ``Dispatch`` and shared by every instance, so appending
-one allocates nothing; event_delivered, payload_sent and an action with
-effects build one pair each. A head, and a pair whose values hold no dict,
-is one the collector stops tracking. ``RuntimeState.trace`` reads heads and
-pairs as ``TraceRecord``s through a live ``trace.Trace`` view, built only as
-each is read. The values are raw (``trace.FIELDS``), and text is built only
-when a record is read. Payload and assigned-value dicts are kept by reference, so
-the engine never mutates such a dict after building it. ``enqueue`` checks
-nothing and queues a fresh payload from ``_conform_payload`` (``inject``,
-``bind_internal``), ``_snapshot_payload`` (sends, entry and exit positions)
-or ``sim.simulate`` (its readings); every action collects its assignments
-in a new dict.
+``instantiate`` enters), which stamps every record up to the next head. The
+heads are kept as three columns, ``head_first`` (the index of its first
+record), ``head_time`` and ``head_instance``, so opening one builds no
+tuple. The records the model fixes (a transition's guard_eval, transition
+and state records, a folded action's record, the initial state_entered) are
+built once in the ``Dispatch`` and shared by every instance, and a folded
+send's payload_sent record once per instance, so appending one allocates
+nothing; a delivery appends the event_delivered record that ``enqueue``
+built, and an unfolded send or action builds one record each. A record
+whose values hold no dict is one the collector stops tracking.
+``RuntimeState.trace`` reads the columns and records as ``TraceRecord``s
+through a live ``trace.Trace`` view, built only as each is read. The values
+are raw (``trace.FIELDS``), and text is built only when a record is read.
+Payload and assigned-value dicts are kept by reference, and a folded one is
+shared by every record, delivery and instance that holds it, so the engine
+never mutates such a dict after building it. ``enqueue`` checks nothing and
+queues a fresh payload from ``_conform_payload`` (``inject``,
+``bind_internal``), ``_snapshot_payload`` (unfolded sends, entry and exit
+positions) or ``sim.simulate`` (its readings), or a folded send's one
+payload; every unfolded action collects its assignments in a new dict.
 """
 
 from __future__ import annotations
@@ -128,18 +141,17 @@ Fields = tuple[tuple[str, FieldType, bool], ...] | None
 
 @dataclass(frozen=True, slots=True)
 class Transition:
-    """One transition as ``step`` takes it: its compiled guard, the values
-    of the records it makes and its target's entry executions, all fixed by
-    the model."""
+    """One transition as ``step`` takes it: its compiled guard, the records
+    it makes and its target's entry executions, all fixed by the model."""
 
     trigger: EventDef | None
     guard: Callable | None  # compiled; sees the payload only when the transition has a trigger
-    # Its records as prebuilt (kind, values) pairs, shared by every instance:
-    rejected: tuple  # ("guard_eval", ("A->B", quoted guard text, False))
+    # Its records, prebuilt and shared by every instance:
+    rejected: tuple  # ("guard_eval", "A->B", quoted guard text, False)
     accepted: tuple  # the same with True
-    taken: tuple  # ("transition", (source, target, trigger name or None))
-    exited: tuple  # ("state_exited", (source,))
-    entered: tuple  # ("state_entered", (target,))
+    taken: tuple  # ("transition", source, target, trigger name or None)
+    exited: tuple  # ("state_exited", source)
+    entered: tuple  # ("state_entered", target)
     target: StateDef
     entry: tuple[Execution, ...]  # the target's entry executions
 
@@ -161,7 +173,9 @@ class Action(NamedTuple):
     sees_payload: bool  # False for a send action, whose effects see no payload
     # (target, its declared type, compiled expression, whether the declared types prove the fit)
     effects: tuple[tuple[str, PrimType | None, Callable, bool], ...]
-    fixed: tuple | None  # with no effects, the pair of every action record it makes: ("action", (name, kind, {}))
+    # Folded, when every effect is a literal proven to fit: the one record it
+    # makes, ("action", name, kind, {target: literal, ...}), whose dict it sets.
+    fixed: tuple | None
 
 
 class Dispatch(NamedTuple):
@@ -171,12 +185,13 @@ class Dispatch(NamedTuple):
     states: dict[str, State]  # the first state of each name
     actions: dict[str, Action]  # per event name
     # Per outgoing event in declaration order: (port name, event name, its
-    # action's payload name, that payload's fields).
-    outgoing: tuple[tuple[str, str, str | None, Fields], ...]
+    # action's payload name, that payload's fields, whether the send folds,
+    # and if so the payload every send of it delivers).
+    outgoing: tuple[tuple[str, str, str | None, Fields, bool, dict | None], ...]
     incoming: dict[tuple[str, str | None], EventDef]  # see ``_matching_incoming``
     properties: dict  # the fitted initial values
     initial: str | None  # the initial state's name
-    entered: tuple | None  # its state_entered pair: ("state_entered", (name,))
+    entered: tuple | None  # its state_entered record: ("state_entered", name)
     links: tuple  # per connector: both ends as (suffix of the owner's path, port name)
 
 
@@ -188,9 +203,10 @@ class InstanceState:
     state: str | None
     index: int  # position in depth-first order
     dispatch: Dispatch
-    inbox: deque[tuple[EventDef, tuple]] = field(default_factory=deque)  # (event, event_delivered values)
+    inbox: deque[tuple[EventDef, tuple]] = field(default_factory=deque)  # (event, its event_delivered record)
     # Per entry of ``dispatch.outgoing``: (port name, event name, route, peer,
-    # peer's incoming event, payload fields, source text), resolved by ``instantiate``.
+    # peer's incoming event, payload fields, source text, and for a folded
+    # send its payload_sent record), resolved by ``instantiate``.
     sends: list[tuple] = field(default_factory=list)
 
 
@@ -199,8 +215,11 @@ class RuntimeState:
     instances: dict[str, InstanceState]
     order: list[str]  # depth-first instance paths
     by_index: list[InstanceState]  # the instances in depth-first order
-    heads: list[tuple] = field(default_factory=list)  # (index of its first record, time_us, instance) each
-    records: list[tuple] = field(default_factory=list)  # (kind, values) each; its index is its seq
+    # The heads as columns, one entry per head each:
+    head_first: list[int] = field(default_factory=list)  # index of its first record
+    head_time: list[int] = field(default_factory=list)  # time_us
+    head_instance: list[str] = field(default_factory=list)  # instance path
+    records: list[tuple] = field(default_factory=list)  # (kind, *values) each; its index is its seq
     clock_us: int = 0
     eseq: int = 0
     step_count: int = 0
@@ -209,12 +228,14 @@ class RuntimeState:
     @property
     def trace(self) -> Trace:
         """The records as ``TraceRecord``s, a live read-only view."""
-        return Trace(self.heads, self.records)
+        return Trace(self.head_first, self.head_time, self.head_instance, self.records)
 
     def record(self, instance: str) -> None:
         """Open a head: the records appended from now until the next head
         were made at ``instance`` at the current clock."""
-        self.heads.append((len(self.records), self.clock_us, instance))
+        self.head_first.append(len(self.records))
+        self.head_time.append(self.clock_us)
+        self.head_instance.append(instance)
 
 
 def instantiate(model: Model) -> RuntimeState:
@@ -237,13 +258,16 @@ def instantiate(model: Model) -> RuntimeState:
     rt = RuntimeState(instances=instances, order=[p for p, _ in paths], by_index=by_index)
     for inst in by_index:
         path, dispatch, sends = inst.path, inst.dispatch, inst.sends
-        for port_name, event_name, payload_name, fields in dispatch.outgoing:
+        for port_name, event_name, payload_name, fields, folds, payload in dispatch.outgoing:
             route = routes.get((path, port_name))
-            peer = target_event = None
+            peer = target_event = sent = None
             if route is not None:
                 peer = instances[route[0]]
                 target_event = peer.dispatch.incoming.get((route[1], payload_name))
-            sends.append((port_name, event_name, route, peer, target_event, fields, f"{path}.{port_name}"))
+            if folds:
+                error = None if target_event is not None else "E_NO_ROUTE"
+                sent = ("payload_sent", port_name, event_name, route, payload, error)
+            sends.append((port_name, event_name, route, peer, target_event, fields, f"{path}.{port_name}", sent))
         if inst.state is not None:
             rt.record(path)
             rt.records.append(dispatch.entered)
@@ -286,12 +310,14 @@ def _build_dispatch(model: Model, comp: ComponentDef, path: str) -> Dispatch:
     for ev in outgoing:
         payload = ev.action.payload
         port_name = ev.port.name if ev.port is not None else "-"
-        sends.append((port_name, ev.name, payload.name if payload is not None else None, _fields(payload, types)))
+        fields = _fields(payload, types)
+        folds, constant = _folded_payload(actions[ev.name], fields)
+        sends.append((port_name, ev.name, payload.name if payload is not None else None, fields, folds, constant))
     properties = {p.name: _initial_value(model, comp, p, path) for p in comp.properties}
     initial = machine.initial if machine is not None else None
     links = tuple((_endpoint(conn.a), _endpoint(conn.b)) for conn in comp.connectors)
     initial_name = initial.name if initial is not None else None
-    entered = ("state_entered", (initial_name,)) if initial is not None else None
+    entered = ("state_entered", initial_name) if initial is not None else None
     return Dispatch(states, actions, tuple(sends), _matching_incoming(comp), properties, initial_name, entered, links)
 
 
@@ -306,8 +332,28 @@ def _action(ev: EventDef, types: dict[str, PrimType], model: Model) -> Action:
         t = types.get(e.target)
         compiled = compile_expr(e.expr, model.locate, model.source)
         effects.append((e.target, t, compiled, _proves(t, e.expr, types, fields)))
-    fixed = None if effects else ("action", (act.name, act.kind, {}))
-    return Action(act.name, act.kind, sees_payload, tuple(effects), fixed)
+    if all(proven and isinstance(e.expr, Literal) for e, (*_, proven) in zip(act.effects, effects)):
+        # Each literal is the value it stores; of two with one target, the
+        # dict keeps the first's place and the last's value, as a run does.
+        fixed = ("action", act.name, act.kind, {e.target: e.expr.value for e in act.effects})
+        return Action(act.name, act.kind, sees_payload, (), fixed)
+    return Action(act.name, act.kind, sees_payload, tuple(effects), None)
+
+
+def _folded_payload(action: Action, fields: Fields) -> tuple[bool, dict | None]:
+    """Whether a send by ``action`` of a payload with ``fields`` always
+    delivers one payload, and that payload. It does when the action is
+    folded and sets each field, through a property whose type proves the
+    field's fit: the payload is then what a snapshot right after the action
+    reads."""
+    if action.kind != ActionKind.SEND_PAYLOAD or action.fixed is None:
+        return False, None
+    sets = action.fixed[3]
+    if fields is None:
+        return True, None
+    if not all(proven and name in sets for name, _, proven in fields):
+        return False, None
+    return True, {name: sets[name] for name, _, _ in fields}
 
 
 def _proves(t: PrimType | None, expr: Expr, properties: dict, fields: dict) -> bool:
@@ -352,11 +398,11 @@ def _transition(t: TransitionDef, entry: tuple[Execution, ...], model: Model) ->
     return Transition(
         trigger=t.trigger,
         guard=compile_expr(t.guard, model.locate, model.source) if t.guard is not None else None,
-        rejected=("guard_eval", (label, guard_text, False)),
-        accepted=("guard_eval", (label, guard_text, True)),
-        taken=("transition", (t.source.name, t.target.name, t.trigger.name if t.trigger is not None else None)),
-        exited=("state_exited", (t.source.name,)),
-        entered=("state_entered", (t.target.name,)),
+        rejected=("guard_eval", label, guard_text, False),
+        accepted=("guard_eval", label, guard_text, True),
+        taken=("transition", t.source.name, t.target.name, t.trigger.name if t.trigger is not None else None),
+        exited=("state_exited", t.source.name),
+        entered=("state_entered", t.target.name),
         target=t.target,
         entry=entry,
     )
@@ -463,7 +509,7 @@ def enqueue(rt: RuntimeState, inst: InstanceState, event: EventDef, values: dict
     payload, and it is kept by reference."""
     if not inst.inbox:
         heappush(rt.ready, inst.index)
-    inst.inbox.append((event, (event.name, rt.eseq, source, values)))
+    inst.inbox.append((event, ("event_delivered", event.name, rt.eseq, source, values)))
     rt.eseq += 1
 
 
@@ -480,8 +526,8 @@ def step(rt: RuntimeState) -> bool:
         heappop(ready)  # before the action runs, so a self-enqueue pushes it again
     rt.record(inst.path)
     record = rt.records.append
-    record(("event_delivered", delivered))
-    payload = delivered[3]
+    record(delivered)
+    payload = delivered[4]
     dispatch = inst.dispatch
     _run_action(rt, inst, dispatch.actions[event.name], payload)
     if inst.state is None:
@@ -560,6 +606,7 @@ def _misfit(inst: InstanceState, what: str, t, value) -> None:
 def _run_action(rt: RuntimeState, inst: InstanceState, action: Action, payload: dict | None) -> None:
     name, kind, sees_payload, effects, fixed = action
     if fixed is not None:
+        inst.properties.update(fixed[3])
         rt.records.append(fixed)
         return
     scope = payload if sees_payload else None
@@ -574,17 +621,22 @@ def _run_action(rt: RuntimeState, inst: InstanceState, action: Action, payload: 
             value = fitted
         properties[target] = value
         assigned[target] = value
-    rt.records.append(("action", (name, kind, assigned)))
+    rt.records.append(("action", name, kind, assigned))
 
 
 def _send(rt: RuntimeState, inst: InstanceState, send: tuple) -> None:
-    port_name, event_name, route, peer, target_event, fields, source = send
+    port_name, event_name, route, peer, target_event, fields, source, sent = send
+    if sent is not None:
+        if target_event is not None:
+            enqueue(rt, peer, target_event, sent[4], source)
+        rt.records.append(sent)
+        return
     values = _snapshot_payload(inst, fields)
     error = "E_NO_ROUTE"
     if target_event is not None:
         enqueue(rt, peer, target_event, values, source)
         error = None
-    rt.records.append(("payload_sent", (port_name, event_name, route, values, error)))
+    rt.records.append(("payload_sent", port_name, event_name, route, values, error))
 
 
 def _matching_incoming(comp: ComponentDef) -> dict[tuple[str, str | None], EventDef]:

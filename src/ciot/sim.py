@@ -81,7 +81,7 @@ class SimResult:
     @property
     def trace(self) -> Trace:
         """The run's records as ``TraceRecord``s, a live read-only view of
-        ``runtime.heads`` and ``runtime.records``; each record is built only
+        ``runtime.records`` and its head columns; each record is built only
         as it is read."""
         return self.runtime.trace
 
@@ -351,17 +351,15 @@ def occupancy_timeline(result: SimResult) -> list[tuple[int, str]]:
     red_path, green_path = find_led_paths([(p, rt.instances[p].component) for p in rt.order])
     state = {red_path: None, green_path: None}
     timeline: list[tuple[int, str]] = []
-    heads, records = rt.heads, rt.records
-    ends = [first for first, _, _ in heads[1:]]  # each head's records end where the next one's start
+    first, records = rt.head_first, rt.records
+    ends = first[1:]  # each head's records end where the next one's start
     ends.append(len(records))
-    k = 0
-    for t_us, group in groupby(heads, itemgetter(1)):
-        for first, _, instance in group:
+    for t_us, group in groupby(zip(rt.head_time, rt.head_instance, first, ends), itemgetter(0)):
+        for _, instance, start, end in group:
             if instance in state:
-                for kind, values in records[first : ends[k]]:
-                    if kind == "state_entered":
-                        state[instance] = values[0]
-            k += 1
+                for record in records[start:end]:
+                    if record[0] == "state_entered":
+                        state[instance] = record[1]
         red_on, green_on = state[red_path] == "ON", state[green_path] == "ON"
         if red_on and green_on:
             raise CiotError.of("E_TRACE", f"both indicators ON at t={t_us}us")

@@ -1,24 +1,27 @@
 """Execution trace records and their canonical text form.
 
 Every observable step of a run becomes one record holding the raw values of
-that step. The engine keeps each as a plain ``(kind, values)`` pair, whose
-index is its seq, and every record of one step shares a time and an
-instance, so it keeps that pair once as the step's head: ``(index of its
-first record, time_us, instance)``. A pair the model fixes is built once and
-appended by every instance that makes it. Heads, and pairs whose values hold
-no dict, are ones the collector stops tracking. A ``Trace`` reads the heads
-and pairs as ``TraceRecord``s, built only as each is read. Text is built
-only when a record is read, by ``detail`` or by the renderer, so a run that
-renders nothing formats nothing. Rendering is stable, so two identical runs
-produce byte-identical trace files.
+that step. The engine keeps each as one flat tuple ``(kind, *values)``,
+whose index is its seq, and every record of one step shares a time and an
+instance, so it keeps those once per step as that step's head, in three
+columns: the index of the head's first record, its time_us and its
+instance. A record the model fixes, such as a transition's or a folded
+action's, is built once and appended by every instance that makes it, and
+a folded send's payload_sent record once per instance. The columns hold
+only ints and strings, and a record whose values hold no dict is one the
+collector stops tracking. A ``Trace`` reads the columns and records as
+``TraceRecord``s, built only as each is read. Text is built only when a
+record is read, by ``detail`` or by the renderer, so a run that renders
+nothing formats nothing. Rendering is stable, so two identical runs produce
+byte-identical trace files.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Sequence
-from functools import partial
-from operator import itemgetter
+from itertools import chain, count, repeat
+from operator import itemgetter, sub
 from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
 from .diagnostics import CiotError
@@ -58,35 +61,26 @@ class TraceRecord(NamedTuple):
         return {k: text for k, text in texts if text is not None}
 
 
-# A record's plain tuple as a TraceRecord, without the Python-level call of
-# its generated __new__.
-_as_record = partial(tuple.__new__, TraceRecord)
-
-
-def _groups(heads: list[tuple], records: list[tuple]):
-    """Each head with its records: ``(seq of its first record, time_us,
-    instance, its (kind, values) pairs)``. A head's records run from its
-    first index up to the next head's, or to the end of ``records``."""
-    for k, (first, time_us, instance) in enumerate(heads):
-        end = heads[k + 1][0] if k + 1 < len(heads) else len(records)
-        yield first, time_us, instance, records[first:end]
-
-
 class Trace(Sequence):
-    """A read-only, live view of a run's heads and ``(kind, values)`` pairs
-    as ``TraceRecord``s.
+    """A read-only, live view of a run's heads and ``(kind, *values)``
+    records as ``TraceRecord``s.
 
-    A head ``(first index, time_us, instance)`` stamps every record from its
+    The heads are three columns, one entry per head: the index of its first
+    record, its time_us and its instance. A head stamps every record from its
     first index up to the next head's, and a record's seq is its index. Each
-    record is built as it is read: iterating walks the heads, an index finds
-    its head by bisection, and a slice gives a list. The view shows records
-    the run appends after it was taken, and it equals a list (or another
-    ``Trace``) of the same records, since a record compares as a tuple."""
+    record is built as it is read: iterating repeats each head's time and
+    instance over its records, an index finds its head by bisection, and a
+    slice gives a list. The view shows records the run appends after it was
+    taken (an iterator shows those of the heads there were when it began),
+    and it equals a list (or another ``Trace``) of the same records, since a
+    record compares as a tuple."""
 
-    __slots__ = ("_heads", "_records")
+    __slots__ = ("_first", "_time", "_instance", "_records")
 
-    def __init__(self, heads: list[tuple], records: list[tuple]) -> None:
-        self._heads = heads
+    def __init__(self, first: list[int], time_us: list[int], instance: list[str], records: list[tuple]) -> None:
+        self._first = first
+        self._time = time_us
+        self._instance = instance
         self._records = records
 
     def __len__(self) -> int:
@@ -99,14 +93,28 @@ class Trace(Sequence):
         return self._at(seqs)
 
     def _at(self, seq: int) -> TraceRecord:
-        _, time_us, instance = self._heads[bisect_right(self._heads, seq, key=itemgetter(0)) - 1]
-        kind, values = self._records[seq]
-        return _as_record((seq, time_us, instance, kind, values))
+        k = bisect_right(self._first, seq) - 1
+        record = self._records[seq]
+        return tuple.__new__(TraceRecord, (seq, self._time[k], self._instance[k], record[0], record[1:]))
+
+    def _ends(self) -> list[int]:
+        """Per head, the index after its last record."""
+        ends = self._first[1:]
+        ends.append(len(self._records))
+        return ends
 
     def __iter__(self):
-        for first, time_us, instance, pairs in _groups(self._heads, self._records):
-            for seq, (kind, values) in enumerate(pairs, first):
-                yield _as_record((seq, time_us, instance, kind, values))
+        counts = list(map(sub, self._ends(), self._first))
+        records = self._records
+        stamps = zip(
+            count(),
+            chain.from_iterable(map(repeat, self._time, counts)),
+            chain.from_iterable(map(repeat, self._instance, counts)),
+            map(itemgetter(0), records),
+            map(itemgetter(slice(1, None)), records),  # the values, after the kind
+        )
+        # tuple.__new__ skips the Python-level call of TraceRecord's generated __new__.
+        return map(tuple.__new__, repeat(TraceRecord), stamps)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (Trace, list)):
@@ -157,20 +165,20 @@ def fmt_payload(values: Mapping[str, Any] | None) -> str:
 
 
 def _renderer() -> Callable[[Iterable[tuple]], list[str]]:
-    """A function from record groups, as ``_groups`` gives them, to their
-    lines that formats each distinct text once.
+    """A function from record groups, each ``(seq of its first record,
+    time_us, instance, its (kind, *values) records)``, to their lines that
+    formats each distinct text once.
 
     It builds the `` t=… inst=… kind=`` text once per group. It keeps the
-    text from the kind on of each state, guard and transition record, and of
-    each action record that assigns nothing, by the identity of its values
-    tuple. The engine builds that tuple once, inside its prebuilt pair, and
-    a record rendered from any other iterable shares it just as well, where
-    the pair built for it does not. It keeps the text of each float and str
-    in a payload or ``set`` by the identity of that value. It holds every
-    object it keys, so no id is reused while the renderer lives, and no value
-    is hashed. Payload and ``set`` dicts are formatted at each record:
-    keeping their text too saves little and holds it all until the end."""
-    tails: dict[int, tuple[str, str]] = {}  # id(values) -> (text from the kind on, kind)
+    text from the kind on of every record but an event_delivered by the
+    identity of the record's tuple: the engine builds the records the model
+    fixes once (state, guard and transition records, and the action and
+    payload_sent records of folded actions and sends), and any other record
+    is simply not met again. It keeps the text of each float and str in a
+    payload or ``set`` by the identity of that value. It holds every object
+    it keys, so no id is reused while the renderer lives, and no value is
+    hashed."""
+    tails: dict[int, str] = {}  # id(record) -> its text from the kind on
     texts: dict[int, str] = {}  # id(value) -> text
     held: list = []  # every keyed object, so that its id is not reused
     hold = held.append
@@ -197,27 +205,30 @@ def _renderer() -> Callable[[Iterable[tuple]], list[str]]:
     def lines(groups: Iterable[tuple]) -> list[str]:
         out = []
         append = out.append
-        for first, time_us, instance, pairs in groups:
+        for first, time_us, instance, records in groups:
             head = f" t={time_us} inst={instance} kind="
-            for seq, (kind, values) in enumerate(pairs, first):
-                if kind == "action" and values[2]:
-                    action, action_kind, assigned = values
-                    tail = f"action action={action} type={action_kind} set={payload(assigned)}"
-                elif kind == "event_delivered":
-                    event, eseq, source, sent = values
-                    tail = f"event_delivered event={event} eseq={eseq} from={source} payload={payload(sent)}"
-                elif kind == "payload_sent":
-                    port, event, route, sent, error = values
-                    tail = f"payload_sent port={port} event={event} to={_route(route)} payload={payload(sent)}"
-                    if error is not None:
-                        tail += f" error={error}"
-                else:  # a state, guard, transition or no-assignment action record
-                    entry = tails.get(id(values))
-                    if entry is None or entry[1] is not kind:
-                        shown = zip(FIELDS[kind], _TEXTS[kind](*values))
-                        entry = tails[id(values)] = (kind + "".join(f" {k}={text}" for k, text in shown), kind)
-                        hold(values)
-                    tail = entry[0]
+            for seq, record in enumerate(records, first):
+                tail = tails.get(id(record))
+                if tail is None:
+                    kind = record[0]
+                    if kind == "event_delivered":
+                        _, event, eseq, source, sent = record
+                        tail = f"event_delivered event={event} eseq={eseq} from={source} payload={payload(sent)}"
+                    else:
+                        if kind == "action":
+                            _, action, action_kind, assigned = record
+                            shown = payload(assigned) if assigned else "-"
+                            tail = f"action action={action} type={action_kind} set={shown}"
+                        elif kind == "payload_sent":
+                            _, port, event, route, sent, error = record
+                            tail = f"payload_sent port={port} event={event} to={_route(route)} payload={payload(sent)}"
+                            if error is not None:
+                                tail += f" error={error}"
+                        else:  # a state, guard or transition record
+                            shown = zip(FIELDS[kind], _TEXTS[kind](*record[1:]))
+                            tail = kind + "".join(f" {k}={text}" for k, text in shown)
+                        tails[id(record)] = tail
+                        hold(record)
                 append(f"seq={seq}{head}{tail}")
         return out
 
@@ -227,16 +238,18 @@ def _renderer() -> Callable[[Iterable[tuple]], list[str]]:
 def render_trace(records: Iterable[TraceRecord]) -> str:
     """The trace text of ``records``, one line each; E_USAGE unless
     ``records`` is an iterable of trace records. A ``Trace`` is rendered
-    head by head from its pairs, so no ``TraceRecord`` is built. Any other
-    iterable goes through the same renderer, each record a group of its own.
+    head by head from its columns and records, so no ``TraceRecord`` is
+    built. Any other iterable goes through the same renderer, each record a
+    group of its own.
 
     No record is checked up front: one that is not a trace record fails in
     the renderer's unpacking or lookups, and that failure becomes E_USAGE."""
     if isinstance(records, Trace):
-        groups = _groups(records._heads, records._records)
+        first, flat = records._first, records._records
+        groups = zip(first, records._time, records._instance, map(flat.__getitem__, map(slice, first, records._ends())))
     else:
         try:
-            groups = ((seq, t, instance, ((kind, values),)) for seq, t, instance, kind, values in records)
+            groups = ((seq, t, instance, ((kind, *values),)) for seq, t, instance, kind, values in records)
         except TypeError:
             raise CiotError.of("E_USAGE", f"records must be an iterable, got {type(records).__name__}") from None
     try:

@@ -209,8 +209,8 @@ def engine_reached(gm: GeneratedMachine, depth: int, max_steps: int = 100) -> se
             for ev_name, payload in symbols:
                 inst.state = state
                 inst.properties = dict(props)
-                rt.heads.clear()
-                rt.records.clear()
+                for column in (rt.head_first, rt.head_time, rt.head_instance, rt.records):
+                    column.clear()
                 inject(rt, "m", "p1", ev_name, dict(payload))
                 run_to_quiescence(rt, max_steps)  # E_STEP_LIMIT unless it quiesces
                 key = freeze(inst.state, inst.properties)

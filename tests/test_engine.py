@@ -423,7 +423,7 @@ def test_fan_in_sends_reach_their_own_port_event():
     hub = rt.instances["lot.hub"]
     for i in range(50):
         (send,) = rt.instances[f"lot.s{i}"].sends
-        _, _, route, peer, target_event, _, source = send
+        _, _, route, peer, target_event, _, source, _ = send
         assert (route, peer, target_event.name, source) == (("lot.hub", f"c{i}"), hub, f"e{i}", f"lot.s{i}.out")
     inject(rt, "lot.s17", "poke", "evtPoke", {"v": 17})
     run_to_quiescence(rt)
@@ -671,7 +671,7 @@ def test_int_property_snapshot_widens_into_float_field():
         "instance c: C;\n"
     )
     rt = instantiate(load_text(text))
-    [(event, (_, _, source, queued))] = rt.instances["c"].inbox
+    [(event, (_, _, _, source, queued))] = rt.instances["c"].inbox
     [sent] = [r for r in rt.trace if r.kind == "payload_sent"]
     for payload in (queued, sent.values[3]):
         assert type(payload["n"]) is float and payload["n"] == 7.0
@@ -941,19 +941,19 @@ def test_detail_is_fixed_once_recorded(parking_model):
 
 @pytest.mark.parametrize("scenario_file", ["scenario_arrive_depart.scn", "scenario_physical.scn"])
 def test_records_are_plain_tuples_and_those_without_dicts_are_left_untracked(parking_model, corpus_dir, scenario_file):
-    """A head is an exact tuple of ints and a string, and a record an exact
-    ``(kind, values)`` pair, so every head, and every pair whose values hold
-    no payload or ``set`` dict, is one the collector stops tracking and no
-    later collection walks. A collection untracks a tuple whose items are
-    untracked when it reaches it, so a pair that the collector meets before
-    its values tuple is left for the next one."""
+    """The heads are three columns of ints and strings, which the collector
+    never tracks, and a record is an exact ``(kind, *values)`` tuple, so
+    every record that holds no payload or ``set`` dict is one the collector
+    stops tracking and no later collection walks. A collection untracks a
+    tuple whose items are untracked when it reaches it."""
     rt = simulate(parking_model, load_scenario_file(str(corpus_dir / scenario_file))).runtime
     gc.collect()
     gc.collect()
-    assert rt.heads and all(type(h) is tuple for h in rt.heads)
+    assert rt.head_first and len(rt.head_first) == len(rt.head_time) == len(rt.head_instance)
+    assert all(type(v) is int for v in rt.head_first + rt.head_time)
+    assert all(type(path) is str for path in rt.head_instance)
     assert all(type(r) is tuple for r in rt.records)
-    assert not any(gc.is_tracked(h) for h in rt.heads)
-    dictless = [r for r in rt.records if not any(type(v) is dict for v in r[1])]
+    dictless = [r for r in rt.records if not any(type(v) is dict for v in r)]
     assert dictless
     assert not any(gc.is_tracked(r) for r in dictless)
 
@@ -1137,21 +1137,21 @@ def test_repeated_transition_records_equal_values(parking_model):
 def test_fixed_records_are_one_pair_shared_by_every_instance(parking_path):
     """Three copies of the parking node under the same readings: each
     guard_eval, transition and state record, and each action record that
-    assigns nothing, is the one prebuilt pair of every node, so appending it
-    allocates nothing. Every step opens one head, as does every instance
+    assigns nothing, is the one prebuilt record of every node, so appending
+    it allocates nothing. Every step opens one head, as does every instance
     that ``instantiate`` enters."""
     with open(parking_path, encoding="utf-8") as f:
         text = f.read()
     assert text.count("instance node: Node;") == 1
     rt = instantiate(load_text(text.replace("instance node: Node;", "instance n0: Node; instance n1: Node; instance n2: Node;")))
     entered = sum(1 for inst in rt.by_index if inst.component.state_machine is not None)
-    assert len(rt.heads) == entered
+    assert len(rt.head_first) == entered
     steps = 0
     for duration in (100.0, 450.0, 100.0, 100.0, 20.0):
         for node in ("n0", "n1", "n2"):
             inject(rt, node, "pSense", "evtReading", {"duration": duration})
         steps += run_to_quiescence(rt)
-    assert len(rt.heads) == steps + entered
+    assert len(rt.head_first) == steps + entered
     by_node = {"n0": [], "n1": [], "n2": []}
     for r in rt.trace:
         by_node[r.instance.split(".")[0]].append(rt.records[r.seq])
@@ -1159,12 +1159,12 @@ def test_fixed_records_are_one_pair_shared_by_every_instance(parking_path):
     assert len(n0) == len(n1) == len(n2)
     fixed = 0
     for a, b, c in zip(n0, n1, n2):
-        kind, values = a
+        kind = a[0]
         assert b[0] == c[0] == kind
-        if kind in TRANSITION_KINDS or (kind == "action" and not values[2]):
+        if kind in TRANSITION_KINDS or (kind == "action" and not a[3]):
             assert a is b is c
             fixed += 1
-    assert {kind for kind, _ in n0} >= set(TRANSITION_KINDS) | {"action"} and fixed > len(n0) // 2
+    assert {r[0] for r in n0} >= set(TRANSITION_KINDS) | {"action"} and fixed > len(n0) // 2
 
 
 def test_grammar_doc_example_validates_and_runs(corpus_dir):
@@ -1250,7 +1250,7 @@ def test_flat_payload_probe_matches_conform_payload(flat_event, payload, as_subc
         expected = exc
     try:
         bind_internal(rt, "c", "e")(payload)
-        got = rt.instances["c"].inbox[-1][1][3]
+        got = rt.instances["c"].inbox[-1][1][4]
     except CiotError as exc:
         got = exc
     assert _shown(got) == _shown(expected)

@@ -363,7 +363,7 @@ def test_fit_value_is_the_verdict_at_every_site(t, value):
         assert not rt.instances["c"].inbox
     else:
         inject(rt, "c", "p1", "e", {"f": value})
-        [(event, (name, eseq, source, payload))] = rt.instances["c"].inbox
+        [(event, (_, name, eseq, source, payload))] = rt.instances["c"].inbox
         assert (event.name, name, eseq, source) == ("e", "e", 0, "env")
         assert _same(payload["f"], fit)
 
