@@ -139,7 +139,7 @@ Execution = Callable[["RuntimeState", "InstanceState"], None]
 Fields = tuple[tuple[str, FieldType, bool], ...] | None
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Transition:
     """One transition as ``step`` takes it: its compiled guard, the records
     it makes and its target's entry executions, all fixed by the model."""
@@ -197,6 +197,8 @@ class Dispatch(NamedTuple):
 
 @dataclass(slots=True)
 class InstanceState:
+    """One running instance: its properties, state and inbox."""
+
     path: str
     component: ComponentDef
     properties: dict
@@ -212,6 +214,8 @@ class InstanceState:
 
 @dataclass(slots=True)
 class RuntimeState:
+    """A run: its instances, clock, ready heap and trace records."""
+
     instances: dict[str, InstanceState]
     order: list[str]  # depth-first instance paths
     by_index: list[InstanceState]  # the instances in depth-first order

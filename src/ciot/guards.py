@@ -19,7 +19,7 @@ import re
 import sys
 from dataclasses import dataclass, field
 from decimal import Decimal
-from typing import Callable, Mapping, Union
+from typing import Callable, Mapping, NamedTuple, Union
 
 from .diagnostics import CiotError, Offsets, error
 
@@ -35,6 +35,8 @@ class PrimType:
 
 @dataclass
 class Literal:
+    """Literal value of a primitive type."""
+
     value: int | float | bool | str
     type: PrimType
     span: Offsets | None = field(default=None, compare=False, repr=False)
@@ -58,6 +60,8 @@ class PayloadFieldRef:
 
 @dataclass
 class Unary:
+    """``not`` applied to its operand."""
+
     op: str  # "not"
     operand: "Expr"
     span: Offsets | None = field(default=None, compare=False, repr=False)
@@ -65,6 +69,8 @@ class Unary:
 
 @dataclass
 class Binary:
+    """Comparison or boolean operator over two operands."""
+
     op: str  # "and" "or" "==" "!=" "<" "<=" ">" ">="
     left: "Expr"
     right: "Expr"
@@ -79,8 +85,7 @@ PRIM_TYPES = (PrimType.INT, PrimType.FLOAT, PrimType.BOOL, PrimType.STRING)
 _NUMERIC = (PrimType.INT, PrimType.FLOAT)
 
 
-@dataclass(frozen=True)
-class GuardScope:
+class GuardScope(NamedTuple):
     """Static typing context: property types plus optional payload field types."""
 
     properties: Mapping[str, PrimType]

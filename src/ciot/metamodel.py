@@ -55,6 +55,8 @@ FieldType = Union[PrimType, "PayloadDef"]
 
 @dataclass
 class PayloadField:
+    """One field of a payload record: a primitive type or another payload."""
+
     name: str
     type: FieldType
     span: Offsets | None = field(default=None, compare=False, repr=False)
@@ -67,6 +69,8 @@ class PayloadField:
 
 @dataclass
 class PayloadDef:
+    """A payload record type."""
+
     name: str
     fields: list[PayloadField]
     span: Offsets | None = field(default=None, compare=False, repr=False)
@@ -74,6 +78,8 @@ class PayloadDef:
 
 @dataclass
 class Operation:
+    """An interface operation and the payload it carries."""
+
     name: str
     payload: PayloadDef
     span: Offsets | None = field(default=None, compare=False, repr=False)
@@ -81,6 +87,8 @@ class Operation:
 
 @dataclass
 class InterfaceDef:
+    """An interface: its typed operations."""
+
     name: str
     operations: list[Operation]
     span: Offsets | None = field(default=None, compare=False, repr=False)
@@ -88,6 +96,8 @@ class InterfaceDef:
 
 @dataclass
 class PropertyDef:
+    """A component property with its type and declared initial value."""
+
     name: str
     type: PrimType
     initial: int | float | bool | str
@@ -96,6 +106,8 @@ class PropertyDef:
 
 @dataclass
 class PortDef:
+    """A port with its provided and required interfaces."""
+
     name: str
     provided: list[InterfaceDef]
     required: list[InterfaceDef]
@@ -107,6 +119,8 @@ class PortDef:
 
 @dataclass
 class InstanceDecl:
+    """A named instance of a component, at the root or inside a board."""
+
     name: str
     component: "ComponentDef"
     span: Offsets | None = field(default=None, compare=False, repr=False)
@@ -132,6 +146,8 @@ class Endpoint:
 
 @dataclass
 class Connector:
+    """A connector wiring two endpoints."""
+
     a: Endpoint
     b: Endpoint
     span: Offsets | None = field(default=None, compare=False, repr=False)
@@ -148,6 +164,8 @@ class Assignment:
 
 @dataclass
 class ActionDef:
+    """An action: its kind, port, payload and effects."""
+
     name: str
     kind: ActionKind
     payload: PayloadDef | None
@@ -158,6 +176,8 @@ class ActionDef:
 
 @dataclass
 class EventDef:
+    """An event: its direction, port, payload and the action it runs."""
+
     name: str
     direction: EventDirection
     port: PortDef | None
@@ -168,6 +188,8 @@ class EventDef:
 
 @dataclass
 class StateDef:
+    """A state with the events of its entry, exit and continuous positions."""
+
     name: str
     is_initial: bool
     entry: list[EventDef]
@@ -178,6 +200,8 @@ class StateDef:
 
 @dataclass
 class TransitionDef:
+    """A transition: source, target, optional trigger and optional guard."""
+
     source: StateDef
     target: StateDef
     trigger: EventDef | None
@@ -187,6 +211,8 @@ class TransitionDef:
 
 @dataclass
 class StateMachine:
+    """A component's flat state machine."""
+
     states: list[StateDef]
     transitions: list[TransitionDef]
     span: Offsets | None = field(default=None, compare=False, repr=False)
@@ -201,6 +227,8 @@ class StateMachine:
 
 @dataclass
 class ComponentDef:
+    """A component with its members, bound to what they name."""
+
     name: str
     kind: ComponentKind
     properties: list[PropertyDef]
@@ -227,6 +255,8 @@ class ComponentDef:
 
 @dataclass
 class Model:
+    """A resolved model: its declarations, root instances and run overrides."""
+
     payloads: list[PayloadDef]
     interfaces: list[InterfaceDef]
     components: list[ComponentDef]

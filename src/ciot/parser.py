@@ -10,6 +10,11 @@ of a node to its last; the metamodel keeps the same tuples. The tree carries
 the text's :class:`~ciot.diagnostics.Locator`, which turns them into a
 ``SourceSpan`` only for a diagnostic.
 
+Record rule: a record written once and read once, as every syntax tree node
+is (the parser builds it, the resolver reads it), is a ``NamedTuple`` built
+with ``_new``. A record that is filled in place, or that compares without
+its span (the expression nodes, the metamodel), stays a dataclass.
+
 Naming rule: entity names (payloads, interfaces, components, ports, events,
 actions, states, instances) must be plain identifiers. Member positions
 (payload fields, property names, assignment targets, names after ``payload.``)
@@ -20,7 +25,6 @@ also accept keywords, except the expression-reserved words
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .diagnostics import CiotError, Locator, Offsets
@@ -43,86 +47,74 @@ class Ref(NamedTuple):
     span: Offsets
 
 
-@dataclass
-class AstTypeRef:
+class AstTypeRef(NamedTuple):
     prim: PrimType | None
     payload: Ref | None
     span: Offsets
 
 
-@dataclass
-class AstPayloadField:
+class AstPayloadField(NamedTuple):
     name: str
     name_span: Offsets
     type: AstTypeRef
 
 
-@dataclass
-class AstPayload:
+class AstPayload(NamedTuple):
     name: Ref
     fields: list[AstPayloadField]
     span: Offsets
 
 
-@dataclass
-class AstOperation:
+class AstOperation(NamedTuple):
     name: Ref
     payload: Ref
 
 
-@dataclass
-class AstInterface:
+class AstInterface(NamedTuple):
     name: Ref
     operations: list[AstOperation]
     span: Offsets
 
 
-@dataclass
-class AstProperty:
+class AstProperty(NamedTuple):
     name: str
     name_span: Offsets
     type: PrimType
     initial: Literal
 
 
-@dataclass
-class AstPort:
+class AstPort(NamedTuple):
     name: Ref
     provides: list[Ref]
     requires: list[Ref]
     span: Offsets
 
 
-@dataclass
-class AstInstance:
+class AstInstance(NamedTuple):
     name: Ref
     component: Ref
     span: Offsets
 
 
-@dataclass
-class AstEndpoint:
+class AstEndpoint(NamedTuple):
     instance: Ref | None  # None means "self"
     port: Ref
     span: Offsets
 
 
-@dataclass
-class AstConnector:
+class AstConnector(NamedTuple):
     a: AstEndpoint
     b: AstEndpoint
     span: Offsets
 
 
-@dataclass
-class AstAssign:
+class AstAssign(NamedTuple):
     target: str
     target_span: Offsets
     expr: Expr
 
 
-@dataclass
-class AstAction:
+class AstAction(NamedTuple):
     name: Ref
     kind: ActionKind
     port: Ref | None
@@ -131,8 +123,7 @@ class AstAction:
     span: Offsets
 
 
-@dataclass
-class AstEvent:
+class AstEvent(NamedTuple):
     name: Ref
     direction: EventDirection
     port: Ref | None
@@ -141,8 +132,7 @@ class AstEvent:
     span: Offsets
 
 
-@dataclass
-class AstState:
+class AstState(NamedTuple):
     name: Ref
     initial: bool
     entry: list[Ref]
@@ -151,8 +141,7 @@ class AstState:
     span: Offsets
 
 
-@dataclass
-class AstTransition:
+class AstTransition(NamedTuple):
     source: Ref
     target: Ref
     trigger: Ref | None
@@ -160,35 +149,32 @@ class AstTransition:
     span: Offsets
 
 
-@dataclass
-class AstMachine:
+class AstMachine(NamedTuple):
     states: list[AstState]
     transitions: list[AstTransition]
     span: Offsets
 
 
-@dataclass
-class AstComponent:
+class AstComponent(NamedTuple):
     name: Ref
     kind: ComponentKind
-    properties: list[AstProperty] = field(default_factory=list)
-    ports: list[AstPort] = field(default_factory=list)
-    instances: list[AstInstance] = field(default_factory=list)
-    connectors: list[AstConnector] = field(default_factory=list)
-    events: list[AstEvent] = field(default_factory=list)
-    actions: list[AstAction] = field(default_factory=list)
-    machine: AstMachine | None = None
-    span: Offsets | None = None
+    properties: list[AstProperty]
+    ports: list[AstPort]
+    instances: list[AstInstance]
+    connectors: list[AstConnector]
+    events: list[AstEvent]
+    actions: list[AstAction]
+    machine: AstMachine | None
+    span: Offsets
 
 
-@dataclass
-class AstModel:
+class AstModel(NamedTuple):
     payloads: list[AstPayload]
     interfaces: list[AstInterface]
     components: list[AstComponent]
     instances: list[AstInstance]
-    locator: Locator = field(repr=False)
-    file: str | None = None
+    locator: Locator
+    file: str | None
 
 
 class _Stream:
@@ -242,8 +228,9 @@ class _Stream:
         raise CiotError.of("E_PARSE", message, self.locator.span(start, start + len(text)), self.file)
 
 
-# Refs are built without the generated NamedTuple constructor, which takes
-# nearly twice as long.
+# Syntax tree nodes are built without the generated NamedTuple constructor,
+# which takes more than twice as long. It checks no arity, so each call names
+# every field of its class.
 _new = tuple.__new__
 
 
@@ -273,7 +260,7 @@ def parse(source: str, file: str | None = None) -> AstModel:
                 "expected a top-level declaration "
                 f"(payload, interface, component, or instance), got {describe(ts.current)}"
             )
-    return AstModel(payloads, interfaces, components, instances, ts.locator, file)
+    return _new(AstModel, (payloads, interfaces, components, instances, ts.locator, file))
 
 
 def _entity_name(ts: _Stream, what: str) -> Ref:
@@ -321,8 +308,8 @@ def _parse_payload(ts: _Stream) -> AstPayload:
         ts.expect(":")
         ftype = _parse_type_ref(ts)
         ts.expect(";")
-        fields.append(AstPayloadField(fname, fspan, ftype))
-    return AstPayload(name, fields, (start, _end(ts.expect("}"))))
+        fields.append(_new(AstPayloadField, (fname, fspan, ftype)))
+    return _new(AstPayload, (name, fields, (start, _end(ts.expect("}")))))
 
 
 def _parse_type_ref(ts: _Stream) -> AstTypeRef:
@@ -330,10 +317,10 @@ def _parse_type_ref(ts: _Stream) -> AstTypeRef:
     span = (start, start + len(text))
     if text in _PRIM_NAMES:
         ts.advance()
-        return AstTypeRef(_PRIM_NAMES[text], None, span)
+        return _new(AstTypeRef, (_PRIM_NAMES[text], None, span))
     if kind is TokenKind.IDENT:
         ts.advance()
-        return AstTypeRef(None, _new(Ref, (text, span)), span)
+        return _new(AstTypeRef, (None, _new(Ref, (text, span)), span))
     ts.fail(f"expected a type (int, float, bool, string, or payload name), got {describe(tok)}")
     raise AssertionError  # unreachable
 
@@ -350,8 +337,8 @@ def _parse_interface(ts: _Stream) -> AstInterface:
         payload = _entity_name(ts, "payload name")
         ts.expect(")")
         ts.expect(";")
-        ops.append(AstOperation(op_name, payload))
-    return AstInterface(name, ops, (start, _end(ts.expect("}"))))
+        ops.append(_new(AstOperation, (op_name, payload)))
+    return _new(AstInterface, (name, ops, (start, _end(ts.expect("}")))))
 
 
 def _parse_instance(ts: _Stream) -> AstInstance:
@@ -359,7 +346,7 @@ def _parse_instance(ts: _Stream) -> AstInstance:
     name = _entity_name(ts, "instance name")
     ts.expect(":")
     comp = _entity_name(ts, "component name")
-    return AstInstance(name, comp, (start, _end(ts.expect(";"))))
+    return _new(AstInstance, (name, comp, (start, _end(ts.expect(";")))))
 
 
 def _parse_component(ts: _Stream) -> AstComponent:
@@ -367,32 +354,38 @@ def _parse_component(ts: _Stream) -> AstComponent:
     name = _entity_name(ts, "component name")
     ts.expect(":")
     kind = _fixed_word(ts, TokenKind.IDENT, _COMPONENT_KINDS, "a component kind (IoTElement, Board, or VirtualEntity)")
-    comp = AstComponent(name=name, kind=kind)
+    properties: list[AstProperty] = []
+    ports: list[AstPort] = []
+    instances: list[AstInstance] = []
+    connectors: list[AstConnector] = []
+    events: list[AstEvent] = []
+    actions: list[AstAction] = []
+    machine: AstMachine | None = None
     ts.expect("{")
     while not ts.check("}"):
         if ts.check("property"):
-            comp.properties.append(_parse_property(ts))
+            properties.append(_parse_property(ts))
         elif ts.check("port"):
-            comp.ports.append(_parse_port(ts))
+            ports.append(_parse_port(ts))
         elif ts.check("instance"):
-            comp.instances.append(_parse_instance(ts))
+            instances.append(_parse_instance(ts))
         elif ts.check("connect"):
-            comp.connectors.append(_parse_connector(ts))
+            connectors.append(_parse_connector(ts))
         elif ts.check("event"):
-            comp.events.append(_parse_event(ts))
+            events.append(_parse_event(ts))
         elif ts.check("action"):
-            comp.actions.append(_parse_action(ts))
+            actions.append(_parse_action(ts))
         elif ts.check("statemachine"):
-            if comp.machine is not None:
+            if machine is not None:
                 ts.fail("component already has a statemachine block")
-            comp.machine = _parse_machine(ts)
+            machine = _parse_machine(ts)
         else:
             ts.fail(
                 "expected a component member (property, port, instance, connect, "
                 f"event, action, or statemachine), got {describe(ts.current)}"
             )
-    comp.span = (start, _end(ts.expect("}")))
-    return comp
+    span = (start, _end(ts.expect("}")))
+    return _new(AstComponent, (name, kind, properties, ports, instances, connectors, events, actions, machine, span))
 
 
 def _parse_property(ts: _Stream) -> AstProperty:
@@ -406,7 +399,7 @@ def _parse_property(ts: _Stream) -> AstProperty:
     ts.expect("=")
     initial = _parse_literal(ts)
     ts.expect(";")
-    return AstProperty(name, name_span, _PRIM_NAMES[type_text], initial)
+    return _new(AstProperty, (name, name_span, _PRIM_NAMES[type_text], initial))
 
 
 def _parse_literal(ts: _Stream) -> Literal:
@@ -461,7 +454,7 @@ def _parse_port(ts: _Stream) -> AstPort:
             break
     if not provides and not requires:
         ts.fail("port must provide or require at least one interface")
-    return AstPort(name, provides, requires, (start, _end(ts.expect(";"))))
+    return _new(AstPort, (name, provides, requires, (start, _end(ts.expect(";")))))
 
 
 def _ref_list(ts: _Stream, what: str) -> list[Ref]:
@@ -476,7 +469,7 @@ def _parse_connector(ts: _Stream) -> AstConnector:
     a = _parse_endpoint(ts)
     ts.expect("--")
     b = _parse_endpoint(ts)
-    return AstConnector(a, b, (start, _end(ts.expect(";"))))
+    return _new(AstConnector, (a, b, (start, _end(ts.expect(";")))))
 
 
 def _parse_endpoint(ts: _Stream) -> AstEndpoint:
@@ -488,7 +481,7 @@ def _parse_endpoint(ts: _Stream) -> AstEndpoint:
         start = inst.span[0]
     ts.expect(".")
     port = _entity_name(ts, "port name")
-    return AstEndpoint(inst, port, (start, port.span[1]))
+    return _new(AstEndpoint, (inst, port, (start, port.span[1])))
 
 
 def _parse_event(ts: _Stream) -> AstEvent:
@@ -503,7 +496,7 @@ def _parse_event(ts: _Stream) -> AstEvent:
         payload = _entity_name(ts, "payload name")
     ts.expect("action")
     action = _entity_name(ts, "action name")
-    return AstEvent(name, direction, port, payload, action, (start, _end(ts.expect(";"))))
+    return _new(AstEvent, (name, direction, port, payload, action, (start, _end(ts.expect(";")))))
 
 
 def _parse_action(ts: _Stream) -> AstAction:
@@ -523,11 +516,11 @@ def _parse_action(ts: _Stream) -> AstAction:
             ts.expect(":=")
             expr = _parse_expr(ts)
             ts.expect(";")
-            effects.append(AstAssign(target, target_span, expr))
+            effects.append(_new(AstAssign, (target, target_span, expr)))
         end = ts.expect("}")
     else:
         end = ts.expect(";")
-    return AstAction(name, kind, port, payload, effects, (start, _end(end)))
+    return _new(AstAction, (name, kind, port, payload, effects, (start, _end(end))))
 
 
 def _parse_machine(ts: _Stream) -> AstMachine:
@@ -542,7 +535,7 @@ def _parse_machine(ts: _Stream) -> AstMachine:
             transitions.append(_parse_transition(ts))
         else:
             ts.fail(f"expected a state or transition declaration, got {describe(ts.current)}")
-    return AstMachine(states, transitions, (start, _end(ts.expect("}"))))
+    return _new(AstMachine, (states, transitions, (start, _end(ts.expect("}")))))
 
 
 def _parse_state(ts: _Stream) -> AstState:
@@ -562,7 +555,7 @@ def _parse_state(ts: _Stream) -> AstState:
             {"entry": entry, "exit": exit_, "continuous": continuous}[tok[1]].extend(refs)
         else:
             ts.fail(f"expected entry, exit, or continuous, got {describe(tok)}")
-    return AstState(name, initial, entry, exit_, continuous, (start, _end(ts.expect("}"))))
+    return _new(AstState, (name, initial, entry, exit_, continuous, (start, _end(ts.expect("}")))))
 
 
 def _parse_transition(ts: _Stream) -> AstTransition:
@@ -577,7 +570,7 @@ def _parse_transition(ts: _Stream) -> AstTransition:
     if ts.accept("["):
         guard = _parse_expr(ts)
         ts.expect("]")
-    return AstTransition(source, target, trigger, guard, (start, _end(ts.expect(";"))))
+    return _new(AstTransition, (source, target, trigger, guard, (start, _end(ts.expect(";")))))
 
 
 # Expression parsing: or < and < not < comparison < atom. Each function

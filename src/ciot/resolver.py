@@ -75,7 +75,8 @@ class _Resolver:
         source order."""
         seen: set[str] = set()
         for d in decls:
-            name, span = (d.name.name, d.name.span) if isinstance(d.name, Ref) else (d.name, d.name_span)
+            ref = d.name
+            name, span = ref if isinstance(ref, Ref) else (ref, d.name_span)
             if name in seen:
                 self.err("E_DUPLICATE", f"duplicate {what} {name!r}{where}", span)
             else:

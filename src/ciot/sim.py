@@ -58,6 +58,8 @@ _VERBS = {"duration": ("echo",), "physical": ("occupy", "vacate")}
 
 @dataclass(frozen=True)
 class Stimulus:
+    """One scenario line: at ``time_ms``, ``verb`` on ``slot``."""
+
     time_ms: int
     slot: str
     verb: str  # occupy | vacate | echo
@@ -66,6 +68,8 @@ class Stimulus:
 
 @dataclass
 class Scenario:
+    """A parsed scenario file: its mode, horizon, sample period and stimuli."""
+
     mode: str
     horizon_ms: int
     sample_period_ms: int = DEFAULT_SAMPLE_PERIOD_MS
@@ -75,6 +79,8 @@ class Scenario:
 
 @dataclass
 class SimResult:
+    """What ``simulate`` returns: the final runtime and the scenario it ran."""
+
     runtime: RuntimeState
     scenario: Scenario
 

@@ -4,6 +4,7 @@ import pathlib
 
 import pytest
 
+from ciot import parser
 from ciot.diagnostics import CiotError, SourceSpan
 from ciot.engine import instantiate
 from ciot.guards import Binary, Literal, NameRef, PayloadFieldRef, Unary
@@ -11,7 +12,7 @@ from ciot.export import export_model
 from ciot.lexer import tokenize
 from ciot.loader import collect_diagnostics, load_text
 from ciot.metamodel import with_property_initial
-from ciot.parser import MAX_EXPR_DEPTH, parse
+from ciot.parser import MAX_EXPR_DEPTH, Ref, parse
 from ciot.sim import load_scenario
 
 from exprparse import parse_expression
@@ -106,6 +107,36 @@ def test_parse_is_deterministic(parking_path):
     with open(parking_path, encoding="utf-8") as fh:
         source = fh.read()
     assert parse(source, parking_path) == parse(source, parking_path)
+
+
+def _nodes(node):
+    """``node`` and every syntax tree node under it; expression trees, spans
+    and the locator are leaves."""
+    stack = [node]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, list):
+            stack += item
+        elif isinstance(item, tuple) and hasattr(item, "_fields"):
+            yield item
+            stack += item
+
+
+def test_every_node_has_one_item_per_field(corpus_dir):
+    """The parser builds nodes with ``tuple.__new__``, which checks no arity:
+    a node missing an item would fail only where that field is read."""
+    doc = (corpus_dir.parent / "docs" / "grammar.md").read_text(encoding="utf-8")
+    texts = [
+        (corpus_dir / "parking_node.ciot").read_text(encoding="utf-8"),
+        *(p.read_text(encoding="utf-8") for p in sorted((corpus_dir / "mutations").glob("*.ciot"))),
+        doc.split("## A small complete example", 1)[1].split("```\n", 2)[1],
+    ]
+    seen = set()
+    for text in texts:
+        for node in _nodes(parse(text)):
+            seen.add(type(node))
+            assert len(node) == len(type(node)._fields), node
+    assert seen == {Ref} | {cls for name, cls in vars(parser).items() if name.startswith("Ast")}
 
 
 @pytest.mark.parametrize("fname", sorted(EXPECTED_SYNTAX_ERRORS))
