@@ -1,9 +1,10 @@
 """Command line front end.
 
     ciot validate MODEL
-    ciot run MODEL --inject node.pSense.evtReading{duration=320.0} ...
-    ciot simulate MODEL SCENARIO [--threshold-ms X] [--trace FILE]
-    ciot export MODEL [--kind model|sm|structure] [--component NAME]
+    ciot run MODEL [--inject node.pSense.evtReading{duration=320.0} ...] [--trace FILE] [--max-steps N]
+    ciot simulate MODEL SCENARIO [--threshold-ms X] [--speed M_PER_S] [--sample-period-ms MS]
+        [--floor-distance-m M] [--trace FILE] [--max-steps N]
+    ciot export MODEL [--kind model|sm|structure] [--component NAME] [-o|--output FILE]
 
 Exit codes: 0 success, 1 the model or scenario is at fault, 2 usage or I/O.
 """

@@ -25,7 +25,7 @@ also accept keywords, except the expression-reserved words
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import Callable, NamedTuple, NoReturn
 
 from .diagnostics import CiotError, Locator, Offsets
 from .guards import PRIM_TYPES, Binary, Expr, Literal, NameRef, PayloadFieldRef, PrimType, Unary, read_long_int
@@ -222,7 +222,7 @@ class _Stream:
             what = f"{kind} {text!r}"
         return self.fail(f"expected {what}, got {describe(tok)}")
 
-    def fail(self, message: str, tok: Token | None = None):
+    def fail(self, message: str, tok: Token | None = None) -> NoReturn:
         """Raise E_PARSE at ``tok``, by default the current token."""
         _, text, start = tok or self.current
         raise CiotError.of("E_PARSE", message, self.locator.span(start, start + len(text)), self.file)
@@ -271,7 +271,6 @@ def _entity_name(ts: _Stream, what: str) -> Ref:
     if kind is TokenKind.KEYWORD:
         ts.fail(f"expected {what} (identifier), got keyword {text!r}")
     ts.fail(f"expected {what} (identifier), got {describe(tok)}")
-    raise AssertionError  # unreachable
 
 
 def _member_name(ts: _Stream, what: str) -> tuple[str, Offsets]:
@@ -282,7 +281,11 @@ def _member_name(ts: _Stream, what: str) -> tuple[str, Offsets]:
     if kind is TokenKind.KEYWORD:
         ts.fail(f"expected {what}, got {text!r} (reserved in expressions)")
     ts.fail(f"expected {what}, got {describe(tok)}")
-    raise AssertionError  # unreachable
+
+
+def _clause(ts: _Stream, keyword: str, what: str) -> Ref | None:
+    """The name of an optional ``keyword IDENT`` clause; None without ``keyword``."""
+    return _entity_name(ts, what) if ts.accept(keyword) else None
 
 
 def _fixed_word(ts: _Stream, kind: str, members: dict, what: str):
@@ -295,7 +298,6 @@ def _fixed_word(ts: _Stream, kind: str, members: dict, what: str):
             ts.advance()
             return value
     ts.fail(f"expected {what}, got {describe(tok)}")
-    raise AssertionError  # unreachable
 
 
 def _parse_payload(ts: _Stream) -> AstPayload:
@@ -322,7 +324,6 @@ def _parse_type_ref(ts: _Stream) -> AstTypeRef:
         ts.advance()
         return _new(AstTypeRef, (None, _new(Ref, (text, span)), span))
     ts.fail(f"expected a type (int, float, bool, string, or payload name), got {describe(tok)}")
-    raise AssertionError  # unreachable
 
 
 def _parse_interface(ts: _Stream) -> AstInterface:
@@ -427,34 +428,21 @@ def _parse_literal(ts: _Stream) -> Literal:
         ts.advance()
         return Literal(text == "true", PrimType.BOOL, span)
     ts.fail(f"expected a literal, got {describe(tok)}")
-    raise AssertionError  # unreachable
 
 
 def _parse_port(ts: _Stream) -> AstPort:
     start = ts.expect("port")[2]
     name = _entity_name(ts, "port name")
-    provides: list[Ref] = []
-    requires: list[Ref] = []
-    seen_provides = False
-    seen_requires = False
-    while True:
-        if ts.check("provides"):
-            if seen_provides:
-                ts.fail("duplicate provides clause on port")
-            ts.advance()
-            seen_provides = True
-            provides.extend(_ref_list(ts, "interface name"))
-        elif ts.check("requires"):
-            if seen_requires:
-                ts.fail("duplicate requires clause on port")
-            ts.advance()
-            seen_requires = True
-            requires.extend(_ref_list(ts, "interface name"))
-        else:
-            break
-    if not provides and not requires:
+    clauses: dict[str, list[Ref]] = {}  # "provides" and "requires", each at most once, in either order
+    while (keyword := ts.current[1]) in ("provides", "requires"):
+        if keyword in clauses:
+            ts.fail(f"duplicate {keyword} clause on port")
+        ts.advance()
+        clauses[keyword] = _ref_list(ts, "interface name")
+    if not clauses:
         ts.fail("port must provide or require at least one interface")
-    return _new(AstPort, (name, provides, requires, (start, _end(ts.expect(";")))))
+    span = (start, _end(ts.expect(";")))
+    return _new(AstPort, (name, clauses.get("provides", []), clauses.get("requires", []), span))
 
 
 def _ref_list(ts: _Stream, what: str) -> list[Ref]:
@@ -488,12 +476,8 @@ def _parse_event(ts: _Stream) -> AstEvent:
     start = ts.expect("event")[2]
     name = _entity_name(ts, "event name")
     direction = _fixed_word(ts, TokenKind.KEYWORD, _DIRECTIONS, "an event direction (incoming, outgoing, generic)")
-    port = None
-    if ts.accept("port"):
-        port = _entity_name(ts, "port name")
-    payload = None
-    if ts.accept("payload"):
-        payload = _entity_name(ts, "payload name")
+    port = _clause(ts, "port", "port name")
+    payload = _clause(ts, "payload", "payload name")
     ts.expect("action")
     action = _entity_name(ts, "action name")
     return _new(AstEvent, (name, direction, port, payload, action, (start, _end(ts.expect(";")))))
@@ -503,12 +487,8 @@ def _parse_action(ts: _Stream) -> AstAction:
     start = ts.expect("action")[2]
     name = _entity_name(ts, "action name")
     kind = _fixed_word(ts, TokenKind.KEYWORD, ACTION_KEYWORDS, "an action kind (send, receive, generic)")
-    port = None
-    if ts.accept("port"):
-        port = _entity_name(ts, "port name")
-    payload = None
-    if ts.accept("payload"):
-        payload = _entity_name(ts, "payload name")
+    port = _clause(ts, "port", "port name")
+    payload = _clause(ts, "payload", "payload name")
     effects: list[AstAssign] = []
     if ts.accept("{"):
         while not ts.check("}"):
@@ -563,9 +543,7 @@ def _parse_transition(ts: _Stream) -> AstTransition:
     source = _entity_name(ts, "source state name")
     ts.expect("->")
     target = _entity_name(ts, "target state name")
-    trigger = None
-    if ts.accept("when"):
-        trigger = _entity_name(ts, "event name")
+    trigger = _clause(ts, "when", "event name")
     guard = None
     if ts.accept("["):
         guard = _parse_expr(ts)
@@ -607,22 +585,23 @@ def _open(ts: _Stream) -> Token:
 
 
 def _parse_or(ts: _Stream) -> _Parsed:
-    expr, height = _parse_and(ts)
-    while ts.check("or"):
-        op_tok = ts.advance()
-        right, right_height = _parse_and(ts)
-        height = _node_height(ts, max(height, right_height), op_tok)
-        expr = Binary("or", expr, right, (expr.span[0], right.span[1]))
-    return expr, height
+    """expr = and_expr { "or" and_expr }"""
+    return _parse_chain(ts, "or", _parse_and)
 
 
 def _parse_and(ts: _Stream) -> _Parsed:
-    expr, height = _parse_unary(ts)
-    while ts.check("and"):
+    """and_expr = unary { "and" unary }"""
+    return _parse_chain(ts, "and", _parse_unary)
+
+
+def _parse_chain(ts: _Stream, op: str, operand: Callable[[_Stream], _Parsed]) -> _Parsed:
+    """``operand { op operand }``, chained to the left."""
+    expr, height = operand(ts)
+    while ts.check(op):
         op_tok = ts.advance()
-        right, right_height = _parse_unary(ts)
+        right, right_height = operand(ts)
         height = _node_height(ts, max(height, right_height), op_tok)
-        expr = Binary("and", expr, right, (expr.span[0], right.span[1]))
+        expr = Binary(op, expr, right, (expr.span[0], right.span[1]))
     return expr, height
 
 
@@ -668,4 +647,3 @@ def _parse_atom(ts: _Stream) -> _Parsed:
         ts.nesting -= 1
         return inner
     ts.fail(f"expected an expression, got {describe(tok)}")
-    raise AssertionError  # unreachable

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import argparse
 import inspect
 import pathlib
+import re
 import time
 
 import pytest
 
+from ciot import cli
 from ciot.cli import _build_parser, _parse_inject_spec, main
 from ciot.engine import run_to_quiescence
 from ciot.sim import MAX_TICKS, simulate
@@ -46,11 +49,25 @@ def test_validate_warning_only_exits_zero(capsys, corpus_dir):
     assert "warning R6" in err
 
 
+# The line `ciot validate` prints after the path of each seeded syntax error.
+SYNTAX_ERROR_LINES = {
+    "bad_character.ciot": ":1:13: error E_LEX unexpected character '@'",
+    "missing_semicolon.ciot": ":3:1: error E_PARSE expected punctuation ';', got punctuation '}'",
+    "reserved_component_name.ciot": ":1:11: error E_PARSE expected component name (identifier), got keyword 'and'",
+    "truncated_file.ciot": (
+        ":7:1: error E_PARSE expected a component member (property, port, instance, connect, event, action, "
+        "or statemachine), got end of input"
+    ),
+    "unterminated_string.ciot": ":2:30: error E_LEX unterminated string literal",
+}
+
+
 def test_validate_syntax_error(capsys, corpus_dir):
-    path = str(corpus_dir / "syntax_errors" / "missing_semicolon.ciot")
-    code, out, err = run_cli(capsys, "validate", path)
-    assert code == 1
-    assert "E_PARSE" in err
+    paths = sorted((corpus_dir / "syntax_errors").glob("*.ciot"))
+    assert [path.name for path in paths] == sorted(SYNTAX_ERROR_LINES)
+    for path in paths:
+        expected = (1, "errors=1 warnings=0\n", f"{path}{SYNTAX_ERROR_LINES[path.name]}\n")
+        assert run_cli(capsys, "validate", str(path)) == expected
 
 
 def test_validate_missing_file(capsys, tmp_path):
@@ -621,6 +638,17 @@ def test_deep_composition_simulates_with_override(capsys, tmp_path, parking_path
 
 
 # --- argument handling ----------------------------------------------------------
+
+
+def test_usage_block_lists_every_option_of_every_subcommand():
+    # Each subcommand's entry runs from "ciot NAME" to the next entry or the blank line after the block.
+    entries = dict(re.findall(r"ciot (\w+)(.*?)(?=\n    ciot |\n\n)", cli.__doc__, re.S))
+    [commands] = [a.choices for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert sorted(entries) == sorted(commands)
+    for name, command in commands.items():
+        options = [o for a in command._actions if not isinstance(a, argparse._HelpAction) for o in a.option_strings]
+        missing = [o for o in options if not re.search(rf"(?<![\w-]){re.escape(o)}(?![\w-])", entries[name])]
+        assert missing == [], name
 
 
 def test_unknown_subcommand_exits_2(capsys):

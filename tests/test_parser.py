@@ -77,6 +77,46 @@ def test_port_requires_some_interface():
     assert "provide or require" in exc.value.diagnostics[0].message
 
 
+def test_port_clauses_parse_in_either_order():
+    def clauses(port: str) -> tuple[list[str], list[str]]:
+        [ast_port] = parse(f"component X : Board {{ {port} }}").components[0].ports
+        return [r.name for r in ast_port.provides], [r.name for r in ast_port.requires]
+
+    assert clauses("port p provides I, K requires J;") == (["I", "K"], ["J"])
+    assert clauses("port p requires J provides I, K;") == (["I", "K"], ["J"])
+
+
+# A repeated port clause fails at its repeated keyword, with that keyword's full span.
+@pytest.mark.parametrize(
+    "port, rendered, span",
+    [
+        (
+            "port p provides I provides J;",
+            "<input>:1:46: error E_PARSE duplicate provides clause on port",
+            (1, 46, 1, 53),
+        ),
+        (
+            "port p requires I requires J;",
+            "<input>:1:46: error E_PARSE duplicate requires clause on port",
+            (1, 46, 1, 53),
+        ),
+        (
+            "port p provides I requires J provides K;",
+            "<input>:1:57: error E_PARSE duplicate provides clause on port",
+            (1, 57, 1, 64),
+        ),
+        (
+            "port p requires I provides J requires K;",
+            "<input>:1:57: error E_PARSE duplicate requires clause on port",
+            (1, 57, 1, 64),
+        ),
+    ],
+)
+def test_repeated_port_clause_is_one_pinned_error(port, rendered, span):
+    _, diags = collect_diagnostics(f"component C : IoTElement {{ {port} }}")
+    assert [(d.render(), _full(d.span)) for d in diags] == [(rendered, span)]
+
+
 def test_duplicate_statemachine_block_rejected():
     src = "component X : Board { statemachine {} statemachine {} }"
     with pytest.raises(CiotError) as exc:
