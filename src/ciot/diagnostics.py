@@ -1,4 +1,5 @@
-"""Source locations, diagnostics, and the toolkit error type.
+"""Source locations, diagnostics, the toolkit error type, and the base of
+the package's records.
 
 Every stage (lexer, parser, resolver, validator, engine, simulator, exporter)
 reports problems either as a list of :class:`Diagnostic` values or by raising
@@ -9,10 +10,61 @@ from __future__ import annotations
 
 import os
 from bisect import bisect_right
-from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
+from reprlib import recursive_repr
 from typing import NamedTuple
+
+
+class Record:
+    """Base of the package's records: classes with ``__slots__`` and an
+    ``__init__`` that stores each field in turn.
+
+    A record equals another of its own class whose fields are equal, leaving
+    out those named in ``_hidden``; its repr shows the same fields. It is
+    unhashable, as a record may be filled in place."""
+
+    __slots__ = ()
+    _hidden: tuple[str, ...] = ("span",)
+    _shown: tuple[str, ...] = ()  # every field but the hidden ones, set per class
+
+    def __init_subclass__(cls) -> None:
+        cls._shown = tuple(f for f in cls.__slots__ if f not in cls._hidden)
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._shown])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    __hash__ = None  # type: ignore[assignment]
+
+    @recursive_repr()
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._shown)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class FrozenRecord(Record):
+    """A record whose fields are fixed once built, and hashable by them.
+
+    Its ``__init__`` stores each field with ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __reduce__(self) -> tuple:  # copied and pickled through ``__init__``, which takes every field in turn
+        return type(self), tuple([getattr(self, f) for f in self.__slots__])
 
 
 class Severity(Enum):
@@ -67,15 +119,21 @@ class Locator:
         return tuple.__new__(SourceSpan, (line, start - first + 1, end_line, last - starts[end_line - 1] + 1))
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(FrozenRecord):
     """One finding, renderable as ``file:line:col: severity RULE message``."""
 
-    rule: str
-    severity: Severity
-    message: str
-    span: SourceSpan | None = None
-    file: str | None = None
+    __slots__ = ("rule", "severity", "message", "span", "file")
+    _hidden = ()
+
+    def __init__(
+        self, rule: str, severity: Severity, message: str, span: SourceSpan | None = None, file: str | None = None
+    ) -> None:
+        init = object.__setattr__
+        init(self, "rule", rule)
+        init(self, "severity", severity)
+        init(self, "message", message)
+        init(self, "span", span)
+        init(self, "file", file)
 
     def render(self) -> str:
         name = self.file or "<input>"

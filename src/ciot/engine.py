@@ -108,11 +108,10 @@ payload; every unfolded action collects its assignments in a new dict.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from typing import Callable, NamedTuple
 
-from .diagnostics import CiotError, require_type
+from .diagnostics import CiotError, Record, require_type
 from .guards import Expr, Literal, NameRef, PayloadFieldRef, PrimType, compile_expr, describe_value, expr_to_text, fit_value
 from .metamodel import (
     ActionKind,
@@ -139,21 +138,34 @@ Execution = Callable[["RuntimeState", "InstanceState"], None]
 Fields = tuple[tuple[str, FieldType, bool], ...] | None
 
 
-@dataclass(slots=True)
-class Transition:
+class Transition(Record):
     """One transition as ``step`` takes it: its compiled guard, the records
     it makes and its target's entry executions, all fixed by the model."""
 
-    trigger: EventDef | None
-    guard: Callable | None  # compiled; sees the payload only when the transition has a trigger
-    # Its records, prebuilt and shared by every instance:
-    rejected: tuple  # ("guard_eval", "A->B", quoted guard text, False)
-    accepted: tuple  # the same with True
-    taken: tuple  # ("transition", source, target, trigger name or None)
-    exited: tuple  # ("state_exited", source)
-    entered: tuple  # ("state_entered", target)
-    target: StateDef
-    entry: tuple[Execution, ...]  # the target's entry executions
+    __slots__ = ("trigger", "guard", "rejected", "accepted", "taken", "exited", "entered", "target", "entry")
+
+    def __init__(
+        self,
+        trigger: EventDef | None,
+        guard: Callable | None,
+        rejected: tuple,
+        accepted: tuple,
+        taken: tuple,
+        exited: tuple,
+        entered: tuple,
+        target: StateDef,
+        entry: tuple[Execution, ...],
+    ) -> None:
+        self.trigger = trigger
+        self.guard = guard  # compiled; sees the payload only when the transition has a trigger
+        # Its records, prebuilt and shared by every instance:
+        self.rejected = rejected  # ("guard_eval", "A->B", quoted guard text, False)
+        self.accepted = accepted  # the same with True
+        self.taken = taken  # ("transition", source, target, trigger name or None)
+        self.exited = exited  # ("state_exited", source)
+        self.entered = entered  # ("state_entered", target)
+        self.target = target
+        self.entry = entry  # the target's entry executions
 
 
 class State(NamedTuple):
@@ -195,39 +207,57 @@ class Dispatch(NamedTuple):
     links: tuple  # per connector: both ends as (suffix of the owner's path, port name)
 
 
-@dataclass(slots=True)
-class InstanceState:
+class InstanceState(Record):
     """One running instance: its properties, state and inbox."""
 
-    path: str
-    component: ComponentDef
-    properties: dict
-    state: str | None
-    index: int  # position in depth-first order
-    dispatch: Dispatch
-    inbox: deque[tuple[EventDef, tuple]] = field(default_factory=deque)  # (event, its event_delivered record)
-    # Per entry of ``dispatch.outgoing``: (port name, event name, route, peer,
-    # peer's incoming event, payload fields, source text, and for a folded
-    # send its payload_sent record), resolved by ``instantiate``.
-    sends: list[tuple] = field(default_factory=list)
+    __slots__ = ("path", "component", "properties", "state", "index", "dispatch", "inbox", "sends")
+
+    def __init__(
+        self, path: str, component: ComponentDef, properties: dict, state: str | None, index: int, dispatch: Dispatch
+    ) -> None:
+        self.path = path
+        self.component = component
+        self.properties = properties
+        self.state = state
+        self.index = index  # position in depth-first order
+        self.dispatch = dispatch
+        self.inbox: deque[tuple[EventDef, tuple]] = deque()  # (event, its event_delivered record)
+        # Per entry of ``dispatch.outgoing``: (port name, event name, route, peer,
+        # peer's incoming event, payload fields, source text, and for a folded
+        # send its payload_sent record), resolved by ``instantiate``.
+        self.sends: list[tuple] = []
 
 
-@dataclass(slots=True)
-class RuntimeState:
+class RuntimeState(Record):
     """A run: its instances, clock, ready heap and trace records."""
 
-    instances: dict[str, InstanceState]
-    order: list[str]  # depth-first instance paths
-    by_index: list[InstanceState]  # the instances in depth-first order
-    # The heads as columns, one entry per head each:
-    head_first: list[int] = field(default_factory=list)  # index of its first record
-    head_time: list[int] = field(default_factory=list)  # time_us
-    head_instance: list[str] = field(default_factory=list)  # instance path
-    records: list[tuple] = field(default_factory=list)  # (kind, *values) each; its index is its seq
-    clock_us: int = 0
-    eseq: int = 0
-    step_count: int = 0
-    ready: list[int] = field(default_factory=list)  # min-heap of indices with a non-empty inbox
+    __slots__ = (
+        "instances",
+        "order",
+        "by_index",
+        "head_first",
+        "head_time",
+        "head_instance",
+        "records",
+        "clock_us",
+        "eseq",
+        "step_count",
+        "ready",
+    )
+
+    def __init__(self, instances: dict[str, InstanceState], order: list[str], by_index: list[InstanceState]) -> None:
+        self.instances = instances
+        self.order = order  # depth-first instance paths
+        self.by_index = by_index  # the instances in depth-first order
+        # The heads as columns, one entry per head each:
+        self.head_first: list[int] = []  # index of its first record
+        self.head_time: list[int] = []  # time_us
+        self.head_instance: list[str] = []  # instance path
+        self.records: list[tuple] = []  # (kind, *values) each; its index is its seq
+        self.clock_us = 0
+        self.eseq = 0
+        self.step_count = 0
+        self.ready: list[int] = []  # min-heap of indices with a non-empty inbox
 
     @property
     def trace(self) -> Trace:

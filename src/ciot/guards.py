@@ -17,11 +17,10 @@ import math
 import operator
 import re
 import sys
-from dataclasses import dataclass, field
 from decimal import Decimal
 from typing import Callable, Mapping, NamedTuple, Union
 
-from .diagnostics import CiotError, Offsets, error
+from .diagnostics import CiotError, Offsets, Record, error
 
 
 class PrimType:
@@ -33,48 +32,58 @@ class PrimType:
     STRING = "string"
 
 
-@dataclass
-class Literal:
+class Literal(Record):
     """Literal value of a primitive type."""
 
-    value: int | float | bool | str
-    type: PrimType
-    span: Offsets | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("value", "type", "span")
+
+    def __init__(self, value: int | float | bool | str, type: PrimType, span: Offsets | None = None) -> None:
+        self.value = value
+        self.type = type
+        self.span = span
 
 
-@dataclass
-class NameRef:
+class NameRef(Record):
     """Bare name; refers to a property of the owning component."""
 
-    name: str
-    span: Offsets | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("name", "span")
+
+    def __init__(self, name: str, span: Offsets | None = None) -> None:
+        self.name = name
+        self.span = span
 
 
-@dataclass
-class PayloadFieldRef:
+class PayloadFieldRef(Record):
     """``payload.<field>`` reference into the in-scope payload record."""
 
-    field: str
-    span: Offsets | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("field", "span")
+
+    def __init__(self, field: str, span: Offsets | None = None) -> None:
+        self.field = field
+        self.span = span
 
 
-@dataclass
-class Unary:
+class Unary(Record):
     """``not`` applied to its operand."""
 
-    op: str  # "not"
-    operand: "Expr"
-    span: Offsets | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("op", "operand", "span")
+
+    def __init__(self, op: str, operand: Expr, span: Offsets | None = None) -> None:
+        self.op = op  # "not"
+        self.operand = operand
+        self.span = span
 
 
-@dataclass
-class Binary:
+class Binary(Record):
     """Comparison or boolean operator over two operands."""
 
-    op: str  # "and" "or" "==" "!=" "<" "<=" ">" ">="
-    left: "Expr"
-    right: "Expr"
-    span: Offsets | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("op", "left", "right", "span")
+
+    def __init__(self, op: str, left: Expr, right: Expr, span: Offsets | None = None) -> None:
+        self.op = op  # "and" "or" "==" "!=" "<" "<=" ">" ">="
+        self.left = left
+        self.right = right
+        self.span = span
 
 
 Expr = Union[Literal, NameRef, PayloadFieldRef, Unary, Binary]

@@ -11,10 +11,9 @@ equal regardless of where their text came from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from typing import Union
 
-from .diagnostics import CiotError, Locator, Offsets, SourceSpan, require_type
+from .diagnostics import CiotError, Locator, Offsets, Record, SourceSpan, require_type
 from .guards import Expr, PrimType, describe_value, fit_value
 
 
@@ -53,13 +52,15 @@ ACTION_KEYWORDS = {
 FieldType = Union[PrimType, "PayloadDef"]
 
 
-@dataclass
-class PayloadField:
+class PayloadField(Record):
     """One field of a payload record: a primitive type or another payload."""
 
-    name: str
-    type: FieldType
-    span: Offsets | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("name", "type", "span")
+
+    def __init__(self, name: str, type: FieldType, span: Offsets | None = None) -> None:
+        self.name = name
+        self.type = type
+        self.span = span
 
     def __eq__(self, other):  # a record type compares by name, see ``structurally_equal``
         if not isinstance(other, PayloadField):
@@ -67,63 +68,79 @@ class PayloadField:
         return (self.name, _by_name(self.type)) == (other.name, _by_name(other.type))
 
 
-@dataclass
-class PayloadDef:
+class PayloadDef(Record):
     """A payload record type."""
 
-    name: str
-    fields: list[PayloadField]
-    span: Offsets | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("name", "fields", "span")
+
+    def __init__(self, name: str, fields: list[PayloadField], span: Offsets | None = None) -> None:
+        self.name = name
+        self.fields = fields
+        self.span = span
 
 
-@dataclass
-class Operation:
+class Operation(Record):
     """An interface operation and the payload it carries."""
 
-    name: str
-    payload: PayloadDef
-    span: Offsets | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("name", "payload", "span")
+
+    def __init__(self, name: str, payload: PayloadDef, span: Offsets | None = None) -> None:
+        self.name = name
+        self.payload = payload
+        self.span = span
 
 
-@dataclass
-class InterfaceDef:
+class InterfaceDef(Record):
     """An interface: its typed operations."""
 
-    name: str
-    operations: list[Operation]
-    span: Offsets | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("name", "operations", "span")
+
+    def __init__(self, name: str, operations: list[Operation], span: Offsets | None = None) -> None:
+        self.name = name
+        self.operations = operations
+        self.span = span
 
 
-@dataclass
-class PropertyDef:
+class PropertyDef(Record):
     """A component property with its type and declared initial value."""
 
-    name: str
-    type: PrimType
-    initial: int | float | bool | str
-    span: Offsets | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("name", "type", "initial", "span")
+
+    def __init__(
+        self, name: str, type: PrimType, initial: int | float | bool | str, span: Offsets | None = None
+    ) -> None:
+        self.name = name
+        self.type = type
+        self.initial = initial
+        self.span = span
 
 
-@dataclass
-class PortDef:
+class PortDef(Record):
     """A port with its provided and required interfaces."""
 
-    name: str
-    provided: list[InterfaceDef]
-    required: list[InterfaceDef]
-    span: Offsets | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("name", "provided", "required", "span")
+
+    def __init__(
+        self, name: str, provided: list[InterfaceDef], required: list[InterfaceDef], span: Offsets | None = None
+    ) -> None:
+        self.name = name
+        self.provided = provided
+        self.required = required
+        self.span = span
 
     def interfaces(self) -> list[InterfaceDef]:
         return [*self.provided, *self.required]
 
 
-@dataclass
-class InstanceDecl:
+class InstanceDecl(Record):
     """A named instance of a component, at the root or inside a board."""
 
-    name: str
-    component: "ComponentDef"
-    span: Offsets | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("name", "component", "span")
+
+    def __init__(self, name: str, component: ComponentDef, span: Offsets | None = None) -> None:
+        self.name = name
+        self.component = component
+        self.span = span
 
     def __eq__(self, other):  # the component compares by name, see ``structurally_equal``
         if not isinstance(other, InstanceDecl):
@@ -131,91 +148,140 @@ class InstanceDecl:
         return (self.name, self.component.name) == (other.name, other.component.name)
 
 
-@dataclass
-class Endpoint:
+class Endpoint(Record):
     """Connector end: a subcomponent's port, or (instance=None) the owner's own port."""
 
-    instance: InstanceDecl | None
-    port: PortDef
-    span: Offsets | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("instance", "port", "span")
+
+    def __init__(self, instance: InstanceDecl | None, port: PortDef, span: Offsets | None = None) -> None:
+        self.instance = instance
+        self.port = port
+        self.span = span
 
     def describe(self) -> str:
         owner = "self" if self.instance is None else self.instance.name
         return f"{owner}.{self.port.name}"
 
 
-@dataclass
-class Connector:
+class Connector(Record):
     """A connector wiring two endpoints."""
 
-    a: Endpoint
-    b: Endpoint
-    span: Offsets | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("a", "b", "span")
+
+    def __init__(self, a: Endpoint, b: Endpoint, span: Offsets | None = None) -> None:
+        self.a = a
+        self.b = b
+        self.span = span
 
 
-@dataclass
-class Assignment:
+class Assignment(Record):
     """Effect item ``target := expr``; the target names an owner property."""
 
-    target: str
-    expr: Expr
-    span: Offsets | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("target", "expr", "span")
+
+    def __init__(self, target: str, expr: Expr, span: Offsets | None = None) -> None:
+        self.target = target
+        self.expr = expr
+        self.span = span
 
 
-@dataclass
-class ActionDef:
+class ActionDef(Record):
     """An action: its kind, port, payload and effects."""
 
-    name: str
-    kind: ActionKind
-    payload: PayloadDef | None
-    port: PortDef | None
-    effects: list[Assignment]
-    span: Offsets | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("name", "kind", "payload", "port", "effects", "span")
+
+    def __init__(
+        self,
+        name: str,
+        kind: ActionKind,
+        payload: PayloadDef | None,
+        port: PortDef | None,
+        effects: list[Assignment],
+        span: Offsets | None = None,
+    ) -> None:
+        self.name = name
+        self.kind = kind
+        self.payload = payload
+        self.port = port
+        self.effects = effects
+        self.span = span
 
 
-@dataclass
-class EventDef:
+class EventDef(Record):
     """An event: its direction, port, payload and the action it runs."""
 
-    name: str
-    direction: EventDirection
-    port: PortDef | None
-    payload: PayloadDef | None
-    action: ActionDef
-    span: Offsets | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("name", "direction", "port", "payload", "action", "span")
+
+    def __init__(
+        self,
+        name: str,
+        direction: EventDirection,
+        port: PortDef | None,
+        payload: PayloadDef | None,
+        action: ActionDef,
+        span: Offsets | None = None,
+    ) -> None:
+        self.name = name
+        self.direction = direction
+        self.port = port
+        self.payload = payload
+        self.action = action
+        self.span = span
 
 
-@dataclass
-class StateDef:
+class StateDef(Record):
     """A state with the events of its entry, exit and continuous positions."""
 
-    name: str
-    is_initial: bool
-    entry: list[EventDef]
-    exit: list[EventDef]
-    continuous: list[EventDef]
-    span: Offsets | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("name", "is_initial", "entry", "exit", "continuous", "span")
+
+    def __init__(
+        self,
+        name: str,
+        is_initial: bool,
+        entry: list[EventDef],
+        exit: list[EventDef],
+        continuous: list[EventDef],
+        span: Offsets | None = None,
+    ) -> None:
+        self.name = name
+        self.is_initial = is_initial
+        self.entry = entry
+        self.exit = exit
+        self.continuous = continuous
+        self.span = span
 
 
-@dataclass
-class TransitionDef:
+class TransitionDef(Record):
     """A transition: source, target, optional trigger and optional guard."""
 
-    source: StateDef
-    target: StateDef
-    trigger: EventDef | None
-    guard: Expr | None
-    span: Offsets | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("source", "target", "trigger", "guard", "span")
+
+    def __init__(
+        self,
+        source: StateDef,
+        target: StateDef,
+        trigger: EventDef | None,
+        guard: Expr | None,
+        span: Offsets | None = None,
+    ) -> None:
+        self.source = source
+        self.target = target
+        self.trigger = trigger
+        self.guard = guard
+        self.span = span
 
 
-@dataclass
-class StateMachine:
+class StateMachine(Record):
     """A component's flat state machine."""
 
-    states: list[StateDef]
-    transitions: list[TransitionDef]
-    span: Offsets | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("states", "transitions", "span")
+
+    def __init__(
+        self, states: list[StateDef], transitions: list[TransitionDef], span: Offsets | None = None
+    ) -> None:
+        self.states = states
+        self.transitions = transitions
+        self.span = span
 
     @property
     def initial(self) -> StateDef | None:
@@ -225,20 +291,45 @@ class StateMachine:
         return None
 
 
-@dataclass
-class ComponentDef:
+class ComponentDef(Record):
     """A component with its members, bound to what they name."""
 
-    name: str
-    kind: ComponentKind
-    properties: list[PropertyDef]
-    ports: list[PortDef]
-    subcomponents: list[InstanceDecl]
-    connectors: list[Connector]
-    events: list[EventDef]
-    actions: list[ActionDef]
-    state_machine: StateMachine | None
-    span: Offsets | None = field(default=None, compare=False, repr=False)
+    __slots__ = (
+        "name",
+        "kind",
+        "properties",
+        "ports",
+        "subcomponents",
+        "connectors",
+        "events",
+        "actions",
+        "state_machine",
+        "span",
+    )
+
+    def __init__(
+        self,
+        name: str,
+        kind: ComponentKind,
+        properties: list[PropertyDef],
+        ports: list[PortDef],
+        subcomponents: list[InstanceDecl],
+        connectors: list[Connector],
+        events: list[EventDef],
+        actions: list[ActionDef],
+        state_machine: StateMachine | None,
+        span: Offsets | None = None,
+    ) -> None:
+        self.name = name
+        self.kind = kind
+        self.properties = properties
+        self.ports = ports
+        self.subcomponents = subcomponents
+        self.connectors = connectors
+        self.events = events
+        self.actions = actions
+        self.state_machine = state_machine
+        self.span = span
 
     def property_named(self, name: str) -> PropertyDef | None:
         for p in self.properties:
@@ -253,18 +344,30 @@ class ComponentDef:
         return None
 
 
-@dataclass
-class Model:
+class Model(Record):
     """A resolved model: its declarations, root instances and run overrides."""
 
-    payloads: list[PayloadDef]
-    interfaces: list[InterfaceDef]
-    components: list[ComponentDef]
-    root_instances: list[InstanceDecl]
-    source: str | None = field(default=None, compare=False, repr=False)
-    locator: Locator | None = field(default=None, compare=False, repr=False)
-    # A run input, not declared structure: property name -> initial value for ``instantiate``.
-    overrides: dict[str, int | float | bool | str] = field(default_factory=dict, compare=False, repr=False)
+    __slots__ = ("payloads", "interfaces", "components", "root_instances", "source", "locator", "overrides")
+    _hidden = ("source", "locator", "overrides")
+
+    def __init__(
+        self,
+        payloads: list[PayloadDef],
+        interfaces: list[InterfaceDef],
+        components: list[ComponentDef],
+        root_instances: list[InstanceDecl],
+        source: str | None = None,
+        locator: Locator | None = None,
+        overrides: dict[str, int | float | bool | str] | None = None,
+    ) -> None:
+        self.payloads = payloads
+        self.interfaces = interfaces
+        self.components = components
+        self.root_instances = root_instances
+        self.source = source
+        self.locator = locator
+        # A run input, not declared structure: property name -> initial value for ``instantiate``.
+        self.overrides = {} if overrides is None else overrides
 
     def component_named(self, name: str) -> ComponentDef | None:
         for c in self.components:
@@ -300,11 +403,11 @@ def _by_name(t: FieldType) -> str:
 
 
 def _normalized(m: Model) -> Model:
-    return replace(
-        m,
-        payloads=sorted(m.payloads, key=lambda p: p.name),
-        interfaces=sorted(m.interfaces, key=lambda i: i.name),
-        components=sorted(m.components, key=lambda c: c.name),
+    return Model(
+        sorted(m.payloads, key=lambda p: p.name),
+        sorted(m.interfaces, key=lambda i: i.name),
+        sorted(m.components, key=lambda c: c.name),
+        m.root_instances,
     )
 
 
@@ -335,4 +438,7 @@ def with_property_initial(model: Model, prop_name: str, value: int | float | boo
     if all(fit_value(p.type, value) is None for p in props):
         message = f"no component declares a property named {prop_name!r} accepting {describe_value(value)}"
         raise CiotError.of("E_DOMAIN", message)
-    return replace(model, overrides={**model.overrides, prop_name: value})
+    overrides = {**model.overrides, prop_name: value}
+    return Model(
+        model.payloads, model.interfaces, model.components, model.root_instances, model.source, model.locator, overrides
+    )

@@ -13,7 +13,8 @@ the text's :class:`~ciot.diagnostics.Locator`, which turns them into a
 Record rule: a record written once and read once, as every syntax tree node
 is (the parser builds it, the resolver reads it), is a ``NamedTuple`` built
 with ``_new``. A record that is filled in place, or that compares without
-its span (the expression nodes, the metamodel), stays a dataclass.
+its span (the expression nodes, the metamodel), is a slotted
+:class:`~ciot.diagnostics.Record`.
 
 Naming rule: entity names (payloads, interfaces, components, ports, events,
 actions, states, instances) must be plain identifiers. Member positions
@@ -523,18 +524,16 @@ def _parse_state(ts: _Stream) -> AstState:
     start = ts.expect("state")[2]
     name = _entity_name(ts, "state name")
     ts.expect("{")
-    entry: list[Ref] = []
-    exit_: list[Ref] = []
-    continuous: list[Ref] = []
+    positions: dict[str, list[Ref]] = {"entry": [], "exit": [], "continuous": []}
     while not ts.check("}"):
         tok = ts.current
-        if tok[1] in ("entry", "exit", "continuous"):
-            ts.advance()
-            refs = _ref_list(ts, "event name")
-            ts.expect(";")
-            {"entry": entry, "exit": exit_, "continuous": continuous}[tok[1]].extend(refs)
-        else:
+        refs = positions.get(tok[1])
+        if refs is None:
             ts.fail(f"expected entry, exit, or continuous, got {describe(tok)}")
+        ts.advance()
+        refs.extend(_ref_list(ts, "event name"))
+        ts.expect(";")
+    entry, exit_, continuous = positions.values()
     return _new(AstState, (name, initial, entry, exit_, continuous, (start, _end(ts.expect("}")))))
 
 
@@ -561,12 +560,16 @@ def _parse_transition(ts: _Stream) -> AstTransition:
 # typing, evaluation and rendering walk recursively.
 MAX_EXPR_DEPTH = 100
 _TOO_DEEP = f"expression nested deeper than {MAX_EXPR_DEPTH} levels"
+_TOO_DEEP_FOR_STACK = "expression nested too deeply for the Python stack left to the parser"
 
 _Parsed = tuple[Expr, int]  # (tree, height)
 
 
 def _parse_expr(ts: _Stream) -> Expr:
-    return _parse_or(ts)[0]
+    try:
+        return _parse_or(ts)[0]
+    except RecursionError:  # ``parse`` called from code too deep for an expression within the limit
+        ts.fail(_TOO_DEEP_FOR_STACK)
 
 
 def _node_height(ts: _Stream, child_height: int, op_tok: Token) -> int:

@@ -27,11 +27,10 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field, replace
 from itertools import groupby
 from operator import itemgetter
 
-from .diagnostics import CiotError, read_text, require_type
+from .diagnostics import CiotError, FrozenRecord, Record, read_text, require_type
 from .engine import DEFAULT_MAX_STEPS, RuntimeState, enqueue, instantiate, run_to_quiescence
 from .guards import PrimType, describe_value, fit_value, read_number
 from .metamodel import ComponentDef, EventDef, EventDirection, Model
@@ -56,33 +55,52 @@ _HEADERS = ("mode", "horizon_ms", "sample_period_ms")  # the first two are requi
 _VERBS = {"duration": ("echo",), "physical": ("occupy", "vacate")}
 
 
-@dataclass(frozen=True)
-class Stimulus:
+class Stimulus(FrozenRecord):
     """One scenario line: at ``time_ms``, ``verb`` on ``slot``."""
 
-    time_ms: int
-    slot: str
-    verb: str  # occupy | vacate | echo
-    value: float | None
+    __slots__ = ("time_ms", "slot", "verb", "value")
+
+    def __init__(self, time_ms: int, slot: str, verb: str, value: float | None) -> None:
+        init = object.__setattr__
+        init(self, "time_ms", time_ms)
+        init(self, "slot", slot)
+        init(self, "verb", verb)  # occupy | vacate | echo
+        init(self, "value", value)
 
 
-@dataclass
-class Scenario:
+# The default stimuli: each scenario built without them gets a new empty list.
+_NO_STIMULI: list = []
+
+
+class Scenario(Record):
     """A parsed scenario file: its mode, horizon, sample period and stimuli."""
 
-    mode: str
-    horizon_ms: int
-    sample_period_ms: int = DEFAULT_SAMPLE_PERIOD_MS
-    stimuli: list[Stimulus] = field(default_factory=list)
-    source: str | None = None
+    __slots__ = ("mode", "horizon_ms", "sample_period_ms", "stimuli", "source")
+
+    def __init__(
+        self,
+        mode: str,
+        horizon_ms: int,
+        sample_period_ms: int = DEFAULT_SAMPLE_PERIOD_MS,
+        stimuli: list[Stimulus] = _NO_STIMULI,
+        source: str | None = None,
+    ) -> None:
+        self.mode = mode
+        self.horizon_ms = horizon_ms
+        self.sample_period_ms = sample_period_ms
+        # Any other value is kept as given, for ``_check_scenario`` to judge.
+        self.stimuli = [] if stimuli is _NO_STIMULI else stimuli
+        self.source = source
 
 
-@dataclass
-class SimResult:
+class SimResult(Record):
     """What ``simulate`` returns: the final runtime and the scenario it ran."""
 
-    runtime: RuntimeState
-    scenario: Scenario
+    __slots__ = ("runtime", "scenario")
+
+    def __init__(self, runtime: RuntimeState, scenario: Scenario) -> None:
+        self.runtime = runtime
+        self.scenario = scenario
 
     @property
     def trace(self) -> Trace:
@@ -293,7 +311,7 @@ def simulate(
     require_type(model, Model, "model")
     require_type(scenario, Scenario, "scenario")
     if sample_period_ms is not None:
-        scenario = replace(scenario, sample_period_ms=sample_period_ms)
+        scenario = Scenario(scenario.mode, scenario.horizon_ms, sample_period_ms, scenario.stimuli, scenario.source)
     period = _check_scenario(scenario).sample_period_ms
     speed_m_per_s = _positive("speed_m_per_s", speed_m_per_s)
     floor_distance_m = _positive("floor_distance_m", floor_distance_m)

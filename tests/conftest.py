@@ -32,7 +32,7 @@ def shared_parking_model(parking_path):
     """A function returning the parking model, loaded once per session.
 
     For hypothesis properties: hypothesis prints every argument of a failing
-    example, and a ``Model`` prints as about 750 KB of dataclass text where a
+    example, and a ``Model`` prints as about 750 KB of record text where a
     function prints as its name. Callers must not mutate the model;
     ``instantiate``, ``simulate`` and ``with_property_initial`` do not."""
     model = load_file(parking_path)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import pathlib
+import sys
 
 import pytest
 
@@ -283,6 +284,38 @@ def test_guard_at_nesting_limit_runs_everywhere(parking_path, shape):
     assert diags == []
     instantiate(with_property_initial(model, "threshold", 250.0))
     assert export_model(model)
+
+
+def _stack_depth() -> int:
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_guard_at_nesting_limit_parsed_from_deep_code_is_a_parse_error(parking_path):
+    """At the limit the parser recurses about 720 frames deep, so ``parse``
+    called from code 300 frames deep runs out of stack under the default
+    recursion limit, and says so with E_PARSE at the guard."""
+    source = _with_first_guard(parking_path, NESTED["paren"][0](MAX_EXPR_DEPTH))
+    parse(source)
+
+    def from_depth(frames: int):
+        return parse(source, "deep.ciot") if frames <= 0 else from_depth(frames - 1)
+
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        with pytest.raises(CiotError) as exc:
+            from_depth(300 - _stack_depth())
+    finally:
+        sys.setrecursionlimit(limit)
+    [diag] = exc.value.diagnostics
+    assert (exc.value.code, diag.file) == ("E_PARSE", "deep.ciot")
+    assert diag.message == "expression nested too deeply for the Python stack left to the parser"
+    line = source.splitlines()[diag.span.line - 1]
+    assert line.strip().endswith(f"[{NESTED['paren'][0](MAX_EXPR_DEPTH)}];")
+    assert line[diag.span.column - 1] == "("
 
 
 # Literals that lex but do not convert: an INT past the interpreter's

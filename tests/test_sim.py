@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import pathlib
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +28,12 @@ from ciot.sim import (
     simulate,
 )
 from ciot.trace import render_trace
+
+
+def replace(record, **changes):
+    """A copy of ``record``, a ``Scenario`` or a ``Stimulus``, with the fields
+    ``changes`` names set to its values."""
+    return type(record)(**{**{name: getattr(record, name) for name in record.__slots__}, **changes})
 
 
 def scn(code: str) -> Scenario:

@@ -5,6 +5,8 @@ from __future__ import annotations
 import ast
 import pathlib
 import re
+import subprocess
+import sys
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = REPO / "src" / "ciot"
@@ -47,19 +49,29 @@ def test_no_model_word_is_compared_by_identity():
     assert found == []
 
 
-def test_every_dataclass_has_a_docstring_and_the_parser_defines_none():
-    """A dataclass without a docstring builds its ``__doc__`` from
-    ``inspect.signature`` at import. The parser's syntax tree nodes are
-    written once and read once, so they are NamedTuples."""
-
-    dataclasses = [
+def test_every_record_has_a_docstring_and_the_parser_defines_none():
+    """Each record class says what it holds. The parser's syntax tree nodes
+    are written once and read once, so they are NamedTuples."""
+    records = [
         (name, node)
         for name, tree in _trees()
         for node in ast.walk(tree)
         if isinstance(node, ast.ClassDef)
-        and any(re.match(r"dataclass\b", ast.unparse(d)) for d in node.decorator_list)
+        and any(ast.unparse(b) in ("Record", "FrozenRecord") for b in node.bases)
     ]
     # The metamodel's alone are 17: a rule that finds none checks nothing.
-    assert len(dataclasses) > 20
-    assert [f"{name}:{node.name}" for name, node in dataclasses if ast.get_docstring(node) is None] == []
-    assert [f"{name}:{node.name}" for name, node in dataclasses if name == "parser.py"] == []
+    assert len(records) > 20
+    assert [f"{name}:{node.name}" for name, node in records if ast.get_docstring(node) is None] == []
+    assert [f"{name}:{node.name}" for name, node in records if name == "parser.py"] == []
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    """The records are plain classes, so a fresh interpreter, with no
+    ``site`` to load modules of its own, imports the command without
+    ``dataclasses`` and ``inspect``."""
+    code = (
+        f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); import ciot.cli; "
+        "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
+    )
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"
