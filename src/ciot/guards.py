@@ -314,13 +314,14 @@ def compile_expr(
 
 def _fused(expr: Binary, compare: Callable, locate: Callable, source: str | None) -> Callable | None:
     """A comparison of two leaves (properties, payload fields, literals) as
-    one closure; None when an operand is not a leaf.
+    one closure; None when an operand is not a leaf. Without it, perfbench's
+    fleet op took 4.8–4.9% longer and its corpus op 0.8–1.8% (medians of 30
+    rounds in each of two runs, Python 3.11, shared 2-CPU Xeon).
 
     A ``KeyError`` or ``TypeError`` (a name missing, no payload in scope,
     unlike types ordered) reruns the comparison with its operands compiled
     and read one by one, so it fails with the error, message and span of
-    the operand that fails. They are compiled only then.
-    """
+    the operand that fails. They are compiled only then."""
     sides = (expr.left, expr.right)
     literals = tuple(leaf.value if isinstance(leaf, Literal) else None for leaf in sides)
     reads = []  # per side: (0 properties, 1 payload, 2 literals; key)

@@ -50,6 +50,7 @@ from .metamodel import (
 )
 
 _Finding = tuple[str, str, Offsets | None]
+_TOO_DEEP_FOR_STACK = "expression nested too deeply for the Python stack left to the validator"
 
 _EXPECTED_ACTION = {
     EventDirection.INCOMING: ActionKind.RECEIVE_PAYLOAD,
@@ -294,11 +295,13 @@ def _check_effects(comp: ComponentDef) -> Iterator[_Finding]:
 
 def _type_of(expr, scope: GuardScope, what: str) -> PrimType | _Finding:
     """The type of ``expr``, or the R4 finding "``what`` does not type-check"
-    at the span of the typing error."""
+    at the typing error's span, or at ``expr``'s when typing runs out of stack."""
     try:
         return typecheck_guard(expr, scope)
     except TypeCheckError as exc:
         return "R4", f"{what} does not type-check: {exc}", exc.at
+    except RecursionError:  # ``validate`` called from code too deep for an expression within the limit
+        return "R4", f"{what} does not type-check: {_TOO_DEEP_FOR_STACK}", expr.span
 
 
 def _check_machine(comp: ComponentDef, machine: StateMachine) -> Iterator[_Finding]:

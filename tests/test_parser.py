@@ -318,6 +318,31 @@ def test_guard_at_nesting_limit_parsed_from_deep_code_is_a_parse_error(parking_p
     assert line[diag.span.column - 1] == "("
 
 
+def test_guard_at_nesting_limit_typed_from_deep_code_is_an_r4_finding(parking_path):
+    """The parser reads an ``and`` chain in a loop, but typing recurses once
+    per level of its tree, about 100 frames at the limit: ``load_text`` with
+    50 frames of stack left reports the guard as R4, not a RecursionError."""
+    guard = NESTED["and"][0](MAX_EXPR_DEPTH)
+    source = _with_first_guard(parking_path, guard)
+    load_text(source)
+
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 50)
+    try:
+        with pytest.raises(CiotError) as exc:
+            load_text(source, "deep.ciot")
+    finally:
+        sys.setrecursionlimit(limit)
+    [diag] = exc.value.diagnostics
+    assert (diag.rule, diag.file) == ("R4", "deep.ciot")
+    assert diag.message == (
+        "guard on transition OFF -> ON of component 'RedLED' does not type-check: "
+        "expression nested too deeply for the Python stack left to the validator"
+    )
+    line = source.splitlines()[diag.span.line - 1]
+    assert line[diag.span.column - 1 :].startswith(guard)
+
+
 # Literals that lex but do not convert: an INT past the interpreter's
 # int-string digit limit (4,300 by default; the test only needs "far past"),
 # and a FLOAT that float() turns into inf.

@@ -1,22 +1,26 @@
 """The trace renderer on hand-built records, and the ``Trace`` view.
 
-``render_trace`` keeps text by the identity of the objects it formats
-(shared values tuples, and the floats and strs in payloads); these tests pin
-that a whole trace renders exactly as its records do one at a time, and as
-their ``detail`` reads. A ``Trace`` reads a run's heads and ``(kind,
-values)`` pairs as ``TraceRecord``s; its tests pin that it reads as the list
-of its records, by index and slice as by iteration."""
+``fmt_payload`` is the one payload formatter; a property pins it to a
+recursive reference. ``render_trace`` of a ``Trace`` keeps text by the
+identity of the objects it formats (its flat records, and its payload and
+``set`` dicts); these tests pin that a whole trace renders exactly as its
+records do one at a time, as their ``detail`` reads, and as a ``Trace`` of
+records and dicts shared as a run's are. A ``Trace`` reads a run's heads and
+``(kind, *values)`` records as ``TraceRecord``s; its tests pin that it reads
+as the list of its records, by index and slice as by iteration."""
 
 from __future__ import annotations
 
 import operator
+from bisect import bisect_right
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ciot import inject, instantiate, load_scenario_file, load_text, run_to_quiescence, simulate
-from ciot.trace import FIELDS, Trace, TraceRecord, render_trace
+from ciot.guards import format_value
+from ciot.trace import FIELDS, Trace, TraceRecord, fmt_payload, render_trace
 
 from genmodels import alphabet, generate
 
@@ -88,6 +92,41 @@ def test_trace_renders_as_its_lines_and_their_detail(records):
     for r in records:
         head = f"seq={r.seq} t={r.time_us} inst={r.instance} kind={r.kind}"
         assert render_trace([r]) == " ".join([head] + [f"{k}={v}" for k, v in r.detail.items()]) + "\n"
+
+
+def reference_payload(values) -> str:
+    """``fmt_payload`` as plain recursion: ``{k=v,...}``, a nested record as its own braces."""
+    if values is None:
+        return "-"
+    fields = (f"{k}={reference_payload(v) if isinstance(v, dict) else format_value(v)}" for k, v in values.items())
+    return "{" + ",".join(fields) + "}"
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=payloads, scalar=scalars)
+def test_fmt_payload_matches_a_recursive_reference(values, scalar):
+    """Flat and nested payloads, and a nested field at the first, a middle and the last position."""
+    record = {"first": values, "s": scalar, "middle": values, "t": scalar, "last": values}
+    for shown in (None, values, record):
+        assert fmt_payload(shown) == reference_payload(shown)
+
+
+@settings(max_examples=200, deadline=None)
+@given(records=traces(), data=st.data())
+def test_trace_of_shared_records_renders_as_their_list(records, data):
+    """A ``Trace`` whose flat records and payload dicts are shared between
+    records and heads, as a run's are, renders as the list of its records:
+    the text kept by their identity is the text of each."""
+    n = len(records)
+    first = [0, *sorted(data.draw(st.sets(st.integers(1, n - 1))))] if n > 1 else [0] * n
+    times, instances = [records[f].time_us for f in first], [records[f].instance for f in first]
+    flat: dict[tuple, tuple] = {}  # (kind, id(values)) -> the one flat record
+    rows = [flat.setdefault((r.kind, id(r.values)), (r.kind, *r.values)) for r in records]
+    view = Trace(first, times, instances, rows)
+    heads = [bisect_right(first, seq) - 1 for seq in range(n)]
+    expected = [TraceRecord(r.seq, times[h], instances[h], r.kind, r.values) for r, h in zip(records, heads)]
+    assert list(view) == expected
+    assert render_trace(view) == render_trace(expected)
 
 
 def test_empty_trace_renders_empty():
