@@ -321,7 +321,7 @@ def _build_dispatch(model: Model, comp: ComponentDef, path: str) -> Dispatch:
     types = {p.name: p.type for p in comp.properties}
     actions: dict[str, Action] = {}
     for ev in comp.events:
-        actions.setdefault(ev.name, _action(ev, types, model))
+        actions.setdefault(ev.name, _action(ev, types, model, comp.name))
     outgoing = [ev for ev in comp.events if ev.direction == EventDirection.OUTGOING]
 
     def executions(events: list[EventDef], inline: bool) -> tuple[Execution, ...]:
@@ -338,7 +338,9 @@ def _build_dispatch(model: Model, comp: ComponentDef, path: str) -> Dispatch:
     machine = comp.state_machine
     for s in machine.states if machine is not None else ():
         if s.name not in states:
-            transitions = tuple(_transition(t, entry(t.target), model) for t in machine.transitions if t.source is s)
+            transitions = tuple(
+                _transition(t, entry(t.target), model, comp.name) for t in machine.transitions if t.source is s
+            )
             states[s.name] = State(transitions, entry(s), executions(s.exit, False), executions(s.continuous, True))
     sends = []
     for ev in outgoing:
@@ -355,7 +357,15 @@ def _build_dispatch(model: Model, comp: ComponentDef, path: str) -> Dispatch:
     return Dispatch(states, actions, tuple(sends), _matching_incoming(comp), properties, initial_name, entered, links)
 
 
-def _action(ev: EventDef, types: dict[str, PrimType], model: Model) -> Action:
+def _too_deep(model: Model, what: str, expr: Expr) -> CiotError:
+    """E_INSTANTIATE at ``expr``, which ``what`` names, when compiling or
+    rendering it ran out of Python stack: ``instantiate`` was called from code
+    too deep for an expression within the parser's nesting limit."""
+    message = f"{what}: expression nested too deeply for the Python stack left to instantiate"
+    return CiotError.of("E_INSTANTIATE", message, model.locate(expr.span), model.source)
+
+
+def _action(ev: EventDef, types: dict[str, PrimType], model: Model, comp_name: str) -> Action:
     act = ev.action
     sees_payload = act.kind != ActionKind.SEND_PAYLOAD
     fields = {}
@@ -364,7 +374,11 @@ def _action(ev: EventDef, types: dict[str, PrimType], model: Model) -> Action:
     effects = []
     for e in act.effects:
         t = types.get(e.target)
-        compiled = compile_expr(e.expr, model.locate, model.source)
+        try:
+            compiled = compile_expr(e.expr, model.locate, model.source)
+        except RecursionError:
+            what = f"effect expression in action {act.name!r} of component {comp_name!r}"
+            raise _too_deep(model, what, e.expr) from None
         effects.append((e.target, t, compiled, _proves(t, e.expr, types, fields)))
     if all(proven and isinstance(e.expr, Literal) for e, (*_, proven) in zip(act.effects, effects)):
         # Each literal is the value it stores; of two with one target, the
@@ -427,12 +441,19 @@ def _execution(ev: EventDef, action: Action, types: dict, outgoing: list[EventDe
     return lambda rt, inst: enqueue(rt, inst, ev, _snapshot_payload(inst, fields), inst.path)
 
 
-def _transition(t: TransitionDef, entry: tuple[Execution, ...], model: Model) -> Transition:
+def _transition(t: TransitionDef, entry: tuple[Execution, ...], model: Model, comp_name: str) -> Transition:
     label = f"{t.source.name}->{t.target.name}"
-    guard_text = _quote(expr_to_text(t.guard)) if t.guard is not None else None
+    guard_text = guard = None
+    if t.guard is not None:
+        try:
+            guard_text = _quote(expr_to_text(t.guard))
+            guard = compile_expr(t.guard, model.locate, model.source)
+        except RecursionError:
+            what = f"guard on transition {t.source.name} -> {t.target.name} of component {comp_name!r}"
+            raise _too_deep(model, what, t.guard) from None
     return Transition(
         trigger=t.trigger,
-        guard=compile_expr(t.guard, model.locate, model.source) if t.guard is not None else None,
+        guard=guard,
         rejected=("guard_eval", label, guard_text, False),
         accepted=("guard_eval", label, guard_text, True),
         taken=("transition", t.source.name, t.target.name, t.trigger.name if t.trigger is not None else None),

@@ -18,7 +18,7 @@ import operator
 import re
 import sys
 from decimal import Decimal
-from typing import Callable, Mapping, NamedTuple, Union
+from typing import Callable, Mapping, NamedTuple
 
 from .diagnostics import CiotError, Offsets, Record, error
 
@@ -86,7 +86,9 @@ class Binary(Record):
         self.span = span
 
 
-Expr = Union[Literal, NameRef, PayloadFieldRef, Unary, Binary]
+# ``|``, not ``typing.Union``: typing's process-wide cache would keep these
+# classes, and through their methods this module, alive after a re-import.
+Expr = Literal | NameRef | PayloadFieldRef | Unary | Binary
 
 ORDERING_OPS = ("<", "<=", ">", ">=")
 BOOLEAN_OPS = ("and", "or")

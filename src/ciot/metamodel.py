@@ -11,8 +11,6 @@ equal regardless of where their text came from.
 
 from __future__ import annotations
 
-from typing import Union
-
 from .diagnostics import CiotError, Locator, Offsets, Record, SourceSpan, require_type
 from .guards import Expr, PrimType, describe_value, fit_value
 
@@ -48,10 +46,6 @@ ACTION_KEYWORDS = {
 }
 
 
-# A payload field is either primitive or another payload record.
-FieldType = Union[PrimType, "PayloadDef"]
-
-
 class PayloadField(Record):
     """One field of a payload record: a primitive type or another payload."""
 
@@ -77,6 +71,11 @@ class PayloadDef(Record):
         self.name = name
         self.fields = fields
         self.span = span
+
+
+# A payload field is either primitive or another payload record. It is
+# ``|``, not ``typing.Union``, so that no typing cache keeps this module alive.
+FieldType = PrimType | PayloadDef
 
 
 class Operation(Record):

@@ -179,26 +179,30 @@ class AstModel(NamedTuple):
 
 
 class _Stream:
-    """The parser's cursor over the token list of one text, with the text's
+    """The parser's cursor over the tokens of one text, with the text's
     locator.
+
+    The whole text is lexed first, so a lexical error wins over any parse
+    error. The cursor then pops each token from a reversed copy of the list
+    ``tokenize`` returned, so a token is freed once it has been read, not
+    when the parse returns, and that list itself is left as it was. The
+    end-of-input token stays current once it is reached.
 
     Tokens are tested by text alone: no identifier, literal or end-of-input
     token has the text of a keyword or a punctuation mark, so a keyword or a
     punctuation mark is known by its text."""
 
     def __init__(self, source: str, file: str | None) -> None:
-        self.tokens = tokenize(source, file)
+        self.next = tokenize(source, file)[::-1].pop
         self.locator = Locator(source)
-        self.pos = 0
-        self.current = self.tokens[0]
+        self.current = self.next()
         self.file = file
         self.nesting = 0  # open "(" and "not" in the expression being parsed
 
     def advance(self) -> Token:
         tok = self.current
         if tok[0] is not TokenKind.EOI:
-            self.pos += 1
-            self.current = self.tokens[self.pos]
+            self.current = self.next()
         return tok
 
     def check(self, text: str) -> bool:
@@ -208,15 +212,13 @@ class _Stream:
         tok = self.current
         if tok[1] != text:
             return None
-        self.pos += 1
-        self.current = self.tokens[self.pos]
+        self.current = self.next()
         return tok
 
     def expect(self, text: str, what: str | None = None) -> Token:
         tok = self.current
         if tok[1] == text:
-            self.pos += 1
-            self.current = self.tokens[self.pos]
+            self.current = self.next()
             return tok
         if what is None:
             kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.PUNCT

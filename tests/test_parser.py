@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import gc
 import pathlib
 import sys
+import tracemalloc
 
 import pytest
 
@@ -148,6 +150,41 @@ def test_parse_is_deterministic(parking_path):
     with open(parking_path, encoding="utf-8") as fh:
         source = fh.read()
     assert parse(source, parking_path) == parse(source, parking_path)
+
+
+def _traced(build):
+    """What ``build()`` returns, the bytes it holds and its traced peak."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        out = build()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, held, peak
+
+
+def test_parse_frees_each_token_once_read(parking_path, monkeypatch):
+    """The parser pops each token from a reversed copy of the lexed list, so
+    its peak stays well below the tokens and the tree held at once (about
+    0.6 of their sum here, and 0.91 while it indexed the list). The list
+    ``tokenize`` returned is left whole."""
+    source = pathlib.Path(parking_path).read_text(encoding="utf-8") * 48
+    tokens, tokens_held, _ = _traced(lambda: tokenize(source))
+    del tokens
+    tree, tree_held, peak = _traced(lambda: parse(source))
+    assert peak < 0.8 * (tokens_held + tree_held)
+
+    lexed = []
+
+    def kept(*args):
+        lexed.append(tokenize(*args))
+        return lexed[-1]
+
+    monkeypatch.setattr(parser, "tokenize", kept)
+    length = len(tokenize(source))
+    assert parse(source) == tree
+    assert [len(tokens) for tokens in lexed] == [length]
 
 
 def _nodes(node):
@@ -341,6 +378,46 @@ def test_guard_at_nesting_limit_typed_from_deep_code_is_an_r4_finding(parking_pa
     )
     line = source.splitlines()[diag.span.line - 1]
     assert line[diag.span.column - 1 :].startswith(guard)
+
+
+# An ``and`` chain at the nesting limit in each place ``instantiate``
+# compiles one: the corpus text it replaces, that text's form with the chain
+# in it, the chain's operand, and what the error names.
+DEEP_AT_INSTANTIATE = {
+    "guard": (f"[{GUARD}]", "[{}]", GUARD, "guard on transition OFF -> ON of component 'RedLED'"),
+    "effect": (
+        "sent := false;",
+        "sent := {};",
+        "sent",
+        "effect expression in action 'actSense' of component 'UltrasonicSensor'",
+    ),
+}
+
+
+@pytest.mark.parametrize("place", sorted(DEEP_AT_INSTANTIATE))
+def test_expression_at_nesting_limit_instantiated_from_deep_code_is_an_instantiate_error(parking_path, place):
+    """Rendering and compiling an expression at ``instantiate`` recurse once
+    per level of its tree, about 100 frames for an ``and`` chain at the
+    limit: with 60 frames of stack left, ``instantiate`` raises E_INSTANTIATE
+    at the expression, not a RecursionError."""
+    replaced, form, operand, what = DEEP_AT_INSTANTIATE[place]
+    chain = " and ".join([operand] * MAX_EXPR_DEPTH)
+    source = pathlib.Path(parking_path).read_text(encoding="utf-8").replace(replaced, form.format(chain), 1)
+    model = with_property_initial(load_text(source, "deep.ciot"), "threshold", 250.0)
+    instantiate(model)
+
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 60)
+    try:
+        with pytest.raises(CiotError) as exc:
+            instantiate(model)
+    finally:
+        sys.setrecursionlimit(limit)
+    [diag] = exc.value.diagnostics
+    assert (exc.value.code, diag.file) == ("E_INSTANTIATE", "deep.ciot")
+    assert diag.message == f"{what}: expression nested too deeply for the Python stack left to instantiate"
+    line = source.splitlines()[diag.span.line - 1]
+    assert line[diag.span.column - 1 :].startswith(chain)
 
 
 # Literals that lex but do not convert: an INT past the interpreter's
