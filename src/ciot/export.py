@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .diagnostics import CiotError, require_type
 from .engine import _quote
-from .guards import expr_to_text, literal_text
+from .guards import Expr, expr_to_text, literal_text
 from .metamodel import (
     ACTION_KEYWORDS,
     ActionDef,
@@ -19,7 +19,7 @@ from .metamodel import (
     EventDef,
     Model,
     PayloadDef,
-    StateMachine,
+    TransitionDef,
 )
 
 
@@ -31,7 +31,7 @@ def export_model(model: Model) -> str:
     for i in sorted(model.interfaces, key=lambda d: d.name):
         out.append(_interface_text(i))
     for c in sorted(model.components, key=lambda d: d.name):
-        out.append(_component_text(c))
+        out.append(_component_text(model, c))
     roots = "".join(f"instance {d.name}: {d.component.name};\n" for d in model.root_instances)
     if roots:
         out.append(roots)
@@ -55,7 +55,18 @@ def _interface_text(i) -> str:
     return "\n".join(lines)
 
 
-def _component_text(c: ComponentDef) -> str:
+def _expr_text(model: Model, what: str, expr: Expr) -> str:
+    """``expr`` as model text; E_USAGE at it, which ``what`` names, when
+    rendering it ran out of Python stack: the export was called from code too
+    deep for an expression within the parser's nesting limit."""
+    try:
+        return expr_to_text(expr)
+    except RecursionError:
+        message = f"{what}: expression nested too deeply for the Python stack left to export"
+        raise CiotError.of("E_USAGE", message, model.locate(expr.span), model.source) from None
+
+
+def _component_text(model: Model, c: ComponentDef) -> str:
     lines = [f"component {c.name} : {c.kind} {{"]
     sections: list[list[str]] = []
     if c.properties:
@@ -73,9 +84,9 @@ def _component_text(c: ComponentDef) -> str:
     if c.events:
         sections.append([_event_line(e) for e in c.events])
     if c.actions:
-        sections.append(sum((_action_lines(a) for a in c.actions), []))
+        sections.append(sum((_action_lines(model, c, a) for a in c.actions), []))
     if c.state_machine is not None:
-        sections.append(_machine_lines(c.state_machine))
+        sections.append(_machine_lines(model, c))
     for idx, section in enumerate(sections):
         if idx:
             lines.append("")
@@ -103,7 +114,7 @@ def _event_line(e: EventDef) -> str:
     return " ".join(parts)
 
 
-def _action_lines(a: ActionDef) -> list[str]:
+def _action_lines(model: Model, c: ComponentDef, a: ActionDef) -> list[str]:
     keyword = next((word for word, kind in ACTION_KEYWORDS.items() if kind == a.kind), None)
     if keyword is None:
         raise CiotError.of("E_USAGE", f"action {a.name!r} has kind {a.kind!r}, which no keyword names")
@@ -115,13 +126,15 @@ def _action_lines(a: ActionDef) -> list[str]:
     if not a.effects:
         return [" ".join(head) + ";"]
     lines = [" ".join(head) + " {"]
+    what = f"effect expression in action {a.name!r} of component {c.name!r}"
     for eff in a.effects:
-        lines.append(f"        {eff.target} := {expr_to_text(eff.expr)};")
+        lines.append(f"        {eff.target} := {_expr_text(model, what, eff.expr)};")
     lines.append("    }")
     return lines
 
 
-def _machine_lines(m: StateMachine) -> list[str]:
+def _machine_lines(model: Model, c: ComponentDef) -> list[str]:
+    m = c.state_machine
     lines = ["    statemachine {"]
     for s in m.states:
         head = "initial state" if s.is_initial else "state"
@@ -140,10 +153,15 @@ def _machine_lines(m: StateMachine) -> list[str]:
         if t.trigger is not None:
             text += f" when {t.trigger.name}"
         if t.guard is not None:
-            text += f" [{expr_to_text(t.guard)}]"
+            text += f" [{_guard_text(model, c, t)}]"
         lines.append(text + ";")
     lines.append("    }")
     return lines
+
+
+def _guard_text(model: Model, c: ComponentDef, t: TransitionDef) -> str:
+    what = f"guard on transition {t.source.name} -> {t.target.name} of component {c.name!r}"
+    return _expr_text(model, what, t.guard)
 
 
 def statemachine_to_dot(model: Model, component_name: str) -> str:
@@ -163,7 +181,7 @@ def statemachine_to_dot(model: Model, component_name: str) -> str:
         if t.trigger is not None:
             label_parts.append(t.trigger.name)
         if t.guard is not None:
-            label_parts.append(f"[{expr_to_text(t.guard)}]")
+            label_parts.append(f"[{_guard_text(model, comp, t)}]")
         label = f" [label={_quote(' '.join(label_parts))}]" if label_parts else ""
         lines.append(f"    {_quote(t.source.name)} -> {_quote(t.target.name)}{label};")
     lines.append("}")

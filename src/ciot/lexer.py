@@ -1,11 +1,14 @@
 """Tokenizer for the component-model DSL.
 
-Produces a flat token list ending in an end-of-input token. A token is a
-plain ``(kind, text, start)`` tuple: its kind, its raw source text and the
-character offset where it starts. Joining token texts reproduces the input
-modulo whitespace and ``//`` comments. Line and column are not tracked here:
-a :class:`~ciot.diagnostics.Locator` turns offsets into a ``SourceSpan``
-where one is kept.
+Produces a text's tokens as a list, in one call or a bounded chunk at a
+time from a given offset; the text's last token is an end-of-input token.
+The parser reads a text chunk by chunk, so a parse holds one chunk of
+tokens, not the whole text's. A token is a plain ``(kind, text, start)``
+tuple: its kind, its raw source text and the character offset where it
+starts. Joining token texts reproduces the input modulo whitespace and
+``//`` comments. Line and column are not tracked here: a
+:class:`~ciot.diagnostics.Locator` turns offsets into a ``SourceSpan`` where
+one is kept.
 
 A kind is one of the plain strings of :class:`TokenKind`, the text an error
 message names it by, and is compared by identity. It is not an ``Enum``
@@ -23,6 +26,7 @@ and otherwise at the end of the text.
 from __future__ import annotations
 
 import re
+from itertools import islice
 
 from .diagnostics import CiotError, Locator, require_type
 
@@ -127,8 +131,22 @@ def describe(token: Token) -> str:
     return f"{kind} {text!r}"
 
 
-def tokenize(source: str, file: str | None = None) -> list[Token]:
-    """Tokenize ``source``; raises CiotError (E_LEX) on the first bad character."""
+def tokenize(
+    source: str,
+    file: str | None = None,
+    *,
+    start: int = 0,
+    limit: int | None = None,
+    words: dict[str, str] | None = None,
+) -> list[Token]:
+    """Tokenize ``source`` from offset ``start``, 0 or where a token starts
+    or ends; raises CiotError (E_LEX) on the first bad character.
+
+    The list holds at most ``limit`` tokens (all of them by default) and
+    ends in the end-of-input token once the text is done, so chunks of one
+    text, each lexed from where the last token of the one before ends, give
+    the tokens of one call. ``words`` maps each word to the one str its
+    tokens share; chunks lexed with one dict share their words' strs."""
     require_type(source, str, "text")
     tokens: list[Token] = []
     append = tokens.append
@@ -136,8 +154,9 @@ def tokenize(source: str, file: str | None = None) -> list[Token]:
     # One str per distinct word, which its tokens (and the tree's names)
     # share: this keeps a parse's peak memory down, which an int start offset
     # per token would otherwise raise.
-    words: dict[str, str] = {}
-    for m in _SCAN.finditer(source):
+    if words is None:
+        words = {}
+    for m in islice(_SCAN.finditer(source, start), limit):
         group = m.lastgroup
         text = m[group]
         if group == "WORD":
@@ -152,7 +171,7 @@ def tokenize(source: str, file: str | None = None) -> list[Token]:
             raise CiotError.of("E_LEX", message, Locator(source).span(at, at), file)
         else:
             append((_KINDS[group], text, m.start(group)))
-    raise AssertionError  # unreachable: EOI matches at the end of any text
+    return tokens  # ``limit`` tokens, short of the end of the text
 
 
 def decode_string(quoted: str) -> str:

@@ -26,7 +26,8 @@ also accept keywords, except the expression-reserved words
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple, NoReturn
+from itertools import chain
+from typing import Callable, Iterator, NamedTuple, NoReturn
 
 from .diagnostics import CiotError, Locator, Offsets
 from .guards import PRIM_TYPES, Binary, Expr, Literal, NameRef, PayloadFieldRef, PrimType, Unary, read_long_int
@@ -42,10 +43,16 @@ _LITERAL_KINDS = frozenset({TokenKind.INT, TokenKind.FLOAT, TokenKind.STRING})
 
 
 class Ref(NamedTuple):
-    """Unresolved name occurrence."""
+    """Unresolved name occurrence: the name and the offset where it starts.
+    Its span is worked out when read, so a name holds no tuple or end offset
+    of its own."""
 
     name: str
-    span: Offsets
+    start: int
+
+    @property
+    def span(self) -> Offsets:
+        return (self.start, self.start + len(self.name))
 
 
 class AstTypeRef(NamedTuple):
@@ -178,25 +185,49 @@ class AstModel(NamedTuple):
     file: str | None
 
 
+# Tokens the parser lexes at a time: the tokens it holds are at most one
+# chunk's, while a call to ``tokenize`` per chunk costs nothing measurable.
+_CHUNK = 1024
+# Popped after the last token of a chunk: it ends that chunk's iterator.
+_CHUNK_END = ()
+
+
+def _chunks(source: str, file: str | None) -> Iterator[Iterator[Token]]:
+    """The tokens of ``source``, lexed ``_CHUNK`` at a time when the parser
+    reaches them: each chunk pops its tokens from a reversed copy of the list
+    ``tokenize`` returned, and its chunks share one str per word."""
+    words: dict[str, str] = {}
+    start: int | None = 0
+    while start is not None:
+        chunk = [_CHUNK_END, *reversed(tokenize(source, file, start=start, limit=_CHUNK, words=words))]
+        kind, text, at = chunk[1]
+        start = None if kind is TokenKind.EOI else at + len(text)
+        yield iter(chunk.pop, _CHUNK_END)
+
+
 class _Stream:
     """The parser's cursor over the tokens of one text, with the text's
     locator.
 
-    The whole text is lexed first, so a lexical error wins over any parse
-    error. The cursor then pops each token from a reversed copy of the list
-    ``tokenize`` returned, so a token is freed once it has been read, not
-    when the parse returns, and that list itself is left as it was. The
-    end-of-input token stays current once it is reached.
+    The text is lexed a chunk at a time (``_chunks``) and the cursor pops
+    each token, so a token is freed once it has been read and a parse holds
+    at most one chunk of tokens. The lists ``tokenize`` returned are left as
+    they were. The end-of-input token stays current once it is reached. A
+    lexical error wins over any parse error: ``fail`` lexes the text from the
+    current token on first, and raises its first E_LEX if it has one.
 
     Tokens are tested by text alone: no identifier, literal or end-of-input
     token has the text of a keyword or a punctuation mark, so a keyword or a
     punctuation mark is known by its text."""
 
     def __init__(self, source: str, file: str | None) -> None:
-        self.next = tokenize(source, file)[::-1].pop
-        self.locator = Locator(source)
-        self.current = self.next()
+        self.source = source
         self.file = file
+        # C-level all the way to a chunk's pop: a generator yielding each
+        # token would run Python code per token.
+        self.next = chain.from_iterable(_chunks(source, file)).__next__
+        self.current = self.next()
+        self.locator = Locator(source)
         self.nesting = 0  # open "(" and "not" in the expression being parsed
 
     def advance(self) -> Token:
@@ -226,8 +257,10 @@ class _Stream:
         return self.fail(f"expected {what}, got {describe(tok)}")
 
     def fail(self, message: str, tok: Token | None = None) -> NoReturn:
-        """Raise E_PARSE at ``tok``, by default the current token."""
+        """Raise E_PARSE at ``tok``, by default the current token, unless the
+        rest of the text has a lexical error: raise that one then."""
         _, text, start = tok or self.current
+        tokenize(self.source, self.file, start=self.current[2])
         raise CiotError.of("E_PARSE", message, self.locator.span(start, start + len(text)), self.file)
 
 
@@ -270,7 +303,7 @@ def _entity_name(ts: _Stream, what: str) -> Ref:
     tok = kind, text, start = ts.current
     if kind is TokenKind.IDENT:
         ts.advance()
-        return _new(Ref, (text, (start, start + len(text))))
+        return _new(Ref, (text, start))
     if kind is TokenKind.KEYWORD:
         ts.fail(f"expected {what} (identifier), got keyword {text!r}")
     ts.fail(f"expected {what} (identifier), got {describe(tok)}")
@@ -325,7 +358,7 @@ def _parse_type_ref(ts: _Stream) -> AstTypeRef:
         return _new(AstTypeRef, (_PRIM_NAMES[text], None, span))
     if kind is TokenKind.IDENT:
         ts.advance()
-        return _new(AstTypeRef, (None, _new(Ref, (text, span)), span))
+        return _new(AstTypeRef, (None, _new(Ref, (text, start)), span))
     ts.fail(f"expected a type (int, float, bool, string, or payload name), got {describe(tok)}")
 
 
@@ -469,7 +502,7 @@ def _parse_endpoint(ts: _Stream) -> AstEndpoint:
         inst: Ref | None = None
     else:
         inst = _entity_name(ts, "instance name or 'self'")
-        start = inst.span[0]
+        start = inst.start
     ts.expect(".")
     port = _entity_name(ts, "port name")
     return _new(AstEndpoint, (inst, port, (start, port.span[1])))

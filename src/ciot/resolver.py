@@ -76,8 +76,9 @@ class _Resolver:
         seen: set[str] = set()
         for d in decls:
             ref = d.name
-            name, span = ref if isinstance(ref, Ref) else (ref, d.name_span)
+            name = ref.name if isinstance(ref, Ref) else ref
             if name in seen:
+                span = ref.span if isinstance(ref, Ref) else d.name_span
                 self.err("E_DUPLICATE", f"duplicate {what} {name!r}{where}", span)
             else:
                 seen.add(name)

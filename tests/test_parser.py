@@ -8,11 +8,12 @@ import tracemalloc
 import pytest
 
 from ciot import parser
+from ciot.cli import main
 from ciot.diagnostics import CiotError, SourceSpan
 from ciot.engine import instantiate
 from ciot.guards import Binary, Literal, NameRef, PayloadFieldRef, Unary
-from ciot.export import export_model
-from ciot.lexer import tokenize
+from ciot.export import export_model, statemachine_to_dot
+from ciot.lexer import TokenKind, tokenize
 from ciot.loader import collect_diagnostics, load_text
 from ciot.metamodel import with_property_initial
 from ciot.parser import MAX_EXPR_DEPTH, Ref, parse
@@ -165,26 +166,55 @@ def _traced(build):
 
 
 def test_parse_frees_each_token_once_read(parking_path, monkeypatch):
-    """The parser pops each token from a reversed copy of the lexed list, so
-    its peak stays well below the tokens and the tree held at once (about
-    0.6 of their sum here, and 0.91 while it indexed the list). The list
-    ``tokenize`` returned is left whole."""
+    """The parser lexes a bounded chunk of tokens at a time and pops each
+    token once read, so its peak is the tree it returns, not the tree and
+    every token (1.01 of the tree here; 1.17 while the whole text was lexed
+    first). The chunks are the one-call token list cut in order, and their
+    names share one str per word."""
     source = pathlib.Path(parking_path).read_text(encoding="utf-8") * 48
-    tokens, tokens_held, _ = _traced(lambda: tokenize(source))
-    del tokens
     tree, tree_held, peak = _traced(lambda: parse(source))
-    assert peak < 0.8 * (tokens_held + tree_held)
+    assert peak <= 1.1 * tree_held
 
     lexed = []
 
-    def kept(*args):
-        lexed.append(tokenize(*args))
-        return lexed[-1]
+    def kept(*args, **kwargs):
+        lexed.append((kwargs["limit"], tokenize(*args, **kwargs)))
+        return lexed[-1][1]
 
     monkeypatch.setattr(parser, "tokenize", kept)
-    length = len(tokenize(source))
+    whole = tokenize(source)
     assert parse(source) == tree
-    assert [len(tokens) for tokens in lexed] == [length]
+    assert len(lexed) > 1
+    assert sum(len(tokens) for _, tokens in lexed) == len(whole)
+    assert all(len(tokens) <= limit for limit, tokens in lexed)
+    assert [tok for _, tokens in lexed for tok in tokens] == whole
+    assert [tok for _, tokens in lexed for tok in tokens if tok[0] is TokenKind.EOI] == whole[-1:]
+    words = [text for _, tokens in lexed for kind, text, _ in tokens if kind is TokenKind.IDENT]
+    assert len({id(text) for text in words}) == len(set(words))
+
+
+def test_lexical_error_past_the_first_chunk_wins_over_a_parse_error(tmp_path, parking_path, capsys):
+    """A parse error on line 1 stops the parse in the text's first chunk of
+    tokens; the stray "@" lies chunks later, and it is the one error reported
+    by ``parse``, ``load_text``, ``collect_diagnostics`` and ``ciot validate``."""
+    model = pathlib.Path(parking_path).read_text(encoding="utf-8")
+    source = "component ;\n" + model * 4 + "@\n"
+    at = source.index("@")
+    assert len(tokenize(source[:at])) > 2 * parser._CHUNK
+    line = source.count("\n", 0, at) + 1
+    expected = f"bad.ciot:{line}:1: error E_LEX unexpected character '@'"
+
+    for entry in (parse, load_text):
+        with pytest.raises(CiotError) as exc:
+            entry(source, "bad.ciot")
+        assert [d.render() for d in exc.value.diagnostics] == [expected]
+    assert [d.render() for d in collect_diagnostics(source, "bad.ciot")[1]] == [expected]
+
+    path = tmp_path / "bad.ciot"
+    path.write_text(source, encoding="utf-8")
+    assert main(["validate", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("errors=1 warnings=0\n", f"{tmp_path}/{expected}\n")
 
 
 def _nodes(node):
@@ -418,6 +448,34 @@ def test_expression_at_nesting_limit_instantiated_from_deep_code_is_an_instantia
     assert diag.message == f"{what}: expression nested too deeply for the Python stack left to instantiate"
     line = source.splitlines()[diag.span.line - 1]
     assert line[diag.span.column - 1 :].startswith(chain)
+
+
+@pytest.mark.parametrize("place", sorted(DEEP_AT_INSTANTIATE))
+def test_expression_at_nesting_limit_exported_from_deep_code_is_a_usage_error(parking_path, place):
+    """Export renders each guard and effect recursively too: with 60 frames
+    of stack left, ``export_model`` (and ``statemachine_to_dot`` of the
+    guard's machine) raises E_USAGE at the expression, not a RecursionError."""
+    replaced, form, operand, what = DEEP_AT_INSTANTIATE[place]
+    chain = " and ".join([operand] * MAX_EXPR_DEPTH)
+    source = pathlib.Path(parking_path).read_text(encoding="utf-8").replace(replaced, form.format(chain), 1)
+    model = load_text(source, "deep.ciot")
+    exports = [export_model]
+    if place == "guard":
+        exports.append(lambda m: statemachine_to_dot(m, "RedLED"))
+    for export in exports:
+        assert export(model).count(" and ") == MAX_EXPR_DEPTH - 1
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(_stack_depth() + 60)
+        try:
+            with pytest.raises(CiotError) as exc:
+                export(model)
+        finally:
+            sys.setrecursionlimit(limit)
+        [diag] = exc.value.diagnostics
+        assert (exc.value.code, diag.file) == ("E_USAGE", "deep.ciot")
+        assert diag.message == f"{what}: expression nested too deeply for the Python stack left to export"
+        line = source.splitlines()[diag.span.line - 1]
+        assert line[diag.span.column - 1 :].startswith(chain)
 
 
 # Literals that lex but do not convert: an INT past the interpreter's
