@@ -18,7 +18,7 @@ import operator
 import re
 import sys
 from decimal import Decimal
-from typing import Callable, Mapping, NamedTuple
+from typing import Callable, Mapping
 
 from .diagnostics import CiotError, Offsets, Record, error
 
@@ -96,13 +96,6 @@ PRIM_TYPES = (PrimType.INT, PrimType.FLOAT, PrimType.BOOL, PrimType.STRING)
 _NUMERIC = (PrimType.INT, PrimType.FLOAT)
 
 
-class GuardScope(NamedTuple):
-    """Static typing context: property types plus optional payload field types."""
-
-    properties: Mapping[str, PrimType]
-    payload_fields: Mapping[str, PrimType] | None = None
-
-
 class TypeCheckError(CiotError):
     """A typing error; ``at`` is the offsets of the offending expression node."""
 
@@ -111,8 +104,12 @@ class TypeCheckError(CiotError):
         self.at = at
 
 
-def typecheck_guard(expr: Expr, scope: GuardScope) -> PrimType:
-    """Infer the expression's type; a guard must come out BOOL.
+def typecheck_guard(
+    expr: Expr, properties: Mapping[str, PrimType], payload_fields: Mapping[str, PrimType] | None = None
+) -> PrimType:
+    """Infer the expression's type from the property types and the payload
+    field types (None where no payload is in scope); a guard must come out
+    BOOL.
 
     Raises TypeCheckError (code E_TYPE_MISMATCH or E_UNKNOWN_NAME) at the
     offending subexpression.
@@ -120,32 +117,32 @@ def typecheck_guard(expr: Expr, scope: GuardScope) -> PrimType:
     if isinstance(expr, Literal):
         return expr.type
     if isinstance(expr, NameRef):
-        t = scope.properties.get(expr.name)
+        t = properties.get(expr.name)
         if t is None:
             raise TypeCheckError("E_UNKNOWN_NAME", f"unknown property {expr.name!r}", expr.span)
         return t
     if isinstance(expr, PayloadFieldRef):
-        if scope.payload_fields is None:
+        if payload_fields is None:
             raise TypeCheckError("E_UNKNOWN_NAME", f"payload.{expr.field} used where no payload is in scope", expr.span)
-        t = scope.payload_fields.get(expr.field)
+        t = payload_fields.get(expr.field)
         if t is None:
             raise TypeCheckError("E_UNKNOWN_NAME", f"payload has no field {expr.field!r}", expr.span)
         return t
     if isinstance(expr, Unary):
-        t = typecheck_guard(expr.operand, scope)
+        t = typecheck_guard(expr.operand, properties, payload_fields)
         if t != PrimType.BOOL:
             raise TypeCheckError("E_TYPE_MISMATCH", f"'not' needs a bool operand, got {t}", expr.span)
         return PrimType.BOOL
     if isinstance(expr, Binary):
         if expr.op in BOOLEAN_OPS:
             for side in (expr.left, expr.right):
-                t = typecheck_guard(side, scope)
+                t = typecheck_guard(side, properties, payload_fields)
                 if t != PrimType.BOOL:
                     message = f"{expr.op!r} needs bool operands, got {t}"
                     raise TypeCheckError("E_TYPE_MISMATCH", message, side.span or expr.span)
             return PrimType.BOOL
-        lt = typecheck_guard(expr.left, scope)
-        rt = typecheck_guard(expr.right, scope)
+        lt = typecheck_guard(expr.left, properties, payload_fields)
+        rt = typecheck_guard(expr.right, properties, payload_fields)
         if expr.op in ORDERING_OPS:
             if lt not in _NUMERIC or rt not in _NUMERIC:
                 message = f"{expr.op!r} needs numeric operands, got {lt} and {rt}"

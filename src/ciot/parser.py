@@ -10,11 +10,14 @@ of a node to its last; the metamodel keeps the same tuples. The tree carries
 the text's :class:`~ciot.diagnostics.Locator`, which turns them into a
 ``SourceSpan`` only for a diagnostic.
 
-Record rule: a record written once and read once, as every syntax tree node
-is (the parser builds it, the resolver reads it), is a ``NamedTuple`` built
-with ``_new``. A record that is filled in place, or that compares without
-its span (the expression nodes, the metamodel), is a slotted
-:class:`~ciot.diagnostics.Record`.
+Record rule: the syntax tree keeps only what the resolver has to bind.
+Whatever the model keeps exactly as parsed is built once, here, as the
+model's own record: the guard and effect expressions, each ``PropertyDef``
+and each effect's ``Assignment``. A syntax tree node is written once and read
+once (the parser builds it, the resolver reads it), so it is a
+``NamedTuple`` built with ``_new``. A record that is filled in place, or that
+compares without its span (the expression nodes, the metamodel), is a
+slotted :class:`~ciot.diagnostics.Record`.
 
 Naming rule: entity names (payloads, interfaces, components, ports, events,
 actions, states, instances) must be plain identifiers. Member positions
@@ -32,7 +35,7 @@ from typing import Callable, Iterator, NamedTuple, NoReturn
 from .diagnostics import CiotError, Locator, Offsets
 from .guards import PRIM_TYPES, Binary, Expr, Literal, NameRef, PayloadFieldRef, PrimType, Unary, read_long_int
 from .lexer import EXPR_RESERVED, KEYWORDS, Token, TokenKind, decode_string, describe, tokenize
-from .metamodel import ACTION_KEYWORDS, COMPONENT_KINDS, ActionKind, ComponentKind, EventDirection
+from .metamodel import ACTION_KEYWORDS, COMPONENT_KINDS, ActionKind, Assignment, ComponentKind, EventDirection, PropertyDef
 
 # The words each position accepts, each mapped to its class constant.
 _PRIM_NAMES = {t: t for t in PRIM_TYPES}
@@ -55,16 +58,10 @@ class Ref(NamedTuple):
         return (self.start, self.start + len(self.name))
 
 
-class AstTypeRef(NamedTuple):
-    prim: PrimType | None
-    payload: Ref | None
-    span: Offsets
-
-
 class AstPayloadField(NamedTuple):
     name: str
-    name_span: Offsets
-    type: AstTypeRef
+    type: PrimType | Ref  # a primitive type's word, or the payload it names
+    span: Offsets  # the name's, as ``PayloadField.span``
 
 
 class AstPayload(NamedTuple):
@@ -82,13 +79,6 @@ class AstInterface(NamedTuple):
     name: Ref
     operations: list[AstOperation]
     span: Offsets
-
-
-class AstProperty(NamedTuple):
-    name: str
-    name_span: Offsets
-    type: PrimType
-    initial: Literal
 
 
 class AstPort(NamedTuple):
@@ -116,18 +106,12 @@ class AstConnector(NamedTuple):
     span: Offsets
 
 
-class AstAssign(NamedTuple):
-    target: str
-    target_span: Offsets
-    expr: Expr
-
-
 class AstAction(NamedTuple):
     name: Ref
     kind: ActionKind
     port: Ref | None
     payload: Ref | None
-    effects: list[AstAssign]
+    effects: list[Assignment]
     span: Offsets
 
 
@@ -166,7 +150,7 @@ class AstMachine(NamedTuple):
 class AstComponent(NamedTuple):
     name: Ref
     kind: ComponentKind
-    properties: list[AstProperty]
+    properties: list[PropertyDef]
     ports: list[AstPort]
     instances: list[AstInstance]
     connectors: list[AstConnector]
@@ -344,21 +328,20 @@ def _parse_payload(ts: _Stream) -> AstPayload:
     while not ts.check("}"):
         fname, fspan = _member_name(ts, "field name")
         ts.expect(":")
-        ftype = _parse_type_ref(ts)
+        ftype = _parse_field_type(ts)
         ts.expect(";")
-        fields.append(_new(AstPayloadField, (fname, fspan, ftype)))
+        fields.append(_new(AstPayloadField, (fname, ftype, fspan)))
     return _new(AstPayload, (name, fields, (start, _end(ts.expect("}")))))
 
 
-def _parse_type_ref(ts: _Stream) -> AstTypeRef:
+def _parse_field_type(ts: _Stream) -> PrimType | Ref:
     tok = kind, text, start = ts.current
-    span = (start, start + len(text))
     if text in _PRIM_NAMES:
         ts.advance()
-        return _new(AstTypeRef, (_PRIM_NAMES[text], None, span))
+        return _PRIM_NAMES[text]
     if kind is TokenKind.IDENT:
         ts.advance()
-        return _new(AstTypeRef, (None, _new(Ref, (text, start)), span))
+        return _new(Ref, (text, start))
     ts.fail(f"expected a type (int, float, bool, string, or payload name), got {describe(tok)}")
 
 
@@ -391,7 +374,7 @@ def _parse_component(ts: _Stream) -> AstComponent:
     name = _entity_name(ts, "component name")
     ts.expect(":")
     kind = _fixed_word(ts, TokenKind.IDENT, _COMPONENT_KINDS, "a component kind (IoTElement, Board, or VirtualEntity)")
-    properties: list[AstProperty] = []
+    properties: list[PropertyDef] = []
     ports: list[AstPort] = []
     instances: list[AstInstance] = []
     connectors: list[AstConnector] = []
@@ -425,7 +408,7 @@ def _parse_component(ts: _Stream) -> AstComponent:
     return _new(AstComponent, (name, kind, properties, ports, instances, connectors, events, actions, machine, span))
 
 
-def _parse_property(ts: _Stream) -> AstProperty:
+def _parse_property(ts: _Stream) -> PropertyDef:
     ts.expect("property")
     name, name_span = _member_name(ts, "property name")
     ts.expect(":")
@@ -436,7 +419,7 @@ def _parse_property(ts: _Stream) -> AstProperty:
     ts.expect("=")
     initial = _parse_literal(ts)
     ts.expect(";")
-    return _new(AstProperty, (name, name_span, _PRIM_NAMES[type_text], initial))
+    return PropertyDef(name, _PRIM_NAMES[type_text], initial.value, name_span)
 
 
 def _parse_literal(ts: _Stream) -> Literal:
@@ -525,14 +508,14 @@ def _parse_action(ts: _Stream) -> AstAction:
     kind = _fixed_word(ts, TokenKind.KEYWORD, ACTION_KEYWORDS, "an action kind (send, receive, generic)")
     port = _clause(ts, "port", "port name")
     payload = _clause(ts, "payload", "payload name")
-    effects: list[AstAssign] = []
+    effects: list[Assignment] = []
     if ts.accept("{"):
         while not ts.check("}"):
             target, target_span = _member_name(ts, "property name")
             ts.expect(":=")
             expr = _parse_expr(ts)
             ts.expect(";")
-            effects.append(_new(AstAssign, (target, target_span, expr)))
+            effects.append(Assignment(target, expr, target_span))
         end = ts.expect("}")
     else:
         end = ts.expect(";")

@@ -2,10 +2,12 @@
 
 Collects every resolution problem (unknown references, duplicate names,
 payload/composition cycles) before failing, so one run reports them all.
-Guard and effect expressions are left as unresolved name trees; the validator
-types them (rule R4). Metamodel objects keep their syntax tree node's
-offsets, and the model keeps the tree's locator; a ``SourceSpan`` is built
-here only for a diagnostic.
+The model takes what the parser built as its own records as they are: each
+``PropertyDef``, each effect's ``Assignment``, and the guard and effect
+expressions, which stay unresolved name trees that the validator types (rule
+R4). The resolver builds only the records that bind a name. They keep their
+syntax tree node's offsets, and the model keeps the tree's locator; a
+``SourceSpan`` is built here only for a diagnostic.
 
 Each scope rule is stated once: ``unique`` keeps the first declaration of a
 name, ``lookup`` binds a reference, and ``_check_acyclic`` walks the payload
@@ -19,7 +21,6 @@ from typing import Callable, Iterable, Iterator, Mapping, TypeVar
 from .diagnostics import CiotError, Diagnostic, Offsets, error
 from .metamodel import (
     ActionDef,
-    Assignment,
     ComponentDef,
     Connector,
     Endpoint,
@@ -31,17 +32,11 @@ from .metamodel import (
     PayloadDef,
     PayloadField,
     PortDef,
-    PropertyDef,
     StateDef,
     StateMachine,
     TransitionDef,
 )
-from .parser import (
-    AstComponent,
-    AstInstance,
-    AstModel,
-    Ref,
-)
+from .parser import AstComponent, AstInstance, AstModel, Ref
 
 T = TypeVar("T")
 
@@ -78,7 +73,7 @@ class _Resolver:
             ref = d.name
             name = ref.name if isinstance(ref, Ref) else ref
             if name in seen:
-                span = ref.span if isinstance(ref, Ref) else d.name_span
+                span = ref.span if isinstance(ref, Ref) else d.span
                 self.err("E_DUPLICATE", f"duplicate {what} {name!r}{where}", span)
             else:
                 seen.add(name)
@@ -110,9 +105,9 @@ class _Resolver:
         # then interfaces, then components.
         for p, target in payloads:
             for f in self.unique(p.fields, "field", f" in payload {p.name.name!r}"):
-                ftype = f.type.prim or self.lookup(self.payloads, f.type.payload, "payload type")
+                ftype = self.lookup(self.payloads, f.type, "payload type") if isinstance(f.type, Ref) else f.type
                 if ftype is not None:
-                    target.fields.append(PayloadField(f.name, ftype, f.name_span))
+                    target.fields.append(PayloadField(f.name, ftype, f.span))
         self._check_acyclic(
             self.payloads.values(),
             lambda p: [f.type for f in p.fields if isinstance(f.type, PayloadDef)],
@@ -163,8 +158,7 @@ class _Resolver:
     def _fill_component(self, ast: AstComponent, comp: ComponentDef) -> None:
         where = f" in component {ast.name.name!r}"
 
-        for prop in self.unique(ast.properties, "property", where):
-            comp.properties.append(PropertyDef(prop.name, prop.type, prop.initial.value, prop.name_span))
+        comp.properties.extend(self.unique(ast.properties, "property", where))
 
         for port in self.unique(ast.ports, "port", where):
             provided = [self.lookup(self.interfaces, r, "interface") for r in port.provides]
@@ -185,8 +179,7 @@ class _Resolver:
         for act in self.unique(ast.actions, "action", where):
             payload = self.lookup(self.payloads, act.payload, "payload")
             port = self.lookup(ports, act.port, "port", where)
-            effects = [Assignment(e.target, e.expr, e.target_span) for e in act.effects]
-            comp.actions.append(ActionDef(act.name.name, act.kind, payload, port, effects, act.span))
+            comp.actions.append(ActionDef(act.name.name, act.kind, payload, port, act.effects, act.span))
 
         actions = {a.name: a for a in comp.actions}
         for ev in self.unique(ast.events, "event", where):

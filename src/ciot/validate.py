@@ -36,7 +36,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 from .diagnostics import Diagnostic, Offsets, Severity
-from .guards import PRIM_TYPES, GuardScope, PrimType, TypeCheckError, assignable, describe_value, fit_value, typecheck_guard
+from .guards import PRIM_TYPES, PrimType, TypeCheckError, assignable, describe_value, fit_value, typecheck_guard
 from .metamodel import (
     COMPONENT_KINDS,
     ActionKind,
@@ -275,13 +275,12 @@ def _check_effects(comp: ComponentDef) -> Iterator[_Finding]:
         # SendPayload effects see properties only; the outgoing record is
         # built after them. Receive/generic actions also see their payload.
         payload_fields = None if act.kind == ActionKind.SEND_PAYLOAD else _payload_scope(act.payload)
-        scope = GuardScope(props, payload_fields)
         for eff in act.effects:
             target_type = props.get(eff.target)
             if target_type is None:
                 yield "R4", f"effect in action {act.name!r} assigns unknown property {eff.target!r}", eff.span
                 continue
-            value_type = _type_of(eff.expr, scope, f"effect expression in action {act.name!r}")
+            value_type = _type_of(eff.expr, props, payload_fields, f"effect expression in action {act.name!r}")
             if not isinstance(value_type, str):
                 yield value_type
             elif not assignable(target_type, value_type):
@@ -293,11 +292,11 @@ def _check_effects(comp: ComponentDef) -> Iterator[_Finding]:
                 )
 
 
-def _type_of(expr, scope: GuardScope, what: str) -> PrimType | _Finding:
+def _type_of(expr, properties: dict, payload_fields: dict | None, what: str) -> PrimType | _Finding:
     """The type of ``expr``, or the R4 finding "``what`` does not type-check"
     at the typing error's span, or at ``expr``'s when typing runs out of stack."""
     try:
-        return typecheck_guard(expr, scope)
+        return typecheck_guard(expr, properties, payload_fields)
     except TypeCheckError as exc:
         return "R4", f"{what} does not type-check: {exc}", exc.at
     except RecursionError:  # ``validate`` called from code too deep for an expression within the limit
@@ -318,7 +317,7 @@ def _check_machine(comp: ComponentDef, machine: StateMachine) -> Iterator[_Findi
             continue
         payload_fields = _payload_scope(t.trigger.payload) if t.trigger is not None else None
         what = f"guard on transition {t.source.name} -> {t.target.name} of component {comp.name!r}"
-        guard_type = _type_of(t.guard, GuardScope(props, payload_fields), what)
+        guard_type = _type_of(t.guard, props, payload_fields, what)
         if not isinstance(guard_type, str):
             yield guard_type
         elif guard_type != PrimType.BOOL:

@@ -11,7 +11,6 @@ from ciot.diagnostics import CiotError, Locator
 from ciot.engine import inject, instantiate, run_to_quiescence
 from ciot.guards import (
     Binary,
-    GuardScope,
     Literal,
     NameRef,
     PayloadFieldRef,
@@ -31,14 +30,14 @@ from ciot.trace import render_trace
 
 from exprparse import parse_expression
 
-NUMERIC_SCOPE = GuardScope(
-    properties={"x": PrimType.INT, "rate": PrimType.FLOAT, "on": PrimType.BOOL, "tag": PrimType.STRING},
-    payload_fields={"duration": PrimType.FLOAT, "state": PrimType.STRING},
+NUMERIC_SCOPE = (  # property types, payload field types
+    {"x": PrimType.INT, "rate": PrimType.FLOAT, "on": PrimType.BOOL, "tag": PrimType.STRING},
+    {"duration": PrimType.FLOAT, "state": PrimType.STRING},
 )
 
 
-def tc(src: str, scope: GuardScope = NUMERIC_SCOPE) -> PrimType:
-    return typecheck_guard(parse_expression(src), scope)
+def tc(src: str) -> PrimType:
+    return typecheck_guard(parse_expression(src), *NUMERIC_SCOPE)
 
 
 def ev(src: str, properties=None, payload=None):
@@ -98,9 +97,8 @@ def test_unknown_property_name():
 
 
 def test_payload_outside_scope():
-    scope = GuardScope(properties={"x": PrimType.INT}, payload_fields=None)
     with pytest.raises(CiotError) as exc:
-        tc("payload.duration >= 1", scope)
+        typecheck_guard(parse_expression("payload.duration >= 1"), {"x": PrimType.INT}, None)
     assert exc.value.code == "E_UNKNOWN_NAME"
 
 

@@ -639,13 +639,12 @@ def test_expression_nodes_keep_the_offsets_of_their_tokens(parking_path):
     corpus = pathlib.Path(parking_path).read_text(encoding="utf-8")
     expression = 'not (x < 1.5) and payload . f != "s" or (((on)))'
     components = parse(corpus).components
-    guards_effects_initials = [
-        *(p.initial for c in components for p in c.properties),
+    guards_and_effects = [
         *(e.expr for c in components for a in c.actions for e in a.effects),
         *(t.guard for c in components if c.machine for t in c.machine.transitions if t.guard),
     ]
     kinds = set()
-    for source, trees in [(corpus, guards_effects_initials), (expression, [parse_expression(expression)])]:
+    for source, trees in [(corpus, guards_and_effects), (expression, [parse_expression(expression)])]:
         tokens = {start: text for _, text, start in tokenize(source)}
         for expr in _subtrees(trees):
             kinds.add(type(expr))

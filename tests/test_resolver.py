@@ -114,6 +114,25 @@ def test_all_references_bound_by_identity(parking_model):
     assert any(t.trigger is evt for t in node.state_machine.transitions)
 
 
+def test_model_keeps_the_parsers_properties_and_effects(parking_path):
+    """The parser builds each ``PropertyDef`` and ``Assignment`` as the model
+    keeps it; the resolver copies none."""
+    ast = parse(pathlib.Path(parking_path).read_text(encoding="utf-8"))
+    model = resolve(ast)
+
+    def records(components):
+        for c in components:
+            yield from c.properties
+            for a in c.actions:
+                yield from a.effects
+
+    parsed = list(records(ast.components))
+    kept = list(records(model.components))
+    assert {type(r).__name__ for r in kept} == {"PropertyDef", "Assignment"}
+    assert len(kept) == len(parsed) > 10
+    assert all(k is p for k, p in zip(kept, parsed))
+
+
 def test_connectors_resolve_when_composite_precedes_child():
     # The composite appears first, so its children's ports exist only after
     # every component shell is filled; wiring must still bind.
