@@ -3,8 +3,10 @@
 
 Each tree is a source root that contains ``src/ciot``: the working tree, or
 a parent commit exported with ``git archive``. Each runs in its own
-``python -B`` subprocess, with its own ``PYTHONPATH`` and ``PYTHONHASHSEED``,
-over the same cases; the script compares one digest per case.
+``python -B`` subprocess, with its own ``PYTHONPATH``, over the same cases;
+the script compares one digest per case. The first tree runs under
+``PYTHONHASHSEED=0`` and the second under 4242, since no output may depend on
+the hash seed: a tree run against itself checks just that.
 
 The cases are the front-end family: the corpus ``.ciot`` files, then every
 token of the corpus model dropped, doubled and followed by ``@``, then each
@@ -12,13 +14,14 @@ of its property, payload field and effect lines duplicated. A case's digest
 covers each diagnostic's rule, message, span, file and rendering, and, for a
 model without errors, its ``export_model`` text and the ``render_trace`` of
 ``instantiate`` and ``run_to_quiescence``; an exception is digested as its
-type, code and message. Only the standard library is used.
+type, code and message. Only the standard library is used; the cases'
+tokens come from this repository's own lexer.
 
 Run from the repository root, for example against the parent commit:
 
     mkdir ../parent && git archive HEAD~1 | tar -x -C ../parent
     python scripts/differential.py ../parent .
-    python scripts/differential.py . . --hash-seeds 0 4242
+    python scripts/differential.py . .
 
 It prints one line, ``frontend: N cases, K differ[, first: <case>]``, and
 exits 0 when no case differs, 1 when some do, and 2 when a tree fails to
@@ -36,13 +39,14 @@ import subprocess
 import sys
 import tempfile
 
-CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
-MODEL = "parking_node.ciot"
+REPO = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO / "src"))
 
-# The lexer's tokens, with "//" comments matched so they can be skipped.
-_TOKEN = re.compile(
-    r'//[^\n]*|[A-Za-z_][A-Za-z0-9_]*|:=|->|--|==|!=|<=|>=|"(?:[^"\\\n]|\\.)*"|[0-9]+\.[0-9]+|[0-9]+|\S'
-)
+from ciot.lexer import TokenKind, tokenize
+
+CORPUS = REPO / "corpus"
+MODEL = "parking_node.ciot"
+SEEDS = (0, 4242)  # PYTHONHASHSEED of the first and the second tree
 # Property declarations, payload fields ("name: type;") and effects ("name := expr;").
 _MEMBER_LINE = re.compile(r"\s*(property\b.*|\w+\s*:\s*\w+\s*;|\w+\s*:=.*)\n")
 
@@ -81,12 +85,12 @@ def cases() -> list[tuple[str, str]]:
     """The front-end family, as (case name, model text) pairs."""
     out = [(str(p.relative_to(CORPUS)), p.read_text(encoding="utf-8")) for p in sorted(CORPUS.rglob("*.ciot"))]
     text = (CORPUS / MODEL).read_text(encoding="utf-8")
-    tokens = [m for m in _TOKEN.finditer(text) if not m.group().startswith("//")]
+    tokens = [(start, word) for kind, word, start in tokenize(text) if kind is not TokenKind.EOI]
     changes = [("drop", lambda t: ""), ("double", lambda t: f"{t} {t}"), ("follow with @", lambda t: t + "@")]
     for how, change in changes:
-        for i, m in enumerate(tokens):
-            name = f"{MODEL}: {how} token {i} {m.group()!r}"
-            out.append((name, text[: m.start()] + change(m.group()) + text[m.end() :]))
+        for i, (start, word) in enumerate(tokens):
+            name = f"{MODEL}: {how} token {i} {word!r}"
+            out.append((name, text[:start] + change(word) + text[start + len(word) :]))
     lines = text.splitlines(keepends=True)
     for i, line in enumerate(lines):
         if _MEMBER_LINE.fullmatch(line):
@@ -111,19 +115,17 @@ def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("tree_a", type=pathlib.Path)
     ap.add_argument("tree_b", type=pathlib.Path)
-    ap.add_argument("--hash-seeds", type=int, nargs=2, default=(0, 0), metavar=("A", "B"))
-    ap.add_argument("--limit", type=int, default=None, help="compare only the first N cases")
     args = ap.parse_args(argv)
     trees = [args.tree_a.resolve(), args.tree_b.resolve()]
     for tree in trees:
         if not (tree / "src" / "ciot").is_dir():
             ap.error(f"{tree} holds no src/ciot")
-    family = cases()[: args.limit]
+    family = cases()
     with tempfile.TemporaryDirectory() as scratch:
         texts_file = os.path.join(scratch, "cases.json")
         with open(texts_file, "w", encoding="utf-8") as fh:
             json.dump([text for _, text in family], fh)
-        workers = [start_worker(tree, seed, texts_file) for tree, seed in zip(trees, args.hash_seeds)]
+        workers = [start_worker(tree, seed, texts_file) for tree, seed in zip(trees, SEEDS)]
         outputs = [worker.communicate() for worker in workers]
     results = []
     for tree, worker, (out, err) in zip(trees, workers, outputs):

@@ -417,14 +417,14 @@ def _parse_property(ts: _Stream) -> PropertyDef:
         ts.fail(f"expected a primitive type (int, float, bool, string), got {describe(type_tok)}")
     ts.advance()
     ts.expect("=")
-    initial = _parse_literal(ts)
+    initial, _ = _read_literal(ts)
     ts.expect(";")
-    return PropertyDef(name, _PRIM_NAMES[type_text], initial.value, name_span)
+    return PropertyDef(name, _PRIM_NAMES[type_text], initial, name_span)
 
 
-def _parse_literal(ts: _Stream) -> Literal:
-    tok = kind, text, start = ts.current
-    span = (start, start + len(text))
+def _read_literal(ts: _Stream) -> tuple[object, PrimType]:
+    """The value and type of the literal token at the cursor, which it passes."""
+    tok = kind, text, _ = ts.current
     if kind is TokenKind.INT:
         try:
             value = int(text)
@@ -433,19 +433,19 @@ def _parse_literal(ts: _Stream) -> Literal:
             if value is None:
                 ts.fail(f"integer literal of {digits} digits is out of range")
         ts.advance()
-        return Literal(value, PrimType.INT, span)
+        return value, PrimType.INT
     if kind is TokenKind.FLOAT:
         value = float(text)
         if math.isinf(value):
             ts.fail("float literal is out of range")
         ts.advance()
-        return Literal(value, PrimType.FLOAT, span)
+        return value, PrimType.FLOAT
     if kind is TokenKind.STRING:
         ts.advance()
-        return Literal(decode_string(text), PrimType.STRING, span)
+        return decode_string(text), PrimType.STRING
     if text in ("true", "false"):
         ts.advance()
-        return Literal(text == "true", PrimType.BOOL, span)
+        return text == "true", PrimType.BOOL
     ts.fail(f"expected a literal, got {describe(tok)}")
 
 
@@ -649,7 +649,7 @@ def _parse_comparison(ts: _Stream) -> _Parsed:
 def _parse_atom(ts: _Stream) -> _Parsed:
     tok = kind, text, start = ts.current
     if kind in _LITERAL_KINDS or text in ("true", "false"):
-        return _parse_literal(ts), 0
+        return Literal(*_read_literal(ts), (start, start + len(text))), 0
     if text == "payload":
         ts.advance()
         ts.expect(".", what="'.' after 'payload'")

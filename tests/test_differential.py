@@ -5,44 +5,47 @@ from __future__ import annotations
 import importlib.util
 import pathlib
 import shutil
-import subprocess
-import sys
+
+import pytest
 
 from ciot.lexer import TokenKind, tokenize
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-SCRIPT = ROOT / "scripts" / "differential.py"
-LIMIT = 16  # the corpus files, then the first token cases
+FEW = 16  # the corpus files, then the first token cases
 
 
-def _run(tree_a: pathlib.Path, tree_b: pathlib.Path) -> subprocess.CompletedProcess:
-    command = [sys.executable, str(SCRIPT), str(tree_a), str(tree_b), "--limit", str(LIMIT)]
-    return subprocess.run(command, capture_output=True, text=True, timeout=120)
-
-
-def test_cases_cover_every_token_of_the_corpus_model():
-    spec = importlib.util.spec_from_file_location("differential", SCRIPT)
+@pytest.fixture
+def differential():
+    spec = importlib.util.spec_from_file_location("differential", ROOT / "scripts" / "differential.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    text = (module.CORPUS / module.MODEL).read_text(encoding="utf-8")
-    tokens = [(start, word) for kind, word, start in tokenize(text) if kind is not TokenKind.EOI]
-    assert [(m.start(), m.group()) for m in module._TOKEN.finditer(text) if m.group()[:2] != "//"] == tokens
-    names = [name for name, _ in module.cases()]
+    return module
+
+
+def _run(differential, monkeypatch, capsys, tree_a: pathlib.Path, tree_b: pathlib.Path) -> tuple[int, str]:
+    family = differential.cases()[:FEW]
+    monkeypatch.setattr(differential, "cases", lambda: family)
+    code = differential.main([str(tree_a), str(tree_b)])
+    return code, capsys.readouterr().out
+
+
+def test_cases_cover_every_token_of_the_corpus_model(differential):
+    text = (differential.CORPUS / differential.MODEL).read_text(encoding="utf-8")
+    tokens = [kind for kind, _, _ in tokenize(text) if kind is not TokenKind.EOI]
+    names = [name for name, _ in differential.cases()]
     # the 13 corpus files, three cases a token, the 13 property, field and effect lines
     assert len(names) == len(set(names)) == 13 + 3 * len(tokens) + 13
 
 
-def test_a_tree_against_itself_differs_nowhere():
-    done = _run(ROOT, ROOT)
-    assert (done.returncode, done.stdout) == (0, f"frontend: {LIMIT} cases, 0 differ\n")
+def test_a_tree_against_itself_differs_nowhere(differential, monkeypatch, capsys):
+    assert _run(differential, monkeypatch, capsys, ROOT, ROOT) == (0, f"frontend: {FEW} cases, 0 differ\n")
 
 
-def test_a_changed_diagnostic_message_is_reported_with_its_case(tmp_path):
+def test_a_changed_diagnostic_message_is_reported_with_its_case(differential, monkeypatch, capsys, tmp_path):
     shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
     validate = tmp_path / "src" / "ciot" / "validate.py"
     source = validate.read_text(encoding="utf-8")
     assert source.count("has no initial state") == 1
     validate.write_text(source.replace("has no initial state", "lacks an initial state"), encoding="utf-8")
-    done = _run(ROOT, tmp_path)
-    expected = f"frontend: {LIMIT} cases, 1 differ, first: mutations/r1_no_initial.ciot\n"
-    assert (done.returncode, done.stdout) == (1, expected)
+    expected = f"frontend: {FEW} cases, 1 differ, first: mutations/r1_no_initial.ciot\n"
+    assert _run(differential, monkeypatch, capsys, ROOT, tmp_path) == (1, expected)
