@@ -36,8 +36,8 @@ compiled by ``guards.compile_expr`` and the records it makes (guard_eval for
 either result, transition, state_exited, state_entered) built in advance;
 and its entry, exit and continuous executions with the direction already
 decided: run the action and send, queue a payload snapshot, or run the
-action inline. A state's entry executions are built once and shared by the
-transitions into it. Per event: its action's effects as compiled
+action inline. A transition holds its target's name; ``step`` enters each
+target through its own ``State``. Per event: its action's effects as compiled
 expressions, or the action folded. An action folds when each of its effects
 (none at all included) is a literal that fits its target as it is
 (``_proves``): its one action record is built here, holding the dict of
@@ -121,7 +121,6 @@ from .metamodel import (
     FieldType,
     Model,
     PayloadDef,
-    StateDef,
     TransitionDef,
     instance_paths,
 )
@@ -140,9 +139,9 @@ Fields = tuple[tuple[str, FieldType, bool], ...] | None
 
 class Transition(Record):
     """One transition as ``step`` takes it: its compiled guard, the records
-    it makes and its target's entry executions, all fixed by the model."""
+    it makes and its target's name, all fixed by the model."""
 
-    __slots__ = ("trigger", "guard", "rejected", "accepted", "taken", "exited", "entered", "target", "entry")
+    __slots__ = ("trigger", "guard", "rejected", "accepted", "taken", "exited", "entered", "target")
 
     def __init__(
         self,
@@ -153,8 +152,7 @@ class Transition(Record):
         taken: tuple,
         exited: tuple,
         entered: tuple,
-        target: StateDef,
-        entry: tuple[Execution, ...],
+        target: str,
     ) -> None:
         self.trigger = trigger
         self.guard = guard  # compiled; sees the payload only when the transition has a trigger
@@ -164,8 +162,7 @@ class Transition(Record):
         self.taken = taken  # ("transition", source, target, trigger name or None)
         self.exited = exited  # ("state_exited", source)
         self.entered = entered  # ("state_entered", target)
-        self.target = target
-        self.entry = entry  # the target's entry executions
+        self.target = target  # the name ``step`` looks its ``State`` up by
 
 
 class State(NamedTuple):
@@ -327,21 +324,14 @@ def _build_dispatch(model: Model, comp: ComponentDef, path: str) -> Dispatch:
     def executions(events: list[EventDef], inline: bool) -> tuple[Execution, ...]:
         return tuple(_execution(ev, actions[ev.name], types, outgoing, inline) for ev in events)
 
-    entries: dict[int, tuple[Execution, ...]] = {}  # by id(state), shared by the transitions into it
-
-    def entry(s: StateDef) -> tuple[Execution, ...]:
-        if id(s) not in entries:
-            entries[id(s)] = executions(s.entry, False)
-        return entries[id(s)]
-
     states: dict[str, State] = {}
     machine = comp.state_machine
     for s in machine.states if machine is not None else ():
         if s.name not in states:
-            transitions = tuple(
-                _transition(t, entry(t.target), model, comp.name) for t in machine.transitions if t.source is s
+            transitions = tuple(_transition(t, model, comp.name) for t in machine.transitions if t.source is s)
+            states[s.name] = State(
+                transitions, executions(s.entry, False), executions(s.exit, False), executions(s.continuous, True)
             )
-            states[s.name] = State(transitions, entry(s), executions(s.exit, False), executions(s.continuous, True))
     sends = []
     for ev in outgoing:
         payload = ev.action.payload
@@ -441,7 +431,7 @@ def _execution(ev: EventDef, action: Action, types: dict, outgoing: list[EventDe
     return lambda rt, inst: enqueue(rt, inst, ev, _snapshot_payload(inst, fields), inst.path)
 
 
-def _transition(t: TransitionDef, entry: tuple[Execution, ...], model: Model, comp_name: str) -> Transition:
+def _transition(t: TransitionDef, model: Model, comp_name: str) -> Transition:
     label = f"{t.source.name}->{t.target.name}"
     guard_text = guard = None
     if t.guard is not None:
@@ -459,8 +449,7 @@ def _transition(t: TransitionDef, entry: tuple[Execution, ...], model: Model, co
         taken=("transition", t.source.name, t.target.name, t.trigger.name if t.trigger is not None else None),
         exited=("state_exited", t.source.name),
         entered=("state_entered", t.target.name),
-        target=t.target,
-        entry=entry,
+        target=t.target.name,
     )
 
 
@@ -606,11 +595,12 @@ def step(rt: RuntimeState) -> bool:
         for run in exits:
             run(rt, inst)
         record(fired.exited)
-        inst.state = fired.target.name
+        inst.state = fired.target
         record(fired.entered)
-        for run in fired.entry:
+        target = states[fired.target]
+        for run in target.entry:
             run(rt, inst)
-        continuous = states[inst.state].continuous
+        continuous = target.continuous
     for run in continuous:
         run(rt, inst)
     return True

@@ -105,8 +105,8 @@ class SimResult(Record):
     @property
     def trace(self) -> Trace:
         """The run's records as ``TraceRecord``s, a live read-only view of
-        ``runtime.records`` and its head columns; each record is built only
-        as it is read."""
+        the runtime's records and heads; each record is built only as it is
+        read."""
         return self.runtime.trace
 
 
@@ -375,13 +375,10 @@ def occupancy_timeline(result: SimResult) -> list[tuple[int, str]]:
     red_path, green_path = find_led_paths([(p, rt.instances[p].component) for p in rt.order])
     state = {red_path: None, green_path: None}
     timeline: list[tuple[int, str]] = []
-    first, records = rt.head_first, rt.records
-    ends = first[1:]  # each head's records end where the next one's start
-    ends.append(len(records))
-    for t_us, group in groupby(zip(rt.head_time, rt.head_instance, first, ends), itemgetter(0)):
-        for _, instance, start, end in group:
+    for t_us, heads in groupby(result.trace.heads(), itemgetter(1)):
+        for _, _, instance, records in heads:
             if instance in state:
-                for record in records[start:end]:
+                for record in records:
                     if record[0] == "state_entered":
                         state[instance] = record[1]
         red_on, green_on = state[red_path] == "ON", state[green_path] == "ON"

@@ -9,20 +9,18 @@ instance. A record the model fixes, such as a transition's or a folded
 action's, is built once and appended by every instance that makes it, and
 a folded send's payload_sent record once per instance. The columns hold
 only ints and strings, and a record whose values hold no dict is one the
-collector stops tracking. A ``Trace`` reads the columns and records as
-``TraceRecord``s, built only as each is read. Text is built only when a
-record is read, by ``detail`` or by the renderer, so a run that renders
-nothing formats nothing. Rendering is stable, so two identical runs produce
-byte-identical trace files.
+collector stops tracking. ``Trace.heads`` is the one walk over the heads,
+and a ``Trace`` reads the records through it as ``TraceRecord``s, built only
+as each is read. Text is built only when a record is read, by ``detail`` or
+by the renderer, so a run that renders nothing formats nothing. Rendering is
+stable, so two identical runs produce byte-identical trace files.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Sequence
-from itertools import chain, count, repeat
-from operator import itemgetter, sub
-from typing import Any, Iterable, Mapping, NamedTuple
+from typing import Any, Iterable, Iterator, Mapping, NamedTuple
 
 from .diagnostics import CiotError
 from .guards import format_value
@@ -67,13 +65,13 @@ class Trace(Sequence):
 
     The heads are three columns, one entry per head: the index of its first
     record, its time_us and its instance. A head stamps every record from its
-    first index up to the next head's, and a record's seq is its index. Each
-    record is built as it is read: iterating repeats each head's time and
-    instance over its records, an index finds its head by bisection, and a
-    slice gives a list. The view shows records the run appends after it was
-    taken (an iterator shows those of the heads there were when it began),
-    and it equals a list (or another ``Trace``) of the same records, since a
-    record compares as a tuple."""
+    first index up to the next head's, and a record's seq is its index.
+    ``heads`` is the one walk over them: iterating builds each head's records
+    from it, as each is read, and ``render_trace`` renders it. An index finds
+    its head by bisection, and a slice gives a list. The view shows records
+    the run appends after it was taken (a walk shows those of the heads there
+    were when it began), and it equals a list (or another ``Trace``) of the
+    same records, since a record compares as a tuple."""
 
     __slots__ = ("_first", "_time", "_instance", "_records")
 
@@ -97,28 +95,24 @@ class Trace(Sequence):
         record = self._records[seq]
         return tuple.__new__(TraceRecord, (seq, self._time[k], self._instance[k], record[0], record[1:]))
 
-    def _ends(self) -> list[int]:
-        """Per head, the index after its last record."""
-        ends = self._first[1:]
-        ends.append(len(self._records))
-        return ends
+    def heads(self) -> Iterator[tuple[int, int, str, list[tuple]]]:
+        """The heads there are when it is called, in order: per head, ``(seq
+        of its first record, time_us, instance, its (kind, *values)
+        records)``. The last head's records end at the record count of that
+        moment, so a record appended later shows in none of them."""
+        first, records = self._first, self._records
+        ends = first[1:]  # each head's records end where the next one's start
+        ends.append(len(records))
+        return zip(first, self._time, self._instance, map(records.__getitem__, map(slice, first, ends)))
 
     def __iter__(self):
-        """The records in seq order, built by a C-level walk of ``map`` and
-        ``zip`` over the heads: a plain generator over them took 2.73 against
-        2.35 ms to list the arrive/depart run's 5,656 records (median of 16
-        rounds of best-of-100, Python 3.11, shared 2-CPU Xeon)."""
-        counts = list(map(sub, self._ends(), self._first))
-        records = self._records
-        stamps = zip(
-            count(),
-            chain.from_iterable(map(repeat, self._time, counts)),
-            chain.from_iterable(map(repeat, self._instance, counts)),
-            map(itemgetter(0), records),
-            map(itemgetter(slice(1, None)), records),  # the values, after the kind
-        )
+        """The records in seq order, those of the heads there are when it begins."""
         # tuple.__new__ skips the Python-level call of TraceRecord's generated __new__.
-        return map(tuple.__new__, repeat(TraceRecord), stamps)
+        return (
+            tuple.__new__(TraceRecord, (seq, time_us, instance, record[0], record[1:]))
+            for first, time_us, instance, records in self.heads()
+            for seq, record in enumerate(records, first)
+        )
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (Trace, list)):
@@ -235,17 +229,16 @@ def _lines(groups: Iterable[tuple], keep: bool) -> list[str]:
 def render_trace(records: Iterable[TraceRecord]) -> str:
     """The trace text of ``records``, one line each; E_USAGE unless
     ``records`` is an iterable of trace records. A ``Trace`` is rendered
-    head by head from its columns and records, so no ``TraceRecord`` is
-    built, and ``_lines`` keeps text, since its run holds every record and
-    dict for the whole call. Any other iterable goes through ``_lines``
-    too, each record rebuilt as a group of its own, and keeps nothing.
+    head by head from ``Trace.heads``, so no ``TraceRecord`` is built, and
+    ``_lines`` keeps text, since its run holds every record and dict for the
+    whole call. Any other iterable goes through ``_lines`` too, each record
+    rebuilt as a group of its own, and keeps nothing.
 
     No record is checked up front: one that is not a trace record fails in
     ``_lines``' unpacking or lookups, and that failure becomes E_USAGE."""
     keep = isinstance(records, Trace)
     if keep:
-        first, flat = records._first, records._records
-        groups = zip(first, records._time, records._instance, map(flat.__getitem__, map(slice, first, records._ends())))
+        groups = records.heads()
     else:
         try:
             groups = ((seq, t, instance, ((kind, *values),)) for seq, t, instance, kind, values in records)

@@ -88,6 +88,16 @@ def test_file_not_utf8_is_one_io_line(capsys, tmp_path, parking_path, arrive_dep
     assert err.startswith(f"{path}: error E_IO cannot read {str(path)!r}: 'utf-8' codec can't decode")
 
 
+@pytest.mark.parametrize("command", ["run", "simulate"])
+def test_trace_file_that_cannot_be_written_is_one_io_line(capsys, tmp_path, parking_path, arrive_depart_path, command):
+    path = tmp_path / "no_such_dir" / "out.trace"
+    scenario = [arrive_depart_path] if command == "simulate" else []
+    code, out, err = run_cli(capsys, command, parking_path, *scenario, "--trace", str(path))
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1
+    assert err.startswith(f"{path}: error E_IO cannot write {str(path)!r}: ")
+
+
 @pytest.mark.parametrize(
     "argv, marked",
     [

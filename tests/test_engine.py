@@ -1109,6 +1109,67 @@ def test_triggerless_guard_reads_what_entry_actions_set():
     assert [r.values[2] for r in rt.trace[mark:] if r.kind == "action"][0] == {"flag": False}
 
 
+
+EXIT_MODEL = (
+    "payload P { level: int; }\n"
+    "interface I { op f(P); }\n"
+    "component Src : IoTElement {\n"
+    "    property level: int = 1;\n"
+    "    port pin provides I;\n"
+    "    port out requires I;\n"
+    "    event go incoming port pin payload P action actGo;\n"
+    "    event report outgoing port out payload P action actReport;\n"
+    "    event note generic payload P action actNote;\n"
+    "    event bump generic action actBump;\n"
+    "    action actGo receive port pin payload P;\n"
+    "    action actReport send port out payload P;\n"
+    "    action actNote generic payload P;\n"
+    "    action actBump generic { level := 9; }\n"
+    "    statemachine {\n"
+    "        initial state A { exit report, note; }\n"
+    "        state B { continuous bump; }\n"
+    "        transition A -> B when go;\n"
+    "    }\n"
+    "}\n"
+    "component Sink : IoTElement {\n"
+    "    port pin provides I;\n"
+    "    event got incoming port pin payload P action actGot;\n"
+    "    action actGot receive port pin payload P;\n"
+    "}\n"
+    "component Top : Board {\n"
+    "    instance src: Src;\n"
+    "    instance sink: Sink;\n"
+    "    connect src.out -- sink.pin;\n"
+    "}\n"
+    "instance top: Top;\n"
+)
+
+
+def test_exit_executions_run_before_the_state_is_left():
+    """The exit position's send runs and is recorded before ``state_exited``;
+    its generic event is queued with the property as it was before the
+    target's continuous execution set it, and is delivered in a later step."""
+    model, diags = collect_diagnostics(EXIT_MODEL)
+    assert diags == []
+    rt = instantiate(model)
+    inject(rt, "top.src", "pin", "go", {"level": 0})
+    step(rt)
+    kinds = [r.kind for r in rt.trace]
+    after = [(r.kind, r.values) for r in rt.trace[kinds.index("transition") + 1 :]]
+    assert after == [
+        ("action", ("actReport", "SendPayload", {})),
+        ("payload_sent", ("out", "report", ("top.sink", "pin"), {"level": 1}, None)),
+        ("state_exited", ("A",)),
+        ("state_entered", ("B",)),
+        ("action", ("actBump", "Generic", {"level": 9})),
+    ]
+    assert rt.instances["top.src"].properties["level"] == 9
+    run_to_quiescence(rt)
+    assert delivered(rt) == [("top.src", "go"), ("top.src", "note"), ("top.sink", "got")]
+    note = next(r for r in rt.trace if r.kind == "event_delivered" and r.values[0] == "note")
+    assert note.values[2:] == ("top.src", {"level": 1})
+
+
 TRANSITION_KINDS = ("guard_eval", "transition", "state_exited", "state_entered")
 
 

@@ -734,6 +734,16 @@ def test_led_paths_rejects_ambiguous_indicators(parking_path):
     assert exc.value.code == "E_TRACE"
 
 
+
+def test_timeline_of_both_indicators_on_is_a_trace_error(parking_path):
+    text = pathlib.Path(parking_path).read_text(encoding="utf-8")
+    initial_off = "initial state OFF {}\n        state ON {}"
+    assert text.count(initial_off) == 2  # RedLED's and GreenLED's
+    rt = instantiate(load_text(text.replace(initial_off, "state OFF {}\n        initial state ON {}")))
+    with pytest.raises(CiotError) as exc:
+        occupancy_timeline(SimResult(rt, Scenario("duration", 0)))
+    assert (exc.value.code, str(exc.value)) == ("E_TRACE", "both indicators ON at t=0us")
+
 # --- invariants ----------------------------------------------------------
 
 

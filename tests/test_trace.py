@@ -7,7 +7,8 @@ identity of the objects it formats (its flat records, and its payload and
 records do one at a time, as their ``detail`` reads, and as a ``Trace`` of
 records and dicts shared as a run's are. A ``Trace`` reads a run's heads and
 ``(kind, *values)`` records as ``TraceRecord``s; its tests pin that it reads
-as the list of its records, by index and slice as by iteration."""
+as the list of its records, by index and slice as by iteration and through
+``heads``."""
 
 from __future__ import annotations
 
@@ -126,7 +127,14 @@ def test_trace_of_shared_records_renders_as_their_list(records, data):
     heads = [bisect_right(first, seq) - 1 for seq in range(n)]
     expected = [TraceRecord(r.seq, times[h], instances[h], r.kind, r.values) for r, h in zip(records, heads)]
     assert list(view) == expected
+    walk = view.heads()
+    flattened = [(seq, t, inst, r[0], r[1:]) for first, t, inst, rs in walk for seq, r in enumerate(rs, first)]
+    assert flattened == expected
     assert render_trace(view) == render_trace(expected)
+    # A walk taken before an append shows none of the appended records.
+    walk = view.heads()
+    rows.append(("state_exited", "S"))
+    assert sum(len(rs) for *_, rs in walk) == n
 
 
 def test_empty_trace_renders_empty():
